@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from ffnet import init_network, make_rng
+from ffnet.data import write_idx
 from ffnet.nn import ForwardTrace
+from ffnet.synth import synthetic_dataset
 
 
 def fd_grad(loss_fn, param: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -57,6 +59,25 @@ def trace_from_activities(act: np.ndarray) -> ForwardTrace:
     return ForwardTrace(
         inputs=np.zeros((act.shape[0], 1)), pre=[act], act=[act], normed=[act]
     )
+
+
+def write_mnist_fixture(root) -> None:
+    """A tiny synthetic stand-in for MNIST as IDX ``.gz`` files in ``root/mnist``."""
+    mnist_dir = root / "mnist"
+    mnist_dir.mkdir(parents=True)
+    for prefix, n, split in (("train", 240, "train"), ("t10k", 120, "test")):
+        ds = synthetic_dataset(n, d=784, seed=20, split=split, name="mnist")
+        images = (ds.images * 255.0).round().astype(np.uint8).reshape(-1, 28, 28)
+        write_idx(mnist_dir / f"{prefix}-images-idx3-ubyte.gz", images)
+        write_idx(mnist_dir / f"{prefix}-labels-idx1-ubyte.gz", ds.labels.astype(np.uint8))
+
+
+@pytest.fixture(scope="session")
+def data_dir(tmp_path_factory):
+    """A warm cache directory holding the tiny MNIST stand-in; read-only."""
+    root = tmp_path_factory.mktemp("data")
+    write_mnist_fixture(root)
+    return root
 
 
 @pytest.fixture

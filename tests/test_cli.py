@@ -9,7 +9,6 @@ from ffnet.data import write_idx
 from ffnet.errors import DataFormatError
 from ffnet.fetch import RemoteFile, dataset_available, fetch_dataset, sha256_file
 from ffnet.linalg import make_rng
-from ffnet.synth import synthetic_dataset
 
 IDX_NAMES = [
     "train-images-idx3-ubyte.gz",
@@ -17,25 +16,6 @@ IDX_NAMES = [
     "t10k-images-idx3-ubyte.gz",
     "t10k-labels-idx1-ubyte.gz",
 ]
-
-
-def _write_idx_split(directory, ds, prefix):
-    images = (ds.images * 255.0).round().astype(np.uint8).reshape(-1, 28, 28)
-    write_idx(directory / f"{prefix}-images-idx3-ubyte.gz", images)
-    write_idx(directory / f"{prefix}-labels-idx1-ubyte.gz", ds.labels.astype(np.uint8))
-
-
-@pytest.fixture(scope="module")
-def data_dir(tmp_path_factory):
-    """A warm cache directory holding a tiny synthetic stand-in for MNIST."""
-    root = tmp_path_factory.mktemp("data")
-    mnist_dir = root / "mnist"
-    mnist_dir.mkdir()
-    train = synthetic_dataset(240, d=784, seed=20, split="train", name="mnist")
-    test = synthetic_dataset(120, d=784, seed=20, split="test", name="mnist")
-    _write_idx_split(mnist_dir, train, "train")
-    _write_idx_split(mnist_dir, test, "t10k")
-    return root
 
 
 TRAIN_FLAGS = [
