@@ -4,12 +4,8 @@ goodness-voting inference, on a small synthetic dataset.
 Run with:  python3 demos/01_forward_forward_basics.py
 """
 
-import numpy as np
-
 from ffnet import FfConfig, init_network, make_rng, positive_prob, synthetic_pair
-from ffnet.data import link_inputs
-from ffnet.ff import goodness_table, infer, test_error, train_layerwise
-from ffnet.nn import forward_trace
+from ffnet.ff import infer, label_goodness_scores, test_error, train_layerwise
 
 # ---------------------------------------------------------------------------
 # A layer's goodness is the squared sum of its ReLU activities. The layer is
@@ -44,13 +40,12 @@ for layer in (1, 2, 3):
     )
 
 # ---------------------------------------------------------------------------
-# Inference tries every candidate label and votes by summed goodness.
+# Inference tries every candidate label and votes by summed goodness. The
+# (sample, label, layer) goodness tensor behind it feeds every evaluation.
 # ---------------------------------------------------------------------------
 
 sample, label = test_ds.images[0], int(test_ds.labels[0])
-scores = goodness_table(
-    forward_trace(net, link_inputs(np.tile(sample, (10, 1)), np.arange(10)))
-).values.sum(axis=1)
+scores = label_goodness_scores(net, sample[None, :])[0].sum(axis=1)
 print(f"\nper-label goodness sums for one test sample (true label {label}):")
 print("  " + "  ".join(f"{y}:{s:6.2f}" for y, s in enumerate(scores)))
 print(f"predicted: {infer(net, sample)}")

@@ -25,7 +25,7 @@ from ffnet import (
     synthetic_pair,
 )
 from ffnet.entropy import goodness_entropy_reports
-from ffnet.ff import GoodnessTable, train_alternating
+from ffnet.ff import train_alternating
 from ffnet.reports import entropy_fields, entropy_row, write_entropy_csv
 
 OUT = Path("demo_out/entropy")
@@ -43,7 +43,7 @@ lhs, rhs = scaled_kl_identity(make_rng(0).uniform(0.0, 10.0, size=20))
 print(f"\nscaled-KL identity on random h: Ent={lhs:.6f}  E[h]*KL={rhs:.6f}")
 
 values = make_rng(1).uniform(0.0, 20.0, size=(40, 3))
-report = entropy_decompose(GoodnessTable(values))
+report = entropy_decompose(values)
 print(
     "decomposition on a random 40x3 grid: "
     f"overall={report.overall:.4f} ~ across={report.across_layers:.4f} "

@@ -36,7 +36,6 @@ from .entropy import (
 )
 from .ff import (
     FfConfig,
-    GoodnessTable,
     compute_gamma,
     entropy_loss_and_coeffs,
     ff_loss_and_coeffs,
@@ -50,7 +49,7 @@ from .ff import (
     train_alternating,
     train_layerwise,
 )
-from .linalg import l2_row_normalize, make_rng, matmul, relu, row_sumsq
+from .linalg import l2_row_normalize, make_rng, relu, row_sumsq
 from .nn import (
     AdamState,
     DenseLayer,
@@ -58,7 +57,6 @@ from .nn import (
     MlpNetwork,
     adam_step,
     forward_pass,
-    forward_trace,
     full_backprop_grad,
     init_network,
     layer_local_grad,

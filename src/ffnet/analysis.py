@@ -2,9 +2,13 @@
 
 Goodness voting lets any subset of layers classify on its own, which turns
 "how much does layer i help" into a measurable quantity: evaluate the full
-voting set with and without the layer and difference the error rates. A
-per-(sample, label, layer) goodness cache keeps the cost at one forward
-pass per (sample, label) regardless of how many subsets are requested.
+voting set with and without the layer and difference the error rates.
+
+Every subset error is a reduction of one (sample, candidate label, layer)
+goodness tensor from :func:`ffnet.ff.label_goodness_scores`: a subset sums
+its layers and votes, in the same arithmetic as :func:`ffnet.ff.predict`.
+So the cost is one forward pass per (sample, label) however many subsets
+are requested, and the full set's error equals the voting test error.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import N_LABELS, Dataset, link_inputs
+from .data import Dataset
 from .errors import ConfigError
-from .ff import goodness
-from .nn import MlpNetwork, forward_trace
+from .ff import checked_layers, label_goodness_scores, voting_error
+from .nn import MlpNetwork
 
 
 @dataclass(frozen=True)
@@ -75,50 +79,34 @@ def default_subset_family(depth: int) -> list[frozenset]:
     return unique
 
 
-def goodness_cache(
-    net: MlpNetwork, images, n_labels: int = N_LABELS, chunk: int = 4096
-) -> np.ndarray:
-    """Goodness for every (sample, candidate label, layer), shape (n, y, k)."""
-    images = np.asarray(images, dtype=np.float64)
-    n = images.shape[0]
-    cache = np.empty((n, n_labels, net.depth))
-    for y in range(n_labels):
-        for start in range(0, n, chunk):
-            block = images[start : start + chunk]
-            linked = link_inputs(block, np.full(block.shape[0], y, dtype=np.int64))
-            trace = forward_trace(net, linked)
-            for i in range(net.depth):
-                cache[start : start + chunk, y, i] = goodness(trace, i)
-    return cache
+def subset_errors(scores: np.ndarray, labels, subsets) -> SubsetEvalReport:
+    """Voting error of each requested layer subset, from a goodness tensor.
 
-
-def evaluate_subsets(
-    net: MlpNetwork, ds: Dataset, subsets, n_labels: int = N_LABELS
-) -> SubsetEvalReport:
-    """Test error of goodness voting restricted to each requested subset."""
-    requested = [frozenset(int(i) for i in s) for s in subsets]
+    ``scores`` is the (n, N_LABELS, depth) tensor of
+    :func:`ffnet.ff.label_goodness_scores` for the samples whose true labels
+    are ``labels``.
+    """
+    requested = [frozenset(checked_layers(s, scores.shape[2])) for s in subsets]
     if not requested:
         raise ConfigError("no subsets requested")
     unique: list[frozenset] = []
     for s in requested:
-        if not s:
-            raise ConfigError("empty layer subset")
-        if min(s) < 0 or max(s) >= net.depth:
-            raise ConfigError(f"subset {sorted(s)} outside network depth {net.depth}")
         if s in unique:
             warnings.warn(f"duplicate subset {subset_label(s)} ignored", stacklevel=2)
             continue
         unique.append(s)
+    n = scores.shape[0]
+    return SubsetEvalReport(
+        entries=[
+            SubsetResult(layers=s, error=voting_error(scores, labels, sorted(s)), n=n)
+            for s in unique
+        ]
+    )
 
-    cache = goodness_cache(net, ds.images, n_labels)
-    entries = []
-    for s in unique:
-        scores = cache[:, :, sorted(s)].sum(axis=2)
-        preds = np.argmax(scores, axis=1)  # ties go to the smallest label id
-        entries.append(
-            SubsetResult(layers=s, error=float(np.mean(preds != ds.labels)), n=ds.n)
-        )
-    return SubsetEvalReport(entries=entries)
+
+def evaluate_subsets(net: MlpNetwork, ds: Dataset, subsets) -> SubsetEvalReport:
+    """Test error of goodness voting restricted to each requested subset."""
+    return subset_errors(label_goodness_scores(net, ds.images), ds.labels, subsets)
 
 
 def marginal_contributions(report: SubsetEvalReport, depth: int) -> np.ndarray:

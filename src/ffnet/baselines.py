@@ -12,12 +12,11 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, make_linked_batches, make_plain_batches, one_hot
 from .errors import ShapeError
-from .ff import FfConfig
-from .linalg import make_rng, row_sumsq
+from .ff import FfConfig, _EpochStats, ff_loss_and_coeffs, goodness
+from .linalg import make_rng
 from .nn import (
     MlpNetwork,
     apply_adam_update,
@@ -25,6 +24,7 @@ from .nn import (
     full_backprop_grad,
     make_adam_states,
 )
+from .reports import history_row
 
 
 def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
@@ -50,48 +50,25 @@ def train_pairwise(
     cfg: FfConfig,
     on_epoch: Optional[Callable[[int, MlpNetwork], None]] = None,
 ) -> tuple[MlpNetwork, list[dict]]:
-    """Backprop the last layer's goodness loss through every layer."""
+    """Backprop the last layer's goodness loss (gamma 0) through every layer."""
     rng = make_rng(cfg.seed)
     states = make_adam_states(net, cfg.learning_rate)
     last = net.depth - 1
     history: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
-        loss_sum, batches = 0.0, 0
-        good_pos = good_neg = 0.0
-        n_pos = n_neg = 0
+        stats = _EpochStats(net.depth)
         for batch in make_linked_batches(
             ds, rng, cfg.batch_size, cfg.negatives_per_positive
         ):
             trace = forward_pass(net, batch.inputs)
-            act = trace.act[last]
-            g = row_sumsq(act)
-            signed = batch.polarity * (g - cfg.theta)
-            loss = float(np.mean(np.logaddexp(0.0, -signed)))
-            if not np.isfinite(loss):
-                raise FloatingPointError("pairwise loss diverged")
-            d_logit = -batch.polarity * expit(-signed)
-            output_grad = (d_logit / act.shape[0])[:, None] * 2.0 * act
+            loss, output_grad = ff_loss_and_coeffs(
+                trace, last, 0.0, cfg.theta, batch.polarity
+            )
+            stats.record(last, loss, goodness(trace, last), batch.polarity)
             grads = full_backprop_grad(net, batch.inputs, output_grad, trace=trace)
             for i, (grad_w, grad_b) in enumerate(grads):
                 apply_adam_update(net, i, grad_w, grad_b, states)
-            loss_sum += loss
-            batches += 1
-            pos = batch.polarity > 0
-            good_pos += g[pos].sum()
-            good_neg += g[~pos].sum()
-            n_pos += int(pos.sum())
-            n_neg += int((~pos).sum())
-        history.append(
-            {
-                "epoch": epoch,
-                "layer": last + 1,
-                "loss_kind": "bp_pairwise",
-                "split": "train",
-                "loss": loss_sum / max(batches, 1),
-                "mean_goodness_pos": good_pos / max(n_pos, 1),
-                "mean_goodness_neg": good_neg / max(n_neg, 1),
-            }
-        )
+        history.extend(stats.rows(epoch, "bp_pairwise", [last]))
         if on_epoch is not None:
             on_epoch(epoch, net)
     return net, history
@@ -141,16 +118,10 @@ def train_classic(
                 apply_adam_update(net, i, grad_w, grad_b, states)
             loss_sum += loss
             batches += 1
+        nan = float("nan")
+        mean_loss = loss_sum / max(batches, 1)
         history.append(
-            {
-                "epoch": epoch,
-                "layer": net.depth,
-                "loss_kind": "bp_classic",
-                "split": "train",
-                "loss": loss_sum / max(batches, 1),
-                "mean_goodness_pos": float("nan"),
-                "mean_goodness_neg": float("nan"),
-            }
+            history_row(epoch, net.depth, "bp_classic", "train", mean_loss, nan, nan)
         )
         if on_epoch is not None:
             on_epoch(epoch, net)

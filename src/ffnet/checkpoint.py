@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError
 from .nn import DenseLayer, MlpNetwork
+from .reports import atomic_write
 
 
 def config_hash(config: dict) -> str:
@@ -35,17 +34,7 @@ def save_checkpoint(path, net: MlpNetwork, config: dict | None = None) -> None:
     arrays["config_hash"] = np.frombuffer(
         config_hash(config).encode("ascii"), dtype=np.uint8
     )
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **arrays)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    atomic_write(path, lambda handle: np.savez(handle, **arrays))
 
 
 def load_checkpoint(path) -> tuple[MlpNetwork, dict, str]:

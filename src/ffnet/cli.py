@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .analysis import parse_subset_label
-from .errors import CheckpointError, ConfigError
 from .fetch import DATASETS, fetch_dataset
 from .runner import METHODS, RunConfig, evaluate_checkpoint, run_from_paths, run_sweep
 
@@ -189,7 +188,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError, ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
+from .linalg import make_rng
 
 N_LABELS = 10
 
@@ -186,10 +187,10 @@ def one_hot(labels, n_labels: int = N_LABELS) -> np.ndarray:
     return out
 
 
-def link_inputs(images, labels, n_labels: int = N_LABELS) -> np.ndarray:
+def link_inputs(images, labels) -> np.ndarray:
     """Append a one-hot label block after the pixels."""
     images = np.asarray(images, dtype=np.float64)
-    return np.hstack([images, one_hot(labels, n_labels)])
+    return np.hstack([images, one_hot(labels)])
 
 
 @dataclass
@@ -200,19 +201,29 @@ class LinkedBatch:
     uniformly random wrong one. Rows are ordered positives first.
     """
 
-    inputs: np.ndarray        # (rows, d + n_labels)
+    inputs: np.ndarray        # (rows, d + N_LABELS)
     polarity: np.ndarray      # (rows,) +1.0 / -1.0
     true_labels: np.ndarray   # (rows,)
     linked_labels: np.ndarray  # (rows,)
 
 
-def sample_wrong_labels(
-    true_labels, rng: np.random.Generator, n_labels: int = N_LABELS
-) -> np.ndarray:
-    """Uniform draw over the n_labels - 1 labels that differ from the truth."""
+def sample_wrong_labels(true_labels, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw over the N_LABELS - 1 labels that differ from the truth."""
     true_labels = np.asarray(true_labels, dtype=np.int64)
-    draws = rng.integers(0, n_labels - 1, size=true_labels.shape[0])
+    draws = rng.integers(0, N_LABELS - 1, size=true_labels.shape[0])
     return draws + (draws >= true_labels)
+
+
+def draw_eval_sample(
+    ds: Dataset, n_samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded evaluation sample: up to ``n_samples`` indices, their labels, and
+    one wrong label each. Every snapshot of a run and ``ffnet eval`` of its
+    checkpoint draw the same samples."""
+    rng = make_rng(seed)
+    idx = rng.permutation(ds.n)[: min(n_samples, ds.n)]
+    labels = ds.labels[idx]
+    return idx, labels, sample_wrong_labels(labels, rng)
 
 
 def make_linked_batches(
@@ -220,7 +231,6 @@ def make_linked_batches(
     rng: np.random.Generator,
     batch_size: int,
     negatives_per_positive: int = 1,
-    n_labels: int = N_LABELS,
 ):
     """One epoch of shuffled LinkedBatch values.
 
@@ -244,11 +254,11 @@ def make_linked_batches(
         m = idx.shape[0]
         reps = negatives_per_positive
         neg_true = np.tile(true, reps)
-        wrong = sample_wrong_labels(neg_true, rng, n_labels)
+        wrong = sample_wrong_labels(neg_true, rng)
         inputs = np.vstack(
             [
-                link_inputs(images, true, n_labels),
-                link_inputs(np.tile(images, (reps, 1)), wrong, n_labels),
+                link_inputs(images, true),
+                link_inputs(np.tile(images, (reps, 1)), wrong),
             ]
         )
         polarity = np.concatenate([np.ones(m), -np.ones(m * reps)])

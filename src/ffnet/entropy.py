@@ -12,6 +12,12 @@ divergence from the prior w to the posterior q_s = w_s * h_s / hbar.
 Over a (samples x layers) goodness grid with product-uniform weights the
 estimate splits into an across-layer term (entropy of the per-layer means)
 plus the average of the per-layer conditional entropies.
+
+The model reports decompose three such grids, all gathered from the
+goodness tensor of :func:`ffnet.ff.label_goodness_scores` over the seeded
+evaluation sample of :func:`ffnet.data.draw_eval_sample`: each sample
+linked with its true label (positive), with one wrong label (negative),
+and both stacked.
 """
 
 from __future__ import annotations
@@ -20,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, link_inputs, sample_wrong_labels
+from .data import Dataset, draw_eval_sample
 from .errors import DomainError
-from .ff import GoodnessTable, goodness_table
-from .linalg import make_rng
-from .nn import MlpNetwork, forward_trace
+from .ff import label_goodness_scores, linked_goodness
+from .nn import MlpNetwork
 
 SPLITS = ("positive", "negative", "both")
 
@@ -93,7 +98,7 @@ def scaled_kl_identity(values, weights=None) -> tuple[float, float]:
     return lhs, hbar * kl
 
 
-def entropy_decompose(table, split: str = "both") -> EntropyReport:
+def entropy_decompose(values, split: str = "both") -> EntropyReport:
     """Split the grid entropy into across-layer and within-layer parts.
 
     The grid uses uniform weights over samples, layers, and their product.
@@ -101,7 +106,6 @@ def entropy_decompose(table, split: str = "both") -> EntropyReport:
     of the per-layer column means; overall equals across_layers plus the
     mean of within_layer (up to rounding).
     """
-    values = table.values if isinstance(table, GoodnessTable) else np.asarray(table)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.size == 0:
         raise DomainError(f"need a nonempty 2-D goodness table, got shape {values.shape}")
@@ -125,34 +129,24 @@ def entropy_decompose(table, split: str = "both") -> EntropyReport:
     )
 
 
+def split_entropy_reports(positive, negative) -> dict[str, EntropyReport]:
+    """Entropy of the (n, depth) goodness tables of samples linked with their
+    true labels (positive), with wrong ones (negative), and of both stacked."""
+    tables = {"positive": positive, "negative": negative}
+    tables["both"] = np.vstack([positive, negative])
+    return {split: entropy_decompose(values, split) for split, values in tables.items()}
+
+
 def goodness_entropy_reports(
-    net: MlpNetwork,
-    ds: Dataset,
-    n_samples: int = 2000,
-    seed: int = 0,
-    n_labels: int = 10,
+    net: MlpNetwork, ds: Dataset, n_samples: int = 2000, seed: int = 0
 ) -> dict[str, EntropyReport]:
-    """Entropy reports on positive, negative, and pooled linked samples.
+    """:func:`split_entropy_reports` on the seeded evaluation sample of ``ds``.
 
-    Draws up to ``n_samples`` evaluation samples once (seeded), links each
-    with its true label for the positive split and with one random wrong
-    label for the negative split, and decomposes the resulting goodness
-    tables. Equal seeds give identical draws, so trajectories measured at
-    different training stages stay comparable.
+    Equal seeds give identical draws, so trajectories measured at different
+    training stages stay comparable.
     """
-    rng = make_rng(seed)
-    take = min(n_samples, ds.n)
-    idx = rng.permutation(ds.n)[:take]
-    images = ds.images[idx]
-    labels = ds.labels[idx]
-    wrong = sample_wrong_labels(labels, rng, n_labels)
-
-    tables = {}
-    for split, linked_labels in (("positive", labels), ("negative", wrong)):
-        trace = forward_trace(net, link_inputs(images, linked_labels, n_labels))
-        tables[split] = goodness_table(trace).values
-    tables["both"] = np.vstack([tables["positive"], tables["negative"]])
-    return {
-        split: entropy_decompose(GoodnessTable(values), split=split)
-        for split, values in tables.items()
-    }
+    idx, labels, wrong = draw_eval_sample(ds, n_samples, seed)
+    scores = label_goodness_scores(net, ds.images[idx])
+    return split_entropy_reports(
+        linked_goodness(scores, labels), linked_goodness(scores, wrong)
+    )

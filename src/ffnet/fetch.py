@@ -14,13 +14,13 @@ import hashlib
 import os
 import shutil
 import tarfile
-import tempfile
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
 from .data import Dataset, load_cifar_bin, load_idx
 from .errors import ConfigError, DataFormatError
+from .reports import atomic_write
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,7 @@ def sha256_file(path) -> str:
 
 def _download(url: str, target: Path) -> None:
     with urllib.request.urlopen(url) as response:
-        fd, tmp_name = tempfile.mkstemp(dir=target.parent, suffix=".part")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                shutil.copyfileobj(response, handle)
-            os.replace(tmp_name, target)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        atomic_write(target, lambda handle: shutil.copyfileobj(response, handle))
 
 
 def _verify(path: Path, spec: RemoteFile) -> None:

@@ -16,6 +16,9 @@ Two schedules are provided: ``layerwise`` trains each layer for its full
 epoch budget before moving to the next, and ``alternating`` gives every
 layer one update per batch. Inference links each candidate label to the
 sample, sums goodness over a layer mask, and votes by the largest sum.
+
+Predictions, subset errors, entropy tables and test-split losses are all
+reductions of the goodness tensor of :func:`label_goodness_scores`.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from .nn import (
     ForwardTrace,
     MlpNetwork,
     apply_adam_update,
-    forward_trace,
+    forward_pass,
     layer_local_grad,
     make_adam_states,
 )
+from .reports import history_row
 
 GAMMA_MODES = ("none", "all_other_layers", "predecessors_only")
 SCHEDULES = ("layerwise", "alternating")
@@ -50,14 +54,13 @@ _P_CEIL = np.nextafter(1.0, 0.0)
 # Keeps h = g + gamma strictly positive inside the entropy objective.
 _ENTROPY_H_FLOOR = 1e-12
 
+# Samples per forward pass in label_goodness_scores; bounds its peak memory.
+SCORE_CHUNK = 4096
+
 
 @dataclass
 class FfConfig:
-    """Knobs for one forward-forward training run.
-
-    ``inference_layer_mask`` is a set of 0-based layer indices; None means
-    every layer votes.
-    """
+    """Knobs for one forward-forward training run."""
 
     theta: float = 10.0
     gamma_mode: str = "none"
@@ -68,7 +71,6 @@ class FfConfig:
     learning_rate: float = 0.001
     seed: int = 0
     negatives_per_positive: int = 1
-    inference_layer_mask: Optional[frozenset] = None
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.theta):
@@ -95,21 +97,6 @@ class FfConfig:
             raise ConfigError(
                 f"negatives_per_positive must be >= 1, got {self.negatives_per_positive}"
             )
-        if self.inference_layer_mask is not None:
-            mask = frozenset(int(i) for i in self.inference_layer_mask)
-            if not mask:
-                raise ConfigError("inference_layer_mask must be nonempty")
-            if any(i < 0 for i in mask):
-                raise ConfigError(f"negative layer index in mask: {sorted(mask)}")
-            self.inference_layer_mask = mask
-
-
-@dataclass(frozen=True)
-class GoodnessTable:
-    """Per-sample, per-layer goodness values, detached from any gradient."""
-
-    values: np.ndarray  # (m, layers_computed)
-    detached: bool = True
 
 
 def goodness(trace: ForwardTrace, layer: int) -> np.ndarray:
@@ -117,9 +104,9 @@ def goodness(trace: ForwardTrace, layer: int) -> np.ndarray:
     return row_sumsq(trace.act[layer])
 
 
-def goodness_table(trace: ForwardTrace) -> GoodnessTable:
-    values = np.column_stack([goodness(trace, i) for i in range(trace.depth)])
-    return GoodnessTable(values=values)
+def goodness_table(trace: ForwardTrace) -> np.ndarray:
+    """(m, layers computed) goodness; plain values, so any gamma from them is detached."""
+    return np.column_stack([goodness(trace, i) for i in range(trace.depth)])
 
 
 def positive_prob(g, gamma=0.0, theta=0.0):
@@ -136,9 +123,8 @@ def positive_prob(g, gamma=0.0, theta=0.0):
     return np.clip(expit(logit), _P_FLOOR, _P_CEIL)
 
 
-def compute_gamma(table: GoodnessTable, layer: int, mode: str) -> np.ndarray:
-    """Detached goodness offset for one layer under the given mode."""
-    values = table.values
+def compute_gamma(values: np.ndarray, layer: int, mode: str) -> np.ndarray:
+    """Detached goodness offset for one layer from an (m, depth) goodness table."""
     m, depth = values.shape
     if not 0 <= layer < depth:
         raise ShapeError(f"layer {layer} outside table depth {depth}")
@@ -151,59 +137,44 @@ def compute_gamma(table: GoodnessTable, layer: int, mode: str) -> np.ndarray:
     raise ConfigError(f"unknown gamma mode {mode!r}")
 
 
-def _logits(trace: ForwardTrace, layer: int, gamma, theta) -> tuple[np.ndarray, np.ndarray]:
-    act = trace.act[layer]
-    g = row_sumsq(act)
-    # Same threshold-first form as positive_prob; see its docstring.
-    logit = g - (np.asarray(theta, dtype=np.float64) - np.asarray(gamma, dtype=np.float64))
-    return act, logit
-
-
-def ff_loss_and_coeffs(
-    trace: ForwardTrace, layer: int, gamma, theta, polarity
-) -> tuple[float, np.ndarray]:
-    """Batch-mean logistic goodness loss and its activity derivatives.
-
-    Positive rows contribute -log sigmoid(g + gamma - theta), negative rows
-    -log sigmoid(-(g + gamma - theta)). The returned coefficient matrix is
-    d(loss)/d(activity), ready for :func:`ffnet.nn.layer_local_grad`.
-    """
-    act, logit = _logits(trace, layer, gamma, theta)
-    polarity = np.asarray(polarity, dtype=np.float64)
-    if polarity.shape != (act.shape[0],):
-        raise ShapeError(
-            f"polarity shape {polarity.shape} does not match batch of {act.shape[0]}"
-        )
-    signed = polarity * logit
-    loss = float(np.mean(np.logaddexp(0.0, -signed)))
-    # d/d logit of softplus(-polarity * logit) = -polarity * sigmoid(-signed)
-    d_logit = -polarity * expit(-signed)
-    m = act.shape[0]
-    coeffs = (d_logit / m)[:, None] * 2.0 * act
-    return loss, coeffs
-
-
-def entropy_loss_and_coeffs(
-    trace: ForwardTrace, layer: int, gamma, polarity
-) -> tuple[float, np.ndarray]:
-    """Batch entropy objective over h = g + gamma and its activity derivatives.
-
-    The objective Ent(h) = mean(h * log(h / mean(h))) is estimated separately
-    over the positive and the negative rows, each with its own mean, and the
-    returned scalar is Ent(positive) - Ent(negative): training *maximizes*
-    it, mirroring the push-up/push-down convention of the sigmoid loss. The
-    coefficient matrix is d(objective)/d(activity); a minimizer must negate
-    it. Uses d Ent/d h_s = log(h_s / mean(h)) / m (the remaining terms cancel)
-    chained with d h/d act = 2 act.
-    """
-    act = trace.act[layer]
-    g = row_sumsq(act)
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), g.shape)
+def _batch(g, polarity) -> tuple[np.ndarray, np.ndarray]:
+    g = np.asarray(g, dtype=np.float64)
     polarity = np.asarray(polarity, dtype=np.float64)
     if polarity.shape != g.shape:
         raise ShapeError(
             f"polarity shape {polarity.shape} does not match batch of {g.shape[0]}"
         )
+    return g, polarity
+
+
+def ff_loss(g, gamma, theta, polarity) -> tuple[float, np.ndarray]:
+    """Batch-mean logistic goodness loss and its derivatives with respect to g.
+
+    Positive rows contribute -log sigmoid(g + gamma - theta), negative rows
+    -log sigmoid(-(g + gamma - theta)).
+    """
+    g, polarity = _batch(g, polarity)
+    # Same threshold-first form as positive_prob; see its docstring.
+    logit = g - (np.asarray(theta, dtype=np.float64) - np.asarray(gamma, dtype=np.float64))
+    signed = polarity * logit
+    loss = float(np.mean(np.logaddexp(0.0, -signed)))
+    # d/d logit of softplus(-polarity * logit) = -polarity * sigmoid(-signed)
+    d_logit = -polarity * expit(-signed)
+    return loss, d_logit / g.shape[0]
+
+
+def entropy_objective(g, gamma, polarity) -> tuple[float, np.ndarray]:
+    """Batch entropy objective over h = g + gamma and its derivatives with respect to g.
+
+    The objective Ent(h) = mean(h * log(h / mean(h))) is estimated separately
+    over the positive and the negative rows, each with its own mean, and the
+    returned scalar is Ent(positive) - Ent(negative): training *maximizes*
+    it, mirroring the push-up/push-down convention of the sigmoid loss; a
+    minimizer must negate both outputs. Uses d Ent/d h_s = log(h_s / mean(h)) / m
+    (the remaining terms cancel).
+    """
+    g, polarity = _batch(g, polarity)
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), g.shape)
     h = g + gamma + _ENTROPY_H_FLOOR
     d_h = np.zeros_like(h)
     objective = 0.0
@@ -220,16 +191,47 @@ def entropy_loss_and_coeffs(
         log_ratio = np.log(h_part / h_part.mean())
         objective += sign * float(np.mean(h_part * log_ratio))
         d_h[mask] = sign * log_ratio / count
-    coeffs = d_h[:, None] * 2.0 * act
-    return objective, coeffs
+    return objective, d_h
 
 
-def _descent_loss_and_coeffs(trace, layer, gamma, cfg: FfConfig, polarity):
-    """Uniform minimization interface over both loss kinds."""
+def ff_loss_and_coeffs(
+    trace: ForwardTrace, layer: int, gamma, theta, polarity
+) -> tuple[float, np.ndarray]:
+    """:func:`ff_loss` of one traced layer; d(loss)/d(activity) feeds layer_local_grad."""
+    act = trace.act[layer]
+    loss, d_g = ff_loss(row_sumsq(act), gamma, theta, polarity)
+    return loss, d_g[:, None] * 2.0 * act
+
+
+def entropy_loss_and_coeffs(
+    trace: ForwardTrace, layer: int, gamma, polarity
+) -> tuple[float, np.ndarray]:
+    """:func:`entropy_objective` of one traced layer, with d(objective)/d(activity)."""
+    act = trace.act[layer]
+    objective, d_h = entropy_objective(row_sumsq(act), gamma, polarity)
+    return objective, d_h[:, None] * 2.0 * act
+
+
+def descent_loss(g, gamma, cfg: FfConfig, polarity) -> tuple[float, np.ndarray]:
+    """Loss to minimize under ``cfg.loss_kind`` and its derivatives with respect to g."""
     if cfg.loss_kind == "sigmoid_goodness":
-        return ff_loss_and_coeffs(trace, layer, gamma, cfg.theta, polarity)
-    objective, ascent = entropy_loss_and_coeffs(trace, layer, gamma, polarity)
+        return ff_loss(g, gamma, cfg.theta, polarity)
+    objective, ascent = entropy_objective(g, gamma, polarity)
     return -objective, -ascent
+
+
+def _estimable(cfg: FfConfig, polarity: np.ndarray) -> bool:
+    """False for a batch with under 2 rows of one polarity under the entropy
+    objective (a trailing one-sample batch); the trainers skip it."""
+    return cfg.loss_kind != "entropy" or min((polarity > 0).sum(), (polarity < 0).sum()) >= 2
+
+
+def _layer_step(net, trace, table, layer: int, cfg: FfConfig, polarity):
+    """Descent loss and parameter gradients of one layer on one batch."""
+    gamma = compute_gamma(table, layer, cfg.gamma_mode)
+    loss, d_g = descent_loss(table[:, layer], gamma, cfg, polarity)
+    coeffs = d_g[:, None] * 2.0 * trace.act[layer]
+    return loss, layer_local_grad(net.layers[layer], trace.layer_input(layer), coeffs)
 
 
 class _EpochStats:
@@ -256,21 +258,19 @@ class _EpochStats:
         self.n_pos[layer] += int(pos.sum())
         self.n_neg[layer] += int((~pos).sum())
 
-    def rows(self, epoch: int, loss_kind: str, layers) -> list[dict]:
-        out = []
-        for i in layers:
-            out.append(
-                {
-                    "epoch": epoch,
-                    "layer": i + 1,  # file schema is 1-based
-                    "loss_kind": loss_kind,
-                    "split": "train",
-                    "loss": self.loss_sum[i] / max(self.batches[i], 1),
-                    "mean_goodness_pos": self.good_pos[i] / max(self.n_pos[i], 1),
-                    "mean_goodness_neg": self.good_neg[i] / max(self.n_neg[i], 1),
-                }
+    def rows(self, epoch: int, loss_kind: str, layers, split: str = "train") -> list[dict]:
+        return [
+            history_row(
+                epoch,
+                i + 1,
+                loss_kind,
+                split,
+                self.loss_sum[i] / max(self.batches[i], 1),
+                self.good_pos[i] / max(self.n_pos[i], 1),
+                self.good_neg[i] / max(self.n_neg[i], 1),
             )
-        return out
+            for i in layers
+        ]
 
 
 EpochCallback = Callable[[int, MlpNetwork], None]
@@ -287,7 +287,8 @@ def train_layerwise(
     Earlier layers are frozen once trained. With ``predecessors_only`` the
     offset comes from those frozen layers; with ``all_other_layers`` the
     not-yet-trained successors contribute at their current parameters. The
-    callback receives a global epoch counter (layer * epochs + epoch).
+    callback receives a global epoch counter (layer * epochs + epoch). The
+    entropy objective skips a batch with fewer than 2 rows of one polarity.
     """
     if cfg.schedule != "layerwise":
         raise ConfigError(f"config schedule is {cfg.schedule!r}, not 'layerwise'")
@@ -303,17 +304,15 @@ def train_layerwise(
             for batch in make_linked_batches(
                 ds, rng, cfg.batch_size, cfg.negatives_per_positive
             ):
-                trace = forward_trace(net, batch.inputs, upto=upto)
+                if not _estimable(cfg, batch.polarity):
+                    continue
+                trace = forward_pass(net, batch.inputs, upto=upto)
                 table = goodness_table(trace)
-                gamma = compute_gamma(table, i, cfg.gamma_mode)
-                loss, coeffs = _descent_loss_and_coeffs(
-                    trace, i, gamma, cfg, batch.polarity
-                )
-                grad_w, grad_b = layer_local_grad(
-                    net.layers[i], trace.layer_input(i), coeffs
+                loss, (grad_w, grad_b) = _layer_step(
+                    net, trace, table, i, cfg, batch.polarity
                 )
                 apply_adam_update(net, i, grad_w, grad_b, states)
-                stats.record(i, loss, table.values[:, i], batch.polarity)
+                stats.record(i, loss, table[:, i], batch.polarity)
             history.extend(stats.rows(epoch, cfg.loss_kind, [i]))
             if on_epoch is not None:
                 on_epoch(i * cfg.epochs + epoch, net)
@@ -330,7 +329,8 @@ def train_alternating(
 
     Each batch runs a single forward pass on the pre-batch parameters; all
     per-layer gradients and gamma offsets are computed from that snapshot,
-    so the within-batch update order does not matter.
+    so the within-batch update order does not matter. The entropy objective
+    skips a batch with fewer than 2 rows of one polarity.
     """
     if cfg.schedule != "alternating":
         raise ConfigError(f"config schedule is {cfg.schedule!r}, not 'alternating'")
@@ -343,18 +343,15 @@ def train_alternating(
         for batch in make_linked_batches(
             ds, rng, cfg.batch_size, cfg.negatives_per_positive
         ):
-            trace = forward_trace(net, batch.inputs)
+            if not _estimable(cfg, batch.polarity):
+                continue
+            trace = forward_pass(net, batch.inputs)
             table = goodness_table(trace)
             updates = []
             for i in range(depth):
-                gamma = compute_gamma(table, i, cfg.gamma_mode)
-                loss, coeffs = _descent_loss_and_coeffs(
-                    trace, i, gamma, cfg, batch.polarity
-                )
-                updates.append(
-                    layer_local_grad(net.layers[i], trace.layer_input(i), coeffs)
-                )
-                stats.record(i, loss, table.values[:, i], batch.polarity)
+                loss, grads = _layer_step(net, trace, table, i, cfg, batch.polarity)
+                updates.append(grads)
+                stats.record(i, loss, table[:, i], batch.polarity)
             for i, (grad_w, grad_b) in enumerate(updates):
                 apply_adam_update(net, i, grad_w, grad_b, states)
         history.extend(stats.rows(epoch, cfg.loss_kind, range(depth)))
@@ -375,54 +372,57 @@ def train(
     return train_alternating(net, ds, cfg, on_epoch)
 
 
-def _validated_mask(mask, depth: int) -> list[int]:
+def checked_layers(mask, depth: int) -> list[int]:
+    """Sorted 0-based voting layers; None means all. Rejects empty or out-of-range sets."""
     if mask is None:
         return list(range(depth))
     layers = sorted(int(i) for i in mask)
     if not layers:
-        raise ConfigError("layer mask must be nonempty")
+        raise ConfigError("layer set must be nonempty")
     if layers[0] < 0 or layers[-1] >= depth:
-        raise ConfigError(f"layer mask {layers} outside network depth {depth}")
+        raise ConfigError(f"layer set {layers} outside network depth {depth}")
     return layers
 
 
-def label_goodness_scores(
-    net: MlpNetwork,
-    images,
-    labels=range(N_LABELS),
-    mask=None,
-    chunk: int = 4096,
-) -> np.ndarray:
-    """Summed goodness over masked layers for every (sample, candidate label).
-
-    Returns an (n, len(labels)) score matrix; columns follow the sorted
-    candidate labels. Shared by inference and the subset-analysis cache so
-    both paths see identical arithmetic.
-    """
+def label_goodness_scores(net: MlpNetwork, images, labels=range(N_LABELS)) -> np.ndarray:
+    """(n, len(labels), depth) goodness of every layer for every sample linked with
+    every candidate label, sorted; one forward pass per candidate."""
     images = np.asarray(images, dtype=np.float64)
-    layers = _validated_mask(mask, net.depth)
     candidates = sorted(int(y) for y in labels)
     n = images.shape[0]
-    scores = np.zeros((n, len(candidates)))
-    upto = max(layers) + 1
+    scores = np.empty((n, len(candidates), net.depth))
     for col, y in enumerate(candidates):
-        for start in range(0, n, chunk):
-            block = images[start : start + chunk]
+        for start in range(0, n, SCORE_CHUNK):
+            block = images[start : start + SCORE_CHUNK]
             linked = link_inputs(block, np.full(block.shape[0], y, dtype=np.int64))
-            trace = forward_trace(net, linked, upto=upto)
-            total = np.zeros(block.shape[0])
-            for i in layers:
-                total += goodness(trace, i)
-            scores[start : start + chunk, col] = total
+            trace = forward_pass(net, linked)
+            scores[start : start + SCORE_CHUNK, col] = goodness_table(trace)
     return scores
+
+
+def vote(scores: np.ndarray, layers) -> np.ndarray:
+    """Column of the best candidate by goodness summed over ``layers``; ties go first."""
+    total = np.zeros(scores.shape[:2])
+    for i in layers:
+        total += scores[:, :, i]
+    return np.argmax(total, axis=1)
+
+
+def voting_error(scores: np.ndarray, labels, layers) -> float:
+    """Misclassified fraction under a vote over ``layers``; scores cover every label."""
+    return float(np.mean(vote(scores, layers) != labels))
+
+
+def linked_goodness(scores: np.ndarray, labels) -> np.ndarray:
+    """(n, depth) goodness of each sample linked with its entry of ``labels``."""
+    return scores[np.arange(scores.shape[0]), labels]
 
 
 def predict(net: MlpNetwork, images, labels=range(N_LABELS), mask=None) -> np.ndarray:
     """Goodness-voting prediction for a batch of raw samples."""
     candidates = np.array(sorted(int(y) for y in labels), dtype=np.int64)
-    scores = label_goodness_scores(net, images, candidates, mask)
-    # argmax takes the first maximum, i.e. ties go to the smallest label id
-    return candidates[np.argmax(scores, axis=1)]
+    layers = checked_layers(mask, net.depth)
+    return candidates[vote(label_goodness_scores(net, images, candidates), layers)]
 
 
 def infer(net: MlpNetwork, x, labels=range(N_LABELS), mask=None) -> int:
@@ -433,5 +433,5 @@ def infer(net: MlpNetwork, x, labels=range(N_LABELS), mask=None) -> int:
 
 def test_error(net: MlpNetwork, ds: Dataset, mask=None) -> float:
     """Fraction of misclassified samples under goodness voting."""
-    preds = predict(net, ds.images, range(N_LABELS), mask)
-    return float(np.mean(preds != ds.labels))
+    layers = checked_layers(mask, net.depth)
+    return voting_error(label_goodness_scores(net, ds.images), ds.labels, layers)

@@ -32,21 +32,6 @@ def as_matrix(a) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def ensure_finite(a: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise FloatingPointError(f"{what} contains non-finite entries")
-    return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def relu(a) -> np.ndarray:
     """Entrywise max(0, a)."""
     return np.maximum(np.asarray(a, dtype=np.float64), 0.0)

@@ -144,11 +144,6 @@ def forward_pass(
     return trace
 
 
-def forward_trace(net: MlpNetwork, batch, upto: int | None = None) -> ForwardTrace:
-    """Standard trace: ReLU everywhere, normalization between layers."""
-    return forward_pass(net, batch, upto=upto, normalize=True, final_linear=False)
-
-
 def layer_local_grad(
     layer: DenseLayer, layer_input, activity_coeffs
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +324,6 @@ __all__ = [
     "adam_step",
     "apply_adam_update",
     "forward_pass",
-    "forward_trace",
     "full_backprop_grad",
     "init_network",
     "l2_row_normalize_vjp",

@@ -20,18 +20,30 @@ HISTORY_FIELDS = [
 ]
 
 
-def atomic_write_text(path, text: str) -> None:
+def history_row(epoch, layer, loss_kind, split, loss, good_pos, good_neg) -> dict:
+    """One history.csv row, fields in HISTORY_FIELDS order; ``layer`` is 1-based."""
+    values = (epoch, layer, loss_kind, split, loss, good_pos, good_neg)
+    return dict(zip(HISTORY_FIELDS, values))
+
+
+def atomic_write(path, write) -> None:
+    """Call ``write`` on a binary handle to a temp file, then rename it onto
+    ``path``. Checkpoints and downloads are written through it as well."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    atomic_write(path, lambda handle: handle.write(text.encode("utf-8")))
 
 
 def write_csv(path, fieldnames, rows) -> None:
@@ -41,10 +53,6 @@ def write_csv(path, fieldnames, rows) -> None:
     for row in rows:
         writer.writerow({k: row.get(k, "") for k in fieldnames})
     atomic_write_text(path, buffer.getvalue())
-
-
-def write_history_csv(path, rows) -> None:
-    write_csv(path, HISTORY_FIELDS, rows)
 
 
 def entropy_fields(depth: int) -> list[str]:

@@ -18,17 +18,17 @@ import numpy as np
 
 from . import baselines, ff
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
-from .data import DATASET_DIMS, N_LABELS, Dataset, link_inputs, sample_wrong_labels
-from .entropy import goodness_entropy_reports
+from .data import DATASET_DIMS, N_LABELS, Dataset, draw_eval_sample
+from .entropy import split_entropy_reports
 from .errors import CheckpointError, ConfigError
 from .fetch import load_dataset
 from .linalg import make_rng
-from .nn import MlpNetwork, forward_trace, init_network
+from .nn import MlpNetwork, init_network
 from .reports import (
+    HISTORY_FIELDS,
     entropy_row,
     write_csv,
     write_entropy_csv,
-    write_history_csv,
     write_json,
     write_marginals_csv,
     write_subsets_csv,
@@ -151,58 +151,28 @@ def git_describe() -> Optional[str]:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-class _EvalPack:
-    """Fixed evaluation sample reused by every snapshot of one run."""
-
-    def __init__(self, cfg: RunConfig, test_ds: Dataset):
-        rng = make_rng(cfg.seed)
-        take = min(cfg.entropy_eval_n, test_ds.n)
-        idx = rng.permutation(test_ds.n)[:take]
-        self.images = test_ds.images[idx]
-        self.labels = test_ds.labels[idx]
-        wrong = sample_wrong_labels(self.labels, rng)
-        self.linked = np.vstack(
-            [link_inputs(self.images, self.labels), link_inputs(self.images, wrong)]
-        )
-        self.polarity = np.concatenate([np.ones(take), -np.ones(take)])
-        self.eval_subset = Dataset(self.images, self.labels, test_ds.name, test_ds.split)
+def _voting_layers(method: str, depth: int) -> list[int]:
+    """Layers whose goodness votes: the last alone for the pairwise baseline."""
+    return [depth - 1] if method == "bp_pairwise" else list(range(depth))
 
 
 def _test_history_rows(
-    net: MlpNetwork, pack: _EvalPack, cfg: RunConfig, epoch: int
+    positive: np.ndarray, negative: np.ndarray, cfg: RunConfig, epoch: int
 ) -> list[dict]:
-    """Per-layer loss and goodness on the held-out snapshot sample."""
+    """Per-layer test loss and goodness from the (n, depth) goodness tables of the
+    evaluation sample linked with its true and its wrong labels."""
     ff_cfg = cfg.ff_config()
-    trace = forward_trace(net, pack.linked)
-    table = ff.goodness_table(trace)
-    if cfg.method == "bp_pairwise":
-        layers = [net.depth - 1]
-        loss_kind = "bp_pairwise"
-    else:
-        layers = list(range(net.depth))
-        loss_kind = ff_cfg.loss_kind
-    rows = []
-    pos = pack.polarity > 0
+    table = np.vstack([positive, negative])
+    polarity = np.concatenate([np.ones(len(positive)), -np.ones(len(negative))])
+    pairwise = cfg.method == "bp_pairwise"
+    layers = _voting_layers(cfg.method, table.shape[1])
+    stats = ff._EpochStats(table.shape[1])
     for i in layers:
-        gamma = (
-            np.zeros(table.values.shape[0])
-            if cfg.method == "bp_pairwise"
-            else ff.compute_gamma(table, i, ff_cfg.gamma_mode)
-        )
-        loss, _ = ff._descent_loss_and_coeffs(trace, i, gamma, ff_cfg, pack.polarity)
-        g = table.values[:, i]
-        rows.append(
-            {
-                "epoch": epoch,
-                "layer": i + 1,
-                "loss_kind": loss_kind,
-                "split": "test",
-                "loss": loss,
-                "mean_goodness_pos": g[pos].mean(),
-                "mean_goodness_neg": g[~pos].mean(),
-            }
-        )
-    return rows
+        gamma = ff.compute_gamma(table, i, "none" if pairwise else ff_cfg.gamma_mode)
+        loss, _ = ff.descent_loss(table[:, i], gamma, ff_cfg, polarity)
+        stats.record(i, loss, table[:, i], polarity)
+    loss_kind = "bp_pairwise" if pairwise else ff_cfg.loss_kind
+    return stats.rows(epoch, loss_kind, layers, split="test")
 
 
 def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
@@ -228,7 +198,8 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
 
     started = time.monotonic()
     net = init_network(cfg.layer_dims, make_rng(cfg.seed))
-    pack = _EvalPack(cfg, test_ds)
+    idx, eval_labels, eval_wrong = draw_eval_sample(test_ds, cfg.entropy_eval_n, cfg.seed)
+    eval_ds = Dataset(test_ds.images[idx], eval_labels, test_ds.name, test_ds.split)
     entropy_rows: list[dict] = []
     error_rows: list[dict] = []
     test_rows: list[dict] = []
@@ -236,17 +207,18 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
 
     def snapshot(epoch: int, current: MlpNetwork) -> None:
         if track_entropy:
-            reports = goodness_entropy_reports(
-                current, test_ds, cfg.entropy_eval_n, seed=cfg.seed
-            )
+            scores = ff.label_goodness_scores(current, eval_ds.images)
+            positive = ff.linked_goodness(scores, eval_labels)
+            negative = ff.linked_goodness(scores, eval_wrong)
+            reports = split_entropy_reports(positive, negative)
             for split in ("both", "positive", "negative"):
                 entropy_rows.append(entropy_row(epoch, reports[split]))
-            test_rows.extend(_test_history_rows(current, pack, cfg, epoch))
-            mask = [current.depth - 1] if cfg.method == "bp_pairwise" else None
-            error = ff.test_error(current, pack.eval_subset, mask)
+            test_rows.extend(_test_history_rows(positive, negative, cfg, epoch))
+            layers = _voting_layers(cfg.method, current.depth)
+            error = ff.voting_error(scores, eval_labels, layers)
         else:
             error = baselines.classic_test_error(
-                current, pack.eval_subset, cfg.classic_normalize
+                current, eval_ds, cfg.classic_normalize
             )
         error_rows.append({"epoch": epoch, "split": "test", "error": error})
 
@@ -255,29 +227,28 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
             snapshot(epoch, current)
 
     ff_cfg = cfg.ff_config()
+    total_epochs = cfg.epochs
     if cfg.method in ("ff", "collab_ff", "entropy_ff"):
         net, history = ff.train(net, train_ds, ff_cfg, on_epoch)
-        final_error = ff.test_error(net, test_ds, ff_cfg.inference_layer_mask)
-        total_epochs = (
-            net.depth * cfg.epochs if ff_cfg.schedule == "layerwise" else cfg.epochs
-        )
+        if ff_cfg.schedule == "layerwise":
+            total_epochs = net.depth * cfg.epochs
     elif cfg.method == "bp_pairwise":
         net, history = baselines.train_pairwise(net, train_ds, ff_cfg, on_epoch)
-        final_error = ff.test_error(net, test_ds, mask=[net.depth - 1])
-        total_epochs = cfg.epochs
     else:
         net, history = baselines.train_classic(
             net, train_ds, ff_cfg, cfg.classic_normalize, on_epoch
         )
+    if track_entropy:
+        final_error = ff.test_error(net, test_ds, _voting_layers(cfg.method, net.depth))
+    else:
         final_error = baselines.classic_test_error(net, test_ds, cfg.classic_normalize)
-        total_epochs = cfg.epochs
 
     if not entropy_rows or entropy_rows[-1]["epoch"] != total_epochs:
         snapshot(total_epochs, net)
 
     wall_time = time.monotonic() - started
     save_checkpoint(out_dir / "checkpoint.npz", net, resolved)
-    write_history_csv(out_dir / "history.csv", history + test_rows)
+    write_csv(out_dir / "history.csv", HISTORY_FIELDS, history + test_rows)
     if track_entropy:
         write_entropy_csv(out_dir / "entropy.csv", entropy_rows, net.depth)
     write_csv(out_dir / "errors.csv", ["epoch", "split", "error"], error_rows)
@@ -307,8 +278,13 @@ def evaluate_checkpoint(
     data_dir=None,
     subsets: Optional[Sequence[frozenset]] = None,
 ) -> dict:
-    """Re-evaluate a stored model: test error, subset reports, entropy."""
-    from .analysis import default_subset_family, evaluate_subsets, marginal_contributions
+    """Re-evaluate a stored model: test error, subset reports, entropy.
+
+    For goodness-voting methods all three are reductions of one goodness
+    tensor over the test split; the entropy tables gather the rows of the
+    seeded evaluation sample that the run's snapshots used.
+    """
+    from .analysis import default_subset_family, marginal_contributions, subset_errors
 
     net, config, stored_hash = load_checkpoint(checkpoint_path)
     method = config.get("method", "ff")
@@ -339,18 +315,23 @@ def evaluate_checkpoint(
             net, test_ds, config.get("classic_normalize", False)
         )
     else:
-        mask = [net.depth - 1] if method == "bp_pairwise" else None
-        summary["test_error"] = ff.test_error(net, test_ds, mask)
+        scores = ff.label_goodness_scores(net, test_ds.images)
+        layers = _voting_layers(method, net.depth)
+        summary["test_error"] = ff.voting_error(scores, test_ds.labels, layers)
         family = list(subsets) if subsets is not None else default_subset_family(net.depth)
-        report = evaluate_subsets(net, test_ds, family)
+        report = subset_errors(scores, test_ds.labels, family)
         write_subsets_csv(out_dir / "subsets.csv", report)
         try:
             marginals = marginal_contributions(report, net.depth)
             write_marginals_csv(out_dir / "marginals.csv", marginals)
         except ConfigError:
             pass  # requested family lacks the leave-one-out sets
-        reports = goodness_entropy_reports(
-            net, test_ds, config.get("entropy_eval_n", 2000), seed=config.get("seed", 0)
+        idx, labels, wrong = draw_eval_sample(
+            test_ds, config.get("entropy_eval_n", 2000), config.get("seed", 0)
+        )
+        sample = scores[idx]
+        reports = split_entropy_reports(
+            ff.linked_goodness(sample, labels), ff.linked_goodness(sample, wrong)
         )
         rows = [
             entropy_row(config.get("epochs", 0), reports[split])

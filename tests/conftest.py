@@ -72,7 +72,7 @@ def write_mnist_fixture(root) -> None:
         write_idx(mnist_dir / f"{prefix}-labels-idx1-ubyte.gz", ds.labels.astype(np.uint8))
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     """A warm cache directory holding the tiny MNIST stand-in; read-only."""
     root = tmp_path_factory.mktemp("data")

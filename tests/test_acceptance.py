@@ -24,7 +24,6 @@ from ffnet.fetch import dataset_available, load_dataset
 from ffnet.ff import test_error as voting_error
 from ffnet.ff import (
     FfConfig,
-    GoodnessTable,
     entropy_loss_and_coeffs,
     ff_loss_and_coeffs,
     positive_prob,
@@ -35,7 +34,6 @@ from ffnet.ff import (
 from ffnet.linalg import l2_row_normalize, make_rng, relu
 from ffnet.nn import (
     forward_pass,
-    forward_trace,
     full_backprop_grad,
     init_network,
     layer_local_grad,
@@ -61,12 +59,12 @@ def _layer_loss_fd_check(loss_kind, gamma_mode_fixed_value):
     results = []
     for layer_idx in range(len(GRAD_DIMS) - 1):
         def scalar():
-            trace = forward_trace(net, batch, upto=layer_idx + 1)
+            trace = forward_pass(net, batch, upto=layer_idx + 1)
             if loss_kind == "entropy":
                 return entropy_loss_and_coeffs(trace, layer_idx, gamma, polarity)[0]
             return ff_loss_and_coeffs(trace, layer_idx, gamma, theta, polarity)[0]
 
-        trace = forward_trace(net, batch, upto=layer_idx + 1)
+        trace = forward_pass(net, batch, upto=layer_idx + 1)
         if loss_kind == "entropy":
             _, coeffs = entropy_loss_and_coeffs(trace, layer_idx, gamma, polarity)
         else:
@@ -145,7 +143,7 @@ def test_criterion_2_stop_gradient_equivalence():
     batch = random_batch(rng, 8, 14)
     polarity = np.where(rng.uniform(size=8) < 0.5, 1.0, -1.0)
     theta = 6.0
-    trace = forward_trace(net, batch)
+    trace = forward_pass(net, batch)
     for layer_idx in range(net.depth):
         gamma = rng.uniform(0.0, 12.0, size=8)
         _, coeffs_collab = ff_loss_and_coeffs(trace, layer_idx, gamma, theta, polarity)
@@ -184,7 +182,7 @@ def test_criterion_3_entropy_identities():
         lhs, rhs = scaled_kl_identity(flat)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
-        report = entropy_decompose(GoodnessTable(values))
+        report = entropy_decompose(values)
         recomposed = report.across_layers + report.within_layer.mean()
         assert abs(report.overall - recomposed) <= 1e-9
     print("\nACCEPTANCE 3 PASS: entropy identities hold on 1000 random tables")

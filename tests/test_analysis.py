@@ -4,7 +4,6 @@ import pytest
 from ffnet.analysis import (
     default_subset_family,
     evaluate_subsets,
-    goodness_cache,
     marginal_contributions,
     parse_subset_label,
     subset_label,
@@ -79,14 +78,14 @@ class TestEvaluateSubsets:
     def test_argmax_invariant_under_monotone_rescale(self, small_trained_net):
         net, _, test_ds = small_trained_net
         images = test_ds.images[:40]
-        scores = label_goodness_scores(net, images)
+        scores = label_goodness_scores(net, images).sum(axis=2)
         base = np.argmax(scores, axis=1)
         for transform in (lambda s: 3.0 * s, lambda s: np.log1p(s), lambda s: s**1.5):
             np.testing.assert_array_equal(np.argmax(transform(scores), axis=1), base)
 
     def test_cache_shape(self, small_trained_net):
         net, _, test_ds = small_trained_net
-        cache = goodness_cache(net, test_ds.images[:10])
+        cache = label_goodness_scores(net, test_ds.images[:10])
         assert cache.shape == (10, 10, net.depth)
         assert np.all(cache >= 0.0)
 

@@ -103,6 +103,21 @@ class TestTrainCommand:
         assert 0.0 <= summary["final_test_error"] <= 1.0
 
 
+    def test_divergence_is_a_one_line_error(self, monkeypatch, capsys):
+        import ffnet.cli as cli_mod
+
+        def diverge(cfg):
+            raise FloatingPointError("non-finite loss at layer 2; training diverged")
+
+        monkeypatch.setattr(cli_mod, "run_from_paths", diverge)
+        rc = main(["train", "--method", "ff", *TRAIN_FLAGS])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: non-finite loss at layer 2; training diverged"
+        ]
+
+
 @pytest.fixture(scope="module")
 def trained_run(data_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")

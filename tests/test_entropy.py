@@ -9,7 +9,6 @@ from ffnet.entropy import (
     scaled_kl_identity,
 )
 from ffnet.errors import DomainError
-from ffnet.ff import GoodnessTable
 from ffnet.linalg import make_rng
 
 
@@ -86,19 +85,19 @@ class TestScaledKl:
 class TestDecomposition:
     def test_single_layer_table(self, rng):
         values = rng.uniform(0.0, 5.0, size=(40, 1))
-        report = entropy_decompose(GoodnessTable(values))
+        report = entropy_decompose(values)
         assert abs(report.across_layers) < 1e-12
         np.testing.assert_allclose(report.overall, report.within_layer[0], rtol=1e-12)
 
     def test_constant_table_all_zero(self):
-        report = entropy_decompose(GoodnessTable(np.full((30, 3), 2.0)))
+        report = entropy_decompose(np.full((30, 3), 2.0))
         assert abs(report.overall) < 1e-12
         assert abs(report.across_layers) < 1e-12
         assert np.all(np.abs(report.within_layer) < 1e-12)
 
     def test_identity_on_random_table(self, rng):
         values = rng.uniform(0.0, 50.0, size=(50, 3))
-        report = entropy_decompose(GoodnessTable(values))
+        report = entropy_decompose(values)
         recomposed = report.across_layers + report.within_layer.mean()
         assert abs(report.overall - recomposed) <= 1e-9
 
@@ -108,7 +107,7 @@ class TestDecomposition:
             k = int(rng.integers(1, 6))
             scale = float(rng.uniform(0.1, 100.0))
             values = rng.uniform(0.0, scale, size=(m, k))
-            report = entropy_decompose(GoodnessTable(values))
+            report = entropy_decompose(values)
             recomposed = report.across_layers + report.within_layer.mean()
             assert abs(report.overall - recomposed) <= 1e-9
             assert report.overall >= -1e-12
@@ -117,11 +116,11 @@ class TestDecomposition:
 
     def test_empty_table_rejected(self):
         with pytest.raises(DomainError):
-            entropy_decompose(GoodnessTable(np.zeros((0, 3))))
+            entropy_decompose(np.zeros((0, 3)))
 
     def test_negative_goodness_rejected(self):
         with pytest.raises(DomainError):
-            entropy_decompose(GoodnessTable(np.array([[1.0, -1.0]])))
+            entropy_decompose(np.array([[1.0, -1.0]]))
 
 
 class TestGoodnessEntropyReports:

@@ -1,54 +1,12 @@
 import numpy as np
 import pytest
 
-from ffnet.errors import ShapeError
 from ffnet.linalg import (
     l2_row_normalize,
     make_rng,
-    matmul,
     relu,
     row_sumsq,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        out = matmul([[1.0, 0.0], [0.0, 1.0]], [[3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(out, [[3.0, 4.0], [5.0, 6.0]])
-
-    def test_dot_product(self):
-        out = matmul([[1.0, 2.0]], [[3.0], [4.0]])
-        np.testing.assert_array_equal(out, [[11.0]])
-
-    def test_against_triple_loop_oracle(self):
-        rng = make_rng(7)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        expected = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                for k in range(7):
-                    expected[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(matmul(a, b), expected, rtol=1e-10)
-
-    def test_oracle_on_larger_random_shapes(self):
-        rng = make_rng(11)
-        for m, k, n in [(64, 32, 17), (13, 64, 64), (1, 50, 2)]:
-            a = rng.standard_normal((m, k))
-            b = rng.standard_normal((k, n))
-            expected = np.zeros((m, n))
-            for i in range(m):
-                for j in range(n):
-                    acc = 0.0
-                    for p in range(k):
-                        acc += a[i, p] * b[p, j]
-                    expected[i, j] = acc
-            rel = np.abs(matmul(a, b) - expected) / np.maximum(np.abs(expected), 1.0)
-            assert rel.max() <= 1e-10
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 class TestRelu:

@@ -10,7 +10,6 @@ from ffnet.nn import (
     MlpNetwork,
     adam_step,
     forward_pass,
-    forward_trace,
     full_backprop_grad,
     init_network,
     layer_local_grad,
@@ -54,19 +53,19 @@ class TestForwardTrace:
         net = init_network([4, 3, 2], make_rng(0))
         for layer in net.layers:
             layer.weights = np.zeros_like(layer.weights)
-        trace = forward_trace(net, np.ones((5, 4)))
+        trace = forward_pass(net, np.ones((5, 4)))
         for act in trace.act:
             assert np.all(act == 0.0)
 
     def test_identity_weights_pass_positive_input_through(self):
         net = MlpNetwork(layers=[DenseLayer(weights=np.eye(3), biases=np.zeros((1, 3)))])
         x = np.array([[0.2, 0.5, 0.9]])
-        trace = forward_trace(net, x)
+        trace = forward_pass(net, x)
         np.testing.assert_array_equal(trace.act[0], x)
 
     def test_normed_rows_are_unit(self, rng):
         net = random_net([10, 8, 6], seed=5)
-        trace = forward_trace(net, random_batch(rng, 12, 10))
+        trace = forward_pass(net, random_batch(rng, 12, 10))
         for normed, act in zip(trace.normed, trace.act):
             live = np.linalg.norm(act, axis=1) > 1e-9
             norms = np.linalg.norm(normed[live], axis=1)
@@ -75,21 +74,21 @@ class TestForwardTrace:
     def test_next_layer_consumes_normalized(self, rng):
         net = random_net([6, 5, 4], seed=2)
         batch = random_batch(rng, 3, 6)
-        trace = forward_trace(net, batch)
+        trace = forward_pass(net, batch)
         manual = trace.normed[0] @ net.layers[1].weights + net.layers[1].biases
         np.testing.assert_array_equal(trace.pre[1], manual)
 
     def test_determinism(self, rng):
         net = random_net([7, 5], seed=9)
         batch = random_batch(rng, 4, 7)
-        t1 = forward_trace(net, batch)
-        t2 = forward_trace(net, batch)
+        t1 = forward_pass(net, batch)
+        t2 = forward_pass(net, batch)
         np.testing.assert_array_equal(t1.normed[0], t2.normed[0])
 
     def test_shape_mismatch(self):
         net = random_net([6, 4], seed=0)
         with pytest.raises(ShapeError):
-            forward_trace(net, np.ones((2, 5)))
+            forward_pass(net, np.ones((2, 5)))
 
 
 class TestLayerLocalGrad:

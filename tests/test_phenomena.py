@@ -66,13 +66,13 @@ def test_goodness_separates_positive_from_negative():
     assert reports["positive"].sample_count == reports["negative"].sample_count
     from ffnet.data import link_inputs, sample_wrong_labels
     from ffnet.ff import goodness_table
-    from ffnet.nn import forward_trace
+    from ffnet.nn import forward_pass
 
     rng = make_rng(5)
     images, labels = test_ds.images[:200], test_ds.labels[:200]
-    pos = goodness_table(forward_trace(vanilla, link_inputs(images, labels))).values
+    pos = goodness_table(forward_pass(vanilla, link_inputs(images, labels)))
     wrong = sample_wrong_labels(labels, rng)
-    neg = goodness_table(forward_trace(vanilla, link_inputs(images, wrong))).values
+    neg = goodness_table(forward_pass(vanilla, link_inputs(images, wrong)))
     # Weakly trained on purpose: the first layer separates clearly, the
     # later layers barely (that is the collaboration failure itself).
     assert pos[:, 0].mean() > 1.1 * neg[:, 0].mean()
