@@ -3,12 +3,16 @@
 Two gradient routes coexist on purpose:
 
 * :func:`layer_local_grad` differentiates a single layer's parameters given
-  per-unit loss coefficients, with no chain rule through other layers.
+  per-unit loss coefficients, with no chain rule through other layers. It
+  takes the layer's pre-activations from the forward pass that produced the
+  coefficients, so the layer's matmul is not repeated.
 * :func:`full_backprop_grad` runs the exact chain rule through the whole
   stack, including the inter-layer L2 row normalization, for the
   backpropagation baselines.
 
 Both are checked against central finite differences in the test suite.
+:func:`adam_step` updates a parameter array and its moments in place, so a
+:class:`DenseLayer` keeps its arrays across training.
 """
 
 from __future__ import annotations
@@ -145,17 +149,19 @@ def forward_pass(
 
 
 def layer_local_grad(
-    layer: DenseLayer, layer_input, activity_coeffs
+    layer: DenseLayer, layer_input, pre, activity_coeffs
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of a scalar loss w.r.t. one layer's parameters.
 
-    ``activity_coeffs[s, u]`` must be the derivative of the scalar loss with
-    respect to the post-ReLU activity of unit ``u`` on sample ``s``. The ReLU
-    mask is applied here from the recomputed pre-activations, and nothing is
-    propagated to earlier layers.
+    ``pre`` is the layer's pre-activation ``layer_input @ W + b`` from the
+    forward pass (``trace.pre[i]``); its ReLU mask gates the coefficients, so
+    the matmul is not recomputed. ``activity_coeffs[s, u]`` must be the
+    derivative of the scalar loss with respect to the post-ReLU activity of
+    unit ``u`` on sample ``s``. Nothing is propagated to earlier layers.
     """
     layer_input = as_matrix(layer_input)
     coeffs = as_matrix(activity_coeffs)
+    pre = as_matrix(pre)
     if layer_input.shape[1] != layer.in_dim:
         raise ShapeError(
             f"layer input has {layer_input.shape[1]} columns, layer expects {layer.in_dim}"
@@ -165,7 +171,10 @@ def layer_local_grad(
             f"coefficients shape {coeffs.shape} does not match "
             f"({layer_input.shape[0]}, {layer.out_dim})"
         )
-    pre = layer_input @ layer.weights + layer.biases
+    if pre.shape != coeffs.shape:
+        raise ShapeError(
+            f"pre-activation shape {pre.shape} does not match coefficients {coeffs.shape}"
+        )
     d_pre = coeffs * (pre > 0.0)
     grad_w = layer_input.T @ d_pre
     grad_b = d_pre.sum(axis=0, keepdims=True)
@@ -273,7 +282,17 @@ class AdamState:
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
-    """One bias-corrected Adam update. Mutates ``state``, returns new params."""
+    """One bias-corrected Adam update of ``param``, in place; returns ``param``.
+
+    ``param``, ``state.first_moment`` and ``state.second_moment`` are updated
+    in place with two scratch arrays. Each operation rounds exactly as in
+
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        param - (lr*(m/c1)) / (sqrt(v/c2) + eps)
+
+    with c1 = 1 - b1**t and c2 = 1 - b2**t, so the result is bitwise that
+    of the allocating form.
+    """
     if param.shape != grad.shape or param.shape != state.first_moment.shape:
         raise ShapeError(
             f"adam shapes disagree: param {param.shape}, grad {grad.shape}, "
@@ -281,13 +300,22 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
         )
     state.step_count += 1
     t = state.step_count
-    state.first_moment = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    state.second_moment = (
-        state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    )
-    m_hat = state.first_moment / (1.0 - state.beta1**t)
-    v_hat = state.second_moment / (1.0 - state.beta2**t)
-    return param - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m, v = state.first_moment, state.second_moment
+    scratch = np.multiply(grad, 1.0 - state.beta1)
+    m *= state.beta1
+    m += scratch
+    np.multiply(grad, 1.0 - state.beta2, out=scratch)
+    scratch *= grad
+    v *= state.beta2
+    v += scratch
+    denom = np.divide(v, 1.0 - state.beta2**t, out=scratch)
+    np.sqrt(denom, out=denom)
+    denom += state.epsilon
+    step = np.divide(m, 1.0 - state.beta1**t)
+    step *= state.learning_rate
+    step /= denom
+    param -= step
+    return param
 
 
 def make_adam_states(
@@ -310,10 +338,11 @@ def apply_adam_update(
     grad_b: np.ndarray,
     states: list[tuple[AdamState, AdamState]],
 ) -> None:
+    """Adam step on one layer's weights and biases, in place."""
     lay = net.layers[layer]
     state_w, state_b = states[layer]
-    lay.weights = adam_step(lay.weights, grad_w, state_w)
-    lay.biases = adam_step(lay.biases, grad_b, state_b)
+    adam_step(lay.weights, grad_w, state_w)
+    adam_step(lay.biases, grad_b, state_b)
 
 
 __all__ = [

@@ -70,7 +70,8 @@ def _layer_loss_fd_check(loss_kind, gamma_mode_fixed_value):
         else:
             _, coeffs = ff_loss_and_coeffs(trace, layer_idx, gamma, theta, polarity)
         grad_w, grad_b = layer_local_grad(
-            net.layers[layer_idx], trace.layer_input(layer_idx), coeffs
+            net.layers[layer_idx], trace.layer_input(layer_idx), trace.pre[layer_idx],
+            coeffs,
         )
         layer = net.layers[layer_idx]
         results.append(
@@ -151,10 +152,12 @@ def test_criterion_2_stop_gradient_equivalence():
             trace, layer_idx, np.zeros(8), theta - gamma, polarity
         )
         gw_c, gb_c = layer_local_grad(
-            net.layers[layer_idx], trace.layer_input(layer_idx), coeffs_collab
+            net.layers[layer_idx], trace.layer_input(layer_idx), trace.pre[layer_idx],
+            coeffs_collab,
         )
         gw_p, gb_p = layer_local_grad(
-            net.layers[layer_idx], trace.layer_input(layer_idx), coeffs_plain
+            net.layers[layer_idx], trace.layer_input(layer_idx), trace.pre[layer_idx],
+            coeffs_plain,
         )
         np.testing.assert_array_equal(gw_c, gw_p)
         np.testing.assert_array_equal(gb_c, gb_p)

@@ -193,8 +193,12 @@ class TestStopGradient:
         assert loss_a == loss_b
         np.testing.assert_array_equal(coeffs_a, coeffs_b)
 
-        gw_a, gb_a = layer_local_grad(net.layers[1], trace.layer_input(1), coeffs_a)
-        gw_b, gb_b = layer_local_grad(net.layers[1], trace.layer_input(1), coeffs_b)
+        gw_a, gb_a = layer_local_grad(
+            net.layers[1], trace.layer_input(1), trace.pre[1], coeffs_a
+        )
+        gw_b, gb_b = layer_local_grad(
+            net.layers[1], trace.layer_input(1), trace.pre[1], coeffs_b
+        )
         np.testing.assert_array_equal(gw_a, gw_b)
         np.testing.assert_array_equal(gb_a, gb_b)
 
@@ -207,12 +211,16 @@ class TestStopGradient:
 
         trace = forward_pass(net, batch)
         _, coeffs = ff_loss_and_coeffs(trace, 0, gamma, 3.0, polarity)
-        grads_before = layer_local_grad(net.layers[0], trace.layer_input(0), coeffs)
+        grads_before = layer_local_grad(
+            net.layers[0], trace.layer_input(0), trace.pre[0], coeffs
+        )
 
         net.layers[2].weights = net.layers[2].weights + 1.0
         trace2 = forward_pass(net, batch)
         _, coeffs2 = ff_loss_and_coeffs(trace2, 0, gamma, 3.0, polarity)
-        grads_after = layer_local_grad(net.layers[0], trace2.layer_input(0), coeffs2)
+        grads_after = layer_local_grad(
+            net.layers[0], trace2.layer_input(0), trace2.pre[0], coeffs2
+        )
 
         np.testing.assert_array_equal(grads_before[0], grads_after[0])
         np.testing.assert_array_equal(grads_before[1], grads_after[1])
@@ -228,7 +236,7 @@ class TestLossDirection:
         _, coeffs = ff_loss_and_coeffs(
             trace, 0, 0.0, g_before, np.array([polarity_value])
         )
-        gw, gb = layer_local_grad(net.layers[0], x, coeffs)
+        gw, gb = layer_local_grad(net.layers[0], x, trace.pre[0], coeffs)
         lr = 1e-4
         net.layers[0].weights = net.layers[0].weights - lr * gw
         net.layers[0].biases = net.layers[0].biases - lr * gb
@@ -273,6 +281,28 @@ class TestSchedules:
         for la, lb in zip(nets[0].layers, nets[1].layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.biases, lb.biases)
+
+    @pytest.mark.parametrize("gamma_mode", ["predecessors_only", "all_other_layers"])
+    def test_layerwise_trained_layers_stay_frozen(self, gamma_mode):
+        """Adam updates in place, so no later stage may write into an earlier
+        layer's arrays: each layer ends bitwise as its own stage left it."""
+        train_ds, _ = synthetic_pair(80, 20, d=10, seed=8)
+        cfg = FfConfig(theta=3.0, epochs=2, batch_size=20, seed=5, gamma_mode=gamma_mode)
+        net = init_network([20, 8, 6, 5], make_rng(3))
+        initial = net.copy()
+        after_stage = {}
+
+        def on_epoch(epoch, current):
+            if epoch % cfg.epochs == 0:
+                stage = epoch // cfg.epochs - 1
+                after_stage[stage] = current.layers[stage].copy()
+
+        net, _ = train_layerwise(net, train_ds, cfg, on_epoch)
+        assert sorted(after_stage) == [0, 1, 2]
+        for i, layer in enumerate(net.layers):
+            assert layer.weights.tobytes() == after_stage[i].weights.tobytes()
+            assert layer.biases.tobytes() == after_stage[i].biases.tobytes()
+            assert not np.array_equal(layer.weights, initial.layers[i].weights)
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ConfigError):
@@ -382,7 +412,9 @@ class TestGammaReducesToPlain:
                         cfg.theta, batch.polarity,
                     )
                     updates.append(
-                        layer_local_grad(net_b.layers[i], trace.layer_input(i), coeffs)
+                        layer_local_grad(
+                            net_b.layers[i], trace.layer_input(i), trace.pre[i], coeffs
+                        )
                     )
                 for i, (gw, gb) in enumerate(updates):
                     apply_adam_update(net_b, i, gw, gb, states)

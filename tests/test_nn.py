@@ -95,14 +95,18 @@ class TestLayerLocalGrad:
     def test_zero_coefficients_give_zero_gradients(self, rng):
         net = random_net([5, 4], seed=1)
         x = random_batch(rng, 3, 5)
-        gw, gb = layer_local_grad(net.layers[0], x, np.zeros((3, 4)))
+        gw, gb = layer_local_grad(
+            net.layers[0], x, forward_pass(net, x).pre[0], np.zeros((3, 4))
+        )
         assert np.all(gw == 0.0) and np.all(gb == 0.0)
 
     def test_dead_relu_blocks_gradient(self):
         net = random_net([2, 1], seed=1)
         net.layers[0].weights = np.array([[1.0], [1.0]])
         net.layers[0].biases = np.array([[-10.0]])  # pre < 0 always
-        gw, gb = layer_local_grad(net.layers[0], np.ones((1, 2)), np.ones((1, 1)))
+        x = np.ones((1, 2))
+        pre = forward_pass(net, x).pre[0]
+        gw, gb = layer_local_grad(net.layers[0], x, pre, np.ones((1, 1)))
         assert np.all(gw == 0.0) and np.all(gb == 0.0)
 
     def test_matches_finite_differences(self, rng):
@@ -115,10 +119,36 @@ class TestLayerLocalGrad:
             act = np.maximum(x @ layer.weights + layer.biases, 0.0)
             return float(np.sum(coeffs * act))
 
-        gw, gb = layer_local_grad(layer, x, coeffs)
+        gw, gb = layer_local_grad(layer, x, x @ layer.weights + layer.biases, coeffs)
         fw = fd_grad(loss, layer.weights)
         fb = fd_grad(loss, layer.biases)
         assert agreement([gw, gb], [fw, fb]) >= 0.99
+
+    @pytest.mark.parametrize("dead_unit", [False, True])
+    def test_forward_pre_matches_recompute_bitwise(self, rng, dead_unit):
+        """The mask from the forward's pre-activations is the recomputed one."""
+        net = random_net([9, 7, 6], seed=23)
+        if dead_unit:
+            net.layers[1].biases[0, 2] = -50.0  # unit 3 of layer 2 never fires
+        x = random_batch(rng, 11, 9)
+        trace = forward_pass(net, x)
+        for i, layer in enumerate(net.layers):
+            inp = trace.layer_input(i)
+            coeffs = rng.standard_normal((11, layer.out_dim))
+            gw, gb = layer_local_grad(layer, inp, trace.pre[i], coeffs)
+            d_pre = coeffs * (inp @ layer.weights + layer.biases > 0.0)
+            assert gw.tobytes() == (inp.T @ d_pre).tobytes()
+            assert gb.tobytes() == d_pre.sum(axis=0, keepdims=True).tobytes()
+            if dead_unit and i == 1:
+                assert np.all(gw[:, 2] == 0.0) and gb[0, 2] == 0.0
+
+    def test_wrong_pre_shape_rejected(self, rng):
+        net = random_net([5, 4], seed=1)
+        x = random_batch(rng, 3, 5)
+        pre = forward_pass(net, x).pre[0]
+        for bad in (pre[:2], pre.T, pre[:, :3]):
+            with pytest.raises(ShapeError):
+                layer_local_grad(net.layers[0], x, bad, np.ones((3, 4)))
 
 
 class TestFullBackprop:
@@ -126,7 +156,9 @@ class TestFullBackprop:
         net = random_net([6, 4], seed=4)
         x = random_batch(rng, 3, 6)
         coeffs = rng.standard_normal((3, 4))
-        gw_local, gb_local = layer_local_grad(net.layers[0], x, coeffs)
+        gw_local, gb_local = layer_local_grad(
+            net.layers[0], x, forward_pass(net, x).pre[0], coeffs
+        )
         [(gw_full, gb_full)] = full_backprop_grad(net, x, coeffs)
         np.testing.assert_array_equal(gw_local, gw_full)
         np.testing.assert_array_equal(gb_local, gb_full)
@@ -207,3 +239,31 @@ class TestAdam:
         state = AdamState.for_param(np.zeros((2, 2)))
         with pytest.raises(ShapeError):
             adam_step(np.zeros((2, 2)), np.zeros((3, 2)), state)
+
+    def test_in_place_matches_allocating_form_bitwise(self):
+        """25 steps equal the allocating formula bit for bit, on the params and
+        both moments, with gradients from 1e-8 to 10 in magnitude."""
+
+        def reference(param, m, v, grad, t, st):
+            m = st.beta1 * m + (1.0 - st.beta1) * grad
+            v = st.beta2 * v + (1.0 - st.beta2) * grad * grad
+            m_hat = m / (1.0 - st.beta1**t)
+            v_hat = v / (1.0 - st.beta2**t)
+            return param - st.learning_rate * m_hat / (np.sqrt(v_hat) + st.epsilon), m, v
+
+        rng = make_rng(31)
+        param = rng.standard_normal((6, 5))
+        state = AdamState.for_param(param, learning_rate=0.01)
+        first, second = state.first_moment, state.second_moment
+        ref_param, ref_m, ref_v = param.copy(), np.zeros_like(param), np.zeros_like(param)
+        for t in range(1, 26):
+            magnitude = 10.0 ** rng.uniform(-8.0, 1.0, size=param.shape)
+            grad = magnitude * rng.choice([-1.0, 1.0], size=param.shape)
+            out = adam_step(param, grad, state)
+            ref_param, ref_m, ref_v = reference(ref_param, ref_m, ref_v, grad, t, state)
+            assert out is param
+            assert state.first_moment is first and state.second_moment is second
+            assert param.tobytes() == ref_param.tobytes()
+            assert first.tobytes() == ref_m.tobytes()
+            assert second.tobytes() == ref_v.tobytes()
+        assert state.step_count == 25
