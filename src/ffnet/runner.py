@@ -243,7 +243,7 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     else:
         final_error = baselines.classic_test_error(net, test_ds, cfg.classic_normalize)
 
-    if not entropy_rows or entropy_rows[-1]["epoch"] != total_epochs:
+    if not error_rows or error_rows[-1]["epoch"] != total_epochs:
         snapshot(total_epochs, net)
 
     wall_time = time.monotonic() - started

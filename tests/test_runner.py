@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from ffnet.errors import CheckpointError, ConfigError
 from ffnet.ff import FfConfig, train_alternating, train_layerwise
 from ffnet.linalg import make_rng
 from ffnet.nn import init_network, l2_row_normalize_vjp
-from ffnet.runner import RunConfig, run_training
+from ffnet.runner import METHODS, RunConfig, run_training
 from ffnet.synth import synthetic_pair
 
 
@@ -115,6 +116,22 @@ class TestRunTrainingMethods:
         history = (tmp_path / "pw" / "history.csv").read_text().splitlines()
         layers = {line.split(",")[1] for line in history[1:]}
         assert layers == {"3"}
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_errors_csv_has_each_epoch_once(self, tiny_data, tmp_path, method, eval_every):
+        """Snapshots in the loop and the final one never repeat an epoch."""
+        train_ds, test_ds = tiny_data
+        dims = [24, 12, 8, 10] if method == "bp_classic" else [34, 12, 8, 6]
+        cfg = RunConfig(
+            dataset="synthetic", method=method, theta=4.0, epochs=2,
+            batch_size=50, seed=1, layer_dims=dims, output_dir=str(tmp_path),
+            entropy_eval_n=60, eval_every=eval_every,
+        )
+        run_training(cfg, train_ds, test_ds)
+        with open(tmp_path / "errors.csv", newline="") as f:
+            epochs = [int(row["epoch"]) for row in csv.DictReader(f)]
+        assert epochs and all(a < b for a, b in zip(epochs, epochs[1:])), epochs
 
     def test_dimension_mismatch_with_data(self, tiny_data, tmp_path):
         train_ds, test_ds = tiny_data
