@@ -56,7 +56,7 @@ def train_pairwise(
     last = net.depth - 1
     history: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
-        stats = _EpochStats(net.depth)
+        stats = _EpochStats(net.depth, epoch)
         for batch in make_linked_batches(
             ds, rng, cfg.batch_size, cfg.negatives_per_positive
         ):
@@ -68,7 +68,7 @@ def train_pairwise(
             grads = full_backprop_grad(net, batch.inputs, output_grad, trace=trace)
             for i, (grad_w, grad_b) in enumerate(grads):
                 apply_adam_update(net, i, grad_w, grad_b, states)
-        history.extend(stats.rows(epoch, "bp_pairwise", [last]))
+        history.extend(stats.rows("bp_pairwise", [last]))
         if on_epoch is not None:
             on_epoch(epoch, net)
     return net, history

@@ -238,9 +238,10 @@ def _layer_step(net, trace, table, layer: int, cfg: FfConfig, polarity):
 
 
 class _EpochStats:
-    """Accumulates per-layer loss and goodness means across batches."""
+    """Accumulates one epoch's per-layer loss and goodness means across batches."""
 
-    def __init__(self, depth: int):
+    def __init__(self, depth: int, epoch: int):
+        self.epoch = epoch
         self.loss_sum = np.zeros(depth)
         self.batches = np.zeros(depth, dtype=np.int64)
         self.good_pos = np.zeros(depth)
@@ -251,7 +252,8 @@ class _EpochStats:
     def record(self, layer: int, loss: float, g: np.ndarray, polarity: np.ndarray):
         if not np.isfinite(loss):
             raise FloatingPointError(
-                f"non-finite loss at layer {layer}; training diverged"
+                f"non-finite loss at layer {layer + 1} in epoch {self.epoch}; "
+                "training diverged"
             )
         self.loss_sum[layer] += loss
         self.batches[layer] += 1
@@ -261,10 +263,10 @@ class _EpochStats:
         self.n_pos[layer] += int(pos.sum())
         self.n_neg[layer] += int((~pos).sum())
 
-    def rows(self, epoch: int, loss_kind: str, layers, split: str = "train") -> list[dict]:
+    def rows(self, loss_kind: str, layers, split: str = "train") -> list[dict]:
         return [
             history_row(
-                epoch,
+                self.epoch,
                 i + 1,
                 loss_kind,
                 split,
@@ -303,7 +305,7 @@ def train_layerwise(
         # Successor activations are only needed when they feed gamma.
         upto = depth if cfg.gamma_mode == "all_other_layers" else i + 1
         for epoch in range(1, cfg.epochs + 1):
-            stats = _EpochStats(depth)
+            stats = _EpochStats(depth, epoch)
             for batch in make_linked_batches(
                 ds, rng, cfg.batch_size, cfg.negatives_per_positive
             ):
@@ -316,7 +318,7 @@ def train_layerwise(
                 )
                 apply_adam_update(net, i, grad_w, grad_b, states)
                 stats.record(i, loss, table[:, i], batch.polarity)
-            history.extend(stats.rows(epoch, cfg.loss_kind, [i]))
+            history.extend(stats.rows(cfg.loss_kind, [i]))
             if on_epoch is not None:
                 on_epoch(i * cfg.epochs + epoch, net)
     return net, history
@@ -342,7 +344,7 @@ def train_alternating(
     depth = net.depth
     history: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
-        stats = _EpochStats(depth)
+        stats = _EpochStats(depth, epoch)
         for batch in make_linked_batches(
             ds, rng, cfg.batch_size, cfg.negatives_per_positive
         ):
@@ -357,7 +359,7 @@ def train_alternating(
                 stats.record(i, loss, table[:, i], batch.polarity)
             for i, (grad_w, grad_b) in enumerate(updates):
                 apply_adam_update(net, i, grad_w, grad_b, states)
-        history.extend(stats.rows(epoch, cfg.loss_kind, range(depth)))
+        history.extend(stats.rows(cfg.loss_kind, range(depth)))
         if on_epoch is not None:
             on_epoch(epoch, net)
     return net, history

@@ -166,13 +166,13 @@ def _test_history_rows(
     polarity = np.concatenate([np.ones(len(positive)), -np.ones(len(negative))])
     pairwise = cfg.method == "bp_pairwise"
     layers = _voting_layers(cfg.method, table.shape[1])
-    stats = ff._EpochStats(table.shape[1])
+    stats = ff._EpochStats(table.shape[1], epoch)
     for i in layers:
         gamma = ff.compute_gamma(table, i, "none" if pairwise else ff_cfg.gamma_mode)
         loss, _ = ff.descent_loss(table[:, i], gamma, ff_cfg, polarity)
         stats.record(i, loss, table[:, i], polarity)
     loss_kind = "bp_pairwise" if pairwise else ff_cfg.loss_kind
-    return stats.rows(epoch, loss_kind, layers, split="test")
+    return stats.rows(loss_kind, layers, split="test")
 
 
 def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:

@@ -335,6 +335,61 @@ class TestSchedules:
         assert all(r["split"] == "train" for r in rows)
 
 
+
+class TestDivergence:
+    """A non-finite loss names the 1-based layer and the epoch, as history.csv does."""
+
+    @staticmethod
+    def _nan_after_first_epochs(monkeypatch, module, name, epochs_before, layer=None):
+        """Patch ``module.name`` to return a NaN loss once ``epochs_before``
+        epochs are done (for ``layer`` only, if given); returns the callback
+        that counts finished epochs."""
+        original = getattr(module, name)
+        done = {"epochs": 0}
+
+        def patched(*args):
+            loss, rest = original(*args)
+            hit = done["epochs"] >= epochs_before and (layer is None or args[3] == layer)
+            return (float("nan") if hit else loss), rest
+
+        def on_epoch(epoch, net):
+            done["epochs"] += 1
+
+        monkeypatch.setattr(module, name, patched)
+        return on_epoch
+
+    @pytest.mark.parametrize(
+        "schedule, epochs_before", [("alternating", 1), ("layerwise", 3)]
+    )
+    def test_ff_schedules(self, monkeypatch, schedule, epochs_before):
+        import ffnet.ff as ff_module
+
+        on_epoch = self._nan_after_first_epochs(
+            monkeypatch, ff_module, "_layer_step", epochs_before, layer=1
+        )
+        train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
+        cfg = FfConfig(theta=3.0, epochs=2, batch_size=20, seed=1, schedule=schedule)
+        net = init_network([20, 8, 6, 5], make_rng(0))
+        with pytest.raises(
+            FloatingPointError, match=r"^non-finite loss at layer 2 in epoch 2; "
+        ):
+            ff_module.train(net, train_ds, cfg, on_epoch)
+
+    def test_pairwise(self, monkeypatch):
+        import ffnet.baselines as baselines
+
+        on_epoch = self._nan_after_first_epochs(
+            monkeypatch, baselines, "ff_loss_and_coeffs", 1
+        )
+        train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
+        cfg = FfConfig(theta=3.0, epochs=2, batch_size=20, seed=1)
+        net = init_network([20, 8, 6, 5], make_rng(0))
+        with pytest.raises(
+            FloatingPointError, match=r"^non-finite loss at layer 3 in epoch 2; "
+        ):
+            baselines.train_pairwise(net, train_ds, cfg, on_epoch)
+
+
 class TestInference:
     def test_single_candidate(self):
         net = random_net([14, 6], seed=3)  # input dim = 4 + 10
