@@ -231,10 +231,9 @@ def _layer_step(net, trace, table, layer: int, cfg: FfConfig, polarity):
     gamma = compute_gamma(table, layer, cfg.gamma_mode)
     loss, d_g = descent_loss(table[:, layer], gamma, cfg, polarity)
     coeffs = d_g[:, None] * 2.0 * trace.act[layer]
-    grads = layer_local_grad(
+    return loss, layer_local_grad(
         net.layers[layer], trace.layer_input(layer), trace.pre[layer], coeffs
     )
-    return loss, grads
 
 
 class _EpochStats:
