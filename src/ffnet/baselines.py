@@ -110,7 +110,10 @@ def train_classic(
             trace = forward_pass(net, images, normalize=normalize, final_linear=True)
             loss, d_logits = softmax_cross_entropy(trace.act[-1], labels)
             if not np.isfinite(loss):
-                raise FloatingPointError("classic loss diverged")
+                raise FloatingPointError(
+                    f"non-finite loss at layer {net.depth} in epoch {epoch}; "
+                    "training diverged"
+                )
             grads = full_backprop_grad(
                 net, images, d_logits, normalize=normalize, final_linear=True, trace=trace
             )

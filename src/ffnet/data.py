@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, ShapeError
 from .linalg import make_rng
 
 N_LABELS = 10
@@ -191,6 +191,20 @@ def link_inputs(images, labels) -> np.ndarray:
     """Append a one-hot label block after the pixels."""
     images = np.asarray(images, dtype=np.float64)
     return np.hstack([images, one_hot(labels)])
+
+
+def split_linked_weights(weights, n_pixels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel rows and label rows of a first-layer weight matrix over linked inputs.
+
+    With the layout of :func:`link_inputs`, ``link_inputs(x, y) @ weights``
+    equals ``x @ pixel_rows + label_rows[y]`` up to rounding.
+    """
+    if weights.shape[0] != n_pixels + N_LABELS:
+        raise ShapeError(
+            f"{n_pixels} pixels + {N_LABELS} label units = {n_pixels + N_LABELS} "
+            f"columns, network expects {weights.shape[0]}"
+        )
+    return weights[:n_pixels], weights[n_pixels:]
 
 
 @dataclass

@@ -11,7 +11,9 @@ Two gradient routes coexist on purpose:
   backpropagation baselines.
 
 Both are checked against central finite differences in the test suite.
-:func:`adam_step` updates a parameter array and its moments in place, so a
+:func:`forward_pass` computes the first layer's pre-activation and hands it
+to :func:`forward_from_pre`, the one layer loop; label-factored inference
+enters that loop directly. :func:`adam_step` updates a parameter array and its moments in place, so a
 :class:`DenseLayer` keeps its arrays across training.
 """
 
@@ -88,10 +90,11 @@ class ForwardTrace:
 
     ``act`` holds post-ReLU activities (what goodness is measured on);
     ``normed`` holds what the next layer consumes. With normalization
-    disabled the two coincide.
+    disabled the two coincide. ``inputs`` is None for a pass started from a
+    first-layer pre-activation (:func:`forward_from_pre`).
     """
 
-    inputs: np.ndarray
+    inputs: np.ndarray | None
     pre: list[np.ndarray] = field(default_factory=list)
     act: list[np.ndarray] = field(default_factory=list)
     normed: list[np.ndarray] = field(default_factory=list)
@@ -124,17 +127,50 @@ def forward_pass(
         raise ShapeError(
             f"batch has {batch.shape[1]} columns, network expects {net.input_dim}"
         )
+    first = net.layers[0]
+    return forward_from_pre(
+        net,
+        batch @ first.weights + first.biases,
+        upto,
+        normalize,
+        final_linear,
+        epsilon,
+        inputs=batch,
+    )
+
+
+def forward_from_pre(
+    net: MlpNetwork,
+    first_pre,
+    upto: int | None = None,
+    normalize: bool = True,
+    final_linear: bool = False,
+    epsilon: float = NORM_EPSILON,
+    inputs: np.ndarray | None = None,
+) -> ForwardTrace:
+    """:func:`forward_pass` from the first layer's pre-activation ``first_pre``.
+
+    The flags mean what they do there. ``inputs`` is stored as the trace's
+    first-layer input; leave it None when no caller reads it.
+    """
+    first_pre = as_matrix(first_pre)
     depth = net.depth
+    if first_pre.shape[1] != net.layers[0].out_dim:
+        raise ShapeError(
+            f"first pre-activation has {first_pre.shape[1]} columns, "
+            f"layer 1 has {net.layers[0].out_dim} units"
+        )
     if upto is None:
         upto = depth
     if not 1 <= upto <= depth:
         raise ShapeError(f"upto={upto} outside 1..{depth}")
 
-    trace = ForwardTrace(inputs=batch)
-    carry = batch
+    trace = ForwardTrace(inputs=inputs)
+    pre = first_pre
     for i in range(upto):
-        layer = net.layers[i]
-        pre = carry @ layer.weights + layer.biases
+        if i > 0:
+            layer = net.layers[i]
+            pre = trace.normed[i - 1] @ layer.weights + layer.biases
         is_linear_output = final_linear and i == depth - 1
         act = pre if is_linear_output else relu(pre)
         if normalize and not is_linear_output:
@@ -144,7 +180,6 @@ def forward_pass(
         trace.pre.append(pre)
         trace.act.append(act)
         trace.normed.append(normed)
-        carry = normed
     return trace
 
 
@@ -352,6 +387,7 @@ __all__ = [
     "MlpNetwork",
     "adam_step",
     "apply_adam_update",
+    "forward_from_pre",
     "forward_pass",
     "full_backprop_grad",
     "init_network",

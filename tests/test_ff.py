@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from conftest import agreement, fd_grad, random_batch, random_net, trace_from_activities
 
-from ffnet.errors import ConfigError, EstimationError
+from ffnet.data import link_inputs
+from ffnet.errors import ConfigError, EstimationError, ShapeError
 from ffnet.ff import (
     FfConfig,
     compute_gamma,
@@ -11,6 +12,7 @@ from ffnet.ff import (
     goodness,
     goodness_table,
     infer,
+    label_goodness_scores,
     positive_prob,
     predict,
     train_alternating,
@@ -389,6 +391,20 @@ class TestDivergence:
         ):
             baselines.train_pairwise(net, train_ds, cfg, on_epoch)
 
+    def test_classic(self, monkeypatch):
+        import ffnet.baselines as baselines
+
+        on_epoch = self._nan_after_first_epochs(
+            monkeypatch, baselines, "softmax_cross_entropy", 1
+        )
+        train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
+        cfg = FfConfig(epochs=2, batch_size=20, seed=1)
+        net = init_network([10, 8, 10], make_rng(0))
+        with pytest.raises(
+            FloatingPointError, match=r"^non-finite loss at layer 2 in epoch 2; "
+        ):
+            baselines.train_classic(net, train_ds, cfg, on_epoch=on_epoch)
+
 
 class TestInference:
     def test_single_candidate(self):
@@ -438,6 +454,77 @@ class TestInference:
         net = random_net([16, 7, 5], seed=15)
         with pytest.raises(ConfigError):
             predict(net, rng.uniform(size=(2, 6)), mask=[])
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([-1], r"^candidate labels \[-1\] outside 0\.\.9$"),
+            ([3, 10], r"^candidate labels \[3, 10\] outside 0\.\.9$"),
+            ([], r"^candidate label set must be nonempty$"),
+        ],
+    )
+    def test_bad_candidate_labels_rejected(self, labels, message):
+        net = random_net([14, 6], seed=3)
+        x = make_rng(0).uniform(size=4)
+        with pytest.raises(ConfigError, match=message):
+            infer(net, x, labels=labels)
+        with pytest.raises(ConfigError, match=message):
+            label_goodness_scores(net, x[None, :], labels)
+
+    @pytest.mark.parametrize("width", [3, 5, 14])
+    def test_image_width_must_fit_first_layer(self, width):
+        """Images of the wrong width would mis-split the first layer's weights."""
+        net = random_net([14, 6], seed=3)  # 4 pixels + 10 label units
+        images = np.full((2, width), 0.5)
+        with pytest.raises(ShapeError, match="network expects 14$"):
+            label_goodness_scores(net, images)
+        with pytest.raises(ShapeError):
+            predict(net, images)
+
+
+class TestFactoredScores:
+    """label_goodness_scores against one forward pass per label on linked inputs."""
+
+    @staticmethod
+    def linked_oracle(net, images, labels):
+        return np.stack(
+            [
+                goodness_table(
+                    forward_pass(
+                        net,
+                        link_inputs(images, np.full(images.shape[0], y, dtype=np.int64)),
+                    )
+                )
+                for y in sorted(labels)
+            ],
+            axis=1,
+        )
+
+    @pytest.mark.parametrize(
+        "dims, n, labels",
+        [
+            ([16, 7, 5, 4], 11, range(10)),
+            ([16, 7, 5, 4], 9, [8, 2, 5]),  # unsorted subset
+            ([16, 9], 7, [9, 0, 4]),  # depth 1
+        ],
+    )
+    def test_matches_linked_passes(self, rng, dims, n, labels):
+        net = random_net(dims, seed=21)
+        images = rng.uniform(size=(n, 6))
+        got = label_goodness_scores(net, images, labels)
+        want = self.linked_oracle(net, images, labels)
+        assert got.shape == (n, len(labels), net.depth)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_ragged_chunks(self, rng, monkeypatch):
+        import ffnet.ff as ff_module
+
+        monkeypatch.setattr(ff_module, "SCORE_CHUNK", 4)
+        net = random_net([16, 7, 5, 4], seed=22)
+        images = rng.uniform(size=(10, 6))  # chunks of 4, 4 and 2
+        got = label_goodness_scores(net, images, [7, 1, 3])
+        want = self.linked_oracle(net, images, [7, 1, 3])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestGammaReducesToPlain:

@@ -3,10 +3,13 @@
 ``tests/golden/*.npz`` hold the final weights and the CSV outputs of a
 2-epoch run of each method on the tiny MNIST stand-in, plus ``ffnet eval``
 on the ``ff`` checkpoint. ``tests/golden/make_golden.py`` wrote them. Every
-value must match exactly, except two sets of float columns that may move
-in the last bit with the rows BLAS groups into one matrix product: the
-test-split rows of ``history.csv`` and all of ``entropy_report.csv``.
-Regenerate the goldens only for a change meant to move the numbers.
+value must match exactly, except the float columns of the goodness tensor's
+reductions that may move in the last bits: the test-split rows of
+``history.csv``, all of ``entropy_report.csv`` and all of ``entropy.csv``.
+They move with the rows BLAS groups into one matrix product, and with the
+order in which ``ff.label_goodness_scores`` adds the pixel product, the
+label's weight row and the bias. Weights, errors, subsets and marginals stay
+exact. Regenerate the goldens only for a change meant to move the numbers.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def _assert_csv_matches(name: str, got_text: str, want_text: str) -> None:
     assert len(got) == len(want), f"{name}: {len(got)} rows, golden has {len(want)}"
     for got_row, want_row in zip(got, want):
         assert got_row.keys() == want_row.keys(), name
-        loose = name == "entropy_report.csv" or (
+        loose = name in ("entropy_report.csv", "entropy.csv") or (
             name == "history.csv" and want_row["split"] == "test"
         )
         for key, want_value in want_row.items():

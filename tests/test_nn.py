@@ -9,6 +9,7 @@ from ffnet.nn import (
     DenseLayer,
     MlpNetwork,
     adam_step,
+    forward_from_pre,
     forward_pass,
     full_backprop_grad,
     init_network,
@@ -89,6 +90,23 @@ class TestForwardTrace:
         net = random_net([6, 4], seed=0)
         with pytest.raises(ShapeError):
             forward_pass(net, np.ones((2, 5)))
+
+    @pytest.mark.parametrize("upto", [1, 2, 3])
+    def test_from_first_pre_matches_forward_pass_bitwise(self, rng, upto):
+        net = random_net([6, 5, 4, 3], seed=4)
+        batch = random_batch(rng, 5, 6)
+        first = net.layers[0]
+        got = forward_from_pre(net, batch @ first.weights + first.biases, upto=upto)
+        want = forward_pass(net, batch, upto=upto)
+        assert got.inputs is None and got.depth == want.depth == upto
+        for name in ("pre", "act", "normed"):
+            for a, b in zip(getattr(got, name), getattr(want, name)):
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_from_first_pre_rejects_wrong_width(self):
+        net = random_net([6, 5, 4], seed=4)
+        with pytest.raises(ShapeError, match="layer 1 has 5 units"):
+            forward_from_pre(net, np.ones((2, 4)))
 
 
 class TestLayerLocalGrad:
