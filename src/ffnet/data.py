@@ -12,7 +12,10 @@ byte followed by 3072 pixel bytes in channel-major (CHW) order.
 
 Pixels are scaled to [0, 1]. A "linked" input is the flattened sample with a
 10-dim one-hot label block appended after the pixels, so MNIST-sized inputs
-become 794-dim.
+become 794-dim. Training batches hold each sample's pixels once plus the
+label each row links it with; the forward-forward trainers never build the
+linked matrix (see :func:`split_linked_weights`), and
+:meth:`LinkedBatch.linked_inputs` builds it for the pairwise baseline.
 """
 
 from __future__ import annotations
@@ -209,16 +212,28 @@ def split_linked_weights(weights, n_pixels: int) -> tuple[np.ndarray, np.ndarray
 
 @dataclass
 class LinkedBatch:
-    """One training batch of linked inputs with per-row polarity.
+    """One training batch: ``m`` samples, each linked with ``copies`` labels.
 
-    Positive rows carry the true label in the one-hot block; negative rows a
-    uniformly random wrong one. Rows are ordered positives first.
+    Row ``r`` of the batch is sample ``r % m`` linked with
+    ``linked_labels[r]``. The first ``m`` rows are positives, linked with the
+    true label; the rest are negatives, each a uniformly random wrong one.
+    The per-row arrays have ``copies * m`` entries; ``images`` holds each
+    sample's pixels once.
     """
 
-    inputs: np.ndarray        # (rows, d + N_LABELS)
+    images: np.ndarray        # (m, d) the samples' pixels
     polarity: np.ndarray      # (rows,) +1.0 / -1.0
     true_labels: np.ndarray   # (rows,)
     linked_labels: np.ndarray  # (rows,)
+
+    @property
+    def copies(self) -> int:
+        """Rows per sample: one positive plus the negatives."""
+        return self.linked_labels.shape[0] // self.images.shape[0]
+
+    def linked_inputs(self) -> np.ndarray:
+        """(rows, d + N_LABELS) linked matrix of the batch, built on demand."""
+        return link_inputs(np.tile(self.images, (self.copies, 1)), self.linked_labels)
 
 
 def sample_wrong_labels(true_labels, rng: np.random.Generator) -> np.ndarray:
@@ -250,9 +265,9 @@ def make_linked_batches(
 
     ``batch_size`` counts dataset samples; each contributes one positive row
     plus ``negatives_per_positive`` negative rows, so a batch holds
-    batch_size * (1 + negatives_per_positive) rows. Reinvoking with the same
-    generator reshuffles and redraws the wrong labels, which is how epochs
-    get fresh negatives.
+    batch_size * (1 + negatives_per_positive) rows over batch_size samples.
+    Reinvoking with the same generator reshuffles and redraws the wrong
+    labels, which is how epochs get fresh negatives.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -263,22 +278,13 @@ def make_linked_batches(
     order = rng.permutation(ds.n)
     for start in range(0, ds.n, batch_size):
         idx = order[start : start + batch_size]
-        images = ds.images[idx]
         true = ds.labels[idx]
         m = idx.shape[0]
-        reps = negatives_per_positive
-        neg_true = np.tile(true, reps)
+        neg_true = np.tile(true, negatives_per_positive)
         wrong = sample_wrong_labels(neg_true, rng)
-        inputs = np.vstack(
-            [
-                link_inputs(images, true),
-                link_inputs(np.tile(images, (reps, 1)), wrong),
-            ]
-        )
-        polarity = np.concatenate([np.ones(m), -np.ones(m * reps)])
         yield LinkedBatch(
-            inputs=inputs,
-            polarity=polarity,
+            images=ds.images[idx],
+            polarity=np.concatenate([np.ones(m), -np.ones(neg_true.shape[0])]),
             true_labels=np.concatenate([true, neg_true]),
             linked_labels=np.concatenate([true, wrong]),
         )

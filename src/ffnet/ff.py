@@ -18,10 +18,15 @@ layer one update per batch. Inference scores the sample linked with each
 candidate label, sums goodness over a layer mask, and votes by the largest
 sum.
 
-Predictions, subset errors, entropy tables and test-split losses are all
-reductions of the goodness tensor of :func:`label_goodness_scores`. It never
-builds linked inputs: a sample's pixel product with the first layer's
-weights is shared by every candidate, which only adds its label's weight row.
+Neither training nor evaluation builds linked inputs. The first layer's
+pre-activation of a sample ``x`` linked with label ``y`` is
+``x @ W_pix + (W_lab[y] + b)`` (:func:`first_layer_factors`), so a sample's
+pixel product is computed once and shared by all its linked rows: the
+positive and negative rows of a training batch (:func:`linked_forward`,
+with layer 1's gradient from ``nn.layer_local_grad(..., linked_labels)``)
+and the candidate labels of an evaluation pass. Predictions, subset errors,
+entropy tables and test-split losses are all reductions of the goodness
+tensor of :func:`label_goodness_scores`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,13 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
-from .data import N_LABELS, Dataset, make_linked_batches, split_linked_weights
+from .data import (
+    N_LABELS,
+    Dataset,
+    LinkedBatch,
+    make_linked_batches,
+    split_linked_weights,
+)
 from .errors import ConfigError, EstimationError, ShapeError
 from .linalg import as_matrix, make_rng, row_sumsq
 from .nn import (
@@ -40,7 +51,6 @@ from .nn import (
     MlpNetwork,
     apply_adam_update,
     forward_from_pre,
-    forward_pass,
     layer_local_grad,
     make_adam_states,
 )
@@ -96,6 +106,11 @@ class FfConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.loss_kind == "entropy" and self.batch_size < 2:
+            raise ConfigError(
+                "the entropy objective needs 2 samples per batch, "
+                f"got batch_size {self.batch_size}"
+            )
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.negatives_per_positive < 1:
@@ -231,13 +246,45 @@ def _estimable(cfg: FfConfig, polarity: np.ndarray) -> bool:
     return cfg.loss_kind != "entropy" or min((polarity > 0).sum(), (polarity < 0).sum()) >= 2
 
 
-def _layer_step(net, trace, table, layer: int, cfg: FfConfig, polarity):
+def first_layer_factors(net: MlpNetwork, n_pixels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel rows of the first layer's weights and one offset row per label.
+
+    The first-layer pre-activation of ``n_pixels`` pixels ``x`` linked with
+    label ``y`` is ``x @ pixel_rows + offsets[y]``, where ``offsets[y]`` is
+    the label's weight row plus the bias.
+    """
+    first = net.layers[0]
+    pixel_rows, label_rows = split_linked_weights(first.weights, n_pixels)
+    return pixel_rows, label_rows + first.biases
+
+
+def linked_forward(
+    net: MlpNetwork, batch: LinkedBatch, upto: int | None = None
+) -> ForwardTrace:
+    """Forward pass of every linked row of ``batch``, one pixel product per sample.
+
+    The trace's first-layer input is ``batch.images``; pass
+    ``batch.linked_labels`` to ``layer_local_grad`` for layer 1.
+    """
+    pixel_rows, offsets = first_layer_factors(net, batch.images.shape[1])
+    pixel_pre = batch.images @ pixel_rows
+    first_pre = offsets[batch.linked_labels]
+    by_copy = first_pre.reshape(batch.copies, *pixel_pre.shape)
+    by_copy += pixel_pre
+    return forward_from_pre(net, first_pre, upto, inputs=batch.images)
+
+
+def _layer_step(net, trace, table, layer: int, cfg: FfConfig, batch: LinkedBatch):
     """Descent loss and parameter gradients of one layer on one batch."""
     gamma = compute_gamma(table, layer, cfg.gamma_mode)
-    loss, d_g = descent_loss(table[:, layer], gamma, cfg, polarity)
+    loss, d_g = descent_loss(table[:, layer], gamma, cfg, batch.polarity)
     coeffs = d_g[:, None] * 2.0 * trace.act[layer]
     return loss, layer_local_grad(
-        net.layers[layer], trace.layer_input(layer), trace.pre[layer], coeffs
+        net.layers[layer],
+        trace.layer_input(layer),
+        trace.pre[layer],
+        coeffs,
+        batch.linked_labels if layer == 0 else None,
     )
 
 
@@ -315,11 +362,9 @@ def train_layerwise(
             ):
                 if not _estimable(cfg, batch.polarity):
                     continue
-                trace = forward_pass(net, batch.inputs, upto=upto)
+                trace = linked_forward(net, batch, upto)
                 table = goodness_table(trace)
-                loss, (grad_w, grad_b) = _layer_step(
-                    net, trace, table, i, cfg, batch.polarity
-                )
+                loss, (grad_w, grad_b) = _layer_step(net, trace, table, i, cfg, batch)
                 apply_adam_update(net, i, grad_w, grad_b, states)
                 stats.record(i, loss, table[:, i], batch.polarity)
             history.extend(stats.rows(cfg.loss_kind, [i]))
@@ -354,11 +399,11 @@ def train_alternating(
         ):
             if not _estimable(cfg, batch.polarity):
                 continue
-            trace = forward_pass(net, batch.inputs)
+            trace = linked_forward(net, batch)
             table = goodness_table(trace)
             updates = []
             for i in range(depth):
-                loss, grads = _layer_step(net, trace, table, i, cfg, batch.polarity)
+                loss, grads = _layer_step(net, trace, table, i, cfg, batch)
                 updates.append(grads)
                 stats.record(i, loss, table[:, i], batch.polarity)
             for i, (grad_w, grad_b) in enumerate(updates):
@@ -407,16 +452,14 @@ def label_goodness_scores(net: MlpNetwork, images, labels=range(N_LABELS)) -> np
     """(n, len(labels), depth) goodness of every layer for every sample linked with
     every candidate label, sorted.
 
-    The first layer's pre-activation of a linked input is the pixel product
-    plus the label's weight row plus the bias, so each block of samples takes
-    one pixel product and each candidate adds its row to it before running
-    the remaining layers.
+    Each block of samples takes one pixel product, and each candidate adds
+    its offset row (:func:`first_layer_factors`) to it before running the
+    remaining layers.
     """
     images = as_matrix(images)
     candidates = checked_labels(labels)
-    first = net.layers[0]
-    pixel_rows, label_rows = split_linked_weights(first.weights, images.shape[1])
-    offsets = label_rows[candidates] + first.biases
+    pixel_rows, offsets = first_layer_factors(net, images.shape[1])
+    offsets = offsets[candidates]
     n = images.shape[0]
     scores = np.empty((n, len(candidates), net.depth))
     for start in range(0, n, SCORE_CHUNK):

@@ -5,16 +5,19 @@ Two gradient routes coexist on purpose:
 * :func:`layer_local_grad` differentiates a single layer's parameters given
   per-unit loss coefficients, with no chain rule through other layers. It
   takes the layer's pre-activations from the forward pass that produced the
-  coefficients, so the layer's matmul is not repeated.
+  coefficients, so the layer's matmul is not repeated. For a first layer
+  over linked inputs it also takes the label-factored form: each sample's
+  pixels once plus the label of every linked row.
 * :func:`full_backprop_grad` runs the exact chain rule through the whole
   stack, including the inter-layer L2 row normalization, for the
   backpropagation baselines.
 
 Both are checked against central finite differences in the test suite.
 :func:`forward_pass` computes the first layer's pre-activation and hands it
-to :func:`forward_from_pre`, the one layer loop; label-factored inference
-enters that loop directly. :func:`adam_step` updates a parameter array and its moments in place, so a
-:class:`DenseLayer` keeps its arrays across training.
+to :func:`forward_from_pre`, the one layer loop; label-factored training and
+inference enter that loop directly. :func:`adam_step` updates a parameter
+array and its moments in place, so a :class:`DenseLayer` keeps its arrays
+across training.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import N_LABELS, one_hot, split_linked_weights
 from .errors import ConfigError, ShapeError
 from .linalg import NORM_EPSILON, as_matrix, l2_row_normalize, relu
 
@@ -184,7 +188,7 @@ def forward_from_pre(
 
 
 def layer_local_grad(
-    layer: DenseLayer, layer_input, pre, activity_coeffs
+    layer: DenseLayer, layer_input, pre, activity_coeffs, linked_labels=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of a scalar loss w.r.t. one layer's parameters.
 
@@ -193,26 +197,45 @@ def layer_local_grad(
     the matmul is not recomputed. ``activity_coeffs[s, u]`` must be the
     derivative of the scalar loss with respect to the post-ReLU activity of
     unit ``u`` on sample ``s``. Nothing is propagated to earlier layers.
+
+    With ``linked_labels``, the layer is a first layer over linked inputs in
+    label-factored form (:class:`~ffnet.data.LinkedBatch`): ``layer_input``
+    holds the ``m`` samples' pixels once, and row ``r`` of ``pre`` and of the
+    coefficients is sample ``r % m`` linked with ``linked_labels[r]``. The
+    pixel rows of the gradient are ``X^T`` times the coefficients summed over
+    a sample's copies; the label rows are ``onehot(linked_labels)^T`` times
+    them.
     """
     layer_input = as_matrix(layer_input)
     coeffs = as_matrix(activity_coeffs)
     pre = as_matrix(pre)
-    if layer_input.shape[1] != layer.in_dim:
+    factored = linked_labels is not None
+    n_pixels = layer_input.shape[1]
+    width = n_pixels + N_LABELS if factored else n_pixels
+    if width != layer.in_dim:
         raise ShapeError(
-            f"layer input has {layer_input.shape[1]} columns, layer expects {layer.in_dim}"
+            f"layer input has {width} columns, layer expects {layer.in_dim}"
         )
-    if coeffs.shape != (layer_input.shape[0], layer.out_dim):
+    m = layer_input.shape[0]
+    rows = len(linked_labels) if factored else m
+    if coeffs.shape != (rows, layer.out_dim) or (factored and (m == 0 or rows % m)):
         raise ShapeError(
             f"coefficients shape {coeffs.shape} does not match "
-            f"({layer_input.shape[0]}, {layer.out_dim})"
+            f"({rows}, {layer.out_dim})"
         )
     if pre.shape != coeffs.shape:
         raise ShapeError(
             f"pre-activation shape {pre.shape} does not match coefficients {coeffs.shape}"
         )
     d_pre = coeffs * (pre > 0.0)
-    grad_w = layer_input.T @ d_pre
     grad_b = d_pre.sum(axis=0, keepdims=True)
+    if not factored:
+        return layer_input.T @ d_pre, grad_b
+    grad_w = np.empty((layer.in_dim, layer.out_dim))
+    pixel_rows, label_rows = split_linked_weights(grad_w, n_pixels)
+    per_sample = d_pre.reshape(rows // m, m, layer.out_dim).sum(axis=0)
+    np.matmul(layer_input.T, per_sample, out=pixel_rows)
+    np.matmul(one_hot(linked_labels).T, d_pre, out=label_rows)
     return grad_w, grad_b
 
 

@@ -3,10 +3,11 @@
 ``perfbench/tracer.py`` binds the arguments of traced calls by name to size
 them and to attribute them to a layer. A signature change that breaks the
 binding does not fail a benchmark run: the span is only listed as
-unannotated and its per-layer metrics read 0. This test runs a tiny
-alternating ``ff.train`` and ``baselines.train_pairwise`` under the tracer
-and checks that every span was annotated and that the local-gradient and
-Adam spans name every layer. The tracer module is imported, never edited.
+unannotated and its per-layer metrics read 0. These tests run a tiny
+alternating or layerwise ``ff.train`` and ``baselines.train_pairwise`` under
+the tracer and check that every span was annotated and that the
+local-gradient and Adam spans name every layer. The tracer module is
+imported, never edited.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from pathlib import Path
 import pytest
 
 import ffnet  # noqa: F401  (imports every module the tracer wraps)
-from ffnet import baselines, ff
+from ffnet import baselines, ff, nn
 from ffnet.linalg import make_rng
-from ffnet.nn import init_network
 from ffnet.synth import synthetic_pair
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -39,19 +39,23 @@ def tracer_module():
     return module
 
 
-def test_training_spans_are_annotated_with_layers(tracer_module):
+def _check_training_spans(tracer_module, schedule: str, gamma_mode: str) -> None:
     train_ds, _ = synthetic_pair(80, 10, d=12, seed=3)
     dims = [22, 10, 8, 6]
     depth = len(dims) - 1
     cfg = ff.FfConfig(
         theta=3.0, epochs=1, batch_size=20, seed=1,
-        schedule="alternating", gamma_mode="all_other_layers",
+        schedule=schedule, gamma_mode=gamma_mode,
     )
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        ff.train(init_network(dims, make_rng(0)), train_ds, cfg)
-        baselines.train_pairwise(init_network(dims, make_rng(1)), train_ds, cfg)
+        # Built through the traced nn.init_network: the tracer names a layer
+        # from the last network a traced call took or returned, and the
+        # trainers' first such call (apply_adam_update) follows the first
+        # batch's gradients.
+        ff.train(nn.init_network(dims, make_rng(0)), train_ds, cfg)
+        baselines.train_pairwise(nn.init_network(dims, make_rng(1)), train_ds, cfg)
     finally:
         tracer.uninstall()
 
@@ -64,3 +68,11 @@ def test_training_spans_are_annotated_with_layers(tracer_module):
         assert set(layers) == expected, name
     local = [span for span in tracer.spans if span["name"] == "nn.layer_local_grad"]
     assert all(span["mflop"] > 0 for span in local)
+
+
+def test_training_spans_are_annotated_with_layers(tracer_module):
+    _check_training_spans(tracer_module, "alternating", "all_other_layers")
+
+
+def test_layerwise_training_spans_are_annotated_with_layers(tracer_module):
+    _check_training_spans(tracer_module, "layerwise", "predecessors_only")

@@ -102,6 +102,21 @@ class TestTrainCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert 0.0 <= summary["final_test_error"] <= 1.0
 
+    def test_entropy_with_one_sample_batches_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys
+    ):
+        flags = list(TRAIN_FLAGS)
+        flags[flags.index("--batch-size") + 1] = "1"
+        out = tmp_path / "entropy_b1"
+        rc = main(
+            ["train", "--method", "entropy_ff", "--schedule", "alternating",
+             "--data-dir", str(data_dir), "--output-dir", str(out), *flags]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the entropy objective needs 2 samples per batch, got batch_size 1"
+        ]
+        assert not (out / "history.csv").exists()
 
     def test_divergence_is_a_one_line_error(self, monkeypatch, capsys):
         import ffnet.cli as cli_mod

@@ -171,15 +171,15 @@ class TestLinkedBatches:
         ds = synthetic_dataset(55, d=16, seed=3)
         rng = make_rng(5)
         batches = list(make_linked_batches(ds, rng, batch_size=20))
-        assert [b.inputs.shape[0] for b in batches] == [40, 40, 30]
+        assert [b.linked_inputs().shape[0] for b in batches] == [40, 40, 30]
         for batch in batches:
-            assert batch.inputs.shape[1] == 26
+            assert batch.linked_inputs().shape[1] == 26
             pos = batch.polarity > 0
             np.testing.assert_array_equal(
                 batch.linked_labels[pos], batch.true_labels[pos]
             )
             assert np.all(batch.linked_labels[~pos] != batch.true_labels[~pos])
-            onehot_blocks = batch.inputs[:, 16:]
+            onehot_blocks = batch.linked_inputs()[:, 16:]
             np.testing.assert_array_equal(onehot_blocks.sum(axis=1), 1.0)
 
     def test_two_negatives_per_positive(self):
@@ -187,7 +187,7 @@ class TestLinkedBatches:
         batches = list(
             make_linked_batches(ds, make_rng(0), batch_size=10, negatives_per_positive=2)
         )
-        assert batches[0].inputs.shape[0] == 30
+        assert batches[0].linked_inputs().shape[0] == 30
         assert int((batches[0].polarity < 0).sum()) == 20
 
     def test_same_seed_gives_identical_stream(self):
@@ -195,8 +195,35 @@ class TestLinkedBatches:
         stream_a = list(make_linked_batches(ds, make_rng(7), 16))
         stream_b = list(make_linked_batches(ds, make_rng(7), 16))
         for a, b in zip(stream_a, stream_b):
-            np.testing.assert_array_equal(a.inputs, b.inputs)
+            np.testing.assert_array_equal(a.linked_inputs(), b.linked_inputs())
             np.testing.assert_array_equal(a.linked_labels, b.linked_labels)
+
+    @pytest.mark.parametrize("negatives", [1, 3])
+    def test_linked_form_is_the_vstacked_linked_matrix(self, negatives):
+        """The batch stream draws what it always drew, and ``linked_inputs``
+        rebuilds the positives' linked rows stacked on the negatives'."""
+        ds = synthetic_dataset(23, d=8, seed=3)
+        rng, oracle_rng = make_rng(11), make_rng(11)
+        for _ in range(2):
+            batches = list(make_linked_batches(ds, rng, 10, negatives))
+            order = oracle_rng.permutation(ds.n)
+            assert len(batches) == 3
+            for start, batch in zip(range(0, ds.n, 10), batches):
+                idx = order[start : start + 10]
+                images, true = ds.images[idx], ds.labels[idx]
+                wrong = sample_wrong_labels(np.tile(true, negatives), oracle_rng)
+                want = np.vstack(
+                    [
+                        link_inputs(images, true),
+                        link_inputs(np.tile(images, (negatives, 1)), wrong),
+                    ]
+                )
+                np.testing.assert_array_equal(batch.images, images)
+                assert batch.copies == 1 + negatives
+                assert batch.linked_inputs().tobytes() == want.tobytes()
+                np.testing.assert_array_equal(
+                    batch.linked_labels, np.concatenate([true, wrong])
+                )
 
     def test_epochs_reshuffle_and_resample(self):
         ds = synthetic_dataset(40, d=8, seed=3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import agreement, fd_grad, random_batch, random_net, trace_from_activities
 
-from ffnet.data import link_inputs
+from ffnet.data import link_inputs, make_linked_batches
 from ffnet.errors import ConfigError, EstimationError, ShapeError
 from ffnet.ff import (
     FfConfig,
@@ -13,6 +13,7 @@ from ffnet.ff import (
     goodness_table,
     infer,
     label_goodness_scores,
+    linked_forward,
     positive_prob,
     predict,
     train_alternating,
@@ -310,6 +311,14 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             FfConfig(epochs=0)
 
+    def test_entropy_rejects_one_sample_batches(self):
+        """Every batch of one sample has one positive row, which the entropy
+        estimate cannot use, so such a run would train nothing."""
+        with pytest.raises(ConfigError, match="entropy objective needs 2 samples"):
+            FfConfig(loss_kind="entropy", batch_size=1)
+        FfConfig(loss_kind="entropy", batch_size=2)
+        FfConfig(batch_size=1)
+
     @pytest.mark.parametrize("schedule", ["layerwise", "alternating"])
     def test_entropy_skips_trailing_one_sample_batch(self, schedule):
         """201 samples at batch 200 leave a batch of one positive and one
@@ -527,10 +536,81 @@ class TestFactoredScores:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+class TestFactoredTraining:
+    """Label-factored layer 1 of training batches against their linked matrices."""
+
+    @staticmethod
+    def batches(negatives):
+        train_ds, _ = synthetic_pair(23, 5, d=6, seed=12)
+        return list(make_linked_batches(train_ds, make_rng(4), 10, negatives))
+
+    @pytest.mark.parametrize("negatives", [1, 3])
+    def test_matches_linked_layer(self, rng, negatives):
+        net = random_net([16, 7, 5], seed=31)
+        layer = net.layers[0]
+        batches = self.batches(negatives)
+        assert [b.images.shape[0] for b in batches] == [10, 10, 3]  # ragged last
+        for batch in batches:
+            linked = batch.linked_inputs()
+            want = forward_pass(net, linked)
+            got = linked_forward(net, batch)
+            assert got.layer_input(0) is batch.images
+            np.testing.assert_allclose(got.pre[0], want.pre[0], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(
+                goodness_table(got), goodness_table(want), rtol=1e-12, atol=0.0
+            )
+            coeffs = rng.standard_normal(want.pre[0].shape)
+            grad_w, grad_b = layer_local_grad(
+                layer, batch.images, want.pre[0], coeffs, batch.linked_labels
+            )
+            want_w, want_b = layer_local_grad(layer, linked, want.pre[0], coeffs)
+            assert grad_w.shape == want_w.shape == layer.weights.shape
+            # Label rows included: rows 6.. of the gradient.
+            np.testing.assert_allclose(grad_w, want_w, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(grad_b, want_b)
+
+    def test_matches_finite_differences(self):
+        net = random_net([16, 7], seed=32)
+        layer = net.layers[0]
+        batch = self.batches(3)[-1]  # 3 samples, 12 rows
+
+        def loss():
+            trace = linked_forward(net, batch)
+            return ff_loss_and_coeffs(trace, 0, 0.0, 1.0, batch.polarity)[0]
+
+        trace = linked_forward(net, batch)
+        _, coeffs = ff_loss_and_coeffs(trace, 0, 0.0, 1.0, batch.polarity)
+        grad_w, grad_b = layer_local_grad(
+            layer, batch.images, trace.pre[0], coeffs, batch.linked_labels
+        )
+        numeric_w = fd_grad(loss, layer.weights)
+        numeric_b = fd_grad(loss, layer.biases)
+        assert np.abs(grad_w[6:]).max() > 1e-3  # the label rows carry gradient
+        assert agreement([grad_w[:6]], [numeric_w[:6]]) >= 0.99
+        assert agreement([grad_w[6:]], [numeric_w[6:]]) >= 0.99
+        assert agreement([grad_b], [numeric_b]) >= 0.99
+
+    def test_shape_checks(self):
+        net = random_net([16, 7], seed=33)
+        layer = net.layers[0]
+        batch = self.batches(1)[0]  # 10 samples, 20 rows
+        coeffs = np.ones((20, 7))
+        pre = linked_forward(net, batch).pre[0]
+        with pytest.raises(ShapeError, match="layer input has 15 columns"):
+            layer_local_grad(layer, batch.images[:, :5], pre, coeffs, batch.linked_labels)
+        with pytest.raises(ShapeError):
+            layer_local_grad(layer, batch.images[:7], pre, coeffs, batch.linked_labels)
+        with pytest.raises(ShapeError):
+            layer_local_grad(
+                layer, batch.images, pre[:19], coeffs[:19], batch.linked_labels[:19]
+            )
+        with pytest.raises(ShapeError):
+            layer_local_grad(layer, batch.images, pre, coeffs[:10], batch.linked_labels)
+
+
 class TestGammaReducesToPlain:
     def test_alternating_gamma_none_matches_handrolled_round_robin(self):
         """With gamma off, the alternating trainer is plain per-batch FF."""
-        from ffnet.data import make_linked_batches
         from ffnet.nn import apply_adam_update, make_adam_states
 
         train_ds, _ = synthetic_pair(80, 20, d=10, seed=8)
@@ -546,16 +626,17 @@ class TestGammaReducesToPlain:
         states = make_adam_states(net_b, cfg.learning_rate)
         for _ in range(cfg.epochs):
             for batch in make_linked_batches(train_ds, rng, cfg.batch_size, 1):
-                trace = forward_pass(net_b, batch.inputs)
+                trace = linked_forward(net_b, batch)
                 updates = []
                 for i in range(net_b.depth):
                     _, coeffs = ff_loss_and_coeffs(
-                        trace, i, np.zeros(batch.inputs.shape[0]),
+                        trace, i, np.zeros(batch.polarity.shape[0]),
                         cfg.theta, batch.polarity,
                     )
                     updates.append(
                         layer_local_grad(
-                            net_b.layers[i], trace.layer_input(i), trace.pre[i], coeffs
+                            net_b.layers[i], trace.layer_input(i), trace.pre[i], coeffs,
+                            batch.linked_labels if i == 0 else None,
                         )
                     )
                 for i, (gw, gb) in enumerate(updates):

@@ -2,14 +2,25 @@
 
 ``tests/golden/*.npz`` hold the final weights and the CSV outputs of a
 2-epoch run of each method on the tiny MNIST stand-in, plus ``ffnet eval``
-on the ``ff`` checkpoint. ``tests/golden/make_golden.py`` wrote them. Every
-value must match exactly, except the float columns of the goodness tensor's
-reductions that may move in the last bits: the test-split rows of
-``history.csv``, all of ``entropy_report.csv`` and all of ``entropy.csv``.
-They move with the rows BLAS groups into one matrix product, and with the
-order in which ``ff.label_goodness_scores`` adds the pixel product, the
-label's weight row and the bias. Weights, errors, subsets and marginals stay
-exact. Regenerate the goldens only for a change meant to move the numbers.
+on the ``ff`` checkpoint. ``tests/golden/make_golden.py`` wrote them, from
+training on linked matrices. Every value must match exactly, except:
+
+* ``RTOL`` (1e-12) on the float columns of the goodness tensor's reductions:
+  the test-split rows of ``history.csv``, all of ``entropy_report.csv`` and
+  all of ``entropy.csv``. They move with the rows BLAS groups into one
+  matrix product, and with the order in which ``ff.label_goodness_scores``
+  adds the pixel product, the label's weight row and the bias.
+* ``FACTORED_RTOL`` (1e-10) on the final weights and biases and every float
+  column of ``history.csv`` of the label-factored trainers (``ff``,
+  ``collab_ff``, ``entropy_ff``). They sum layer 1's pre-activation as
+  ``x @ W_pix + (W_lab[y] + b)`` and its weight gradient over each sample's
+  summed linked rows, not over the linked product, so every update rounds
+  differently. The test-split entropy losses are differences of two
+  entropies and can cancel to a few 1e-5, which magnifies a last-bit
+  change of goodness to about 1e-12 relative.
+
+Errors, subsets, marginals and both backprop baselines stay exact. Regenerate
+the goldens only for a change meant to move the numbers.
 """
 
 from __future__ import annotations
@@ -31,6 +42,8 @@ RUN_FILES = ("history.csv", "entropy.csv", "errors.csv")
 EVAL_FILES = ("subsets.csv", "marginals.csv", "entropy_report.csv")
 KEY_COLUMNS = {"epoch", "layer", "loss_kind", "split", "subset", "n"}
 RTOL = 1e-12
+FACTORED_RTOL = 1e-10
+FACTORED_RUNS = ("ff", "collab_ff", "entropy_ff")
 
 
 def _run_config(method: str, data_dir, out_dir) -> RunConfig:
@@ -76,19 +89,24 @@ def collect_artifacts(data_dir, work) -> dict[str, dict[str, np.ndarray]]:
     return out
 
 
-def _assert_csv_matches(name: str, got_text: str, want_text: str) -> None:
+def _assert_csv_matches(name: str, got_text: str, want_text: str, factored: bool) -> None:
     got = list(csv.DictReader(io.StringIO(got_text)))
     want = list(csv.DictReader(io.StringIO(want_text)))
     assert len(got) == len(want), f"{name}: {len(got)} rows, golden has {len(want)}"
     for got_row, want_row in zip(got, want):
         assert got_row.keys() == want_row.keys(), name
-        loose = name in ("entropy_report.csv", "entropy.csv") or (
+        if factored and name == "history.csv":
+            rtol = FACTORED_RTOL
+        elif name in ("entropy_report.csv", "entropy.csv") or (
             name == "history.csv" and want_row["split"] == "test"
-        )
+        ):
+            rtol = RTOL
+        else:
+            rtol = None
         for key, want_value in want_row.items():
-            if loose and key not in KEY_COLUMNS:
+            if rtol is not None and key not in KEY_COLUMNS:
                 np.testing.assert_allclose(
-                    float(got_row[key]), float(want_value), rtol=RTOL,
+                    float(got_row[key]), float(want_value), rtol=rtol,
                     err_msg=f"{name} {key} in {want_row}",
                 )
             else:
@@ -106,9 +124,14 @@ def test_artifacts_match_golden(artifacts, run):
         golden = {key: stored[key] for key in stored.files}
     got = artifacts[run]
     assert sorted(got) == sorted(golden)
+    factored = run in FACTORED_RUNS
     for key, want in golden.items():
         if key.endswith(".csv"):
-            _assert_csv_matches(key, str(got[key]), str(want))
+            _assert_csv_matches(key, str(got[key]), str(want), factored)
+        elif factored:
+            np.testing.assert_allclose(
+                got[key], want, rtol=FACTORED_RTOL, atol=0.0, err_msg=f"{run} {key}"
+            )
         else:
             assert got[key].shape == want.shape, f"{run} {key}"
             assert got[key].tobytes() == want.tobytes(), f"{run} {key} differs"

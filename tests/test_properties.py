@@ -1,20 +1,26 @@
-"""Property tests of the linked-batch sampler and the wrong-label draw.
+"""Property tests of the linked-batch sampler, the wrong-label draw, the
+backward pass of row normalization and the functional-entropy identities.
 
-Each sample carries its index in its one pixel, so a batch row can be traced
-back to the sample it came from.
+In the sampler properties each sample carries its index in its one pixel, so
+a batch row can be traced back to the sample it came from.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from conftest import fd_grad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffnet.data import N_LABELS, Dataset, make_linked_batches, sample_wrong_labels
-from ffnet.linalg import make_rng
+from ffnet.entropy import entropy_decompose, functional_entropy, scaled_kl_identity
+from ffnet.linalg import l2_row_normalize, make_rng
+from ffnet.nn import l2_row_normalize_vjp
 
-# Bounded so the two properties add well under a second to the suite.
+# Bounded so the properties add about a second to the suite.
 SETTINGS = settings(max_examples=60, deadline=None)
+
+GOODNESS = st.floats(0.0, 100.0, allow_subnormal=False)
 
 
 @SETTINGS
@@ -32,20 +38,21 @@ def test_linked_batches_cover_every_sample_once(labels, batch_size, negatives, s
     for _ in range(2):  # a second epoch reshuffles and redraws
         seen = []
         for batch in make_linked_batches(ds, rng, batch_size, negatives):
-            rows = batch.inputs.shape[0]
+            inputs = batch.linked_inputs()
+            rows = inputs.shape[0]
             m = rows // (1 + negatives)
             assert rows == m * (1 + negatives)
             assert m == min(batch_size, n - len(seen))
             np.testing.assert_array_equal(
                 batch.polarity, np.concatenate([np.ones(m), -np.ones(m * negatives)])
             )
-            ids = np.rint(batch.inputs[:, 0] * n).astype(np.int64)
+            ids = np.rint(inputs[:, 0] * n).astype(np.int64)
             seen.extend(ids[:m])
             # Negatives repeat the positives' samples with their true labels.
             np.testing.assert_array_equal(ids[m:], np.tile(ids[:m], negatives))
             np.testing.assert_array_equal(batch.true_labels, labels[ids])
             # The one-hot block names the linked label; only positives name the truth.
-            linked = np.argmax(batch.inputs[:, 1:], axis=1)
+            linked = np.argmax(inputs[:, 1:], axis=1)
             np.testing.assert_array_equal(linked, batch.linked_labels)
             np.testing.assert_array_equal(linked[:m], labels[ids[:m]])
             assert np.all(linked[m:] != labels[ids[m:]])
@@ -63,3 +70,68 @@ def test_wrong_labels_are_never_the_truth(labels, seed):
     assert wrong.shape == labels.shape
     assert np.all((wrong >= 0) & (wrong < N_LABELS))
     assert np.all(wrong != labels)
+
+
+@SETTINGS
+@given(
+    quarters=st.lists(
+        st.lists(st.integers(-12, 12), min_size=3, max_size=3), min_size=1, max_size=4
+    ),
+    zero_rows=st.lists(st.booleans(), min_size=4, max_size=4),
+    epsilon=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_normalize_vjp_matches_central_differences(quarters, zero_rows, epsilon, seed):
+    # Entries are multiples of 1/4, so a row is all zero or has norm >= 1/4,
+    # where the map is smooth enough for a 1e-6 step. On an all-zero row the
+    # map is a / (|a| + eps), whose difference quotient is 1 / (h + eps):
+    # epsilon >= 0.05 keeps that within 2e-5 of the slope 1 / eps.
+    act = np.array(quarters, dtype=np.float64) / 4.0
+    act[np.array(zero_rows[: act.shape[0]])] = 0.0
+    grad_out = make_rng(seed).standard_normal(act.shape)
+
+    def loss():
+        return float(np.sum(grad_out * l2_row_normalize(act, epsilon)))
+
+    numeric = fd_grad(loss, act)
+    analytic = l2_row_normalize_vjp(act, grad_out, epsilon)
+    np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
+
+
+@SETTINGS
+@given(values=st.lists(GOODNESS, min_size=1, max_size=30), scale=st.floats(0.01, 100.0))
+def test_entropy_is_homogeneous_of_degree_one(values, scale):
+    h = np.array(values)
+    want = scale * functional_entropy(h)
+    assert abs(functional_entropy(scale * h) - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@SETTINGS
+@given(
+    pairs=st.lists(
+        st.tuples(GOODNESS, st.one_of(st.just(0.0), st.floats(1e-3, 1.0))),
+        min_size=1,
+        max_size=30,
+    ).filter(lambda pairs: any(w > 0.0 for _, w in pairs))
+)
+def test_entropy_is_mean_times_kl(pairs):
+    h = np.array([v for v, _ in pairs])
+    w = np.array([w for _, w in pairs])
+    entropy, scaled_kl = scaled_kl_identity(h, w / w.sum())
+    assert entropy >= -1e-12
+    assert abs(entropy - scaled_kl) <= 1e-10 * max(1.0, abs(entropy))
+
+
+@SETTINGS
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 5),
+    data=st.data(),
+)
+def test_entropy_decomposes_into_across_plus_mean_within(rows, cols, data):
+    cells = data.draw(st.lists(GOODNESS, min_size=rows * cols, max_size=rows * cols))
+    values = np.array(cells).reshape(rows, cols)
+    report = entropy_decompose(values)
+    recomposed = report.across_layers + report.within_layer.mean()
+    assert abs(report.overall - recomposed) <= 1e-9 * max(1.0, values.mean())
+    assert report.within_layer.shape == (cols,)
