@@ -20,13 +20,13 @@ sum.
 
 Neither training nor evaluation builds linked inputs. The first layer's
 pre-activation of a sample ``x`` linked with label ``y`` is
-``x @ W_pix + (W_lab[y] + b)`` (:func:`first_layer_factors`), so a sample's
+``x @ W_pix + (W_lab[y] + b)`` (``nn.first_layer_factors``), so a sample's
 pixel product is computed once and shared by all its linked rows: the
-positive and negative rows of a training batch (:func:`linked_forward`,
-with layer 1's gradient from ``nn.layer_local_grad(..., linked_labels)``)
-and the candidate labels of an evaluation pass. Predictions, subset errors,
-entropy tables and test-split losses are all reductions of the goodness
-tensor of :func:`label_goodness_scores`.
+positive and negative rows of a training batch (``nn.forward_pass`` and,
+for layer 1's gradient, ``nn.layer_local_grad``, both given the batch's
+``linked_labels``) and the candidate labels of an evaluation pass.
+Predictions, subset errors, entropy tables and test-split losses are all
+reductions of the goodness tensor of :func:`label_goodness_scores`.
 """
 
 from __future__ import annotations
@@ -37,20 +37,16 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
-from .data import (
-    N_LABELS,
-    Dataset,
-    LinkedBatch,
-    make_linked_batches,
-    split_linked_weights,
-)
+from .data import N_LABELS, Dataset, LinkedBatch, make_linked_batches
 from .errors import ConfigError, EstimationError, ShapeError
 from .linalg import as_matrix, make_rng, row_sumsq
 from .nn import (
     ForwardTrace,
     MlpNetwork,
     apply_adam_update,
+    first_layer_factors,
     forward_from_pre,
+    forward_pass,
     layer_local_grad,
     make_adam_states,
 )
@@ -246,34 +242,6 @@ def _estimable(cfg: FfConfig, polarity: np.ndarray) -> bool:
     return cfg.loss_kind != "entropy" or min((polarity > 0).sum(), (polarity < 0).sum()) >= 2
 
 
-def first_layer_factors(net: MlpNetwork, n_pixels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel rows of the first layer's weights and one offset row per label.
-
-    The first-layer pre-activation of ``n_pixels`` pixels ``x`` linked with
-    label ``y`` is ``x @ pixel_rows + offsets[y]``, where ``offsets[y]`` is
-    the label's weight row plus the bias.
-    """
-    first = net.layers[0]
-    pixel_rows, label_rows = split_linked_weights(first.weights, n_pixels)
-    return pixel_rows, label_rows + first.biases
-
-
-def linked_forward(
-    net: MlpNetwork, batch: LinkedBatch, upto: int | None = None
-) -> ForwardTrace:
-    """Forward pass of every linked row of ``batch``, one pixel product per sample.
-
-    The trace's first-layer input is ``batch.images``; pass
-    ``batch.linked_labels`` to ``layer_local_grad`` for layer 1.
-    """
-    pixel_rows, offsets = first_layer_factors(net, batch.images.shape[1])
-    pixel_pre = batch.images @ pixel_rows
-    first_pre = offsets[batch.linked_labels]
-    by_copy = first_pre.reshape(batch.copies, *pixel_pre.shape)
-    by_copy += pixel_pre
-    return forward_from_pre(net, first_pre, upto, inputs=batch.images)
-
-
 def _layer_step(net, trace, table, layer: int, cfg: FfConfig, batch: LinkedBatch):
     """Descent loss and parameter gradients of one layer on one batch."""
     gamma = compute_gamma(table, layer, cfg.gamma_mode)
@@ -362,7 +330,9 @@ def train_layerwise(
             ):
                 if not _estimable(cfg, batch.polarity):
                     continue
-                trace = linked_forward(net, batch, upto)
+                trace = forward_pass(
+                    net, batch.images, upto, linked_labels=batch.linked_labels
+                )
                 table = goodness_table(trace)
                 loss, (grad_w, grad_b) = _layer_step(net, trace, table, i, cfg, batch)
                 apply_adam_update(net, i, grad_w, grad_b, states)
@@ -399,7 +369,7 @@ def train_alternating(
         ):
             if not _estimable(cfg, batch.polarity):
                 continue
-            trace = linked_forward(net, batch)
+            trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
             table = goodness_table(trace)
             updates = []
             for i in range(depth):
@@ -453,7 +423,7 @@ def label_goodness_scores(net: MlpNetwork, images, labels=range(N_LABELS)) -> np
     every candidate label, sorted.
 
     Each block of samples takes one pixel product, and each candidate adds
-    its offset row (:func:`first_layer_factors`) to it before running the
+    its offset row (``nn.first_layer_factors``) to it before running the
     remaining layers.
     """
     images = as_matrix(images)

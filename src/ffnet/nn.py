@@ -14,10 +14,12 @@ Two gradient routes coexist on purpose:
 
 Both are checked against central finite differences in the test suite.
 :func:`forward_pass` computes the first layer's pre-activation and hands it
-to :func:`forward_from_pre`, the one layer loop; label-factored training and
-inference enter that loop directly. :func:`adam_step` updates a parameter
-array and its moments in place, so a :class:`DenseLayer` keeps its arrays
-across training.
+to :func:`forward_from_pre`, the one layer loop. Given ``linked_labels`` it
+takes the same label-factored form as :func:`layer_local_grad`, so a
+training batch's pixel product runs once per sample
+(:func:`first_layer_factors`); label-factored inference enters the loop
+directly. :func:`adam_step` updates a parameter array and its moments in
+place, so a :class:`DenseLayer` keeps its arrays across training.
 """
 
 from __future__ import annotations
@@ -118,6 +120,7 @@ def forward_pass(
     normalize: bool = True,
     final_linear: bool = False,
     epsilon: float = NORM_EPSILON,
+    linked_labels=None,
 ) -> ForwardTrace:
     """Run the first ``upto`` layers (all by default).
 
@@ -125,22 +128,49 @@ def forward_pass(
     un-normalized; that is the classifier-head mode used by the classic
     backprop baseline. Hidden layers are always ReLU, and are L2
     row-normalized when ``normalize`` is set.
+
+    With ``linked_labels``, ``batch`` holds ``m`` samples' pixels once and
+    row ``r`` of the trace is sample ``r % m`` linked with
+    ``linked_labels[r]`` (:class:`~ffnet.data.LinkedBatch`): each linked
+    row adds its label's offset row to the sample's one pixel product.
     """
     batch = as_matrix(batch)
-    if batch.shape[1] != net.input_dim:
-        raise ShapeError(
-            f"batch has {batch.shape[1]} columns, network expects {net.input_dim}"
-        )
-    first = net.layers[0]
+    factored = linked_labels is not None
+    width = batch.shape[1] + (N_LABELS if factored else 0)
+    if width != net.input_dim:
+        raise ShapeError(f"batch has {width} columns, network expects {net.input_dim}")
+    if factored:
+        copies = _linked_copies(len(linked_labels), batch.shape[0])
+        pixel_rows, offsets = first_layer_factors(net, batch.shape[1])
+        pixel_pre = batch @ pixel_rows
+        first_pre = offsets[linked_labels]
+        by_copy = first_pre.reshape(copies, *pixel_pre.shape)
+        by_copy += pixel_pre
+    else:
+        first = net.layers[0]
+        first_pre = batch @ first.weights + first.biases
     return forward_from_pre(
-        net,
-        batch @ first.weights + first.biases,
-        upto,
-        normalize,
-        final_linear,
-        epsilon,
-        inputs=batch,
+        net, first_pre, upto, normalize, final_linear, epsilon, inputs=batch
     )
+
+
+def first_layer_factors(net: MlpNetwork, n_pixels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel rows of the first layer's weights and one offset row per label.
+
+    The first-layer pre-activation of ``n_pixels`` pixels ``x`` linked with
+    label ``y`` is ``x @ pixel_rows + offsets[y]``, where ``offsets[y]`` is
+    the label's weight row plus the bias.
+    """
+    first = net.layers[0]
+    pixel_rows, label_rows = split_linked_weights(first.weights, n_pixels)
+    return pixel_rows, label_rows + first.biases
+
+
+def _linked_copies(rows: int, samples: int) -> int:
+    """Linked rows per sample of a label-factored batch."""
+    if samples == 0 or rows % samples:
+        raise ShapeError(f"{rows} linked rows are not a multiple of {samples} samples")
+    return rows // samples
 
 
 def forward_from_pre(
@@ -218,7 +248,8 @@ def layer_local_grad(
         )
     m = layer_input.shape[0]
     rows = len(linked_labels) if factored else m
-    if coeffs.shape != (rows, layer.out_dim) or (factored and (m == 0 or rows % m)):
+    copies = _linked_copies(rows, m) if factored else 1
+    if coeffs.shape != (rows, layer.out_dim):
         raise ShapeError(
             f"coefficients shape {coeffs.shape} does not match "
             f"({rows}, {layer.out_dim})"
@@ -233,7 +264,7 @@ def layer_local_grad(
         return layer_input.T @ d_pre, grad_b
     grad_w = np.empty((layer.in_dim, layer.out_dim))
     pixel_rows, label_rows = split_linked_weights(grad_w, n_pixels)
-    per_sample = d_pre.reshape(rows // m, m, layer.out_dim).sum(axis=0)
+    per_sample = d_pre.reshape(copies, m, layer.out_dim).sum(axis=0)
     np.matmul(layer_input.T, per_sample, out=pixel_rows)
     np.matmul(one_hot(linked_labels).T, d_pre, out=label_rows)
     return grad_w, grad_b
@@ -410,6 +441,7 @@ __all__ = [
     "MlpNetwork",
     "adam_step",
     "apply_adam_update",
+    "first_layer_factors",
     "forward_from_pre",
     "forward_pass",
     "full_backprop_grad",

@@ -19,8 +19,9 @@ from pathlib import Path
 import pytest
 
 import ffnet  # noqa: F401  (imports every module the tracer wraps)
-from ffnet import baselines, ff, nn
+from ffnet import baselines, ff
 from ffnet.linalg import make_rng
+from ffnet.nn import init_network
 from ffnet.synth import synthetic_pair
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -50,12 +51,8 @@ def _check_training_spans(tracer_module, schedule: str, gamma_mode: str) -> None
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        # Built through the traced nn.init_network: the tracer names a layer
-        # from the last network a traced call took or returned, and the
-        # trainers' first such call (apply_adam_update) follows the first
-        # batch's gradients.
-        ff.train(nn.init_network(dims, make_rng(0)), train_ds, cfg)
-        baselines.train_pairwise(nn.init_network(dims, make_rng(1)), train_ds, cfg)
+        ff.train(init_network(dims, make_rng(0)), train_ds, cfg)
+        baselines.train_pairwise(init_network(dims, make_rng(1)), train_ds, cfg)
     finally:
         tracer.uninstall()
 

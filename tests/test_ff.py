@@ -13,7 +13,6 @@ from ffnet.ff import (
     goodness_table,
     infer,
     label_goodness_scores,
-    linked_forward,
     positive_prob,
     predict,
     train_alternating,
@@ -553,7 +552,7 @@ class TestFactoredTraining:
         for batch in batches:
             linked = batch.linked_inputs()
             want = forward_pass(net, linked)
-            got = linked_forward(net, batch)
+            got = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
             assert got.layer_input(0) is batch.images
             np.testing.assert_allclose(got.pre[0], want.pre[0], rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(
@@ -575,10 +574,10 @@ class TestFactoredTraining:
         batch = self.batches(3)[-1]  # 3 samples, 12 rows
 
         def loss():
-            trace = linked_forward(net, batch)
+            trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
             return ff_loss_and_coeffs(trace, 0, 0.0, 1.0, batch.polarity)[0]
 
-        trace = linked_forward(net, batch)
+        trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
         _, coeffs = ff_loss_and_coeffs(trace, 0, 0.0, 1.0, batch.polarity)
         grad_w, grad_b = layer_local_grad(
             layer, batch.images, trace.pre[0], coeffs, batch.linked_labels
@@ -595,16 +594,22 @@ class TestFactoredTraining:
         layer = net.layers[0]
         batch = self.batches(1)[0]  # 10 samples, 20 rows
         coeffs = np.ones((20, 7))
-        pre = linked_forward(net, batch).pre[0]
+        pre = forward_pass(net, batch.images, linked_labels=batch.linked_labels).pre[0]
         with pytest.raises(ShapeError, match="layer input has 15 columns"):
             layer_local_grad(layer, batch.images[:, :5], pre, coeffs, batch.linked_labels)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="20 linked rows are not a multiple of 7"):
             layer_local_grad(layer, batch.images[:7], pre, coeffs, batch.linked_labels)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="20 linked rows are not a multiple of 0"):
+            layer_local_grad(layer, batch.images[:0], pre, coeffs, batch.linked_labels)
+        with pytest.raises(ShapeError, match="batch has 15 columns"):
+            forward_pass(net, batch.images[:, :5], linked_labels=batch.linked_labels)
+        with pytest.raises(ShapeError, match="20 linked rows are not a multiple of 7"):
+            forward_pass(net, batch.images[:7], linked_labels=batch.linked_labels)
+        with pytest.raises(ShapeError, match="19 linked rows are not a multiple of 10"):
             layer_local_grad(
                 layer, batch.images, pre[:19], coeffs[:19], batch.linked_labels[:19]
             )
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"coefficients shape \(10, 7\)"):
             layer_local_grad(layer, batch.images, pre, coeffs[:10], batch.linked_labels)
 
 
@@ -626,7 +631,9 @@ class TestGammaReducesToPlain:
         states = make_adam_states(net_b, cfg.learning_rate)
         for _ in range(cfg.epochs):
             for batch in make_linked_batches(train_ds, rng, cfg.batch_size, 1):
-                trace = linked_forward(net_b, batch)
+                trace = forward_pass(
+                    net_b, batch.images, linked_labels=batch.linked_labels
+                )
                 updates = []
                 for i in range(net_b.depth):
                     _, coeffs = ff_loss_and_coeffs(
