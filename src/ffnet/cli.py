@@ -8,6 +8,7 @@ Exits 0 on success, 1 with a one-line ``error: ...`` message on failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -64,16 +65,11 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    layered: dict = {}
     config_path = getattr(args, "config", None)
-    if config_path is not None:
-        layered.update(json.loads(Path(config_path).read_text()))
+    from_file = {} if config_path is None else json.loads(Path(config_path).read_text())
     skip = {"config", "command", "func", "thetas", "seeds", "parallel"}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        layered[key] = value
-    return RunConfig.from_dict(layered)
+    flags = {key: value for key, value in vars(args).items() if key not in skip}
+    return dataclasses.replace(RunConfig.from_dict(from_file), **flags)
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
@@ -92,8 +88,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         base_dir = Path(cfg.resolved().output_dir)
         errors = []
         for seed in seeds:
-            import dataclasses
-
             sub = dataclasses.replace(
                 cfg, seed=seed, output_dir=str(base_dir / f"seed_{seed}")
             )

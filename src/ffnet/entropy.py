@@ -75,9 +75,10 @@ def functional_entropy(values, weights=None) -> float:
     hbar = float(np.dot(w, h))
     if hbar <= 0.0:
         return 0.0
-    positive = h > 0.0
-    hp = h[positive]
-    return float(np.dot(w[positive], hp * np.log(hp / hbar)))
+    # Entries of weight 0 contribute nothing, even where h / hbar overflows.
+    support = (w > 0.0) & (h > 0.0)
+    hs = h[support]
+    return float(np.dot(w[support], hs * np.log(hs / hbar)))
 
 
 def scaled_kl_identity(values, weights=None) -> tuple[float, float]:

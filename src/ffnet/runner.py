@@ -7,9 +7,11 @@ can be reproduced bit for bit with the same code.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import subprocess
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -130,11 +132,34 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        """Build from a JSON-style mapping; rejects unknown fields and values of
+        the wrong type (a bool is not a number, an int is a float)."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+        hints = typing.get_type_hints(cls)
+        unknown = set(data) - set(hints)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            if not _has_type(value, hints[name]):
+                raise ConfigError(f"config field {name} has the wrong type: {value!r}")
         return cls(**data)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether ``value`` fits a RunConfig field annotation."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union:
+        return any(_has_type(value, arg) for arg in args)
+    if typing.get_origin(hint) is collections.abc.Sequence:
+        return isinstance(value, (list, tuple)) and all(
+            _has_type(item, args[0]) for item in value
+        )
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def git_describe() -> Optional[str]:
@@ -180,6 +205,14 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
 
     Produces checkpoint.npz, history.csv, entropy.csv (for goodness-based
     methods), errors.csv, config.json, and summary.json. Returns the summary.
+
+    A snapshot (an ``errors.csv`` row and, for the goodness methods, three
+    ``entropy.csv`` rows and the test rows of ``history.csv``) is taken every
+    ``eval_every`` epochs during training and once after it, at the last
+    epoch. For the goodness methods the final network is scored once: one
+    goodness tensor over the test split gives the final test error, and the
+    last snapshot gathers the evaluation sample's rows from it, as
+    ``ffnet eval`` does.
     """
     cfg = cfg.resolved()
     expected = train_ds.d + N_LABELS if cfg.method in LINKED_METHODS else train_ds.d
@@ -205,9 +238,14 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     test_rows: list[dict] = []
     track_entropy = cfg.method != "bp_classic"
 
-    def snapshot(epoch: int, current: MlpNetwork) -> None:
+    def snapshot(
+        epoch: int, current: MlpNetwork, scores: Optional[np.ndarray] = None
+    ) -> None:
+        """``scores``, when given, are the evaluation sample's rows of the
+        goodness tensor; otherwise they are computed here."""
         if track_entropy:
-            scores = ff.label_goodness_scores(current, eval_ds.images)
+            if scores is None:
+                scores = ff.label_goodness_scores(current, eval_ds.images)
             positive = ff.linked_goodness(scores, eval_labels)
             negative = ff.linked_goodness(scores, eval_wrong)
             reports = split_entropy_reports(positive, negative)
@@ -222,16 +260,18 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
             )
         error_rows.append({"epoch": epoch, "split": "test", "error": error})
 
+    ff_cfg = cfg.ff_config()
+    ff_method = cfg.method in ("ff", "collab_ff", "entropy_ff")
+    layerwise = ff_method and ff_cfg.schedule == "layerwise"
+    total_epochs = net.depth * cfg.epochs if layerwise else cfg.epochs
+
     def on_epoch(epoch: int, current: MlpNetwork) -> None:
-        if epoch % cfg.eval_every == 0:
+        # The last epoch's snapshot is taken after training, from the final pass.
+        if epoch % cfg.eval_every == 0 and epoch < total_epochs:
             snapshot(epoch, current)
 
-    ff_cfg = cfg.ff_config()
-    total_epochs = cfg.epochs
-    if cfg.method in ("ff", "collab_ff", "entropy_ff"):
+    if ff_method:
         net, history = ff.train(net, train_ds, ff_cfg, on_epoch)
-        if ff_cfg.schedule == "layerwise":
-            total_epochs = net.depth * cfg.epochs
     elif cfg.method == "bp_pairwise":
         net, history = baselines.train_pairwise(net, train_ds, ff_cfg, on_epoch)
     else:
@@ -239,11 +279,12 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
             net, train_ds, ff_cfg, cfg.classic_normalize, on_epoch
         )
     if track_entropy:
-        final_error = ff.test_error(net, test_ds, _voting_layers(cfg.method, net.depth))
+        scores = ff.label_goodness_scores(net, test_ds.images)
+        layers = _voting_layers(cfg.method, net.depth)
+        final_error = ff.voting_error(scores, test_ds.labels, layers)
+        snapshot(total_epochs, net, scores[idx])
     else:
         final_error = baselines.classic_test_error(net, test_ds, cfg.classic_normalize)
-
-    if not error_rows or error_rows[-1]["epoch"] != total_epochs:
         snapshot(total_epochs, net)
 
     wall_time = time.monotonic() - started

@@ -82,6 +82,35 @@ class TestTrainCommand:
         assert resolved["theta"] == 4.0  # config file beats default
         assert resolved["seed"] == 9
 
+    def test_config_file_that_is_not_an_object_is_a_one_line_error(
+        self, tmp_path, capsys
+    ):
+        config_file = tmp_path / "list.json"
+        config_file.write_text("[1, 2]")
+        rc = main(["train", "--config", str(config_file), "--method", "ff"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config must be a JSON object, got list"
+        ]
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("epochs", "3"), ("theta", True), ("layer_dims", [794, "24"])],
+    )
+    def test_config_field_of_the_wrong_type_is_a_one_line_error(
+        self, tmp_path, capsys, field, value
+    ):
+        config_file = tmp_path / "typed.json"
+        config_file.write_text(json.dumps({field: value}))
+        out = tmp_path / "typed"
+        rc = main(["train", "--config", str(config_file), "--method", "ff",
+                   "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config field {field} has the wrong type: {value!r}"
+        ]
+        assert not out.exists()
+
     def test_unknown_method_is_usage_error(self, data_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--method", "nonsense"])

@@ -1,5 +1,6 @@
 """Property tests of the linked-batch sampler, the wrong-label draw, the
-backward pass of row normalization and the functional-entropy identities.
+backward pass of row normalization, the functional-entropy identities and
+the precedence of CLI flags over a config file over defaults.
 
 In the sampler properties each sample carries its index in its one pixel, so
 a batch row can be traced back to the sample it came from.
@@ -7,15 +8,19 @@ a batch row can be traced back to the sample it came from.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 from conftest import fd_grad
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ffnet.cli import _config_from_args, build_parser
 from ffnet.data import N_LABELS, Dataset, make_linked_batches, sample_wrong_labels
 from ffnet.entropy import entropy_decompose, functional_entropy, scaled_kl_identity
 from ffnet.linalg import l2_row_normalize, make_rng
 from ffnet.nn import l2_row_normalize_vjp
+from ffnet.runner import RunConfig
 
 # Bounded so the properties add about a second to the suite.
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -114,6 +119,8 @@ def test_entropy_is_homogeneous_of_degree_one(values, scale):
         max_size=30,
     ).filter(lambda pairs: any(w > 0.0 for _, w in pairs))
 )
+# h / E[h] overflows on the entry of weight 0, which must still count as 0.
+@example(pairs=[(4.0, 0.0), (2.2250738585072014e-308, 1.0)])
 def test_entropy_is_mean_times_kl(pairs):
     h = np.array([v for v, _ in pairs])
     w = np.array([w for _, w in pairs])
@@ -135,3 +142,32 @@ def test_entropy_decomposes_into_across_plus_mean_within(rows, cols, data):
     recomposed = report.across_layers + report.within_layer.mean()
     assert abs(report.overall - recomposed) <= 1e-9 * max(1.0, values.mean())
     assert report.within_layer.shape == (cols,)
+
+
+RUN_FIELDS = {
+    "theta": st.floats(0.1, 100.0),
+    "epochs": st.integers(1, 500),
+    "batch_size": st.integers(1, 1000),
+    "seed": st.integers(0, 2**32 - 1),
+    "eval_every": st.integers(1, 50),
+}
+
+
+@SETTINGS
+@given(
+    from_file=st.fixed_dictionaries({}, optional=RUN_FIELDS),
+    from_flags=st.fixed_dictionaries({}, optional=RUN_FIELDS),
+)
+def test_cli_flags_beat_config_file_beat_defaults(
+    tmp_path_factory, from_file, from_flags
+):
+    config_file = tmp_path_factory.getbasetemp() / "precedence.json"
+    config_file.write_text(json.dumps(from_file))
+    argv = ["train", "--config", str(config_file)]
+    for name, value in from_flags.items():
+        argv += ["--" + name.replace("_", "-"), repr(value)]
+    cfg = _config_from_args(build_parser().parse_args(argv)).resolved()
+    default = RunConfig()
+    for name in RUN_FIELDS:
+        want = from_flags.get(name, from_file.get(name, getattr(default, name)))
+        assert getattr(cfg, name) == want, name

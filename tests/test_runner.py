@@ -4,11 +4,19 @@ import json
 import numpy as np
 import pytest
 
+from ffnet import runner
 from ffnet.errors import CheckpointError, ConfigError
 from ffnet.ff import FfConfig, train_alternating, train_layerwise
 from ffnet.linalg import make_rng
 from ffnet.nn import init_network, l2_row_normalize_vjp
-from ffnet.runner import METHODS, RunConfig, run_training
+from ffnet.runner import (
+    LINKED_METHODS,
+    METHODS,
+    RunConfig,
+    evaluate_checkpoint,
+    run_from_paths,
+    run_training,
+)
 from ffnet.synth import synthetic_pair
 
 
@@ -141,6 +149,66 @@ class TestRunTrainingMethods:
         )
         with pytest.raises(ConfigError, match="34-dim"):
             run_training(cfg, train_ds, test_ds)
+
+
+def _read_rows(path) -> list[dict]:
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+class TestFinalNetworkScoredOnce:
+    """The final network is scored once, over the test split; the last
+    snapshot and the final test error both reduce that one tensor."""
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    @pytest.mark.parametrize("method", LINKED_METHODS)
+    def test_one_scoring_pass_per_snapshot(
+        self, tiny_data, tmp_path, monkeypatch, method, eval_every
+    ):
+        train_ds, test_ds = tiny_data
+        score = runner.ff.label_goodness_scores
+        scored_rows = []
+
+        def spy(net, images, *args, **kwargs):
+            scored_rows.append(len(images))
+            return score(net, images, *args, **kwargs)
+
+        monkeypatch.setattr(runner.ff, "label_goodness_scores", spy)
+        cfg = RunConfig(
+            dataset="synthetic", method=method, theta=4.0, epochs=2,
+            batch_size=50, seed=1, layer_dims=[34, 12, 8, 6],
+            output_dir=str(tmp_path), entropy_eval_n=60, eval_every=eval_every,
+        )
+        run_training(cfg, train_ds, test_ds)
+        total = 3 * 2 if method in ("ff", "entropy_ff") else 2  # layerwise: depth x epochs
+        snapshots = sorted(set(range(eval_every, total + 1, eval_every)) | {total})
+        errors = _read_rows(tmp_path / "errors.csv")
+        assert [int(row["epoch"]) for row in errors] == snapshots
+        # Snapshots during training score the evaluation sample; the final
+        # network is scored once, over the whole test split.
+        assert scored_rows == [60] * (len(snapshots) - 1) + [test_ds.n]
+
+    @pytest.mark.parametrize("method", LINKED_METHODS)
+    def test_last_snapshot_matches_eval_of_the_checkpoint(
+        self, data_dir, tmp_path, method
+    ):
+        run_dir = tmp_path / "run"
+        cfg = RunConfig(
+            dataset="mnist", method=method, theta=4.0, epochs=2, batch_size=40,
+            seed=3, layer_dims=[794, 12, 8, 6], output_dir=str(run_dir),
+            entropy_eval_n=60, eval_every=1, data_dir=str(data_dir),
+            train_subset=120,
+        )
+        summary = run_from_paths(cfg)
+        eval_summary = evaluate_checkpoint(run_dir / "checkpoint.npz", tmp_path / "eval")
+        assert summary["final_test_error"] == eval_summary["test_error"]
+        # The evaluation sample is half the test split, so the rows are gathered.
+        assert cfg.entropy_eval_n < eval_summary["n_test"]
+        snapshot = _read_rows(run_dir / "entropy.csv")[-3:]
+        report = _read_rows(tmp_path / "eval" / "entropy_report.csv")
+        for row in snapshot + report:
+            del row["epoch"]
+        assert snapshot == report
 
 
 class TestNormalizationBackwardEdgeCases:
