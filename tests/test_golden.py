@@ -21,22 +21,35 @@ training on linked matrices. Every value must match exactly, except:
   cancels to a few 1e-5, which magnifies the weights' last-bit drift to
   about 1e-12 relative; its other test-split columns keep ``RTOL``.
 
-Errors, subsets, marginals and both backprop baselines stay exact. Regenerate
-the goldens only for a change meant to move the numbers.
+Errors, subsets, marginals and both backprop baselines stay exact.
+
+``tests/golden/trainers.npz`` fingerprints the forward-forward trainer
+itself: the final weights and biases, the train-history values and the
+``on_epoch`` epochs of 24 tiny ``ff.train`` runs (2 schedules x 3 gamma modes
+x 2 loss kinds x 1 or 2 negatives per positive), all compared byte for byte.
+
+Regenerate the goldens only for a change meant to move the numbers, and
+say in CHANGES.md which arrays moved. A refactor never regenerates any of
+them; ``trainers.npz`` and the backprop baselines hold it to the last bit.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ffnet import ff
 from ffnet.checkpoint import load_checkpoint
 from ffnet.fetch import load_dataset
+from ffnet.linalg import make_rng
+from ffnet.nn import init_network
 from ffnet.runner import RunConfig, evaluate_checkpoint, run_training
+from ffnet.synth import synthetic_dataset
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 METHODS = ("ff", "collab_ff", "entropy_ff", "bp_pairwise", "bp_classic")
@@ -88,6 +101,43 @@ def collect_artifacts(data_dir, work) -> dict[str, dict[str, np.ndarray]]:
         Path(work) / "ff" / "checkpoint.npz", eval_dir, dataset="mnist", data_dir=data_dir
     )
     out["eval"] = {name: np.array((eval_dir / name).read_text()) for name in EVAL_FILES}
+    return out
+
+
+def trainer_fingerprint() -> dict[str, np.ndarray]:
+    """Final parameters, train-history values and callback epochs of every
+    tiny ``ff.train`` run, keyed ``schedule.gamma_mode.loss_kind.k.<array>``.
+
+    41 samples at batch 20 leave a trailing one-sample batch, which the
+    entropy objective skips and the sigmoid loss trains on.
+    """
+    train_ds = synthetic_dataset(41, d=12, seed=11)
+    out = {}
+    for schedule, gamma_mode, loss_kind, k in itertools.product(
+        ff.SCHEDULES, ff.GAMMA_MODES, ff.LOSS_KINDS, (1, 2)
+    ):
+        cfg = ff.FfConfig(
+            theta=3.0, gamma_mode=gamma_mode, schedule=schedule, loss_kind=loss_kind,
+            epochs=2, batch_size=20, seed=5, negatives_per_positive=k,
+        )
+        epochs = []
+        net, history = ff.train(
+            init_network([22, 8, 6, 5], make_rng(4)), train_ds, cfg,
+            lambda epoch, _: epochs.append(epoch),
+        )
+        run = f"{schedule}.{gamma_mode}.{loss_kind}.{k}"
+        for i, lay in enumerate(net.layers):
+            out[f"{run}.weights_{i}"] = lay.weights
+            out[f"{run}.biases_{i}"] = lay.biases
+        out[f"{run}.history"] = np.array(
+            [
+                [r["epoch"], r["layer"], r["loss"], r["mean_goodness_pos"],
+                 r["mean_goodness_neg"]]
+                for r in history
+            ],
+            dtype=np.float64,
+        )
+        out[f"{run}.epochs"] = np.array(epochs, dtype=np.int64)
     return out
 
 
@@ -143,3 +193,14 @@ def test_artifacts_match_golden(artifacts, run):
         else:
             assert got[key].shape == want.shape, f"{run} {key}"
             assert got[key].tobytes() == want.tobytes(), f"{run} {key} differs"
+
+
+def test_trainers_match_golden_bitwise():
+    with np.load(GOLDEN_DIR / "trainers.npz") as stored:
+        golden = {key: stored[key] for key in stored.files}
+    got = trainer_fingerprint()
+    assert sorted(got) == sorted(golden)
+    for key, want in golden.items():
+        assert got[key].dtype == want.dtype, key
+        assert got[key].shape == want.shape, key
+        assert got[key].tobytes() == want.tobytes(), f"{key} differs"
