@@ -5,7 +5,7 @@ Run with:  python3 demos/01_forward_forward_basics.py
 """
 
 from ffnet import FfConfig, init_network, make_rng, positive_prob, synthetic_pair
-from ffnet.ff import infer, label_goodness_scores, test_error, train_layerwise
+from ffnet.ff import infer, label_goodness_scores, test_error, train
 
 # ---------------------------------------------------------------------------
 # A layer's goodness is the squared sum of its ReLU activities. The layer is
@@ -28,7 +28,7 @@ dims = [train_ds.d + 10, 40, 30, 20]
 cfg = FfConfig(theta=5.0, epochs=6, batch_size=50, seed=1, schedule="layerwise")
 
 net = init_network(dims, make_rng(1))
-net, history = train_layerwise(net, train_ds, cfg)
+net, history = train(net, train_ds, cfg)
 
 print("\nper-layer training loss (first vs last epoch):")
 for layer in (1, 2, 3):

@@ -20,7 +20,7 @@ from ffnet.analysis import (
     marginal_contributions,
     subset_label,
 )
-from ffnet.ff import test_error, train_alternating, train_layerwise
+from ffnet.ff import test_error, train
 from ffnet.reports import write_marginals_csv, write_subsets_csv
 
 OUT = Path("demo_out/collaboration")
@@ -31,11 +31,11 @@ dims = [train_ds.d + 10, 40, 30, 20]
 # Equal budgets in layer-epochs: layerwise gives each of the 3 layers
 # 4 passes; alternating runs 12 passes touching every layer each batch.
 vanilla = init_network(dims, make_rng(1))
-vanilla, _ = train_layerwise(
+vanilla, _ = train(
     vanilla, train_ds, FfConfig(theta=5.0, epochs=4, batch_size=50, seed=1)
 )
 collab = init_network(dims, make_rng(1))
-collab, _ = train_alternating(
+collab, _ = train(
     collab,
     train_ds,
     FfConfig(

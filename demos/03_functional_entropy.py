@@ -25,7 +25,7 @@ from ffnet import (
     synthetic_pair,
 )
 from ffnet.entropy import goodness_entropy_reports
-from ffnet.ff import train_alternating
+from ffnet.ff import train
 from ffnet.reports import entropy_fields, entropy_row, write_entropy_csv
 
 OUT = Path("demo_out/entropy")
@@ -71,7 +71,7 @@ cfg = FfConfig(
     theta=5.0, epochs=10, batch_size=50, seed=1,
     schedule="alternating", gamma_mode="all_other_layers",
 )
-net, _ = train_alternating(net, train_ds, cfg, on_epoch=snapshot)
+net, _ = train(net, train_ds, cfg, on_epoch=snapshot)
 
 print("\npooled-entropy trajectory (epoch: overall = across + mean within):")
 for row in rows:

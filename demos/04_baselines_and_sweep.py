@@ -14,7 +14,7 @@ from pathlib import Path
 
 from ffnet import FfConfig, RunConfig, init_network, make_rng, synthetic_pair
 from ffnet.baselines import classic_test_error, train_classic, train_pairwise
-from ffnet.ff import test_error, train_alternating
+from ffnet.ff import test_error, train
 from ffnet.runner import run_training
 
 OUT = Path("demo_out/sweep")
@@ -29,7 +29,7 @@ hidden = (40, 30, 20)
 cfg = FfConfig(theta=5.0, epochs=12, batch_size=50, seed=1, schedule="alternating",
                gamma_mode="all_other_layers")
 collab = init_network([train_ds.d + 10, *hidden], make_rng(1))
-collab, _ = train_alternating(collab, train_ds, cfg)
+collab, _ = train(collab, train_ds, cfg)
 print(f"collaborative forward-forward:  {test_error(collab, test_ds):.3f}")
 
 pairwise = init_network([train_ds.d + 10, *hidden], make_rng(1))

@@ -44,10 +44,9 @@ from .ff import (
     infer,
     positive_prob,
     predict,
+    schedule_stages,
     test_error,
     train,
-    train_alternating,
-    train_layerwise,
 )
 from .linalg import l2_row_normalize, make_rng, relu, row_sumsq
 from .nn import (

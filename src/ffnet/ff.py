@@ -12,11 +12,13 @@ layers. gamma only shifts the effective threshold, so no gradient flows
 through it; that shift is what lets a layer react to the rest of the
 network without any backward pass.
 
-Two schedules are provided: ``layerwise`` trains each layer for its full
-epoch budget before moving to the next, and ``alternating`` gives every
-layer one update per batch. Inference scores the sample linked with each
-candidate label, sums goodness over a layer mask, and votes by the largest
-sum.
+A schedule is a list of stages, each the layers its batches update
+(:func:`schedule_stages`): ``layerwise`` is ``[[0], [1], ..., [depth-1]]``,
+so each layer trains for its full epoch budget before the next starts, and
+``alternating`` is ``[[0, ..., depth-1]]``, so every layer takes one update
+per batch. :func:`train` runs either list through the same batch loop.
+Inference scores the sample linked with each candidate label, sums
+goodness over a layer mask, and votes by the largest sum.
 
 Neither training nor evaluation builds linked inputs. The first layer's
 pre-activation of a sample ``x`` linked with label ``y`` is
@@ -300,29 +302,39 @@ class _EpochStats:
 EpochCallback = Callable[[int, MlpNetwork], None]
 
 
-def train_layerwise(
+def schedule_stages(schedule: str, depth: int) -> list[list[int]]:
+    """The layers each stage of ``schedule`` updates, stage by stage."""
+    if schedule == "layerwise":
+        return [[i] for i in range(depth)]
+    if schedule == "alternating":
+        return [list(range(depth))]
+    raise ConfigError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
+
+
+def train(
     net: MlpNetwork,
     ds: Dataset,
     cfg: FfConfig,
     on_epoch: Optional[EpochCallback] = None,
 ) -> tuple[MlpNetwork, list[dict]]:
-    """Train layers strictly in order, each for the full epoch budget.
+    """Run the stages of ``cfg.schedule`` in order, each for ``cfg.epochs`` epochs.
 
-    Earlier layers are frozen once trained. With ``predecessors_only`` the
-    offset comes from those frozen layers; with ``all_other_layers`` the
+    Each batch runs a single forward pass on the pre-batch parameters; every
+    staged layer's gradient and gamma offset come from that trace, so the
+    order of the Adam steps that follow does not matter. Layers outside the
+    stage stay frozen: under ``predecessors_only`` a layerwise stage's offset
+    comes from the frozen layers before it, under ``all_other_layers`` the
     not-yet-trained successors contribute at their current parameters. The
-    callback receives a global epoch counter (layer * epochs + epoch). The
+    callback receives a global epoch counter (stage * epochs + epoch). The
     entropy objective skips a batch with fewer than 2 rows of one polarity.
     """
-    if cfg.schedule != "layerwise":
-        raise ConfigError(f"config schedule is {cfg.schedule!r}, not 'layerwise'")
     rng = make_rng(cfg.seed)
     states = make_adam_states(net, cfg.learning_rate)
     depth = net.depth
     history: list[dict] = []
-    for i in range(depth):
+    for stage, layers in enumerate(schedule_stages(cfg.schedule, depth)):
         # Successor activations are only needed when they feed gamma.
-        upto = depth if cfg.gamma_mode == "all_other_layers" else i + 1
+        upto = depth if cfg.gamma_mode == "all_other_layers" else layers[-1] + 1
         for epoch in range(1, cfg.epochs + 1):
             stats = _EpochStats(depth, epoch)
             for batch in make_linked_batches(
@@ -334,66 +346,17 @@ def train_layerwise(
                     net, batch.images, upto, linked_labels=batch.linked_labels
                 )
                 table = goodness_table(trace)
-                loss, (grad_w, grad_b) = _layer_step(net, trace, table, i, cfg, batch)
-                apply_adam_update(net, i, grad_w, grad_b, states)
-                stats.record(i, loss, table[:, i], batch.polarity)
-            history.extend(stats.rows(cfg.loss_kind, [i]))
+                updates = []
+                for i in layers:
+                    loss, grads = _layer_step(net, trace, table, i, cfg, batch)
+                    updates.append(grads)
+                    stats.record(i, loss, table[:, i], batch.polarity)
+                for i, (grad_w, grad_b) in zip(layers, updates):
+                    apply_adam_update(net, i, grad_w, grad_b, states)
+            history.extend(stats.rows(cfg.loss_kind, layers))
             if on_epoch is not None:
-                on_epoch(i * cfg.epochs + epoch, net)
+                on_epoch(stage * cfg.epochs + epoch, net)
     return net, history
-
-
-def train_alternating(
-    net: MlpNetwork,
-    ds: Dataset,
-    cfg: FfConfig,
-    on_epoch: Optional[EpochCallback] = None,
-) -> tuple[MlpNetwork, list[dict]]:
-    """Give every layer one update per batch for ``epochs`` passes.
-
-    Each batch runs a single forward pass on the pre-batch parameters; all
-    per-layer gradients and gamma offsets are computed from that snapshot,
-    so the within-batch update order does not matter. The entropy objective
-    skips a batch with fewer than 2 rows of one polarity.
-    """
-    if cfg.schedule != "alternating":
-        raise ConfigError(f"config schedule is {cfg.schedule!r}, not 'alternating'")
-    rng = make_rng(cfg.seed)
-    states = make_adam_states(net, cfg.learning_rate)
-    depth = net.depth
-    history: list[dict] = []
-    for epoch in range(1, cfg.epochs + 1):
-        stats = _EpochStats(depth, epoch)
-        for batch in make_linked_batches(
-            ds, rng, cfg.batch_size, cfg.negatives_per_positive
-        ):
-            if not _estimable(cfg, batch.polarity):
-                continue
-            trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
-            table = goodness_table(trace)
-            updates = []
-            for i in range(depth):
-                loss, grads = _layer_step(net, trace, table, i, cfg, batch)
-                updates.append(grads)
-                stats.record(i, loss, table[:, i], batch.polarity)
-            for i, (grad_w, grad_b) in enumerate(updates):
-                apply_adam_update(net, i, grad_w, grad_b, states)
-        history.extend(stats.rows(cfg.loss_kind, range(depth)))
-        if on_epoch is not None:
-            on_epoch(epoch, net)
-    return net, history
-
-
-def train(
-    net: MlpNetwork,
-    ds: Dataset,
-    cfg: FfConfig,
-    on_epoch: Optional[EpochCallback] = None,
-) -> tuple[MlpNetwork, list[dict]]:
-    """Dispatch on ``cfg.schedule``."""
-    if cfg.schedule == "layerwise":
-        return train_layerwise(net, ds, cfg, on_epoch)
-    return train_alternating(net, ds, cfg, on_epoch)
 
 
 def checked_layers(mask, depth: int) -> list[int]:

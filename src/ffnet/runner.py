@@ -38,6 +38,7 @@ from .reports import (
 
 METHODS = ("ff", "collab_ff", "entropy_ff", "bp_pairwise", "bp_classic")
 LINKED_METHODS = ("ff", "collab_ff", "entropy_ff", "bp_pairwise")
+FF_METHODS = ("ff", "collab_ff", "entropy_ff")
 
 DEFAULT_HIDDEN = (500, 500, 500)
 
@@ -181,6 +182,14 @@ def _voting_layers(method: str, depth: int) -> list[int]:
     return [depth - 1] if method == "bp_pairwise" else list(range(depth))
 
 
+def _last_epoch(method: str, schedule: str, depth: int, epochs: int) -> int:
+    """Epoch counter of a run's last epoch: the forward-forward methods run
+    ``epochs`` per stage of their schedule, the baselines ``epochs`` in all."""
+    if method not in FF_METHODS:
+        return epochs
+    return len(ff.schedule_stages(schedule, depth)) * epochs
+
+
 def _test_history_rows(
     positive: np.ndarray, negative: np.ndarray, cfg: RunConfig, epoch: int
 ) -> list[dict]:
@@ -261,16 +270,14 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
         error_rows.append({"epoch": epoch, "split": "test", "error": error})
 
     ff_cfg = cfg.ff_config()
-    ff_method = cfg.method in ("ff", "collab_ff", "entropy_ff")
-    layerwise = ff_method and ff_cfg.schedule == "layerwise"
-    total_epochs = net.depth * cfg.epochs if layerwise else cfg.epochs
+    total_epochs = _last_epoch(cfg.method, cfg.schedule, net.depth, cfg.epochs)
 
     def on_epoch(epoch: int, current: MlpNetwork) -> None:
         # The last epoch's snapshot is taken after training, from the final pass.
         if epoch % cfg.eval_every == 0 and epoch < total_epochs:
             snapshot(epoch, current)
 
-    if ff_method:
+    if cfg.method in FF_METHODS:
         net, history = ff.train(net, train_ds, ff_cfg, on_epoch)
     elif cfg.method == "bp_pairwise":
         net, history = baselines.train_pairwise(net, train_ds, ff_cfg, on_epoch)

@@ -88,7 +88,7 @@ def rng():
 @pytest.fixture(scope="session")
 def small_trained_net():
     """Collaborative FF net trained on synthetic data, shared read-only."""
-    from ffnet.ff import FfConfig, train_alternating
+    from ffnet.ff import FfConfig, train
     from ffnet.synth import synthetic_pair
 
     train_ds, test_ds = synthetic_pair(400, 160, d=24, seed=13)
@@ -97,5 +97,5 @@ def small_trained_net():
         schedule="alternating", gamma_mode="all_other_layers",
     )
     net = init_network([34, 24, 18, 12], make_rng(2))
-    net, _ = train_alternating(net, train_ds, cfg)
+    net, _ = train(net, train_ds, cfg)
     return net, train_ds, test_ds

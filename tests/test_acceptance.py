@@ -20,6 +20,7 @@ from ffnet.analysis import default_subset_family, evaluate_subsets, marginal_con
 from ffnet.baselines import softmax_cross_entropy
 from ffnet.data import Dataset
 from ffnet.entropy import entropy_decompose, functional_entropy, goodness_entropy_reports, scaled_kl_identity
+from ffnet import ff
 from ffnet.fetch import dataset_available, load_dataset
 from ffnet.ff import test_error as voting_error
 from ffnet.ff import (
@@ -28,8 +29,6 @@ from ffnet.ff import (
     ff_loss_and_coeffs,
     positive_prob,
     predict,
-    train_alternating,
-    train_layerwise,
 )
 from ffnet.linalg import l2_row_normalize, make_rng, relu
 from ffnet.nn import (
@@ -200,9 +199,9 @@ def test_criterion_4_core_behaviors(tmp_path):
     train_ds, test_ds = synthetic_pair(160, 60, d=14, seed=41)
     kwargs = dict(theta=3.0, epochs=3, batch_size=20, seed=5)
     net_a = init_network([24, 12], make_rng(6))
-    net_a, _ = train_layerwise(net_a, train_ds, FfConfig(schedule="layerwise", **kwargs))
+    net_a, _ = ff.train(net_a, train_ds, FfConfig(schedule="layerwise", **kwargs))
     net_b = init_network([24, 12], make_rng(6))
-    net_b, _ = train_alternating(
+    net_b, _ = ff.train(
         net_b, train_ds, FfConfig(schedule="alternating", **kwargs)
     )
     np.testing.assert_array_equal(net_a.layers[0].weights, net_b.layers[0].weights)
@@ -293,7 +292,7 @@ class DeskHarness:
                 seed=DESK_SEED, schedule="layerwise", gamma_mode="none",
             )
             net = init_network(dims, make_rng(DESK_SEED))
-            net, _ = train_layerwise(net, train, cfg)
+            net, _ = ff.train(net, train, cfg)
         elif method == "collab_ff":
             cfg = FfConfig(
                 theta=theta, epochs=DESK_EPOCHS, batch_size=DESK_BATCH,
@@ -301,7 +300,7 @@ class DeskHarness:
                 gamma_mode="all_other_layers",
             )
             net = init_network(dims, make_rng(DESK_SEED))
-            net, _ = train_alternating(net, train, cfg)
+            net, _ = ff.train(net, train, cfg)
         elif method == "entropy_ff":
             cfg = FfConfig(
                 theta=theta, epochs=DESK_EPOCHS, batch_size=DESK_BATCH,
@@ -309,7 +308,7 @@ class DeskHarness:
                 loss_kind="entropy",
             )
             net = init_network(dims, make_rng(DESK_SEED))
-            net, _ = train_layerwise(net, train, cfg)
+            net, _ = ff.train(net, train, cfg)
         else:
             raise ValueError(method)
         return net, voting_error(net, test)
@@ -439,14 +438,14 @@ def test_criterion_9_full_scale_replication(desk):
                     schedule="layerwise", gamma_mode="none",
                 )
                 net = init_network([train.d + 10, *DESK_HIDDEN], make_rng(DESK_SEED))
-                net, _ = train_layerwise(net, train, cfg)
+                net, _ = ff.train(net, train, cfg)
             else:
                 cfg = FfConfig(
                     theta=theta, epochs=150, batch_size=200, seed=DESK_SEED,
                     schedule="alternating", gamma_mode="all_other_layers",
                 )
                 net = init_network([train.d + 10, *DESK_HIDDEN], make_rng(DESK_SEED))
-                net, _ = train_alternating(net, train, cfg)
+                net, _ = ff.train(net, train, cfg)
             err = voting_error(net, test)
             bound = FULL_BOUNDS[(name, method)]
             print(f"\n[full] {name} {method}: error {err:.4f} (bound {bound})")

@@ -88,10 +88,10 @@ class TestPairwiseGradients:
         net_a = init_network([22, 9], make_rng(5))
         net_a, _ = train_pairwise(net_a, train_ds, cfg)
 
-        from ffnet.ff import train_layerwise
+        from ffnet.ff import train
 
         net_b = init_network([22, 9], make_rng(5))
-        net_b, _ = train_layerwise(net_b, train_ds, cfg)
+        net_b, _ = train(net_b, train_ds, cfg)
 
         for got, want in (
             (net_b.layers[0].weights, net_a.layers[0].weights),

@@ -15,8 +15,7 @@ from ffnet.ff import (
     label_goodness_scores,
     positive_prob,
     predict,
-    train_alternating,
-    train_layerwise,
+    train,
 )
 from ffnet.linalg import l2_row_normalize, make_rng, relu
 from ffnet.nn import forward_pass, init_network, layer_local_grad
@@ -259,11 +258,11 @@ class TestSchedules:
         train_ds, _ = synthetic_pair(120, 40, d=12, seed=5)
         kwargs = dict(theta=3.0, epochs=3, batch_size=20, seed=7)
         net_a = init_network([22, 10], make_rng(2))
-        net_a, _ = train_layerwise(
+        net_a, _ = train(
             net_a, train_ds, FfConfig(schedule="layerwise", **kwargs)
         )
         net_b = init_network([22, 10], make_rng(2))
-        net_b, _ = train_alternating(
+        net_b, _ = train(
             net_b, train_ds, FfConfig(schedule="alternating", **kwargs)
         )
         np.testing.assert_array_equal(net_a.layers[0].weights, net_b.layers[0].weights)
@@ -278,7 +277,7 @@ class TestSchedules:
         nets = []
         for _ in range(2):
             net = init_network([22, 10, 8], make_rng(4))
-            net, _ = train_alternating(net, train_ds, cfg)
+            net, _ = train(net, train_ds, cfg)
             nets.append(net)
         for la, lb in zip(nets[0].layers, nets[1].layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
@@ -299,7 +298,7 @@ class TestSchedules:
                 stage = epoch // cfg.epochs - 1
                 after_stage[stage] = current.layers[stage].copy()
 
-        net, _ = train_layerwise(net, train_ds, cfg, on_epoch)
+        net, _ = train(net, train_ds, cfg, on_epoch)
         assert sorted(after_stage) == [0, 1, 2]
         for i, layer in enumerate(net.layers):
             assert layer.weights.tobytes() == after_stage[i].weights.tobytes()
@@ -322,7 +321,6 @@ class TestSchedules:
     def test_entropy_skips_trailing_one_sample_batch(self, schedule):
         """201 samples at batch 200 leave a batch of one positive and one
         negative row, which the entropy estimate cannot use."""
-        from ffnet.ff import train
         from ffnet.synth import synthetic_dataset
 
         train_ds = synthetic_dataset(201, d=12, seed=4)
@@ -339,7 +337,7 @@ class TestSchedules:
         train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
         cfg = FfConfig(theta=3.0, epochs=2, batch_size=20, seed=1)
         net = init_network([20, 8, 6], make_rng(0))
-        _, rows = train_layerwise(net, train_ds, cfg)
+        _, rows = train(net, train_ds, cfg)
         assert len(rows) == 4  # 2 layers x 2 epochs
         assert {r["layer"] for r in rows} == {1, 2}
         assert all(r["split"] == "train" for r in rows)
@@ -624,7 +622,7 @@ class TestGammaReducesToPlain:
             schedule="alternating", gamma_mode="none",
         )
         net_a = init_network([20, 8, 6], make_rng(1))
-        net_a, _ = train_alternating(net_a, train_ds, cfg)
+        net_a, _ = train(net_a, train_ds, cfg)
 
         net_b = init_network([20, 8, 6], make_rng(1))
         rng = make_rng(cfg.seed)

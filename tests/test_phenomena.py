@@ -8,7 +8,7 @@ gives each of the k layers E passes, alternating with k*E epochs does too.
 
 from ffnet.analysis import default_subset_family, evaluate_subsets
 from ffnet.entropy import goodness_entropy_reports
-from ffnet.ff import FfConfig, train_alternating, train_layerwise
+from ffnet.ff import FfConfig, train
 from ffnet.ff import test_error as voting_error
 from ffnet.linalg import make_rng
 from ffnet.nn import init_network
@@ -21,12 +21,12 @@ EPOCHS = 4
 def _trained_pair(seed):
     train_ds, test_ds = synthetic_pair(600, 300, d=48, seed=seed, noise=0.25)
     vanilla = init_network(DIMS, make_rng(1))
-    vanilla, _ = train_layerwise(
+    vanilla, _ = train(
         vanilla, train_ds,
         FfConfig(theta=5.0, epochs=EPOCHS, batch_size=50, seed=1),
     )
     collab = init_network(DIMS, make_rng(1))
-    collab, _ = train_alternating(
+    collab, _ = train(
         collab, train_ds,
         FfConfig(
             theta=5.0, epochs=3 * EPOCHS, batch_size=50, seed=1,

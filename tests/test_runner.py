@@ -6,7 +6,7 @@ import pytest
 
 from ffnet import runner
 from ffnet.errors import CheckpointError, ConfigError
-from ffnet.ff import FfConfig, train_alternating, train_layerwise
+from ffnet.ff import FfConfig, train
 from ffnet.linalg import make_rng
 from ffnet.nn import init_network, l2_row_normalize_vjp
 from ffnet.runner import (
@@ -63,7 +63,7 @@ class TestGammaModeTrainingMatrix:
             schedule="layerwise", gamma_mode="predecessors_only",
         )
         net = init_network([34, 20, 14, 10], make_rng(1))
-        net, history = train_layerwise(net, train_ds, cfg)
+        net, history = train(net, train_ds, cfg)
         assert len(history) == 9  # 3 layers x 3 epochs
         assert all(np.isfinite(r["loss"]) for r in history)
 
@@ -74,7 +74,7 @@ class TestGammaModeTrainingMatrix:
             schedule="alternating", gamma_mode="predecessors_only",
         )
         net = init_network([34, 20, 14, 10], make_rng(1))
-        net, history = train_alternating(net, train_ds, cfg)
+        net, history = train(net, train_ds, cfg)
         assert len(history) == 9
 
     def test_offsets_improve_layerwise_training(self):
@@ -89,7 +89,7 @@ class TestGammaModeTrainingMatrix:
                 schedule="layerwise", gamma_mode=mode,
             )
             net = init_network([58, 40, 30, 20], make_rng(1))
-            net, _ = train_layerwise(net, train_ds, cfg)
+            net, _ = train(net, train_ds, cfg)
             errors[mode] = voting_error(net, test_ds)
         assert errors["all_other_layers"] < errors["none"]
         assert errors["predecessors_only"] < errors["none"]
