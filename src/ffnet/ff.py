@@ -346,12 +346,10 @@ def train(
                     net, batch.images, upto, linked_labels=batch.linked_labels
                 )
                 table = goodness_table(trace)
-                updates = []
-                for i in layers:
-                    loss, grads = _layer_step(net, trace, table, i, cfg, batch)
-                    updates.append(grads)
+                steps = [_layer_step(net, trace, table, i, cfg, batch) for i in layers]
+                for i, (loss, _) in zip(layers, steps):
                     stats.record(i, loss, table[:, i], batch.polarity)
-                for i, (grad_w, grad_b) in zip(layers, updates):
+                for i, (_, (grad_w, grad_b)) in zip(layers, steps):
                     apply_adam_update(net, i, grad_w, grad_b, states)
             history.extend(stats.rows(cfg.loss_kind, layers))
             if on_epoch is not None:
