@@ -182,12 +182,23 @@ def _voting_layers(method: str, depth: int) -> list[int]:
     return [depth - 1] if method == "bp_pairwise" else list(range(depth))
 
 
-def _last_epoch(method: str, schedule: str, depth: int, epochs: int) -> int:
-    """Epoch counter of a run's last epoch: the forward-forward methods run
-    ``epochs`` per stage of their schedule, the baselines ``epochs`` in all."""
+def _last_epoch(config: dict, depth: int) -> int:
+    """Epoch counter of a run's last epoch, from its config: the baselines run
+    ``epochs`` in all, the forward-forward methods ``epochs`` per stage of their
+    schedule (the method's default when the config names none)."""
+    method, epochs = config.get("method", "ff"), config.get("epochs", 0)
     if method not in FF_METHODS:
         return epochs
+    schedule = config.get("schedule") or _METHOD_SCHEDULE[method]
     return len(ff.schedule_stages(schedule, depth)) * epochs
+
+
+def _entropy_rows(epoch: int, positive: np.ndarray, negative: np.ndarray) -> list[dict]:
+    """The ``both``, ``positive`` and ``negative`` entropy rows of one snapshot from
+    the (n, depth) goodness tables of the evaluation sample linked with its true
+    and its wrong labels."""
+    reports = split_entropy_reports(positive, negative)
+    return [entropy_row(epoch, reports[s]) for s in ("both", "positive", "negative")]
 
 
 def _test_history_rows(
@@ -257,9 +268,7 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
                 scores = ff.label_goodness_scores(current, eval_ds.images)
             positive = ff.linked_goodness(scores, eval_labels)
             negative = ff.linked_goodness(scores, eval_wrong)
-            reports = split_entropy_reports(positive, negative)
-            for split in ("both", "positive", "negative"):
-                entropy_rows.append(entropy_row(epoch, reports[split]))
+            entropy_rows.extend(_entropy_rows(epoch, positive, negative))
             test_rows.extend(_test_history_rows(positive, negative, cfg, epoch))
             layers = _voting_layers(cfg.method, current.depth)
             error = ff.voting_error(scores, eval_labels, layers)
@@ -270,7 +279,7 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
         error_rows.append({"epoch": epoch, "split": "test", "error": error})
 
     ff_cfg = cfg.ff_config()
-    total_epochs = _last_epoch(cfg.method, cfg.schedule, net.depth, cfg.epochs)
+    total_epochs = _last_epoch(resolved, net.depth)
 
     def on_epoch(epoch: int, current: MlpNetwork) -> None:
         # The last epoch's snapshot is taken after training, from the final pass.
@@ -378,13 +387,11 @@ def evaluate_checkpoint(
             test_ds, config.get("entropy_eval_n", 2000), config.get("seed", 0)
         )
         sample = scores[idx]
-        reports = split_entropy_reports(
-            ff.linked_goodness(sample, labels), ff.linked_goodness(sample, wrong)
+        rows = _entropy_rows(
+            _last_epoch(config, net.depth),
+            ff.linked_goodness(sample, labels),
+            ff.linked_goodness(sample, wrong),
         )
-        rows = [
-            entropy_row(config.get("epochs", 0), reports[split])
-            for split in ("both", "positive", "negative")
-        ]
         write_entropy_csv(out_dir / "entropy_report.csv", rows, net.depth)
     write_json(out_dir / "eval_summary.json", summary)
     return summary

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ffnet import runner
+from ffnet.checkpoint import load_checkpoint, save_checkpoint
 from ffnet.errors import CheckpointError, ConfigError
 from ffnet.ff import FfConfig, train
 from ffnet.linalg import make_rng
@@ -188,26 +189,53 @@ class TestFinalNetworkScoredOnce:
         # network is scored once, over the whole test split.
         assert scored_rows == [60] * (len(snapshots) - 1) + [test_ds.n]
 
+    @staticmethod
+    def _run_and_eval(data_dir, tmp_path, method, schedule=None):
+        """A 2-epoch run of a 3-layer net on the tiny MNIST stand-in, then
+        ``ffnet eval`` of its checkpoint; returns both summaries."""
+        run_dir = tmp_path / "run"
+        cfg = RunConfig(
+            dataset="mnist", method=method, schedule=schedule, theta=4.0, epochs=2,
+            batch_size=40, seed=3, layer_dims=[794, 12, 8, 6],
+            output_dir=str(run_dir), entropy_eval_n=60, eval_every=1,
+            data_dir=str(data_dir), train_subset=120,
+        )
+        summary = run_from_paths(cfg)
+        eval_summary = evaluate_checkpoint(run_dir / "checkpoint.npz", tmp_path / "eval")
+        return cfg, summary, eval_summary
+
     @pytest.mark.parametrize("method", LINKED_METHODS)
     def test_last_snapshot_matches_eval_of_the_checkpoint(
         self, data_dir, tmp_path, method
     ):
-        run_dir = tmp_path / "run"
-        cfg = RunConfig(
-            dataset="mnist", method=method, theta=4.0, epochs=2, batch_size=40,
-            seed=3, layer_dims=[794, 12, 8, 6], output_dir=str(run_dir),
-            entropy_eval_n=60, eval_every=1, data_dir=str(data_dir),
-            train_subset=120,
-        )
-        summary = run_from_paths(cfg)
-        eval_summary = evaluate_checkpoint(run_dir / "checkpoint.npz", tmp_path / "eval")
+        cfg, summary, eval_summary = self._run_and_eval(data_dir, tmp_path, method)
         assert summary["final_test_error"] == eval_summary["test_error"]
         # The evaluation sample is half the test split, so the rows are gathered.
         assert cfg.entropy_eval_n < eval_summary["n_test"]
-        snapshot = _read_rows(run_dir / "entropy.csv")[-3:]
+        snapshot = _read_rows(tmp_path / "run" / "entropy.csv")[-3:]
         report = _read_rows(tmp_path / "eval" / "entropy_report.csv")
-        for row in snapshot + report:
-            del row["epoch"]
+        # Whole rows, epoch included: a layerwise run ends at epoch depth x epochs.
+        last_epoch = 3 * 2 if method in ("ff", "entropy_ff") else 2
+        assert [row["epoch"] for row in report] == [str(last_epoch)] * 3
+        assert snapshot == report
+
+    @pytest.mark.parametrize("drop_schedule", [False, True])
+    def test_report_epoch_follows_the_checkpoint_schedule(
+        self, data_dir, tmp_path, drop_schedule
+    ):
+        """The report reads the last epoch from the checkpoint's schedule, or
+        from the method's default schedule when the checkpoint names none."""
+        method, schedule = ("ff", None) if drop_schedule else ("collab_ff", "layerwise")
+        self._run_and_eval(data_dir, tmp_path, method, schedule)
+        checkpoint = tmp_path / "run" / "checkpoint.npz"
+        if drop_schedule:
+            net, config, _ = load_checkpoint(checkpoint)
+            del config["schedule"]
+            save_checkpoint(checkpoint, net, config)
+            evaluate_checkpoint(checkpoint, tmp_path / "eval")
+        snapshot = _read_rows(tmp_path / "run" / "entropy.csv")[-3:]
+        report = _read_rows(tmp_path / "eval" / "entropy_report.csv")
+        assert [row["epoch"] for row in report] == ["6"] * 3
         assert snapshot == report
 
 
