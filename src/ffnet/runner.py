@@ -47,6 +47,11 @@ _METHOD_GAMMA = {"ff": "none", "collab_ff": "all_other_layers", "entropy_ff": "n
 _METHOD_SCHEDULE = {"ff": "layerwise", "collab_ff": "alternating", "entropy_ff": "layerwise"}
 
 
+def _input_width(method: str, d: int) -> int:
+    """Network input width for ``d``-wide samples: the goodness methods link a label."""
+    return d + N_LABELS if method in LINKED_METHODS else d
+
+
 @dataclass
 class RunConfig:
     dataset: str = "mnist"
@@ -83,9 +88,7 @@ class RunConfig:
                 f"dataset {self.dataset!r} is not one of {sorted(DATASET_DIMS)}; "
                 "pass layer_dims explicitly"
             )
-        expected_input = None
-        if d is not None:
-            expected_input = d + N_LABELS if self.method in LINKED_METHODS else d
+        expected_input = None if d is None else _input_width(self.method, d)
         if out.layer_dims is None:
             dims = [expected_input, *DEFAULT_HIDDEN]
             if self.method == "bp_classic":
@@ -235,7 +238,7 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     ``ffnet eval`` does.
     """
     cfg = cfg.resolved()
-    expected = train_ds.d + N_LABELS if cfg.method in LINKED_METHODS else train_ds.d
+    expected = _input_width(cfg.method, train_ds.d)
     if cfg.layer_dims[0] != expected:
         raise ConfigError(
             f"layer_dims[0]={cfg.layer_dims[0]} but {cfg.method} on this data "
@@ -349,7 +352,7 @@ def evaluate_checkpoint(
     if name is None:
         raise ConfigError("no dataset given and none recorded in the checkpoint")
     test_ds = load_dataset(name, "test", data_dir or config.get("data_dir"))
-    expected = test_ds.d + N_LABELS if method in LINKED_METHODS else test_ds.d
+    expected = _input_width(method, test_ds.d)
     if net.input_dim != expected:
         raise CheckpointError(
             f"checkpoint expects {net.input_dim}-dim inputs but {name} "
