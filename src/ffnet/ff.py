@@ -13,12 +13,11 @@ through it; that shift is what lets a layer react to the rest of the
 network without any backward pass.
 
 A schedule is a list of stages, each the layers its batches update
-(:func:`schedule_stages`): ``layerwise`` is ``[[0], [1], ..., [depth-1]]``,
-so each layer trains for its full epoch budget before the next starts, and
-``alternating`` is ``[[0, ..., depth-1]]``, so every layer takes one update
-per batch. :func:`train` runs either list through the same batch loop.
-Inference scores the sample linked with each candidate label, sums
-goodness over a layer mask, and votes by the largest sum.
+(:func:`schedule_stages`), and :func:`train` runs every stage for the full
+epoch budget through one batch loop: ``layerwise`` is ``[[0], [1], ...]``,
+one layer at a time, and ``alternating`` is ``[[0, ..., depth-1]]``, every
+layer on every batch. Inference scores the sample linked with each
+candidate label, sums goodness over a layer mask, and votes by the largest sum.
 
 Neither training nor evaluation builds linked inputs. The first layer's
 pre-activation of a sample ``x`` linked with label ``y`` is
@@ -238,12 +237,6 @@ def descent_loss(g, gamma, cfg: FfConfig, polarity) -> tuple[float, np.ndarray]:
     return -objective, -ascent
 
 
-def _estimable(cfg: FfConfig, polarity: np.ndarray) -> bool:
-    """False for a batch with under 2 rows of one polarity under the entropy
-    objective (a trailing one-sample batch); the trainers skip it."""
-    return cfg.loss_kind != "entropy" or min((polarity > 0).sum(), (polarity < 0).sum()) >= 2
-
-
 def _layer_step(net, trace, table, layer: int, cfg: FfConfig, batch: LinkedBatch):
     """Descent loss and parameter gradients of one layer on one batch."""
     gamma = compute_gamma(table, layer, cfg.gamma_mode)
@@ -299,9 +292,6 @@ class _EpochStats:
         ]
 
 
-EpochCallback = Callable[[int, MlpNetwork], None]
-
-
 def schedule_stages(schedule: str, depth: int) -> list[list[int]]:
     """The layers each stage of ``schedule`` updates, stage by stage."""
     if schedule == "layerwise":
@@ -315,18 +305,17 @@ def train(
     net: MlpNetwork,
     ds: Dataset,
     cfg: FfConfig,
-    on_epoch: Optional[EpochCallback] = None,
+    on_epoch: Optional[Callable[[int, MlpNetwork], None]] = None,
 ) -> tuple[MlpNetwork, list[dict]]:
     """Run the stages of ``cfg.schedule`` in order, each for ``cfg.epochs`` epochs.
 
-    Each batch runs a single forward pass on the pre-batch parameters; every
-    staged layer's gradient and gamma offset come from that trace, so the
-    order of the Adam steps that follow does not matter. Layers outside the
-    stage stay frozen: under ``predecessors_only`` a layerwise stage's offset
-    comes from the frozen layers before it, under ``all_other_layers`` the
-    not-yet-trained successors contribute at their current parameters. The
+    A batch takes one forward pass on the pre-batch parameters, and every
+    staged layer's gamma and gradient come from that trace. Layers outside
+    the stage stay frozen but still feed gamma: the predecessors under
+    ``predecessors_only``, all other layers under ``all_other_layers``. The
     callback receives a global epoch counter (stage * epochs + epoch). The
-    entropy objective skips a batch with fewer than 2 rows of one polarity.
+    entropy objective skips a batch with fewer than 2 rows of one polarity
+    (a trailing one-sample batch).
     """
     rng = make_rng(cfg.seed)
     states = make_adam_states(net, cfg.learning_rate)
@@ -340,7 +329,8 @@ def train(
             for batch in make_linked_batches(
                 ds, rng, cfg.batch_size, cfg.negatives_per_positive
             ):
-                if not _estimable(cfg, batch.polarity):
+                pos = batch.polarity > 0
+                if cfg.loss_kind == "entropy" and min(pos.sum(), (~pos).sum()) < 2:
                     continue
                 trace = forward_pass(
                     net, batch.images, upto, linked_labels=batch.linked_labels

@@ -186,9 +186,8 @@ def _voting_layers(method: str, depth: int) -> list[int]:
 
 
 def _last_epoch(config: dict, depth: int) -> int:
-    """Epoch counter of a run's last epoch, from its config: the baselines run
-    ``epochs`` in all, the forward-forward methods ``epochs`` per stage of their
-    schedule (the method's default when the config names none)."""
+    """A run's last epoch counter from its config: ``epochs`` per stage of the
+    schedule (the method's default if absent) for the forward-forward methods."""
     method, epochs = config.get("method", "ff"), config.get("epochs", 0)
     if method not in FF_METHODS:
         return epochs
@@ -197,9 +196,8 @@ def _last_epoch(config: dict, depth: int) -> int:
 
 
 def _entropy_rows(epoch: int, positive: np.ndarray, negative: np.ndarray) -> list[dict]:
-    """The ``both``, ``positive`` and ``negative`` entropy rows of one snapshot from
-    the (n, depth) goodness tables of the evaluation sample linked with its true
-    and its wrong labels."""
+    """The both/positive/negative entropy rows of one snapshot from the (n, depth)
+    goodness of the evaluation sample linked with its true and its wrong labels."""
     reports = split_entropy_reports(positive, negative)
     return [entropy_row(epoch, reports[s]) for s in ("both", "positive", "negative")]
 
