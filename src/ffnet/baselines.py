@@ -1,10 +1,11 @@
 """Backpropagation reference models: pairwise discriminator and classic classifier.
 
 The pairwise model consumes the same linked (sample + one-hot label) rows
-as forward-forward training, as a linked matrix
-(:meth:`~ffnet.data.LinkedBatch.linked_inputs`), and applies the same
-logistic goodness loss, but only at the last layer, with gradients
-chain-ruled through the whole stack (normalization included). The classic
+as forward-forward training, in the same label-factored form (each
+sample's pixels once plus the label of every row; see
+:func:`~ffnet.nn.forward_pass`), and applies the same logistic goodness
+loss, but only at the last layer, with gradients chain-ruled through the
+whole stack (normalization included). The classic
 model is a plain MLP on raw inputs with a linear label head and softmax
 cross-entropy.
 """
@@ -62,13 +63,15 @@ def train_pairwise(
         for batch in make_linked_batches(
             ds, rng, cfg.batch_size, cfg.negatives_per_positive
         ):
-            inputs = batch.linked_inputs()
-            trace = forward_pass(net, inputs)
+            trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
             loss, output_grad = ff_loss_and_coeffs(
                 trace, last, 0.0, cfg.theta, batch.polarity
             )
             stats.record(last, loss, goodness(trace, last), batch.polarity)
-            grads = full_backprop_grad(net, inputs, output_grad, trace=trace)
+            grads = full_backprop_grad(
+                net, batch.images, output_grad, trace=trace,
+                linked_labels=batch.linked_labels,
+            )
             for i, (grad_w, grad_b) in enumerate(grads):
                 apply_adam_update(net, i, grad_w, grad_b, states)
         history.extend(stats.rows("bp_pairwise", [last]))

@@ -13,9 +13,9 @@ byte followed by 3072 pixel bytes in channel-major (CHW) order.
 Pixels are scaled to [0, 1]. A "linked" input is the flattened sample with a
 10-dim one-hot label block appended after the pixels, so MNIST-sized inputs
 become 794-dim. Training batches hold each sample's pixels once plus the
-label each row links it with; the forward-forward trainers never build the
-linked matrix (see :func:`split_linked_weights`), and
-:meth:`LinkedBatch.linked_inputs` builds it for the pairwise baseline.
+label each row links it with; no trainer builds the linked matrix (see
+:func:`split_linked_weights`), and :meth:`LinkedBatch.linked_inputs` builds
+it only as the oracle the tests compare the label-factored form against.
 """
 
 from __future__ import annotations
@@ -232,7 +232,11 @@ class LinkedBatch:
         return self.linked_labels.shape[0] // self.images.shape[0]
 
     def linked_inputs(self) -> np.ndarray:
-        """(rows, d + N_LABELS) linked matrix of the batch, built on demand."""
+        """(rows, d + N_LABELS) linked matrix of the batch, built on demand.
+
+        No trainer calls it; it is the linked oracle that the tests compare
+        the label-factored forward pass and gradients against.
+        """
         return link_inputs(np.tile(self.images, (self.copies, 1)), self.linked_labels)
 
 

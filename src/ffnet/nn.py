@@ -5,21 +5,24 @@ Two gradient routes coexist on purpose:
 * :func:`layer_local_grad` differentiates a single layer's parameters given
   per-unit loss coefficients, with no chain rule through other layers. It
   takes the layer's pre-activations from the forward pass that produced the
-  coefficients, so the layer's matmul is not repeated. For a first layer
-  over linked inputs it also takes the label-factored form: each sample's
-  pixels once plus the label of every linked row.
+  coefficients, so the layer's matmul is not repeated.
 * :func:`full_backprop_grad` runs the exact chain rule through the whole
   stack, including the inter-layer L2 row normalization, for the
   backpropagation baselines.
 
-Both are checked against central finite differences in the test suite.
+Both turn a layer's pre-activation gradient into its parameter gradients
+through one helper, which for a first layer over linked inputs takes the
+label-factored form: each sample's pixels once plus the label of every
+linked row. Both are checked against central finite differences in the
+test suite.
 :func:`forward_pass` computes the first layer's pre-activation and hands it
 to :func:`forward_from_pre`, the one layer loop. Given ``linked_labels`` it
 takes the same label-factored form as :func:`layer_local_grad`, so a
 training batch's pixel product runs once per sample
 (:func:`first_layer_factors`); label-factored inference enters the loop
 directly. :func:`adam_step` updates a parameter array and its moments in
-place, so a :class:`DenseLayer` keeps its arrays across training.
+place, block by block, so a :class:`DenseLayer` keeps its arrays across
+training and an update allocates only two cache-sized scratch blocks.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ import numpy as np
 from .data import N_LABELS, one_hot, split_linked_weights
 from .errors import ConfigError, ShapeError
 from .linalg import NORM_EPSILON, as_matrix, l2_row_normalize, relu
+
+# Elements per block of adam_step. A block's four arrays and two scratch
+# arrays (768 KB) stay in a core's L2 while the update's operations pass
+# over them, instead of streaming whole parameter arrays once per operation.
+ADAM_BLOCK = 16384
 
 
 @dataclass
@@ -248,7 +256,6 @@ def layer_local_grad(
         )
     m = layer_input.shape[0]
     rows = len(linked_labels) if factored else m
-    copies = _linked_copies(rows, m) if factored else 1
     if coeffs.shape != (rows, layer.out_dim):
         raise ShapeError(
             f"coefficients shape {coeffs.shape} does not match "
@@ -258,13 +265,21 @@ def layer_local_grad(
         raise ShapeError(
             f"pre-activation shape {pre.shape} does not match coefficients {coeffs.shape}"
         )
-    d_pre = coeffs * (pre > 0.0)
+    return _param_grads(layer_input, coeffs * (pre > 0.0), linked_labels)
+
+
+def _param_grads(layer_input, d_pre, linked_labels=None) -> tuple[np.ndarray, np.ndarray]:
+    """(grad_w, grad_b) of a layer from ``d_pre``, the loss gradient w.r.t. its
+    pre-activation; label-factored when ``linked_labels`` is given (see
+    :func:`layer_local_grad`)."""
     grad_b = d_pre.sum(axis=0, keepdims=True)
-    if not factored:
+    if linked_labels is None:
         return layer_input.T @ d_pre, grad_b
-    grad_w = np.empty((layer.in_dim, layer.out_dim))
+    m, n_pixels = layer_input.shape
+    copies = _linked_copies(len(linked_labels), m)
+    grad_w = np.empty((n_pixels + N_LABELS, d_pre.shape[1]))
     pixel_rows, label_rows = split_linked_weights(grad_w, n_pixels)
-    per_sample = d_pre.reshape(copies, m, layer.out_dim).sum(axis=0)
+    per_sample = d_pre.reshape(copies, m, d_pre.shape[1]).sum(axis=0)
     np.matmul(layer_input.T, per_sample, out=pixel_rows)
     np.matmul(one_hot(linked_labels).T, d_pre, out=label_rows)
     return grad_w, grad_b
@@ -297,6 +312,7 @@ def full_backprop_grad(
     final_linear: bool = False,
     trace: ForwardTrace | None = None,
     epsilon: float = NORM_EPSILON,
+    linked_labels=None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact chain-rule gradients for every layer.
 
@@ -304,11 +320,16 @@ def full_backprop_grad(
     (its logits in ``final_linear`` mode). Returns one (grad_w, grad_b) pair
     per layer, first layer first. Pass a precomputed ``trace`` from
     :func:`forward_pass` with matching flags to skip the forward recompute.
+
+    With ``linked_labels``, ``batch`` holds each sample's pixels once, as in
+    :func:`forward_pass`, and layer 1's gradient takes the label-factored
+    form of :func:`layer_local_grad`.
     """
     batch = as_matrix(batch)
     if trace is None:
         trace = forward_pass(
-            net, batch, normalize=normalize, final_linear=final_linear, epsilon=epsilon
+            net, batch, normalize=normalize, final_linear=final_linear,
+            epsilon=epsilon, linked_labels=linked_labels,
         )
     depth = net.depth
     if trace.depth != depth:
@@ -319,6 +340,10 @@ def full_backprop_grad(
             f"output_grad shape {output_grad.shape} does not match "
             f"final activities {trace.act[-1].shape}"
         )
+    if linked_labels is not None and len(linked_labels) != len(output_grad):
+        raise ShapeError(
+            f"{len(linked_labels)} linked labels for {len(output_grad)} rows"
+        )
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * depth  # type: ignore[list-item]
     d_act = output_grad
@@ -327,8 +352,9 @@ def full_backprop_grad(
             d_pre = d_act
         else:
             d_pre = d_act * (trace.pre[i] > 0.0)
-        layer_input = trace.layer_input(i)
-        grads[i] = (layer_input.T @ d_pre, d_pre.sum(axis=0, keepdims=True))
+        grads[i] = _param_grads(
+            trace.layer_input(i), d_pre, linked_labels if i == 0 else None
+        )
         if i > 0:
             d_carry = d_pre @ net.layers[i].weights.T
             if normalize:
@@ -374,36 +400,48 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
     """One bias-corrected Adam update of ``param``, in place; returns ``param``.
 
     ``param``, ``state.first_moment`` and ``state.second_moment`` are updated
-    in place with two scratch arrays. Each operation rounds exactly as in
+    in place, in blocks of leading-axis rows of about :data:`ADAM_BLOCK`
+    elements each, so a block's arrays stay in cache; two block-sized scratch
+    arrays are the only allocations. Each operation rounds exactly as in
 
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         param - (lr*(m/c1)) / (sqrt(v/c2) + eps)
 
     with c1 = 1 - b1**t and c2 = 1 - b2**t, so the result is bitwise that
-    of the allocating form.
+    of the allocating form. All shapes are checked before any state changes.
     """
-    if param.shape != grad.shape or param.shape != state.first_moment.shape:
+    m, v = state.first_moment, state.second_moment
+    if not param.shape == grad.shape == m.shape == v.shape:
         raise ShapeError(
             f"adam shapes disagree: param {param.shape}, grad {grad.shape}, "
-            f"moments {state.first_moment.shape}"
+            f"moments {m.shape} and {v.shape}"
         )
     state.step_count += 1
     t = state.step_count
-    m, v = state.first_moment, state.second_moment
-    scratch = np.multiply(grad, 1.0 - state.beta1)
-    m *= state.beta1
-    m += scratch
-    np.multiply(grad, 1.0 - state.beta2, out=scratch)
-    scratch *= grad
-    v *= state.beta2
-    v += scratch
-    denom = np.divide(v, 1.0 - state.beta2**t, out=scratch)
-    np.sqrt(denom, out=denom)
-    denom += state.epsilon
-    step = np.divide(m, 1.0 - state.beta1**t)
-    step *= state.learning_rate
-    step /= denom
-    param -= step
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    row_size = int(np.prod(param.shape[1:]))
+    block_rows = max(1, ADAM_BLOCK // max(row_size, 1))
+    scratch = np.empty((block_rows, *param.shape[1:]))
+    step = np.empty_like(scratch)
+    for start in range(0, len(param), block_rows):
+        rows = slice(start, start + block_rows)
+        p_rows, g, m_rows, v_rows = param[rows], grad[rows], m[rows], v[rows]
+        denom, upd = scratch[: len(g)], step[: len(g)]
+        np.multiply(g, 1.0 - b1, out=denom)
+        m_rows *= b1
+        m_rows += denom
+        np.multiply(g, 1.0 - b2, out=denom)
+        denom *= g
+        v_rows *= b2
+        v_rows += denom
+        np.divide(v_rows, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        np.divide(m_rows, c1, out=upd)
+        upd *= state.learning_rate
+        upd /= denom
+        p_rows -= upd
     return param
 
 

@@ -6,9 +6,9 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/make_golden.py
 
 Only a change meant to move the numbers may run it, and CHANGES.md must
-name the arrays that moved. A refactor never does: ``trainers.npz``,
-``bp_pairwise.npz`` and ``bp_classic.npz`` are compared byte for byte, and
-the rest hold it to the tolerances in ``tests/test_golden.py``.
+name the arrays that moved. A refactor never does: ``trainers.npz`` and
+``bp_classic.npz`` are compared byte for byte, and the rest hold it to the
+tolerances in ``tests/test_golden.py``.
 """
 
 import sys

@@ -8,6 +8,8 @@ from ffnet.baselines import (
     train_classic,
     train_pairwise,
 )
+from ffnet.data import make_linked_batches
+from ffnet.errors import ShapeError
 from ffnet.ff import FfConfig, ff_loss_and_coeffs
 from ffnet.ff import test_error as voting_error
 from ffnet.linalg import make_rng, row_sumsq
@@ -76,12 +78,74 @@ class TestPairwiseGradients:
             numeric.append(fd_grad(loss, layer.biases))
         assert agreement(analytic, numeric) >= 0.99
 
-    def test_depth_one_pairwise_equals_plain_ff_updates(self):
-        """With a single layer the two methods are the same algorithm.
+    @staticmethod
+    def batches(negatives):
+        train_ds, _ = synthetic_pair(23, 5, d=6, seed=12)
+        return list(make_linked_batches(train_ds, make_rng(4), 10, negatives))
 
-        The pairwise baseline runs on linked matrices, the FF trainer in
-        label-factored form, so their sums round differently.
-        """
+    @staticmethod
+    def pairwise_grads(net, batch):
+        """Factored gradients of the last layer's goodness loss, and its
+        output gradient."""
+        trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
+        _, output_grad = ff_loss_and_coeffs(trace, net.depth - 1, 0.0, 1.0, batch.polarity)
+        grads = full_backprop_grad(
+            net, batch.images, output_grad, trace=trace, linked_labels=batch.linked_labels
+        )
+        return grads, output_grad
+
+    @pytest.mark.parametrize("negatives", [1, 3])
+    def test_factored_matches_linked_matrix(self, negatives):
+        """Label-factored gradients of every layer against the linked matrix,
+        normalization on, ragged last batch included."""
+        net = random_net([16, 7, 6, 5], seed=34)
+        batches = self.batches(negatives)
+        assert [b.images.shape[0] for b in batches] == [10, 10, 3]
+        for batch in batches:
+            got, output_grad = self.pairwise_grads(net, batch)
+            want = full_backprop_grad(net, batch.linked_inputs(), output_grad)
+            for (gw, gb), (ww, wb) in zip(got, want):
+                assert gw.shape == ww.shape and gb.shape == wb.shape
+                np.testing.assert_allclose(gw, ww, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(gb, wb, rtol=1e-12, atol=0.0)
+
+    def test_factored_first_layer_matches_finite_differences(self):
+        """Layer 1's pixel rows, label rows and bias, chain-ruled through
+        the later layers and normalization."""
+        net = random_net([16, 7, 5], seed=35)
+        layer = net.layers[0]
+        batch = self.batches(3)[-1]  # 3 samples, 12 rows
+
+        def loss():
+            trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
+            return ff_loss_and_coeffs(trace, net.depth - 1, 0.0, 1.0, batch.polarity)[0]
+
+        grad_w, grad_b = self.pairwise_grads(net, batch)[0][0]
+        numeric_w = fd_grad(loss, layer.weights)
+        numeric_b = fd_grad(loss, layer.biases)
+        assert np.abs(grad_w[6:]).max() > 1e-4  # the label rows carry gradient
+        assert agreement([grad_w[:6]], [numeric_w[:6]]) >= 0.99
+        assert agreement([grad_w[6:]], [numeric_w[6:]]) >= 0.99
+        assert agreement([grad_b], [numeric_b]) >= 0.99
+
+    def test_factored_shape_checks(self):
+        net = random_net([16, 7, 5], seed=36)
+        batch = self.batches(1)[0]  # 10 samples, 20 rows
+        output_grad = np.ones((20, 5))
+        with pytest.raises(ShapeError, match="20 linked rows are not a multiple of 7"):
+            full_backprop_grad(
+                net, batch.images[:7], output_grad, linked_labels=batch.linked_labels
+            )
+        trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
+        with pytest.raises(ShapeError, match="10 linked labels for 20 rows"):
+            full_backprop_grad(
+                net, batch.images, output_grad, trace=trace,
+                linked_labels=batch.linked_labels[:10],
+            )
+
+    def test_depth_one_pairwise_equals_plain_ff_updates(self):
+        """With a single layer the two methods are the same algorithm, and
+        both run it label-factored, so their updates agree bit for bit."""
         train_ds, _ = synthetic_pair(100, 30, d=12, seed=4)
         cfg = FfConfig(theta=3.0, epochs=2, batch_size=25, seed=6)
 
@@ -93,11 +157,8 @@ class TestPairwiseGradients:
         net_b = init_network([22, 9], make_rng(5))
         net_b, _ = train(net_b, train_ds, cfg)
 
-        for got, want in (
-            (net_b.layers[0].weights, net_a.layers[0].weights),
-            (net_b.layers[0].biases, net_a.layers[0].biases),
-        ):
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        assert net_b.layers[0].weights.tobytes() == net_a.layers[0].weights.tobytes()
+        assert net_b.layers[0].biases.tobytes() == net_a.layers[0].biases.tobytes()
 
 
 class TestClassicGradients:

@@ -12,16 +12,17 @@ training on linked matrices. Every value must match exactly, except:
   adds the pixel product, the label's weight row and the bias.
 * ``FACTORED_RTOL`` (1e-10) on the final weights and biases and the float
   columns of the train-split rows of ``history.csv`` of the label-factored
-  trainers (``ff``, ``collab_ff``, ``entropy_ff``). They sum layer 1's
-  pre-activation as ``x @ W_pix + (W_lab[y] + b)`` and its weight gradient
-  over each sample's summed linked rows, not over the linked product, so
-  every update rounds differently.
+  trainers (``ff``, ``collab_ff``, ``entropy_ff`` and the pairwise baseline
+  ``bp_pairwise``). They sum layer 1's pre-activation as
+  ``x @ W_pix + (W_lab[y] + b)`` and its weight gradient over each sample's
+  summed linked rows, not over the linked product, so every update rounds
+  differently.
 * ``FACTORED_RTOL`` also on the ``loss`` column of ``entropy_ff``'s
   test-split rows only. That loss is a difference of two entropies that
   cancels to a few 1e-5, which magnifies the weights' last-bit drift to
   about 1e-12 relative; its other test-split columns keep ``RTOL``.
 
-Errors, subsets, marginals and both backprop baselines stay exact.
+Errors, subsets and marginals stay exact, and ``bp_classic`` stays exact.
 
 ``tests/golden/trainers.npz`` fingerprints the forward-forward trainer
 itself: the final weights and biases, the train-history values and the
@@ -30,7 +31,7 @@ x 2 loss kinds x 1 or 2 negatives per positive), all compared byte for byte.
 
 Regenerate the goldens only for a change meant to move the numbers, and
 say in CHANGES.md which arrays moved. A refactor never regenerates any of
-them; ``trainers.npz`` and the backprop baselines hold it to the last bit.
+them; ``trainers.npz`` and ``bp_classic`` hold it to the last bit.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ EVAL_FILES = ("subsets.csv", "marginals.csv", "entropy_report.csv")
 KEY_COLUMNS = {"epoch", "layer", "loss_kind", "split", "subset", "n"}
 RTOL = 1e-12
 FACTORED_RTOL = 1e-10
-FACTORED_RUNS = ("ff", "collab_ff", "entropy_ff")
+FACTORED_RUNS = ("ff", "collab_ff", "entropy_ff", "bp_pairwise")
 
 
 def _run_config(method: str, data_dir, out_dir) -> RunConfig:

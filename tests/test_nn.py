@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import agreement, fd_grad, random_batch, random_net
 
+from ffnet import nn
 from ffnet.errors import ConfigError, ShapeError
 from ffnet.linalg import make_rng
 from ffnet.nn import (
@@ -226,6 +229,15 @@ class TestFullBackprop:
         assert agreement(analytic, numeric) >= 0.99
 
 
+def adam_reference(param, m, v, grad, t, st):
+    """The allocating Adam formula: (param, first moment, second moment)."""
+    m = st.beta1 * m + (1.0 - st.beta1) * grad
+    v = st.beta2 * v + (1.0 - st.beta2) * grad * grad
+    m_hat = m / (1.0 - st.beta1**t)
+    v_hat = v / (1.0 - st.beta2**t)
+    return param - st.learning_rate * m_hat / (np.sqrt(v_hat) + st.epsilon), m, v
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         param = np.array([[1.0, -2.0]])
@@ -258,17 +270,30 @@ class TestAdam:
         with pytest.raises(ShapeError):
             adam_step(np.zeros((2, 2)), np.zeros((3, 2)), state)
 
+    @pytest.mark.parametrize("bad", ["grad", "first_moment", "second_moment"])
+    def test_shape_mismatch_leaves_state_unchanged(self, rng, bad):
+        param = rng.standard_normal((3, 4))
+        shapes = {"grad": (3, 4), "first_moment": (3, 4), "second_moment": (3, 4)}
+        shapes[bad] = (1, 4)
+        grad = rng.standard_normal(shapes["grad"])
+        state = AdamState(
+            rng.standard_normal(shapes["first_moment"]),
+            np.abs(rng.standard_normal(shapes["second_moment"])),
+            step_count=4,
+        )
+
+        def snapshot():
+            arrays = (param, state.first_moment, state.second_moment)
+            return [a.tobytes() for a in arrays], state.step_count
+
+        before = snapshot()
+        with pytest.raises(ShapeError, match="adam shapes disagree"):
+            adam_step(param, grad, state)
+        assert snapshot() == before
+
     def test_in_place_matches_allocating_form_bitwise(self):
         """25 steps equal the allocating formula bit for bit, on the params and
         both moments, with gradients from 1e-8 to 10 in magnitude."""
-
-        def reference(param, m, v, grad, t, st):
-            m = st.beta1 * m + (1.0 - st.beta1) * grad
-            v = st.beta2 * v + (1.0 - st.beta2) * grad * grad
-            m_hat = m / (1.0 - st.beta1**t)
-            v_hat = v / (1.0 - st.beta2**t)
-            return param - st.learning_rate * m_hat / (np.sqrt(v_hat) + st.epsilon), m, v
-
         rng = make_rng(31)
         param = rng.standard_normal((6, 5))
         state = AdamState.for_param(param, learning_rate=0.01)
@@ -278,10 +303,58 @@ class TestAdam:
             magnitude = 10.0 ** rng.uniform(-8.0, 1.0, size=param.shape)
             grad = magnitude * rng.choice([-1.0, 1.0], size=param.shape)
             out = adam_step(param, grad, state)
-            ref_param, ref_m, ref_v = reference(ref_param, ref_m, ref_v, grad, t, state)
+            ref_param, ref_m, ref_v = adam_reference(
+                ref_param, ref_m, ref_v, grad, t, state
+            )
             assert out is param
             assert state.first_moment is first and state.second_moment is second
             assert param.tobytes() == ref_param.tobytes()
             assert first.tobytes() == ref_m.tobytes()
             assert second.tobytes() == ref_v.tobytes()
         assert state.step_count == 25
+
+    @pytest.mark.parametrize(
+        "shape, columns",
+        [
+            ((7, 5), slice(None)),        # 2-row blocks, ragged last block
+            ((1, 23), slice(None)),       # one row wider than a block
+            ((9, 12), slice(None, None, 2)),  # non-contiguous view, 6 columns
+        ],
+    )
+    def test_blocks_match_allocating_form_bitwise(self, monkeypatch, shape, columns):
+        """Blocked updates equal the allocating formula bit for bit, write
+        through a non-contiguous view, and keep the moments' identity."""
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 10)
+        rng = make_rng(32)
+        big = rng.standard_normal(shape)
+        param = big[:, columns]
+        untouched = np.delete(big, columns, axis=1)
+        state = AdamState.for_param(param, learning_rate=0.01)
+        first, second = state.first_moment, state.second_moment
+        ref_param, ref_m, ref_v = param.copy(), np.zeros_like(param), np.zeros_like(param)
+        for t in range(1, 6):
+            grad = rng.standard_normal(param.shape)
+            out = adam_step(param, grad, state)
+            ref_param, ref_m, ref_v = adam_reference(ref_param, ref_m, ref_v, grad, t, state)
+            assert out is param
+            assert state.first_moment is first and state.second_moment is second
+            assert big[:, columns].tobytes() == ref_param.tobytes()
+            assert first.tobytes() == ref_m.tobytes()
+            assert second.tobytes() == ref_v.tobytes()
+        assert np.delete(big, columns, axis=1).tobytes() == untouched.tobytes()
+
+    def test_step_allocates_no_param_sized_temporary(self):
+        """One step on a 794x500 param (3.2 MB) peaks well under one
+        param-sized array of traced memory."""
+        rng = make_rng(33)
+        param = rng.standard_normal((794, 500))
+        grad = rng.standard_normal(param.shape)
+        state = AdamState.for_param(param)
+        adam_step(param, grad, state)
+        tracemalloc.start()
+        try:
+            adam_step(param, grad, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
