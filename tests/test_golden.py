@@ -24,10 +24,12 @@ training on linked matrices. Every value must match exactly, except:
 
 Errors, subsets and marginals stay exact, and ``bp_classic`` stays exact.
 
-``tests/golden/trainers.npz`` fingerprints the forward-forward trainer
-itself: the final weights and biases, the train-history values and the
+``tests/golden/trainers.npz`` fingerprints the trainers themselves: the
+final weights and biases, the train-history values (nan included) and the
 ``on_epoch`` epochs of 24 tiny ``ff.train`` runs (2 schedules x 3 gamma modes
-x 2 loss kinds x 1 or 2 negatives per positive), all compared byte for byte.
+x 2 loss kinds x 1 or 2 negatives per positive), 2 pairwise baseline runs (1
+or 2 negatives per positive) and 2 classic baseline runs (normalization off
+and on), all compared byte for byte.
 
 Regenerate the goldens only for a change meant to move the numbers, and
 say in CHANGES.md which arrays moved. A refactor never regenerates any of
@@ -44,7 +46,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ffnet import ff
+from ffnet import baselines, ff
 from ffnet.checkpoint import load_checkpoint
 from ffnet.fetch import load_dataset
 from ffnet.linalg import make_rng
@@ -107,26 +109,23 @@ def collect_artifacts(data_dir, work) -> dict[str, dict[str, np.ndarray]]:
 
 def trainer_fingerprint() -> dict[str, np.ndarray]:
     """Final parameters, train-history values and callback epochs of every
-    tiny ``ff.train`` run, keyed ``schedule.gamma_mode.loss_kind.k.<array>``.
+    tiny trainer run: ``ff.train`` keyed ``schedule.gamma_mode.loss_kind.k``,
+    ``baselines.train_pairwise`` keyed ``bp_pairwise.k`` and
+    ``baselines.train_classic`` keyed ``bp_classic.<normalize>``, each with
+    an ``.<array>`` suffix.
 
     41 samples at batch 20 leave a trailing one-sample batch, which the
-    entropy objective skips and the sigmoid loss trains on.
+    entropy objective skips and the other losses train on.
     """
     train_ds = synthetic_dataset(41, d=12, seed=11)
     out = {}
-    for schedule, gamma_mode, loss_kind, k in itertools.product(
-        ff.SCHEDULES, ff.GAMMA_MODES, ff.LOSS_KINDS, (1, 2)
-    ):
-        cfg = ff.FfConfig(
-            theta=3.0, gamma_mode=gamma_mode, schedule=schedule, loss_kind=loss_kind,
-            epochs=2, batch_size=20, seed=5, negatives_per_positive=k,
-        )
+
+    def record(run, train, net, cfg, **kwargs):
         epochs = []
-        net, history = ff.train(
-            init_network([22, 8, 6, 5], make_rng(4)), train_ds, cfg,
-            lambda epoch, _: epochs.append(epoch),
+        net, history = train(
+            net, train_ds, cfg, on_epoch=lambda epoch, _: epochs.append(epoch),
+            **kwargs,
         )
-        run = f"{schedule}.{gamma_mode}.{loss_kind}.{k}"
         for i, lay in enumerate(net.layers):
             out[f"{run}.weights_{i}"] = lay.weights
             out[f"{run}.biases_{i}"] = lay.biases
@@ -139,6 +138,32 @@ def trainer_fingerprint() -> dict[str, np.ndarray]:
             dtype=np.float64,
         )
         out[f"{run}.epochs"] = np.array(epochs, dtype=np.int64)
+
+    for schedule, gamma_mode, loss_kind, k in itertools.product(
+        ff.SCHEDULES, ff.GAMMA_MODES, ff.LOSS_KINDS, (1, 2)
+    ):
+        cfg = ff.FfConfig(
+            theta=3.0, gamma_mode=gamma_mode, schedule=schedule, loss_kind=loss_kind,
+            epochs=2, batch_size=20, seed=5, negatives_per_positive=k,
+        )
+        record(
+            f"{schedule}.{gamma_mode}.{loss_kind}.{k}", ff.train,
+            init_network([22, 8, 6, 5], make_rng(4)), cfg,
+        )
+    for k in (1, 2):
+        cfg = ff.FfConfig(
+            theta=3.0, epochs=2, batch_size=20, seed=5, negatives_per_positive=k
+        )
+        record(
+            f"bp_pairwise.{k}", baselines.train_pairwise,
+            init_network([22, 8, 6, 5], make_rng(4)), cfg,
+        )
+    for normalize in (False, True):
+        cfg = ff.FfConfig(epochs=2, batch_size=20, seed=5)
+        record(
+            f"bp_classic.{normalize}", baselines.train_classic,
+            init_network([12, 8, 6, 10], make_rng(4)), cfg, normalize=normalize,
+        )
     return out
 
 
