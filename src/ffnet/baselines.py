@@ -1,33 +1,27 @@
 """Backpropagation reference models: pairwise discriminator and classic classifier.
 
-The pairwise model consumes the same linked (sample + one-hot label) rows
-as forward-forward training, in the same label-factored form (each
-sample's pixels once plus the label of every row; see
-:func:`~ffnet.nn.forward_pass`), and applies the same logistic goodness
-loss, but only at the last layer, with gradients chain-ruled through the
-whole stack (normalization included). The classic
-model is a plain MLP on raw inputs with a linear label head and softmax
-cross-entropy.
+Both are batch steps of :func:`ffnet.ff.fit` in one stage that reports the
+last layer, with every layer's gradient chain-ruled through the whole stack
+(normalization included). The pairwise model consumes the same linked
+(sample + one-hot label) rows as forward-forward training, in the same
+label-factored form (each sample's pixels once plus the label of every row;
+see :func:`~ffnet.nn.forward_pass`), and applies the same logistic goodness
+loss, but only at the last layer. The classic model is a plain MLP on raw
+inputs with a linear label head and softmax cross-entropy; its history has
+nan goodness means.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .data import Dataset, make_linked_batches, make_plain_batches, one_hot
 from .errors import ShapeError
-from .ff import FfConfig, _EpochStats, ff_loss_and_coeffs, goodness
-from .linalg import make_rng
-from .nn import (
-    MlpNetwork,
-    apply_adam_update,
-    forward_pass,
-    full_backprop_grad,
-    make_adam_states,
-)
-from .reports import history_row
+from .ff import FfConfig, ff_loss_and_coeffs, fit, goodness
+from .nn import MlpNetwork, forward_pass, full_backprop_grad
 
 
 def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
@@ -54,30 +48,25 @@ def train_pairwise(
     on_epoch: Optional[Callable[[int, MlpNetwork], None]] = None,
 ) -> tuple[MlpNetwork, list[dict]]:
     """Backprop the last layer's goodness loss (gamma 0) through every layer."""
-    rng = make_rng(cfg.seed)
-    states = make_adam_states(net, cfg.learning_rate)
     last = net.depth - 1
-    history: list[dict] = []
-    for epoch in range(1, cfg.epochs + 1):
-        stats = _EpochStats(net.depth, epoch)
-        for batch in make_linked_batches(
-            ds, rng, cfg.batch_size, cfg.negatives_per_positive
-        ):
-            trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
-            loss, output_grad = ff_loss_and_coeffs(
-                trace, last, 0.0, cfg.theta, batch.polarity
-            )
-            stats.record(last, loss, goodness(trace, last), batch.polarity)
-            grads = full_backprop_grad(
-                net, batch.images, output_grad, trace=trace,
-                linked_labels=batch.linked_labels,
-            )
-            for i, (grad_w, grad_b) in enumerate(grads):
-                apply_adam_update(net, i, grad_w, grad_b, states)
-        history.extend(stats.rows("bp_pairwise", [last]))
-        if on_epoch is not None:
-            on_epoch(epoch, net)
-    return net, history
+
+    def step(batch, layers, stats):
+        trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
+        loss, output_grad = ff_loss_and_coeffs(
+            trace, last, 0.0, cfg.theta, batch.polarity
+        )
+        stats.record(last, loss, goodness(trace, last), batch.polarity)
+        grads = full_backprop_grad(
+            net, batch.images, output_grad, trace=trace,
+            linked_labels=batch.linked_labels,
+        )
+        return [(i, grad_w, grad_b) for i, (grad_w, grad_b) in enumerate(grads)]
+
+    batches = partial(
+        make_linked_batches, ds, batch_size=cfg.batch_size,
+        negatives_per_positive=cfg.negatives_per_positive,
+    )
+    return fit(net, cfg, [[last]], batches, step, "bp_pairwise", on_epoch)
 
 
 def classic_logits(net: MlpNetwork, images, normalize: bool = False) -> np.ndarray:
@@ -107,31 +96,17 @@ def train_classic(
     un-rectified). Inter-layer normalization is off by default, matching a
     standard MLP; pass normalize=True for the ablation variant.
     """
-    rng = make_rng(cfg.seed)
-    states = make_adam_states(net, cfg.learning_rate)
-    history: list[dict] = []
-    for epoch in range(1, cfg.epochs + 1):
-        loss_sum, batches = 0.0, 0
-        for images, labels in make_plain_batches(ds, rng, cfg.batch_size):
-            trace = forward_pass(net, images, normalize=normalize, final_linear=True)
-            loss, d_logits = softmax_cross_entropy(trace.act[-1], labels)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite loss at layer {net.depth} in epoch {epoch}; "
-                    "training diverged"
-                )
-            grads = full_backprop_grad(
-                net, images, d_logits, normalize=normalize, final_linear=True, trace=trace
-            )
-            for i, (grad_w, grad_b) in enumerate(grads):
-                apply_adam_update(net, i, grad_w, grad_b, states)
-            loss_sum += loss
-            batches += 1
-        nan = float("nan")
-        mean_loss = loss_sum / max(batches, 1)
-        history.append(
-            history_row(epoch, net.depth, "bp_classic", "train", mean_loss, nan, nan)
+    last = net.depth - 1
+
+    def step(batch, layers, stats):
+        images, labels = batch
+        trace = forward_pass(net, images, normalize=normalize, final_linear=True)
+        loss, d_logits = softmax_cross_entropy(trace.act[-1], labels)
+        stats.record(last, loss)
+        grads = full_backprop_grad(
+            net, images, d_logits, normalize=normalize, final_linear=True, trace=trace
         )
-        if on_epoch is not None:
-            on_epoch(epoch, net)
-    return net, history
+        return [(i, grad_w, grad_b) for i, (grad_w, grad_b) in enumerate(grads)]
+
+    batches = partial(make_plain_batches, ds, batch_size=cfg.batch_size)
+    return fit(net, cfg, [[last]], batches, step, "bp_classic", on_epoch)

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .analysis import parse_subset_label
+from .ff import GAMMA_MODES, SCHEDULES
 from .fetch import DATASETS, fetch_dataset
 from .runner import METHODS, RunConfig, evaluate_checkpoint, run_from_paths, run_sweep
 
@@ -32,14 +33,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--dataset", choices=sorted(DATASETS), default=argparse.SUPPRESS)
     parser.add_argument("--method", choices=METHODS, default=argparse.SUPPRESS)
-    parser.add_argument(
-        "--gamma-mode",
-        choices=["none", "all_other_layers", "predecessors_only"],
-        default=argparse.SUPPRESS,
-    )
-    parser.add_argument(
-        "--schedule", choices=["layerwise", "alternating"], default=argparse.SUPPRESS
-    )
+    parser.add_argument("--gamma-mode", choices=GAMMA_MODES, default=argparse.SUPPRESS)
+    parser.add_argument("--schedule", choices=SCHEDULES, default=argparse.SUPPRESS)
     parser.add_argument("--theta", type=float, default=argparse.SUPPRESS)
     parser.add_argument("--epochs", type=int, default=argparse.SUPPRESS)
     parser.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)

@@ -12,12 +12,14 @@ layers. gamma only shifts the effective threshold, so no gradient flows
 through it; that shift is what lets a layer react to the rest of the
 network without any backward pass.
 
-A schedule is a list of stages, each the layers its batches update
-(:func:`schedule_stages`), and :func:`train` runs every stage for the full
-epoch budget through one batch loop: ``layerwise`` is ``[[0], [1], ...]``,
-one layer at a time, and ``alternating`` is ``[[0, ..., depth-1]]``, every
-layer on every batch. Inference scores the sample linked with each
-candidate label, sums goodness over a layer mask, and votes by the largest sum.
+:func:`fit` is the one training loop, of :func:`train` and of the backprop
+baselines alike; a method gives it only its stages, batches and batch step.
+For :func:`train` a schedule is a list of stages, each the layers its
+batches update (:func:`schedule_stages`), run for the full epoch budget
+each: ``layerwise`` is ``[[0], [1], ...]``, one layer at a time, and
+``alternating`` is ``[[0, ..., depth-1]]``, every layer on every batch.
+Inference scores the sample linked with each candidate label, sums goodness
+over a layer mask, and votes by the largest sum.
 
 Neither training nor evaluation builds linked inputs. The first layer's
 pre-activation of a sample ``x`` linked with label ``y`` is
@@ -33,7 +35,8 @@ reductions of the goodness tensor of :func:`label_goodness_scores`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy.special import expit
@@ -263,7 +266,9 @@ class _EpochStats:
         self.n_pos = np.zeros(depth, dtype=np.int64)
         self.n_neg = np.zeros(depth, dtype=np.int64)
 
-    def record(self, layer: int, loss: float, g: np.ndarray, polarity: np.ndarray):
+    def record(self, layer: int, loss: float, g=None, polarity=None):
+        """Add one batch's loss and goodness; without ``g`` the layer's
+        goodness means are nan."""
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"non-finite loss at layer {layer + 1} in epoch {self.epoch}; "
@@ -271,6 +276,9 @@ class _EpochStats:
             )
         self.loss_sum[layer] += loss
         self.batches[layer] += 1
+        if g is None:
+            self.good_pos[layer] = self.good_neg[layer] = np.nan
+            return
         pos = polarity > 0
         self.good_pos[layer] += g[pos].sum()
         self.good_neg[layer] += g[~pos].sum()
@@ -301,50 +309,75 @@ def schedule_stages(schedule: str, depth: int) -> list[list[int]]:
     raise ConfigError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
 
 
+def fit(
+    net: MlpNetwork,
+    cfg: FfConfig,
+    stages: list[list[int]],
+    batches: Callable[[np.random.Generator], Iterable],
+    step: Callable[[object, list[int], _EpochStats], list[tuple]],
+    loss_kind: str,
+    on_epoch: Optional[Callable[[int, MlpNetwork], None]] = None,
+) -> tuple[MlpNetwork, list[dict]]:
+    """Run each stage's ``layers`` for ``cfg.epochs`` epochs of ``batches(rng)``.
+
+    ``rng`` is seeded with ``cfg.seed``. ``step(batch, layers, stats)``
+    records the batch's losses in ``stats``, which rejects a non-finite one,
+    and returns ``(layer, grad_w, grad_b)`` updates computed from the
+    pre-batch parameters, which Adam applies in order; ``[]`` skips the
+    batch. Each epoch adds its ``loss_kind`` history rows, then calls
+    ``on_epoch(stage * epochs + epoch, net)``.
+    """
+    rng = make_rng(cfg.seed)
+    states = make_adam_states(net, cfg.learning_rate)
+    history: list[dict] = []
+    for stage, layers in enumerate(stages):
+        for epoch in range(1, cfg.epochs + 1):
+            stats = _EpochStats(net.depth, epoch)
+            for batch in batches(rng):
+                for i, grad_w, grad_b in step(batch, layers, stats):
+                    apply_adam_update(net, i, grad_w, grad_b, states)
+            history.extend(stats.rows(loss_kind, layers))
+            if on_epoch is not None:
+                on_epoch(stage * cfg.epochs + epoch, net)
+    return net, history
+
+
 def train(
     net: MlpNetwork,
     ds: Dataset,
     cfg: FfConfig,
     on_epoch: Optional[Callable[[int, MlpNetwork], None]] = None,
 ) -> tuple[MlpNetwork, list[dict]]:
-    """Run the stages of ``cfg.schedule`` in order, each for ``cfg.epochs`` epochs.
+    """:func:`fit` the stages of ``cfg.schedule`` on linked batches.
 
     A batch takes one forward pass on the pre-batch parameters, and every
     staged layer's gamma and gradient come from that trace. Layers outside
     the stage stay frozen but still feed gamma: the predecessors under
     ``predecessors_only``, all other layers under ``all_other_layers``. The
-    callback receives a global epoch counter (stage * epochs + epoch). The
     entropy objective skips a batch with fewer than 2 rows of one polarity
     (a trailing one-sample batch).
     """
-    rng = make_rng(cfg.seed)
-    states = make_adam_states(net, cfg.learning_rate)
     depth = net.depth
-    history: list[dict] = []
-    for stage, layers in enumerate(schedule_stages(cfg.schedule, depth)):
+
+    def step(batch: LinkedBatch, layers: list[int], stats: _EpochStats):
+        pos = batch.polarity > 0
+        if cfg.loss_kind == "entropy" and min(pos.sum(), (~pos).sum()) < 2:
+            return []
         # Successor activations are only needed when they feed gamma.
         upto = depth if cfg.gamma_mode == "all_other_layers" else layers[-1] + 1
-        for epoch in range(1, cfg.epochs + 1):
-            stats = _EpochStats(depth, epoch)
-            for batch in make_linked_batches(
-                ds, rng, cfg.batch_size, cfg.negatives_per_positive
-            ):
-                pos = batch.polarity > 0
-                if cfg.loss_kind == "entropy" and min(pos.sum(), (~pos).sum()) < 2:
-                    continue
-                trace = forward_pass(
-                    net, batch.images, upto, linked_labels=batch.linked_labels
-                )
-                table = goodness_table(trace)
-                steps = [_layer_step(net, trace, table, i, cfg, batch) for i in layers]
-                for i, (loss, _) in zip(layers, steps):
-                    stats.record(i, loss, table[:, i], batch.polarity)
-                for i, (_, (grad_w, grad_b)) in zip(layers, steps):
-                    apply_adam_update(net, i, grad_w, grad_b, states)
-            history.extend(stats.rows(cfg.loss_kind, layers))
-            if on_epoch is not None:
-                on_epoch(stage * cfg.epochs + epoch, net)
-    return net, history
+        trace = forward_pass(net, batch.images, upto, linked_labels=batch.linked_labels)
+        table = goodness_table(trace)
+        steps = [_layer_step(net, trace, table, i, cfg, batch) for i in layers]
+        for i, (loss, _) in zip(layers, steps):
+            stats.record(i, loss, table[:, i], batch.polarity)
+        return [(i, grad_w, grad_b) for i, (_, (grad_w, grad_b)) in zip(layers, steps)]
+
+    batches = partial(
+        make_linked_batches, ds, batch_size=cfg.batch_size,
+        negatives_per_positive=cfg.negatives_per_positive,
+    )
+    stages = schedule_stages(cfg.schedule, depth)
+    return fit(net, cfg, stages, batches, step, cfg.loss_kind, on_epoch)
 
 
 def checked_layers(mask, depth: int) -> list[int]:

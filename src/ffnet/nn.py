@@ -27,7 +27,7 @@ training and an update allocates only two cache-sized scratch blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +39,11 @@ from .linalg import NORM_EPSILON, as_matrix, l2_row_normalize, relu
 # arrays (768 KB) stay in a core's L2 while the update's operations pass
 # over them, instead of streaming whole parameter arrays once per operation.
 ADAM_BLOCK = 16384
+
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -127,7 +132,6 @@ def forward_pass(
     upto: int | None = None,
     normalize: bool = True,
     final_linear: bool = False,
-    epsilon: float = NORM_EPSILON,
     linked_labels=None,
 ) -> ForwardTrace:
     """Run the first ``upto`` layers (all by default).
@@ -157,9 +161,7 @@ def forward_pass(
     else:
         first = net.layers[0]
         first_pre = batch @ first.weights + first.biases
-    return forward_from_pre(
-        net, first_pre, upto, normalize, final_linear, epsilon, inputs=batch
-    )
+    return forward_from_pre(net, first_pre, upto, normalize, final_linear, inputs=batch)
 
 
 def first_layer_factors(net: MlpNetwork, n_pixels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +189,6 @@ def forward_from_pre(
     upto: int | None = None,
     normalize: bool = True,
     final_linear: bool = False,
-    epsilon: float = NORM_EPSILON,
     inputs: np.ndarray | None = None,
 ) -> ForwardTrace:
     """:func:`forward_pass` from the first layer's pre-activation ``first_pre``.
@@ -216,7 +217,7 @@ def forward_from_pre(
         is_linear_output = final_linear and i == depth - 1
         act = pre if is_linear_output else relu(pre)
         if normalize and not is_linear_output:
-            normed = l2_row_normalize(act, epsilon)
+            normed = l2_row_normalize(act)
         else:
             normed = act
         trace.pre.append(pre)
@@ -311,7 +312,6 @@ def full_backprop_grad(
     normalize: bool = True,
     final_linear: bool = False,
     trace: ForwardTrace | None = None,
-    epsilon: float = NORM_EPSILON,
     linked_labels=None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact chain-rule gradients for every layer.
@@ -319,7 +319,8 @@ def full_backprop_grad(
     ``output_grad`` is the loss derivative w.r.t. the last layer's activities
     (its logits in ``final_linear`` mode). Returns one (grad_w, grad_b) pair
     per layer, first layer first. Pass a precomputed ``trace`` from
-    :func:`forward_pass` with matching flags to skip the forward recompute.
+    :func:`forward_pass` of ``batch``, with matching flags, to skip the
+    forward recompute; a trace of any other input is rejected.
 
     With ``linked_labels``, ``batch`` holds each sample's pixels once, as in
     :func:`forward_pass`, and layer 1's gradient takes the label-factored
@@ -329,8 +330,10 @@ def full_backprop_grad(
     if trace is None:
         trace = forward_pass(
             net, batch, normalize=normalize, final_linear=final_linear,
-            epsilon=epsilon, linked_labels=linked_labels,
+            linked_labels=linked_labels,
         )
+    elif not (batch is trace.inputs or np.array_equal(batch, trace.inputs)):
+        raise ShapeError("batch is not the input of the given trace")
     depth = net.depth
     if trace.depth != depth:
         raise ShapeError(f"trace depth {trace.depth} != network depth {depth}")
@@ -358,7 +361,7 @@ def full_backprop_grad(
         if i > 0:
             d_carry = d_pre @ net.layers[i].weights.T
             if normalize:
-                d_act = l2_row_normalize_vjp(trace.act[i - 1], d_carry, epsilon)
+                d_act = l2_row_normalize_vjp(trace.act[i - 1], d_carry)
             else:
                 d_act = d_carry
     return grads
@@ -372,9 +375,6 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def for_param(cls, param: np.ndarray, learning_rate: float = 0.001) -> "AdamState":
@@ -385,14 +385,9 @@ class AdamState:
         )
 
     def copy(self) -> "AdamState":
-        return AdamState(
-            self.first_moment.copy(),
-            self.second_moment.copy(),
-            self.step_count,
-            self.learning_rate,
-            self.beta1,
-            self.beta2,
-            self.epsilon,
+        return replace(
+            self, first_moment=self.first_moment.copy(),
+            second_moment=self.second_moment.copy(),
         )
 
 
@@ -407,8 +402,9 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         param - (lr*(m/c1)) / (sqrt(v/c2) + eps)
 
-    with c1 = 1 - b1**t and c2 = 1 - b2**t, so the result is bitwise that
-    of the allocating form. All shapes are checked before any state changes.
+    with b1, b2, eps = :data:`ADAM_BETA1`, :data:`ADAM_BETA2`, :data:`ADAM_EPSILON`,
+    c1 = 1 - b1**t and c2 = 1 - b2**t, so the result is bitwise that of the
+    allocating form. All shapes are checked before any state changes.
     """
     m, v = state.first_moment, state.second_moment
     if not param.shape == grad.shape == m.shape == v.shape:
@@ -418,7 +414,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
         )
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     row_size = int(np.prod(param.shape[1:]))
     block_rows = max(1, ADAM_BLOCK // max(row_size, 1))
@@ -437,7 +433,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
         v_rows += denom
         np.divide(v_rows, c2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.epsilon
+        denom += ADAM_EPSILON
         np.divide(m_rows, c1, out=upd)
         upd *= state.learning_rate
         upd /= denom

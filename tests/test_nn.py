@@ -228,14 +228,29 @@ class TestFullBackprop:
             numeric.append(fd_grad(loss, layer.biases))
         assert agreement(analytic, numeric) >= 0.99
 
+    def test_trace_of_another_batch_rejected(self, rng):
+        net = random_net([6, 4, 3], seed=9)
+        x = random_batch(rng, 5, 6)
+        trace = forward_pass(net, x)
+        out_coeffs = np.ones((5, 3))
+        with pytest.raises(ShapeError, match="batch is not the input of the given trace"):
+            full_backprop_grad(net, np.zeros((2, 99)), out_coeffs, trace=trace)
+        with pytest.raises(ShapeError, match="batch is not the input of the given trace"):
+            full_backprop_grad(net, x + 1.0, out_coeffs, trace=trace)
+        recomputed = full_backprop_grad(net, x, out_coeffs)
+        for given in (x, x.copy()):
+            traced = full_backprop_grad(net, given, out_coeffs, trace=trace)
+            for (gw, gb), (rw, rb) in zip(traced, recomputed):
+                assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+
 
 def adam_reference(param, m, v, grad, t, st):
     """The allocating Adam formula: (param, first moment, second moment)."""
-    m = st.beta1 * m + (1.0 - st.beta1) * grad
-    v = st.beta2 * v + (1.0 - st.beta2) * grad * grad
-    m_hat = m / (1.0 - st.beta1**t)
-    v_hat = v / (1.0 - st.beta2**t)
-    return param - st.learning_rate * m_hat / (np.sqrt(v_hat) + st.epsilon), m, v
+    m = nn.ADAM_BETA1 * m + (1.0 - nn.ADAM_BETA1) * grad
+    v = nn.ADAM_BETA2 * v + (1.0 - nn.ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - nn.ADAM_BETA1**t)
+    v_hat = v / (1.0 - nn.ADAM_BETA2**t)
+    return param - st.learning_rate * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPSILON), m, v
 
 
 class TestAdam:
@@ -251,7 +266,7 @@ class TestAdam:
         grad = np.array([[0.5, -3.0], [1e-3, 0.0]])
         state = AdamState.for_param(param, learning_rate=0.001)
         out = adam_step(param, grad, state)
-        expected = -0.001 * grad / (np.abs(grad) + state.epsilon)
+        expected = -0.001 * grad / (np.abs(grad) + nn.ADAM_EPSILON)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_identical_calls_on_state_copies_agree(self, rng):
