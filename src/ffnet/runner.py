@@ -180,19 +180,31 @@ def git_describe() -> Optional[str]:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def _voting_layers(method: str, depth: int) -> list[int]:
-    """Layers whose goodness votes: the last alone for the pairwise baseline."""
-    return [depth - 1] if method == "bp_pairwise" else list(range(depth))
+def _last_epoch(cfg: RunConfig, depth: int) -> int:
+    """A resolved run's last epoch counter: ``epochs`` per stage of the schedule
+    for the forward-forward methods."""
+    if cfg.method not in FF_METHODS:
+        return cfg.epochs
+    return len(ff.schedule_stages(cfg.schedule, depth)) * cfg.epochs
 
 
-def _last_epoch(config: dict, depth: int) -> int:
-    """A run's last epoch counter from its config: ``epochs`` per stage of the
-    schedule (the method's default if absent) for the forward-forward methods."""
-    method, epochs = config.get("method", "ff"), config.get("epochs", 0)
-    if method not in FF_METHODS:
-        return epochs
-    schedule = config.get("schedule") or _METHOD_SCHEDULE[method]
-    return len(ff.schedule_stages(schedule, depth)) * epochs
+def _scores(net: MlpNetwork, cfg: RunConfig, images) -> np.ndarray:
+    """What ``net`` scores ``images`` by: the (n, labels, layers) goodness
+    tensor, or the (n, labels) logits of the classic baseline."""
+    if cfg.method == "bp_classic":
+        return baselines.classic_logits(net, images, cfg.classic_normalize)
+    return ff.label_goodness_scores(net, images)
+
+
+def _error(scores: np.ndarray, labels, method: str) -> float:
+    """Misclassified fraction under :func:`_scores`: the argmax of the logits
+    for ``bp_classic``, else a goodness vote over every layer, or over the
+    last alone for ``bp_pairwise``."""
+    if method == "bp_classic":
+        return float(np.mean(np.argmax(scores, axis=1) != labels))
+    depth = scores.shape[2]
+    layers = [depth - 1] if method == "bp_pairwise" else range(depth)
+    return ff.voting_error(scores, labels, layers)
 
 
 def _entropy_rows(epoch: int, positive: np.ndarray, negative: np.ndarray) -> list[dict]:
@@ -210,9 +222,10 @@ def _test_history_rows(
     ff_cfg = cfg.ff_config()
     table = np.vstack([positive, negative])
     polarity = np.concatenate([np.ones(len(positive)), -np.ones(len(negative))])
+    depth = table.shape[1]
     pairwise = cfg.method == "bp_pairwise"
-    layers = _voting_layers(cfg.method, table.shape[1])
-    stats = ff._EpochStats(table.shape[1], epoch)
+    layers = [depth - 1] if pairwise else list(range(depth))
+    stats = ff._EpochStats(depth, epoch)
     for i in layers:
         gamma = ff.compute_gamma(table, i, "none" if pairwise else ff_cfg.gamma_mode)
         loss, _ = ff.descent_loss(table[:, i], gamma, ff_cfg, polarity)
@@ -230,10 +243,11 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     A snapshot (an ``errors.csv`` row and, for the goodness methods, three
     ``entropy.csv`` rows and the test rows of ``history.csv``) is taken every
     ``eval_every`` epochs during training and once after it, at the last
-    epoch. For the goodness methods the final network is scored once: one
-    goodness tensor over the test split gives the final test error, and the
-    last snapshot gathers the evaluation sample's rows from it, as
-    ``ffnet eval`` does.
+    epoch, from the evaluation sample's scores (:func:`_scores`: goodness
+    tensor or classic logits). The final network is scored once, over the
+    test split: those scores give the final test error, and the last
+    snapshot gathers the evaluation sample's rows from them, as ``ffnet
+    eval`` does.
     """
     cfg = cfg.resolved()
     expected = _input_width(cfg.method, train_ds.d)
@@ -253,39 +267,28 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     started = time.monotonic()
     net = init_network(cfg.layer_dims, make_rng(cfg.seed))
     idx, eval_labels, eval_wrong = draw_eval_sample(test_ds, cfg.entropy_eval_n, cfg.seed)
-    eval_ds = Dataset(test_ds.images[idx], eval_labels, test_ds.name, test_ds.split)
+    eval_images = test_ds.images[idx]
     entropy_rows: list[dict] = []
     error_rows: list[dict] = []
     test_rows: list[dict] = []
-    track_entropy = cfg.method != "bp_classic"
 
-    def snapshot(
-        epoch: int, current: MlpNetwork, scores: Optional[np.ndarray] = None
-    ) -> None:
-        """``scores``, when given, are the evaluation sample's rows of the
-        goodness tensor; otherwise they are computed here."""
-        if track_entropy:
-            if scores is None:
-                scores = ff.label_goodness_scores(current, eval_ds.images)
+    def snapshot(epoch: int, scores: np.ndarray) -> None:
+        """Record the snapshot of ``epoch`` from the evaluation sample's scores."""
+        if cfg.method in LINKED_METHODS:
             positive = ff.linked_goodness(scores, eval_labels)
             negative = ff.linked_goodness(scores, eval_wrong)
             entropy_rows.extend(_entropy_rows(epoch, positive, negative))
             test_rows.extend(_test_history_rows(positive, negative, cfg, epoch))
-            layers = _voting_layers(cfg.method, current.depth)
-            error = ff.voting_error(scores, eval_labels, layers)
-        else:
-            error = baselines.classic_test_error(
-                current, eval_ds, cfg.classic_normalize
-            )
+        error = _error(scores, eval_labels, cfg.method)
         error_rows.append({"epoch": epoch, "split": "test", "error": error})
 
     ff_cfg = cfg.ff_config()
-    total_epochs = _last_epoch(resolved, net.depth)
+    total_epochs = _last_epoch(cfg, net.depth)
 
     def on_epoch(epoch: int, current: MlpNetwork) -> None:
         # The last epoch's snapshot is taken after training, from the final pass.
         if epoch % cfg.eval_every == 0 and epoch < total_epochs:
-            snapshot(epoch, current)
+            snapshot(epoch, _scores(current, cfg, eval_images))
 
     if cfg.method in FF_METHODS:
         net, history = ff.train(net, train_ds, ff_cfg, on_epoch)
@@ -295,19 +298,14 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
         net, history = baselines.train_classic(
             net, train_ds, ff_cfg, cfg.classic_normalize, on_epoch
         )
-    if track_entropy:
-        scores = ff.label_goodness_scores(net, test_ds.images)
-        layers = _voting_layers(cfg.method, net.depth)
-        final_error = ff.voting_error(scores, test_ds.labels, layers)
-        snapshot(total_epochs, net, scores[idx])
-    else:
-        final_error = baselines.classic_test_error(net, test_ds, cfg.classic_normalize)
-        snapshot(total_epochs, net)
+    scores = _scores(net, cfg, test_ds.images)
+    final_error = _error(scores, test_ds.labels, cfg.method)
+    snapshot(total_epochs, scores[idx])
 
     wall_time = time.monotonic() - started
     save_checkpoint(out_dir / "checkpoint.npz", net, resolved)
     write_csv(out_dir / "history.csv", HISTORY_FIELDS, history + test_rows)
-    if track_entropy:
+    if cfg.method in LINKED_METHODS:
         write_entropy_csv(out_dir / "entropy.csv", entropy_rows, net.depth)
     write_csv(out_dir / "errors.csv", ["epoch", "split", "error"], error_rows)
     summary = {
@@ -338,44 +336,43 @@ def evaluate_checkpoint(
 ) -> dict:
     """Re-evaluate a stored model: test error, subset reports, entropy.
 
-    For goodness-voting methods all three are reductions of one goodness
-    tensor over the test split; the entropy tables gather the rows of the
-    seeded evaluation sample that the run's snapshots used.
+    The checkpoint's config is resolved as a :class:`RunConfig`, so a field it
+    lacks takes the default a run would have used. The final network is
+    scored once over the test split (:func:`_scores`), as ``ffnet train``
+    scores it; the test error reduces those scores. For the goodness methods
+    the subset and marginal reports reduce the same goodness tensor, and the
+    entropy report gathers the rows of the seeded evaluation sample that the
+    run's snapshots used.
     """
     from .analysis import default_subset_family, marginal_contributions, subset_errors
 
     net, config, stored_hash = load_checkpoint(checkpoint_path)
-    method = config.get("method", "ff")
-    name = dataset or config.get("dataset")
-    if name is None:
+    if dataset is None and "dataset" not in config:
         raise ConfigError("no dataset given and none recorded in the checkpoint")
-    test_ds = load_dataset(name, "test", data_dir or config.get("data_dir"))
-    expected = _input_width(method, test_ds.d)
+    cfg = RunConfig.from_dict(config).resolved()
+    if subsets is not None and cfg.method not in LINKED_METHODS:
+        raise ConfigError("layer subsets are undefined for the classic baseline")
+    name = dataset or cfg.dataset
+    test_ds = load_dataset(name, "test", data_dir or cfg.data_dir)
+    expected = _input_width(cfg.method, test_ds.d)
     if net.input_dim != expected:
         raise CheckpointError(
             f"checkpoint expects {net.input_dim}-dim inputs but {name} "
-            f"{method} inputs are {expected}-dim"
+            f"{cfg.method} inputs are {expected}-dim"
         )
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    scores = _scores(net, cfg, test_ds.images)
     summary = {
         "checkpoint": str(checkpoint_path),
         "dataset": name,
-        "method": method,
+        "method": cfg.method,
         "config_hash": stored_hash,
         "n_test": test_ds.n,
+        "test_error": _error(scores, test_ds.labels, cfg.method),
     }
-    if method == "bp_classic":
-        if subsets is not None:
-            raise ConfigError("layer subsets are undefined for the classic baseline")
-        summary["test_error"] = baselines.classic_test_error(
-            net, test_ds, config.get("classic_normalize", False)
-        )
-    else:
-        scores = ff.label_goodness_scores(net, test_ds.images)
-        layers = _voting_layers(method, net.depth)
-        summary["test_error"] = ff.voting_error(scores, test_ds.labels, layers)
+    if cfg.method in LINKED_METHODS:
         family = list(subsets) if subsets is not None else default_subset_family(net.depth)
         report = subset_errors(scores, test_ds.labels, family)
         write_subsets_csv(out_dir / "subsets.csv", report)
@@ -384,12 +381,10 @@ def evaluate_checkpoint(
             write_marginals_csv(out_dir / "marginals.csv", marginals)
         except ConfigError:
             pass  # requested family lacks the leave-one-out sets
-        idx, labels, wrong = draw_eval_sample(
-            test_ds, config.get("entropy_eval_n", 2000), config.get("seed", 0)
-        )
+        idx, labels, wrong = draw_eval_sample(test_ds, cfg.entropy_eval_n, cfg.seed)
         sample = scores[idx]
         rows = _entropy_rows(
-            _last_epoch(config, net.depth),
+            _last_epoch(cfg, net.depth),
             ff.linked_goodness(sample, labels),
             ff.linked_goodness(sample, wrong),
         )

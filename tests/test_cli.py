@@ -235,6 +235,31 @@ class TestEvalCommand:
         assert rc == 1
         assert "classic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("change", "message"),
+        [
+            ({"bogus": 1}, "unknown config fields: ['bogus']"),
+            ({"epochs": "2"}, "config field epochs has the wrong type: '2'"),
+        ],
+        ids=["unknown_field", "wrong_type"],
+    )
+    def test_checkpoint_config_that_is_not_a_run_config_is_a_one_line_error(
+        self, data_dir, trained_run, tmp_path, capsys, change, message
+    ):
+        from ffnet.checkpoint import load_checkpoint, save_checkpoint
+
+        net, config, _ = load_checkpoint(trained_run / "checkpoint.npz")
+        checkpoint = tmp_path / "edited.npz"
+        save_checkpoint(checkpoint, net, {**config, **change})
+        out = tmp_path / "eval"
+        rc = main(
+            ["eval", str(checkpoint), "--output-dir", str(out),
+             "--data-dir", str(data_dir)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
 
 class TestMultiSeed:
     def test_seeds_flag_aggregates_mean_and_std(self, data_dir, tmp_path):

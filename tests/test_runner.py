@@ -11,7 +11,6 @@ from ffnet.ff import FfConfig, train
 from ffnet.linalg import make_rng
 from ffnet.nn import init_network, l2_row_normalize_vjp
 from ffnet.runner import (
-    LINKED_METHODS,
     METHODS,
     RunConfig,
     evaluate_checkpoint,
@@ -159,25 +158,31 @@ def _read_rows(path) -> list[dict]:
 
 class TestFinalNetworkScoredOnce:
     """The final network is scored once, over the test split; the last
-    snapshot and the final test error both reduce that one tensor."""
+    snapshot and the final test error both reduce that one score array
+    (the goodness tensor, or the classic baseline's logits)."""
 
     @pytest.mark.parametrize("eval_every", [1, 3])
-    @pytest.mark.parametrize("method", LINKED_METHODS)
+    @pytest.mark.parametrize("method", METHODS)
     def test_one_scoring_pass_per_snapshot(
         self, tiny_data, tmp_path, monkeypatch, method, eval_every
     ):
         train_ds, test_ds = tiny_data
-        score = runner.ff.label_goodness_scores
+        module, name = (
+            (runner.baselines, "classic_logits") if method == "bp_classic"
+            else (runner.ff, "label_goodness_scores")
+        )
+        score = getattr(module, name)
         scored_rows = []
 
         def spy(net, images, *args, **kwargs):
             scored_rows.append(len(images))
             return score(net, images, *args, **kwargs)
 
-        monkeypatch.setattr(runner.ff, "label_goodness_scores", spy)
+        monkeypatch.setattr(module, name, spy)
+        dims = [24, 12, 8, 10] if method == "bp_classic" else [34, 12, 8, 6]
         cfg = RunConfig(
             dataset="synthetic", method=method, theta=4.0, epochs=2,
-            batch_size=50, seed=1, layer_dims=[34, 12, 8, 6],
+            batch_size=50, seed=1, layer_dims=dims,
             output_dir=str(tmp_path), entropy_eval_n=60, eval_every=eval_every,
         )
         run_training(cfg, train_ds, test_ds)
@@ -194,9 +199,10 @@ class TestFinalNetworkScoredOnce:
         """A 2-epoch run of a 3-layer net on the tiny MNIST stand-in, then
         ``ffnet eval`` of its checkpoint; returns both summaries."""
         run_dir = tmp_path / "run"
+        dims = [784, 12, 8, 10] if method == "bp_classic" else [794, 12, 8, 6]
         cfg = RunConfig(
             dataset="mnist", method=method, schedule=schedule, theta=4.0, epochs=2,
-            batch_size=40, seed=3, layer_dims=[794, 12, 8, 6],
+            batch_size=40, seed=3, layer_dims=dims,
             output_dir=str(run_dir), entropy_eval_n=60, eval_every=1,
             data_dir=str(data_dir), train_subset=120,
         )
@@ -204,7 +210,7 @@ class TestFinalNetworkScoredOnce:
         eval_summary = evaluate_checkpoint(run_dir / "checkpoint.npz", tmp_path / "eval")
         return cfg, summary, eval_summary
 
-    @pytest.mark.parametrize("method", LINKED_METHODS)
+    @pytest.mark.parametrize("method", METHODS)
     def test_last_snapshot_matches_eval_of_the_checkpoint(
         self, data_dir, tmp_path, method
     ):
@@ -212,6 +218,9 @@ class TestFinalNetworkScoredOnce:
         assert summary["final_test_error"] == eval_summary["test_error"]
         # The evaluation sample is half the test split, so the rows are gathered.
         assert cfg.entropy_eval_n < eval_summary["n_test"]
+        if method == "bp_classic":
+            assert not (tmp_path / "eval" / "entropy_report.csv").exists()
+            return
         snapshot = _read_rows(tmp_path / "run" / "entropy.csv")[-3:]
         report = _read_rows(tmp_path / "eval" / "entropy_report.csv")
         # Whole rows, epoch included: a layerwise run ends at epoch depth x epochs.
