@@ -81,6 +81,7 @@ class RunConfig:
             out.gamma_mode = _METHOD_GAMMA.get(self.method, "none")
         if out.schedule is None:
             out.schedule = _METHOD_SCHEDULE.get(self.method, "layerwise")
+        _reject_ignored_settings(out)
         d = DATASET_DIMS.get(self.dataset)
         if d is None and out.layer_dims is None:
             # Custom datasets (synthetic, tests) must spell the dims out.
@@ -96,6 +97,11 @@ class RunConfig:
             out.layer_dims = tuple(dims)
         else:
             out.layer_dims = tuple(int(v) for v in out.layer_dims)
+            if len(out.layer_dims) < 2 or min(out.layer_dims) <= 0:
+                raise ConfigError(
+                    "layer_dims needs at least 2 entries, all positive, "
+                    f"got {list(out.layer_dims)}"
+                )
             if expected_input is not None and out.layer_dims[0] != expected_input:
                 raise ConfigError(
                     f"layer_dims[0] must be {expected_input} for "
@@ -148,6 +154,25 @@ class RunConfig:
             if not _has_type(value, hints[name]):
                 raise ConfigError(f"config field {name} has the wrong type: {value!r}")
         return cls(**data)
+
+
+def _reject_ignored_settings(cfg: RunConfig) -> None:
+    """Reject a setting that ``cfg.method`` would record but never use."""
+    if cfg.classic_normalize and cfg.method != "bp_classic":
+        raise ConfigError(f"{cfg.method} ignores classic_normalize; it is for bp_classic")
+    if cfg.method in FF_METHODS:
+        return
+    for name, only in (("gamma_mode", "none"), ("schedule", "layerwise")):
+        if getattr(cfg, name) != only:
+            raise ConfigError(
+                f"{cfg.method} ignores {name}; it must be {only!r}, "
+                f"got {getattr(cfg, name)!r}"
+            )
+    if cfg.method == "bp_classic" and cfg.negatives_per_positive != 1:
+        raise ConfigError(
+            "bp_classic ignores negatives_per_positive; it must be 1, "
+            f"got {cfg.negatives_per_positive}"
+        )
 
 
 def _has_type(value, hint) -> bool:

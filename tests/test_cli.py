@@ -111,6 +111,32 @@ class TestTrainCommand:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("source", "dims"),
+        [("flag", ""), ("config", []), ("config", [794]), ("flag", "794,0,12")],
+        ids=["empty_flag", "empty_config", "one_entry", "zero_width"],
+    )
+    def test_short_or_empty_layer_dims_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys, source, dims
+    ):
+        out = tmp_path / "dims"
+        args = ["train", "--method", "ff", "--dataset", "mnist",
+                "--data-dir", str(data_dir), "--output-dir", str(out)]
+        if source == "flag":
+            args += ["--layer-dims", dims]
+            shown = [int(v) for v in dims.split(",") if v]
+        else:
+            config_file = tmp_path / "dims.json"
+            config_file.write_text(json.dumps({"layer_dims": dims}))
+            args += ["--config", str(config_file)]
+            shown = dims
+        rc = main(args)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: layer_dims needs at least 2 entries, all positive, got {shown}"
+        ]
+        assert not (out / "config.json").exists()
+
     def test_unknown_method_is_usage_error(self, data_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--method", "nonsense"])

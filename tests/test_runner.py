@@ -53,6 +53,43 @@ class TestRunConfig:
             RunConfig(dataset="mnist", method="sgd").resolved()
 
 
+    @pytest.mark.parametrize(
+        ("method", "field", "value"),
+        [
+            ("bp_pairwise", "gamma_mode", "all_other_layers"),
+            ("bp_classic", "gamma_mode", "predecessors_only"),
+            ("bp_pairwise", "schedule", "alternating"),
+            ("bp_classic", "schedule", "alternating"),
+            ("bp_classic", "negatives_per_positive", 2),
+            ("ff", "classic_normalize", True),
+            ("bp_pairwise", "classic_normalize", True),
+        ],
+    )
+    def test_settings_the_method_ignores_rejected(self, method, field, value):
+        cfg = RunConfig(dataset="mnist", method=method, **{field: value})
+        with pytest.raises(ConfigError, match=f"^{method} ignores {field};"):
+            cfg.resolved()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_settings_the_method_uses_accepted(self, method):
+        setting = {
+            "bp_classic": {"classic_normalize": True},
+            "bp_pairwise": {"negatives_per_positive": 2},
+        }.get(method, {"schedule": "alternating", "gamma_mode": "predecessors_only"})
+        RunConfig(dataset="mnist", method=method, **setting).resolved()
+
+    @pytest.mark.parametrize("dims", [[], [22], [22, 0, 4], [22, 8, -1]])
+    def test_short_or_nonpositive_layer_dims_rejected(self, tiny_data, tmp_path, dims):
+        train_ds, test_ds = tiny_data
+        cfg = RunConfig(
+            dataset="synthetic", method="ff", layer_dims=dims,
+            output_dir=str(tmp_path / "run"), epochs=1,
+        )
+        with pytest.raises(ConfigError, match="at least 2 entries, all positive"):
+            run_training(cfg, train_ds, test_ds)
+        assert not (tmp_path / "run").exists()
+
+
 class TestGammaModeTrainingMatrix:
     """Every gamma mode trains under both schedules; offsets help."""
 
