@@ -324,21 +324,22 @@ def fit(
     records the batch's losses in ``stats``, which rejects a non-finite one,
     and returns ``(layer, grad_w, grad_b)`` updates computed from the
     pre-batch parameters, which Adam applies in order; ``[]`` skips the
-    batch. Each epoch adds its ``loss_kind`` history rows, then calls
-    ``on_epoch(stage * epochs + epoch, net)``.
+    batch. Epochs are counted across stages: the ``e``-th epoch of stage
+    ``s`` is epoch ``s * cfg.epochs + e``, which numbers its history rows,
+    its divergence message and its ``on_epoch(epoch, net)`` call.
     """
     rng = make_rng(cfg.seed)
     states = make_adam_states(net, cfg.learning_rate)
     history: list[dict] = []
     for stage, layers in enumerate(stages):
-        for epoch in range(1, cfg.epochs + 1):
+        for epoch in range(stage * cfg.epochs + 1, (stage + 1) * cfg.epochs + 1):
             stats = _EpochStats(net.depth, epoch)
             for batch in batches(rng):
                 for i, grad_w, grad_b in step(batch, layers, stats):
                     apply_adam_update(net, i, grad_w, grad_b, states)
             history.extend(stats.rows(loss_kind, layers))
             if on_epoch is not None:
-                on_epoch(stage * cfg.epochs + epoch, net)
+                on_epoch(epoch, net)
     return net, history
 
 
