@@ -374,7 +374,8 @@ def evaluate_checkpoint(
     net, config, stored_hash = load_checkpoint(checkpoint_path)
     if dataset is None and "dataset" not in config:
         raise ConfigError("no dataset given and none recorded in the checkpoint")
-    cfg = RunConfig.from_dict(config).resolved()
+    # A config without a dataset is resolved for the given one, not for mnist.
+    cfg = RunConfig.from_dict({"dataset": dataset, **config}).resolved()
     if subsets is not None and cfg.method not in LINKED_METHODS:
         raise ConfigError("layer subsets are undefined for the classic baseline")
     name = dataset or cfg.dataset

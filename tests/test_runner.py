@@ -17,7 +17,7 @@ from ffnet.runner import (
     run_from_paths,
     run_training,
 )
-from ffnet.synth import synthetic_pair
+from ffnet.synth import synthetic_dataset, synthetic_pair
 
 
 @pytest.fixture(scope="module")
@@ -77,17 +77,6 @@ class TestRunConfig:
             "bp_pairwise": {"negatives_per_positive": 2},
         }.get(method, {"schedule": "alternating", "gamma_mode": "predecessors_only"})
         RunConfig(dataset="mnist", method=method, **setting).resolved()
-
-    @pytest.mark.parametrize("dims", [[], [22], [22, 0, 4], [22, 8, -1]])
-    def test_short_or_nonpositive_layer_dims_rejected(self, tiny_data, tmp_path, dims):
-        train_ds, test_ds = tiny_data
-        cfg = RunConfig(
-            dataset="synthetic", method="ff", layer_dims=dims,
-            output_dir=str(tmp_path / "run"), epochs=1,
-        )
-        with pytest.raises(ConfigError, match="at least 2 entries, all positive"):
-            run_training(cfg, train_ds, test_ds)
-        assert not (tmp_path / "run").exists()
 
 
 class TestGammaModeTrainingMatrix:
@@ -283,6 +272,21 @@ class TestFinalNetworkScoredOnce:
         report = _read_rows(tmp_path / "eval" / "entropy_report.csv")
         assert [row["epoch"] for row in report] == ["6"] * 3
         assert snapshot == report
+
+    def test_checkpoint_without_a_dataset_is_resolved_for_the_given_one(
+        self, tmp_path, monkeypatch
+    ):
+        test_ds = synthetic_dataset(40, d=3072, seed=4, split="test", name="cifar10")
+        monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
+        checkpoint = tmp_path / "checkpoint.npz"
+        dims = [3082, 6, 5]
+        config = {"method": "ff", "epochs": 1, "layer_dims": dims, "entropy_eval_n": 20}
+        save_checkpoint(checkpoint, init_network(dims, make_rng(0)), config)
+        with pytest.raises(ConfigError, match="no dataset given"):
+            evaluate_checkpoint(checkpoint, tmp_path / "eval")
+        summary = evaluate_checkpoint(checkpoint, tmp_path / "eval", dataset="cifar10")
+        assert summary["dataset"] == "cifar10"
+        assert summary["n_test"] == 40
 
 
 class TestNormalizationBackwardEdgeCases:
