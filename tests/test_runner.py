@@ -52,7 +52,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="method"):
             RunConfig(dataset="mnist", method="sgd").resolved()
 
-
     @pytest.mark.parametrize(
         ("method", "field", "value"),
         [
