@@ -10,13 +10,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import statistics
 import sys
 from pathlib import Path
 
 from .analysis import parse_subset_label
 from .ff import GAMMA_MODES, SCHEDULES
 from .fetch import DATASETS, fetch_dataset
-from .runner import METHODS, RunConfig, evaluate_checkpoint, run_from_paths, run_sweep
+from .reports import write_json
+from .runner import METHODS, RunConfig, evaluate_checkpoint, run_from_paths
+from .runner import run_sweep, run_variants
 
 
 def _int_list(text: str) -> list[int]:
@@ -78,26 +81,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     seeds = getattr(args, "seeds", None)
     if seeds:
-        import statistics
-
-        base_dir = Path(cfg.resolved().output_dir)
-        errors = []
-        for seed in seeds:
-            sub = dataclasses.replace(
-                cfg, seed=seed, output_dir=str(base_dir / f"seed_{seed}")
-            )
-            summary = run_from_paths(sub)
-            errors.append(summary["final_test_error"])
-            print(f"seed {seed}: test error {summary['final_test_error']:.4f}")
+        _, summaries = run_variants(cfg, "seed", seeds, "seed_{}")
+        errors = [summary["final_test_error"] for summary in summaries]
+        for seed, error in zip(seeds, errors):
+            print(f"seed {seed}: test error {error:.4f}")
         aggregate = {
             "seeds": list(seeds),
             "per_seed_test_error": errors,
             "mean_test_error": statistics.fmean(errors),
-            "std_test_error": statistics.pstdev(errors) if len(errors) > 1 else 0.0,
+            "std_test_error": statistics.pstdev(errors),
         }
-        from .reports import write_json
-
-        write_json(base_dir / "summary.json", aggregate)
+        write_json(Path(cfg.output_dir) / "summary.json", aggregate)
         print(
             f"mean test error {aggregate['mean_test_error']:.4f} "
             f"+/- {aggregate['std_test_error']:.4f}"

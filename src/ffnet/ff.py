@@ -111,8 +111,12 @@ class FfConfig:
                 "the entropy objective needs 2 samples per batch, "
                 f"got batch_size {self.batch_size}"
             )
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.negatives_per_positive < 1:
             raise ConfigError(
                 f"negatives_per_positive must be >= 1, got {self.negatives_per_positive}"

@@ -36,20 +36,27 @@ from .reports import (
     write_subsets_csv,
 )
 
-METHODS = ("ff", "collab_ff", "entropy_ff", "bp_pairwise", "bp_classic")
-LINKED_METHODS = ("ff", "collab_ff", "entropy_ff", "bp_pairwise")
-FF_METHODS = ("ff", "collab_ff", "entropy_ff")
+
+# A method's row. linked: it scores the goodness of label-linked inputs, else the
+# logits of a label head. layer_local: it trains under gamma_mode and schedule (the
+# defaults here) and votes on every layer, else it is one backprop stage that votes
+# on and logs the last layer. loss_kind is its FfConfig.loss_kind.
+Method = collections.namedtuple("Method", "linked layer_local gamma_mode schedule loss_kind")
+METHOD_TABLE = {
+    "ff": Method(True, True, "none", "layerwise", "sigmoid_goodness"),
+    "collab_ff": Method(True, True, "all_other_layers", "alternating", "sigmoid_goodness"),
+    "entropy_ff": Method(True, True, "none", "layerwise", "entropy"),
+    "bp_pairwise": Method(True, False, "none", "layerwise", "sigmoid_goodness"),
+    "bp_classic": Method(False, False, "none", "layerwise", "sigmoid_goodness"),
+}
+METHODS = tuple(METHOD_TABLE)
 
 DEFAULT_HIDDEN = (500, 500, 500)
 
-# Per-method defaults applied when the field is left unset.
-_METHOD_GAMMA = {"ff": "none", "collab_ff": "all_other_layers", "entropy_ff": "none"}
-_METHOD_SCHEDULE = {"ff": "layerwise", "collab_ff": "alternating", "entropy_ff": "layerwise"}
 
-
-def _input_width(method: str, d: int) -> int:
-    """Network input width for ``d``-wide samples: the goodness methods link a label."""
-    return d + N_LABELS if method in LINKED_METHODS else d
+def _input_width(method: Method, d: int) -> int:
+    """Network input width for ``d``-wide samples: a linked method adds a label."""
+    return d + N_LABELS if method.linked else d
 
 
 @dataclass
@@ -77,10 +84,11 @@ class RunConfig:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         out = dataclasses.replace(self)
+        method = METHOD_TABLE[self.method]
         if out.gamma_mode is None:
-            out.gamma_mode = _METHOD_GAMMA.get(self.method, "none")
+            out.gamma_mode = method.gamma_mode
         if out.schedule is None:
-            out.schedule = _METHOD_SCHEDULE.get(self.method, "layerwise")
+            out.schedule = method.schedule
         _reject_ignored_settings(out)
         d = DATASET_DIMS.get(self.dataset)
         if d is None and out.layer_dims is None:
@@ -89,10 +97,10 @@ class RunConfig:
                 f"dataset {self.dataset!r} is not one of {sorted(DATASET_DIMS)}; "
                 "pass layer_dims explicitly"
             )
-        expected_input = None if d is None else _input_width(self.method, d)
+        expected_input = None if d is None else _input_width(method, d)
         if out.layer_dims is None:
             dims = [expected_input, *DEFAULT_HIDDEN]
-            if self.method == "bp_classic":
+            if not method.linked:
                 dims.append(N_LABELS)
             out.layer_dims = tuple(dims)
         else:
@@ -107,9 +115,9 @@ class RunConfig:
                     f"layer_dims[0] must be {expected_input} for "
                     f"{self.method} on {self.dataset}, got {out.layer_dims[0]}"
                 )
-            if self.method == "bp_classic" and out.layer_dims[-1] != N_LABELS:
+            if not method.linked and out.layer_dims[-1] != N_LABELS:
                 raise ConfigError(
-                    f"bp_classic needs a {N_LABELS}-wide head, got {out.layer_dims[-1]}"
+                    f"{self.method} needs a {N_LABELS}-wide head, got {out.layer_dims[-1]}"
                 )
         if out.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {out.eval_every}")
@@ -122,17 +130,11 @@ class RunConfig:
         return out
 
     def ff_config(self) -> ff.FfConfig:
-        return ff.FfConfig(
-            theta=self.theta,
-            gamma_mode=self.gamma_mode or "none",
-            schedule=self.schedule or "layerwise",
-            loss_kind="entropy" if self.method == "entropy_ff" else "sigmoid_goodness",
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-            negatives_per_positive=self.negatives_per_positive,
-        )
+        """The ``FfConfig`` fields of this config; the one it lacks, the loss
+        kind, comes from the method's row of :data:`METHOD_TABLE`."""
+        known = {**METHOD_TABLE[self.method]._asdict(), **vars(self)}
+        fields = dataclasses.fields(ff.FfConfig)
+        return ff.FfConfig(**{f.name: known[f.name] for f in fields})
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -158,21 +160,20 @@ class RunConfig:
 
 def _reject_ignored_settings(cfg: RunConfig) -> None:
     """Reject a setting that ``cfg.method`` would record but never use."""
-    if cfg.classic_normalize and cfg.method != "bp_classic":
-        raise ConfigError(f"{cfg.method} ignores classic_normalize; it is for bp_classic")
-    if cfg.method in FF_METHODS:
+    method = METHOD_TABLE[cfg.method]
+    if cfg.classic_normalize and method.linked:
+        raise ConfigError(f"{cfg.method} ignores classic_normalize; it needs a label head")
+    if method.layer_local:
         return
-    for name, only in (("gamma_mode", "none"), ("schedule", "layerwise")):
-        if getattr(cfg, name) != only:
+    only = {"gamma_mode": "none", "schedule": "layerwise"}
+    if not method.linked:
+        only["negatives_per_positive"] = 1
+    for name, value in only.items():
+        if getattr(cfg, name) != value:
             raise ConfigError(
-                f"{cfg.method} ignores {name}; it must be {only!r}, "
+                f"{cfg.method} ignores {name}; it must be {value!r}, "
                 f"got {getattr(cfg, name)!r}"
             )
-    if cfg.method == "bp_classic" and cfg.negatives_per_positive != 1:
-        raise ConfigError(
-            "bp_classic ignores negatives_per_positive; it must be 1, "
-            f"got {cfg.negatives_per_positive}"
-        )
 
 
 def _has_type(value, hint) -> bool:
@@ -207,29 +208,31 @@ def git_describe() -> Optional[str]:
 
 def _last_epoch(cfg: RunConfig, depth: int) -> int:
     """A resolved run's last epoch counter: ``epochs`` per stage of the schedule
-    for the forward-forward methods."""
-    if cfg.method not in FF_METHODS:
+    for a layer-local method."""
+    if not METHOD_TABLE[cfg.method].layer_local:
         return cfg.epochs
     return len(ff.schedule_stages(cfg.schedule, depth)) * cfg.epochs
 
 
 def _scores(net: MlpNetwork, cfg: RunConfig, images) -> np.ndarray:
     """What ``net`` scores ``images`` by: the (n, labels, layers) goodness
-    tensor, or the (n, labels) logits of the classic baseline."""
-    if cfg.method == "bp_classic":
-        return baselines.classic_logits(net, images, cfg.classic_normalize)
-    return ff.label_goodness_scores(net, images)
+    tensor of a linked method, or the (n, labels) logits of a label head."""
+    if METHOD_TABLE[cfg.method].linked:
+        return ff.label_goodness_scores(net, images)
+    return baselines.classic_logits(net, images, cfg.classic_normalize)
 
 
-def _error(scores: np.ndarray, labels, method: str) -> float:
+def _voting_layers(method: Method, depth: int) -> list[int]:
+    """The layers a goodness method votes on and logs test rows for."""
+    return list(range(depth)) if method.layer_local else [depth - 1]
+
+
+def _error(scores: np.ndarray, labels, method: Method) -> float:
     """Misclassified fraction under :func:`_scores`: the argmax of the logits
-    for ``bp_classic``, else a goodness vote over every layer, or over the
-    last alone for ``bp_pairwise``."""
-    if method == "bp_classic":
+    of a label head, else a goodness vote over :func:`_voting_layers`."""
+    if not method.linked:
         return float(np.mean(np.argmax(scores, axis=1) != labels))
-    depth = scores.shape[2]
-    layers = [depth - 1] if method == "bp_pairwise" else range(depth)
-    return ff.voting_error(scores, labels, layers)
+    return ff.voting_error(scores, labels, _voting_layers(method, scores.shape[2]))
 
 
 def _entropy_rows(epoch: int, positive: np.ndarray, negative: np.ndarray) -> list[dict]:
@@ -248,14 +251,15 @@ def _test_history_rows(
     table = np.vstack([positive, negative])
     polarity = np.concatenate([np.ones(len(positive)), -np.ones(len(negative))])
     depth = table.shape[1]
-    pairwise = cfg.method == "bp_pairwise"
-    layers = [depth - 1] if pairwise else list(range(depth))
+    method = METHOD_TABLE[cfg.method]
+    layers = _voting_layers(method, depth)
     stats = ff._EpochStats(depth, epoch)
     for i in layers:
-        gamma = ff.compute_gamma(table, i, "none" if pairwise else ff_cfg.gamma_mode)
+        gamma = ff.compute_gamma(table, i, ff_cfg.gamma_mode)
         loss, _ = ff.descent_loss(table[:, i], gamma, ff_cfg, polarity)
         stats.record(i, loss, table[:, i], polarity)
-    loss_kind = "bp_pairwise" if pairwise else ff_cfg.loss_kind
+    # A backprop stage labels its history rows with the method, as it trains.
+    loss_kind = ff_cfg.loss_kind if method.layer_local else cfg.method
     return stats.rows(loss_kind, layers, split="test")
 
 
@@ -275,7 +279,8 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     eval`` does.
     """
     cfg = cfg.resolved()
-    expected = _input_width(cfg.method, train_ds.d)
+    method = METHOD_TABLE[cfg.method]
+    expected = _input_width(method, train_ds.d)
     if cfg.layer_dims[0] != expected:
         raise ConfigError(
             f"layer_dims[0]={cfg.layer_dims[0]} but {cfg.method} on this data "
@@ -299,12 +304,12 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
 
     def snapshot(epoch: int, scores: np.ndarray) -> None:
         """Record the snapshot of ``epoch`` from the evaluation sample's scores."""
-        if cfg.method in LINKED_METHODS:
+        if method.linked:
             positive = ff.linked_goodness(scores, eval_labels)
             negative = ff.linked_goodness(scores, eval_wrong)
             entropy_rows.extend(_entropy_rows(epoch, positive, negative))
             test_rows.extend(_test_history_rows(positive, negative, cfg, epoch))
-        error = _error(scores, eval_labels, cfg.method)
+        error = _error(scores, eval_labels, method)
         error_rows.append({"epoch": epoch, "split": "test", "error": error})
 
     ff_cfg = cfg.ff_config()
@@ -315,22 +320,24 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
         if epoch % cfg.eval_every == 0 and epoch < total_epochs:
             snapshot(epoch, _scores(current, cfg, eval_images))
 
-    if cfg.method in FF_METHODS:
+    # No trainer is stored in the table: each is looked up in its module at call
+    # time, so a patched module attribute (a benchmark span) is the one called.
+    if method.layer_local:
         net, history = ff.train(net, train_ds, ff_cfg, on_epoch)
-    elif cfg.method == "bp_pairwise":
+    elif method.linked:
         net, history = baselines.train_pairwise(net, train_ds, ff_cfg, on_epoch)
     else:
         net, history = baselines.train_classic(
             net, train_ds, ff_cfg, cfg.classic_normalize, on_epoch
         )
     scores = _scores(net, cfg, test_ds.images)
-    final_error = _error(scores, test_ds.labels, cfg.method)
+    final_error = _error(scores, test_ds.labels, method)
     snapshot(total_epochs, scores[idx])
 
     wall_time = time.monotonic() - started
     save_checkpoint(out_dir / "checkpoint.npz", net, resolved)
     write_csv(out_dir / "history.csv", HISTORY_FIELDS, history + test_rows)
-    if cfg.method in LINKED_METHODS:
+    if method.linked:
         write_entropy_csv(out_dir / "entropy.csv", entropy_rows, net.depth)
     write_csv(out_dir / "errors.csv", ["epoch", "split", "error"], error_rows)
     summary = {
@@ -376,11 +383,12 @@ def evaluate_checkpoint(
         raise ConfigError("no dataset given and none recorded in the checkpoint")
     # A config without a dataset is resolved for the given one, not for mnist.
     cfg = RunConfig.from_dict({"dataset": dataset, **config}).resolved()
-    if subsets is not None and cfg.method not in LINKED_METHODS:
+    method = METHOD_TABLE[cfg.method]
+    if subsets is not None and not method.linked:
         raise ConfigError("layer subsets are undefined for the classic baseline")
     name = dataset or cfg.dataset
     test_ds = load_dataset(name, "test", data_dir or cfg.data_dir)
-    expected = _input_width(cfg.method, test_ds.d)
+    expected = _input_width(method, test_ds.d)
     if net.input_dim != expected:
         raise CheckpointError(
             f"checkpoint expects {net.input_dim}-dim inputs but {name} "
@@ -396,9 +404,9 @@ def evaluate_checkpoint(
         "method": cfg.method,
         "config_hash": stored_hash,
         "n_test": test_ds.n,
-        "test_error": _error(scores, test_ds.labels, cfg.method),
+        "test_error": _error(scores, test_ds.labels, method),
     }
-    if cfg.method in LINKED_METHODS:
+    if method.linked:
         family = list(subsets) if subsets is not None else default_subset_family(net.depth)
         report = subset_errors(scores, test_ds.labels, family)
         write_subsets_csv(out_dir / "subsets.csv", report)
@@ -419,25 +427,39 @@ def evaluate_checkpoint(
     return summary
 
 
-def run_sweep(cfg: RunConfig, thetas: Sequence[float], parallel: int = 0) -> list[dict]:
-    """One run per theta; returns and writes the theta/error table."""
-    if not thetas:
-        raise ConfigError("sweep needs at least one theta value")
-    cfg = cfg.resolved()
-    base_dir = Path(cfg.output_dir)
-    configs = [
-        dataclasses.replace(
-            cfg, theta=float(theta), output_dir=str(base_dir / f"theta_{theta:g}")
-        )
-        for theta in thetas
-    ]
+def run_variants(
+    cfg: RunConfig, field: str, values: Sequence, dir_name: str, parallel: int = 0
+) -> tuple[list[RunConfig], list[dict]]:
+    """One run per ``field`` value, in ``cfg.output_dir / dir_name.format(value)``
+    and ``parallel`` worker processes if above 1. Every variant is resolved, and
+    no two may share a directory, before the first run starts."""
+    base = cfg.resolved()
+    configs = []
+    owners: dict[str, object] = {}  # output directory -> the value that took it
+    for value in values:
+        out_dir = str(Path(base.output_dir) / dir_name.format(value))
+        if out_dir in owners:
+            raise ConfigError(
+                f"{field} values {owners[out_dir]!r} and {value!r} share the "
+                f"output directory {out_dir}"
+            )
+        owners[out_dir] = value
+        changes = {field: value, "output_dir": out_dir}
+        configs.append(dataclasses.replace(base, **changes).resolved())
     if parallel > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            summaries = list(pool.map(run_from_paths, configs))
-    else:
-        summaries = [run_from_paths(c) for c in configs]
+            return configs, list(pool.map(run_from_paths, configs))
+    return configs, [run_from_paths(c) for c in configs]
+
+
+def run_sweep(cfg: RunConfig, thetas: Sequence[float], parallel: int = 0) -> list[dict]:
+    """One run per theta; returns and writes the theta/error table."""
+    if not thetas:
+        raise ConfigError("sweep needs at least one theta value")
+    thetas = [float(t) for t in thetas]
+    configs, summaries = run_variants(cfg, "theta", thetas, "theta_{:g}", parallel)
     rows = [
         {
             "theta": c.theta,
@@ -448,7 +470,7 @@ def run_sweep(cfg: RunConfig, thetas: Sequence[float], parallel: int = 0) -> lis
         for c, s in zip(configs, summaries)
     ]
     write_csv(
-        base_dir / "sweep.csv",
+        Path(cfg.output_dir) / "sweep.csv",
         ["theta", "method", "dataset", "final_test_error"],
         rows,
     )

@@ -1,4 +1,4 @@
-"""The benchmark tracer still reads every training call it times.
+"""The benchmark still runs against the package and reads every call it times.
 
 ``perfbench/tracer.py`` binds the arguments of traced calls by name to size
 them and to attribute them to a layer. A signature change that breaks the
@@ -6,8 +6,14 @@ binding does not fail a benchmark run: the span is only listed as
 unannotated and its per-layer metrics read 0. These tests run a tiny
 alternating or layerwise ``ff.train`` and ``baselines.train_pairwise`` under
 the tracer and check that every span was annotated and that the
-local-gradient and Adam spans name every layer. The tracer module is
-imported, never edited.
+local-gradient and Adam spans name every layer.
+
+``perfbench/workloads.py`` calls into the package the way ``ffnet train``
+and ``ffnet eval`` do (``RunConfig``, ``ff_config()``, the trainers). A
+change that breaks one of those calls would otherwise surface only when the
+benchmark runs, so every workload is run once here at its tiny sizes and
+its output check must pass. The perfbench modules are imported, never
+edited.
 """
 
 from __future__ import annotations
@@ -24,13 +30,18 @@ from ffnet.linalg import make_rng
 from ffnet.nn import init_network
 from ffnet.synth import synthetic_pair
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Traced names that no longer exist in the package; the next change to the
+# benchmark drops them from perfbench/tracer.py.
+DEAD_TRACED = ["ff.train_layerwise", "ff.train_alternating", "analysis.goodness_cache"]
 
 
-@pytest.fixture(scope="module")
-def tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name: str):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     writes_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave no cache file under perfbench/
     try:
@@ -38,6 +49,16 @@ def tracer_module():
     finally:
         sys.dont_write_bytecode = writes_bytecode
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads_module():
+    return _load("workloads")
 
 
 def _check_training_spans(tracer_module, schedule: str, gamma_mode: str) -> None:
@@ -73,3 +94,21 @@ def test_training_spans_are_annotated_with_layers(tracer_module):
 
 def test_layerwise_training_spans_are_annotated_with_layers(tracer_module):
     _check_training_spans(tracer_module, "layerwise", "predecessors_only")
+
+
+def test_only_the_known_dead_names_are_missing(tracer_module):
+    assert tracer_module.Tracer().missing == DEAD_TRACED
+
+
+@pytest.mark.parametrize(
+    "workload", ["train_collab", "train_ff_snapshots", "eval_checkpoint", "train_backprop"]
+)
+def test_workload_runs_and_passes_its_check(workloads_module, tmp_path, workload):
+    wl = workloads_module
+    _, fx = wl.set_up(workload, wl.TINY[workload], 3, tmp_path)
+    if workload == "eval_checkpoint":
+        fx.reference_preds = wl.reference_predictions(
+            fx.net, fx.test.images[: wl.REFERENCE_N]
+        )
+    result = wl.OPS[workload](fx)
+    assert wl.check(workload, fx, result.outputs) == []

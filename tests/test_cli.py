@@ -137,6 +137,36 @@ class TestTrainCommand:
         ]
         assert not (out / "config.json").exists()
 
+    @pytest.mark.parametrize(
+        ("source", "field", "value", "message"),
+        [
+            ("flag", "seed", "-1", "seed must be >= 0, got -1"),
+            ("config", "seed", -1, "seed must be >= 0, got -1"),
+            ("flag", "learning_rate", "nan",
+             "learning_rate must be finite and > 0, got nan"),
+            ("flag", "learning_rate", "inf",
+             "learning_rate must be finite and > 0, got inf"),
+        ],
+        ids=["seed_flag", "seed_config", "lr_nan", "lr_inf"],
+    )
+    def test_bad_shared_setting_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys, source, field, value, message
+    ):
+        out = tmp_path / "bad"
+        flags = TRAIN_FLAGS[: TRAIN_FLAGS.index("--seed")]  # a flag beats the file
+        args = ["train", "--method", "ff", "--data-dir", str(data_dir),
+                "--output-dir", str(out), *flags]
+        if source == "flag":
+            args += ["--" + field.replace("_", "-"), value]
+        else:
+            config_file = tmp_path / "bad.json"
+            config_file.write_text(json.dumps({field: value}))
+            args += ["--config", str(config_file)]
+        rc = main(args)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (out / "config.json").exists()
+
     def test_unknown_method_is_usage_error(self, data_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--method", "nonsense"])
@@ -306,6 +336,42 @@ class TestMultiSeed:
         )
         assert (out / "seed_0" / "checkpoint.npz").exists()
         assert (out / "seed_1" / "checkpoint.npz").exists()
+
+
+class TestMultiRunChecks:
+    """``--seeds`` and ``--thetas`` check every variant before the first run."""
+
+    @pytest.mark.parametrize(
+        ("command", "values", "message"),
+        [
+            ("train", "0,-1", "seed must be >= 0, got -1"),
+            ("sweep", "3,nan", "theta must be finite, got nan"),
+            ("train", "1,1", "seed values 1 and 1 share the output directory {out}/seed_1"),
+            ("sweep", "3,3.0",
+             "theta values 3.0 and 3.0 share the output directory {out}/theta_3"),
+            ("sweep", "1e-7,1.0000001e-7",
+             "theta values 1e-07 and 1.0000001e-07 share the output directory "
+             "{out}/theta_1e-07"),
+        ],
+        ids=["negative_seed", "nan_theta", "same_seed", "same_theta", "same_theta_dir"],
+    )
+    def test_bad_variant_fails_before_any_run(
+        self, data_dir, tmp_path, capsys, command, values, message
+    ):
+        out = tmp_path / "multi"
+        flag = "--seeds" if command == "train" else "--thetas"
+        rc = main(
+            [command, "--method", "ff", "--dataset", "mnist",
+             "--epochs", "1", "--batch-size", "40",
+             "--layer-dims", "794,16,12,8", "--train-subset", "120",
+             "--entropy-eval-n", "40", "--data-dir", str(data_dir),
+             "--output-dir", str(out), flag, values]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + message.format(out=out)
+        ]
+        assert not out.exists()
 
 
 class TestSweepCommand:

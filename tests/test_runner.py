@@ -78,6 +78,20 @@ class TestRunConfig:
         RunConfig(dataset="mnist", method=method, **setting).resolved()
 
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_ff_config_copies_the_shared_settings(self, method):
+        cfg = RunConfig(
+            dataset="mnist", method=method, theta=3.5, epochs=4, batch_size=7,
+            learning_rate=0.02, seed=11,
+        ).resolved()
+        ff_cfg = cfg.ff_config()
+        for name in ("theta", "gamma_mode", "schedule", "epochs", "batch_size",
+                     "learning_rate", "seed", "negatives_per_positive"):
+            assert getattr(ff_cfg, name) == getattr(cfg, name), name
+        entropy = method == "entropy_ff"
+        assert ff_cfg.loss_kind == ("entropy" if entropy else "sigmoid_goodness")
+
+
 class TestGammaModeTrainingMatrix:
     """Every gamma mode trains under both schedules; offsets help."""
 
