@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .analysis import parse_subset_label
+from .errors import ConfigError
 from .ff import GAMMA_MODES, SCHEDULES
 from .fetch import DATASETS, fetch_dataset
 from .reports import write_json
@@ -80,7 +81,9 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     seeds = getattr(args, "seeds", None)
-    if seeds:
+    if seeds is not None:
+        if not seeds:
+            raise ConfigError("train needs at least one seed value")
         _, summaries = run_variants(cfg, "seed", seeds, "seed_{}")
         errors = [summary["final_test_error"] for summary in summaries]
         for seed, error in zip(seeds, errors):

@@ -252,7 +252,7 @@ def _layer_step(net, trace, table, layer: int, cfg: FfConfig, batch: LinkedBatch
     return loss, layer_local_grad(
         net.layers[layer],
         trace.layer_input(layer),
-        trace.pre[layer],
+        trace.act[layer],
         coeffs,
         batch.linked_labels if layer == 0 else None,
     )

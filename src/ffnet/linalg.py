@@ -45,11 +45,14 @@ def l2_row_normalize(a, epsilon: float = NORM_EPSILON) -> np.ndarray:
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     a = as_matrix(a)
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    # The squares' array receives the result, so a call allocates one
+    # full-size array; the norms are bit for bit np.linalg.norm(a, axis=1).
+    out = np.multiply(a, a)
+    norms = np.sqrt(np.add.reduce(out, axis=1, keepdims=True))
     denom = norms + epsilon
     # Rows with denom == 0 are all-zero rows; 1/denom is never applied there.
     safe = np.where(denom > 0.0, denom, 1.0)
-    return a / safe
+    return np.divide(a, safe, out=out)
 
 
 def row_sumsq(a) -> np.ndarray:

@@ -4,8 +4,9 @@ Two gradient routes coexist on purpose:
 
 * :func:`layer_local_grad` differentiates a single layer's parameters given
   per-unit loss coefficients, with no chain rule through other layers. It
-  takes the layer's pre-activations from the forward pass that produced the
-  coefficients, so the layer's matmul is not repeated.
+  takes the layer's activities from the forward pass that produced the
+  coefficients, whose ReLU mask ``act > 0`` is bit for bit that of the
+  pre-activation, so the layer's matmul is not repeated.
 * :func:`full_backprop_grad` runs the exact chain rule through the whole
   stack, including the inter-layer L2 row normalization, for the
   backpropagation baselines.
@@ -20,9 +21,12 @@ to :func:`forward_from_pre`, the one layer loop. Given ``linked_labels`` it
 takes the same label-factored form as :func:`layer_local_grad`, so a
 training batch's pixel product runs once per sample
 (:func:`first_layer_factors`); label-factored inference enters the loop
-directly. :func:`adam_step` updates a parameter array and its moments in
-place, block by block, so a :class:`DenseLayer` keeps its arrays across
-training and an update allocates only two cache-sized scratch blocks.
+directly. From layer 2 on, the loop adds the bias and applies the ReLU
+inside the array the layer's matmul returns, and it normalizes every
+computed layer but the last, whose normalized rows no layer reads.
+:func:`adam_step` updates a parameter array and its moments in place,
+block by block, so a :class:`DenseLayer` keeps its arrays across training
+and an update allocates only two cache-sized scratch blocks.
 """
 
 from __future__ import annotations
@@ -107,14 +111,15 @@ def init_network(layer_dims, rng: np.random.Generator) -> MlpNetwork:
 class ForwardTrace:
     """Per-layer intermediates of one forward pass.
 
-    ``act`` holds post-ReLU activities (what goodness is measured on);
-    ``normed`` holds what the next layer consumes. With normalization
-    disabled the two coincide. ``inputs`` is None for a pass started from a
+    ``act`` holds post-ReLU activities (what goodness is measured on), one
+    per computed layer; a ``final_linear`` output layer's entry is its
+    logits. ``normed[i]`` holds what layer ``i + 1`` consumes, so it covers
+    every computed layer but the last. With normalization disabled it is
+    ``act[i]`` itself. ``inputs`` is None for a pass started from a
     first-layer pre-activation (:func:`forward_from_pre`).
     """
 
     inputs: np.ndarray | None
-    pre: list[np.ndarray] = field(default_factory=list)
     act: list[np.ndarray] = field(default_factory=list)
     normed: list[np.ndarray] = field(default_factory=list)
 
@@ -193,8 +198,9 @@ def forward_from_pre(
 ) -> ForwardTrace:
     """:func:`forward_pass` from the first layer's pre-activation ``first_pre``.
 
-    The flags mean what they do there. ``inputs`` is stored as the trace's
-    first-layer input; leave it None when no caller reads it.
+    The flags mean what they do there. ``first_pre`` is never written.
+    ``inputs`` is stored as the trace's first-layer input; leave it None when
+    no caller reads it.
     """
     first_pre = as_matrix(first_pre)
     depth = net.depth
@@ -209,37 +215,38 @@ def forward_from_pre(
         raise ShapeError(f"upto={upto} outside 1..{depth}")
 
     trace = ForwardTrace(inputs=inputs)
-    pre = first_pre
     for i in range(upto):
-        if i > 0:
-            layer = net.layers[i]
-            pre = trace.normed[i - 1] @ layer.weights + layer.biases
         is_linear_output = final_linear and i == depth - 1
-        act = pre if is_linear_output else relu(pre)
-        if normalize and not is_linear_output:
-            normed = l2_row_normalize(act)
+        if i == 0:
+            # Out of place, so the caller's first_pre is never written.
+            act = first_pre if is_linear_output else relu(first_pre)
         else:
-            normed = act
-        trace.pre.append(pre)
+            layer = net.layers[i]
+            act = trace.normed[i - 1] @ layer.weights
+            act += layer.biases
+            if not is_linear_output:
+                np.maximum(act, 0.0, out=act)
         trace.act.append(act)
-        trace.normed.append(normed)
+        if i < upto - 1:
+            trace.normed.append(l2_row_normalize(act) if normalize else act)
     return trace
 
 
 def layer_local_grad(
-    layer: DenseLayer, layer_input, pre, activity_coeffs, linked_labels=None
+    layer: DenseLayer, layer_input, act, activity_coeffs, linked_labels=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of a scalar loss w.r.t. one layer's parameters.
 
-    ``pre`` is the layer's pre-activation ``layer_input @ W + b`` from the
-    forward pass (``trace.pre[i]``); its ReLU mask gates the coefficients, so
-    the matmul is not recomputed. ``activity_coeffs[s, u]`` must be the
-    derivative of the scalar loss with respect to the post-ReLU activity of
-    unit ``u`` on sample ``s``. Nothing is propagated to earlier layers.
+    ``act`` is the layer's activity ``relu(layer_input @ W + b)`` from the
+    forward pass (``trace.act[i]``); its ReLU mask ``act > 0``, bit for bit
+    that of the pre-activation, gates the coefficients, so the matmul is not
+    recomputed. ``activity_coeffs[s, u]`` must be the derivative of the
+    scalar loss with respect to the post-ReLU activity of unit ``u`` on
+    sample ``s``. Nothing is propagated to earlier layers.
 
     With ``linked_labels``, the layer is a first layer over linked inputs in
     label-factored form (:class:`~ffnet.data.LinkedBatch`): ``layer_input``
-    holds the ``m`` samples' pixels once, and row ``r`` of ``pre`` and of the
+    holds the ``m`` samples' pixels once, and row ``r`` of ``act`` and of the
     coefficients is sample ``r % m`` linked with ``linked_labels[r]``. The
     pixel rows of the gradient are ``X^T`` times the coefficients summed over
     a sample's copies; the label rows are ``onehot(linked_labels)^T`` times
@@ -247,7 +254,7 @@ def layer_local_grad(
     """
     layer_input = as_matrix(layer_input)
     coeffs = as_matrix(activity_coeffs)
-    pre = as_matrix(pre)
+    act = as_matrix(act)
     factored = linked_labels is not None
     n_pixels = layer_input.shape[1]
     width = n_pixels + N_LABELS if factored else n_pixels
@@ -262,11 +269,11 @@ def layer_local_grad(
             f"coefficients shape {coeffs.shape} does not match "
             f"({rows}, {layer.out_dim})"
         )
-    if pre.shape != coeffs.shape:
+    if act.shape != coeffs.shape:
         raise ShapeError(
-            f"pre-activation shape {pre.shape} does not match coefficients {coeffs.shape}"
+            f"activity shape {act.shape} does not match coefficients {coeffs.shape}"
         )
-    return _param_grads(layer_input, coeffs * (pre > 0.0), linked_labels)
+    return _param_grads(layer_input, coeffs * (act > 0.0), linked_labels)
 
 
 def _param_grads(layer_input, d_pre, linked_labels=None) -> tuple[np.ndarray, np.ndarray]:
@@ -318,9 +325,12 @@ def full_backprop_grad(
 
     ``output_grad`` is the loss derivative w.r.t. the last layer's activities
     (its logits in ``final_linear`` mode). Returns one (grad_w, grad_b) pair
-    per layer, first layer first. Pass a precomputed ``trace`` from
-    :func:`forward_pass` of ``batch``, with matching flags, to skip the
-    forward recompute; a trace of any other input is rejected.
+    per layer, first layer first. Each layer's ReLU mask is ``act > 0`` on
+    the trace's activities, as in :func:`layer_local_grad`, and the
+    normalization's backward pass reads the same activities. Pass a
+    precomputed ``trace`` from :func:`forward_pass` of ``batch``, with
+    matching flags, to skip the forward recompute; a trace of any other
+    input is rejected.
 
     With ``linked_labels``, ``batch`` holds each sample's pixels once, as in
     :func:`forward_pass`, and layer 1's gradient takes the label-factored
@@ -354,7 +364,7 @@ def full_backprop_grad(
         if final_linear and i == depth - 1:
             d_pre = d_act
         else:
-            d_pre = d_act * (trace.pre[i] > 0.0)
+            d_pre = d_act * (trace.act[i] > 0.0)
         grads[i] = _param_grads(
             trace.layer_input(i), d_pre, linked_labels if i == 0 else None
         )

@@ -414,7 +414,9 @@ def evaluate_checkpoint(
             marginals = marginal_contributions(report, net.depth)
             write_marginals_csv(out_dir / "marginals.csv", marginals)
         except ConfigError:
-            pass  # requested family lacks the leave-one-out sets
+            # The family lacks the leave-one-out sets; a marginals.csv left by
+            # an earlier eval would not match this subsets.csv.
+            (out_dir / "marginals.csv").unlink(missing_ok=True)
         idx, labels, wrong = draw_eval_sample(test_ds, cfg.entropy_eval_n, cfg.seed)
         sample = scores[idx]
         rows = _entropy_rows(

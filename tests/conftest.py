@@ -56,9 +56,7 @@ def random_batch(rng, m: int, d: int) -> np.ndarray:
 def trace_from_activities(act: np.ndarray) -> ForwardTrace:
     """Minimal single-layer trace for loss functions that only read act."""
     act = np.asarray(act, dtype=np.float64)
-    return ForwardTrace(
-        inputs=np.zeros((act.shape[0], 1)), pre=[act], act=[act], normed=[act]
-    )
+    return ForwardTrace(inputs=np.zeros((act.shape[0], 1)), act=[act])
 
 
 def write_mnist_fixture(root) -> None:

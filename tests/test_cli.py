@@ -274,6 +274,20 @@ class TestEvalCommand:
         assert len(lines) == 3
         assert not (out / "marginals.csv").exists()  # leave-one-outs absent
 
+    def test_explicit_subsets_remove_an_earlier_evals_marginals(
+        self, data_dir, trained_run, tmp_path
+    ):
+        out = tmp_path / "reused"
+        for extra in ([], ["--subsets", "1,1+2"]):
+            rc = main(
+                ["eval", str(trained_run / "checkpoint.npz"), "--output-dir", str(out),
+                 "--data-dir", str(data_dir), *extra]
+            )
+            assert rc == 0
+        lines = (out / "subsets.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "1+2"]
+        assert not (out / "marginals.csv").exists()
+
     def test_classic_checkpoint_rejects_subsets(self, data_dir, tmp_path, capsys):
         out = tmp_path / "classic"
         rc = main(
@@ -344,6 +358,8 @@ class TestMultiRunChecks:
     @pytest.mark.parametrize(
         ("command", "values", "message"),
         [
+            ("train", ",", "train needs at least one seed value"),
+            ("sweep", ",", "sweep needs at least one theta value"),
             ("train", "0,-1", "seed must be >= 0, got -1"),
             ("sweep", "3,nan", "theta must be finite, got nan"),
             ("train", "1,1", "seed values 1 and 1 share the output directory {out}/seed_1"),
@@ -353,7 +369,7 @@ class TestMultiRunChecks:
              "theta values 1e-07 and 1.0000001e-07 share the output directory "
              "{out}/theta_1e-07"),
         ],
-        ids=["negative_seed", "nan_theta", "same_seed", "same_theta", "same_theta_dir"],
+        ids=["no_seed", "no_theta", "negative_seed", "nan_theta", "same_seed", "same_theta", "same_theta_dir"],
     )
     def test_bad_variant_fails_before_any_run(
         self, data_dir, tmp_path, capsys, command, values, message

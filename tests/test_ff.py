@@ -195,10 +195,10 @@ class TestStopGradient:
         np.testing.assert_array_equal(coeffs_a, coeffs_b)
 
         gw_a, gb_a = layer_local_grad(
-            net.layers[1], trace.layer_input(1), trace.pre[1], coeffs_a
+            net.layers[1], trace.layer_input(1), trace.act[1], coeffs_a
         )
         gw_b, gb_b = layer_local_grad(
-            net.layers[1], trace.layer_input(1), trace.pre[1], coeffs_b
+            net.layers[1], trace.layer_input(1), trace.act[1], coeffs_b
         )
         np.testing.assert_array_equal(gw_a, gw_b)
         np.testing.assert_array_equal(gb_a, gb_b)
@@ -213,14 +213,14 @@ class TestStopGradient:
         trace = forward_pass(net, batch)
         _, coeffs = ff_loss_and_coeffs(trace, 0, gamma, 3.0, polarity)
         grads_before = layer_local_grad(
-            net.layers[0], trace.layer_input(0), trace.pre[0], coeffs
+            net.layers[0], trace.layer_input(0), trace.act[0], coeffs
         )
 
         net.layers[2].weights = net.layers[2].weights + 1.0
         trace2 = forward_pass(net, batch)
         _, coeffs2 = ff_loss_and_coeffs(trace2, 0, gamma, 3.0, polarity)
         grads_after = layer_local_grad(
-            net.layers[0], trace2.layer_input(0), trace2.pre[0], coeffs2
+            net.layers[0], trace2.layer_input(0), trace2.act[0], coeffs2
         )
 
         np.testing.assert_array_equal(grads_before[0], grads_after[0])
@@ -237,7 +237,7 @@ class TestLossDirection:
         _, coeffs = ff_loss_and_coeffs(
             trace, 0, 0.0, g_before, np.array([polarity_value])
         )
-        gw, gb = layer_local_grad(net.layers[0], x, trace.pre[0], coeffs)
+        gw, gb = layer_local_grad(net.layers[0], x, trace.act[0], coeffs)
         lr = 1e-4
         net.layers[0].weights = net.layers[0].weights - lr * gw
         net.layers[0].biases = net.layers[0].biases - lr * gb
@@ -556,15 +556,15 @@ class TestFactoredTraining:
             want = forward_pass(net, linked)
             got = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
             assert got.layer_input(0) is batch.images
-            np.testing.assert_allclose(got.pre[0], want.pre[0], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got.act[0], want.act[0], rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(
                 goodness_table(got), goodness_table(want), rtol=1e-12, atol=0.0
             )
-            coeffs = rng.standard_normal(want.pre[0].shape)
+            coeffs = rng.standard_normal(want.act[0].shape)
             grad_w, grad_b = layer_local_grad(
-                layer, batch.images, want.pre[0], coeffs, batch.linked_labels
+                layer, batch.images, want.act[0], coeffs, batch.linked_labels
             )
-            want_w, want_b = layer_local_grad(layer, linked, want.pre[0], coeffs)
+            want_w, want_b = layer_local_grad(layer, linked, want.act[0], coeffs)
             assert grad_w.shape == want_w.shape == layer.weights.shape
             # Label rows included: rows 6.. of the gradient.
             np.testing.assert_allclose(grad_w, want_w, rtol=1e-12, atol=0.0)
@@ -582,7 +582,7 @@ class TestFactoredTraining:
         trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
         _, coeffs = ff_loss_and_coeffs(trace, 0, 0.0, 1.0, batch.polarity)
         grad_w, grad_b = layer_local_grad(
-            layer, batch.images, trace.pre[0], coeffs, batch.linked_labels
+            layer, batch.images, trace.act[0], coeffs, batch.linked_labels
         )
         numeric_w = fd_grad(loss, layer.weights)
         numeric_b = fd_grad(loss, layer.biases)
@@ -596,23 +596,23 @@ class TestFactoredTraining:
         layer = net.layers[0]
         batch = self.batches(1)[0]  # 10 samples, 20 rows
         coeffs = np.ones((20, 7))
-        pre = forward_pass(net, batch.images, linked_labels=batch.linked_labels).pre[0]
+        act = forward_pass(net, batch.images, linked_labels=batch.linked_labels).act[0]
         with pytest.raises(ShapeError, match="layer input has 15 columns"):
-            layer_local_grad(layer, batch.images[:, :5], pre, coeffs, batch.linked_labels)
+            layer_local_grad(layer, batch.images[:, :5], act, coeffs, batch.linked_labels)
         with pytest.raises(ShapeError, match="20 linked rows are not a multiple of 7"):
-            layer_local_grad(layer, batch.images[:7], pre, coeffs, batch.linked_labels)
+            layer_local_grad(layer, batch.images[:7], act, coeffs, batch.linked_labels)
         with pytest.raises(ShapeError, match="20 linked rows are not a multiple of 0"):
-            layer_local_grad(layer, batch.images[:0], pre, coeffs, batch.linked_labels)
+            layer_local_grad(layer, batch.images[:0], act, coeffs, batch.linked_labels)
         with pytest.raises(ShapeError, match="batch has 15 columns"):
             forward_pass(net, batch.images[:, :5], linked_labels=batch.linked_labels)
         with pytest.raises(ShapeError, match="20 linked rows are not a multiple of 7"):
             forward_pass(net, batch.images[:7], linked_labels=batch.linked_labels)
         with pytest.raises(ShapeError, match="19 linked rows are not a multiple of 10"):
             layer_local_grad(
-                layer, batch.images, pre[:19], coeffs[:19], batch.linked_labels[:19]
+                layer, batch.images, act[:19], coeffs[:19], batch.linked_labels[:19]
             )
         with pytest.raises(ShapeError, match=r"coefficients shape \(10, 7\)"):
-            layer_local_grad(layer, batch.images, pre, coeffs[:10], batch.linked_labels)
+            layer_local_grad(layer, batch.images, act, coeffs[:10], batch.linked_labels)
 
 
 class TestGammaReducesToPlain:
@@ -644,7 +644,7 @@ class TestGammaReducesToPlain:
                     )
                     updates.append(
                         layer_local_grad(
-                            net_b.layers[i], trace.layer_input(i), trace.pre[i], coeffs,
+                            net_b.layers[i], trace.layer_input(i), trace.act[i], coeffs,
                             batch.linked_labels if i == 0 else None,
                         )
                     )

@@ -46,6 +46,17 @@ class TestRowNormalize:
         assert np.all(norms <= 1.0 + 1e-15)
         assert np.all(norms >= 1.0 - 1e-8 / row_norms - 1e-15)
 
+    def test_matches_norm_division_bitwise(self, rng):
+        rows = np.maximum(rng.standard_normal((40, 500)), 0.0)
+        rows[[3, 17]] = 0.0
+        before = rows.tobytes()
+        for eps in (0.0, 1e-8):
+            with np.errstate(invalid="ignore"):  # 0/0 on the zero rows
+                want = rows / (np.linalg.norm(rows, axis=1, keepdims=True) + eps)
+            want[[3, 17]] = 0.0
+            assert l2_row_normalize(rows, epsilon=eps).tobytes() == want.tobytes()
+        assert rows.tobytes() == before
+
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             l2_row_normalize(np.ones((1, 2)), epsilon=-1.0)

@@ -79,15 +79,17 @@ class TestForwardTrace:
         net = random_net([6, 5, 4], seed=2)
         batch = random_batch(rng, 3, 6)
         trace = forward_pass(net, batch)
-        manual = trace.normed[0] @ net.layers[1].weights + net.layers[1].biases
-        np.testing.assert_array_equal(trace.pre[1], manual)
+        manual = np.maximum(
+            trace.normed[0] @ net.layers[1].weights + net.layers[1].biases, 0.0
+        )
+        assert trace.act[1].tobytes() == manual.tobytes()
 
     def test_determinism(self, rng):
         net = random_net([7, 5], seed=9)
         batch = random_batch(rng, 4, 7)
         t1 = forward_pass(net, batch)
         t2 = forward_pass(net, batch)
-        np.testing.assert_array_equal(t1.normed[0], t2.normed[0])
+        np.testing.assert_array_equal(t1.act[0], t2.act[0])
 
     def test_shape_mismatch(self):
         net = random_net([6, 4], seed=0)
@@ -102,9 +104,59 @@ class TestForwardTrace:
         got = forward_from_pre(net, batch @ first.weights + first.biases, upto=upto)
         want = forward_pass(net, batch, upto=upto)
         assert got.inputs is None and got.depth == want.depth == upto
-        for name in ("pre", "act", "normed"):
+        for name in ("act", "normed"):
             for a, b in zip(getattr(got, name), getattr(want, name)):
                 assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("upto", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "normalize, final_linear", [(True, False), (False, False), (False, True)]
+    )
+    def test_caller_arrays_are_not_written(self, rng, upto, normalize, final_linear):
+        """Neither entry point writes the caller's batch or first pre-activation."""
+        net = random_net([6, 5, 4, 3], seed=4)
+        batch = random_batch(rng, 5, 6)
+        first = net.layers[0]
+        first_pre = batch @ first.weights + first.biases - 0.3
+        assert np.any(first_pre < 0.0)  # an in-place ReLU would change it
+        before = batch.tobytes(), first_pre.tobytes()
+        forward_pass(net, batch, upto, normalize, final_linear)
+        forward_from_pre(net, first_pre, upto, normalize, final_linear)
+        assert (batch.tobytes(), first_pre.tobytes()) == before
+
+    def test_linked_batch_is_not_written(self, rng):
+        net = random_net([16, 7, 5], seed=31)
+        images = random_batch(rng, 4, 6)
+        before = images.tobytes()
+        forward_pass(net, images, linked_labels=np.array([0, 3, 9, 2, 5, 5, 1, 0]))
+        assert images.tobytes() == before
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("upto", [1, 2, 3])
+    def test_last_computed_layer_is_not_normalized(self, rng, upto, normalize):
+        net = random_net([6, 5, 4, 3], seed=4)
+        trace = forward_pass(net, random_batch(rng, 5, 6), upto, normalize)
+        assert len(trace.act) == upto and len(trace.normed) == upto - 1
+        if not normalize:
+            assert all(n is a for n, a in zip(trace.normed, trace.act))
+
+    def test_trace_holds_three_activities_and_two_normalized(self):
+        """A 400-row linked batch over 794-500-500-500 leaves a trace of five
+        400x500 arrays (8.0 MB): no pre-activations and no normalized copy of
+        the last layer, which would make nine (14.4 MB)."""
+        net = init_network([794, 500, 500, 500], make_rng(0))
+        rng = make_rng(1)
+        images = rng.uniform(0.0, 1.0, size=(200, 784))
+        labels = rng.integers(0, 10, 400)
+        tracemalloc.start()
+        try:
+            trace = forward_pass(net, images, linked_labels=labels)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert trace.depth == 3
+        # 64 KB covers the trace's Python objects, not a sixth array.
+        assert held <= 5 * 400 * 500 * 8 + 64 * 1024
 
     def test_from_first_pre_rejects_wrong_width(self):
         net = random_net([6, 5, 4], seed=4)
@@ -117,7 +169,7 @@ class TestLayerLocalGrad:
         net = random_net([5, 4], seed=1)
         x = random_batch(rng, 3, 5)
         gw, gb = layer_local_grad(
-            net.layers[0], x, forward_pass(net, x).pre[0], np.zeros((3, 4))
+            net.layers[0], x, forward_pass(net, x).act[0], np.zeros((3, 4))
         )
         assert np.all(gw == 0.0) and np.all(gb == 0.0)
 
@@ -126,8 +178,8 @@ class TestLayerLocalGrad:
         net.layers[0].weights = np.array([[1.0], [1.0]])
         net.layers[0].biases = np.array([[-10.0]])  # pre < 0 always
         x = np.ones((1, 2))
-        pre = forward_pass(net, x).pre[0]
-        gw, gb = layer_local_grad(net.layers[0], x, pre, np.ones((1, 1)))
+        act = forward_pass(net, x).act[0]
+        gw, gb = layer_local_grad(net.layers[0], x, act, np.ones((1, 1)))
         assert np.all(gw == 0.0) and np.all(gb == 0.0)
 
     def test_matches_finite_differences(self, rng):
@@ -140,14 +192,16 @@ class TestLayerLocalGrad:
             act = np.maximum(x @ layer.weights + layer.biases, 0.0)
             return float(np.sum(coeffs * act))
 
-        gw, gb = layer_local_grad(layer, x, x @ layer.weights + layer.biases, coeffs)
+        act = np.maximum(x @ layer.weights + layer.biases, 0.0)
+        gw, gb = layer_local_grad(layer, x, act, coeffs)
         fw = fd_grad(loss, layer.weights)
         fb = fd_grad(loss, layer.biases)
         assert agreement([gw, gb], [fw, fb]) >= 0.99
 
     @pytest.mark.parametrize("dead_unit", [False, True])
     def test_forward_pre_matches_recompute_bitwise(self, rng, dead_unit):
-        """The mask from the forward's pre-activations is the recomputed one."""
+        """The mask from the forward's activities is that of the recomputed
+        pre-activations."""
         net = random_net([9, 7, 6], seed=23)
         if dead_unit:
             net.layers[1].biases[0, 2] = -50.0  # unit 3 of layer 2 never fires
@@ -156,7 +210,7 @@ class TestLayerLocalGrad:
         for i, layer in enumerate(net.layers):
             inp = trace.layer_input(i)
             coeffs = rng.standard_normal((11, layer.out_dim))
-            gw, gb = layer_local_grad(layer, inp, trace.pre[i], coeffs)
+            gw, gb = layer_local_grad(layer, inp, trace.act[i], coeffs)
             d_pre = coeffs * (inp @ layer.weights + layer.biases > 0.0)
             assert gw.tobytes() == (inp.T @ d_pre).tobytes()
             assert gb.tobytes() == d_pre.sum(axis=0, keepdims=True).tobytes()
@@ -166,8 +220,8 @@ class TestLayerLocalGrad:
     def test_wrong_pre_shape_rejected(self, rng):
         net = random_net([5, 4], seed=1)
         x = random_batch(rng, 3, 5)
-        pre = forward_pass(net, x).pre[0]
-        for bad in (pre[:2], pre.T, pre[:, :3]):
+        act = forward_pass(net, x).act[0]
+        for bad in (act[:2], act.T, act[:, :3]):
             with pytest.raises(ShapeError):
                 layer_local_grad(net.layers[0], x, bad, np.ones((3, 4)))
 
@@ -178,7 +232,7 @@ class TestFullBackprop:
         x = random_batch(rng, 3, 6)
         coeffs = rng.standard_normal((3, 4))
         gw_local, gb_local = layer_local_grad(
-            net.layers[0], x, forward_pass(net, x).pre[0], coeffs
+            net.layers[0], x, forward_pass(net, x).act[0], coeffs
         )
         [(gw_full, gb_full)] = full_backprop_grad(net, x, coeffs)
         np.testing.assert_array_equal(gw_local, gw_full)
