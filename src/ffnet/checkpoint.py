@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,7 @@ def load_checkpoint(path) -> tuple[MlpNetwork, dict, str]:
             ]
             config_json = bytes(bundle["config_json"]).decode("utf-8")
             stored_hash = bytes(bundle["config_hash"]).decode("ascii")
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     config = json.loads(config_json)
     if config_hash(config) != stored_hash:

@@ -45,10 +45,15 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "nope.npz")
 
-    def test_garbage_file(self, tmp_path):
+    @pytest.mark.parametrize("truncated", [False, True], ids=["not_a_zip", "truncated"])
+    def test_garbage_file(self, tmp_path, truncated):
         bad = tmp_path / "bad.npz"
-        bad.write_bytes(b"not a checkpoint")
-        with pytest.raises(CheckpointError):
+        if truncated:
+            save_checkpoint(bad, init_network([6, 3], make_rng(0)), {"seed": 1})
+            bad.write_bytes(bad.read_bytes()[:300])
+        else:
+            bad.write_bytes(b"not a checkpoint")
+        with pytest.raises(CheckpointError, match="malformed checkpoint"):
             load_checkpoint(bad)
 
     def test_tampered_config_detected(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import shutil
 import tarfile
 
 import numpy as np
@@ -203,6 +204,23 @@ class TestTrainCommand:
         ]
         assert not (out / "history.csv").exists()
 
+    def test_corrupt_cached_idx_file_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys
+    ):
+        cache = tmp_path / "data"
+        shutil.copytree(data_dir, cache)
+        bad = cache / "mnist" / "t10k-images-idx3-ubyte.gz"
+        # A valid gzip header, then a deflate block of the reserved type 3.
+        bad.write_bytes(b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff\x07" + bytes(32))
+        rc = main(
+            ["train", "--method", "ff", "--data-dir", str(cache),
+             "--output-dir", str(tmp_path / "run"), *TRAIN_FLAGS]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: images file {bad}: unreadable (")
+
     def test_divergence_is_a_one_line_error(self, monkeypatch, capsys):
         import ffnet.cli as cli_mod
 
@@ -304,6 +322,20 @@ class TestEvalCommand:
         )
         assert rc == 1
         assert "classic" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_is_a_one_line_error(
+        self, data_dir, trained_run, tmp_path, capsys
+    ):
+        checkpoint = tmp_path / "truncated.npz"
+        checkpoint.write_bytes((trained_run / "checkpoint.npz").read_bytes()[:300])
+        rc = main(
+            ["eval", str(checkpoint), "--output-dir", str(tmp_path / "eval"),
+             "--data-dir", str(data_dir)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: malformed checkpoint {checkpoint}: ")
 
     @pytest.mark.parametrize(
         ("change", "message"),

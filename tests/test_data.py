@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,26 @@ class TestIdx:
             assert handle.read(2) == b"\x1f\x8b"
         ds = load_idx(img_path, lab_path)
         np.testing.assert_array_equal(ds.images * 255.0, images.reshape(8, -1))
+
+    def test_gzip_header_is_deterministic_and_fast(self, tmp_path, idx_pair):
+        _, _, images, _ = idx_pair
+        first = tmp_path / "a-images-idx3-ubyte.gz"
+        second = tmp_path / "b-images-idx3-ubyte.gz"
+        write_idx(first, images)
+        write_idx(second, images)
+        head = first.read_bytes()[:10]
+        assert head[3] == 0  # FLG: no file name stored
+        assert head[4:8] == bytes(4)  # MTIME
+        assert head[8] == 4  # XFL: fastest compression
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_corrupt_gzip_is_a_format_error(self, tmp_path, idx_pair):
+        _, lab_path, _, _ = idx_pair
+        bad = tmp_path / "images.gz"
+        # A valid gzip header, then a deflate block of the reserved type 3.
+        bad.write_bytes(b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff\x07" + bytes(32))
+        with pytest.raises(DataFormatError, match="images file .*unreadable"):
+            load_idx(bad, lab_path)
 
     def test_loading_twice_is_bitwise_identical(self, idx_pair):
         img_path, lab_path, _, _ = idx_pair
@@ -101,6 +122,26 @@ class TestCifar:
             ds.labels, np.concatenate([r1[:, 0], r2[:, 0]])
         )
         np.testing.assert_allclose(ds.images[0], r1[0, 1:] / 255.0)
+
+    def test_pixels_match_float_division_bitwise(self, tmp_path, rng):
+        r1 = self._write_batch(tmp_path / "b1.bin", rng, 7)
+        r2 = self._write_batch(tmp_path / "b2.bin", rng, 5)
+        ds = load_cifar_bin([tmp_path / "b1.bin", tmp_path / "b2.bin"])
+        expected = np.concatenate([r1, r2])[:, 1:].astype(np.float64) / 255.0
+        assert ds.images.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_near_the_images_array(self, tmp_path, rng):
+        paths = [tmp_path / f"b{i}.bin" for i in range(3)]
+        for path in paths:
+            self._write_batch(path, rng, 200)
+        tracemalloc.start()
+        try:
+            ds = load_cifar_bin(paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n == 600
+        assert peak <= 1.3 * ds.images.nbytes
 
     def test_bad_record_size(self, tmp_path):
         (tmp_path / "bad.bin").write_bytes(b"\x00" * 5000)
