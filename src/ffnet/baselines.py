@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, make_linked_batches, make_plain_batches, one_hot
 from .errors import ShapeError
-from .ff import FfConfig, ff_loss_and_coeffs, fit, goodness
+from .ff import FfConfig, check_train_size, ff_loss_and_coeffs, fit, goodness
 from .nn import MlpNetwork, forward_pass, full_backprop_grad
 
 
@@ -48,6 +48,7 @@ def train_pairwise(
     on_epoch: Optional[Callable[[int, MlpNetwork], None]] = None,
 ) -> tuple[MlpNetwork, list[dict]]:
     """Backprop the last layer's goodness loss (gamma 0) through every layer."""
+    check_train_size(ds.n, "bp_pairwise")
     last = net.depth - 1
 
     def step(batch, layers, stats):
@@ -96,6 +97,7 @@ def train_classic(
     un-rectified). Inter-layer normalization is off by default, matching a
     standard MLP; pass normalize=True for the ablation variant.
     """
+    check_train_size(ds.n, "bp_classic")
     last = net.depth - 1
 
     def step(batch, layers, stats):

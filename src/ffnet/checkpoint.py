@@ -44,7 +44,8 @@ def load_checkpoint(path) -> tuple[MlpNetwork, dict, str]:
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
-        with np.load(path) as bundle:
+        # np.load leaves a file it opened unclosed when zipfile rejects it.
+        with open(path, "rb") as handle, np.load(handle) as bundle:
             dims = bundle["layer_dims"].tolist()
             layers = [
                 DenseLayer(
@@ -55,11 +56,16 @@ def load_checkpoint(path) -> tuple[MlpNetwork, dict, str]:
             ]
             config_json = bytes(bundle["config_json"]).decode("utf-8")
             stored_hash = bytes(bundle["config_hash"]).decode("ascii")
-    except (KeyError, ValueError, OSError, zipfile.BadZipFile) as exc:
+    # TypeError: a bare .npy array is no context manager.
+    except (KeyError, ValueError, OSError, TypeError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     config = json.loads(config_json)
     if config_hash(config) != stored_hash:
         raise CheckpointError(f"checkpoint {path}: config hash mismatch")
+    if not isinstance(config, dict):
+        raise CheckpointError(
+            f"malformed checkpoint {path}: config is not a JSON object"
+        )
     net = MlpNetwork(layers)
     if net.layer_dims != dims:
         raise CheckpointError(

@@ -14,7 +14,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from .analysis import parse_subset_label
+from .analysis import parse_subset_label, subset_label
 from .errors import ConfigError
 from .ff import GAMMA_MODES, SCHEDULES
 from .fetch import DATASETS, fetch_dataset
@@ -66,8 +66,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None)
     from_file = {} if config_path is None else json.loads(Path(config_path).read_text())
-    skip = {"config", "command", "func", "thetas", "seeds", "parallel"}
-    flags = {key: value for key, value in vars(args).items() if key not in skip}
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    flags = {key: value for key, value in vars(args).items() if key in fields}
     return dataclasses.replace(RunConfig.from_dict(from_file), **flags)
 
 
@@ -108,8 +108,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     subsets = None
-    if args.subsets:
+    if args.subsets is not None:
+        if not args.subsets.strip():
+            raise ConfigError("--subsets needs at least one subset")
         subsets = [parse_subset_label(part) for part in args.subsets.split(",")]
+        for i, subset in enumerate(subsets):
+            if subset in subsets[:i]:
+                raise ConfigError(f"--subsets repeats subset {subset_label(subset)}")
     summary = evaluate_checkpoint(
         args.checkpoint,
         args.output_dir,

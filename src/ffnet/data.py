@@ -21,6 +21,7 @@ it only as the oracle the tests compare the label-factored form against.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import warnings
 import zlib
@@ -125,7 +126,8 @@ def load_idx(images_path, labels_path, name: str = "mnist", split: str = "train"
             f"{labels.shape[0]} labels"
         )
     n = images.shape[0]
-    flat = images.reshape(n, -1).astype(np.float64) / 255.0
+    # The width is spelled out: reshape cannot infer -1 for 0 images.
+    flat = images.reshape(n, math.prod(images.shape[1:])).astype(np.float64) / 255.0
     return Dataset(flat, labels.astype(np.int64), name=name, split=split)
 
 

@@ -313,6 +313,16 @@ def schedule_stages(schedule: str, depth: int) -> list[list[int]]:
     raise ConfigError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
 
 
+def check_train_size(n: int, loss_kind: str) -> None:
+    """Reject a training split too small for every epoch to train a batch: that
+    takes 1 sample, or 2 under the entropy objective, which skips a batch with
+    fewer than 2 rows of one polarity."""
+    if loss_kind == "entropy" and n < 2:
+        raise ConfigError(f"the entropy objective needs 2 training samples, got {n}")
+    if n < 1:
+        raise ConfigError(f"training needs 1 training sample, got {n}")
+
+
 def fit(
     net: MlpNetwork,
     cfg: FfConfig,
@@ -362,6 +372,7 @@ def train(
     entropy objective skips a batch with fewer than 2 rows of one polarity
     (a trailing one-sample batch).
     """
+    check_train_size(ds.n, cfg.loss_kind)
     depth = net.depth
 
     def step(batch: LinkedBatch, layers: list[int], stats: _EpochStats):

@@ -65,18 +65,18 @@ class RunConfig:
     method: str = "ff"
     gamma_mode: Optional[str] = None
     schedule: Optional[str] = None
-    theta: float = 10.0
-    epochs: int = 150
-    batch_size: int = 200
-    learning_rate: float = 0.001
-    seed: int = 0
+    theta: float = ff.FfConfig.theta
+    epochs: int = ff.FfConfig.epochs
+    batch_size: int = ff.FfConfig.batch_size
+    learning_rate: float = ff.FfConfig.learning_rate
+    seed: int = ff.FfConfig.seed
     layer_dims: Optional[Sequence[int]] = None
     output_dir: str = "runs/run"
     entropy_eval_n: int = 2000
     eval_every: int = 10
     data_dir: Optional[str] = None
     train_subset: Optional[int] = None
-    negatives_per_positive: int = 1
+    negatives_per_positive: int = ff.FfConfig.negatives_per_positive
     classic_normalize: bool = False
 
     def resolved(self) -> "RunConfig":
@@ -165,9 +165,9 @@ def _reject_ignored_settings(cfg: RunConfig) -> None:
         raise ConfigError(f"{cfg.method} ignores classic_normalize; it needs a label head")
     if method.layer_local:
         return
-    only = {"gamma_mode": "none", "schedule": "layerwise"}
+    only = {"gamma_mode": method.gamma_mode, "schedule": method.schedule}
     if not method.linked:
-        only["negatives_per_positive"] = 1
+        only["negatives_per_positive"] = ff.FfConfig.negatives_per_positive
     for name, value in only.items():
         if getattr(cfg, name) != value:
             raise ConfigError(
@@ -235,32 +235,29 @@ def _error(scores: np.ndarray, labels, method: Method) -> float:
     return ff.voting_error(scores, labels, _voting_layers(method, scores.shape[2]))
 
 
-def _entropy_rows(epoch: int, positive: np.ndarray, negative: np.ndarray) -> list[dict]:
-    """The both/positive/negative entropy rows of one snapshot from the (n, depth)
-    goodness of the evaluation sample linked with its true and its wrong labels."""
+def _sample_rows(
+    epoch: int, scores: np.ndarray, labels, wrong, cfg: RunConfig
+) -> tuple[list[dict], list[dict]]:
+    """The both/positive/negative entropy rows and the per-layer test history
+    rows of one snapshot, from the evaluation sample's goodness tensor and each
+    sample's true and wrong label."""
+    positive = ff.linked_goodness(scores, labels)
+    negative = ff.linked_goodness(scores, wrong)
     reports = split_entropy_reports(positive, negative)
-    return [entropy_row(epoch, reports[s]) for s in ("both", "positive", "negative")]
-
-
-def _test_history_rows(
-    positive: np.ndarray, negative: np.ndarray, cfg: RunConfig, epoch: int
-) -> list[dict]:
-    """Per-layer test loss and goodness from the (n, depth) goodness tables of the
-    evaluation sample linked with its true and its wrong labels."""
+    entropy = [entropy_row(epoch, reports[s]) for s in ("both", "positive", "negative")]
     ff_cfg = cfg.ff_config()
     table = np.vstack([positive, negative])
     polarity = np.concatenate([np.ones(len(positive)), -np.ones(len(negative))])
-    depth = table.shape[1]
     method = METHOD_TABLE[cfg.method]
-    layers = _voting_layers(method, depth)
-    stats = ff._EpochStats(depth, epoch)
+    layers = _voting_layers(method, table.shape[1])
+    stats = ff._EpochStats(table.shape[1], epoch)
     for i in layers:
         gamma = ff.compute_gamma(table, i, ff_cfg.gamma_mode)
         loss, _ = ff.descent_loss(table[:, i], gamma, ff_cfg, polarity)
         stats.record(i, loss, table[:, i], polarity)
     # A backprop stage labels its history rows with the method, as it trains.
     loss_kind = ff_cfg.loss_kind if method.layer_local else cfg.method
-    return stats.rows(loss_kind, layers, split="test")
+    return entropy, stats.rows(loss_kind, layers, split="test")
 
 
 def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
@@ -286,13 +283,14 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
             f"layer_dims[0]={cfg.layer_dims[0]} but {cfg.method} on this data "
             f"needs {expected}-dim inputs"
         )
+    if cfg.train_subset is not None:
+        train_ds = train_ds.subset(cfg.train_subset)
+    ff_cfg = cfg.ff_config()
+    ff.check_train_size(train_ds.n, ff_cfg.loss_kind)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = cfg.to_dict()
     write_json(out_dir / "config.json", resolved)
-
-    if cfg.train_subset is not None:
-        train_ds = train_ds.subset(cfg.train_subset)
 
     started = time.monotonic()
     net = init_network(cfg.layer_dims, make_rng(cfg.seed))
@@ -305,14 +303,12 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     def snapshot(epoch: int, scores: np.ndarray) -> None:
         """Record the snapshot of ``epoch`` from the evaluation sample's scores."""
         if method.linked:
-            positive = ff.linked_goodness(scores, eval_labels)
-            negative = ff.linked_goodness(scores, eval_wrong)
-            entropy_rows.extend(_entropy_rows(epoch, positive, negative))
-            test_rows.extend(_test_history_rows(positive, negative, cfg, epoch))
+            entropy, test = _sample_rows(epoch, scores, eval_labels, eval_wrong, cfg)
+            entropy_rows.extend(entropy)
+            test_rows.extend(test)
         error = _error(scores, eval_labels, method)
         error_rows.append({"epoch": epoch, "split": "test", "error": error})
 
-    ff_cfg = cfg.ff_config()
     total_epochs = _last_epoch(cfg, net.depth)
 
     def on_epoch(epoch: int, current: MlpNetwork) -> None:
@@ -374,7 +370,7 @@ def evaluate_checkpoint(
     scores it; the test error reduces those scores. For the goodness methods
     the subset and marginal reports reduce the same goodness tensor, and the
     entropy report gathers the rows of the seeded evaluation sample that the
-    run's snapshots used.
+    run's snapshots used and reduces them as they do (:func:`_sample_rows`).
     """
     from .analysis import default_subset_family, marginal_contributions, subset_errors
 
@@ -418,12 +414,8 @@ def evaluate_checkpoint(
             # an earlier eval would not match this subsets.csv.
             (out_dir / "marginals.csv").unlink(missing_ok=True)
         idx, labels, wrong = draw_eval_sample(test_ds, cfg.entropy_eval_n, cfg.seed)
-        sample = scores[idx]
-        rows = _entropy_rows(
-            _last_epoch(cfg, net.depth),
-            ff.linked_goodness(sample, labels),
-            ff.linked_goodness(sample, wrong),
-        )
+        epoch = _last_epoch(cfg, net.depth)
+        rows, _ = _sample_rows(epoch, scores[idx], labels, wrong, cfg)
         write_entropy_csv(out_dir / "entropy_report.csv", rows, net.depth)
     write_json(out_dir / "eval_summary.json", summary)
     return summary

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from ffnet import init_network, make_rng
+from ffnet.checkpoint import config_hash, save_checkpoint
 from ffnet.data import write_idx
 from ffnet.nn import ForwardTrace
 from ffnet.synth import synthetic_dataset
@@ -57,6 +60,17 @@ def trace_from_activities(act: np.ndarray) -> ForwardTrace:
     """Minimal single-layer trace for loss functions that only read act."""
     act = np.asarray(act, dtype=np.float64)
     return ForwardTrace(inputs=np.zeros((act.shape[0], 1)), act=[act])
+
+
+def store_config(path, net, config) -> None:
+    """A checkpoint of ``net`` whose config is any JSON value, its hash matching."""
+    save_checkpoint(path, net, {})
+    with np.load(path) as bundle:
+        arrays = {k: bundle[k] for k in bundle.files}
+    arrays["config_json"] = np.frombuffer(json.dumps(config).encode(), dtype=np.uint8)
+    arrays["config_hash"] = np.frombuffer(config_hash(config).encode(), dtype=np.uint8)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
 
 
 def write_mnist_fixture(root) -> None:

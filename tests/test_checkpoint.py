@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import store_config
 
 from ffnet.checkpoint import config_hash, load_checkpoint, save_checkpoint
 from ffnet.errors import CheckpointError
@@ -45,12 +46,15 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "nope.npz")
 
-    @pytest.mark.parametrize("truncated", [False, True], ids=["not_a_zip", "truncated"])
-    def test_garbage_file(self, tmp_path, truncated):
+    @pytest.mark.parametrize("kind", ["not_a_zip", "truncated", "npy_array"])
+    def test_garbage_file(self, tmp_path, kind):
         bad = tmp_path / "bad.npz"
-        if truncated:
+        if kind == "truncated":
             save_checkpoint(bad, init_network([6, 3], make_rng(0)), {"seed": 1})
             bad.write_bytes(bad.read_bytes()[:300])
+        elif kind == "npy_array":
+            with open(bad, "wb") as handle:
+                np.save(handle, np.zeros(3))
         else:
             bad.write_bytes(b"not a checkpoint")
         with pytest.raises(CheckpointError, match="malformed checkpoint"):
@@ -69,3 +73,11 @@ class TestCheckpointErrors:
             np.savez(handle, **arrays)
         with pytest.raises(CheckpointError, match="hash mismatch"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("config", [[1, 2], None], ids=["list", "null"])
+    def test_config_that_is_not_an_object_is_malformed(self, tmp_path, config):
+        path = tmp_path / "m.npz"
+        store_config(path, init_network([6, 3], make_rng(0)), config)
+        with pytest.raises(CheckpointError, match="malformed checkpoint .*JSON object"):
+            load_checkpoint(path)
+

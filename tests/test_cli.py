@@ -4,6 +4,7 @@ import tarfile
 
 import numpy as np
 import pytest
+from conftest import store_config
 
 from ffnet.cli import main
 from ffnet.data import write_idx
@@ -204,6 +205,34 @@ class TestTrainCommand:
         ]
         assert not (out / "history.csv").exists()
 
+    @pytest.mark.parametrize(
+        ("method", "train_n", "message"),
+        [
+            ("entropy_ff", 1, "the entropy objective needs 2 training samples, got 1"),
+            ("ff", 0, "training needs 1 training sample, got 0"),
+        ],
+        ids=["entropy_one_sample", "empty_split"],
+    )
+    def test_split_too_small_to_train_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys, method, train_n, message
+    ):
+        cache = tmp_path / "data"
+        shutil.copytree(data_dir, cache)
+        if train_n == 0:
+            mnist = cache / "mnist"
+            write_idx(mnist / "train-images-idx3-ubyte.gz", np.zeros((0, 28, 28)))
+            write_idx(mnist / "train-labels-idx1-ubyte.gz", np.zeros(0))
+        flags = list(TRAIN_FLAGS)
+        flags[flags.index("--train-subset") + 1] = "1"  # all of an empty split
+        out = tmp_path / "run"
+        rc = main(
+            ["train", "--method", method, "--data-dir", str(cache),
+             "--output-dir", str(out), *flags]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (out / "config.json").exists()
+
     def test_corrupt_cached_idx_file_is_a_one_line_error(
         self, data_dir, tmp_path, capsys
     ):
@@ -336,6 +365,47 @@ class TestEvalCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: malformed checkpoint {checkpoint}: ")
+
+    @pytest.mark.parametrize(
+        ("subsets", "message"),
+        [
+            ("1,1", "--subsets repeats subset 1"),
+            ("1+2,2+1", "--subsets repeats subset 1+2"),
+            ("", "--subsets needs at least one subset"),
+        ],
+        ids=["repeated", "reordered", "empty"],
+    )
+    def test_bad_subset_list_is_a_one_line_error(
+        self, data_dir, trained_run, tmp_path, capsys, subsets, message
+    ):
+        out = tmp_path / "eval"
+        rc = main(
+            ["eval", str(trained_run / "checkpoint.npz"), "--output-dir", str(out),
+             "--data-dir", str(data_dir), "--subsets", subsets]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [[1, 2], None], ids=["list", "null"])
+    def test_checkpoint_config_that_is_not_an_object_is_a_one_line_error(
+        self, data_dir, trained_run, tmp_path, capsys, config
+    ):
+        from ffnet.checkpoint import load_checkpoint
+
+        net, _, _ = load_checkpoint(trained_run / "checkpoint.npz")
+        checkpoint = tmp_path / "edited.npz"
+        store_config(checkpoint, net, config)
+        out = tmp_path / "eval"
+        rc = main(
+            ["eval", str(checkpoint), "--output-dir", str(out),
+             "--data-dir", str(data_dir)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: malformed checkpoint {checkpoint}: config is not a JSON object"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         ("change", "message"),

@@ -39,6 +39,12 @@ class TestIdx:
         np.testing.assert_array_equal(ds.labels, labels)
         np.testing.assert_array_equal(ds.images, images.reshape(50, -1) / 255.0)
 
+    def test_empty_pair_keeps_the_image_width(self, tmp_path):
+        write_idx(tmp_path / "images", np.zeros((0, 28, 28)))
+        write_idx(tmp_path / "labels", np.zeros(0))
+        ds = load_idx(tmp_path / "images", tmp_path / "labels")
+        assert ds.images.shape == (0, 784) and ds.labels.shape == (0,)
+
     def test_gzip_autodetected(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(8, 28, 28)).astype(np.uint8)
         labels = rng.integers(0, 10, size=8).astype(np.uint8)

@@ -416,6 +416,37 @@ class TestDivergence:
             baselines.train_classic(net, train_ds, cfg, on_epoch=on_epoch)
 
 
+class TestTrainSize:
+    """Every epoch trains at least one batch, so a trainer rejects a training
+    split of no samples, or of 1 under the entropy objective."""
+
+    @pytest.mark.parametrize(
+        "trainer, dims",
+        [("train", [20, 8, 6]), ("train_pairwise", [20, 8, 6]),
+         ("train_classic", [10, 8, 10])],
+    )
+    def test_empty_split_rejected(self, trainer, dims):
+        import ffnet.baselines as baselines
+        import ffnet.ff as ff_module
+
+        train_fn = getattr(ff_module if trainer == "train" else baselines, trainer)
+        train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
+        with pytest.raises(
+            ConfigError, match=r"^training needs 1 training sample, got 0$"
+        ):
+            train_fn(init_network(dims, make_rng(0)), train_ds.subset(0), FfConfig())
+
+    def test_entropy_rejects_one_sample(self):
+        train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
+        cfg = FfConfig(loss_kind="entropy", epochs=1, batch_size=20)
+        net = init_network([20, 8, 6], make_rng(0))
+        with pytest.raises(
+            ConfigError, match=r"^the entropy objective needs 2 training samples, got 1$"
+        ):
+            train(net, train_ds.subset(1), cfg)
+        train(net, train_ds.subset(2), cfg)
+
+
 class TestInference:
     def test_single_candidate(self):
         net = random_net([14, 6], seed=3)  # input dim = 4 + 10
