@@ -57,10 +57,7 @@ def train_pairwise(
             trace, last, 0.0, cfg.theta, batch.polarity
         )
         stats.record(last, loss, goodness(trace, last), batch.polarity)
-        grads = full_backprop_grad(
-            net, batch.images, output_grad, trace=trace,
-            linked_labels=batch.linked_labels,
-        )
+        grads = full_backprop_grad(net, batch.images, output_grad, trace=trace)
         return [(i, grad_w, grad_b) for i, (grad_w, grad_b) in enumerate(grads)]
 
     batches = partial(

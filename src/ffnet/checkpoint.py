@@ -54,12 +54,12 @@ def load_checkpoint(path) -> tuple[MlpNetwork, dict, str]:
                 )
                 for i in range(len(dims) - 1)
             ]
-            config_json = bytes(bundle["config_json"]).decode("utf-8")
+            config = json.loads(bytes(bundle["config_json"]).decode("utf-8"))
             stored_hash = bytes(bundle["config_hash"]).decode("ascii")
-    # TypeError: a bare .npy array is no context manager.
+    # TypeError: a bare .npy array is no context manager. ValueError covers
+    # a config that is not valid JSON.
     except (KeyError, ValueError, OSError, TypeError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-    config = json.loads(config_json)
     if config_hash(config) != stored_hash:
         raise CheckpointError(f"checkpoint {path}: config hash mismatch")
     if not isinstance(config, dict):

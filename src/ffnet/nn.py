@@ -9,7 +9,10 @@ Two gradient routes coexist on purpose:
   pre-activation, so the layer's matmul is not repeated.
 * :func:`full_backprop_grad` runs the exact chain rule through the whole
   stack, including the inter-layer L2 row normalization, for the
-  backpropagation baselines.
+  backpropagation baselines. It reads everything it needs of the forward
+  pass from the trace: the inputs, the linked labels, the activities whose
+  masks gate each layer, and the normalized rows that the normalization's
+  backward pass (:func:`l2_row_normalize_vjp`) reuses.
 
 Both turn a layer's pre-activation gradient into its parameter gradients
 through one helper, which for a first layer over linked inputs takes the
@@ -20,10 +23,11 @@ test suite.
 to :func:`forward_from_pre`, the one layer loop. Given ``linked_labels`` it
 takes the same label-factored form as :func:`layer_local_grad`, so a
 training batch's pixel product runs once per sample
-(:func:`first_layer_factors`); label-factored inference enters the loop
-directly. From layer 2 on, the loop adds the bias and applies the ReLU
-inside the array the layer's matmul returns, and it normalizes every
-computed layer but the last, whose normalized rows no layer reads.
+(:func:`first_layer_factors`), and it records the labels in the trace;
+label-factored inference enters the loop directly. From layer 2 on, the
+loop adds the bias and applies the ReLU inside the array the layer's matmul
+returns, and it normalizes every computed layer but the last, whose
+normalized rows no layer reads.
 :func:`adam_step` updates a parameter array and its moments in place,
 block by block, so a :class:`DenseLayer` keeps its arrays across training
 and an update allocates only two cache-sized scratch blocks.
@@ -116,12 +120,16 @@ class ForwardTrace:
     logits. ``normed[i]`` holds what layer ``i + 1`` consumes, so it covers
     every computed layer but the last. With normalization disabled it is
     ``act[i]`` itself. ``inputs`` is None for a pass started from a
-    first-layer pre-activation (:func:`forward_from_pre`).
+    first-layer pre-activation (:func:`forward_from_pre`). ``linked_labels``
+    is the label of every row of a label-factored pass, else None.
+    ``final_linear`` is the flag the pass ran with.
     """
 
     inputs: np.ndarray | None
     act: list[np.ndarray] = field(default_factory=list)
     normed: list[np.ndarray] = field(default_factory=list)
+    linked_labels: np.ndarray | None = None
+    final_linear: bool = False
 
     @property
     def depth(self) -> int:
@@ -166,7 +174,9 @@ def forward_pass(
     else:
         first = net.layers[0]
         first_pre = batch @ first.weights + first.biases
-    return forward_from_pre(net, first_pre, upto, normalize, final_linear, inputs=batch)
+    trace = forward_from_pre(net, first_pre, upto, normalize, final_linear, inputs=batch)
+    trace.linked_labels = linked_labels
+    return trace
 
 
 def first_layer_factors(net: MlpNetwork, n_pixels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +224,7 @@ def forward_from_pre(
     if not 1 <= upto <= depth:
         raise ShapeError(f"upto={upto} outside 1..{depth}")
 
-    trace = ForwardTrace(inputs=inputs)
+    trace = ForwardTrace(inputs=inputs, final_linear=final_linear)
     for i in range(upto):
         is_linear_output = final_linear and i == depth - 1
         if i == 0:
@@ -293,23 +303,23 @@ def _param_grads(layer_input, d_pre, linked_labels=None) -> tuple[np.ndarray, np
     return grad_w, grad_b
 
 
-def l2_row_normalize_vjp(act, grad_out, epsilon: float = NORM_EPSILON) -> np.ndarray:
+def l2_row_normalize_vjp(act, normed, grad_out, epsilon: float = NORM_EPSILON) -> np.ndarray:
     """Backward pass of ``n = a / (||a|| + eps)`` applied row-wise.
 
-    Exact Jacobian-transpose product: for s = ||a|| and n the normalized row,
+    ``normed`` is the forward pass's output ``n`` for the rows ``act``.
+    Exact Jacobian-transpose product: for s = ||a||,
     grad_a = g/(s+eps) - n * (n . g)/s, with the second term vanishing on
-    all-zero rows (where the map is linear with slope 1/eps).
+    all-zero rows (where n is zero and the map is linear with slope 1/eps).
     """
     act = as_matrix(act)
+    normed = as_matrix(normed)
     grad_out = as_matrix(grad_out)
     norms = np.linalg.norm(act, axis=1, keepdims=True)
     denom = norms + epsilon
     safe_denom = np.where(denom > 0.0, denom, 1.0)
-    normed = act / safe_denom
     dot = np.einsum("ij,ij->i", normed, grad_out)[:, None]
     safe_norms = np.where(norms > 0.0, norms, 1.0)
-    correction = np.where(norms > 0.0, normed * dot / safe_norms, 0.0)
-    return grad_out / safe_denom - correction
+    return grad_out / safe_denom - normed * dot / safe_norms
 
 
 def full_backprop_grad(
@@ -318,44 +328,40 @@ def full_backprop_grad(
     output_grad,
     normalize: bool = True,
     final_linear: bool = False,
-    trace: ForwardTrace | None = None,
-    linked_labels=None,
+    *,
+    trace: ForwardTrace,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact chain-rule gradients for every layer.
+    """Exact chain-rule gradients for every layer, from the forward ``trace``.
 
-    ``output_grad`` is the loss derivative w.r.t. the last layer's activities
-    (its logits in ``final_linear`` mode). Returns one (grad_w, grad_b) pair
-    per layer, first layer first. Each layer's ReLU mask is ``act > 0`` on
-    the trace's activities, as in :func:`layer_local_grad`, and the
-    normalization's backward pass reads the same activities. Pass a
-    precomputed ``trace`` from :func:`forward_pass` of ``batch``, with
-    matching flags, to skip the forward recompute; a trace of any other
-    input is rejected.
-
-    With ``linked_labels``, ``batch`` holds each sample's pixels once, as in
-    :func:`forward_pass`, and layer 1's gradient takes the label-factored
-    form of :func:`layer_local_grad`.
+    ``trace`` is :func:`forward_pass` of ``batch`` through the whole network
+    with the same ``normalize`` and ``final_linear`` flags; a trace of any
+    other input or mode is rejected. ``output_grad`` is the loss derivative
+    w.r.t. the last layer's activities (its logits in ``final_linear`` mode).
+    Returns one (grad_w, grad_b) pair per layer, first layer first. Each
+    layer's ReLU mask is ``act > 0`` on the trace's activities, as in
+    :func:`layer_local_grad`, and the normalization's backward pass reads the
+    trace's activities and normalized rows. A label-factored trace gives
+    layer 1's gradient in the label-factored form of
+    :func:`layer_local_grad`, over its ``linked_labels``.
     """
     batch = as_matrix(batch)
-    if trace is None:
-        trace = forward_pass(
-            net, batch, normalize=normalize, final_linear=final_linear,
-            linked_labels=linked_labels,
-        )
-    elif not (batch is trace.inputs or np.array_equal(batch, trace.inputs)):
+    if not (batch is trace.inputs or np.array_equal(batch, trace.inputs)):
         raise ShapeError("batch is not the input of the given trace")
     depth = net.depth
     if trace.depth != depth:
         raise ShapeError(f"trace depth {trace.depth} != network depth {depth}")
+    if trace.final_linear != final_linear:
+        raise ShapeError(
+            f"trace ran with final_linear={trace.final_linear}, not {final_linear}"
+        )
+    # An un-normalized pass hands each layer the previous layer's activities.
+    if depth > 1 and (trace.normed[0] is not trace.act[0]) != normalize:
+        raise ShapeError(f"trace ran with normalize={not normalize}, not {normalize}")
     output_grad = as_matrix(output_grad)
     if output_grad.shape != trace.act[-1].shape:
         raise ShapeError(
             f"output_grad shape {output_grad.shape} does not match "
             f"final activities {trace.act[-1].shape}"
-        )
-    if linked_labels is not None and len(linked_labels) != len(output_grad):
-        raise ShapeError(
-            f"{len(linked_labels)} linked labels for {len(output_grad)} rows"
         )
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * depth  # type: ignore[list-item]
@@ -366,14 +372,12 @@ def full_backprop_grad(
         else:
             d_pre = d_act * (trace.act[i] > 0.0)
         grads[i] = _param_grads(
-            trace.layer_input(i), d_pre, linked_labels if i == 0 else None
+            trace.layer_input(i), d_pre, trace.linked_labels if i == 0 else None
         )
         if i > 0:
-            d_carry = d_pre @ net.layers[i].weights.T
+            d_act = d_pre @ net.layers[i].weights.T
             if normalize:
-                d_act = l2_row_normalize_vjp(trace.act[i - 1], d_carry)
-            else:
-                d_act = d_carry
+                d_act = l2_row_normalize_vjp(trace.act[i - 1], trace.normed[i - 1], d_act)
     return grads
 
 

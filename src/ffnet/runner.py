@@ -372,7 +372,9 @@ def evaluate_checkpoint(
     entropy report gathers the rows of the seeded evaluation sample that the
     run's snapshots used and reduces them as they do (:func:`_sample_rows`).
     """
-    from .analysis import default_subset_family, marginal_contributions, subset_errors
+    from .analysis import (
+        default_subset_family, marginal_contributions, subset_errors, subset_label,
+    )
 
     net, config, stored_hash = load_checkpoint(checkpoint_path)
     if dataset is None and "dataset" not in config:
@@ -382,6 +384,13 @@ def evaluate_checkpoint(
     method = METHOD_TABLE[cfg.method]
     if subsets is not None and not method.linked:
         raise ConfigError("layer subsets are undefined for the classic baseline")
+    for subset in subsets or ():
+        deepest = max(subset, default=0) + 1
+        if deepest > net.depth:
+            raise ConfigError(
+                f"subset {subset_label(subset)} names layer {deepest}; "
+                f"the network has {net.depth} layers"
+            )
     name = dataset or cfg.dataset
     test_ds = load_dataset(name, "test", data_dir or cfg.data_dir)
     expected = _input_width(method, test_ds.d)
@@ -424,9 +433,12 @@ def evaluate_checkpoint(
 def run_variants(
     cfg: RunConfig, field: str, values: Sequence, dir_name: str, parallel: int = 0
 ) -> tuple[list[RunConfig], list[dict]]:
-    """One run per ``field`` value, in ``cfg.output_dir / dir_name.format(value)``
-    and ``parallel`` worker processes if above 1. Every variant is resolved, and
-    no two may share a directory, before the first run starts."""
+    """One run per ``field`` value, in ``cfg.output_dir / dir_name.format(value)``,
+    on up to ``parallel`` worker processes but never more than there are
+    values; one worker runs in-process. Every variant is resolved, and no two
+    may share a directory, before the first run starts."""
+    if parallel < 0:
+        raise ConfigError(f"parallel must be a non-negative worker count, got {parallel}")
     base = cfg.resolved()
     configs = []
     owners: dict[str, object] = {}  # output directory -> the value that took it
@@ -440,10 +452,11 @@ def run_variants(
         owners[out_dir] = value
         changes = {field: value, "output_dir": out_dir}
         configs.append(dataclasses.replace(base, **changes).resolved())
-    if parallel > 1:
+    workers = min(parallel, len(configs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return configs, list(pool.map(run_from_paths, configs))
     return configs, [run_from_paths(c) for c in configs]
 

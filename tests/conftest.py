@@ -62,12 +62,14 @@ def trace_from_activities(act: np.ndarray) -> ForwardTrace:
     return ForwardTrace(inputs=np.zeros((act.shape[0], 1)), act=[act])
 
 
-def store_config(path, net, config) -> None:
-    """A checkpoint of ``net`` whose config is any JSON value, its hash matching."""
+def store_config(path, net, config, text=None) -> None:
+    """A checkpoint of ``net`` whose config is any JSON value, its hash matching;
+    given ``text``, the stored config is that text instead."""
     save_checkpoint(path, net, {})
     with np.load(path) as bundle:
         arrays = {k: bundle[k] for k in bundle.files}
-    arrays["config_json"] = np.frombuffer(json.dumps(config).encode(), dtype=np.uint8)
+    text = json.dumps(config) if text is None else text
+    arrays["config_json"] = np.frombuffer(text.encode(), dtype=np.uint8)
     arrays["config_hash"] = np.frombuffer(config_hash(config).encode(), dtype=np.uint8)
     with open(path, "wb") as handle:
         np.savez(handle, **arrays)

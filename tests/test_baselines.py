@@ -89,9 +89,7 @@ class TestPairwiseGradients:
         output gradient."""
         trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
         _, output_grad = ff_loss_and_coeffs(trace, net.depth - 1, 0.0, 1.0, batch.polarity)
-        grads = full_backprop_grad(
-            net, batch.images, output_grad, trace=trace, linked_labels=batch.linked_labels
-        )
+        grads = full_backprop_grad(net, batch.images, output_grad, trace=trace)
         return grads, output_grad
 
     @pytest.mark.parametrize("negatives", [1, 3])
@@ -103,7 +101,10 @@ class TestPairwiseGradients:
         assert [b.images.shape[0] for b in batches] == [10, 10, 3]
         for batch in batches:
             got, output_grad = self.pairwise_grads(net, batch)
-            want = full_backprop_grad(net, batch.linked_inputs(), output_grad)
+            inputs = batch.linked_inputs()
+            want = full_backprop_grad(
+                net, inputs, output_grad, trace=forward_pass(net, inputs)
+            )
             for (gw, gb), (ww, wb) in zip(got, want):
                 assert gw.shape == ww.shape and gb.shape == wb.shape
                 np.testing.assert_allclose(gw, ww, rtol=1e-12, atol=0.0)
@@ -131,17 +132,8 @@ class TestPairwiseGradients:
     def test_factored_shape_checks(self):
         net = random_net([16, 7, 5], seed=36)
         batch = self.batches(1)[0]  # 10 samples, 20 rows
-        output_grad = np.ones((20, 5))
         with pytest.raises(ShapeError, match="20 linked rows are not a multiple of 7"):
-            full_backprop_grad(
-                net, batch.images[:7], output_grad, linked_labels=batch.linked_labels
-            )
-        trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
-        with pytest.raises(ShapeError, match="10 linked labels for 20 rows"):
-            full_backprop_grad(
-                net, batch.images, output_grad, trace=trace,
-                linked_labels=batch.linked_labels[:10],
-            )
+            forward_pass(net, batch.images[:7], linked_labels=batch.linked_labels)
 
     def test_depth_one_pairwise_equals_plain_ff_updates(self):
         """With a single layer the two methods are the same algorithm, and

@@ -81,3 +81,11 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError, match="malformed checkpoint .*JSON object"):
             load_checkpoint(path)
 
+    def test_config_that_is_not_json_is_malformed(self, tmp_path):
+        path = tmp_path / "m.npz"
+        store_config(path, init_network([6, 3], make_rng(0)), {}, text="{oops")
+        with pytest.raises(
+            CheckpointError, match=f"malformed checkpoint {path}: Expecting property name"
+        ):
+            load_checkpoint(path)
+

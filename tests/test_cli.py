@@ -372,8 +372,10 @@ class TestEvalCommand:
             ("1,1", "--subsets repeats subset 1"),
             ("1+2,2+1", "--subsets repeats subset 1+2"),
             ("", "--subsets needs at least one subset"),
+            ("4", "subset 4 names layer 4; the network has 3 layers"),
+            ("1,1+5", "subset 1+5 names layer 5; the network has 3 layers"),
         ],
-        ids=["repeated", "reordered", "empty"],
+        ids=["repeated", "reordered", "empty", "too_deep", "too_deep_later"],
     )
     def test_bad_subset_list_is_a_one_line_error(
         self, data_dir, trained_run, tmp_path, capsys, subsets, message
@@ -405,6 +407,25 @@ class TestEvalCommand:
         assert capsys.readouterr().err.splitlines() == [
             f"error: malformed checkpoint {checkpoint}: config is not a JSON object"
         ]
+        assert not out.exists()
+
+    def test_checkpoint_config_that_is_not_json_is_a_one_line_error(
+        self, data_dir, trained_run, tmp_path, capsys
+    ):
+        from ffnet.checkpoint import load_checkpoint
+
+        net, _, _ = load_checkpoint(trained_run / "checkpoint.npz")
+        checkpoint = tmp_path / "edited.npz"
+        store_config(checkpoint, net, {}, text="{oops")
+        out = tmp_path / "eval"
+        rc = main(
+            ["eval", str(checkpoint), "--output-dir", str(out),
+             "--data-dir", str(data_dir)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: malformed checkpoint {checkpoint}: Expecting")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -493,16 +514,19 @@ class TestMultiRunChecks:
 
 
 class TestSweepCommand:
-    def test_sweep_emits_one_row_per_theta(self, data_dir, tmp_path):
-        out = tmp_path / "sweep"
-        rc = main(
+    @staticmethod
+    def sweep(data_dir, out, *extra):
+        return main(
             ["sweep", "--method", "ff", "--dataset", "mnist",
              "--epochs", "1", "--batch-size", "40",
              "--layer-dims", "794,16,12,8", "--train-subset", "120",
              "--entropy-eval-n", "40", "--data-dir", str(data_dir),
-             "--output-dir", str(out), "--thetas", "3,6"]
+             "--output-dir", str(out), *extra]
         )
-        assert rc == 0
+
+    def test_sweep_emits_one_row_per_theta(self, data_dir, tmp_path):
+        out = tmp_path / "sweep"
+        assert self.sweep(data_dir, out, "--thetas", "3,6") == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "theta,method,dataset,final_test_error"
         assert len(lines) == 3
@@ -514,16 +538,49 @@ class TestSweepCommand:
         results = {}
         for tag, extra in (("seq", []), ("par", ["--parallel", "2"])):
             out = tmp_path / tag
-            rc = main(
-                ["sweep", "--method", "ff", "--dataset", "mnist",
-                 "--epochs", "1", "--batch-size", "40",
-                 "--layer-dims", "794,16,12,8", "--train-subset", "120",
-                 "--entropy-eval-n", "40", "--data-dir", str(data_dir),
-                 "--output-dir", str(out), "--thetas", "3,6", *extra]
-            )
-            assert rc == 0
+            assert self.sweep(data_dir, out, "--thetas", "3,6", *extra) == 0
             results[tag] = (out / "sweep.csv").read_text()
         assert results["seq"] == results["par"]
+
+    def test_negative_parallel_is_a_one_line_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert self.sweep(data_dir, out, "--thetas", "3,6", "--parallel", "-3") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: parallel must be a non-negative worker count, got -3"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("thetas", "parallel", "workers"),
+        [("3,6", "64", [2]), ("3,6,9", "2", [2]), ("3", "8", [])],
+        ids=["capped", "below_cap", "one_run"],
+    )
+    def test_parallel_never_exceeds_the_runs(
+        self, data_dir, tmp_path, monkeypatch, thetas, parallel, workers
+    ):
+        """The pool is sized to the runs; a recording stand-in runs them in-process."""
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "sweep"
+        assert self.sweep(data_dir, out, "--thetas", thetas, "--parallel", parallel) == 0
+        assert started == workers
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + len(thetas.split(","))
 
 
 class TestFetch:

@@ -231,17 +231,16 @@ class TestFullBackprop:
         net = random_net([6, 4], seed=4)
         x = random_batch(rng, 3, 6)
         coeffs = rng.standard_normal((3, 4))
-        gw_local, gb_local = layer_local_grad(
-            net.layers[0], x, forward_pass(net, x).act[0], coeffs
-        )
-        [(gw_full, gb_full)] = full_backprop_grad(net, x, coeffs)
+        trace = forward_pass(net, x)
+        gw_local, gb_local = layer_local_grad(net.layers[0], x, trace.act[0], coeffs)
+        [(gw_full, gb_full)] = full_backprop_grad(net, x, coeffs, trace=trace)
         np.testing.assert_array_equal(gw_local, gw_full)
         np.testing.assert_array_equal(gb_local, gb_full)
 
     def test_zero_output_grad(self, rng):
         net = random_net([6, 5, 4], seed=5)
         x = random_batch(rng, 3, 6)
-        grads = full_backprop_grad(net, x, np.zeros((3, 4)))
+        grads = full_backprop_grad(net, x, np.zeros((3, 4)), trace=forward_pass(net, x))
         for gw, gb in grads:
             assert np.all(gw == 0.0) and np.all(gb == 0.0)
 
@@ -255,7 +254,8 @@ class TestFullBackprop:
             trace = forward_pass(net, x, normalize=normalize)
             return float(np.sum(out_coeffs * trace.act[-1]))
 
-        grads = full_backprop_grad(net, x, out_coeffs, normalize=normalize)
+        trace = forward_pass(net, x, normalize=normalize)
+        grads = full_backprop_grad(net, x, out_coeffs, normalize=normalize, trace=trace)
         analytic, numeric = [], []
         for i, layer in enumerate(net.layers):
             analytic.extend(grads[i])
@@ -272,8 +272,9 @@ class TestFullBackprop:
             trace = forward_pass(net, x, normalize=False, final_linear=True)
             return float(np.sum(out_coeffs * trace.act[-1]))
 
+        trace = forward_pass(net, x, normalize=False, final_linear=True)
         grads = full_backprop_grad(
-            net, x, out_coeffs, normalize=False, final_linear=True
+            net, x, out_coeffs, normalize=False, final_linear=True, trace=trace
         )
         analytic, numeric = [], []
         for i, layer in enumerate(net.layers):
@@ -291,11 +292,35 @@ class TestFullBackprop:
             full_backprop_grad(net, np.zeros((2, 99)), out_coeffs, trace=trace)
         with pytest.raises(ShapeError, match="batch is not the input of the given trace"):
             full_backprop_grad(net, x + 1.0, out_coeffs, trace=trace)
-        recomputed = full_backprop_grad(net, x, out_coeffs)
+        recomputed = full_backprop_grad(net, x, out_coeffs, trace=forward_pass(net, x))
         for given in (x, x.copy()):
             traced = full_backprop_grad(net, given, out_coeffs, trace=trace)
             for (gw, gb), (rw, rb) in zip(traced, recomputed):
                 assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+
+    @pytest.mark.parametrize(
+        ("traced", "asked", "message"),
+        [
+            ({"normalize": False}, {}, "trace ran with normalize=False, not True"),
+            ({}, {"normalize": False}, "trace ran with normalize=True, not False"),
+            ({"final_linear": True}, {}, "trace ran with final_linear=True, not False"),
+            ({}, {"final_linear": True}, "trace ran with final_linear=False, not True"),
+        ],
+        ids=["unnormalized_trace", "normalized_trace", "linear_trace", "relu_trace"],
+    )
+    def test_trace_of_another_mode_rejected(self, rng, traced, asked, message):
+        net = random_net([6, 4, 3], seed=10)
+        x = random_batch(rng, 5, 6)
+        trace = forward_pass(net, x, **traced)
+        with pytest.raises(ShapeError, match=message):
+            full_backprop_grad(net, x, np.ones((5, 3)), trace=trace, **asked)
+
+    def test_trace_carries_the_linked_labels(self, rng):
+        net = random_net([16, 4, 3], seed=11)
+        images = random_batch(rng, 3, 6)
+        labels = np.array([0, 4, 9, 2, 2, 7])
+        assert forward_pass(net, images, linked_labels=labels).linked_labels is labels
+        assert forward_pass(net, random_batch(rng, 3, 16)).linked_labels is None
 
 
 def adam_reference(param, m, v, grad, t, st):

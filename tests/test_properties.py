@@ -1,6 +1,7 @@
 """Property tests of the linked-batch sampler, the wrong-label draw, the
 backward pass of row normalization, the functional-entropy identities and
-the precedence of CLI flags over a config file over defaults.
+the precedence of CLI flags over a config file over defaults, and a check
+that a falsified property is reported as a test failure.
 
 In the sampler properties each sample carries its index in its one pixel, so
 a batch row can be traced back to the sample it came from.
@@ -9,6 +10,10 @@ a batch row can be traced back to the sample it came from.
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 from conftest import fd_grad
@@ -99,7 +104,7 @@ def test_normalize_vjp_matches_central_differences(quarters, zero_rows, epsilon,
         return float(np.sum(grad_out * l2_row_normalize(act, epsilon)))
 
     numeric = fd_grad(loss, act)
-    analytic = l2_row_normalize_vjp(act, grad_out, epsilon)
+    analytic = l2_row_normalize_vjp(act, l2_row_normalize(act, epsilon), grad_out, epsilon)
     np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
 
 
@@ -171,3 +176,27 @@ def test_cli_flags_beat_config_file_beat_defaults(
     for name in RUN_FIELDS:
         want = from_flags.get(name, from_file.get(name, getattr(default, name)))
         assert getattr(cfg, name) == want, name
+
+
+def test_falsified_property_is_one_failure_under_the_suite_config(tmp_path):
+    """Hypothesis's failure report must not trip the warnings-as-errors
+    setting into an internal error that stops the run."""
+    (tmp_path / "test_example.py").write_text(textwrap.dedent('''
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers())
+        def test_falsified(x):
+            assert x < 5
+
+        def test_passes():
+            pass
+    '''))
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(pyproject), "--rootdir", str(tmp_path), "test_example.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout

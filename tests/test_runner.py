@@ -8,7 +8,7 @@ from ffnet import runner
 from ffnet.checkpoint import load_checkpoint, save_checkpoint
 from ffnet.errors import CheckpointError, ConfigError
 from ffnet.ff import FfConfig, train
-from ffnet.linalg import make_rng
+from ffnet.linalg import l2_row_normalize, make_rng
 from ffnet.nn import init_network, l2_row_normalize_vjp
 from ffnet.runner import (
     METHODS,
@@ -305,20 +305,19 @@ class TestFinalNetworkScoredOnce:
 class TestNormalizationBackwardEdgeCases:
     def test_zero_row_uses_linear_branch(self):
         grad = np.array([[1.0, 2.0, 3.0]])
-        out = l2_row_normalize_vjp(np.zeros((1, 3)), grad, epsilon=1e-8)
+        out = l2_row_normalize_vjp(np.zeros((1, 3)), np.zeros((1, 3)), grad, epsilon=1e-8)
         np.testing.assert_allclose(out, grad / 1e-8)
 
     def test_mixed_zero_and_live_rows(self, rng):
         act = rng.uniform(0.1, 1.0, size=(4, 5))
         act[2] = 0.0
         grad = rng.standard_normal((4, 5))
-        out = l2_row_normalize_vjp(act, grad)
+        out = l2_row_normalize_vjp(act, l2_row_normalize(act), grad)
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out[2], grad[2] / 1e-8)
 
     def test_matches_finite_differences_on_live_rows(self, rng):
         from conftest import agreement, fd_grad
-        from ffnet.linalg import l2_row_normalize
 
         act = rng.uniform(0.1, 1.0, size=(3, 4))
         coeffs = rng.standard_normal((3, 4))
@@ -326,6 +325,6 @@ class TestNormalizationBackwardEdgeCases:
         def scalar():
             return float(np.sum(coeffs * l2_row_normalize(act)))
 
-        analytic = l2_row_normalize_vjp(act, coeffs)
+        analytic = l2_row_normalize_vjp(act, l2_row_normalize(act), coeffs)
         numeric = fd_grad(scalar, act)
         assert agreement([analytic], [numeric], tol=1e-6) >= 0.99
