@@ -14,7 +14,6 @@ import hashlib
 import os
 import shutil
 import tarfile
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,6 +72,9 @@ def sha256_file(path) -> str:
 
 
 def _download(url: str, target: Path) -> None:
+    # Imported here: the network stack costs every command that never downloads.
+    import urllib.request
+
     with urllib.request.urlopen(url) as response:
         atomic_write(target, lambda handle: shutil.copyfileobj(response, handle))
 

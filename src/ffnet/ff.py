@@ -25,9 +25,10 @@ Neither training nor evaluation builds linked inputs. The first layer's
 pre-activation of a sample ``x`` linked with label ``y`` is
 ``x @ W_pix + (W_lab[y] + b)`` (``nn.first_layer_factors``), so a sample's
 pixel product is computed once and shared by all its linked rows: the
-positive and negative rows of a training batch (``nn.forward_pass`` and,
-for layer 1's gradient, ``nn.layer_local_grad``, both given the batch's
-``linked_labels``) and the candidate labels of an evaluation pass.
+positive and negative rows of a training batch (``nn.forward_pass``, given
+the batch's ``linked_labels``, and, for layer 1's gradient,
+``nn.layer_local_grad``, given the same labels from the trace) and the
+candidate labels of an evaluation pass.
 Predictions, subset errors, entropy tables and test-split losses are all
 reductions of the goodness tensor of :func:`label_goodness_scores`.
 """
@@ -39,11 +40,10 @@ from functools import partial
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .data import N_LABELS, Dataset, LinkedBatch, make_linked_batches
 from .errors import ConfigError, EstimationError, ShapeError
-from .linalg import as_matrix, make_rng, row_sumsq
+from .linalg import as_matrix, make_rng, row_sumsq, sigmoid
 from .nn import (
     ForwardTrace,
     MlpNetwork,
@@ -144,7 +144,7 @@ def positive_prob(g, gamma=0.0, theta=0.0):
     logit = np.asarray(g, dtype=np.float64) - (
         np.asarray(theta, dtype=np.float64) - np.asarray(gamma, dtype=np.float64)
     )
-    return np.clip(expit(logit), _P_FLOOR, _P_CEIL)
+    return np.clip(sigmoid(logit), _P_FLOOR, _P_CEIL)
 
 
 def compute_gamma(values: np.ndarray, layer: int, mode: str) -> np.ndarray:
@@ -183,7 +183,7 @@ def ff_loss(g, gamma, theta, polarity) -> tuple[float, np.ndarray]:
     signed = polarity * logit
     loss = float(np.mean(np.logaddexp(0.0, -signed)))
     # d/d logit of softplus(-polarity * logit) = -polarity * sigmoid(-signed)
-    d_logit = -polarity * expit(-signed)
+    d_logit = -polarity * sigmoid(-signed)
     return loss, d_logit / g.shape[0]
 
 
@@ -244,17 +244,17 @@ def descent_loss(g, gamma, cfg: FfConfig, polarity) -> tuple[float, np.ndarray]:
     return -objective, -ascent
 
 
-def _layer_step(net, trace, table, layer: int, cfg: FfConfig, batch: LinkedBatch):
-    """Descent loss and parameter gradients of one layer on one batch."""
+def _layer_step(net, trace, table, layer: int, cfg: FfConfig, polarity):
+    """Descent loss and parameter gradients of one layer on one traced batch."""
     gamma = compute_gamma(table, layer, cfg.gamma_mode)
-    loss, d_g = descent_loss(table[:, layer], gamma, cfg, batch.polarity)
+    loss, d_g = descent_loss(table[:, layer], gamma, cfg, polarity)
     coeffs = d_g[:, None] * 2.0 * trace.act[layer]
     return loss, layer_local_grad(
         net.layers[layer],
         trace.layer_input(layer),
         trace.act[layer],
         coeffs,
-        batch.linked_labels if layer == 0 else None,
+        trace.linked_labels if layer == 0 else None,
     )
 
 
@@ -383,7 +383,7 @@ def train(
         upto = depth if cfg.gamma_mode == "all_other_layers" else layers[-1] + 1
         trace = forward_pass(net, batch.images, upto, linked_labels=batch.linked_labels)
         table = goodness_table(trace)
-        steps = [_layer_step(net, trace, table, i, cfg, batch) for i in layers]
+        steps = [_layer_step(net, trace, table, i, cfg, batch.polarity) for i in layers]
         for i, (loss, _) in zip(layers, steps):
             stats.record(i, loss, table[:, i], batch.polarity)
         return [(i, grad_w, grad_b) for i, (_, (grad_w, grad_b)) in zip(layers, steps)]

@@ -8,6 +8,8 @@ call sequences reproduce runs bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ShapeError
@@ -15,6 +17,9 @@ from .errors import ShapeError
 # Default denominator guard for row normalization; keeps dead-ReLU rows at
 # exactly zero instead of NaN.
 NORM_EPSILON = 1e-8
+
+# Largest argument whose exp is finite; math.exp raises OverflowError above it.
+_EXP_MAX = math.log(np.finfo(np.float64).max)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -35,6 +40,23 @@ def as_matrix(a) -> np.ndarray:
 def relu(a) -> np.ndarray:
     """Entrywise max(0, a)."""
     return np.maximum(np.asarray(a, dtype=np.float64), 0.0)
+
+
+def sigmoid(x):
+    """Logistic 1 / (1 + exp(-x)), elementwise, in the input's shape.
+
+    exp is libm's (``math.exp`` per element), not NumPy's vectorized one,
+    which differs from it in the last bit on a few percent of arguments;
+    with libm the result is bit for bit ``scipy.special.expit``. Arguments
+    whose exp overflows give exactly 0 without a warning, NaN stays NaN,
+    and a 0-d input gives a NumPy scalar.
+    """
+    neg = np.negative(np.asarray(x, dtype=np.float64))
+    clamped = np.minimum(neg, _EXP_MAX)
+    e = np.fromiter(map(math.exp, clamped.ravel().tolist()), np.float64, neg.size)
+    e = e.reshape(neg.shape)
+    e[neg > _EXP_MAX] = np.inf
+    return 1.0 / (1.0 + e)
 
 
 def l2_row_normalize(a, epsilon: float = NORM_EPSILON) -> np.ndarray:

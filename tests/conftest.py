@@ -13,6 +13,14 @@ from ffnet.data import write_idx
 from ffnet.nn import ForwardTrace
 from ffnet.synth import synthetic_dataset
 
+# Arguments at and around the edges of exp: zeros, infinities, NaN, exp's
+# overflow threshold (about 709.7827), where exp(-x) underflows, the largest
+# and the smallest floats.
+SIGMOID_EDGES = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, 709.78, -709.78, -709.79,
+    745.0, -745.0, 1e308, -1e308, 5e-324, -5e-324,
+])
+
 
 def fd_grad(loss_fn, param: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central finite differences of ``loss_fn()`` w.r.t. ``param`` in place."""

@@ -1,11 +1,16 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tarfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import store_config
 
+import ffnet
 from ffnet.cli import main
 from ffnet.data import write_idx
 from ffnet.errors import DataFormatError
@@ -263,6 +268,25 @@ class TestTrainCommand:
         assert err.splitlines() == [
             "error: non-finite loss at layer 2; training diverged"
         ]
+
+    def test_train_loads_neither_scipy_nor_the_network_stack(self, data_dir, tmp_path):
+        script = (
+            "import sys\n"
+            "from ffnet.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy' or m == 'urllib.request'))\n"
+            "sys.exit(rc)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, "train", "--method", "collab_ff",
+             "--data-dir", str(data_dir), "--output-dir", str(tmp_path / "run"),
+             *TRAIN_FLAGS],
+            env={**os.environ, "PYTHONPATH": str(Path(ffnet.__file__).parents[1])},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.fixture(scope="module")

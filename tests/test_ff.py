@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from conftest import agreement, fd_grad, random_batch, random_net, trace_from_activities
+from conftest import (
+    SIGMOID_EDGES,
+    agreement,
+    fd_grad,
+    random_batch,
+    random_net,
+    trace_from_activities,
+)
 
 from ffnet.data import link_inputs, make_linked_batches
 from ffnet.errors import ConfigError, EstimationError, ShapeError
@@ -60,7 +67,8 @@ class TestPositiveProb:
         np.testing.assert_allclose(float(p), np.exp(-50.0), rtol=1e-10)
 
     def test_strictly_inside_unit_interval(self):
-        for g in (-1e6, -800.0, 0.0, 800.0, 1e6):
+        edges = SIGMOID_EDGES[~np.isnan(SIGMOID_EDGES)]
+        for g in (-1e6, -800.0, 0.0, 800.0, 1e6, *edges):
             p = float(positive_prob(g, 0.0, 0.0))
             assert 0.0 < p < 1.0
 

@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from conftest import SIGMOID_EDGES
 
 from ffnet.linalg import (
     l2_row_normalize,
     make_rng,
     relu,
     row_sumsq,
+    sigmoid,
 )
 
 
@@ -20,6 +24,30 @@ class TestRelu:
     def test_identity_on_positive(self):
         a = np.full((2, 2), 0.5)
         np.testing.assert_array_equal(relu(a), a)
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_scipy_expit(self):
+        expit = pytest.importorskip("scipy.special").expit
+        rng = make_rng(16)
+        for x in [SIGMOID_EDGES] + [
+            scale * rng.standard_normal(20_000) for scale in (1e-3, 1.0, 30.0, 800.0)
+        ]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = sigmoid(x)
+            np.testing.assert_array_equal(got.view(np.int64), expit(x).view(np.int64))
+
+    def test_overflow_gives_zero_and_nan_stays_nan(self):
+        out = sigmoid(np.array([-800.0, -1e308, -np.inf, np.nan, np.inf]))
+        np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, np.nan, 1.0])
+
+    def test_keeps_the_input_shape(self):
+        assert sigmoid(np.zeros((3, 0, 2))).shape == (3, 0, 2)
+        assert sigmoid(np.full((2, 3), -800.0)).shape == (2, 3)
+        for x in (0.0, np.float64(-800.0), np.array(2.0)):
+            assert isinstance(sigmoid(x), np.float64)
+        assert sigmoid(0.0) == 0.5
 
 
 class TestRowNormalize:
