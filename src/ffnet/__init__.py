@@ -59,7 +59,6 @@ from .nn import (
     full_backprop_grad,
     init_network,
     layer_local_grad,
-    make_adam_states,
 )
 from .runner import RunConfig, run_from_paths, run_sweep, run_training
 from .synth import synthetic_dataset, synthetic_pair

@@ -127,7 +127,8 @@ def load_idx(images_path, labels_path, name: str = "mnist", split: str = "train"
         )
     n = images.shape[0]
     # The width is spelled out: reshape cannot infer -1 for 0 images.
-    flat = images.reshape(n, math.prod(images.shape[1:])).astype(np.float64) / 255.0
+    flat = images.reshape(n, math.prod(images.shape[1:])).astype(np.float64)
+    flat /= 255.0  # in place: the load peaks at one float64 copy, not two
     return Dataset(flat, labels.astype(np.int64), name=name, split=split)
 
 
@@ -227,7 +228,6 @@ class LinkedBatch:
 
     images: np.ndarray        # (m, d) the samples' pixels
     polarity: np.ndarray      # (rows,) +1.0 / -1.0
-    true_labels: np.ndarray   # (rows,)
     linked_labels: np.ndarray  # (rows,)
 
     @property
@@ -293,7 +293,6 @@ def make_linked_batches(
         yield LinkedBatch(
             images=ds.images[idx],
             polarity=np.concatenate([np.ones(m), -np.ones(neg_true.shape[0])]),
-            true_labels=np.concatenate([true, neg_true]),
             linked_labels=np.concatenate([true, wrong]),
         )
 

@@ -45,6 +45,7 @@ from .data import N_LABELS, Dataset, LinkedBatch, make_linked_batches
 from .errors import ConfigError, EstimationError, ShapeError
 from .linalg import as_matrix, make_rng, row_sumsq, sigmoid
 from .nn import (
+    AdamState,
     ForwardTrace,
     MlpNetwork,
     apply_adam_update,
@@ -52,7 +53,6 @@ from .nn import (
     forward_from_pre,
     forward_pass,
     layer_local_grad,
-    make_adam_states,
 )
 from .reports import history_row
 
@@ -323,6 +323,15 @@ def check_train_size(n: int, loss_kind: str) -> None:
         raise ConfigError(f"training needs 1 training sample, got {n}")
 
 
+def check_test_size(n: int, loss_kind: str) -> None:
+    """Reject a test split too small to score: a snapshot takes the objective
+    over the positive and the negative rows of the evaluation sample, one of
+    each per sample, and the entropy objective needs 2 of each. The sample
+    holds the whole split up to ``entropy_eval_n``, which is at least 2."""
+    if loss_kind == "entropy" and n < 2:
+        raise ConfigError(f"the entropy objective needs 2 test samples, got {n}")
+
+
 def fit(
     net: MlpNetwork,
     cfg: FfConfig,
@@ -341,20 +350,40 @@ def fit(
     batch. Epochs are counted across stages: the ``e``-th epoch of stage
     ``s`` is epoch ``s * cfg.epochs + e``, which numbers its history rows,
     its divergence message and its ``on_epoch(epoch, net)`` call.
+
+    Training holds only what the current stage and batch use. Adam moments
+    live for one stage: a layer's pair is made at its first update in the
+    stage, and the stage's pairs are dropped when it ends. No schedule
+    trains a layer in two stages, so every layer's updates start from zero
+    moments, as they would with moments made for every layer up front. The
+    last batch, its trace and its gradients are gone before ``on_epoch``
+    runs.
     """
     rng = make_rng(cfg.seed)
-    states = make_adam_states(net, cfg.learning_rate)
     history: list[dict] = []
     for stage, layers in enumerate(stages):
+        states: dict[int, tuple[AdamState, AdamState]] = {}
         for epoch in range(stage * cfg.epochs + 1, (stage + 1) * cfg.epochs + 1):
             stats = _EpochStats(net.depth, epoch)
-            for batch in batches(rng):
-                for i, grad_w, grad_b in step(batch, layers, stats):
-                    apply_adam_update(net, i, grad_w, grad_b, states)
+            _fit_epoch(net, batches(rng), layers, step, stats, states, cfg.learning_rate)
             history.extend(stats.rows(loss_kind, layers))
             if on_epoch is not None:
                 on_epoch(epoch, net)
     return net, history
+
+
+def _fit_epoch(net, batches, layers, step, stats, states, learning_rate) -> None:
+    """One epoch's batch loop of :func:`fit`. Its own frame binds the batch and
+    the gradients, so none of them outlives the epoch."""
+    for batch in batches:
+        for i, grad_w, grad_b in step(batch, layers, stats):
+            if i not in states:
+                lay = net.layers[i]
+                states[i] = (
+                    AdamState.for_param(lay.weights, learning_rate),
+                    AdamState.for_param(lay.biases, learning_rate),
+                )
+            apply_adam_update(net, i, grad_w, grad_b, states)
 
 
 def train(

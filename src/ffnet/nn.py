@@ -31,6 +31,10 @@ normalized rows no layer reads.
 :func:`adam_step` updates a parameter array and its moments in place,
 block by block, so a :class:`DenseLayer` keeps its arrays across training
 and an update allocates only two cache-sized scratch blocks.
+:func:`apply_adam_update` steps one layer with its pair of
+:class:`AdamState` values, looked up by layer index; the caller owns the
+pairs (``ff.fit`` makes a layer's pair at its first update in a stage and
+drops the stage's pairs when the stage ends).
 """
 
 from __future__ import annotations
@@ -455,27 +459,15 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
     return param
 
 
-def make_adam_states(
-    net: MlpNetwork, learning_rate: float
-) -> list[tuple[AdamState, AdamState]]:
-    """One (weights, biases) state pair per layer."""
-    return [
-        (
-            AdamState.for_param(lay.weights, learning_rate),
-            AdamState.for_param(lay.biases, learning_rate),
-        )
-        for lay in net.layers
-    ]
-
-
 def apply_adam_update(
     net: MlpNetwork,
     layer: int,
     grad_w: np.ndarray,
     grad_b: np.ndarray,
-    states: list[tuple[AdamState, AdamState]],
+    states: dict[int, tuple[AdamState, AdamState]],
 ) -> None:
-    """Adam step on one layer's weights and biases, in place."""
+    """Adam step on one layer's weights and biases, in place, with the
+    layer's (weights, biases) state pair ``states[layer]``."""
     lay = net.layers[layer]
     state_w, state_b = states[layer]
     adam_step(lay.weights, grad_w, state_w)
@@ -496,5 +488,4 @@ __all__ = [
     "init_network",
     "l2_row_normalize_vjp",
     "layer_local_grad",
-    "make_adam_states",
 ]

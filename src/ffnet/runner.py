@@ -287,6 +287,7 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
         train_ds = train_ds.subset(cfg.train_subset)
     ff_cfg = cfg.ff_config()
     ff.check_train_size(train_ds.n, ff_cfg.loss_kind)
+    ff.check_test_size(test_ds.n, ff_cfg.loss_kind)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = cfg.to_dict()
@@ -295,7 +296,6 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     started = time.monotonic()
     net = init_network(cfg.layer_dims, make_rng(cfg.seed))
     idx, eval_labels, eval_wrong = draw_eval_sample(test_ds, cfg.entropy_eval_n, cfg.seed)
-    eval_images = test_ds.images[idx]
     entropy_rows: list[dict] = []
     error_rows: list[dict] = []
     test_rows: list[dict] = []
@@ -313,8 +313,9 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
 
     def on_epoch(epoch: int, current: MlpNetwork) -> None:
         # The last epoch's snapshot is taken after training, from the final pass.
+        # The sample's images are gathered per snapshot, not held for the run.
         if epoch % cfg.eval_every == 0 and epoch < total_epochs:
-            snapshot(epoch, _scores(current, cfg, eval_images))
+            snapshot(epoch, _scores(current, cfg, test_ds.images[idx]))
 
     # No trainer is stored in the table: each is looked up in its module at call
     # time, so a patched module attribute (a benchmark span) is the one called.
@@ -399,6 +400,7 @@ def evaluate_checkpoint(
             f"checkpoint expects {net.input_dim}-dim inputs but {name} "
             f"{cfg.method} inputs are {expected}-dim"
         )
+    ff.check_test_size(test_ds.n, cfg.ff_config().loss_kind)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

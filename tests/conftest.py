@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,16 @@ def trace_from_activities(act: np.ndarray) -> ForwardTrace:
     """Minimal single-layer trace for loss functions that only read act."""
     act = np.asarray(act, dtype=np.float64)
     return ForwardTrace(inputs=np.zeros((act.shape[0], 1)), act=[act])
+
+
+def traced_peak(fn) -> int:
+    """Peak of the memory tracemalloc traces while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def store_config(path, net, config, text=None) -> None:

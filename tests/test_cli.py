@@ -238,6 +238,25 @@ class TestTrainCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (out / "config.json").exists()
 
+    def test_entropy_test_split_of_one_sample_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys
+    ):
+        cache = tmp_path / "data"
+        shutil.copytree(data_dir, cache)
+        mnist = cache / "mnist"
+        write_idx(mnist / "t10k-images-idx3-ubyte.gz", np.zeros((1, 28, 28), dtype=np.uint8))
+        write_idx(mnist / "t10k-labels-idx1-ubyte.gz", np.zeros(1, dtype=np.uint8))
+        out = tmp_path / "run"
+        rc = main(
+            ["train", "--method", "entropy_ff", "--data-dir", str(cache),
+             "--output-dir", str(out), *TRAIN_FLAGS]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the entropy objective needs 2 test samples, got 1"
+        ]
+        assert not out.exists()
+
     def test_corrupt_cached_idx_file_is_a_one_line_error(
         self, data_dir, tmp_path, capsys
     ):

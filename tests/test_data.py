@@ -1,8 +1,8 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from ffnet.data import (
     Dataset,
@@ -38,6 +38,20 @@ class TestIdx:
         assert ds.n == 50 and ds.d == 784
         np.testing.assert_array_equal(ds.labels, labels)
         np.testing.assert_array_equal(ds.images, images.reshape(50, -1) / 255.0)
+
+    def test_peak_memory_is_one_float_copy_of_the_images(self, tmp_path, rng):
+        """The pixels are scaled in place, so the load peaks near one float64
+        copy of the images. An out-of-place division makes two, unless NumPy
+        happens to reuse the temporary, which not every build can do."""
+        images = rng.integers(0, 256, size=(2000, 28, 28)).astype(np.uint8)
+        write_idx(tmp_path / "images", images)
+        write_idx(tmp_path / "labels", rng.integers(0, 10, size=2000).astype(np.uint8))
+        loaded = []
+        peak = traced_peak(
+            lambda: loaded.append(load_idx(tmp_path / "images", tmp_path / "labels"))
+        )
+        assert loaded[0].n == 2000
+        assert peak < 1.5 * loaded[0].images.nbytes
 
     def test_empty_pair_keeps_the_image_width(self, tmp_path):
         write_idx(tmp_path / "images", np.zeros((0, 28, 28)))
@@ -140,12 +154,9 @@ class TestCifar:
         paths = [tmp_path / f"b{i}.bin" for i in range(3)]
         for path in paths:
             self._write_batch(path, rng, 200)
-        tracemalloc.start()
-        try:
-            ds = load_cifar_bin(paths)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        loaded = []
+        peak = traced_peak(lambda: loaded.append(load_cifar_bin(paths)))
+        ds = loaded[0]
         assert ds.n == 600
         assert peak <= 1.3 * ds.images.nbytes
 
@@ -222,10 +233,13 @@ class TestLinkedBatches:
         for batch in batches:
             assert batch.linked_inputs().shape[1] == 26
             pos = batch.polarity > 0
+            # Every row's true label is its sample's, found by its pixels.
+            ids = [np.flatnonzero((ds.images == x).all(axis=1))[0] for x in batch.images]
+            true_labels = np.tile(ds.labels[ids], batch.copies)
             np.testing.assert_array_equal(
-                batch.linked_labels[pos], batch.true_labels[pos]
+                batch.linked_labels[pos], true_labels[pos]
             )
-            assert np.all(batch.linked_labels[~pos] != batch.true_labels[~pos])
+            assert np.all(batch.linked_labels[~pos] != true_labels[~pos])
             onehot_blocks = batch.linked_inputs()[:, 16:]
             np.testing.assert_array_equal(onehot_blocks.sum(axis=1), 1.0)
 
@@ -277,7 +291,11 @@ class TestLinkedBatches:
         rng = make_rng(7)
         first = list(make_linked_batches(ds, rng, 40))[0]
         second = list(make_linked_batches(ds, rng, 40))[0]
-        assert not np.array_equal(first.true_labels, second.true_labels) or not np.array_equal(
+        # A row's true label is its sample's positive label.
+        first_true, second_true = (
+            np.tile(b.linked_labels[: b.images.shape[0]], b.copies) for b in (first, second)
+        )
+        assert not np.array_equal(first_true, second_true) or not np.array_equal(
             first.linked_labels, second.linked_labels
         )
 

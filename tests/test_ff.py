@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from conftest import (
@@ -7,6 +9,7 @@ from conftest import (
     random_batch,
     random_net,
     trace_from_activities,
+    traced_peak,
 )
 
 from ffnet.data import link_inputs, make_linked_batches
@@ -26,7 +29,7 @@ from ffnet.ff import (
 )
 from ffnet.linalg import l2_row_normalize, make_rng, relu
 from ffnet.nn import forward_pass, init_network, layer_local_grad
-from ffnet.synth import synthetic_pair
+from ffnet.synth import synthetic_dataset, synthetic_pair
 
 
 class TestGoodness:
@@ -455,6 +458,58 @@ class TestTrainSize:
         train(net, train_ds.subset(2), cfg)
 
 
+class TestTrainingMemory:
+    """Training holds one stage's Adam moments, and nothing of an epoch's last
+    batch is alive when ``on_epoch`` runs."""
+
+    def test_layerwise_training_holds_one_stages_moments(self):
+        """A layerwise 794-500-500-500 run peaks under the net, one layer's two
+        moments and a slack; moments for all three layers are 8 MB more."""
+        train_ds = synthetic_dataset(20, d=784, seed=5)
+        cfg = FfConfig(epochs=1, batch_size=20, seed=0)
+        nets = []
+
+        def run():
+            net = init_network([794, 500, 500, 500], make_rng(0))
+            nets.append(train(net, train_ds, cfg)[0])
+
+        peak = traced_peak(run)
+        sizes = [lay.weights.nbytes + lay.biases.nbytes for lay in nets[0].layers]
+        # 5 MB covers the staged layer's gradients (up to 3.2 MB) and the batch;
+        # measured at 3.6 MB above the net and the largest moments.
+        assert peak < sum(sizes) + 2 * max(sizes) + 5_000_000
+
+    @pytest.mark.parametrize(
+        "trainer, dims, schedule",
+        [("train", [20, 8, 6, 5], "layerwise"), ("train", [20, 8, 6, 5], "alternating"),
+         ("train_pairwise", [20, 8, 6], "layerwise"),
+         ("train_classic", [10, 8, 10], "layerwise")],
+    )
+    def test_no_gradient_is_alive_at_on_epoch(self, monkeypatch, trainer, dims, schedule):
+        import ffnet.baselines as baselines
+        import ffnet.ff as ff_module
+
+        refs = []
+        update = ff_module.apply_adam_update
+
+        def recording_update(net, layer, grad_w, grad_b, states):
+            refs.extend(weakref.ref(grad) for grad in (grad_w, grad_b))
+            update(net, layer, grad_w, grad_b, states)
+
+        monkeypatch.setattr(ff_module, "apply_adam_update", recording_update)
+        alive = []
+
+        def on_epoch(epoch, net):
+            alive.append(sum(ref() is not None for ref in refs))
+
+        train_fn = getattr(ff_module if trainer == "train" else baselines, trainer)
+        train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
+        cfg = FfConfig(theta=3.0, epochs=2, batch_size=20, seed=1, schedule=schedule)
+        train_fn(init_network(dims, make_rng(0)), train_ds, cfg, on_epoch=on_epoch)
+        assert refs and alive
+        assert alive == [0] * len(alive)
+
+
 class TestInference:
     def test_single_candidate(self):
         net = random_net([14, 6], seed=3)  # input dim = 4 + 10
@@ -657,7 +712,7 @@ class TestFactoredTraining:
 class TestGammaReducesToPlain:
     def test_alternating_gamma_none_matches_handrolled_round_robin(self):
         """With gamma off, the alternating trainer is plain per-batch FF."""
-        from ffnet.nn import apply_adam_update, make_adam_states
+        from ffnet.nn import AdamState, apply_adam_update
 
         train_ds, _ = synthetic_pair(80, 20, d=10, seed=8)
         cfg = FfConfig(
@@ -669,7 +724,7 @@ class TestGammaReducesToPlain:
 
         net_b = init_network([20, 8, 6], make_rng(1))
         rng = make_rng(cfg.seed)
-        states = make_adam_states(net_b, cfg.learning_rate)
+        states = {}
         for _ in range(cfg.epochs):
             for batch in make_linked_batches(train_ds, rng, cfg.batch_size, 1):
                 trace = forward_pass(
@@ -688,6 +743,13 @@ class TestGammaReducesToPlain:
                         )
                     )
                 for i, (gw, gb) in enumerate(updates):
+                    # A layer's state pair is made at its first update, as fit makes it.
+                    if i not in states:
+                        lay = net_b.layers[i]
+                        states[i] = (
+                            AdamState.for_param(lay.weights, cfg.learning_rate),
+                            AdamState.for_param(lay.biases, cfg.learning_rate),
+                        )
                     apply_adam_update(net_b, i, gw, gb, states)
 
         for la, lb in zip(net_a.layers, net_b.layers):

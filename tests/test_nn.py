@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import agreement, fd_grad, random_batch, random_net
+from conftest import agreement, fd_grad, random_batch, random_net, traced_peak
 
 from ffnet import nn
 from ffnet.errors import ConfigError, ShapeError
@@ -445,10 +445,4 @@ class TestAdam:
         grad = rng.standard_normal(param.shape)
         state = AdamState.for_param(param)
         adam_step(param, grad, state)
-        tracemalloc.start()
-        try:
-            adam_step(param, grad, state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        assert traced_peak(lambda: adam_step(param, grad, state)) < 1_000_000

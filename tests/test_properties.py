@@ -60,7 +60,9 @@ def test_linked_batches_cover_every_sample_once(labels, batch_size, negatives, s
             seen.extend(ids[:m])
             # Negatives repeat the positives' samples with their true labels.
             np.testing.assert_array_equal(ids[m:], np.tile(ids[:m], negatives))
-            np.testing.assert_array_equal(batch.true_labels, labels[ids])
+            # A row's true label is its sample's positive label.
+            true_labels = np.tile(batch.linked_labels[:m], 1 + negatives)
+            np.testing.assert_array_equal(true_labels, labels[ids])
             # The one-hot block names the linked label; only positives name the truth.
             linked = np.argmax(inputs[:, 1:], axis=1)
             np.testing.assert_array_equal(linked, batch.linked_labels)

@@ -190,6 +190,34 @@ class TestRunTrainingMethods:
             run_training(cfg, train_ds, test_ds)
 
 
+class TestEntropyTestSize:
+    """Under the entropy objective a snapshot needs 2 test samples; a smaller
+    test split fails before any file is written."""
+
+    MESSAGE = r"^the entropy objective needs 2 test samples, got 1$"
+
+    def test_run_training_writes_no_config(self, tiny_data, tmp_path):
+        train_ds, test_ds = tiny_data
+        cfg = RunConfig(
+            dataset="synthetic", method="entropy_ff", layer_dims=[34, 6], epochs=1,
+            batch_size=50, eval_every=1, output_dir=str(tmp_path / "run"),
+        )
+        with pytest.raises(ConfigError, match=self.MESSAGE):
+            run_training(cfg, train_ds.subset(7), test_ds.subset(1))
+        assert not (tmp_path / "run" / "config.json").exists()
+
+    def test_evaluate_checkpoint_writes_no_report(self, tmp_path, monkeypatch):
+        test_ds = synthetic_dataset(1, d=784, seed=4, split="test", name="mnist")
+        monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
+        checkpoint = tmp_path / "checkpoint.npz"
+        dims = [794, 6, 5]
+        config = {"dataset": "mnist", "method": "entropy_ff", "epochs": 1, "layer_dims": dims}
+        save_checkpoint(checkpoint, init_network(dims, make_rng(0)), config)
+        with pytest.raises(ConfigError, match=self.MESSAGE):
+            evaluate_checkpoint(checkpoint, tmp_path / "eval")
+        assert not (tmp_path / "eval" / "subsets.csv").exists()
+
+
 def _read_rows(path) -> list[dict]:
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
