@@ -63,7 +63,7 @@ rows = []
 def snapshot(epoch, current):
     reports = goodness_entropy_reports(current, test_ds, n_samples=300, seed=0)
     for split in ("both", "positive", "negative"):
-        rows.append(entropy_row(epoch, reports[split]))
+        rows.append(entropy_row(epoch, split, reports[split]))
 
 
 snapshot(0, net)

@@ -8,7 +8,6 @@ from .analysis import (
     marginal_contributions,
 )
 from .baselines import (
-    classic_predict,
     classic_test_error,
     softmax_cross_entropy,
     train_classic,

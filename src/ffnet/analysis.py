@@ -60,23 +60,18 @@ def parse_subset_label(text: str) -> frozenset:
 
 
 def default_subset_family(depth: int) -> list[frozenset]:
-    """Singletons, prefixes, leave-one-outs, and the full set."""
+    """Singletons, prefixes, leave-one-outs (from depth 2, as depth 1's would
+    be empty), and the full set, each once."""
     full = frozenset(range(depth))
     family: list[frozenset] = []
     for i in range(depth):
         family.append(frozenset([i]))
     for i in range(2, depth + 1):
         family.append(frozenset(range(i)))
-    for i in range(depth):
-        family.append(full - {i})
+    if depth > 1:
+        family.extend(full - {i} for i in range(depth))
     family.append(full)
-    seen: set[frozenset] = set()
-    unique = []
-    for s in family:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    return unique
+    return list(dict.fromkeys(family))
 
 
 def subset_errors(scores: np.ndarray, labels, subsets) -> SubsetEvalReport:

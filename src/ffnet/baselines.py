@@ -72,12 +72,8 @@ def classic_logits(net: MlpNetwork, images, normalize: bool = False) -> np.ndarr
     return trace.act[-1]
 
 
-def classic_predict(net: MlpNetwork, images, normalize: bool = False) -> np.ndarray:
-    return np.argmax(classic_logits(net, images, normalize), axis=1)
-
-
 def classic_test_error(net: MlpNetwork, ds: Dataset, normalize: bool = False) -> float:
-    preds = classic_predict(net, ds.images, normalize)
+    preds = np.argmax(classic_logits(net, ds.images, normalize), axis=1)
     return float(np.mean(preds != ds.labels))
 
 
@@ -102,9 +98,7 @@ def train_classic(
         trace = forward_pass(net, images, normalize=normalize, final_linear=True)
         loss, d_logits = softmax_cross_entropy(trace.act[-1], labels)
         stats.record(last, loss)
-        grads = full_backprop_grad(
-            net, images, d_logits, normalize=normalize, final_linear=True, trace=trace
-        )
+        grads = full_backprop_grad(net, images, d_logits, trace=trace)
         return [(i, grad_w, grad_b) for i, (grad_w, grad_b) in enumerate(grads)]
 
     batches = partial(make_plain_batches, ds, batch_size=cfg.batch_size)

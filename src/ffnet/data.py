@@ -67,7 +67,8 @@ class Dataset:
             )
         if self.n > 0:
             lo, hi = float(self.images.min()), float(self.images.max())
-            if lo < 0.0 or hi > 1.0:
+            # A NaN pixel fails both comparisons, so it is rejected too.
+            if not (lo >= 0.0 and hi <= 1.0):
                 raise DataFormatError(f"pixel values outside [0, 1]: [{lo}, {hi}]")
             if self.labels.min() < 0 or self.labels.max() >= N_LABELS:
                 raise DataFormatError("labels outside 0..9")

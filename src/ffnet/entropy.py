@@ -31,9 +31,6 @@ from .errors import DomainError
 from .ff import label_goodness_scores, linked_goodness
 from .nn import MlpNetwork
 
-SPLITS = ("positive", "negative", "both")
-
-
 @dataclass
 class EntropyReport:
     """Decomposed functional entropy of one goodness table."""
@@ -42,7 +39,6 @@ class EntropyReport:
     across_layers: float
     within_layer: np.ndarray  # one value per layer
     sample_count: int
-    split: str
 
 
 def _check_weights(values: np.ndarray, weights) -> np.ndarray:
@@ -99,7 +95,7 @@ def scaled_kl_identity(values, weights=None) -> tuple[float, float]:
     return lhs, hbar * kl
 
 
-def entropy_decompose(values, split: str = "both") -> EntropyReport:
+def entropy_decompose(values) -> EntropyReport:
     """Split the grid entropy into across-layer and within-layer parts.
 
     The grid uses uniform weights over samples, layers, and their product.
@@ -112,8 +108,6 @@ def entropy_decompose(values, split: str = "both") -> EntropyReport:
         raise DomainError(f"need a nonempty 2-D goodness table, got shape {values.shape}")
     if np.any(values < 0):
         raise DomainError("goodness values must be non-negative")
-    if split not in SPLITS:
-        raise DomainError(f"split must be one of {SPLITS}, got {split!r}")
     m, depth = values.shape
     within = np.array(
         [functional_entropy(values[:, i]) for i in range(depth)]
@@ -126,16 +120,16 @@ def entropy_decompose(values, split: str = "both") -> EntropyReport:
         across_layers=across,
         within_layer=within,
         sample_count=m,
-        split=split,
     )
 
 
 def split_entropy_reports(positive, negative) -> dict[str, EntropyReport]:
     """Entropy of the (n, depth) goodness tables of samples linked with their
-    true labels (positive), with wrong ones (negative), and of both stacked."""
+    true labels (positive), with wrong ones (negative), and of both stacked,
+    keyed by those split names."""
     tables = {"positive": positive, "negative": negative}
     tables["both"] = np.vstack([positive, negative])
-    return {split: entropy_decompose(values, split) for split, values in tables.items()}
+    return {split: entropy_decompose(values) for split, values in tables.items()}
 
 
 def goodness_entropy_reports(

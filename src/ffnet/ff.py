@@ -18,8 +18,8 @@ For :func:`train` a schedule is a list of stages, each the layers its
 batches update (:func:`schedule_stages`), run for the full epoch budget
 each: ``layerwise`` is ``[[0], [1], ...]``, one layer at a time, and
 ``alternating`` is ``[[0, ..., depth-1]]``, every layer on every batch.
-Inference scores the sample linked with each candidate label, sums goodness
-over a layer mask, and votes by the largest sum.
+Inference scores the sample linked with each of the ten labels, sums
+goodness over a layer mask, and votes by the largest sum.
 
 Neither training nor evaluation builds linked inputs. The first layer's
 pre-activation of a sample ``x`` linked with label ``y`` is
@@ -27,8 +27,8 @@ pre-activation of a sample ``x`` linked with label ``y`` is
 pixel product is computed once and shared by all its linked rows: the
 positive and negative rows of a training batch (``nn.forward_pass``, given
 the batch's ``linked_labels``, and, for layer 1's gradient,
-``nn.layer_local_grad``, given the same labels from the trace) and the
-candidate labels of an evaluation pass.
+``nn.layer_local_grad``, given the same labels from the trace) and the ten
+labels of an evaluation pass.
 Predictions, subset errors, entropy tables and test-split losses are all
 reductions of the goodness tensor of :func:`label_goodness_scores`.
 """
@@ -324,10 +324,13 @@ def check_train_size(n: int, loss_kind: str) -> None:
 
 
 def check_test_size(n: int, loss_kind: str) -> None:
-    """Reject a test split too small to score: a snapshot takes the objective
-    over the positive and the negative rows of the evaluation sample, one of
-    each per sample, and the entropy objective needs 2 of each. The sample
-    holds the whole split up to ``entropy_eval_n``, which is at least 2."""
+    """Reject a test split too small to score: every method needs 1 sample for
+    its test error, and a snapshot takes the objective over the positive and
+    the negative rows of the evaluation sample, one of each per sample, where
+    the entropy objective needs 2 of each. The sample holds the whole split up
+    to ``entropy_eval_n``, which is at least 2."""
+    if n < 1:
+        raise ConfigError(f"evaluation needs 1 test sample, got {n}")
     if loss_kind == "entropy" and n < 2:
         raise ConfigError(f"the entropy objective needs 2 test samples, got {n}")
 
@@ -437,41 +440,29 @@ def checked_layers(mask, depth: int) -> list[int]:
     return layers
 
 
-def checked_labels(labels) -> list[int]:
-    """Sorted candidate labels. Rejects an empty set or a label outside 0..N_LABELS-1."""
-    candidates = sorted(int(y) for y in labels)
-    if not candidates:
-        raise ConfigError("candidate label set must be nonempty")
-    if candidates[0] < 0 or candidates[-1] >= N_LABELS:
-        raise ConfigError(f"candidate labels {candidates} outside 0..{N_LABELS - 1}")
-    return candidates
+def label_goodness_scores(net: MlpNetwork, images) -> np.ndarray:
+    """(n, N_LABELS, depth) goodness of every layer for every sample linked with
+    every label, label ``y`` in column ``y``.
 
-
-def label_goodness_scores(net: MlpNetwork, images, labels=range(N_LABELS)) -> np.ndarray:
-    """(n, len(labels), depth) goodness of every layer for every sample linked with
-    every candidate label, sorted.
-
-    Each block of samples takes one pixel product, and each candidate adds
-    its offset row (``nn.first_layer_factors``) to it before running the
+    Each block of samples takes one pixel product, and each label adds its
+    offset row (``nn.first_layer_factors``) to it before running the
     remaining layers.
     """
     images = as_matrix(images)
-    candidates = checked_labels(labels)
     pixel_rows, offsets = first_layer_factors(net, images.shape[1])
-    offsets = offsets[candidates]
     n = images.shape[0]
-    scores = np.empty((n, len(candidates), net.depth))
+    scores = np.empty((n, N_LABELS, net.depth))
     for start in range(0, n, SCORE_CHUNK):
         rows = slice(start, start + SCORE_CHUNK)
         pixel_pre = images[rows] @ pixel_rows
-        for col, offset in enumerate(offsets):
+        for label, offset in enumerate(offsets):
             # One trace alive at a time keeps the chunk's arrays in cache.
-            scores[rows, col] = goodness_table(forward_from_pre(net, pixel_pre + offset))
+            scores[rows, label] = goodness_table(forward_from_pre(net, pixel_pre + offset))
     return scores
 
 
 def vote(scores: np.ndarray, layers) -> np.ndarray:
-    """Column of the best candidate by goodness summed over ``layers``; ties go first."""
+    """Best label by goodness summed over ``layers``; ties go to the lowest."""
     total = np.zeros(scores.shape[:2])
     for i in layers:
         total += scores[:, :, i]
@@ -488,17 +479,16 @@ def linked_goodness(scores: np.ndarray, labels) -> np.ndarray:
     return scores[np.arange(scores.shape[0]), labels]
 
 
-def predict(net: MlpNetwork, images, labels=range(N_LABELS), mask=None) -> np.ndarray:
-    """Goodness-voting prediction for a batch of raw samples."""
-    candidates = np.array(checked_labels(labels), dtype=np.int64)
+def predict(net: MlpNetwork, images, mask=None) -> np.ndarray:
+    """Goodness-voting prediction over every label for a batch of raw samples."""
     layers = checked_layers(mask, net.depth)
-    return candidates[vote(label_goodness_scores(net, images, candidates), layers)]
+    return vote(label_goodness_scores(net, images), layers)
 
 
-def infer(net: MlpNetwork, x, labels=range(N_LABELS), mask=None) -> int:
+def infer(net: MlpNetwork, x, mask=None) -> int:
     """Predicted label for one raw (unlinked) sample."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return int(predict(net, x, labels, mask)[0])
+    return int(predict(net, x, mask)[0])
 
 
 def test_error(net: MlpNetwork, ds: Dataset, mask=None) -> float:

@@ -10,9 +10,10 @@ Two gradient routes coexist on purpose:
 * :func:`full_backprop_grad` runs the exact chain rule through the whole
   stack, including the inter-layer L2 row normalization, for the
   backpropagation baselines. It reads everything it needs of the forward
-  pass from the trace: the inputs, the linked labels, the activities whose
-  masks gate each layer, and the normalized rows that the normalization's
-  backward pass (:func:`l2_row_normalize_vjp`) reuses.
+  pass from the trace: the inputs, the linked labels, the ``normalize`` and
+  ``final_linear`` modes, the activities whose masks gate each layer, and
+  the normalized rows that the normalization's backward pass
+  (:func:`l2_row_normalize_vjp`) reuses.
 
 Both turn a layer's pre-activation gradient into its parameter gradients
 through one helper, which for a first layer over linked inputs takes the
@@ -126,13 +127,14 @@ class ForwardTrace:
     ``act[i]`` itself. ``inputs`` is None for a pass started from a
     first-layer pre-activation (:func:`forward_from_pre`). ``linked_labels``
     is the label of every row of a label-factored pass, else None.
-    ``final_linear`` is the flag the pass ran with.
+    ``normalize`` and ``final_linear`` are the modes the pass ran with.
     """
 
     inputs: np.ndarray | None
     act: list[np.ndarray] = field(default_factory=list)
     normed: list[np.ndarray] = field(default_factory=list)
     linked_labels: np.ndarray | None = None
+    normalize: bool = True
     final_linear: bool = False
 
     @property
@@ -178,8 +180,8 @@ def forward_pass(
     else:
         first = net.layers[0]
         first_pre = batch @ first.weights + first.biases
-    trace = forward_from_pre(net, first_pre, upto, normalize, final_linear, inputs=batch)
-    trace.linked_labels = linked_labels
+    trace = forward_from_pre(net, first_pre, upto, normalize, final_linear)
+    trace.inputs, trace.linked_labels = batch, linked_labels
     return trace
 
 
@@ -208,13 +210,11 @@ def forward_from_pre(
     upto: int | None = None,
     normalize: bool = True,
     final_linear: bool = False,
-    inputs: np.ndarray | None = None,
 ) -> ForwardTrace:
     """:func:`forward_pass` from the first layer's pre-activation ``first_pre``.
 
-    The flags mean what they do there. ``first_pre`` is never written.
-    ``inputs`` is stored as the trace's first-layer input; leave it None when
-    no caller reads it.
+    The flags mean what they do there, and the trace records them.
+    ``first_pre`` is never written, and the trace has no ``inputs``.
     """
     first_pre = as_matrix(first_pre)
     depth = net.depth
@@ -228,7 +228,7 @@ def forward_from_pre(
     if not 1 <= upto <= depth:
         raise ShapeError(f"upto={upto} outside 1..{depth}")
 
-    trace = ForwardTrace(inputs=inputs, final_linear=final_linear)
+    trace = ForwardTrace(inputs=None, normalize=normalize, final_linear=final_linear)
     for i in range(upto):
         is_linear_output = final_linear and i == depth - 1
         if i == 0:
@@ -330,17 +330,16 @@ def full_backprop_grad(
     net: MlpNetwork,
     batch,
     output_grad,
-    normalize: bool = True,
-    final_linear: bool = False,
     *,
     trace: ForwardTrace,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact chain-rule gradients for every layer, from the forward ``trace``.
 
-    ``trace`` is :func:`forward_pass` of ``batch`` through the whole network
-    with the same ``normalize`` and ``final_linear`` flags; a trace of any
-    other input or mode is rejected. ``output_grad`` is the loss derivative
-    w.r.t. the last layer's activities (its logits in ``final_linear`` mode).
+    ``trace`` is :func:`forward_pass` of ``batch`` through the whole network;
+    a trace of any other input is rejected. The backward pass runs in the
+    ``normalize`` and ``final_linear`` modes the trace records.
+    ``output_grad`` is the loss derivative w.r.t. the last layer's activities
+    (its logits in ``final_linear`` mode).
     Returns one (grad_w, grad_b) pair per layer, first layer first. Each
     layer's ReLU mask is ``act > 0`` on the trace's activities, as in
     :func:`layer_local_grad`, and the normalization's backward pass reads the
@@ -354,13 +353,6 @@ def full_backprop_grad(
     depth = net.depth
     if trace.depth != depth:
         raise ShapeError(f"trace depth {trace.depth} != network depth {depth}")
-    if trace.final_linear != final_linear:
-        raise ShapeError(
-            f"trace ran with final_linear={trace.final_linear}, not {final_linear}"
-        )
-    # An un-normalized pass hands each layer the previous layer's activities.
-    if depth > 1 and (trace.normed[0] is not trace.act[0]) != normalize:
-        raise ShapeError(f"trace ran with normalize={not normalize}, not {normalize}")
     output_grad = as_matrix(output_grad)
     if output_grad.shape != trace.act[-1].shape:
         raise ShapeError(
@@ -371,7 +363,7 @@ def full_backprop_grad(
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * depth  # type: ignore[list-item]
     d_act = output_grad
     for i in reversed(range(depth)):
-        if final_linear and i == depth - 1:
+        if trace.final_linear and i == depth - 1:
             d_pre = d_act
         else:
             d_pre = d_act * (trace.act[i] > 0.0)
@@ -380,7 +372,7 @@ def full_backprop_grad(
         )
         if i > 0:
             d_act = d_pre @ net.layers[i].weights.T
-            if normalize:
+            if trace.normalize:
                 d_act = l2_row_normalize_vjp(trace.act[i - 1], trace.normed[i - 1], d_act)
     return grads
 

@@ -61,10 +61,10 @@ def entropy_fields(depth: int) -> list[str]:
     ]
 
 
-def entropy_row(epoch: int, report) -> dict:
+def entropy_row(epoch: int, split: str, report) -> dict:
     row = {
         "epoch": epoch,
-        "split": report.split,
+        "split": split,
         "overall": report.overall,
         "across_layers": report.across_layers,
     }

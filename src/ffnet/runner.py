@@ -244,7 +244,7 @@ def _sample_rows(
     positive = ff.linked_goodness(scores, labels)
     negative = ff.linked_goodness(scores, wrong)
     reports = split_entropy_reports(positive, negative)
-    entropy = [entropy_row(epoch, reports[s]) for s in ("both", "positive", "negative")]
+    entropy = [entropy_row(epoch, s, reports[s]) for s in ("both", "positive", "negative")]
     ff_cfg = cfg.ff_config()
     table = np.vstack([positive, negative])
     polarity = np.concatenate([np.ones(len(positive)), -np.ones(len(negative))])

@@ -124,9 +124,7 @@ def test_criterion_1_gradient_checks():
 
     t2 = forward_pass(net2, batch, normalize=False, final_linear=True)
     _, d_logits = softmax_cross_entropy(t2.act[-1], labels)
-    grads2 = full_backprop_grad(
-        net2, batch, d_logits, normalize=False, final_linear=True, trace=t2
-    )
+    grads2 = full_backprop_grad(net2, batch, d_logits, trace=t2)
     analytic2, numeric2 = [], []
     for i, layer in enumerate(net2.layers):
         analytic2.extend(grads2[i])

@@ -33,6 +33,10 @@ class TestDefaultFamily:
         assert frozenset({1, 2}) in family  # leave out layer 1
         assert len(family) == len(set(family)) <= 8
 
+    def test_depth_one_family_is_the_full_set(self):
+        """No leave-one-out set: leaving out the one layer leaves no vote."""
+        assert default_subset_family(1) == [frozenset({0})]
+
 
 class TestEvaluateSubsets:
     def test_shapes_and_error_range(self, small_trained_net):

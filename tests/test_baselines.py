@@ -166,9 +166,7 @@ class TestClassicGradients:
 
         trace = forward_pass(net, inputs, normalize=normalize, final_linear=True)
         _, d_logits = softmax_cross_entropy(trace.act[-1], labels)
-        grads = full_backprop_grad(
-            net, inputs, d_logits, normalize=normalize, final_linear=True, trace=trace
-        )
+        grads = full_backprop_grad(net, inputs, d_logits, trace=trace)
         analytic, numeric = [], []
         for i, layer in enumerate(net.layers):
             analytic.extend(grads[i])

@@ -257,6 +257,29 @@ class TestTrainCommand:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["ff", "bp_classic"])
+    def test_empty_test_split_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys, method
+    ):
+        cache = tmp_path / "data"
+        shutil.copytree(data_dir, cache)
+        mnist = cache / "mnist"
+        write_idx(mnist / "t10k-images-idx3-ubyte.gz", np.zeros((0, 28, 28), dtype=np.uint8))
+        write_idx(mnist / "t10k-labels-idx1-ubyte.gz", np.zeros(0, dtype=np.uint8))
+        flags = list(TRAIN_FLAGS)
+        if method == "bp_classic":
+            flags[flags.index("--layer-dims") + 1] = "784,16,10"
+        out = tmp_path / "run"
+        rc = main(
+            ["train", "--method", method, "--data-dir", str(cache),
+             "--output-dir", str(out), *flags]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: evaluation needs 1 test sample, got 0"
+        ]
+        assert not out.exists()
+
     def test_corrupt_cached_idx_file_is_a_one_line_error(
         self, data_dir, tmp_path, capsys
     ):
@@ -376,6 +399,26 @@ class TestEvalCommand:
             assert rc == 0
         lines = (out / "subsets.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "1+2"]
+        assert not (out / "marginals.csv").exists()
+
+    def test_depth_one_checkpoint_evaluates(self, data_dir, tmp_path):
+        """A depth-1 family has no leave-one-out set, so no marginals."""
+        flags = list(TRAIN_FLAGS)
+        flags[flags.index("--layer-dims") + 1] = "794,8"
+        run = tmp_path / "run"
+        rc = main(
+            ["train", "--method", "ff", "--data-dir", str(data_dir),
+             "--output-dir", str(run), *flags]
+        )
+        assert rc == 0
+        out = tmp_path / "eval"
+        rc = main(
+            ["eval", str(run / "checkpoint.npz"), "--output-dir", str(out),
+             "--data-dir", str(data_dir)]
+        )
+        assert rc == 0
+        lines = (out / "subsets.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["1"]
         assert not (out / "marginals.csv").exists()
 
     def test_classic_checkpoint_rejects_subsets(self, data_dir, tmp_path, capsys):

@@ -180,6 +180,10 @@ class TestDatasetValidation:
     def test_pixel_range_enforced(self):
         with pytest.raises(DataFormatError, match=r"\[0, 1\]"):
             Dataset(np.full((2, 4), 2.0), np.zeros(2, dtype=int), "synthetic", "train")
+        images = np.full((2, 4), 0.5)
+        images[1, 2] = np.nan
+        with pytest.raises(DataFormatError, match=r"\[0, 1\]"):
+            Dataset(images, np.zeros(2, dtype=int), "synthetic", "train")
 
     def test_label_range_enforced(self):
         with pytest.raises(DataFormatError, match="labels"):

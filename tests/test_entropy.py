@@ -128,9 +128,8 @@ class TestGoodnessEntropyReports:
         net, _, test_ds = small_trained_net
         reports = goodness_entropy_reports(net, test_ds, n_samples=100, seed=0)
         assert set(reports) == {"positive", "negative", "both"}
-        for split, report in reports.items():
+        for report in reports.values():
             assert isinstance(report, EntropyReport)
-            assert report.split == split
             assert report.overall >= -1e-12
             recomposed = report.across_layers + report.within_layer.mean()
             assert abs(report.overall - recomposed) <= 1e-9

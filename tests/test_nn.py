@@ -255,7 +255,7 @@ class TestFullBackprop:
             return float(np.sum(out_coeffs * trace.act[-1]))
 
         trace = forward_pass(net, x, normalize=normalize)
-        grads = full_backprop_grad(net, x, out_coeffs, normalize=normalize, trace=trace)
+        grads = full_backprop_grad(net, x, out_coeffs, trace=trace)
         analytic, numeric = [], []
         for i, layer in enumerate(net.layers):
             analytic.extend(grads[i])
@@ -273,9 +273,7 @@ class TestFullBackprop:
             return float(np.sum(out_coeffs * trace.act[-1]))
 
         trace = forward_pass(net, x, normalize=False, final_linear=True)
-        grads = full_backprop_grad(
-            net, x, out_coeffs, normalize=False, final_linear=True, trace=trace
-        )
+        grads = full_backprop_grad(net, x, out_coeffs, trace=trace)
         analytic, numeric = [], []
         for i, layer in enumerate(net.layers):
             analytic.extend(grads[i])
@@ -297,23 +295,6 @@ class TestFullBackprop:
             traced = full_backprop_grad(net, given, out_coeffs, trace=trace)
             for (gw, gb), (rw, rb) in zip(traced, recomputed):
                 assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
-
-    @pytest.mark.parametrize(
-        ("traced", "asked", "message"),
-        [
-            ({"normalize": False}, {}, "trace ran with normalize=False, not True"),
-            ({}, {"normalize": False}, "trace ran with normalize=True, not False"),
-            ({"final_linear": True}, {}, "trace ran with final_linear=True, not False"),
-            ({}, {"final_linear": True}, "trace ran with final_linear=False, not True"),
-        ],
-        ids=["unnormalized_trace", "normalized_trace", "linear_trace", "relu_trace"],
-    )
-    def test_trace_of_another_mode_rejected(self, rng, traced, asked, message):
-        net = random_net([6, 4, 3], seed=10)
-        x = random_batch(rng, 5, 6)
-        trace = forward_pass(net, x, **traced)
-        with pytest.raises(ShapeError, match=message):
-            full_backprop_grad(net, x, np.ones((5, 3)), trace=trace, **asked)
 
     def test_trace_carries_the_linked_labels(self, rng):
         net = random_net([16, 4, 3], seed=11)

@@ -1,7 +1,8 @@
 """Property tests of the linked-batch sampler, the wrong-label draw, the
-backward pass of row normalization, the functional-entropy identities and
-the precedence of CLI flags over a config file over defaults, and a check
-that a falsified property is reported as a test failure.
+backward pass of row normalization, the functional-entropy identities, the
+precedence of CLI flags over a config file over defaults and the outcome of
+every run configuration, and a check that a falsified property is reported
+as a test failure.
 
 In the sampler properties each sample carries its index in its one pixel, so
 a batch row can be traced back to the sample it came from.
@@ -12,20 +13,27 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from conftest import fd_grad
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ffnet import runner
+from ffnet.checkpoint import load_checkpoint
 from ffnet.cli import _config_from_args, build_parser
 from ffnet.data import N_LABELS, Dataset, make_linked_batches, sample_wrong_labels
 from ffnet.entropy import entropy_decompose, functional_entropy, scaled_kl_identity
+from ffnet.errors import ConfigError
+from ffnet.ff import GAMMA_MODES, SCHEDULES
 from ffnet.linalg import l2_row_normalize, make_rng
 from ffnet.nn import l2_row_normalize_vjp
-from ffnet.runner import RunConfig
+from ffnet.runner import METHOD_TABLE, METHODS, RunConfig, evaluate_checkpoint, run_training
+from ffnet.synth import synthetic_dataset
 
 # Bounded so the properties add about a second to the suite.
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -178,6 +186,73 @@ def test_cli_flags_beat_config_file_beat_defaults(
     for name in RUN_FIELDS:
         want = from_flags.get(name, from_file.get(name, getattr(default, name)))
         assert getattr(cfg, name) == want, name
+
+
+RUN_SPACE = {
+    "method": st.sampled_from(METHODS),
+    "schedule": st.sampled_from((None, *SCHEDULES)),
+    "gamma_mode": st.sampled_from((None, *GAMMA_MODES)),
+    "depth": st.integers(1, 3),
+    "n_train": st.integers(0, 7),
+    "train_subset": st.sampled_from((None, 1, 3)),
+    "n_test": st.integers(0, 5),
+    "batch_size": st.sampled_from((1, 2, 200)),
+    "negatives": st.sampled_from((1, 3)),
+    "entropy_eval_n": st.sampled_from((2, 50)),
+    "eval_every": st.sampled_from((1, 5)),
+}
+
+
+# A depth-1 ff run, the base of the pinned examples.
+BASE_RUN = {
+    "method": "ff", "schedule": None, "gamma_mode": None, "depth": 1,
+    "n_train": 7, "train_subset": None, "n_test": 5, "batch_size": 2,
+    "negatives": 1, "entropy_eval_n": 2, "eval_every": 1,
+}
+
+
+# About 15 ms per configuration at these sizes.
+@settings(max_examples=120, deadline=None)
+@given(**RUN_SPACE)
+@example(**BASE_RUN)
+@example(**{**BASE_RUN, "n_test": 0})
+@example(**{**BASE_RUN, "method": "bp_classic", "n_test": 0})
+@example(**{**BASE_RUN, "method": "entropy_ff", "n_test": 1})
+def test_every_config_trains_and_evaluates_or_fails_before_writing(
+    method, schedule, gamma_mode, depth, n_train, train_subset, n_test,
+    batch_size, negatives, entropy_eval_n, eval_every,
+):
+    """A run trains finite weights, and ``ffnet eval`` of its checkpoint on the
+    same split repeats its test error; or it raises ConfigError before it
+    writes config.json."""
+    d = 4
+    linked = METHOD_TABLE[method].linked
+    hidden = [3] * depth if linked else [3] * (depth - 1) + [N_LABELS]
+    train_ds = synthetic_dataset(n_train, d=d, seed=1, split="train")
+    test_ds = synthetic_dataset(n_test, d=d, seed=1, split="test")
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        runner, "load_dataset", lambda name, split, data_dir: test_ds
+    ):
+        run_dir = Path(tmp) / "run"
+        cfg = RunConfig(
+            dataset="synthetic", method=method, schedule=schedule,
+            gamma_mode=gamma_mode, epochs=2, batch_size=batch_size,
+            layer_dims=[d + N_LABELS if linked else d, *hidden],
+            output_dir=str(run_dir), entropy_eval_n=entropy_eval_n,
+            eval_every=eval_every, train_subset=train_subset,
+            negatives_per_positive=negatives,
+        )
+        try:
+            summary = run_training(cfg, train_ds, test_ds)
+        except ConfigError:
+            assert not (run_dir / "config.json").exists()
+            return
+        net, _, _ = load_checkpoint(run_dir / "checkpoint.npz")
+        for layer in net.layers:
+            assert np.isfinite(layer.weights).all() and np.isfinite(layer.biases).all()
+        assert 0.0 <= summary["final_test_error"] <= 1.0
+        evaluated = evaluate_checkpoint(run_dir / "checkpoint.npz", Path(tmp) / "eval")
+        assert evaluated["test_error"] == summary["final_test_error"]
 
 
 def test_falsified_property_is_one_failure_under_the_suite_config(tmp_path):

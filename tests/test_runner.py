@@ -191,31 +191,38 @@ class TestRunTrainingMethods:
 
 
 class TestEntropyTestSize:
-    """Under the entropy objective a snapshot needs 2 test samples; a smaller
-    test split fails before any file is written."""
+    """Every method needs 1 test sample, and under the entropy objective a
+    snapshot needs 2; a smaller test split fails before any file is written."""
 
     MESSAGE = r"^the entropy objective needs 2 test samples, got 1$"
+    EMPTY = r"^evaluation needs 1 test sample, got 0$"
+    # (method, test samples, error)
+    CASES = [("entropy_ff", 1, MESSAGE), ("ff", 0, EMPTY), ("bp_classic", 0, EMPTY)]
 
     def test_run_training_writes_no_config(self, tiny_data, tmp_path):
         train_ds, test_ds = tiny_data
-        cfg = RunConfig(
-            dataset="synthetic", method="entropy_ff", layer_dims=[34, 6], epochs=1,
-            batch_size=50, eval_every=1, output_dir=str(tmp_path / "run"),
-        )
-        with pytest.raises(ConfigError, match=self.MESSAGE):
-            run_training(cfg, train_ds.subset(7), test_ds.subset(1))
-        assert not (tmp_path / "run" / "config.json").exists()
+        for method, n_test, message in self.CASES:
+            out = tmp_path / method
+            cfg = RunConfig(
+                dataset="synthetic", method=method, epochs=1, batch_size=50,
+                layer_dims=[24, 6, 10] if method == "bp_classic" else [34, 6],
+                eval_every=1, output_dir=str(out),
+            )
+            with pytest.raises(ConfigError, match=message):
+                run_training(cfg, train_ds.subset(7), test_ds.subset(n_test))
+            assert not (out / "config.json").exists()
 
     def test_evaluate_checkpoint_writes_no_report(self, tmp_path, monkeypatch):
-        test_ds = synthetic_dataset(1, d=784, seed=4, split="test", name="mnist")
-        monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
-        checkpoint = tmp_path / "checkpoint.npz"
-        dims = [794, 6, 5]
-        config = {"dataset": "mnist", "method": "entropy_ff", "epochs": 1, "layer_dims": dims}
-        save_checkpoint(checkpoint, init_network(dims, make_rng(0)), config)
-        with pytest.raises(ConfigError, match=self.MESSAGE):
-            evaluate_checkpoint(checkpoint, tmp_path / "eval")
-        assert not (tmp_path / "eval" / "subsets.csv").exists()
+        for method, n_test, message in self.CASES:
+            test_ds = synthetic_dataset(n_test, d=784, seed=4, split="test", name="mnist")
+            monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
+            checkpoint = tmp_path / f"{method}.npz"
+            dims = [784, 6, 10] if method == "bp_classic" else [794, 6, 5]
+            config = {"dataset": "mnist", "method": method, "epochs": 1, "layer_dims": dims}
+            save_checkpoint(checkpoint, init_network(dims, make_rng(0)), config)
+            with pytest.raises(ConfigError, match=message):
+                evaluate_checkpoint(checkpoint, tmp_path / "eval")
+            assert not (tmp_path / "eval").exists()
 
 
 def _read_rows(path) -> list[dict]:
