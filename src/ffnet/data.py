@@ -5,15 +5,24 @@ On-disk formats
 IDX (MNIST / Fashion-MNIST): big-endian, magic 0x00000803 for image files
 with dims (n, rows, cols) and 0x00000801 for label files with dim (n),
 followed by unsigned bytes. Gzip-compressed files are detected by their
-leading 0x1f 0x8b bytes; :func:`write_idx` writes them at gzip level 1.
+leading 0x1f 0x8b bytes and inflated into one buffer of the size the gzip
+trailer states; :func:`write_idx` writes them at gzip level 1.
 
 CIFAR-10 binary batches: a flat sequence of 3073-byte records, one label
 byte followed by 3072 pixel bytes in channel-major (CHW) order.
 
-Pixels are scaled to [0, 1]. A "linked" input is the flattened sample with a
-10-dim one-hot label block appended after the pixels, so MNIST-sized inputs
-become 794-dim. Training batches hold each sample's pixels once plus the
-label each row links it with; no trainer builds the linked matrix (see
+A :class:`Dataset` keeps its ``pixels`` in the dtype they were read in:
+uint8 for IDX and CIFAR-10 files, where a pixel's value is byte / 255, and
+float64 in [0, 1] for float input such as synthetic data. Pixels are scaled
+to float64 in [0, 1] when rows are taken (:meth:`Dataset.rows`), so a split
+is held at one byte per pixel, not eight. :attr:`Dataset.images` is the
+whole split as float64, a fresh copy on every access; a loop takes its rows
+with :meth:`Dataset.rows` instead.
+
+A "linked" input is the flattened sample with a 10-dim one-hot label block
+appended after the pixels, so MNIST-sized inputs become 794-dim. Training
+batches hold each sample's float64 pixels once plus the label each row links
+it with; no trainer builds the linked matrix (see
 :func:`split_linked_weights`), and :meth:`LinkedBatch.linked_inputs` builds
 it only as the oracle the tests compare the label-factored form against.
 """
@@ -45,20 +54,31 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    images: np.ndarray  # (n, d) float64 in [0, 1]
+    """One split: ``pixels`` (n, d) and ``labels`` (n,) int64 in 0..9.
+
+    ``pixels`` holds the values as they were read: uint8 bytes, whose value is
+    byte / 255, or float64 already in [0, 1]; any other input is converted to
+    float64. :meth:`rows` gives float64 rows in [0, 1]; :attr:`images` is the
+    whole split as float64, a fresh copy on every access, so a loop over
+    batches should call :meth:`rows` with each batch's indices.
+    """
+
+    pixels: np.ndarray  # (n, d) uint8 (value / 255) or float64 in [0, 1]
     labels: np.ndarray  # (n,) int64 in 0..9
     name: str
     split: str
 
     def __post_init__(self) -> None:
-        self.images = np.asarray(self.images, dtype=np.float64)
+        pixels = np.asarray(self.pixels)
+        if pixels.dtype != np.uint8:
+            pixels = pixels.astype(np.float64, copy=False)
+        self.pixels = pixels
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.images.ndim != 2:
-            raise DataFormatError(f"images must be 2-D, got shape {self.images.shape}")
-        if self.labels.shape != (self.images.shape[0],):
+        if self.pixels.ndim != 2:
+            raise DataFormatError(f"images must be 2-D, got shape {self.pixels.shape}")
+        if self.labels.shape != (self.n,):
             raise DataFormatError(
-                f"label count {self.labels.shape} does not match "
-                f"{self.images.shape[0]} images"
+                f"label count {self.labels.shape} does not match {self.n} images"
             )
         expected = DATASET_DIMS.get(self.name)
         if expected is not None and self.n > 0 and self.d != expected:
@@ -66,24 +86,52 @@ class Dataset:
                 f"{self.name} images must have {expected} pixels, got {self.d}"
             )
         if self.n > 0:
-            lo, hi = float(self.images.min()), float(self.images.max())
-            # A NaN pixel fails both comparisons, so it is rejected too.
-            if not (lo >= 0.0 and hi <= 1.0):
-                raise DataFormatError(f"pixel values outside [0, 1]: [{lo}, {hi}]")
+            if self.pixels.dtype == np.float64:
+                lo, hi = float(self.pixels.min()), float(self.pixels.max())
+                # A NaN pixel fails both comparisons, so it is rejected too.
+                if not (lo >= 0.0 and hi <= 1.0):
+                    raise DataFormatError(f"pixel values outside [0, 1]: [{lo}, {hi}]")
             if self.labels.min() < 0 or self.labels.max() >= N_LABELS:
                 raise DataFormatError("labels outside 0..9")
 
     @property
     def n(self) -> int:
-        return self.images.shape[0]
+        return self.pixels.shape[0]
 
     @property
     def d(self) -> int:
-        return self.images.shape[1]
+        return self.pixels.shape[1]
+
+    def rows(self, idx) -> np.ndarray:
+        """Float64 rows ``idx`` of the split, in [0, 1].
+
+        A uint8 pixel becomes byte / 255, bit for bit ``astype(np.float64) /
+        255.0``; a float64 pixel is returned exactly (divided by 1.0).
+        """
+        scale = 255.0 if self.pixels.dtype == np.uint8 else 1.0
+        return np.divide(self.pixels[idx], scale, dtype=np.float64)
+
+    @property
+    def images(self) -> np.ndarray:
+        """(n, d) float64 in [0, 1]: the whole split, a fresh copy per access."""
+        return self.rows(slice(None))
 
     def subset(self, n: int) -> "Dataset":
         """First ``n`` samples (deterministic)."""
-        return Dataset(self.images[:n], self.labels[:n], self.name, self.split)
+        return Dataset(self.pixels[:n], self.labels[:n], self.name, self.split)
+
+
+def _gunzip(raw: bytes) -> bytes:
+    """Inflate gzip bytes into one buffer sized from the trailer's ISIZE field,
+    the last member's length mod 2**32. ``gzip.decompress`` grows its output
+    in blocks and peaks near five times the result; a result whose length is
+    not ISIZE (a file of several members) is inflated again by it."""
+    size = int.from_bytes(raw[-4:], "little")
+    # Deflate expands at most 1032-fold, which caps what a damaged trailer claims.
+    out = zlib.decompress(raw, wbits=31, bufsize=max(1, min(size, 1032 * len(raw))))
+    if len(out) % 2**32 != size:
+        out = gzip.decompress(raw)
+    return out
 
 
 def _read_idx(path, expected_magic: int, what: str) -> np.ndarray:
@@ -91,7 +139,7 @@ def _read_idx(path, expected_magic: int, what: str) -> np.ndarray:
     try:
         raw = path.read_bytes()
         if raw[:2] == b"\x1f\x8b":
-            raw = gzip.decompress(raw)
+            raw = _gunzip(raw)
     except (OSError, EOFError, zlib.error) as exc:
         raise DataFormatError(f"{what} file {path}: unreadable ({exc})") from exc
     if len(raw) < 4:
@@ -128,8 +176,7 @@ def load_idx(images_path, labels_path, name: str = "mnist", split: str = "train"
         )
     n = images.shape[0]
     # The width is spelled out: reshape cannot infer -1 for 0 images.
-    flat = images.reshape(n, math.prod(images.shape[1:])).astype(np.float64)
-    flat /= 255.0  # in place: the load peaks at one float64 copy, not two
+    flat = images.reshape(n, math.prod(images.shape[1:]))
     return Dataset(flat, labels.astype(np.int64), name=name, split=split)
 
 
@@ -172,18 +219,12 @@ def load_cifar_bin(batch_paths, split: str = "train") -> Dataset:
             np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
         )
     if not records_parts:
-        return Dataset(
-            np.zeros((0, CIFAR_RECORD_BYTES - 1)),
-            np.zeros((0,), dtype=np.int64),
-            name="cifar10",
-            split=split,
-        )
-    # Convert once after concatenating the uint8 records, so no float64 copy
-    # of a single batch is held next to the float64 result.
-    records = np.concatenate(records_parts, axis=0)
+        records_parts = [np.zeros((0, CIFAR_RECORD_BYTES), dtype=np.uint8)]
+    # The pixels are gathered straight from the files' records into one
+    # contiguous array; the label bytes are not held with them.
     return Dataset(
-        np.divide(records[:, 1:], 255.0, dtype=np.float64),
-        records[:, 0].astype(np.int64),
+        np.concatenate([records[:, 1:] for records in records_parts]),
+        np.concatenate([records[:, 0] for records in records_parts]).astype(np.int64),
         name="cifar10",
         split=split,
     )
@@ -292,7 +333,7 @@ def make_linked_batches(
         neg_true = np.tile(true, negatives_per_positive)
         wrong = sample_wrong_labels(neg_true, rng)
         yield LinkedBatch(
-            images=ds.images[idx],
+            images=ds.rows(idx),
             polarity=np.concatenate([np.ones(m), -np.ones(neg_true.shape[0])]),
             linked_labels=np.concatenate([true, wrong]),
         )
@@ -305,4 +346,4 @@ def make_plain_batches(ds: Dataset, rng: np.random.Generator, batch_size: int):
     order = rng.permutation(ds.n)
     for start in range(0, ds.n, batch_size):
         idx = order[start : start + batch_size]
-        yield ds.images[idx], ds.labels[idx]
+        yield ds.rows(idx), ds.labels[idx]

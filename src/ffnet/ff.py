@@ -377,7 +377,8 @@ def fit(
 
 def _fit_epoch(net, batches, layers, step, stats, states, learning_rate) -> None:
     """One epoch's batch loop of :func:`fit`. Its own frame binds the batch and
-    the gradients, so none of them outlives the epoch."""
+    the gradients, so none of them outlives the epoch, and each gradient is
+    unbound once applied, so none is alive during the next batch's step."""
     for batch in batches:
         for i, grad_w, grad_b in step(batch, layers, stats):
             if i not in states:
@@ -387,6 +388,7 @@ def _fit_epoch(net, batches, layers, step, stats, states, learning_rate) -> None
                     AdamState.for_param(lay.biases, learning_rate),
                 )
             apply_adam_update(net, i, grad_w, grad_b, states)
+            del grad_w, grad_b
 
 
 def train(

@@ -315,7 +315,7 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
         # The last epoch's snapshot is taken after training, from the final pass.
         # The sample's images are gathered per snapshot, not held for the run.
         if epoch % cfg.eval_every == 0 and epoch < total_epochs:
-            snapshot(epoch, _scores(current, cfg, test_ds.images[idx]))
+            snapshot(epoch, _scores(current, cfg, test_ds.rows(idx)))
 
     # No trainer is stored in the table: each is looked up in its module at call
     # time, so a patched module attribute (a benchmark span) is the one called.

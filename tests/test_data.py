@@ -1,4 +1,6 @@
+import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,10 +41,9 @@ class TestIdx:
         np.testing.assert_array_equal(ds.labels, labels)
         np.testing.assert_array_equal(ds.images, images.reshape(50, -1) / 255.0)
 
-    def test_peak_memory_is_one_float_copy_of_the_images(self, tmp_path, rng):
-        """The pixels are scaled in place, so the load peaks near one float64
-        copy of the images. An out-of-place division makes two, unless NumPy
-        happens to reuse the temporary, which not every build can do."""
+    def test_peak_memory_is_near_the_stored_pixels(self, tmp_path, rng):
+        """The pixels are kept as the bytes the file holds, so the load peaks
+        near those bytes; a float64 copy would be eight times more."""
         images = rng.integers(0, 256, size=(2000, 28, 28)).astype(np.uint8)
         write_idx(tmp_path / "images", images)
         write_idx(tmp_path / "labels", rng.integers(0, 10, size=2000).astype(np.uint8))
@@ -51,7 +52,36 @@ class TestIdx:
             lambda: loaded.append(load_idx(tmp_path / "images", tmp_path / "labels"))
         )
         assert loaded[0].n == 2000
-        assert peak < 1.5 * loaded[0].images.nbytes
+        assert peak < 1.1 * loaded[0].pixels.nbytes
+
+    def test_gzip_load_peaks_near_the_file_and_the_pixels(self, tmp_path, rng):
+        """Inflating into one buffer of the trailer's size holds the compressed
+        file and the pixels; ``gzip.decompress`` peaks near five pixel copies."""
+        images = rng.integers(0, 256, size=(2000, 28, 28)).astype(np.uint8)
+        write_idx(tmp_path / "images.gz", images)
+        write_idx(tmp_path / "labels.gz", rng.integers(0, 10, size=2000).astype(np.uint8))
+        loaded = []
+        peak = traced_peak(
+            lambda: loaded.append(load_idx(tmp_path / "images.gz", tmp_path / "labels.gz"))
+        )
+        compressed = (tmp_path / "images.gz").stat().st_size
+        assert peak < compressed + 1.1 * loaded[0].pixels.nbytes
+
+    def test_several_gzip_members_are_read_whole(self, tmp_path, idx_pair):
+        img_path, lab_path, images, _ = idx_pair
+        raw = img_path.read_bytes()
+        members = tmp_path / "images.gz"
+        members.write_bytes(gzip.compress(raw[:1000]) + gzip.compress(raw[1000:]))
+        ds = load_idx(members, lab_path)
+        assert ds.pixels.tobytes() == images.tobytes()
+
+    def test_rows_are_the_bytes_over_255_bitwise(self, idx_pair):
+        img_path, lab_path, images, _ = idx_pair
+        ds = load_idx(img_path, lab_path)
+        flat = images.reshape(50, -1)
+        idx = np.array([7, 0, 49, 7, 3])
+        assert ds.rows(idx).tobytes() == (flat[idx].astype(np.float64) / 255.0).tobytes()
+        assert ds.images.tobytes() == (flat.astype(np.float64) / 255.0).tobytes()
 
     def test_empty_pair_keeps_the_image_width(self, tmp_path):
         write_idx(tmp_path / "images", np.zeros((0, 28, 28)))
@@ -149,8 +179,12 @@ class TestCifar:
         ds = load_cifar_bin([tmp_path / "b1.bin", tmp_path / "b2.bin"])
         expected = np.concatenate([r1, r2])[:, 1:].astype(np.float64) / 255.0
         assert ds.images.tobytes() == expected.tobytes()
+        idx = np.array([11, 2, 7, 2])
+        assert ds.rows(idx).tobytes() == expected[idx].tobytes()
 
     def test_peak_memory_is_near_the_images_array(self, tmp_path, rng):
+        """The load holds the files' records and the gathered pixels, both
+        uint8; a float64 copy would be eight times the pixels."""
         paths = [tmp_path / f"b{i}.bin" for i in range(3)]
         for path in paths:
             self._write_batch(path, rng, 200)
@@ -158,7 +192,7 @@ class TestCifar:
         peak = traced_peak(lambda: loaded.append(load_cifar_bin(paths)))
         ds = loaded[0]
         assert ds.n == 600
-        assert peak <= 1.3 * ds.images.nbytes
+        assert peak <= 2.1 * ds.pixels.nbytes
 
     def test_bad_record_size(self, tmp_path):
         (tmp_path / "bad.bin").write_bytes(b"\x00" * 5000)
@@ -172,18 +206,68 @@ class TestCifar:
         assert ds.n == 0
 
 
+def _write_cifar_split(tmp_path, rng, n):
+    records = rng.integers(0, 256, size=(n, 3073)).astype(np.uint8)
+    records[:, 0] %= 10
+    (tmp_path / "batch.bin").write_bytes(records.tobytes())
+    return load_cifar_bin([tmp_path / "batch.bin"])
+
+
+def _write_idx_split(tmp_path, rng, n):
+    write_idx(tmp_path / "images.gz", rng.integers(0, 256, size=(n, 28, 28)).astype(np.uint8))
+    write_idx(tmp_path / "labels.gz", rng.integers(0, 10, size=n).astype(np.uint8))
+    return load_idx(tmp_path / "images.gz", tmp_path / "labels.gz")
+
+
+class TestPixelStorage:
+    @pytest.mark.parametrize("load", [_write_idx_split, _write_cifar_split])
+    def test_loaded_split_holds_one_byte_per_pixel(self, tmp_path, rng, load):
+        """What stays allocated after a load is the n x d pixel bytes and the
+        labels, not an eight-byte float per pixel."""
+        tracemalloc.start()
+        try:
+            ds = load(tmp_path, rng, 300)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ds.pixels.dtype == np.uint8
+        assert ds.pixels.nbytes == ds.n * ds.d
+        assert held < ds.pixels.nbytes + ds.labels.nbytes + 64_000
+
+    def test_uint8_pixels_read_as_byte_over_255(self):
+        pixels = np.array([[0, 51, 255], [255, 102, 0]], dtype=np.uint8)
+        ds = Dataset(pixels, [3, 4], "synthetic", "train")
+        assert ds.pixels is pixels
+        assert ds.images.dtype == np.float64
+        assert ds.images.tobytes() == (pixels.astype(np.float64) / 255.0).tobytes()
+        assert ds.subset(1).pixels.dtype == np.uint8
+
+    def test_float_pixels_are_returned_exactly(self, rng):
+        images = rng.uniform(0.0, 1.0, size=(6, 5))
+        ds = Dataset(images, np.zeros(6, dtype=int), "synthetic", "train")
+        assert ds.images.tobytes() == images.tobytes()
+        assert ds.rows([4, 1]).tobytes() == images[[4, 1]].tobytes()
+
+    def test_images_is_a_fresh_copy(self, rng):
+        ds = Dataset(rng.uniform(size=(3, 4)), np.zeros(3, dtype=int), "synthetic", "train")
+        ds.images[0, 0] = 7.0
+        assert ds.images[0, 0] <= 1.0
+
+
 class TestDatasetValidation:
     def test_known_name_enforces_dimension(self):
         with pytest.raises(DataFormatError, match="784"):
             Dataset(np.zeros((3, 100)), np.zeros(3, dtype=int), "mnist", "train")
 
     def test_pixel_range_enforced(self):
-        with pytest.raises(DataFormatError, match=r"\[0, 1\]"):
+        with pytest.raises(DataFormatError, match=r"\[0, 1\]") as out_of_range:
             Dataset(np.full((2, 4), 2.0), np.zeros(2, dtype=int), "synthetic", "train")
         images = np.full((2, 4), 0.5)
         images[1, 2] = np.nan
-        with pytest.raises(DataFormatError, match=r"\[0, 1\]"):
+        with pytest.raises(DataFormatError, match=r"\[0, 1\]") as nan:
             Dataset(images, np.zeros(2, dtype=int), "synthetic", "train")
+        for error in (out_of_range, nan):
+            assert "\n" not in str(error.value)
 
     def test_label_range_enforced(self):
         with pytest.raises(DataFormatError, match="labels"):

@@ -479,34 +479,60 @@ class TestTrainingMemory:
         # measured at 3.6 MB above the net and the largest moments.
         assert peak < sum(sizes) + 2 * max(sizes) + 5_000_000
 
-    @pytest.mark.parametrize(
+    TRAINERS = pytest.mark.parametrize(
         "trainer, dims, schedule",
         [("train", [20, 8, 6, 5], "layerwise"), ("train", [20, 8, 6, 5], "alternating"),
          ("train_pairwise", [20, 8, 6], "layerwise"),
          ("train_classic", [10, 8, 10], "layerwise")],
     )
-    def test_no_gradient_is_alive_at_on_epoch(self, monkeypatch, trainer, dims, schedule):
+
+    @staticmethod
+    def _alive_counts(monkeypatch, trainer, dims, schedule, at):
+        """Train while weakly recording every Adam update's gradients; return
+        the records and how many were alive at each ``on_epoch`` call (``at``
+        "on_epoch") or at the start of each forward pass (``at`` "forward")."""
         import ffnet.baselines as baselines
         import ffnet.ff as ff_module
 
-        refs = []
+        refs, alive = [], []
         update = ff_module.apply_adam_update
+
+        def count_alive(*_):
+            alive.append(sum(ref() is not None for ref in refs))
 
         def recording_update(net, layer, grad_w, grad_b, states):
             refs.extend(weakref.ref(grad) for grad in (grad_w, grad_b))
             update(net, layer, grad_w, grad_b, states)
 
+        def watched_forward(*args, **kwargs):
+            count_alive()
+            return forward_pass(*args, **kwargs)
+
         monkeypatch.setattr(ff_module, "apply_adam_update", recording_update)
-        alive = []
-
-        def on_epoch(epoch, net):
-            alive.append(sum(ref() is not None for ref in refs))
-
+        if at == "forward":
+            monkeypatch.setattr(ff_module, "forward_pass", watched_forward)
+            monkeypatch.setattr(baselines, "forward_pass", watched_forward)
         train_fn = getattr(ff_module if trainer == "train" else baselines, trainer)
         train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
         cfg = FfConfig(theta=3.0, epochs=2, batch_size=20, seed=1, schedule=schedule)
+        on_epoch = count_alive if at == "on_epoch" else None
         train_fn(init_network(dims, make_rng(0)), train_ds, cfg, on_epoch=on_epoch)
+        return refs, alive
+
+    @TRAINERS
+    def test_no_gradient_is_alive_at_on_epoch(self, monkeypatch, trainer, dims, schedule):
+        refs, alive = self._alive_counts(monkeypatch, trainer, dims, schedule, "on_epoch")
         assert refs and alive
+        assert alive == [0] * len(alive)
+
+    @TRAINERS
+    def test_no_earlier_batchs_gradient_is_alive_at_a_forward_pass(
+        self, monkeypatch, trainer, dims, schedule
+    ):
+        """Every recorded gradient belongs to an earlier batch when a batch's
+        forward pass starts, so none may still be alive then."""
+        refs, alive = self._alive_counts(monkeypatch, trainer, dims, schedule, "forward")
+        assert refs and len(alive) > 1
         assert alive == [0] * len(alive)
 
 

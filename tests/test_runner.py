@@ -6,11 +6,14 @@ import pytest
 
 from ffnet import runner
 from ffnet.checkpoint import load_checkpoint, save_checkpoint
+from ffnet.data import Dataset
 from ffnet.errors import CheckpointError, ConfigError
+from ffnet.fetch import load_dataset
 from ffnet.ff import FfConfig, train
 from ffnet.linalg import l2_row_normalize, make_rng
 from ffnet.nn import init_network, l2_row_normalize_vjp
 from ffnet.runner import (
+    METHOD_TABLE,
     METHODS,
     RunConfig,
     evaluate_checkpoint,
@@ -188,6 +191,30 @@ class TestRunTrainingMethods:
         )
         with pytest.raises(ConfigError, match="34-dim"):
             run_training(cfg, train_ds, test_ds)
+
+
+class TestPixelStorageIsInvisible:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_idx_split_trains_like_its_float_copy(self, data_dir, tmp_path, method):
+        """A run on uint8 IDX pixels writes the bytes a run on the float64
+        ``images`` of the same splits writes."""
+        loaded = [load_dataset("mnist", split, data_dir) for split in ("train", "test")]
+        floats = [Dataset(ds.images, ds.labels, ds.name, ds.split) for ds in loaded]
+        assert loaded[0].pixels.dtype == np.uint8 and floats[0].pixels.dtype == np.float64
+        dims = [784, 16, 10] if method == "bp_classic" else [794, 16, 12]
+        cfg = RunConfig(
+            dataset="mnist", method=method, theta=4.0, epochs=2, batch_size=50,
+            seed=3, layer_dims=dims, output_dir=str(tmp_path), entropy_eval_n=40,
+            eval_every=1,
+        )
+        names = ["checkpoint.npz", "history.csv", "errors.csv"]
+        if METHOD_TABLE[method].linked:
+            names.append("entropy.csv")
+        written = []
+        for train_ds, test_ds in (loaded, floats):
+            run_training(cfg, train_ds, test_ds)
+            written.append([(tmp_path / name).read_bytes() for name in names])
+        assert written[0] == written[1]
 
 
 class TestEntropyTestSize:
