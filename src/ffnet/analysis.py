@@ -13,14 +13,13 @@ are requested, and the full set's error equals the voting test error.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .ff import checked_layers, label_goodness_scores, voting_error
+from .ff import label_goodness_scores, voting_error
 from .nn import MlpNetwork
 
 
@@ -59,6 +58,26 @@ def parse_subset_label(text: str) -> frozenset:
     return frozenset(p - 1 for p in parts)
 
 
+def check_subset_family(subsets, depth: int) -> list[frozenset]:
+    """``subsets`` of a ``depth``-layer network as frozensets of 0-based layers;
+    rejects an empty request or subset, a missing layer and a repeated subset."""
+    family = [frozenset(int(i) for i in s) for s in subsets]
+    if not family:
+        raise ConfigError("no subsets requested")
+    for i, s in enumerate(family):
+        if not s:
+            raise ConfigError("a requested subset names no layer")
+        missing = [j + 1 for j in sorted(s) if not 0 <= j < depth]
+        if missing:
+            raise ConfigError(
+                f"subset {subset_label(s)} names layer {missing[-1]}; "
+                f"the network has {depth} layers"
+            )
+        if s in family[:i]:
+            raise ConfigError(f"subset {subset_label(s)} is requested twice")
+    return family
+
+
 def default_subset_family(depth: int) -> list[frozenset]:
     """Singletons, prefixes, leave-one-outs (from depth 2, as depth 1's would
     be empty), and the full set, each once."""
@@ -79,22 +98,13 @@ def subset_errors(scores: np.ndarray, labels, subsets) -> SubsetEvalReport:
 
     ``scores`` is the (n, N_LABELS, depth) tensor of
     :func:`ffnet.ff.label_goodness_scores` for the samples whose true labels
-    are ``labels``.
+    are ``labels``; ``subsets`` passes :func:`check_subset_family`.
     """
-    requested = [frozenset(checked_layers(s, scores.shape[2])) for s in subsets]
-    if not requested:
-        raise ConfigError("no subsets requested")
-    unique: list[frozenset] = []
-    for s in requested:
-        if s in unique:
-            warnings.warn(f"duplicate subset {subset_label(s)} ignored", stacklevel=2)
-            continue
-        unique.append(s)
     n = scores.shape[0]
     return SubsetEvalReport(
         entries=[
             SubsetResult(layers=s, error=voting_error(scores, labels, sorted(s)), n=n)
-            for s in unique
+            for s in check_subset_family(subsets, scores.shape[2])
         ]
     )
 

@@ -1,21 +1,25 @@
 """Command-line front end: fetch, train, eval, sweep.
 
-Flag precedence for train/sweep is CLI > --config JSON file > built-in
-defaults; the fully resolved config is persisted in the run directory.
+It only parses: the library call a command makes checks every rule of the
+request, so ``ffnet`` and a library caller get the same errors. The train and
+sweep flags are one per ``RunConfig`` field. Flag precedence for train/sweep
+is CLI > --config JSON file > built-in defaults; the fully resolved config is
+persisted in the run directory.
 Exits 0 on success, 1 with a one-line ``error: ...`` message on failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import dataclasses
 import json
 import statistics
 import sys
+import typing
 from pathlib import Path
 
-from .analysis import parse_subset_label, subset_label
-from .errors import ConfigError
+from .analysis import parse_subset_label
 from .ff import GAMMA_MODES, SCHEDULES
 from .fetch import DATASETS, fetch_dataset
 from .reports import write_json
@@ -31,36 +35,35 @@ def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+# The fixed choices of four RunConfig fields and the help of one flag; every
+# other part of a field's flag comes from its name and annotation.
+FLAG_CHOICES = {
+    "dataset": sorted(DATASETS),
+    "method": METHODS,
+    "gamma_mode": GAMMA_MODES,
+    "schedule": SCHEDULES,
+}
+FLAG_HELP = {"layer_dims": "comma-separated dims including input (e.g. 794,500,500,500)"}
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    # argparse.SUPPRESS keeps unset flags out of the namespace so the
-    # config-file layer can fill them.
+    """``--config`` and one flag per RunConfig field, in field order."""
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
-    parser.add_argument("--dataset", choices=sorted(DATASETS), default=argparse.SUPPRESS)
-    parser.add_argument("--method", choices=METHODS, default=argparse.SUPPRESS)
-    parser.add_argument("--gamma-mode", choices=GAMMA_MODES, default=argparse.SUPPRESS)
-    parser.add_argument("--schedule", choices=SCHEDULES, default=argparse.SUPPRESS)
-    parser.add_argument("--theta", type=float, default=argparse.SUPPRESS)
-    parser.add_argument("--epochs", type=int, default=argparse.SUPPRESS)
-    parser.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
-    parser.add_argument("--learning-rate", type=float, default=argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    parser.add_argument(
-        "--layer-dims",
-        type=_int_list,
-        default=argparse.SUPPRESS,
-        help="comma-separated dims including input (e.g. 794,500,500,500)",
-    )
-    parser.add_argument("--output-dir", default=argparse.SUPPRESS)
-    parser.add_argument("--entropy-eval-n", type=int, default=argparse.SUPPRESS)
-    parser.add_argument("--eval-every", type=int, default=argparse.SUPPRESS)
-    parser.add_argument("--data-dir", default=argparse.SUPPRESS)
-    parser.add_argument("--train-subset", type=int, default=argparse.SUPPRESS)
-    parser.add_argument(
-        "--negatives-per-positive", type=int, default=argparse.SUPPRESS
-    )
-    parser.add_argument(
-        "--classic-normalize", action="store_true", default=argparse.SUPPRESS
-    )
+    hints = typing.get_type_hints(RunConfig)
+    for field in dataclasses.fields(RunConfig):
+        hint = hints[field.name]
+        if typing.get_origin(hint) is typing.Union:  # Optional[X] parses as X
+            hint = typing.get_args(hint)[0]
+        # argparse.SUPPRESS keeps unset flags out of the namespace so the
+        # config-file layer can fill them.
+        flag = {"default": argparse.SUPPRESS, "help": FLAG_HELP.get(field.name)}
+        if hint is bool:
+            flag["action"] = "store_true"
+        else:
+            sequence = typing.get_origin(hint) is collections.abc.Sequence
+            flag["type"] = _int_list if sequence else hint
+            flag["choices"] = FLAG_CHOICES.get(field.name)
+        parser.add_argument("--" + field.name.replace("_", "-"), **flag)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -82,8 +85,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     seeds = getattr(args, "seeds", None)
     if seeds is not None:
-        if not seeds:
-            raise ConfigError("train needs at least one seed value")
         _, summaries = run_variants(cfg, "seed", seeds, "seed_{}")
         errors = [summary["final_test_error"] for summary in summaries]
         for seed, error in zip(seeds, errors):
@@ -109,12 +110,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     subsets = None
     if args.subsets is not None:
-        if not args.subsets.strip():
-            raise ConfigError("--subsets needs at least one subset")
-        subsets = [parse_subset_label(part) for part in args.subsets.split(",")]
-        for i, subset in enumerate(subsets):
-            if subset in subsets[:i]:
-                raise ConfigError(f"--subsets repeats subset {subset_label(subset)}")
+        parts = args.subsets.split(",") if args.subsets.strip() else []
+        subsets = [parse_subset_label(part) for part in parts]
     summary = evaluate_checkpoint(
         args.checkpoint,
         args.output_dir,

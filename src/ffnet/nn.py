@@ -96,17 +96,23 @@ class MlpNetwork:
         return MlpNetwork([lay.copy() for lay in self.layers])
 
 
+def check_layer_dims(layer_dims) -> tuple[int, ...]:
+    """``layer_dims`` as ints; rejects fewer than two entries or a non-positive one."""
+    dims = tuple(int(d) for d in layer_dims)
+    if len(dims) < 2 or min(dims) <= 0:
+        raise ConfigError(
+            f"layer_dims needs at least 2 entries, all positive, got {list(dims)}"
+        )
+    return dims
+
+
 def init_network(layer_dims, rng: np.random.Generator) -> MlpNetwork:
     """Glorot-uniform weights, zero biases.
 
     ``layer_dims`` lists unit counts from input to output, so a value of
     [794, 500, 500, 500] builds three dense layers.
     """
-    dims = [int(d) for d in layer_dims]
-    if len(dims) < 2:
-        raise ConfigError(f"need at least two layer dims, got {dims}")
-    if any(d <= 0 for d in dims):
-        raise ConfigError(f"layer dims must be positive, got {dims}")
+    dims = check_layer_dims(layer_dims)
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -473,6 +479,7 @@ __all__ = [
     "MlpNetwork",
     "adam_step",
     "apply_adam_update",
+    "check_layer_dims",
     "first_layer_factors",
     "forward_from_pre",
     "forward_pass",

@@ -22,10 +22,10 @@ from . import baselines, ff
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .data import DATASET_DIMS, N_LABELS, Dataset, draw_eval_sample
 from .entropy import split_entropy_reports
-from .errors import CheckpointError, ConfigError
+from .errors import ConfigError
 from .fetch import load_dataset
 from .linalg import make_rng
-from .nn import MlpNetwork, init_network
+from .nn import MlpNetwork, check_layer_dims, init_network
 from .reports import (
     HISTORY_FIELDS,
     entropy_row,
@@ -57,6 +57,15 @@ DEFAULT_HIDDEN = (500, 500, 500)
 def _input_width(method: Method, d: int) -> int:
     """Network input width for ``d``-wide samples: a linked method adds a label."""
     return d + N_LABELS if method.linked else d
+
+
+def _check_input_width(method: str, input_dim: int, d: int, data: str) -> None:
+    """Reject a network ``input_dim`` wide for ``method`` on ``d``-wide ``data``."""
+    expected = _input_width(METHOD_TABLE[method], d)
+    if input_dim != expected:
+        raise ConfigError(
+            f"layer_dims[0] must be {expected} for {method} on {data}, got {input_dim}"
+        )
 
 
 @dataclass
@@ -97,28 +106,16 @@ class RunConfig:
                 f"dataset {self.dataset!r} is not one of {sorted(DATASET_DIMS)}; "
                 "pass layer_dims explicitly"
             )
-        expected_input = None if d is None else _input_width(method, d)
         if out.layer_dims is None:
-            dims = [expected_input, *DEFAULT_HIDDEN]
-            if not method.linked:
-                dims.append(N_LABELS)
-            out.layer_dims = tuple(dims)
-        else:
-            out.layer_dims = tuple(int(v) for v in out.layer_dims)
-            if len(out.layer_dims) < 2 or min(out.layer_dims) <= 0:
-                raise ConfigError(
-                    "layer_dims needs at least 2 entries, all positive, "
-                    f"got {list(out.layer_dims)}"
-                )
-            if expected_input is not None and out.layer_dims[0] != expected_input:
-                raise ConfigError(
-                    f"layer_dims[0] must be {expected_input} for "
-                    f"{self.method} on {self.dataset}, got {out.layer_dims[0]}"
-                )
-            if not method.linked and out.layer_dims[-1] != N_LABELS:
-                raise ConfigError(
-                    f"{self.method} needs a {N_LABELS}-wide head, got {out.layer_dims[-1]}"
-                )
+            head = () if method.linked else (N_LABELS,)
+            out.layer_dims = (_input_width(method, d), *DEFAULT_HIDDEN, *head)
+        out.layer_dims = check_layer_dims(out.layer_dims)
+        if d is not None:
+            _check_input_width(self.method, out.layer_dims[0], d, self.dataset)
+        if not method.linked and out.layer_dims[-1] != N_LABELS:
+            raise ConfigError(
+                f"{self.method} needs a {N_LABELS}-wide head, got {out.layer_dims[-1]}"
+            )
         if out.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {out.eval_every}")
         if out.entropy_eval_n < 2:
@@ -277,12 +274,8 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     """
     cfg = cfg.resolved()
     method = METHOD_TABLE[cfg.method]
-    expected = _input_width(method, train_ds.d)
-    if cfg.layer_dims[0] != expected:
-        raise ConfigError(
-            f"layer_dims[0]={cfg.layer_dims[0]} but {cfg.method} on this data "
-            f"needs {expected}-dim inputs"
-        )
+    for ds in (train_ds, test_ds):
+        _check_input_width(cfg.method, cfg.layer_dims[0], ds.d, f"{ds.name} {ds.split}")
     if cfg.train_subset is not None:
         train_ds = train_ds.subset(cfg.train_subset)
     ff_cfg = cfg.ff_config()
@@ -374,7 +367,7 @@ def evaluate_checkpoint(
     run's snapshots used and reduces them as they do (:func:`_sample_rows`).
     """
     from .analysis import (
-        default_subset_family, marginal_contributions, subset_errors, subset_label,
+        check_subset_family, default_subset_family, marginal_contributions, subset_errors,
     )
 
     net, config, stored_hash = load_checkpoint(checkpoint_path)
@@ -383,23 +376,13 @@ def evaluate_checkpoint(
     # A config without a dataset is resolved for the given one, not for mnist.
     cfg = RunConfig.from_dict({"dataset": dataset, **config}).resolved()
     method = METHOD_TABLE[cfg.method]
-    if subsets is not None and not method.linked:
-        raise ConfigError("layer subsets are undefined for the classic baseline")
-    for subset in subsets or ():
-        deepest = max(subset, default=0) + 1
-        if deepest > net.depth:
-            raise ConfigError(
-                f"subset {subset_label(subset)} names layer {deepest}; "
-                f"the network has {net.depth} layers"
-            )
+    if subsets is not None:
+        if not method.linked:
+            raise ConfigError("layer subsets are undefined for the classic baseline")
+        subsets = check_subset_family(subsets, net.depth)
     name = dataset or cfg.dataset
     test_ds = load_dataset(name, "test", data_dir or cfg.data_dir)
-    expected = _input_width(method, test_ds.d)
-    if net.input_dim != expected:
-        raise CheckpointError(
-            f"checkpoint expects {net.input_dim}-dim inputs but {name} "
-            f"{cfg.method} inputs are {expected}-dim"
-        )
+    _check_input_width(cfg.method, net.input_dim, test_ds.d, f"{name} test")
     ff.check_test_size(test_ds.n, cfg.ff_config().loss_kind)
 
     out_dir = Path(out_dir)
@@ -414,7 +397,7 @@ def evaluate_checkpoint(
         "test_error": _error(scores, test_ds.labels, method),
     }
     if method.linked:
-        family = list(subsets) if subsets is not None else default_subset_family(net.depth)
+        family = default_subset_family(net.depth) if subsets is None else subsets
         report = subset_errors(scores, test_ds.labels, family)
         write_subsets_csv(out_dir / "subsets.csv", report)
         try:
@@ -441,6 +424,8 @@ def run_variants(
     may share a directory, before the first run starts."""
     if parallel < 0:
         raise ConfigError(f"parallel must be a non-negative worker count, got {parallel}")
+    if not values:
+        raise ConfigError(f"no {field} values given")
     base = cfg.resolved()
     configs = []
     owners: dict[str, object] = {}  # output directory -> the value that took it
@@ -465,8 +450,6 @@ def run_variants(
 
 def run_sweep(cfg: RunConfig, thetas: Sequence[float], parallel: int = 0) -> list[dict]:
     """One run per theta; returns and writes the theta/error table."""
-    if not thetas:
-        raise ConfigError("sweep needs at least one theta value")
     thetas = [float(t) for t in thetas]
     configs, summaries = run_variants(cfg, "theta", thetas, "theta_{:g}", parallel)
     rows = [

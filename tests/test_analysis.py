@@ -48,11 +48,10 @@ class TestEvaluateSubsets:
             assert 0.0 <= entry.error <= 1.0
             assert entry.n == test_ds.n
 
-    def test_duplicates_deduplicated_with_warning(self, small_trained_net):
+    def test_duplicates_rejected(self, small_trained_net):
         net, _, test_ds = small_trained_net
-        with pytest.warns(UserWarning, match="duplicate"):
-            report = evaluate_subsets(net, test_ds, [{0}, {0}])
-        assert len(report.entries) == 1
+        with pytest.raises(ConfigError, match="^subset 1 is requested twice$"):
+            evaluate_subsets(net, test_ds, [{0}, {0}])
 
     def test_invalid_subset_rejected(self, small_trained_net):
         net, _, test_ds = small_trained_net

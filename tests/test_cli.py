@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -11,11 +13,12 @@ import pytest
 from conftest import store_config
 
 import ffnet
-from ffnet.cli import main
+from ffnet.cli import _config_from_args, build_parser, main
 from ffnet.data import write_idx
 from ffnet.errors import DataFormatError
 from ffnet.fetch import RemoteFile, dataset_available, fetch_dataset, sha256_file
 from ffnet.linalg import make_rng
+from ffnet.runner import RunConfig
 
 IDX_NAMES = [
     "train-images-idx3-ubyte.gz",
@@ -331,6 +334,81 @@ class TestTrainCommand:
         assert done.stdout.splitlines()[-1] == "[]"
 
 
+# A value other than the default for every RunConfig field: the words that set
+# it on the command line, and its value in a --config file.
+FIELD_SETTINGS = {
+    "dataset": (["--dataset", "cifar10"], "cifar10"),
+    "method": (["--method", "collab_ff"], "collab_ff"),
+    "gamma_mode": (["--gamma-mode", "predecessors_only"], "predecessors_only"),
+    "schedule": (["--schedule", "alternating"], "alternating"),
+    "theta": (["--theta", "2.5"], 2.5),
+    "epochs": (["--epochs", "3"], 3),
+    "batch_size": (["--batch-size", "7"], 7),
+    "learning_rate": (["--learning-rate", "0.01"], 0.01),
+    "seed": (["--seed", "5"], 5),
+    "layer_dims": (["--layer-dims", "794,8,6"], [794, 8, 6]),
+    "output_dir": (["--output-dir", "runs/elsewhere"], "runs/elsewhere"),
+    "entropy_eval_n": (["--entropy-eval-n", "30"], 30),
+    "eval_every": (["--eval-every", "2"], 2),
+    "data_dir": (["--data-dir", "cache"], "cache"),
+    "train_subset": (["--train-subset", "9"], 9),
+    "negatives_per_positive": (["--negatives-per-positive", "2"], 2),
+    "classic_normalize": (["--classic-normalize"], True),
+}
+RUN_COMMANDS = {"train": [], "sweep": ["--thetas", "1"]}  # the words each needs
+
+
+def _resolved_run(command, config, *flags):
+    """The resolved RunConfig of ``ffnet COMMAND --config CONFIG FLAGS``."""
+    args = build_parser().parse_args([command, "--config", str(config), *flags])
+    return _config_from_args(args).resolved()
+
+
+class TestRunFlags:
+    """``train`` and ``sweep`` take one flag per RunConfig field and their own."""
+
+    @pytest.mark.parametrize(
+        ("command", "own"),
+        [("train", ["--seeds"]), ("sweep", ["--thetas", "--parallel"])],
+    )
+    def test_one_flag_per_field_plus_the_command_flags(self, command, own):
+        [commands] = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = [
+            action.option_strings[0]
+            for action in commands.choices[command]._actions
+            if action.dest != "help"
+        ]
+        fields = [field.name for field in dataclasses.fields(RunConfig)]
+        assert sorted(FIELD_SETTINGS) == sorted(fields)
+        assert flags == ["--config", *(FIELD_SETTINGS[f][0][0] for f in fields), *own]
+
+    @pytest.mark.parametrize("field", sorted(FIELD_SETTINGS))
+    def test_a_flag_resolves_as_the_config_file_field(self, tmp_path, field):
+        words, value = FIELD_SETTINGS[field]
+        # classic_normalize is a setting of the label-head method alone.
+        context = {"method": "bp_classic"} if field == "classic_normalize" else {}
+        base, with_field = tmp_path / "base.json", tmp_path / "field.json"
+        base.write_text(json.dumps(context))
+        with_field.write_text(json.dumps({**context, field: value}))
+        for command, needed in RUN_COMMANDS.items():
+            by_flag = _resolved_run(command, base, *words, *needed)
+            by_file = _resolved_run(command, with_field, *needed)
+            assert by_flag == by_file != RunConfig(**context).resolved()
+
+    @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+    def test_help_exits_zero(self, command):
+        done = subprocess.run(
+            [sys.executable, "-m", "ffnet", command, "--help"],
+            env={**os.environ, "PYTHONPATH": str(Path(ffnet.__file__).parents[1])},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(f"usage: ffnet {command} ")
+
+
 @pytest.fixture(scope="module")
 def trained_run(data_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
@@ -455,9 +533,9 @@ class TestEvalCommand:
     @pytest.mark.parametrize(
         ("subsets", "message"),
         [
-            ("1,1", "--subsets repeats subset 1"),
-            ("1+2,2+1", "--subsets repeats subset 1+2"),
-            ("", "--subsets needs at least one subset"),
+            ("1,1", "subset 1 is requested twice"),
+            ("1+2,2+1", "subset 1+2 is requested twice"),
+            ("", "no subsets requested"),
             ("4", "subset 4 names layer 4; the network has 3 layers"),
             ("1,1+5", "subset 1+5 names layer 5; the network has 3 layers"),
         ],
@@ -567,8 +645,8 @@ class TestMultiRunChecks:
     @pytest.mark.parametrize(
         ("command", "values", "message"),
         [
-            ("train", ",", "train needs at least one seed value"),
-            ("sweep", ",", "sweep needs at least one theta value"),
+            ("train", ",", "no seed values given"),
+            ("sweep", ",", "no theta values given"),
             ("train", "0,-1", "seed must be >= 0, got -1"),
             ("sweep", "3,nan", "theta must be finite, got nan"),
             ("train", "1,1", "seed values 1 and 1 share the output directory {out}/seed_1"),

@@ -188,6 +188,10 @@ def test_cli_flags_beat_config_file_beat_defaults(
         assert getattr(cfg, name) == want, name
 
 
+# Layer dims too short, with a zero entry, of the wrong input width, or whose
+# last layer is 9 wide (a fault for the label-head method alone), or a test
+# split wider than the train split.
+FAULTS = ("short", "non_positive", "input", "head", "test_width")
 RUN_SPACE = {
     "method": st.sampled_from(METHODS),
     "schedule": st.sampled_from((None, *SCHEDULES)),
@@ -200,6 +204,7 @@ RUN_SPACE = {
     "negatives": st.sampled_from((1, 3)),
     "entropy_eval_n": st.sampled_from((2, 50)),
     "eval_every": st.sampled_from((1, 5)),
+    "fault": st.none() | st.sampled_from(FAULTS),
 }
 
 
@@ -207,37 +212,51 @@ RUN_SPACE = {
 BASE_RUN = {
     "method": "ff", "schedule": None, "gamma_mode": None, "depth": 1,
     "n_train": 7, "train_subset": None, "n_test": 5, "batch_size": 2,
-    "negatives": 1, "entropy_eval_n": 2, "eval_every": 1,
+    "negatives": 1, "entropy_eval_n": 2, "eval_every": 1, "fault": None,
 }
 
 
-# About 15 ms per configuration at these sizes.
-@settings(max_examples=120, deadline=None)
+# About 15 ms per configuration at these sizes; half of the draws have no fault.
+@settings(max_examples=200, deadline=None)
 @given(**RUN_SPACE)
 @example(**BASE_RUN)
 @example(**{**BASE_RUN, "n_test": 0})
 @example(**{**BASE_RUN, "method": "bp_classic", "n_test": 0})
 @example(**{**BASE_RUN, "method": "entropy_ff", "n_test": 1})
+@example(**{**BASE_RUN, "fault": "test_width"})
+@example(**{**BASE_RUN, "fault": "short"})
+@example(**{**BASE_RUN, "fault": "non_positive"})
+@example(**{**BASE_RUN, "fault": "input"})
+@example(**{**BASE_RUN, "method": "bp_classic", "fault": "head"})
 def test_every_config_trains_and_evaluates_or_fails_before_writing(
     method, schedule, gamma_mode, depth, n_train, train_subset, n_test,
-    batch_size, negatives, entropy_eval_n, eval_every,
+    batch_size, negatives, entropy_eval_n, eval_every, fault,
 ):
     """A run trains finite weights, and ``ffnet eval`` of its checkpoint on the
     same split repeats its test error; or it raises ConfigError before it
-    writes config.json."""
+    writes anything. Every fault but a 9-wide last layer of a linked method
+    raises."""
     d = 4
     linked = METHOD_TABLE[method].linked
     hidden = [3] * depth if linked else [3] * (depth - 1) + [N_LABELS]
+    dims = [d + N_LABELS if linked else d, *hidden]
+    dims = {
+        "short": dims[:1],
+        "non_positive": [*dims[:-1], 0],
+        "input": [dims[0] + 1, *dims[1:]],
+        "head": [*dims[:-1], N_LABELS - 1],
+    }.get(fault, dims)
+    must_fail = fault is not None and not (fault == "head" and linked)
     train_ds = synthetic_dataset(n_train, d=d, seed=1, split="train")
-    test_ds = synthetic_dataset(n_test, d=d, seed=1, split="test")
+    test_d = d + 2 if fault == "test_width" else d
+    test_ds = synthetic_dataset(n_test, d=test_d, seed=1, split="test")
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         runner, "load_dataset", lambda name, split, data_dir: test_ds
     ):
         run_dir = Path(tmp) / "run"
         cfg = RunConfig(
             dataset="synthetic", method=method, schedule=schedule,
-            gamma_mode=gamma_mode, epochs=2, batch_size=batch_size,
-            layer_dims=[d + N_LABELS if linked else d, *hidden],
+            gamma_mode=gamma_mode, epochs=2, batch_size=batch_size, layer_dims=dims,
             output_dir=str(run_dir), entropy_eval_n=entropy_eval_n,
             eval_every=eval_every, train_subset=train_subset,
             negatives_per_positive=negatives,
@@ -245,8 +264,9 @@ def test_every_config_trains_and_evaluates_or_fails_before_writing(
         try:
             summary = run_training(cfg, train_ds, test_ds)
         except ConfigError:
-            assert not (run_dir / "config.json").exists()
+            assert not run_dir.exists()
             return
+        assert not must_fail
         net, _, _ = load_checkpoint(run_dir / "checkpoint.npz")
         for layer in net.layers:
             assert np.isfinite(layer.weights).all() and np.isfinite(layer.biases).all()

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -189,7 +190,8 @@ class TestRunTrainingMethods:
             dataset="synthetic", method="ff", layer_dims=[99, 10],
             output_dir=str(tmp_path / "bad"), epochs=1,
         )
-        with pytest.raises(ConfigError, match="34-dim"):
+        message = r"^layer_dims\[0\] must be 34 for ff on synthetic train, got 99$"
+        with pytest.raises(ConfigError, match=message):
             run_training(cfg, train_ds, test_ds)
 
 
@@ -250,6 +252,51 @@ class TestEntropyTestSize:
             with pytest.raises(ConfigError, match=message):
                 evaluate_checkpoint(checkpoint, tmp_path / "eval")
             assert not (tmp_path / "eval").exists()
+
+
+class TestEvaluateCheckpointChecksFirst:
+    """A bad subset request fails before the test split is read, and a test
+    split of the wrong width before any file is written."""
+
+    @staticmethod
+    def _checkpoint(tmp_path):
+        path = tmp_path / "checkpoint.npz"
+        dims = [794, 6, 5]
+        config = {"dataset": "mnist", "method": "ff", "epochs": 1, "layer_dims": dims}
+        save_checkpoint(path, init_network(dims, make_rng(0)), config)
+        return path
+
+    @pytest.mark.parametrize(
+        ("subsets", "message"),
+        [
+            ([], "no subsets requested"),
+            ([frozenset()], "a requested subset names no layer"),
+            ([frozenset({-1})], "subset 0 names layer 0; the network has 2 layers"),
+            ([frozenset({0, 2})], "subset 1+3 names layer 3; the network has 2 layers"),
+            ([frozenset({0, 1}), frozenset({1, 0})], "subset 1+2 is requested twice"),
+        ],
+        ids=["none", "empty", "negative", "too_deep", "repeated"],
+    )
+    def test_bad_subsets_fail_before_the_test_split_is_read(
+        self, tmp_path, monkeypatch, subsets, message
+    ):
+        def read(name, split, data_dir):
+            raise AssertionError(f"read the {split} split")
+
+        monkeypatch.setattr(runner, "load_dataset", read)
+        checkpoint = self._checkpoint(tmp_path)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            evaluate_checkpoint(checkpoint, tmp_path / "eval", subsets=subsets)
+        assert not (tmp_path / "eval").exists()
+
+    def test_test_split_of_another_width_is_a_config_error(self, tmp_path, monkeypatch):
+        test_ds = synthetic_dataset(20, d=3072, seed=4, split="test", name="cifar10")
+        monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
+        message = r"^layer_dims\[0\] must be 3082 for ff on cifar10 test, got 794$"
+        checkpoint = self._checkpoint(tmp_path)
+        with pytest.raises(ConfigError, match=message):
+            evaluate_checkpoint(checkpoint, tmp_path / "eval", dataset="cifar10")
+        assert not (tmp_path / "eval").exists()
 
 
 def _read_rows(path) -> list[dict]:
