@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset, make_linked_batches, make_plain_batches, one_hot
 from .errors import ShapeError
 from .ff import FfConfig, check_train_size, ff_loss_and_coeffs, fit, goodness
-from .nn import MlpNetwork, forward_pass, full_backprop_grad
+from .nn import MlpNetwork, backprop_updates, forward_pass
 
 
 def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
@@ -57,8 +57,7 @@ def train_pairwise(
             trace, last, 0.0, cfg.theta, batch.polarity
         )
         stats.record(last, loss, goodness(trace, last), batch.polarity)
-        grads = full_backprop_grad(net, batch.images, output_grad, trace=trace)
-        return [(i, grad_w, grad_b) for i, (grad_w, grad_b) in enumerate(grads)]
+        return backprop_updates(net, trace, output_grad)
 
     batches = partial(
         make_linked_batches, ds, batch_size=cfg.batch_size,
@@ -98,8 +97,7 @@ def train_classic(
         trace = forward_pass(net, images, normalize=normalize, final_linear=True)
         loss, d_logits = softmax_cross_entropy(trace.act[-1], labels)
         stats.record(last, loss)
-        grads = full_backprop_grad(net, images, d_logits, trace=trace)
-        return [(i, grad_w, grad_b) for i, (grad_w, grad_b) in enumerate(grads)]
+        return backprop_updates(net, trace, d_logits)
 
     batches = partial(make_plain_batches, ds, batch_size=cfg.batch_size)
     return fit(net, cfg, [[last]], batches, step, "bp_classic", on_epoch)

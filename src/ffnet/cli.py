@@ -27,12 +27,24 @@ from .runner import METHODS, RunConfig, evaluate_checkpoint, run_from_paths
 from .runner import run_sweep, run_variants
 
 
+def _comma_list(text: str, convert) -> list:
+    """``convert`` of each comma-separated part of ``text``. A blank part is
+    rejected, so a typo cannot drop a value, unless every part is blank:
+    that is the empty list, which the library rejects with its own error."""
+    parts = [part.strip() for part in text.split(",")]
+    if not any(parts):
+        return []
+    if not all(parts):
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    return [convert(part) for part in parts]
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    return _comma_list(text, int)
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    return _comma_list(text, float)
 
 
 # The fixed choices of four RunConfig fields and the help of one flag; every

@@ -340,7 +340,7 @@ def fit(
     cfg: FfConfig,
     stages: list[list[int]],
     batches: Callable[[np.random.Generator], Iterable],
-    step: Callable[[object, list[int], _EpochStats], list[tuple]],
+    step: Callable[[object, list[int], _EpochStats], Iterable[tuple]],
     loss_kind: str,
     on_epoch: Optional[Callable[[int, MlpNetwork], None]] = None,
 ) -> tuple[MlpNetwork, list[dict]]:
@@ -348,11 +348,14 @@ def fit(
 
     ``rng`` is seeded with ``cfg.seed``. ``step(batch, layers, stats)``
     records the batch's losses in ``stats``, which rejects a non-finite one,
-    and returns ``(layer, grad_w, grad_b)`` updates computed from the
-    pre-batch parameters, which Adam applies in order; ``[]`` skips the
-    batch. Epochs are counted across stages: the ``e``-th epoch of stage
-    ``s`` is epoch ``s * cfg.epochs + e``, which numbers its history rows,
-    its divergence message and its ``on_epoch(epoch, net)`` call.
+    and returns an iterable of ``(layer, grad_w, grad_b)`` updates, each
+    computed from the pre-batch parameters; ``[]`` skips the batch. Adam
+    applies each update before the next is drawn, so a generator step (the
+    backprop baselines' :func:`~ffnet.nn.backprop_updates`) holds one update
+    at a time, and must not read a layer's parameters once it has yielded
+    that layer. Epochs are counted across stages: the ``e``-th epoch of
+    stage ``s`` is epoch ``s * cfg.epochs + e``, which numbers its history
+    rows, its divergence message and its ``on_epoch(epoch, net)`` call.
 
     Training holds only what the current stage and batch use. Adam moments
     live for one stage: a layer's pair is made at its first update in the
@@ -377,8 +380,10 @@ def fit(
 
 def _fit_epoch(net, batches, layers, step, stats, states, learning_rate) -> None:
     """One epoch's batch loop of :func:`fit`. Its own frame binds the batch and
-    the gradients, so none of them outlives the epoch, and each gradient is
-    unbound once applied, so none is alive during the next batch's step."""
+    the updates, so none of them outlives the epoch. It unbinds each update's
+    gradients once applied: those of a generator step are then free before
+    the next update is computed, while those of a list step live until the
+    list is spent. No update of a batch is alive during the next batch's step."""
     for batch in batches:
         for i, grad_w, grad_b in step(batch, layers, stats):
             if i not in states:

@@ -7,13 +7,17 @@ Two gradient routes coexist on purpose:
   takes the layer's activities from the forward pass that produced the
   coefficients, whose ReLU mask ``act > 0`` is bit for bit that of the
   pre-activation, so the layer's matmul is not repeated.
-* :func:`full_backprop_grad` runs the exact chain rule through the whole
+* :func:`backprop_updates` runs the exact chain rule through the whole
   stack, including the inter-layer L2 row normalization, for the
   backpropagation baselines. It reads everything it needs of the forward
   pass from the trace: the inputs, the linked labels, the ``normalize`` and
   ``final_linear`` modes, the activities whose masks gate each layer, and
   the normalized rows that the normalization's backward pass
-  (:func:`l2_row_normalize_vjp`) reuses.
+  (:func:`l2_row_normalize_vjp`) reuses. It is a generator that yields one
+  layer's update at a time, last layer first, so a trainer can step each
+  layer in place as soon as its gradient exists while the trace is released
+  layer by layer. :func:`full_backprop_grad` collects its updates into a
+  list, first layer first.
 
 Both turn a layer's pre-activation gradient into its parameter gradients
 through one helper, which for a first layer over linked inputs takes the
@@ -320,6 +324,8 @@ def l2_row_normalize_vjp(act, normed, grad_out, epsilon: float = NORM_EPSILON) -
     Exact Jacobian-transpose product: for s = ||a||,
     grad_a = g/(s+eps) - n * (n . g)/s, with the second term vanishing on
     all-zero rows (where n is zero and the map is linear with slope 1/eps).
+    The result and one scratch array are its only full-size allocations;
+    each operation rounds as in that formula. ``grad_out`` is never written.
     """
     act = as_matrix(act)
     normed = as_matrix(normed)
@@ -329,33 +335,36 @@ def l2_row_normalize_vjp(act, normed, grad_out, epsilon: float = NORM_EPSILON) -
     safe_denom = np.where(denom > 0.0, denom, 1.0)
     dot = np.einsum("ij,ij->i", normed, grad_out)[:, None]
     safe_norms = np.where(norms > 0.0, norms, 1.0)
-    return grad_out / safe_denom - normed * dot / safe_norms
+    grad_act = grad_out / safe_denom
+    projected = normed * dot
+    projected /= safe_norms
+    grad_act -= projected
+    return grad_act
 
 
-def full_backprop_grad(
-    net: MlpNetwork,
-    batch,
-    output_grad,
-    *,
-    trace: ForwardTrace,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact chain-rule gradients for every layer, from the forward ``trace``.
+def backprop_updates(net: MlpNetwork, trace: ForwardTrace, output_grad):
+    """Exact chain-rule gradients of every layer, as ``(layer, grad_w, grad_b)``
+    updates, last layer first.
 
-    ``trace`` is :func:`forward_pass` of ``batch`` through the whole network;
-    a trace of any other input is rejected. The backward pass runs in the
-    ``normalize`` and ``final_linear`` modes the trace records.
-    ``output_grad`` is the loss derivative w.r.t. the last layer's activities
-    (its logits in ``final_linear`` mode).
-    Returns one (grad_w, grad_b) pair per layer, first layer first. Each
-    layer's ReLU mask is ``act > 0`` on the trace's activities, as in
-    :func:`layer_local_grad`, and the normalization's backward pass reads the
-    trace's activities and normalized rows. A label-factored trace gives
-    layer 1's gradient in the label-factored form of
-    :func:`layer_local_grad`, over its ``linked_labels``.
+    ``trace`` is a :func:`forward_pass` through the whole network, and the
+    backward pass runs in the ``normalize`` and ``final_linear`` modes it
+    records. ``output_grad`` is the loss derivative w.r.t. the last layer's
+    activities (its logits in ``final_linear`` mode); it is never written.
+    Each layer's ReLU mask is ``act > 0`` on the trace's activities, as in
+    :func:`layer_local_grad`, and the normalization's backward pass
+    (:func:`l2_row_normalize_vjp`) reads the trace's activities and
+    normalized rows. A label-factored trace gives layer 1's gradient in the
+    label-factored form of :func:`layer_local_grad`, over its
+    ``linked_labels``.
+
+    A generator, so the shapes are checked at the first ``next()``. Before
+    it yields layer ``i``, it has computed the gradient that flows into layer
+    ``i - 1`` from layer ``i``'s weights, so the consumer may step layer
+    ``i`` in place before drawing the next update; every update is that of
+    the parameters the trace was made with. It keeps its own lists of the
+    trace's arrays and drops each once no lower layer reads it, so a trace
+    that only the generator references is released layer by layer.
     """
-    batch = as_matrix(batch)
-    if not (batch is trace.inputs or np.array_equal(batch, trace.inputs)):
-        raise ShapeError("batch is not the input of the given trace")
     depth = net.depth
     if trace.depth != depth:
         raise ShapeError(f"trace depth {trace.depth} != network depth {depth}")
@@ -365,22 +374,44 @@ def full_backprop_grad(
             f"output_grad shape {output_grad.shape} does not match "
             f"final activities {trace.act[-1].shape}"
         )
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * depth  # type: ignore[list-item]
-    d_act = output_grad
+    act, normed = list(trace.act), list(trace.normed)
+    inputs, linked_labels, normalize = trace.inputs, trace.linked_labels, trace.normalize
+    top = act.pop()
+    d_pre = output_grad if trace.final_linear else output_grad * (top > 0.0)
+    del trace, top, output_grad
     for i in reversed(range(depth)):
-        if trace.final_linear and i == depth - 1:
-            d_pre = d_act
-        else:
-            d_pre = d_act * (trace.act[i] > 0.0)
-        grads[i] = _param_grads(
-            trace.layer_input(i), d_pre, trace.linked_labels if i == 0 else None
-        )
-        if i > 0:
-            d_act = d_pre @ net.layers[i].weights.T
-            if trace.normalize:
-                d_act = l2_row_normalize_vjp(trace.act[i - 1], trace.normed[i - 1], d_act)
-    return grads
+        layer_input = normed.pop() if i else inputs
+        grad_w, grad_b = _param_grads(layer_input, d_pre, None if i else linked_labels)
+        if i:
+            d_pre = d_pre @ net.layers[i].weights.T
+            below = act.pop()
+            if normalize:
+                d_pre = l2_row_normalize_vjp(below, layer_input, d_pre)
+            d_pre *= below > 0.0
+            del below
+        del layer_input
+        yield i, grad_w, grad_b
+        del grad_w, grad_b
+
+
+def full_backprop_grad(
+    net: MlpNetwork,
+    batch,
+    output_grad,
+    *,
+    trace: ForwardTrace,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`backprop_updates` of the forward ``trace`` of ``batch``, as one
+    (grad_w, grad_b) pair per layer, first layer first.
+
+    ``trace`` must be :func:`forward_pass` of ``batch`` through the whole
+    network; a trace of any other input is rejected.
+    """
+    batch = as_matrix(batch)
+    if not (batch is trace.inputs or np.array_equal(batch, trace.inputs)):
+        raise ShapeError("batch is not the input of the given trace")
+    updates = list(backprop_updates(net, trace, output_grad))
+    return [(grad_w, grad_b) for _, grad_w, grad_b in reversed(updates)]
 
 
 @dataclass
@@ -479,6 +510,7 @@ __all__ = [
     "MlpNetwork",
     "adam_step",
     "apply_adam_update",
+    "backprop_updates",
     "check_layer_dims",
     "first_layer_factors",
     "forward_from_pre",

@@ -398,6 +398,20 @@ class TestRunFlags:
             by_file = _resolved_run(command, with_field, *needed)
             assert by_flag == by_file != RunConfig(**context).resolved()
 
+    @pytest.mark.parametrize(
+        ("command", "flag", "value"),
+        [("train", "--layer-dims", "794,,12"), ("train", "--layer-dims", "794,12,"),
+         ("train", "--seeds", "1,,2"), ("sweep", "--thetas", "1,,2")],
+        ids=["dims", "trailing_comma", "seeds", "thetas"],
+    )
+    def test_empty_part_of_a_comma_list_is_a_usage_error(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *RUN_COMMANDS[command], flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"ffnet {command}: error: argument {flag}: empty entry in {value!r}"
+        )
+
     @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
     def test_help_exits_zero(self, command):
         done = subprocess.run(

@@ -12,6 +12,7 @@ from ffnet.nn import (
     DenseLayer,
     MlpNetwork,
     adam_step,
+    backprop_updates,
     forward_from_pre,
     forward_pass,
     full_backprop_grad,
@@ -295,6 +296,40 @@ class TestFullBackprop:
             traced = full_backprop_grad(net, given, out_coeffs, trace=trace)
             for (gw, gb), (rw, rb) in zip(traced, recomputed):
                 assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+
+    @pytest.mark.parametrize(
+        ("factored", "normalize", "final_linear"),
+        [(True, True, False), (False, False, True), (False, True, True)],
+        ids=["pairwise", "classic", "classic_normalized"],
+    )
+    def test_streamed_updates_survive_an_in_place_step_of_each_layer(
+        self, rng, factored, normalize, final_linear
+    ):
+        """Adam steps each yielded layer before the next update is drawn; every
+        update is still byte for byte that of the untouched net, layers come
+        last first, and the caller's output_grad is never written."""
+        net = random_net([16, 6, 5, 4], seed=21)
+        labels = np.array([0, 4, 9, 2, 2, 7]) if factored else None
+        images = random_batch(rng, 3, 6 if factored else 16)
+        modes = dict(normalize=normalize, final_linear=final_linear, linked_labels=labels)
+        output_grad = rng.standard_normal((6 if factored else 3, 4))
+        given = output_grad.copy()
+        untouched = net.copy()
+        expected = full_backprop_grad(
+            untouched, images, output_grad, trace=forward_pass(untouched, images, **modes)
+        )
+        order = []
+        trace = forward_pass(net, images, **modes)
+        for i, grad_w, grad_b in backprop_updates(net, trace, output_grad):
+            order.append(i)
+            assert grad_w.tobytes() == expected[i][0].tobytes()
+            assert grad_b.tobytes() == expected[i][1].tobytes()
+            lay = net.layers[i]
+            adam_step(lay.weights, grad_w, AdamState.for_param(lay.weights))
+            adam_step(lay.biases, grad_b, AdamState.for_param(lay.biases))
+        assert order == [2, 1, 0]
+        assert output_grad.tobytes() == given.tobytes()
+        assert not np.array_equal(net.layers[0].weights, untouched.layers[0].weights)
 
     def test_trace_carries_the_linked_labels(self, rng):
         net = random_net([16, 4, 3], seed=11)
