@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .ff import label_goodness_scores, voting_error
+from .ff import check_test_size, label_goodness_scores, voting_error
 from .nn import MlpNetwork
 
 
@@ -111,7 +111,8 @@ def subset_errors(scores: np.ndarray, labels, subsets) -> SubsetEvalReport:
 
 def evaluate_subsets(net: MlpNetwork, ds: Dataset, subsets) -> SubsetEvalReport:
     """Test error of goodness voting restricted to each requested subset."""
-    return subset_errors(label_goodness_scores(net, ds.images), ds.labels, subsets)
+    check_test_size(ds.n)
+    return subset_errors(label_goodness_scores(net, ds), ds.labels, subsets)
 
 
 def marginal_contributions(report: SubsetEvalReport, depth: int) -> np.ndarray:

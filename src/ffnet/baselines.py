@@ -18,9 +18,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data import Dataset, make_linked_batches, make_plain_batches, one_hot
+from .data import N_LABELS, Dataset, make_linked_batches, make_plain_batches, one_hot
 from .errors import ShapeError
-from .ff import FfConfig, check_train_size, ff_loss_and_coeffs, fit, goodness
+from .ff import (
+    FfConfig, check_test_size, check_train_size, ff_loss_and_coeffs, fit, goodness, score_rows,
+)
 from .nn import MlpNetwork, backprop_updates, forward_pass
 
 
@@ -66,13 +68,18 @@ def train_pairwise(
     return fit(net, cfg, [[last]], batches, step, "bp_pairwise", on_epoch)
 
 
-def classic_logits(net: MlpNetwork, images, normalize: bool = False) -> np.ndarray:
-    trace = forward_pass(net, images, normalize=normalize, final_linear=True)
-    return trace.act[-1]
+def classic_logits(net: MlpNetwork, images, normalize: bool = False, idx=None) -> np.ndarray:
+    """(n, N_LABELS) label-head logits; :func:`~ffnet.ff.score_rows` reads the rows."""
+
+    def score(block, out):
+        out[:] = forward_pass(net, block, normalize=normalize, final_linear=True).act[-1]
+
+    return score_rows(images, idx, (N_LABELS,), score)
 
 
 def classic_test_error(net: MlpNetwork, ds: Dataset, normalize: bool = False) -> float:
-    preds = np.argmax(classic_logits(net, ds.images, normalize), axis=1)
+    check_test_size(ds.n)
+    preds = np.argmax(classic_logits(net, ds, normalize), axis=1)
     return float(np.mean(preds != ds.labels))
 
 

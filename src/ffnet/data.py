@@ -15,9 +15,10 @@ A :class:`Dataset` keeps its ``pixels`` in the dtype they were read in:
 uint8 for IDX and CIFAR-10 files, where a pixel's value is byte / 255, and
 float64 in [0, 1] for float input such as synthetic data. Pixels are scaled
 to float64 in [0, 1] when rows are taken (:meth:`Dataset.rows`), so a split
-is held at one byte per pixel, not eight. :attr:`Dataset.images` is the
-whole split as float64, a fresh copy on every access; a loop takes its rows
-with :meth:`Dataset.rows` instead.
+is held at one byte per pixel, not eight: training takes one batch at a
+time, and scoring (``ff.score_rows``) ``ff.SCORE_CHUNK`` rows at a time.
+:attr:`Dataset.images` is the whole split as float64, a fresh copy on every
+access; nothing in the package calls it (tests, demos and the benchmark do).
 
 A "linked" input is the flattened sample with a 10-dim one-hot label block
 appended after the pixels, so MNIST-sized inputs become 794-dim. Training
@@ -58,9 +59,10 @@ class Dataset:
 
     ``pixels`` holds the values as they were read: uint8 bytes, whose value is
     byte / 255, or float64 already in [0, 1]; any other input is converted to
-    float64. :meth:`rows` gives float64 rows in [0, 1]; :attr:`images` is the
-    whole split as float64, a fresh copy on every access, so a loop over
-    batches should call :meth:`rows` with each batch's indices.
+    float64. :meth:`rows` gives float64 rows in [0, 1]: the batch loops and
+    the scoring loop (``ff.score_rows``, ``ff.SCORE_CHUNK`` rows at a time)
+    call it with each block's indices. :attr:`images` is the whole split as
+    float64, a fresh copy on every access, which nothing in the package reads.
     """
 
     pixels: np.ndarray  # (n, d) uint8 (value / 255) or float64 in [0, 1]

@@ -141,7 +141,7 @@ def goodness_entropy_reports(
     training stages stay comparable.
     """
     idx, labels, wrong = draw_eval_sample(ds, n_samples, seed)
-    scores = label_goodness_scores(net, ds.rows(idx))
+    scores = label_goodness_scores(net, ds, idx)
     return split_entropy_reports(
         linked_goodness(scores, labels), linked_goodness(scores, wrong)
     )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .data import Dataset, load_cifar_bin, load_idx
 from .errors import ConfigError, DataFormatError
-from .reports import atomic_write
+from .reports import atomic_write, atomic_write_text
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def _verify(path: Path, spec: RemoteFile) -> None:
     if pinned is None and sidecar.exists():
         pinned = sidecar.read_text().strip()
     if pinned is None:
-        sidecar.write_text(observed + "\n")
+        atomic_write_text(sidecar, observed + "\n")
         return
     if observed != pinned:
         raise DataFormatError(
@@ -128,8 +128,9 @@ def _extract_cifar(archive: Path, target_dir: Path) -> None:
                 source = tar.extractfile(member)
                 if source is None:
                     raise DataFormatError(f"unreadable member {member.name} in {archive}")
-                with open(target_dir / base, "wb") as out:
-                    shutil.copyfileobj(source, out)
+                # A copy cut short leaves no member: extraction is skipped
+                # only once every member exists.
+                atomic_write(target_dir / base, lambda out: shutil.copyfileobj(source, out))
     missing = [m for m in CIFAR_MEMBERS if not (target_dir / m).exists()]
     if missing:
         raise DataFormatError(f"{archive} lacks expected members: {missing}")

@@ -68,8 +68,10 @@ _P_CEIL = np.nextafter(1.0, 0.0)
 # Keeps h = g + gamma strictly positive inside the entropy objective.
 _ENTROPY_H_FLOOR = 1e-12
 
-# Samples per forward pass in label_goodness_scores. It bounds peak memory,
-# and at 794-500-500-500 a block's activations (1 MB) stay in a core's L2.
+# Samples per block of score_rows, the scoring loop of every split: a
+# Dataset's float64 rows are made SCORE_CHUNK at a time through Dataset.rows,
+# so scoring memory does not grow with the split, and at 794-500-500-500 a
+# block's activations (1 MB) stay in a core's L2. Read at call time.
 SCORE_CHUNK = 256
 
 
@@ -323,12 +325,13 @@ def check_train_size(n: int, loss_kind: str) -> None:
         raise ConfigError(f"training needs 1 training sample, got {n}")
 
 
-def check_test_size(n: int, loss_kind: str) -> None:
+def check_test_size(n: int, loss_kind: str = "") -> None:
     """Reject a test split too small to score: every method needs 1 sample for
     its test error, and a snapshot takes the objective over the positive and
     the negative rows of the evaluation sample, one of each per sample, where
     the entropy objective needs 2 of each. The sample holds the whole split up
-    to ``entropy_eval_n``, which is at least 2."""
+    to ``entropy_eval_n``, which is at least 2. A test error alone passes no
+    ``loss_kind``."""
     if n < 1:
         raise ConfigError(f"evaluation needs 1 test sample, got {n}")
     if loss_kind == "entropy" and n < 2:
@@ -447,25 +450,38 @@ def checked_layers(mask, depth: int) -> list[int]:
     return layers
 
 
-def label_goodness_scores(net: MlpNetwork, images) -> np.ndarray:
+def score_rows(source, idx, shape, score) -> np.ndarray:
+    """(n, *shape) scores of rows ``idx`` (default all) of an array or a :class:`Dataset`:
+    ``score(block, out)`` fills ``out`` from ``SCORE_CHUNK`` float64 rows (Dataset.rows)."""
+    if isinstance(source, Dataset):
+        n, take = source.n, source.rows
+    else:
+        source = as_matrix(source)
+        n, take = source.shape[0], source.__getitem__
+    out = np.empty((n if idx is None else len(idx), *shape))
+    for start in range(0, max(len(out), 1), SCORE_CHUNK):  # 0 rows still check the width
+        rows = slice(start, start + SCORE_CHUNK)
+        score(take(rows if idx is None else idx[rows]), out[rows])
+    return out
+
+
+def label_goodness_scores(net: MlpNetwork, images, idx=None) -> np.ndarray:
     """(n, N_LABELS, depth) goodness of every layer for every sample linked with
-    every label, label ``y`` in column ``y``.
+    every label, label ``y`` in column ``y``; :func:`score_rows` reads the rows.
 
     Each block of samples takes one pixel product, and each label adds its
     offset row (``nn.first_layer_factors``) to it before running the
     remaining layers.
     """
-    images = as_matrix(images)
-    pixel_rows, offsets = first_layer_factors(net, images.shape[1])
-    n = images.shape[0]
-    scores = np.empty((n, N_LABELS, net.depth))
-    for start in range(0, n, SCORE_CHUNK):
-        rows = slice(start, start + SCORE_CHUNK)
-        pixel_pre = images[rows] @ pixel_rows
+
+    def score(block, out):
+        pixel_rows, offsets = first_layer_factors(net, block.shape[1])
+        pixel_pre = block @ pixel_rows
         for label, offset in enumerate(offsets):
-            # One trace alive at a time keeps the chunk's arrays in cache.
-            scores[rows, label] = goodness_table(forward_from_pre(net, pixel_pre + offset))
-    return scores
+            # One trace alive at a time keeps the block's arrays in cache.
+            out[:, label] = goodness_table(forward_from_pre(net, pixel_pre + offset))
+
+    return score_rows(images, idx, (N_LABELS, net.depth), score)
 
 
 def vote(scores: np.ndarray, layers) -> np.ndarray:
@@ -501,4 +517,5 @@ def infer(net: MlpNetwork, x, mask=None) -> int:
 def test_error(net: MlpNetwork, ds: Dataset, mask=None) -> float:
     """Fraction of misclassified samples under goodness voting."""
     layers = checked_layers(mask, net.depth)
-    return voting_error(label_goodness_scores(net, ds.images), ds.labels, layers)
+    check_test_size(ds.n)
+    return voting_error(label_goodness_scores(net, ds), ds.labels, layers)

@@ -6,7 +6,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from pathlib import Path
 
 HISTORY_FIELDS = [
@@ -28,17 +27,22 @@ def history_row(epoch, layer, loss_kind, split, loss, good_pos, good_neg) -> dic
 
 def atomic_write(path, write) -> None:
     """Call ``write`` on a binary handle to a temp file, then rename it onto
-    ``path``. Checkpoints and downloads are written through it as well."""
+    ``path``. Checkpoints and downloads are written through it as well.
+
+    The temp file is made by ``open()``, so the file gets the mode ``open()``
+    gives a new file, 0o666 less the umask; ``tempfile.mkstemp`` would make
+    it 0o600, a mode the rename keeps. Its random name is opened exclusively.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with handle:
             write(handle)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        tmp.unlink(missing_ok=True)
         raise
 
 

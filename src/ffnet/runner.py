@@ -211,12 +211,13 @@ def _last_epoch(cfg: RunConfig, depth: int) -> int:
     return len(ff.schedule_stages(cfg.schedule, depth)) * cfg.epochs
 
 
-def _scores(net: MlpNetwork, cfg: RunConfig, images) -> np.ndarray:
-    """What ``net`` scores ``images`` by: the (n, labels, layers) goodness
-    tensor of a linked method, or the (n, labels) logits of a label head."""
+def _scores(net: MlpNetwork, cfg: RunConfig, ds: Dataset, idx=None) -> np.ndarray:
+    """What ``net`` scores rows ``idx`` of ``ds`` (all by default) by: the (n, labels, layers)
+    goodness tensor of a linked method, or the (n, labels) logits of a label head. Either
+    reads ``ff.SCORE_CHUNK`` float64 rows at a time (:func:`ff.score_rows`)."""
     if METHOD_TABLE[cfg.method].linked:
-        return ff.label_goodness_scores(net, images)
-    return baselines.classic_logits(net, images, cfg.classic_normalize)
+        return ff.label_goodness_scores(net, ds, idx=idx)
+    return baselines.classic_logits(net, ds, cfg.classic_normalize, idx=idx)
 
 
 def _voting_layers(method: Method, depth: int) -> list[int]:
@@ -270,7 +271,8 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     tensor or classic logits). The final network is scored once, over the
     test split: those scores give the final test error, and the last
     snapshot gathers the evaluation sample's rows from them, as ``ffnet
-    eval`` does.
+    eval`` does. Every scoring pass reads ``ff.SCORE_CHUNK`` test rows at a
+    time through ``Dataset.rows``.
     """
     cfg = cfg.resolved()
     method = METHOD_TABLE[cfg.method]
@@ -306,9 +308,8 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
 
     def on_epoch(epoch: int, current: MlpNetwork) -> None:
         # The last epoch's snapshot is taken after training, from the final pass.
-        # The sample's images are gathered per snapshot, not held for the run.
         if epoch % cfg.eval_every == 0 and epoch < total_epochs:
-            snapshot(epoch, _scores(current, cfg, test_ds.rows(idx)))
+            snapshot(epoch, _scores(current, cfg, test_ds, idx))
 
     # No trainer is stored in the table: each is looked up in its module at call
     # time, so a patched module attribute (a benchmark span) is the one called.
@@ -320,7 +321,7 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
         net, history = baselines.train_classic(
             net, train_ds, ff_cfg, cfg.classic_normalize, on_epoch
         )
-    scores = _scores(net, cfg, test_ds.images)
+    scores = _scores(net, cfg, test_ds)
     final_error = _error(scores, test_ds.labels, method)
     snapshot(total_epochs, scores[idx])
 
@@ -360,11 +361,12 @@ def evaluate_checkpoint(
 
     The checkpoint's config is resolved as a :class:`RunConfig`, so a field it
     lacks takes the default a run would have used. The final network is
-    scored once over the test split (:func:`_scores`), as ``ffnet train``
-    scores it; the test error reduces those scores. For the goodness methods
-    the subset and marginal reports reduce the same goodness tensor, and the
-    entropy report gathers the rows of the seeded evaluation sample that the
-    run's snapshots used and reduces them as they do (:func:`_sample_rows`).
+    scored once over the test split, ``ff.SCORE_CHUNK`` rows at a time
+    (:func:`_scores`), as ``ffnet train`` scores it; the test error reduces
+    those scores. For the goodness methods the subset and marginal reports
+    reduce the same goodness tensor, and the entropy report gathers the rows
+    of the seeded evaluation sample that the run's snapshots used and reduces
+    them as they do (:func:`_sample_rows`).
     """
     from .analysis import (
         check_subset_family, default_subset_family, marginal_contributions, subset_errors,
@@ -387,7 +389,7 @@ def evaluate_checkpoint(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scores = _scores(net, cfg, test_ds.images)
+    scores = _scores(net, cfg, test_ds)
     summary = {
         "checkpoint": str(checkpoint_path),
         "dataset": name,

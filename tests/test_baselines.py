@@ -3,12 +3,13 @@ import pytest
 from conftest import agreement, fd_grad, random_batch, random_net
 
 from ffnet.baselines import (
+    classic_logits,
     classic_test_error,
     softmax_cross_entropy,
     train_classic,
     train_pairwise,
 )
-from ffnet.data import make_linked_batches
+from ffnet.data import Dataset, make_linked_batches
 from ffnet.errors import ShapeError
 from ffnet.ff import FfConfig, ff_loss_and_coeffs
 from ffnet.ff import test_error as voting_error
@@ -173,6 +174,34 @@ class TestClassicGradients:
             numeric.append(fd_grad(loss, layer.weights))
             numeric.append(fd_grad(loss, layer.biases))
         assert agreement(analytic, numeric) >= 0.99
+
+
+class TestClassicScores:
+    """classic_logits, read in blocks of ff.SCORE_CHUNK rows, against one
+    forward pass over all rows."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_ragged_chunks(self, rng, monkeypatch, normalize):
+        import ffnet.ff as ff_module
+
+        monkeypatch.setattr(ff_module, "SCORE_CHUNK", 4)
+        net = random_net([6, 7, 5, 10], seed=33)
+        images = rng.uniform(size=(10, 6))  # chunks of 4, 4 and 2
+        got = classic_logits(net, images, normalize)
+        want = forward_pass(net, images, normalize=normalize, final_linear=True).act[-1]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+
+    def test_shuffled_dataset_rows_match_their_array(self, rng):
+        """A Dataset read through a shuffled ``idx`` that spans three chunks
+        scores its rows as the float64 array of the same rows does, byte for byte."""
+        ds = Dataset(rng.integers(0, 256, size=(607, 6), dtype=np.uint8),
+                     rng.integers(0, 10, size=607), "synthetic", "test")
+        net = random_net([6, 7, 5, 10], seed=34)
+        idx = rng.permutation(ds.n)[:600]
+        got = classic_logits(net, ds, idx=idx)
+        want = classic_logits(net, ds.rows(idx))
+        assert got.shape == (600, 10) and got.tobytes() == want.tobytes()
 
 
 class TestTraining:

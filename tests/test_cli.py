@@ -814,7 +814,10 @@ class TestFetch:
         with pytest.raises(DataFormatError, match="checksum mismatch"):
             fetch_dataset("mnist", cache)
 
-    def test_cifar_archive_extraction(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _serve_cifar(tmp_path, monkeypatch):
+        """A file:// CIFAR-10 archive of 4 records per batch, pinned as the
+        cifar10 download."""
         import ffnet.fetch as fetch_mod
 
         rng = make_rng(1)
@@ -832,6 +835,11 @@ class TestFetch:
             tar.add(batches_dir, arcname="cifar-10-batches-bin")
         spec = [RemoteFile("cifar-10-binary.tar.gz", archive.as_uri(), sha256_file(archive))]
         monkeypatch.setitem(fetch_mod.DATASETS, "cifar10", spec)
+
+    def test_cifar_archive_extraction(self, tmp_path, monkeypatch):
+        import ffnet.fetch as fetch_mod
+
+        self._serve_cifar(tmp_path, monkeypatch)
         cache = tmp_path / "cache"
         paths = fetch_dataset("cifar10", cache)
         assert [p.name for p in paths] == fetch_mod.CIFAR_MEMBERS
@@ -839,6 +847,30 @@ class TestFetch:
 
         ds = load_dataset("cifar10", "train", cache)
         assert ds.n == 20  # 5 batches x 4 records
+
+    def test_interrupted_extraction_leaves_no_member(self, tmp_path, monkeypatch):
+        """A copy that fails after 2 of a member's 4 records leaves no file
+        under the member's name, so the next fetch extracts it again."""
+        import ffnet.fetch as fetch_mod
+
+        self._serve_cifar(tmp_path, monkeypatch)
+        copy = fetch_mod.shutil.copyfileobj
+
+        def interrupted(source, target):
+            if "test_batch.bin" not in str(target.name):
+                return copy(source, target)
+            target.write(source.read(2 * 3073))
+            raise OSError("copy interrupted")
+
+        monkeypatch.setattr(fetch_mod.shutil, "copyfileobj", interrupted)
+        cache = tmp_path / "cache"
+        with pytest.raises(OSError, match="copy interrupted"):
+            fetch_dataset("cifar10", cache)
+        assert not (cache / "cifar10" / "test_batch.bin").exists()
+        assert not list((cache / "cifar10").glob("*.tmp"))
+        monkeypatch.setattr(fetch_mod.shutil, "copyfileobj", copy)
+        fetch_dataset("cifar10", cache)
+        assert fetch_mod.load_dataset("cifar10", "test", cache).n == 4
 
     def test_fetch_cli_prints_paths(self, tmp_path, monkeypatch, capsys):
         import ffnet.fetch as fetch_mod

@@ -12,7 +12,7 @@ from conftest import (
     traced_peak,
 )
 
-from ffnet.data import link_inputs, make_linked_batches
+from ffnet.data import Dataset, link_inputs, make_linked_batches
 from ffnet.errors import ConfigError, EstimationError, ShapeError
 from ffnet.ff import (
     FfConfig,
@@ -608,6 +608,25 @@ class TestInference:
         with pytest.raises(ConfigError):
             predict(net, rng.uniform(size=(2, 6)), mask=[])
 
+    def test_empty_split_has_no_test_error(self):
+        """A test error of 0 samples is a ConfigError, not a warned nan; a
+        prediction of 0 samples is an empty array."""
+        import ffnet.ff as ff_module
+        from ffnet.analysis import evaluate_subsets
+        from ffnet.baselines import classic_test_error
+
+        empty = synthetic_dataset(0, d=6, seed=3, split="test")
+        net, head = random_net([16, 7, 5], seed=16), random_net([6, 7, 10], seed=16)
+        errors = [
+            lambda: ff_module.test_error(net, empty),
+            lambda: classic_test_error(head, empty),
+            lambda: evaluate_subsets(net, empty, [{0}]),
+        ]
+        for error in errors:
+            with pytest.raises(ConfigError, match=r"^evaluation needs 1 test sample, got 0$"):
+                error()
+        assert predict(net, np.empty((0, 6))).shape == (0,)
+
     @pytest.mark.parametrize("width", [3, 5, 14])
     def test_image_width_must_fit_first_layer(self, width):
         """Images of the wrong width would mis-split the first layer's weights."""
@@ -617,6 +636,8 @@ class TestInference:
             label_goodness_scores(net, images)
         with pytest.raises(ShapeError):
             predict(net, images)
+        with pytest.raises(ShapeError, match="network expects 14$"):
+            predict(net, images[:0])
 
 
 class TestFactoredScores:
@@ -662,6 +683,20 @@ class TestFactoredScores:
         got = label_goodness_scores(net, images)
         want = self.linked_oracle(net, images)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_dataset_rows_match_their_array(self, n):
+        """A Dataset, whole or through a shuffled ``idx``, scores its rows as
+        the float64 array of the same rows does, byte for byte."""
+        rng = make_rng(n)
+        ds = Dataset(rng.integers(0, 256, size=(n + 7, 6), dtype=np.uint8),
+                     rng.integers(0, 10, size=n + 7), "synthetic", "test")
+        net = random_net([16, 7, 5, 4], seed=23)
+        idx = rng.permutation(ds.n)[:n]
+        for got, rows in [(label_goodness_scores(net, ds), np.arange(ds.n)),
+                          (label_goodness_scores(net, ds, idx), idx)]:
+            want = label_goodness_scores(net, ds.rows(rows))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestFactoredTraining:

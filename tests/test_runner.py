@@ -1,9 +1,12 @@
 import csv
 import json
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from ffnet import runner
 from ffnet.checkpoint import load_checkpoint, save_checkpoint
@@ -322,9 +325,9 @@ class TestFinalNetworkScoredOnce:
         score = getattr(module, name)
         scored_rows = []
 
-        def spy(net, images, *args, **kwargs):
-            scored_rows.append(len(images))
-            return score(net, images, *args, **kwargs)
+        def spy(net, ds, *args, idx=None, **kwargs):
+            scored_rows.append(ds.n if idx is None else len(idx))
+            return score(net, ds, *args, idx=idx, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
         dims = [24, 12, 8, 10] if method == "bp_classic" else [34, 12, 8, 6]
@@ -409,6 +412,98 @@ class TestFinalNetworkScoredOnce:
         summary = evaluate_checkpoint(checkpoint, tmp_path / "eval", dataset="cifar10")
         assert summary["dataset"] == "cifar10"
         assert summary["n_test"] == 40
+
+
+class TestScoringReadsChunks:
+    """Every split is scored ``ff.SCORE_CHUNK`` rows at a time through
+    ``Dataset.rows``: no whole split or evaluation sample is made float64."""
+
+    def test_no_test_read_exceeds_a_chunk(self, tiny_data, tmp_path, monkeypatch):
+        from ffnet import analysis, baselines, entropy, ff
+
+        train_ds, test_ds = tiny_data
+
+        def whole_split(ds):
+            raise AssertionError(f"the whole {ds.split} split was read as float64")
+
+        rows = Dataset.rows
+        test_reads = []
+
+        def counted_rows(ds, idx):
+            out = rows(ds, idx)
+            if ds is test_ds:
+                test_reads.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(Dataset, "images", property(whole_split))
+        monkeypatch.setattr(Dataset, "rows", counted_rows)
+        monkeypatch.setattr(ff, "SCORE_CHUNK", 16)
+        monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
+        for method in METHODS:
+            out = tmp_path / method
+            dims = [24, 12, 10] if method == "bp_classic" else [34, 12, 8]
+            cfg = RunConfig(
+                dataset="synthetic", method=method, theta=4.0, epochs=1, batch_size=50,
+                seed=1, layer_dims=dims, output_dir=str(out), entropy_eval_n=60,
+                eval_every=1,
+            )
+            run_training(cfg, train_ds, test_ds)
+            evaluate_checkpoint(out / "checkpoint.npz", out / "eval")
+        net, head = init_network([34, 12, 8], make_rng(0)), init_network([24, 10], make_rng(0))
+        ff.test_error(net, test_ds)
+        baselines.classic_test_error(head, test_ds)
+        analysis.evaluate_subsets(net, test_ds, [{0}, {1}])
+        entropy.goodness_entropy_reports(net, test_ds, 60)
+        assert test_reads and max(test_reads) == 16
+
+    @pytest.mark.parametrize("method", ["ff", "bp_classic"])
+    def test_memory_does_not_grow_with_the_test_split(self, tmp_path, monkeypatch, method):
+        """A run and an eval of its checkpoint on 10,000 uint8 MNIST-shaped
+        test rows (7.8 MB, held before tracing) peak under 20 MB; the float64
+        copy of those rows alone is 62.7 MB."""
+        rng = make_rng(5)
+        pixels = rng.integers(0, 256, size=(10_000, 784), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=10_000)
+        test_ds = Dataset(pixels, labels, "mnist", "test")
+        train_ds = Dataset(pixels[:100], labels[:100], "mnist", "train")
+        monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
+        cfg = RunConfig(
+            dataset="mnist", method=method, epochs=1, batch_size=50, seed=1,
+            layer_dims=[784, 16, 10] if method == "bp_classic" else [794, 16, 16],
+            output_dir=str(tmp_path / "run"), eval_every=1,
+        )
+        run_peak = traced_peak(lambda: run_training(cfg, train_ds, test_ds))
+        eval_peak = traced_peak(
+            lambda: evaluate_checkpoint(tmp_path / "run" / "checkpoint.npz", tmp_path / "eval")
+        )
+        assert run_peak < 20_000_000 and eval_peak < 20_000_000
+
+
+class TestArtifactModes:
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask022", "umask027"])
+    def test_artifacts_get_the_mode_open_gives(self, tiny_data, tmp_path, umask):
+        """Every file a run writes gets the mode of a file ``open()`` makes:
+        0o666 less the umask, not the 0o600 of a temp file."""
+        train_ds, test_ds = tiny_data
+        cfg = RunConfig(
+            dataset="synthetic", method="ff", epochs=1, batch_size=50,
+            layer_dims=[34, 6], output_dir=str(tmp_path / "run"),
+        )
+        old = os.umask(umask)
+        try:
+            run_training(cfg, train_ds, test_ds)
+            (tmp_path / "opened").open("w").close()
+        finally:
+            os.umask(old)
+        names = sorted(p.name for p in (tmp_path / "run").iterdir())
+        assert names == [
+            "checkpoint.npz", "config.json", "entropy.csv", "errors.csv", "history.csv",
+            "summary.json",
+        ]
+        want = stat.S_IMODE((tmp_path / "opened").stat().st_mode)
+        assert want == 0o666 & ~umask
+        for name in names:
+            assert stat.S_IMODE((tmp_path / "run" / name).stat().st_mode) == want, name
 
 
 class TestNormalizationBackwardEdgeCases:
