@@ -5,14 +5,15 @@ last layer, with every layer's gradient chain-ruled through the whole stack
 (normalization included). The pairwise model consumes the same linked
 (sample + one-hot label) rows as forward-forward training, in the same
 label-factored form (each sample's pixels once plus the label of every row;
-see :func:`~ffnet.nn.forward_pass`), and applies the same logistic goodness
-loss, but only at the last layer. The classic model is a plain MLP on raw
-inputs with a linear label head and softmax cross-entropy; its history has
-nan goodness means.
+see :func:`~ffnet.nn.forward_pass`), and takes the same goodness loss from
+:func:`~ffnet.ff.layer_losses` (gamma 0), but only at the last layer. The
+classic model is a plain MLP on raw inputs with a linear label head and
+softmax cross-entropy; its history has nan goodness means.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from functools import partial
 from typing import Callable, Optional
 
@@ -21,7 +22,7 @@ import numpy as np
 from .data import N_LABELS, Dataset, make_linked_batches, make_plain_batches, one_hot
 from .errors import ShapeError
 from .ff import (
-    FfConfig, check_test_size, check_train_size, ff_loss_and_coeffs, fit, goodness, score_rows,
+    FfConfig, check_test_size, check_train_size, fit, goodness_table, layer_losses, score_rows,
 )
 from .nn import MlpNetwork, backprop_updates, forward_pass
 
@@ -52,14 +53,12 @@ def train_pairwise(
     """Backprop the last layer's goodness loss (gamma 0) through every layer."""
     check_train_size(ds.n, "bp_pairwise")
     last = net.depth - 1
+    objective = dataclasses.replace(cfg, gamma_mode="none", loss_kind="sigmoid_goodness")
 
     def step(batch, layers, stats):
         trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
-        loss, output_grad = ff_loss_and_coeffs(
-            trace, last, 0.0, cfg.theta, batch.polarity
-        )
-        stats.record(last, loss, goodness(trace, last), batch.polarity)
-        return backprop_updates(net, trace, output_grad)
+        (d_g,) = layer_losses(goodness_table(trace), batch.polarity, objective, layers, stats)
+        return backprop_updates(net, trace, d_g[:, None] * 2.0 * trace.act[last])
 
     batches = partial(
         make_linked_batches, ds, batch_size=cfg.batch_size,

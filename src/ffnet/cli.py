@@ -5,7 +5,7 @@ request, so ``ffnet`` and a library caller get the same errors. The train and
 sweep flags are one per ``RunConfig`` field. Flag precedence for train/sweep
 is CLI > --config JSON file > built-in defaults; the fully resolved config is
 persisted in the run directory.
-Exits 0 on success, 1 with a one-line ``error: ...`` message on failure.
+Exits 0 on success, 1 with a one-line ``error: ...`` message, and no warning, on failure.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ import argparse
 import collections.abc
 import dataclasses
 import json
+import os
 import statistics
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 from .analysis import parse_subset_label
@@ -186,11 +188,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    held, show, pid = [], warnings.showwarning, os.getpid()
+    # A forked sweep worker inherits this hook; it shows its own warnings.
+    warnings.showwarning = lambda *w: held.append(w) if os.getpid() == pid else show(*w)
     try:
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as exc:
+        held.clear()
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.showwarning = show
+        for w in held:
+            show(*w)
 
 
 if __name__ == "__main__":

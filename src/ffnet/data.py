@@ -313,7 +313,7 @@ def make_linked_batches(
     batch_size: int,
     negatives_per_positive: int = 1,
 ):
-    """One epoch of shuffled LinkedBatch values.
+    """One epoch of shuffled LinkedBatch values, on :func:`make_plain_batches`.
 
     ``batch_size`` counts dataset samples; each contributes one positive row
     plus ``negatives_per_positive`` negative rows, so a batch holds
@@ -321,23 +321,16 @@ def make_linked_batches(
     Reinvoking with the same generator reshuffles and redraws the wrong
     labels, which is how epochs get fresh negatives.
     """
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if negatives_per_positive < 0:
         raise ConfigError(
             f"negatives_per_positive must be >= 0, got {negatives_per_positive}"
         )
-    order = rng.permutation(ds.n)
-    for start in range(0, ds.n, batch_size):
-        idx = order[start : start + batch_size]
-        true = ds.labels[idx]
-        m = idx.shape[0]
+    for images, true in make_plain_batches(ds, rng, batch_size):
         neg_true = np.tile(true, negatives_per_positive)
-        wrong = sample_wrong_labels(neg_true, rng)
         yield LinkedBatch(
-            images=ds.rows(idx),
-            polarity=np.concatenate([np.ones(m), -np.ones(neg_true.shape[0])]),
-            linked_labels=np.concatenate([true, wrong]),
+            images=images,
+            polarity=np.concatenate([np.ones(len(true)), -np.ones(len(neg_true))]),
+            linked_labels=np.concatenate([true, sample_wrong_labels(neg_true, rng)]),
         )
 
 

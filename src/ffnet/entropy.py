@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import Dataset, draw_eval_sample
 from .errors import DomainError
-from .ff import label_goodness_scores, linked_goodness
+from .ff import check_test_size, label_goodness_scores, linked_goodness
 from .nn import MlpNetwork
 
 @dataclass
@@ -140,6 +140,7 @@ def goodness_entropy_reports(
     Equal seeds give identical draws, so trajectories measured at different
     training stages stay comparable.
     """
+    check_test_size(ds.n)
     idx, labels, wrong = draw_eval_sample(ds, n_samples, seed)
     scores = label_goodness_scores(net, ds, idx)
     return split_entropy_reports(

@@ -10,7 +10,8 @@ probability
 where ``gamma`` is a per-sample sum of *detached* goodness values from other
 layers. gamma only shifts the effective threshold, so no gradient flows
 through it; that shift is what lets a layer react to the rest of the
-network without any backward pass.
+network without any backward pass. :func:`layer_losses` states this objective
+once, for training, the pairwise baseline and every test snapshot.
 
 :func:`fit` is the one training loop, of :func:`train` and of the backprop
 baselines alike; a method gives it only its stages, batches and batch step.
@@ -238,28 +239,6 @@ def entropy_loss_and_coeffs(
     return objective, d_h[:, None] * 2.0 * act
 
 
-def descent_loss(g, gamma, cfg: FfConfig, polarity) -> tuple[float, np.ndarray]:
-    """Loss to minimize under ``cfg.loss_kind`` and its derivatives with respect to g."""
-    if cfg.loss_kind == "sigmoid_goodness":
-        return ff_loss(g, gamma, cfg.theta, polarity)
-    objective, ascent = entropy_objective(g, gamma, polarity)
-    return -objective, -ascent
-
-
-def _layer_step(net, trace, table, layer: int, cfg: FfConfig, polarity):
-    """Descent loss and parameter gradients of one layer on one traced batch."""
-    gamma = compute_gamma(table, layer, cfg.gamma_mode)
-    loss, d_g = descent_loss(table[:, layer], gamma, cfg, polarity)
-    coeffs = d_g[:, None] * 2.0 * trace.act[layer]
-    return loss, layer_local_grad(
-        net.layers[layer],
-        trace.layer_input(layer),
-        trace.act[layer],
-        coeffs,
-        trace.linked_labels if layer == 0 else None,
-    )
-
-
 class _EpochStats:
     """Accumulates one epoch's per-layer loss and goodness means across batches."""
 
@@ -304,6 +283,23 @@ class _EpochStats:
             )
             for i in layers
         ]
+
+
+def layer_losses(table, polarity, cfg: FfConfig, layers, stats: _EpochStats) -> list:
+    """d(loss)/d(goodness) of ``layers`` on an (m, depth) goodness table, under
+    ``cfg``'s gamma_mode, loss_kind and theta; ``stats`` records each loss and
+    rejects a non-finite one."""
+    d_goodness = []
+    for i in layers:
+        gamma = compute_gamma(table, i, cfg.gamma_mode)
+        if cfg.loss_kind == "sigmoid_goodness":
+            loss, d_g = ff_loss(table[:, i], gamma, cfg.theta, polarity)
+        else:
+            objective, ascent = entropy_objective(table[:, i], gamma, polarity)
+            loss, d_g = -objective, -ascent
+        stats.record(i, loss, table[:, i], polarity)
+        d_goodness.append(d_g)
+    return d_goodness
 
 
 def schedule_stages(schedule: str, depth: int) -> list[list[int]]:
@@ -424,11 +420,14 @@ def train(
         # Successor activations are only needed when they feed gamma.
         upto = depth if cfg.gamma_mode == "all_other_layers" else layers[-1] + 1
         trace = forward_pass(net, batch.images, upto, linked_labels=batch.linked_labels)
-        table = goodness_table(trace)
-        steps = [_layer_step(net, trace, table, i, cfg, batch.polarity) for i in layers]
-        for i, (loss, _) in zip(layers, steps):
-            stats.record(i, loss, table[:, i], batch.polarity)
-        return [(i, grad_w, grad_b) for i, (_, (grad_w, grad_b)) in zip(layers, steps)]
+        d_goodness = layer_losses(goodness_table(trace), batch.polarity, cfg, layers, stats)
+        return [
+            (i, *layer_local_grad(
+                net.layers[i], trace.layer_input(i), trace.act[i],
+                d_g[:, None] * 2.0 * trace.act[i], trace.linked_labels if i == 0 else None,
+            ))
+            for i, d_g in zip(layers, d_goodness)
+        ]
 
     batches = partial(
         make_linked_batches, ds, batch_size=cfg.batch_size,

@@ -238,7 +238,7 @@ def _sample_rows(
 ) -> tuple[list[dict], list[dict]]:
     """The both/positive/negative entropy rows and the per-layer test history
     rows of one snapshot, from the evaluation sample's goodness tensor and each
-    sample's true and wrong label."""
+    sample's true and wrong label; the test losses come from :func:`ff.layer_losses`."""
     positive = ff.linked_goodness(scores, labels)
     negative = ff.linked_goodness(scores, wrong)
     reports = split_entropy_reports(positive, negative)
@@ -249,10 +249,7 @@ def _sample_rows(
     method = METHOD_TABLE[cfg.method]
     layers = _voting_layers(method, table.shape[1])
     stats = ff._EpochStats(table.shape[1], epoch)
-    for i in layers:
-        gamma = ff.compute_gamma(table, i, ff_cfg.gamma_mode)
-        loss, _ = ff.descent_loss(table[:, i], gamma, ff_cfg, polarity)
-        stats.record(i, loss, table[:, i], polarity)
+    ff.layer_losses(table, polarity, ff_cfg, layers, stats)
     # A backprop stage labels its history rows with the method, as it trains.
     loss_kind = ff_cfg.loss_kind if method.layer_local else cfg.method
     return entropy, stats.rows(loss_kind, layers, split="test")

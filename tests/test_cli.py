@@ -18,7 +18,7 @@ from ffnet.data import write_idx
 from ffnet.errors import DataFormatError
 from ffnet.fetch import RemoteFile, dataset_available, fetch_dataset, sha256_file
 from ffnet.linalg import make_rng
-from ffnet.runner import RunConfig
+from ffnet.runner import METHODS, RunConfig
 
 IDX_NAMES = [
     "train-images-idx3-ubyte.gz",
@@ -313,6 +313,72 @@ class TestTrainCommand:
         assert err.splitlines() == [
             "error: non-finite loss at layer 2; training diverged"
         ]
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_warnings_are_shown_only_on_success(self, monkeypatch, capsys, fails):
+        import warnings
+
+        import ffnet.cli as cli_mod
+
+        def run(cfg):
+            warnings.warn("overflow on the way", RuntimeWarning)
+            if fails:
+                raise FloatingPointError("non-finite loss at layer 1; training diverged")
+            return {"final_test_error": 0.5}
+
+        monkeypatch.setattr(cli_mod, "run_from_paths", run)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            rc = main(["train", "--method", "ff", *TRAIN_FLAGS])
+        err = capsys.readouterr().err.splitlines()
+        if fails:
+            assert rc == 1
+            assert err == ["error: non-finite loss at layer 1; training diverged"]
+            assert shown == []
+        else:
+            assert rc == 0
+            assert [str(w.message) for w in shown] == ["overflow on the way"]
+            assert shown[0].category is RuntimeWarning
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_divergence_prints_no_warnings(self, data_dir, tmp_path, method):
+        """The RuntimeWarnings of a diverging run's arithmetic are not printed
+        before its one error line."""
+        flags = list(TRAIN_FLAGS)
+        if method == "bp_classic":
+            flags[flags.index("--layer-dims") + 1] = "784,24,16,10"
+        done = subprocess.run(
+            [sys.executable, "-m", "ffnet", "train", "--method", method,
+             "--learning-rate", "1e300", "--data-dir", str(data_dir),
+             "--output-dir", str(tmp_path / "run"), *flags],
+            env={**os.environ, "PYTHONPATH": str(Path(ffnet.__file__).parents[1])},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert done.stderr.startswith("error: non-finite loss at layer "), done.stderr
+
+    def test_sweep_workers_show_their_warnings(self, tmp_path):
+        """A worker process's warnings are not held in its copy of the parent's list."""
+        script = (
+            "import sys, warnings\n"
+            "import ffnet.cli, ffnet.runner\n"
+            "def run(cfg):\n"
+            "    warnings.warn(f'theta {cfg.theta:g} warns', RuntimeWarning)\n"
+            "    return {'final_test_error': 0.5}\n"
+            "ffnet.runner.run_from_paths = run\n"
+            "sys.exit(ffnet.cli.main(sys.argv[1:]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, "sweep", "--method", "ff", "--dataset", "mnist",
+             "--layer-dims", "794,8", "--output-dir", str(tmp_path / "sweep"),
+             "--thetas", "3,6", "--parallel", "2"],
+            env={**os.environ, "PYTHONPATH": str(Path(ffnet.__file__).parents[1])},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "RuntimeWarning: theta 3 warns" in done.stderr
+        assert "RuntimeWarning: theta 6 warns" in done.stderr
 
     def test_train_loads_neither_scipy_nor_the_network_stack(self, data_dir, tmp_path):
         script = (

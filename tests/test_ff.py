@@ -360,17 +360,16 @@ class TestDivergence:
     """A non-finite loss names the 1-based layer and the epoch, as history.csv does."""
 
     @staticmethod
-    def _nan_after_first_epochs(monkeypatch, module, name, epochs_before, layer=None):
-        """Patch ``module.name`` to return a NaN loss once ``epochs_before``
-        epochs are done (for ``layer`` only, if given); returns the callback
-        that counts finished epochs."""
+    def _poison_after(monkeypatch, module, name, epochs_before, poison):
+        """Patch ``module.name`` so that, once ``epochs_before`` epochs are done,
+        its result is ``poison(args, result)``; returns the callback that counts
+        finished epochs."""
         original = getattr(module, name)
         done = {"epochs": 0}
 
         def patched(*args):
-            loss, rest = original(*args)
-            hit = done["epochs"] >= epochs_before and (layer is None or args[3] == layer)
-            return (float("nan") if hit else loss), rest
+            result = original(*args)
+            return poison(args, result) if done["epochs"] >= epochs_before else result
 
         def on_epoch(epoch, net):
             done["epochs"] += 1
@@ -378,20 +377,31 @@ class TestDivergence:
         monkeypatch.setattr(module, name, patched)
         return on_epoch
 
+    @staticmethod
+    def _infinite_gamma(monkeypatch, epochs_before, layer):
+        """Patch ``ff.compute_gamma`` to give ``layer`` an infinite gamma, so an
+        infinite goodness loss, once ``epochs_before`` epochs are done."""
+        import ffnet.ff as ff_module
+
+        def poison(args, gamma):
+            return np.full_like(gamma, np.inf) if args[1] == layer else gamma
+
+        return TestDivergence._poison_after(
+            monkeypatch, ff_module, "compute_gamma", epochs_before, poison
+        )
+
     @pytest.mark.parametrize(
         "schedule, epochs_before", [("alternating", 1), ("layerwise", 3)]
     )
     def test_ff_schedules(self, monkeypatch, schedule, epochs_before):
         import ffnet.ff as ff_module
 
-        on_epoch = self._nan_after_first_epochs(
-            monkeypatch, ff_module, "_layer_step", epochs_before, layer=1
-        )
+        on_epoch = self._infinite_gamma(monkeypatch, epochs_before, layer=1)
         train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
         cfg = FfConfig(theta=3.0, epochs=2, batch_size=20, seed=1, schedule=schedule)
         net = init_network([20, 8, 6, 5], make_rng(0))
-        # The NaN hits the first epoch after ``epochs_before``, counted across
-        # stages: epoch 2 of the alternating run, epoch 4 of the layerwise one.
+        # The infinite loss hits the first epoch after ``epochs_before``, counted
+        # across stages: epoch 2 of the alternating run, epoch 4 of the layerwise one.
         with pytest.raises(
             FloatingPointError,
             match=rf"^non-finite loss at layer 2 in epoch {epochs_before + 1}; ",
@@ -401,9 +411,7 @@ class TestDivergence:
     def test_pairwise(self, monkeypatch):
         import ffnet.baselines as baselines
 
-        on_epoch = self._nan_after_first_epochs(
-            monkeypatch, baselines, "ff_loss_and_coeffs", 1
-        )
+        on_epoch = self._infinite_gamma(monkeypatch, 1, layer=2)
         train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
         cfg = FfConfig(theta=3.0, epochs=2, batch_size=20, seed=1)
         net = init_network([20, 8, 6, 5], make_rng(0))
@@ -415,8 +423,9 @@ class TestDivergence:
     def test_classic(self, monkeypatch):
         import ffnet.baselines as baselines
 
-        on_epoch = self._nan_after_first_epochs(
-            monkeypatch, baselines, "softmax_cross_entropy", 1
+        on_epoch = self._poison_after(
+            monkeypatch, baselines, "softmax_cross_entropy", 1,
+            lambda args, result: (float("nan"), result[1]),
         )
         train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
         cfg = FfConfig(epochs=2, batch_size=20, seed=1)
@@ -614,6 +623,7 @@ class TestInference:
         import ffnet.ff as ff_module
         from ffnet.analysis import evaluate_subsets
         from ffnet.baselines import classic_test_error
+        from ffnet.entropy import goodness_entropy_reports
 
         empty = synthetic_dataset(0, d=6, seed=3, split="test")
         net, head = random_net([16, 7, 5], seed=16), random_net([6, 7, 10], seed=16)
@@ -621,6 +631,7 @@ class TestInference:
             lambda: ff_module.test_error(net, empty),
             lambda: classic_test_error(head, empty),
             lambda: evaluate_subsets(net, empty, [{0}]),
+            lambda: goodness_entropy_reports(net, empty),
         ]
         for error in errors:
             with pytest.raises(ConfigError, match=r"^evaluation needs 1 test sample, got 0$"):
