@@ -14,7 +14,6 @@ import argparse
 import collections.abc
 import dataclasses
 import json
-import os
 import statistics
 import sys
 import typing
@@ -188,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    held, show, pid = [], warnings.showwarning, os.getpid()
-    # A forked sweep worker inherits this hook; it shows its own warnings.
-    warnings.showwarning = lambda *w: held.append(w) if os.getpid() == pid else show(*w)
+    held, show = [], warnings.showwarning
+    # A sweep worker's warnings reach this hook too: the parent re-issues them.
+    warnings.showwarning = lambda *w: held.append(w)
     try:
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as exc:

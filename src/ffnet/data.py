@@ -321,9 +321,9 @@ def make_linked_batches(
     Reinvoking with the same generator reshuffles and redraws the wrong
     labels, which is how epochs get fresh negatives.
     """
-    if negatives_per_positive < 0:
+    if negatives_per_positive < 1:
         raise ConfigError(
-            f"negatives_per_positive must be >= 0, got {negatives_per_positive}"
+            f"negatives_per_positive must be >= 1, got {negatives_per_positive}"
         )
     for images, true in make_plain_batches(ds, rng, batch_size):
         neg_true = np.tile(true, negatives_per_positive)

@@ -12,6 +12,7 @@ import dataclasses
 import subprocess
 import time
 import typing
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -98,7 +99,12 @@ class RunConfig:
             out.gamma_mode = method.gamma_mode
         if out.schedule is None:
             out.schedule = method.schedule
-        _reject_ignored_settings(out)
+        for name, value in _unread_settings(method).items():
+            if getattr(out, name) != value:
+                raise ConfigError(
+                    f"{self.method} ignores {name}; it must be {value!r}, "
+                    f"got {getattr(out, name)!r}"
+                )
         d = DATASET_DIMS.get(self.dataset)
         if d is None and out.layer_dims is None:
             # Custom datasets (synthetic, tests) must spell the dims out.
@@ -155,22 +161,13 @@ class RunConfig:
         return cls(**data)
 
 
-def _reject_ignored_settings(cfg: RunConfig) -> None:
-    """Reject a setting that ``cfg.method`` would record but never use."""
-    method = METHOD_TABLE[cfg.method]
-    if cfg.classic_normalize and method.linked:
-        raise ConfigError(f"{cfg.method} ignores classic_normalize; it needs a label head")
-    if method.layer_local:
-        return
-    only = {"gamma_mode": method.gamma_mode, "schedule": method.schedule}
-    if not method.linked:
-        only["negatives_per_positive"] = ff.FfConfig.negatives_per_positive
-    for name, value in only.items():
-        if getattr(cfg, name) != value:
-            raise ConfigError(
-                f"{cfg.method} ignores {name}; it must be {value!r}, "
-                f"got {getattr(cfg, name)!r}"
-            )
+def _unread_settings(method: Method) -> dict:
+    """Each setting ``method`` never reads, with the one value it may hold: the
+    row's own ``gamma_mode`` and ``schedule``, else the RunConfig default."""
+    names = ["classic_normalize"] if method.linked else ["theta", "negatives_per_positive"]
+    names += ["theta"] if method.loss_kind == "entropy" else []
+    names += [] if method.layer_local else ["gamma_mode", "schedule"]
+    return {name: getattr(method, name, getattr(RunConfig, name)) for name in names}
 
 
 def _has_type(value, hint) -> bool:
@@ -357,7 +354,8 @@ def evaluate_checkpoint(
     """Re-evaluate a stored model: test error, subset reports, entropy.
 
     The checkpoint's config is resolved as a :class:`RunConfig`, so a field it
-    lacks takes the default a run would have used. The final network is
+    lacks takes the default a run would have used, as does a setting its
+    method never reads (:func:`_unread_settings`). The final network is
     scored once over the test split, ``ff.SCORE_CHUNK`` rows at a time
     (:func:`_scores`), as ``ffnet train`` scores it; the test error reduces
     those scores. For the goodness methods the subset and marginal reports
@@ -373,7 +371,10 @@ def evaluate_checkpoint(
     if dataset is None and "dataset" not in config:
         raise ConfigError("no dataset given and none recorded in the checkpoint")
     # A config without a dataset is resolved for the given one, not for mnist.
-    cfg = RunConfig.from_dict({"dataset": dataset, **config}).resolved()
+    cfg = RunConfig.from_dict({"dataset": dataset, **config})
+    if cfg.method in METHOD_TABLE:  # a setting the method never reads cannot change a score
+        cfg = dataclasses.replace(cfg, **_unread_settings(METHOD_TABLE[cfg.method]))
+    cfg = cfg.resolved()
     method = METHOD_TABLE[cfg.method]
     if subsets is not None:
         if not method.linked:
@@ -414,13 +415,22 @@ def evaluate_checkpoint(
     return summary
 
 
+def _run_holding_warnings(cfg: RunConfig) -> tuple[dict, list]:
+    """:func:`run_from_paths` in a worker process, and the warnings it raised,
+    for the parent to re-issue as its own."""
+    with warnings.catch_warnings(record=True) as held:
+        summary = run_from_paths(cfg)
+    return summary, [(w.message, w.category, w.filename, w.lineno) for w in held]
+
+
 def run_variants(
     cfg: RunConfig, field: str, values: Sequence, dir_name: str, parallel: int = 0
 ) -> tuple[list[RunConfig], list[dict]]:
     """One run per ``field`` value, in ``cfg.output_dir / dir_name.format(value)``,
     on up to ``parallel`` worker processes but never more than there are
     values; one worker runs in-process. Every variant is resolved, and no two
-    may share a directory, before the first run starts."""
+    may share a directory, before the first run starts. A worker's warnings
+    are re-issued here once every run has succeeded."""
     if parallel < 0:
         raise ConfigError(f"parallel must be a non-negative worker count, got {parallel}")
     if not values:
@@ -443,7 +453,11 @@ def run_variants(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return configs, list(pool.map(run_from_paths, configs))
+            results = list(pool.map(_run_holding_warnings, configs))
+        for _, held in results:
+            for warning in held:
+                warnings.warn_explicit(*warning)
+        return configs, [summary for summary, _ in results]
     return configs, [run_from_paths(c) for c in configs]
 
 

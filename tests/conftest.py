@@ -12,6 +12,7 @@ from ffnet import init_network, make_rng
 from ffnet.checkpoint import config_hash, save_checkpoint
 from ffnet.data import write_idx
 from ffnet.nn import ForwardTrace
+from ffnet.runner import RunConfig
 from ffnet.synth import synthetic_dataset
 
 # Arguments at and around the edges of exp: zeros, infinities, NaN, exp's
@@ -21,6 +22,15 @@ SIGMOID_EDGES = np.array([
     0.0, -0.0, np.inf, -np.inf, np.nan, 709.78, -709.78, -709.79,
     745.0, -745.0, 1e308, -1e308, 5e-324, -5e-324,
 ])
+
+# The methods whose objective reads theta; any other method's run rejects a
+# theta other than the default.
+THETA_METHODS = ("ff", "collab_ff", "bp_pairwise")
+
+
+def theta_for(method: str, theta: float) -> float:
+    """``theta`` for a method that reads it, else the default it must keep."""
+    return theta if method in THETA_METHODS else RunConfig.theta
 
 
 def fd_grad(loss_fn, param: np.ndarray, step: float = 1e-6) -> np.ndarray:

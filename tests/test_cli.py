@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import store_config
+from conftest import store_config, theta_for
 
 import ffnet
 from ffnet.cli import _config_from_args, build_parser, main
@@ -39,6 +39,13 @@ TRAIN_FLAGS = [
     "--eval-every", "1",
     "--seed", "3",
 ]
+
+
+def train_flags(method: str) -> list[str]:
+    """A copy of TRAIN_FLAGS with a theta ``method`` accepts."""
+    flags = list(TRAIN_FLAGS)
+    flags[flags.index("--theta") + 1] = str(theta_for(method, 5.0))
+    return flags
 
 
 class TestTrainCommand:
@@ -177,6 +184,26 @@ class TestTrainCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (out / "config.json").exists()
 
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            (["sweep", "--method", "entropy_ff", "--thetas", "1,5"],
+             "entropy_ff ignores theta; it must be 10.0, got 1.0"),
+            (["train", "--method", "bp_classic", "--theta", "5"],
+             "bp_classic ignores theta; it must be 10.0, got 5.0"),
+        ],
+        ids=["entropy_sweep", "classic_train"],
+    )
+    def test_theta_the_method_ignores_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys, args, message
+    ):
+        out = tmp_path / "run"
+        rc = main([*args, "--dataset", "mnist", "--data-dir", str(data_dir),
+                   "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_unknown_method_is_usage_error(self, data_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--method", "nonsense"])
@@ -200,7 +227,7 @@ class TestTrainCommand:
     def test_entropy_with_one_sample_batches_is_a_one_line_error(
         self, data_dir, tmp_path, capsys
     ):
-        flags = list(TRAIN_FLAGS)
+        flags = train_flags("entropy_ff")
         flags[flags.index("--batch-size") + 1] = "1"
         out = tmp_path / "entropy_b1"
         rc = main(
@@ -230,7 +257,7 @@ class TestTrainCommand:
             mnist = cache / "mnist"
             write_idx(mnist / "train-images-idx3-ubyte.gz", np.zeros((0, 28, 28)))
             write_idx(mnist / "train-labels-idx1-ubyte.gz", np.zeros(0))
-        flags = list(TRAIN_FLAGS)
+        flags = train_flags(method)
         flags[flags.index("--train-subset") + 1] = "1"  # all of an empty split
         out = tmp_path / "run"
         rc = main(
@@ -252,7 +279,7 @@ class TestTrainCommand:
         out = tmp_path / "run"
         rc = main(
             ["train", "--method", "entropy_ff", "--data-dir", str(cache),
-             "--output-dir", str(out), *TRAIN_FLAGS]
+             "--output-dir", str(out), *train_flags("entropy_ff")]
         )
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
@@ -269,7 +296,7 @@ class TestTrainCommand:
         mnist = cache / "mnist"
         write_idx(mnist / "t10k-images-idx3-ubyte.gz", np.zeros((0, 28, 28), dtype=np.uint8))
         write_idx(mnist / "t10k-labels-idx1-ubyte.gz", np.zeros(0, dtype=np.uint8))
-        flags = list(TRAIN_FLAGS)
+        flags = train_flags(method)
         if method == "bp_classic":
             flags[flags.index("--layer-dims") + 1] = "784,16,10"
         out = tmp_path / "run"
@@ -344,7 +371,7 @@ class TestTrainCommand:
     def test_divergence_prints_no_warnings(self, data_dir, tmp_path, method):
         """The RuntimeWarnings of a diverging run's arithmetic are not printed
         before its one error line."""
-        flags = list(TRAIN_FLAGS)
+        flags = train_flags(method)
         if method == "bp_classic":
             flags[flags.index("--layer-dims") + 1] = "784,24,16,10"
         done = subprocess.run(
@@ -379,6 +406,21 @@ class TestTrainCommand:
         assert done.returncode == 0, done.stderr
         assert "RuntimeWarning: theta 3 warns" in done.stderr
         assert "RuntimeWarning: theta 6 warns" in done.stderr
+
+    def test_diverging_parallel_sweep_prints_no_warnings(self, data_dir, tmp_path):
+        """A worker's RuntimeWarnings are held by the parent, so a diverging
+        parallel sweep prints its one error line alone."""
+        done = subprocess.run(
+            [sys.executable, "-m", "ffnet", "sweep", "--method", "collab_ff",
+             "--learning-rate", "1e300", "--thetas", "5,6", "--parallel", "2",
+             "--data-dir", str(data_dir), "--output-dir", str(tmp_path / "sweep"),
+             *TRAIN_FLAGS],
+            env={**os.environ, "PYTHONPATH": str(Path(ffnet.__file__).parents[1])},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert done.stderr.startswith("error: non-finite loss at layer "), done.stderr
 
     def test_train_loads_neither_scipy_nor_the_network_stack(self, data_dir, tmp_path):
         script = (
@@ -696,6 +738,34 @@ class TestEvalCommand:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["entropy_ff", "bp_classic"])
+    def test_stored_setting_the_method_ignores_changes_no_report(
+        self, data_dir, tmp_path, method
+    ):
+        """A checkpoint whose config records a theta its method never read
+        evaluates as the same network stored with the default theta."""
+        from ffnet.checkpoint import load_checkpoint, save_checkpoint
+
+        flags = train_flags(method)
+        if method == "bp_classic":
+            flags[flags.index("--layer-dims") + 1] = "784,24,16,10"
+        run = tmp_path / "run"
+        assert main(["train", "--method", method, "--data-dir", str(data_dir),
+                     "--output-dir", str(run), *flags]) == 0
+        net, config, _ = load_checkpoint(run / "checkpoint.npz")
+        save_checkpoint(tmp_path / "theta_5.npz", net, {**config, "theta": 5.0})
+        written = []
+        for checkpoint in (run / "checkpoint.npz", tmp_path / "theta_5.npz"):
+            out = tmp_path / checkpoint.stem
+            assert main(["eval", str(checkpoint), "--output-dir", str(out),
+                         "--data-dir", str(data_dir)]) == 0
+            summary = json.loads((out / "eval_summary.json").read_text())
+            del summary["checkpoint"], summary["config_hash"]
+            reports = {path.name: path.read_bytes() for path in out.iterdir()}
+            del reports["eval_summary.json"]
+            written.append((summary, reports))
+        assert written[0] == written[1]
 
 
 class TestMultiSeed:

@@ -338,6 +338,8 @@ class TestLinkedBatches:
         )
         assert batches[0].linked_inputs().shape[0] == 30
         assert int((batches[0].polarity < 0).sum()) == 20
+        with pytest.raises(ConfigError, match=r"^negatives_per_positive must be >= 1, got 0$"):
+            next(make_linked_batches(ds, make_rng(0), batch_size=10, negatives_per_positive=0))
 
     def test_same_seed_gives_identical_stream(self):
         ds = synthetic_dataset(40, d=8, seed=3)

@@ -45,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import theta_for
 
 from ffnet import baselines, ff
 from ffnet.checkpoint import load_checkpoint
@@ -71,7 +72,7 @@ def _run_config(method: str, data_dir, out_dir) -> RunConfig:
         method=method,
         epochs=2,
         batch_size=40,
-        theta=5.0,
+        theta=theta_for(method, 5.0),
         seed=3,
         layer_dims=dims,
         train_subset=200,

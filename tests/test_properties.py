@@ -45,7 +45,7 @@ GOODNESS = st.floats(0.0, 100.0, allow_subnormal=False)
 @given(
     labels=st.lists(st.integers(0, N_LABELS - 1), min_size=1, max_size=40),
     batch_size=st.integers(1, 50),
-    negatives=st.integers(0, 3),
+    negatives=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_linked_batches_cover_every_sample_once(labels, batch_size, negatives, seed):

@@ -6,7 +6,7 @@ import stat
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import theta_for, traced_peak
 
 from ffnet import runner
 from ffnet.checkpoint import load_checkpoint, save_checkpoint
@@ -69,6 +69,8 @@ class TestRunConfig:
             ("bp_classic", "negatives_per_positive", 2),
             ("ff", "classic_normalize", True),
             ("bp_pairwise", "classic_normalize", True),
+            ("entropy_ff", "theta", 5.0),
+            ("bp_classic", "theta", 5.0),
         ],
     )
     def test_settings_the_method_ignores_rejected(self, method, field, value):
@@ -88,8 +90,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("method", METHODS)
     def test_ff_config_copies_the_shared_settings(self, method):
         cfg = RunConfig(
-            dataset="mnist", method=method, theta=3.5, epochs=4, batch_size=7,
-            learning_rate=0.02, seed=11,
+            dataset="mnist", method=method, theta=theta_for(method, 3.5), epochs=4,
+            batch_size=7, learning_rate=0.02, seed=11,
         ).resolved()
         ff_cfg = cfg.ff_config()
         for name in ("theta", "gamma_mode", "schedule", "epochs", "batch_size",
@@ -97,6 +99,79 @@ class TestRunConfig:
             assert getattr(ff_cfg, name) == getattr(cfg, name), name
         entropy = method == "entropy_ff"
         assert ff_cfg.loss_kind == ("entropy" if entropy else "sigmoid_goodness")
+
+
+def _artifacts(out) -> dict:
+    """What a run writes that its settings could change: the bytes of its CSV
+    files and of its network's arrays."""
+    files = {name: (out / name).read_bytes() for name in ("history.csv", "errors.csv")}
+    if (out / "entropy.csv").exists():
+        files["entropy.csv"] = (out / "entropy.csv").read_bytes()
+    net = load_checkpoint(out / "checkpoint.npz")[0]
+    for i, layer in enumerate(net.layers):
+        files[f"layer {i}"] = layer.weights.tobytes() + layer.biases.tobytes()
+    return files
+
+
+class TestEverySettingIsReadOrRejected:
+    """A run's setting either changes what the run writes or is rejected."""
+
+    # A value of each setting that differs from the base run's.
+    CHANGED = {
+        "theta": 4.0,
+        "gamma_mode": "predecessors_only",
+        "schedule": None,  # the schedule that is not the method's own
+        "epochs": 3,
+        "batch_size": 30,
+        "learning_rate": 0.01,
+        "seed": 2,
+        "negatives_per_positive": 2,
+        "classic_normalize": True,
+        "entropy_eval_n": 40,
+        "eval_every": 1,
+        "train_subset": 200,
+    }
+
+    # Two epochs that learn enough for every setting to show, with a snapshot
+    # only after training.
+    BASE = {"epochs": 2, "batch_size": 50, "learning_rate": 0.03, "seed": 1,
+            "entropy_eval_n": 60}
+
+    def _run(self, tiny_data, out, method, **changes) -> None:
+        dims = [24, 12, 10] if method == "bp_classic" else [34, 12, 8]
+        cfg = RunConfig(
+            dataset="synthetic", method=method, layer_dims=dims, output_dir=str(out),
+            **{**self.BASE, **changes},
+        )
+        run_training(cfg, *tiny_data)
+
+    @pytest.fixture(scope="class")
+    def base_runs(self, tiny_data, tmp_path_factory):
+        runs = {}
+        for method in METHODS:
+            out = tmp_path_factory.mktemp(method)
+            self._run(tiny_data, out, method)
+            runs[method] = _artifacts(out)
+        return runs
+
+    @pytest.mark.parametrize("field", list(CHANGED))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_setting_changes_the_run_or_is_rejected(
+        self, tiny_data, tmp_path, base_runs, method, field
+    ):
+        value = self.CHANGED[field]
+        if field == "schedule":
+            own = METHOD_TABLE[method].schedule
+            value = "layerwise" if own == "alternating" else "alternating"
+        out = tmp_path / "run"
+        try:
+            self._run(tiny_data, out, method, **{field: value})
+        except ConfigError as exc:
+            assert re.match(f"^{method} ignores {field};", str(exc)), exc
+            assert not out.exists()
+        else:
+            changed = _artifacts(out)
+            assert [name for name in changed if changed[name] != base_runs[method].get(name)]
 
 
 class TestGammaModeTrainingMatrix:
@@ -146,7 +221,7 @@ class TestRunTrainingMethods:
     def test_remaining_methods_produce_artifacts(self, tiny_data, tmp_path, method):
         train_ds, test_ds = tiny_data
         cfg = RunConfig(
-            dataset="synthetic", method=method, theta=4.0, epochs=2,
+            dataset="synthetic", method=method, theta=theta_for(method, 4.0), epochs=2,
             batch_size=50, seed=1, layer_dims=[34, 20, 14, 10],
             output_dir=str(tmp_path / method), entropy_eval_n=60, eval_every=1,
         )
@@ -178,7 +253,7 @@ class TestRunTrainingMethods:
         train_ds, test_ds = tiny_data
         dims = [24, 12, 8, 10] if method == "bp_classic" else [34, 12, 8, 6]
         cfg = RunConfig(
-            dataset="synthetic", method=method, theta=4.0, epochs=2,
+            dataset="synthetic", method=method, theta=theta_for(method, 4.0), epochs=2,
             batch_size=50, seed=1, layer_dims=dims, output_dir=str(tmp_path),
             entropy_eval_n=60, eval_every=eval_every,
         )
@@ -208,9 +283,9 @@ class TestPixelStorageIsInvisible:
         assert loaded[0].pixels.dtype == np.uint8 and floats[0].pixels.dtype == np.float64
         dims = [784, 16, 10] if method == "bp_classic" else [794, 16, 12]
         cfg = RunConfig(
-            dataset="mnist", method=method, theta=4.0, epochs=2, batch_size=50,
-            seed=3, layer_dims=dims, output_dir=str(tmp_path), entropy_eval_n=40,
-            eval_every=1,
+            dataset="mnist", method=method, theta=theta_for(method, 4.0), epochs=2,
+            batch_size=50, seed=3, layer_dims=dims, output_dir=str(tmp_path),
+            entropy_eval_n=40, eval_every=1,
         )
         names = ["checkpoint.npz", "history.csv", "errors.csv"]
         if METHOD_TABLE[method].linked:
@@ -332,7 +407,7 @@ class TestFinalNetworkScoredOnce:
         monkeypatch.setattr(module, name, spy)
         dims = [24, 12, 8, 10] if method == "bp_classic" else [34, 12, 8, 6]
         cfg = RunConfig(
-            dataset="synthetic", method=method, theta=4.0, epochs=2,
+            dataset="synthetic", method=method, theta=theta_for(method, 4.0), epochs=2,
             batch_size=50, seed=1, layer_dims=dims,
             output_dir=str(tmp_path), entropy_eval_n=60, eval_every=eval_every,
         )
@@ -352,9 +427,9 @@ class TestFinalNetworkScoredOnce:
         run_dir = tmp_path / "run"
         dims = [784, 12, 8, 10] if method == "bp_classic" else [794, 12, 8, 6]
         cfg = RunConfig(
-            dataset="mnist", method=method, schedule=schedule, theta=4.0, epochs=2,
-            batch_size=40, seed=3, layer_dims=dims,
-            output_dir=str(run_dir), entropy_eval_n=60, eval_every=1,
+            dataset="mnist", method=method, schedule=schedule,
+            theta=theta_for(method, 4.0), epochs=2, batch_size=40, seed=3,
+            layer_dims=dims, output_dir=str(run_dir), entropy_eval_n=60, eval_every=1,
             data_dir=str(data_dir), train_subset=120,
         )
         summary = run_from_paths(cfg)
@@ -443,9 +518,9 @@ class TestScoringReadsChunks:
             out = tmp_path / method
             dims = [24, 12, 10] if method == "bp_classic" else [34, 12, 8]
             cfg = RunConfig(
-                dataset="synthetic", method=method, theta=4.0, epochs=1, batch_size=50,
-                seed=1, layer_dims=dims, output_dir=str(out), entropy_eval_n=60,
-                eval_every=1,
+                dataset="synthetic", method=method, theta=theta_for(method, 4.0), epochs=1,
+                batch_size=50, seed=1, layer_dims=dims, output_dir=str(out),
+                entropy_eval_n=60, eval_every=1,
             )
             run_training(cfg, train_ds, test_ds)
             evaluate_checkpoint(out / "checkpoint.npz", out / "eval")

@@ -7,9 +7,8 @@ import pytest
 
 import ffnet
 
-MODULES = sorted(
-    path for path in Path(ffnet.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+PACKAGE = sorted(Path(ffnet.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +41,54 @@ def test_the_check_finds_an_unused_import():
         "x: collections.abc.Sequence = [fit, system]\n"
     )
     assert unused_imports(source) == ["os (line 3)", "run (line 4)"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level names with a leading underscore (dunders aside) that no
+    module of ``sources`` (file name -> source) reads, by name, as an
+    attribute or by import."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, node.lineno) for name in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [
+        f"{module}: {name} (line {line})"
+        for module, name, line in defined
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    ]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert unread_private_names(sources) == []
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = {
+        "a.py": (
+            "__all__ = ['LIMIT']\n"
+            "_LIMIT, _SPARE = 3, 4\n"
+            "_unread: int = 5\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "class _Stats:\n"
+            "    pass\n"
+        ),
+        "b.py": "from . import a\nfrom .a import _Stats\nx = a._helper(), a._SPARE, _Stats\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _unread (line 3)"]
