@@ -21,6 +21,7 @@ from .data import Dataset
 from .errors import ConfigError
 from .ff import check_test_size, label_goodness_scores, voting_error
 from .nn import MlpNetwork
+from .reports import subset_label
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,6 @@ class SubsetEvalReport:
             if entry.layers == key:
                 return entry.error
         raise KeyError(f"subset {sorted(key)} not evaluated")
-
-
-def subset_label(layers) -> str:
-    """Human/CSV form of a subset, 1-based: {0, 2} -> '1+3'."""
-    return "+".join(str(i + 1) for i in sorted(layers))
 
 
 def parse_subset_label(text: str) -> frozenset:

@@ -22,7 +22,7 @@ import numpy as np
 from .data import N_LABELS, Dataset, make_linked_batches, make_plain_batches, one_hot
 from .errors import ShapeError
 from .ff import (
-    FfConfig, check_test_size, check_train_size, fit, goodness_table, layer_losses, score_rows,
+    FfConfig, check_test_size, check_train_size, fit, goodness, layer_losses, score_rows,
 )
 from .nn import MlpNetwork, backprop_updates, forward_pass
 
@@ -57,7 +57,10 @@ def train_pairwise(
 
     def step(batch, layers, stats):
         trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
-        (d_g,) = layer_losses(goodness_table(trace), batch.polarity, objective, layers, stats)
+        # Gamma 0 reads the last layer's goodness alone; the other columns stay 0.
+        table = np.zeros((trace.act[last].shape[0], net.depth))
+        table[:, last] = goodness(trace, last)
+        (d_g,) = layer_losses(table, batch.polarity, objective, layers, stats)
         return backprop_updates(net, trace, d_g[:, None] * 2.0 * trace.act[last])
 
     batches = partial(

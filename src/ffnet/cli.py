@@ -28,7 +28,7 @@ from .runner import METHODS, RunConfig, evaluate_checkpoint, run_from_paths
 from .runner import run_sweep, run_variants
 
 
-def _comma_list(text: str, convert) -> list:
+def _comma_list(text: str, convert=str) -> list:
     """``convert`` of each comma-separated part of ``text``. A blank part is
     rejected, so a typo cannot drop a value, unless every part is blank:
     that is the empty list, which the library rejects with its own error."""
@@ -123,8 +123,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     subsets = None
     if args.subsets is not None:
-        parts = args.subsets.split(",") if args.subsets.strip() else []
-        subsets = [parse_subset_label(part) for part in parts]
+        subsets = [parse_subset_label(part) for part in args.subsets]
     summary = evaluate_checkpoint(
         args.checkpoint,
         args.output_dir,
@@ -171,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--data-dir", default=argparse.SUPPRESS)
     evaluate.add_argument(
         "--subsets",
+        type=_comma_list,
         default=None,
         help="comma-separated 1-based subsets, e.g. '1,1+2,1+2+3'",
     )

@@ -1,7 +1,7 @@
 """Functional-entropy estimation over goodness values.
 
-For a non-negative function h sampled under a probability vector w, the
-functional entropy is
+For a non-negative function h sampled at n points under the uniform
+empirical measure w_s = 1/n, the functional entropy is
 
     Ent(h) = sum_s w_s * h_s * log(h_s / hbar),   hbar = sum_s w_s * h_s,
 
@@ -41,22 +41,6 @@ class EntropyReport:
     sample_count: int
 
 
-def _check_weights(values: np.ndarray, weights) -> np.ndarray:
-    if weights is None:
-        return np.full(values.shape[0], 1.0 / values.shape[0])
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != values.shape:
-        raise DomainError(
-            f"weights shape {weights.shape} does not match values {values.shape}"
-        )
-    if np.any(weights < 0):
-        raise DomainError("weights must be non-negative")
-    total = float(weights.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise DomainError(f"weights must sum to 1 within 1e-9, got {total}")
-    return weights
-
-
 def _as_values(values) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64).ravel()
     if np.any(values < 0):
@@ -64,28 +48,28 @@ def _as_values(values) -> np.ndarray:
     return values
 
 
-def functional_entropy(values, weights=None) -> float:
-    """Ent(h) under the probability vector ``weights`` (uniform by default)."""
+def functional_entropy(values) -> float:
+    """Ent(h) under uniform weights over the values."""
     h = _as_values(values)
-    w = _check_weights(h, weights)
+    w = np.full(h.shape[0], 1.0 / h.shape[0])
     hbar = float(np.dot(w, h))
     if hbar <= 0.0:
         return 0.0
-    # Entries of weight 0 contribute nothing, even where h / hbar overflows.
-    support = (w > 0.0) & (h > 0.0)
+    support = h > 0.0
     hs = h[support]
     return float(np.dot(w[support], hs * np.log(hs / hbar)))
 
 
-def scaled_kl_identity(values, weights=None) -> tuple[float, float]:
-    """Both sides of Ent(h) = E[h] * KL(q || w) with q = w * h / E[h].
+def scaled_kl_identity(values) -> tuple[float, float]:
+    """Both sides of Ent(h) = E[h] * KL(q || w) with uniform w and
+    q = w * h / E[h].
 
     Returned as (entropy, scaled KL) for comparison; they agree up to
     floating-point rounding.
     """
     h = _as_values(values)
-    w = _check_weights(h, weights)
-    lhs = functional_entropy(h, w)
+    w = np.full(h.shape[0], 1.0 / h.shape[0])
+    lhs = functional_entropy(h)
     hbar = float(np.dot(w, h))
     if hbar <= 0.0:
         return 0.0, 0.0

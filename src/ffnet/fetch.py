@@ -32,19 +32,33 @@ class RemoteFile:
 MNIST_BASE = "https://ossci-datasets.s3.amazonaws.com/mnist"
 FASHION_BASE = "http://fashion-mnist.s3-website.eu-central-1.amazonaws.com"
 
+IDX_FILES = {
+    "train": ("train-images-idx3-ubyte.gz", "train-labels-idx1-ubyte.gz"),
+    "test": ("t10k-images-idx3-ubyte.gz", "t10k-labels-idx1-ubyte.gz"),
+}
+
+# The local files of each split of each dataset: an IDX (images, labels) pair,
+# or the CIFAR-10 batches that fetch_dataset extracts from its archive.
+SPLIT_FILES: dict[str, dict[str, tuple[str, ...]]] = {
+    "mnist": IDX_FILES,
+    "fashion_mnist": IDX_FILES,
+    "cifar10": {
+        "train": tuple(f"data_batch_{i}.bin" for i in range(1, 6)),
+        "test": ("test_batch.bin",),
+    },
+}
+
+CIFAR_MEMBERS = [member for files in SPLIT_FILES["cifar10"].values() for member in files]
+
+
+def _idx_downloads(base: str) -> list[RemoteFile]:
+    return [RemoteFile(name, f"{base}/{name}") for files in IDX_FILES.values() for name in files]
+
+
+# What fetch_dataset downloads for each dataset.
 DATASETS: dict[str, list[RemoteFile]] = {
-    "mnist": [
-        RemoteFile("train-images-idx3-ubyte.gz", f"{MNIST_BASE}/train-images-idx3-ubyte.gz"),
-        RemoteFile("train-labels-idx1-ubyte.gz", f"{MNIST_BASE}/train-labels-idx1-ubyte.gz"),
-        RemoteFile("t10k-images-idx3-ubyte.gz", f"{MNIST_BASE}/t10k-images-idx3-ubyte.gz"),
-        RemoteFile("t10k-labels-idx1-ubyte.gz", f"{MNIST_BASE}/t10k-labels-idx1-ubyte.gz"),
-    ],
-    "fashion_mnist": [
-        RemoteFile("train-images-idx3-ubyte.gz", f"{FASHION_BASE}/train-images-idx3-ubyte.gz"),
-        RemoteFile("train-labels-idx1-ubyte.gz", f"{FASHION_BASE}/train-labels-idx1-ubyte.gz"),
-        RemoteFile("t10k-images-idx3-ubyte.gz", f"{FASHION_BASE}/t10k-images-idx3-ubyte.gz"),
-        RemoteFile("t10k-labels-idx1-ubyte.gz", f"{FASHION_BASE}/t10k-labels-idx1-ubyte.gz"),
-    ],
+    "mnist": _idx_downloads(MNIST_BASE),
+    "fashion_mnist": _idx_downloads(FASHION_BASE),
     "cifar10": [
         RemoteFile(
             "cifar-10-binary.tar.gz",
@@ -52,8 +66,6 @@ DATASETS: dict[str, list[RemoteFile]] = {
         ),
     ],
 }
-
-CIFAR_MEMBERS = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
 
 
 def default_data_dir() -> Path:
@@ -97,25 +109,21 @@ def _verify(path: Path, spec: RemoteFile) -> None:
 def fetch_dataset(name: str, data_dir=None, downloader=_download) -> list[Path]:
     """Ensure every file of ``name`` exists and verifies; idempotent.
 
-    Returns the local paths. A second call with a warm cache performs no
-    network I/O. ``downloader`` is injectable for testing.
+    Returns the local paths of every split's files. A second call with a
+    warm cache performs no network I/O. ``downloader`` is injectable for testing.
     """
     if name not in DATASETS:
         raise ConfigError(f"unknown dataset {name!r}; choose from {sorted(DATASETS)}")
-    target_dir = Path(data_dir) if data_dir else default_data_dir()
-    target_dir = target_dir / name
+    target_dir = _dataset_dir(name, data_dir)
     target_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
     for spec in DATASETS[name]:
         target = target_dir / spec.filename
         if not target.exists():
             downloader(spec.url, target)
         _verify(target, spec)
-        paths.append(target)
     if name == "cifar10":
-        _extract_cifar(target_dir / DATASETS["cifar10"][0].filename, target_dir)
-        paths = [target_dir / member for member in CIFAR_MEMBERS]
-    return paths
+        _extract_cifar(target_dir / DATASETS[name][0].filename, target_dir)
+    return _split_paths(name, data_dir)
 
 
 def _extract_cifar(archive: Path, target_dir: Path) -> None:
@@ -136,32 +144,35 @@ def _extract_cifar(archive: Path, target_dir: Path) -> None:
         raise DataFormatError(f"{archive} lacks expected members: {missing}")
 
 
+def _dataset_dir(name: str, data_dir) -> Path:
+    return (Path(data_dir) if data_dir else default_data_dir()) / name
+
+
+def _split_paths(name: str, data_dir, splits=("train", "test")) -> list[Path]:
+    """The local paths of the files of ``splits`` of ``name``, split by split."""
+    target_dir = _dataset_dir(name, data_dir)
+    return [target_dir / file for split in splits for file in SPLIT_FILES[name][split]]
+
+
 def dataset_available(name: str, data_dir=None) -> bool:
-    target_dir = (Path(data_dir) if data_dir else default_data_dir()) / name
-    if name in ("mnist", "fashion_mnist"):
-        return all((target_dir / spec.filename).exists() for spec in DATASETS[name])
-    if name == "cifar10":
-        return all((target_dir / member).exists() for member in CIFAR_MEMBERS)
-    return False
+    return name in SPLIT_FILES and all(path.exists() for path in _split_paths(name, data_dir))
 
 
 def load_dataset(name: str, split: str, data_dir=None) -> Dataset:
-    """Load a previously fetched dataset split from the cache directory."""
+    """Load a fetched dataset split from the cache directory; a missing file
+    is a :class:`ConfigError` that names the ``ffnet fetch`` command."""
     if split not in ("train", "test"):
         raise ConfigError(f"split must be train or test, got {split!r}")
-    target_dir = (Path(data_dir) if data_dir else default_data_dir()) / name
-    if name in ("mnist", "fashion_mnist"):
-        prefix = "train" if split == "train" else "t10k"
-        return load_idx(
-            target_dir / f"{prefix}-images-idx3-ubyte.gz",
-            target_dir / f"{prefix}-labels-idx1-ubyte.gz",
-            name=name,
-            split=split,
+    if name not in SPLIT_FILES:
+        raise ConfigError(f"unknown dataset {name!r}")
+    paths = _split_paths(name, data_dir, [split])
+    missing = [path.name for path in paths if not path.exists()]
+    if missing:
+        command = f"ffnet fetch {name}" + (f" --data-dir {data_dir}" if data_dir else "")
+        raise ConfigError(
+            f"{name} {split} split not fetched: {', '.join(missing)} missing "
+            f"from {paths[0].parent}; run '{command}'"
         )
     if name == "cifar10":
-        if split == "train":
-            paths = [target_dir / f"data_batch_{i}.bin" for i in range(1, 6)]
-        else:
-            paths = [target_dir / "test_batch.bin"]
         return load_cifar_bin(paths, split=split)
-    raise ConfigError(f"unknown dataset {name!r}")
+    return load_idx(*paths, name=name, split=split)

@@ -44,7 +44,7 @@ drops the stage's pairs when the stage ends).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -429,12 +429,6 @@ class AdamState:
             first_moment=np.zeros_like(param),
             second_moment=np.zeros_like(param),
             learning_rate=learning_rate,
-        )
-
-    def copy(self) -> "AdamState":
-        return replace(
-            self, first_moment=self.first_moment.copy(),
-            second_moment=self.second_moment.copy(),
         )
 
 

@@ -81,9 +81,12 @@ def write_entropy_csv(path, rows, depth: int) -> None:
     write_csv(path, entropy_fields(depth), rows)
 
 
-def write_subsets_csv(path, report) -> None:
-    from .analysis import subset_label
+def subset_label(layers) -> str:
+    """Human/CSV form of a subset, 1-based: {0, 2} -> '1+3'."""
+    return "+".join(str(i + 1) for i in sorted(layers))
 
+
+def write_subsets_csv(path, report) -> None:
     rows = [
         {"subset": subset_label(entry.layers), "error": entry.error, "n": entry.n}
         for entry in report.entries

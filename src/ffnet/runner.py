@@ -20,6 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import baselines, ff
+from .analysis import (
+    check_subset_family, default_subset_family, marginal_contributions, subset_errors,
+)
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .data import DATASET_DIMS, N_LABELS, Dataset, draw_eval_sample
 from .entropy import split_entropy_reports
@@ -363,10 +366,6 @@ def evaluate_checkpoint(
     of the seeded evaluation sample that the run's snapshots used and reduces
     them as they do (:func:`_sample_rows`).
     """
-    from .analysis import (
-        check_subset_family, default_subset_family, marginal_contributions, subset_errors,
-    )
-
     net, config, stored_hash = load_checkpoint(checkpoint_path)
     if dataset is None and "dataset" not in config:
         raise ConfigError("no dataset given and none recorded in the checkpoint")

@@ -15,7 +15,7 @@ from conftest import store_config, theta_for
 import ffnet
 from ffnet.cli import _config_from_args, build_parser, main
 from ffnet.data import write_idx
-from ffnet.errors import DataFormatError
+from ffnet.errors import ConfigError, DataFormatError
 from ffnet.fetch import RemoteFile, dataset_available, fetch_dataset, sha256_file
 from ffnet.linalg import make_rng
 from ffnet.runner import METHODS, RunConfig
@@ -327,6 +327,20 @@ class TestTrainCommand:
         assert len(err) == 1
         assert err[0].startswith(f"error: images file {bad}: unreadable (")
 
+    def test_dataset_not_fetched_is_a_one_line_error(self, tmp_path, capsys):
+        empty, out = tmp_path / "empty", tmp_path / "run"
+        rc = main(
+            ["train", "--method", "ff", "--data-dir", str(empty),
+             "--output-dir", str(out), *TRAIN_FLAGS]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: mnist train split not fetched: train-images-idx3-ubyte.gz, "
+            f"train-labels-idx1-ubyte.gz missing from {empty / 'mnist'}; "
+            f"run 'ffnet fetch mnist --data-dir {empty}'"
+        ]
+        assert not out.exists()
+
     def test_divergence_is_a_one_line_error(self, monkeypatch, capsys):
         import ffnet.cli as cli_mod
 
@@ -509,12 +523,14 @@ class TestRunFlags:
     @pytest.mark.parametrize(
         ("command", "flag", "value"),
         [("train", "--layer-dims", "794,,12"), ("train", "--layer-dims", "794,12,"),
-         ("train", "--seeds", "1,,2"), ("sweep", "--thetas", "1,,2")],
-        ids=["dims", "trailing_comma", "seeds", "thetas"],
+         ("train", "--seeds", "1,,2"), ("sweep", "--thetas", "1,,2"),
+         ("eval", "--subsets", "1,,2")],
+        ids=["dims", "trailing_comma", "seeds", "thetas", "subsets"],
     )
     def test_empty_part_of_a_comma_list_is_a_usage_error(self, capsys, command, flag, value):
+        needed = {**RUN_COMMANDS, "eval": ["checkpoint.npz", "--output-dir", "eval"]}
         with pytest.raises(SystemExit) as exc:
-            main([command, *RUN_COMMANDS[command], flag, value])
+            main([command, *needed[command], flag, value])
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"ffnet {command}: error: argument {flag}: empty entry in {value!r}"
@@ -673,6 +689,20 @@ class TestEvalCommand:
         )
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_dataset_not_fetched_is_a_one_line_error(self, trained_run, tmp_path, capsys):
+        empty, out = tmp_path / "empty", tmp_path / "eval"
+        rc = main(
+            ["eval", str(trained_run / "checkpoint.npz"), "--output-dir", str(out),
+             "--data-dir", str(empty)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: mnist test split not fetched: t10k-images-idx3-ubyte.gz, "
+            f"t10k-labels-idx1-ubyte.gz missing from {empty / 'mnist'}; "
+            f"run 'ffnet fetch mnist --data-dir {empty}'"
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize("config", [[1, 2], None], ids=["list", "null"])
@@ -1007,6 +1037,30 @@ class TestFetch:
         monkeypatch.setattr(fetch_mod.shutil, "copyfileobj", copy)
         fetch_dataset("cifar10", cache)
         assert fetch_mod.load_dataset("cifar10", "test", cache).n == 4
+
+    @pytest.mark.parametrize(
+        ("name", "train", "test"),
+        [("mnist", IDX_NAMES[:2], IDX_NAMES[2:]),
+         ("fashion_mnist", IDX_NAMES[:2], IDX_NAMES[2:]),
+         ("cifar10", [f"data_batch_{i}.bin" for i in range(1, 6)], ["test_batch.bin"])],
+        ids=["mnist", "fashion_mnist", "cifar10"],
+    )
+    def test_split_never_fetched_names_its_files(self, tmp_path, monkeypatch, name, train, test):
+        """On an empty cache each split's error names that split's files and
+        the fetch command, with the --data-dir the caller gave."""
+        from ffnet.fetch import load_dataset
+
+        monkeypatch.setenv("FFNET_DATA", str(tmp_path / "default"))
+        for data_dir, flag in ((tmp_path, f" --data-dir {tmp_path}"), (None, "")):
+            root = tmp_path if data_dir else tmp_path / "default"
+            assert not dataset_available(name, data_dir)
+            for split, files in (("train", train), ("test", test)):
+                with pytest.raises(ConfigError) as exc:
+                    load_dataset(name, split, data_dir)
+                assert str(exc.value) == (
+                    f"{name} {split} split not fetched: {', '.join(files)} missing "
+                    f"from {root / name}; run 'ffnet fetch {name}{flag}'"
+                )
 
     def test_fetch_cli_prints_paths(self, tmp_path, monkeypatch, capsys):
         import ffnet.fetch as fetch_mod

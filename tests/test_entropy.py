@@ -35,12 +35,6 @@ class TestFunctionalEntropy:
         with pytest.raises(DomainError):
             functional_entropy([1.0, -0.5])
 
-    def test_bad_weights_rejected(self):
-        with pytest.raises(DomainError):
-            functional_entropy([1.0, 2.0], weights=[0.7, 0.7])
-        with pytest.raises(DomainError):
-            functional_entropy([1.0, 2.0], weights=[1.5, -0.5])
-
     def test_nonnegative_on_random_inputs(self, rng):
         for _ in range(200):
             h = rng.uniform(0.0, 10.0, size=rng.integers(2, 30))
@@ -59,11 +53,6 @@ class TestFunctionalEntropy:
             lhs = functional_entropy(c * h)
             rhs = c * functional_entropy(h)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-
-    def test_nonuniform_weights(self):
-        # For w = [0.25, 0.75], hbar = 0.25*4 + 0.75*0 = 1
-        ent = functional_entropy([4.0, 0.0], weights=[0.25, 0.75])
-        np.testing.assert_allclose(ent, 0.25 * 4.0 * np.log(4.0), rtol=1e-12)
 
 
 class TestScaledKl:

@@ -367,12 +367,10 @@ class TestAdam:
     def test_identical_calls_on_state_copies_agree(self, rng):
         param = rng.standard_normal((3, 3))
         grad = rng.standard_normal((3, 3))
-        state = AdamState.for_param(param)
-        state.first_moment = rng.standard_normal((3, 3)) * 0.1
-        state.second_moment = np.abs(rng.standard_normal((3, 3))) * 0.1
-        state.step_count = 5
-        out1 = adam_step(param.copy(), grad, state.copy())
-        out2 = adam_step(param.copy(), grad, state.copy())
+        first = rng.standard_normal((3, 3)) * 0.1
+        second = np.abs(rng.standard_normal((3, 3))) * 0.1
+        out1 = adam_step(param.copy(), grad, AdamState(first.copy(), second.copy(), step_count=5))
+        out2 = adam_step(param.copy(), grad, AdamState(first.copy(), second.copy(), step_count=5))
         np.testing.assert_array_equal(out1, out2)
 
     def test_shape_mismatch(self):

@@ -127,19 +127,9 @@ def test_entropy_is_homogeneous_of_degree_one(values, scale):
 
 
 @SETTINGS
-@given(
-    pairs=st.lists(
-        st.tuples(GOODNESS, st.one_of(st.just(0.0), st.floats(1e-3, 1.0))),
-        min_size=1,
-        max_size=30,
-    ).filter(lambda pairs: any(w > 0.0 for _, w in pairs))
-)
-# h / E[h] overflows on the entry of weight 0, which must still count as 0.
-@example(pairs=[(4.0, 0.0), (2.2250738585072014e-308, 1.0)])
-def test_entropy_is_mean_times_kl(pairs):
-    h = np.array([v for v, _ in pairs])
-    w = np.array([w for _, w in pairs])
-    entropy, scaled_kl = scaled_kl_identity(h, w / w.sum())
+@given(values=st.lists(GOODNESS, min_size=1, max_size=30))
+def test_entropy_is_mean_times_kl(values):
+    entropy, scaled_kl = scaled_kl_identity(np.array(values))
     assert entropy >= -1e-12
     assert abs(entropy - scaled_kl) <= 1e-10 * max(1.0, abs(entropy))
 

@@ -92,3 +92,35 @@ def test_the_check_finds_an_unread_private_name():
         "b.py": "from . import a\nfrom .a import _Stats\nx = a._helper(), a._SPARE, _Stats\n",
     }
     assert unread_private_names(sources) == ["a.py: _unread (line 3)"]
+
+
+def function_package_imports(source: str) -> list[str]:
+    """Functions whose body imports from the package (a relative import). A
+    module's package imports belong at its top, where an import cycle shows
+    when the module loads; a lazy standard-library import is allowed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.ImportFrom) and inner.level > 0:
+                    found.append(f"{node.name} (line {inner.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_function_imports_from_the_package(path):
+    assert function_package_imports(path.read_text()) == []
+
+
+def test_the_check_finds_a_package_import_in_a_function():
+    source = (
+        "from .ff import fit\n"
+        "def run():\n"
+        "    import urllib.request\n"
+        "    from concurrent.futures import ProcessPoolExecutor\n"
+        "    return fit\n"
+        "def report():\n"
+        "    from .analysis import subset_label\n"
+        "    return subset_label\n"
+    )
+    assert function_package_imports(source) == ["report (line 7)"]
