@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .ff import check_test_size, label_goodness_scores, voting_error
+from .ff import check_test_size, checked_layers, label_goodness_scores, voting_error
 from .nn import MlpNetwork
 from .reports import subset_label
 
@@ -55,22 +55,17 @@ def parse_subset_label(text: str) -> frozenset:
 
 
 def check_subset_family(subsets, depth: int) -> list[frozenset]:
-    """``subsets`` of a ``depth``-layer network as frozensets of 0-based layers;
-    rejects an empty request or subset, a missing layer and a repeated subset."""
-    family = [frozenset(int(i) for i in s) for s in subsets]
+    """``subsets`` of a ``depth``-layer network as frozensets of 0-based layers,
+    each passing :func:`ffnet.ff.checked_layers`; rejects an empty request and
+    a repeated subset. ``frozenset(s)`` keeps a None member from meaning every layer."""
+    family: list[frozenset] = []
+    for s in subsets:
+        layers = frozenset(checked_layers(frozenset(s), depth))
+        if layers in family:
+            raise ConfigError(f"subset {subset_label(layers)} is requested twice")
+        family.append(layers)
     if not family:
         raise ConfigError("no subsets requested")
-    for i, s in enumerate(family):
-        if not s:
-            raise ConfigError("a requested subset names no layer")
-        missing = [j + 1 for j in sorted(s) if not 0 <= j < depth]
-        if missing:
-            raise ConfigError(
-                f"subset {subset_label(s)} names layer {missing[-1]}; "
-                f"the network has {depth} layers"
-            )
-        if s in family[:i]:
-            raise ConfigError(f"subset {subset_label(s)} is requested twice")
     return family
 
 

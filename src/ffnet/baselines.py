@@ -23,6 +23,7 @@ from .data import N_LABELS, Dataset, make_linked_batches, make_plain_batches, on
 from .errors import ShapeError
 from .ff import (
     FfConfig, check_test_size, check_train_size, fit, goodness, layer_losses, score_rows,
+    voting_error,
 )
 from .nn import MlpNetwork, backprop_updates, forward_pass
 
@@ -80,9 +81,9 @@ def classic_logits(net: MlpNetwork, images, normalize: bool = False, idx=None) -
 
 
 def classic_test_error(net: MlpNetwork, ds: Dataset, normalize: bool = False) -> float:
+    """Misclassified fraction: the logits vote as one layer (:func:`~ffnet.ff.vote`)."""
     check_test_size(ds.n)
-    preds = np.argmax(classic_logits(net, ds, normalize), axis=1)
-    return float(np.mean(preds != ds.labels))
+    return voting_error(classic_logits(net, ds, normalize)[:, :, None], ds.labels, [0])
 
 
 def train_classic(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .nn import DenseLayer, MlpNetwork
+from .nn import DenseLayer, MlpNetwork, check_layer_dims
 from .reports import atomic_write
 
 
@@ -46,18 +46,18 @@ def load_checkpoint(path) -> tuple[MlpNetwork, dict, str]:
     try:
         # np.load leaves a file it opened unclosed when zipfile rejects it.
         with open(path, "rb") as handle, np.load(handle) as bundle:
-            dims = bundle["layer_dims"].tolist()
+            dims = check_layer_dims(bundle["layer_dims"].tolist())
             layers = [
                 DenseLayer(
-                    weights=np.array(bundle[f"weights_{i}"], dtype=np.float64),
-                    biases=np.array(bundle[f"biases_{i}"], dtype=np.float64),
+                    weights=_param(bundle, f"weights_{i}", (dims[i], dims[i + 1])),
+                    biases=_param(bundle, f"biases_{i}", (1, dims[i + 1])),
                 )
                 for i in range(len(dims) - 1)
             ]
             config = json.loads(bytes(bundle["config_json"]).decode("utf-8"))
             stored_hash = bytes(bundle["config_hash"]).decode("ascii")
     # TypeError: a bare .npy array is no context manager. ValueError covers
-    # a config that is not valid JSON.
+    # a config that is not valid JSON and arrays that do not chain.
     except (KeyError, ValueError, OSError, TypeError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     if config_hash(config) != stored_hash:
@@ -66,10 +66,12 @@ def load_checkpoint(path) -> tuple[MlpNetwork, dict, str]:
         raise CheckpointError(
             f"malformed checkpoint {path}: config is not a JSON object"
         )
-    net = MlpNetwork(layers)
-    if net.layer_dims != dims:
-        raise CheckpointError(
-            f"checkpoint {path}: stored dims {dims} disagree with arrays "
-            f"{net.layer_dims}"
-        )
-    return net, config, stored_hash
+    return MlpNetwork(layers), config, stored_hash
+
+
+def _param(bundle, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """Array ``name`` of ``bundle`` as float64, of the ``shape`` that layer_dims gives it."""
+    array = np.array(bundle[name], dtype=np.float64)
+    if array.shape != shape:
+        raise CheckpointError(f"{name} has shape {array.shape}, layer_dims needs {shape}")
+    return array

@@ -21,6 +21,7 @@ import warnings
 from pathlib import Path
 
 from .analysis import parse_subset_label
+from .errors import ConfigError
 from .ff import GAMMA_MODES, SCHEDULES
 from .fetch import DATASETS, fetch_dataset
 from .reports import write_json
@@ -81,7 +82,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None)
-    from_file = {} if config_path is None else json.loads(Path(config_path).read_text())
+    try:
+        from_file = {} if config_path is None else json.loads(Path(config_path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
     fields = {field.name for field in dataclasses.fields(RunConfig)}
     flags = {key: value for key, value in vars(args).items() if key in fields}
     return dataclasses.replace(RunConfig.from_dict(from_file), **flags)

@@ -43,6 +43,8 @@ class EntropyReport:
 
 def _as_values(values) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64).ravel()
+    if values.size == 0:
+        raise DomainError("values must be non-empty")
     if np.any(values < 0):
         raise DomainError(f"values must be non-negative, min is {values.min()}")
     return values

@@ -55,7 +55,7 @@ from .nn import (
     forward_pass,
     layer_local_grad,
 )
-from .reports import history_row
+from .reports import history_row, subset_label
 
 GAMMA_MODES = ("none", "all_other_layers", "predecessors_only")
 SCHEDULES = ("layerwise", "alternating")
@@ -239,7 +239,7 @@ def entropy_loss_and_coeffs(
     return objective, d_h[:, None] * 2.0 * act
 
 
-class _EpochStats:
+class EpochStats:
     """Accumulates one epoch's per-layer loss and goodness means across batches."""
 
     def __init__(self, depth: int, epoch: int):
@@ -285,7 +285,7 @@ class _EpochStats:
         ]
 
 
-def layer_losses(table, polarity, cfg: FfConfig, layers, stats: _EpochStats) -> list:
+def layer_losses(table, polarity, cfg: FfConfig, layers, stats: EpochStats) -> list:
     """d(loss)/d(goodness) of ``layers`` on an (m, depth) goodness table, under
     ``cfg``'s gamma_mode, loss_kind and theta; ``stats`` records each loss and
     rejects a non-finite one."""
@@ -339,7 +339,7 @@ def fit(
     cfg: FfConfig,
     stages: list[list[int]],
     batches: Callable[[np.random.Generator], Iterable],
-    step: Callable[[object, list[int], _EpochStats], Iterable[tuple]],
+    step: Callable[[object, list[int], EpochStats], Iterable[tuple]],
     loss_kind: str,
     on_epoch: Optional[Callable[[int, MlpNetwork], None]] = None,
 ) -> tuple[MlpNetwork, list[dict]]:
@@ -369,7 +369,7 @@ def fit(
     for stage, layers in enumerate(stages):
         states: dict[int, tuple[AdamState, AdamState]] = {}
         for epoch in range(stage * cfg.epochs + 1, (stage + 1) * cfg.epochs + 1):
-            stats = _EpochStats(net.depth, epoch)
+            stats = EpochStats(net.depth, epoch)
             _fit_epoch(net, batches(rng), layers, step, stats, states, cfg.learning_rate)
             history.extend(stats.rows(loss_kind, layers))
             if on_epoch is not None:
@@ -413,7 +413,7 @@ def train(
     check_train_size(ds.n, cfg.loss_kind)
     depth = net.depth
 
-    def step(batch: LinkedBatch, layers: list[int], stats: _EpochStats):
+    def step(batch: LinkedBatch, layers: list[int], stats: EpochStats):
         pos = batch.polarity > 0
         if cfg.loss_kind == "entropy" and min(pos.sum(), (~pos).sum()) < 2:
             return []
@@ -438,14 +438,18 @@ def train(
 
 
 def checked_layers(mask, depth: int) -> list[int]:
-    """Sorted 0-based voting layers; None means all. Rejects empty or out-of-range sets."""
+    """The voting set ``mask``, sorted (None: every layer); rejects empty or missing layers."""
     if mask is None:
         return list(range(depth))
-    layers = sorted(int(i) for i in mask)
+    layers = sorted({int(i) for i in mask})
     if not layers:
-        raise ConfigError("layer set must be nonempty")
-    if layers[0] < 0 or layers[-1] >= depth:
-        raise ConfigError(f"layer set {layers} outside network depth {depth}")
+        raise ConfigError("a requested subset names no layer")
+    missing = [j + 1 for j in layers if not 0 <= j < depth]
+    if missing:
+        raise ConfigError(
+            f"subset {subset_label(layers)} names layer {missing[-1]}; "
+            f"the network has {depth} layers"
+        )
     return layers
 
 

@@ -212,33 +212,34 @@ def _last_epoch(cfg: RunConfig, depth: int) -> int:
 
 
 def _scores(net: MlpNetwork, cfg: RunConfig, ds: Dataset, idx=None) -> np.ndarray:
-    """What ``net`` scores rows ``idx`` of ``ds`` (all by default) by: the (n, labels, layers)
-    goodness tensor of a linked method, or the (n, labels) logits of a label head. Either
-    reads ``ff.SCORE_CHUNK`` float64 rows at a time (:func:`ff.score_rows`)."""
+    """The (n, labels, layers) tensor ``net`` votes on for rows ``idx`` of ``ds`` (all by
+    default): a linked method's goodness, or a label head's logits as its one layer.
+    Either reads ``ff.SCORE_CHUNK`` float64 rows at a time (:func:`ff.score_rows`)."""
     if METHOD_TABLE[cfg.method].linked:
         return ff.label_goodness_scores(net, ds, idx=idx)
-    return baselines.classic_logits(net, ds, cfg.classic_normalize, idx=idx)
+    return baselines.classic_logits(net, ds, cfg.classic_normalize, idx=idx)[:, :, None]
 
 
 def _voting_layers(method: Method, depth: int) -> list[int]:
-    """The layers a goodness method votes on and logs test rows for."""
+    """The layers a method votes on and logs test rows for."""
     return list(range(depth)) if method.layer_local else [depth - 1]
 
 
 def _error(scores: np.ndarray, labels, method: Method) -> float:
-    """Misclassified fraction under :func:`_scores`: the argmax of the logits
-    of a label head, else a goodness vote over :func:`_voting_layers`."""
-    if not method.linked:
-        return float(np.mean(np.argmax(scores, axis=1) != labels))
+    """Misclassified fraction of a vote over :func:`_voting_layers` of :func:`_scores`."""
     return ff.voting_error(scores, labels, _voting_layers(method, scores.shape[2]))
 
 
-def _sample_rows(
-    epoch: int, scores: np.ndarray, labels, wrong, cfg: RunConfig
-) -> tuple[list[dict], list[dict]]:
-    """The both/positive/negative entropy rows and the per-layer test history
-    rows of one snapshot, from the evaluation sample's goodness tensor and each
-    sample's true and wrong label; the test losses come from :func:`ff.layer_losses`."""
+def _snapshot(epoch: int, scores: np.ndarray, sample, cfg: RunConfig) -> tuple[list, ...]:
+    """The ``errors.csv``, ``entropy.csv`` and test ``history.csv`` rows of one snapshot,
+    from the scores of the evaluation ``sample`` (:func:`draw_eval_sample`'s tuple). A
+    linked method has three entropy rows and the per-layer test losses of
+    :func:`ff.layer_losses` over each sample's true and wrong label; a label head has none."""
+    _, labels, wrong = sample
+    method = METHOD_TABLE[cfg.method]
+    errors = [{"epoch": epoch, "split": "test", "error": _error(scores, labels, method)}]
+    if not method.linked:
+        return errors, [], []
     positive = ff.linked_goodness(scores, labels)
     negative = ff.linked_goodness(scores, wrong)
     reports = split_entropy_reports(positive, negative)
@@ -246,13 +247,12 @@ def _sample_rows(
     ff_cfg = cfg.ff_config()
     table = np.vstack([positive, negative])
     polarity = np.concatenate([np.ones(len(positive)), -np.ones(len(negative))])
-    method = METHOD_TABLE[cfg.method]
     layers = _voting_layers(method, table.shape[1])
-    stats = ff._EpochStats(table.shape[1], epoch)
+    stats = ff.EpochStats(table.shape[1], epoch)
     ff.layer_losses(table, polarity, ff_cfg, layers, stats)
     # A backprop stage labels its history rows with the method, as it trains.
     loss_kind = ff_cfg.loss_kind if method.layer_local else cfg.method
-    return entropy, stats.rows(loss_kind, layers, split="test")
+    return errors, entropy, stats.rows(loss_kind, layers, split="test")
 
 
 def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
@@ -261,15 +261,13 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     Produces checkpoint.npz, history.csv, entropy.csv (for goodness-based
     methods), errors.csv, config.json, and summary.json. Returns the summary.
 
-    A snapshot (an ``errors.csv`` row and, for the goodness methods, three
-    ``entropy.csv`` rows and the test rows of ``history.csv``) is taken every
-    ``eval_every`` epochs during training and once after it, at the last
-    epoch, from the evaluation sample's scores (:func:`_scores`: goodness
-    tensor or classic logits). The final network is scored once, over the
-    test split: those scores give the final test error, and the last
-    snapshot gathers the evaluation sample's rows from them, as ``ffnet
-    eval`` does. Every scoring pass reads ``ff.SCORE_CHUNK`` test rows at a
-    time through ``Dataset.rows``.
+    A snapshot (:func:`_snapshot`) is taken every ``eval_every`` epochs
+    during training and once after it, at the last epoch, from the
+    evaluation sample's scores (:func:`_scores`). The final network is
+    scored once, over the test split: those scores give the final test
+    error, and the last snapshot gathers the evaluation sample's rows from
+    them, as ``ffnet eval`` does. Every scoring pass reads
+    ``ff.SCORE_CHUNK`` test rows at a time through ``Dataset.rows``.
     """
     cfg = cfg.resolved()
     method = METHOD_TABLE[cfg.method]
@@ -287,26 +285,22 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
 
     started = time.monotonic()
     net = init_network(cfg.layer_dims, make_rng(cfg.seed))
-    idx, eval_labels, eval_wrong = draw_eval_sample(test_ds, cfg.entropy_eval_n, cfg.seed)
-    entropy_rows: list[dict] = []
-    error_rows: list[dict] = []
-    test_rows: list[dict] = []
+    sample = draw_eval_sample(test_ds, cfg.entropy_eval_n, cfg.seed)
+    error_rows, entropy_rows, test_rows = [], [], []
 
     def snapshot(epoch: int, scores: np.ndarray) -> None:
         """Record the snapshot of ``epoch`` from the evaluation sample's scores."""
-        if method.linked:
-            entropy, test = _sample_rows(epoch, scores, eval_labels, eval_wrong, cfg)
-            entropy_rows.extend(entropy)
-            test_rows.extend(test)
-        error = _error(scores, eval_labels, method)
-        error_rows.append({"epoch": epoch, "split": "test", "error": error})
+        errors, entropy, test = _snapshot(epoch, scores, sample, cfg)
+        error_rows.extend(errors)
+        entropy_rows.extend(entropy)
+        test_rows.extend(test)
 
     total_epochs = _last_epoch(cfg, net.depth)
 
     def on_epoch(epoch: int, current: MlpNetwork) -> None:
         # The last epoch's snapshot is taken after training, from the final pass.
         if epoch % cfg.eval_every == 0 and epoch < total_epochs:
-            snapshot(epoch, _scores(current, cfg, test_ds, idx))
+            snapshot(epoch, _scores(current, cfg, test_ds, sample[0]))
 
     # No trainer is stored in the table: each is looked up in its module at call
     # time, so a patched module attribute (a benchmark span) is the one called.
@@ -320,7 +314,7 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
         )
     scores = _scores(net, cfg, test_ds)
     final_error = _error(scores, test_ds.labels, method)
-    snapshot(total_epochs, scores[idx])
+    snapshot(total_epochs, scores[sample[0]])
 
     wall_time = time.monotonic() - started
     save_checkpoint(out_dir / "checkpoint.npz", net, resolved)
@@ -364,7 +358,7 @@ def evaluate_checkpoint(
     those scores. For the goodness methods the subset and marginal reports
     reduce the same goodness tensor, and the entropy report gathers the rows
     of the seeded evaluation sample that the run's snapshots used and reduces
-    them as they do (:func:`_sample_rows`).
+    them as they do (:func:`_snapshot`).
     """
     net, config, stored_hash = load_checkpoint(checkpoint_path)
     if dataset is None and "dataset" not in config:
@@ -406,9 +400,8 @@ def evaluate_checkpoint(
             # The family lacks the leave-one-out sets; a marginals.csv left by
             # an earlier eval would not match this subsets.csv.
             (out_dir / "marginals.csv").unlink(missing_ok=True)
-        idx, labels, wrong = draw_eval_sample(test_ds, cfg.entropy_eval_n, cfg.seed)
-        epoch = _last_epoch(cfg, net.depth)
-        rows, _ = _sample_rows(epoch, scores[idx], labels, wrong, cfg)
+        sample = draw_eval_sample(test_ds, cfg.entropy_eval_n, cfg.seed)
+        _, rows, _ = _snapshot(_last_epoch(cfg, net.depth), scores[sample[0]], sample, cfg)
         write_entropy_csv(out_dir / "entropy_report.csv", rows, net.depth)
     write_json(out_dir / "eval_summary.json", summary)
     return summary

@@ -91,17 +91,24 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def store_config(path, net, config, text=None) -> None:
-    """A checkpoint of ``net`` whose config is any JSON value, its hash matching;
-    given ``text``, the stored config is that text instead."""
+def store_arrays(path, net, changes) -> None:
+    """A checkpoint of ``net`` with an empty config whose arrays are replaced or
+    added by ``changes`` (array name -> array)."""
     save_checkpoint(path, net, {})
     with np.load(path) as bundle:
         arrays = {k: bundle[k] for k in bundle.files}
-    text = json.dumps(config) if text is None else text
-    arrays["config_json"] = np.frombuffer(text.encode(), dtype=np.uint8)
-    arrays["config_hash"] = np.frombuffer(config_hash(config).encode(), dtype=np.uint8)
     with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
+        np.savez(handle, **{**arrays, **changes})
+
+
+def store_config(path, net, config, text=None) -> None:
+    """A checkpoint of ``net`` whose config is any JSON value, its hash matching;
+    given ``text``, the stored config is that text instead."""
+    text = json.dumps(config) if text is None else text
+    store_arrays(path, net, {
+        "config_json": np.frombuffer(text.encode(), dtype=np.uint8),
+        "config_hash": np.frombuffer(config_hash(config).encode(), dtype=np.uint8),
+    })
 
 
 def write_mnist_fixture(root) -> None:

@@ -60,6 +60,12 @@ class TestEvaluateSubsets:
         with pytest.raises(ConfigError):
             evaluate_subsets(net, test_ds, [set()])
 
+    def test_a_none_member_is_no_subset(self, small_trained_net):
+        """None means every layer to a mask, never to a member of a family."""
+        net, _, test_ds = small_trained_net
+        with pytest.raises(TypeError):
+            evaluate_subsets(net, test_ds, [None])
+
     def test_cache_matches_per_sample_inference(self, small_trained_net):
         """Cached subset error equals an uncached one-sample-at-a-time pass."""
         net, _, test_ds = small_trained_net

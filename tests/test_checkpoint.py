@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import store_config
+from conftest import store_arrays, store_config
 
 from ffnet.checkpoint import config_hash, load_checkpoint, save_checkpoint
 from ffnet.errors import CheckpointError
@@ -89,3 +89,21 @@ class TestCheckpointErrors:
         ):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        ("change", "fault"),
+        [
+            ({"layer_dims": np.array([6])},
+             "layer_dims needs at least 2 entries, all positive, got [6]"),
+            ({"weights_1": np.zeros((5, 3))},
+             "weights_1 has shape (5, 3), layer_dims needs (4, 3)"),
+            ({"biases_0": np.zeros((2, 4))},
+             "biases_0 has shape (2, 4), layer_dims needs (1, 4)"),
+        ],
+        ids=["one_dim", "unchained_weights", "two_row_bias"],
+    )
+    def test_arrays_that_do_not_chain_are_malformed(self, tmp_path, change, fault):
+        path = tmp_path / "m.npz"
+        store_arrays(path, init_network([6, 4, 3], make_rng(0)), change)
+        with pytest.raises(CheckpointError) as caught:
+            load_checkpoint(path)
+        assert str(caught.value) == f"malformed checkpoint {path}: {fault}"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import store_config, theta_for
+from conftest import store_arrays, store_config, theta_for
 
 import ffnet
 from ffnet.cli import _config_from_args, build_parser, main
@@ -109,6 +109,18 @@ class TestTrainCommand:
         assert capsys.readouterr().err.splitlines() == [
             "error: config must be a JSON object, got list"
         ]
+
+    def test_config_file_that_is_not_json_names_itself(self, tmp_path, capsys):
+        config_file = tmp_path / "bad.json"
+        config_file.write_text("{oops")
+        out = tmp_path / "bad"
+        rc = main(["train", "--config", str(config_file), "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config file {config_file} is not valid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         ("field", "value"),
@@ -722,6 +734,19 @@ class TestEvalCommand:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: malformed checkpoint {checkpoint}: config is not a JSON object"
+        ]
+        assert not out.exists()
+
+    def test_checkpoint_of_one_dim_is_a_one_line_error(self, tmp_path, capsys):
+        from ffnet.nn import init_network
+
+        checkpoint = tmp_path / "one_dim.npz"
+        store_arrays(checkpoint, init_network([6, 4], make_rng(0)), {"layer_dims": np.array([6])})
+        out = tmp_path / "eval"
+        assert main(["eval", str(checkpoint), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: malformed checkpoint {checkpoint}: "
+            "layer_dims needs at least 2 entries, all positive, got [6]"
         ]
         assert not out.exists()
 

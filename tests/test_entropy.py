@@ -55,6 +55,12 @@ class TestFunctionalEntropy:
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
+@pytest.mark.parametrize("estimate", [functional_entropy, scaled_kl_identity])
+def test_empty_values_are_outside_the_domain(estimate):
+    with pytest.raises(DomainError, match="^values must be non-empty$"):
+        estimate([])
+
+
 class TestScaledKl:
     def test_constant_gives_zero_pair(self):
         lhs, rhs = scaled_kl_identity(np.full(8, 2.0))

@@ -612,10 +612,31 @@ class TestInference:
         only_first = predict(net, samples, mask=[0])
         assert full.shape == only_first.shape
 
-    def test_empty_mask_rejected(self, rng):
+    def test_a_mask_is_a_set(self):
+        """A repeated layer votes once, as in a frozenset subset."""
+        from ffnet.ff import test_error
+
+        train_ds, test_ds = synthetic_pair(200, 300, d=12, seed=3, noise=1.0)
+        net, _ = train(init_network([22, 10, 8, 6], make_rng(0)), train_ds, FfConfig(epochs=2))
+        assert test_error(net, test_ds, [0, 0, 1]) == test_error(net, test_ds, [0, 1])
+        np.testing.assert_array_equal(
+            predict(net, test_ds, [0, 0, 0, 1]), predict(net, test_ds, {0, 1})
+        )
+
+    @pytest.mark.parametrize(
+        ("mask", "message"),
+        [
+            ([], "a requested subset names no layer"),
+            ([0, 2], "subset 1+3 names layer 3; the network has 2 layers"),
+            ([-1, 0], "subset 0+1 names layer 0; the network has 2 layers"),
+        ],
+        ids=["empty", "too_deep", "negative"],
+    )
+    def test_a_bad_mask_names_its_fault(self, rng, mask, message):
         net = random_net([16, 7, 5], seed=15)
-        with pytest.raises(ConfigError):
-            predict(net, rng.uniform(size=(2, 6)), mask=[])
+        with pytest.raises(ConfigError) as caught:
+            predict(net, rng.uniform(size=(2, 6)), mask=mask)
+        assert str(caught.value) == message
 
     def test_empty_split_has_no_test_error(self):
         """A test error of 0 samples is a ConfigError, not a warned nan; a

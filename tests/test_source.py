@@ -94,6 +94,49 @@ def test_the_check_finds_an_unread_private_name():
     assert unread_private_names(sources) == ["a.py: _unread (line 3)"]
 
 
+def private_reads(source: str) -> list[str]:
+    """Reads of another package module's private name: ``mod._x`` on a module
+    bound by ``from . import mod``, and ``from .mod import _x``."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module is None
+        for alias in node.names
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.level > 0 and node.module:
+            found += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names]
+    return [
+        f"{name} (line {line})"
+        for line, name in sorted(found)
+        if name.split(".")[-1].startswith("_") and not name.endswith("__")
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_module_reads_another_modules_private_name(path):
+    assert private_reads(path.read_text()) == []
+
+
+def test_the_check_finds_a_private_read():
+    source = (
+        "from . import ff, nn as network\n"
+        "from .ff import fit, _floor\n"
+        "from .analysis import __doc__\n"
+        "stats = ff._EpochStats, ff.fit, network._P, fit.__name__, _floor\n"
+        "def _own():\n"
+        "    return _own.__doc__\n"
+    )
+    assert private_reads(source) == [
+        "ff._floor (line 2)", "ff._EpochStats (line 4)", "network._P (line 4)",
+    ]
+
+
 def function_package_imports(source: str) -> list[str]:
     """Functions whose body imports from the package (a relative import). A
     module's package imports belong at its top, where an import cycle shows
