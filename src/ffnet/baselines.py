@@ -6,14 +6,13 @@ last layer, with every layer's gradient chain-ruled through the whole stack
 (sample + one-hot label) rows as forward-forward training, in the same
 label-factored form (each sample's pixels once plus the label of every row;
 see :func:`~ffnet.nn.forward_pass`), and takes the same goodness loss from
-:func:`~ffnet.ff.layer_losses` (gamma 0), but only at the last layer. The
+:func:`~ffnet.ff.goodness_loss` (gamma 0), but only at the last layer. The
 classic model is a plain MLP on raw inputs with a linear label head and
 softmax cross-entropy; its history has nan goodness means.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from functools import partial
 from typing import Callable, Optional
 
@@ -22,8 +21,8 @@ import numpy as np
 from .data import N_LABELS, Dataset, make_linked_batches, make_plain_batches, one_hot
 from .errors import ShapeError
 from .ff import (
-    FfConfig, check_test_size, check_train_size, fit, goodness, layer_losses, score_rows,
-    voting_error,
+    FfConfig, activity_coeffs, check_test_size, check_train_size, fit, goodness,
+    goodness_loss, score_rows, voting_error,
 )
 from .nn import MlpNetwork, backprop_updates, forward_pass
 
@@ -52,17 +51,15 @@ def train_pairwise(
     on_epoch: Optional[Callable[[int, MlpNetwork], None]] = None,
 ) -> tuple[MlpNetwork, list[dict]]:
     """Backprop the last layer's goodness loss (gamma 0) through every layer."""
-    check_train_size(ds.n, "bp_pairwise")
+    check_train_size(ds.n)
     last = net.depth - 1
-    objective = dataclasses.replace(cfg, gamma_mode="none", loss_kind="sigmoid_goodness")
 
     def step(batch, layers, stats):
         trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
-        # Gamma 0 reads the last layer's goodness alone; the other columns stay 0.
-        table = np.zeros((trace.act[last].shape[0], net.depth))
-        table[:, last] = goodness(trace, last)
-        (d_g,) = layer_losses(table, batch.polarity, objective, layers, stats)
-        return backprop_updates(net, trace, d_g[:, None] * 2.0 * trace.act[last])
+        g = goodness(trace, last)
+        loss, d_g = goodness_loss(g, 0.0, batch.polarity, "sigmoid_goodness", cfg.theta)
+        stats.record(last, loss, g, batch.polarity)
+        return backprop_updates(net, trace, activity_coeffs(trace.act[last], d_g))
 
     batches = partial(
         make_linked_batches, ds, batch_size=cfg.batch_size,
@@ -99,7 +96,7 @@ def train_classic(
     un-rectified). Inter-layer normalization is off by default, matching a
     standard MLP; pass normalize=True for the ablation variant.
     """
-    check_train_size(ds.n, "bp_classic")
+    check_train_size(ds.n)
     last = net.depth - 1
 
     def step(batch, layers, stats):

@@ -10,8 +10,8 @@ probability
 where ``gamma`` is a per-sample sum of *detached* goodness values from other
 layers. gamma only shifts the effective threshold, so no gradient flows
 through it; that shift is what lets a layer react to the rest of the
-network without any backward pass. :func:`layer_losses` states this objective
-once, for training, the pairwise baseline and every test snapshot.
+network without any backward pass. :func:`goodness_loss` states this objective
+(or the entropy one) once, and :func:`activity_coeffs` its chain rule.
 
 :func:`fit` is the one training loop, of :func:`train` and of the backprop
 baselines alike; a method gives it only its stages, batches and batch step.
@@ -68,6 +68,7 @@ _P_CEIL = np.nextafter(1.0, 0.0)
 
 # Keeps h = g + gamma strictly positive inside the entropy objective.
 _ENTROPY_H_FLOOR = 1e-12
+_ENTROPY_MIN_ROWS = 2  # rows of each polarity its per-polarity means need
 
 # Samples per block of score_rows, the scoring loop of every split: a
 # Dataset's float64 rows are made SCORE_CHUNK at a time through Dataset.rows,
@@ -109,9 +110,9 @@ class FfConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.loss_kind == "entropy" and self.batch_size < 2:
+        if self.loss_kind == "entropy" and self.batch_size < _ENTROPY_MIN_ROWS:
             raise ConfigError(
-                "the entropy objective needs 2 samples per batch, "
+                f"the entropy objective needs {_ENTROPY_MIN_ROWS} samples per batch, "
                 f"got batch_size {self.batch_size}"
             )
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -164,23 +165,12 @@ def compute_gamma(values: np.ndarray, layer: int, mode: str) -> np.ndarray:
     raise ConfigError(f"unknown gamma mode {mode!r}")
 
 
-def _batch(g, polarity) -> tuple[np.ndarray, np.ndarray]:
-    g = np.asarray(g, dtype=np.float64)
-    polarity = np.asarray(polarity, dtype=np.float64)
-    if polarity.shape != g.shape:
-        raise ShapeError(
-            f"polarity shape {polarity.shape} does not match batch of {g.shape[0]}"
-        )
-    return g, polarity
-
-
 def ff_loss(g, gamma, theta, polarity) -> tuple[float, np.ndarray]:
-    """Batch-mean logistic goodness loss and its derivatives with respect to g.
+    """Batch-mean logistic goodness loss and d(loss)/dg, on :func:`goodness_loss`'s arrays.
 
     Positive rows contribute -log sigmoid(g + gamma - theta), negative rows
     -log sigmoid(-(g + gamma - theta)).
     """
-    g, polarity = _batch(g, polarity)
     # Same threshold-first form as positive_prob; see its docstring.
     logit = g - (np.asarray(theta, dtype=np.float64) - np.asarray(gamma, dtype=np.float64))
     signed = polarity * logit
@@ -191,16 +181,15 @@ def ff_loss(g, gamma, theta, polarity) -> tuple[float, np.ndarray]:
 
 
 def entropy_objective(g, gamma, polarity) -> tuple[float, np.ndarray]:
-    """Batch entropy objective over h = g + gamma and its derivatives with respect to g.
+    """Entropy objective over h = g + gamma and its d/dg, on :func:`goodness_loss`'s arrays.
 
     The objective Ent(h) = mean(h * log(h / mean(h))) is estimated separately
     over the positive and the negative rows, each with its own mean, and the
     returned scalar is Ent(positive) - Ent(negative): training *maximizes*
-    it, mirroring the push-up/push-down convention of the sigmoid loss; a
-    minimizer must negate both outputs. Uses d Ent/d h_s = log(h_s / mean(h)) / m
+    it, mirroring the push-up/push-down convention of the sigmoid loss, and
+    :func:`goodness_loss` negates both outputs. Uses d Ent/d h_s = log(h_s / mean(h)) / m
     (the remaining terms cancel).
     """
-    g, polarity = _batch(g, polarity)
     gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), g.shape)
     h = g + gamma + _ENTROPY_H_FLOOR
     d_h = np.zeros_like(h)
@@ -209,10 +198,10 @@ def entropy_objective(g, gamma, polarity) -> tuple[float, np.ndarray]:
         count = int(mask.sum())
         if count == 0:
             continue
-        if count < 2:
+        if count < _ENTROPY_MIN_ROWS:
             raise EstimationError(
-                "entropy objective needs at least 2 samples per polarity, "
-                f"got {count}"
+                f"entropy objective needs at least {_ENTROPY_MIN_ROWS} samples per "
+                f"polarity, got {count}"
             )
         h_part = h[mask]
         log_ratio = np.log(h_part / h_part.mean())
@@ -221,13 +210,32 @@ def entropy_objective(g, gamma, polarity) -> tuple[float, np.ndarray]:
     return objective, d_h
 
 
+def goodness_loss(g, gamma, polarity, loss_kind: str, theta) -> tuple[float, np.ndarray]:
+    """The loss a layer minimizes on goodness ``g``, and its derivative in g: :func:`ff_loss`
+    under ``sigmoid_goodness``, else the negated :func:`entropy_objective` (no theta)."""
+    g, polarity = np.asarray(g, dtype=np.float64), np.asarray(polarity, dtype=np.float64)
+    if polarity.shape != g.shape:
+        raise ShapeError(
+            f"polarity shape {polarity.shape} does not match batch of {g.shape[0]}"
+        )
+    if loss_kind == "sigmoid_goodness":
+        return ff_loss(g, gamma, theta, polarity)
+    objective, ascent = entropy_objective(g, gamma, polarity)
+    return -objective, -ascent
+
+
+def activity_coeffs(act: np.ndarray, d_g: np.ndarray) -> np.ndarray:
+    """d/d(activity) of a per-row d/d(goodness), goodness being ``row_sumsq(act)``."""
+    return d_g[:, None] * 2.0 * act
+
+
 def ff_loss_and_coeffs(
     trace: ForwardTrace, layer: int, gamma, theta, polarity
 ) -> tuple[float, np.ndarray]:
     """:func:`ff_loss` of one traced layer; d(loss)/d(activity) feeds layer_local_grad."""
     act = trace.act[layer]
-    loss, d_g = ff_loss(row_sumsq(act), gamma, theta, polarity)
-    return loss, d_g[:, None] * 2.0 * act
+    loss, d_g = goodness_loss(row_sumsq(act), gamma, polarity, "sigmoid_goodness", theta)
+    return loss, activity_coeffs(act, d_g)
 
 
 def entropy_loss_and_coeffs(
@@ -235,8 +243,8 @@ def entropy_loss_and_coeffs(
 ) -> tuple[float, np.ndarray]:
     """:func:`entropy_objective` of one traced layer, with d(objective)/d(activity)."""
     act = trace.act[layer]
-    objective, d_h = entropy_objective(row_sumsq(act), gamma, polarity)
-    return objective, d_h[:, None] * 2.0 * act
+    loss, d_g = goodness_loss(row_sumsq(act), gamma, polarity, "entropy", None)
+    return -loss, activity_coeffs(act, -d_g)
 
 
 class EpochStats:
@@ -287,16 +295,12 @@ class EpochStats:
 
 def layer_losses(table, polarity, cfg: FfConfig, layers, stats: EpochStats) -> list:
     """d(loss)/d(goodness) of ``layers`` on an (m, depth) goodness table, under
-    ``cfg``'s gamma_mode, loss_kind and theta; ``stats`` records each loss and
-    rejects a non-finite one."""
+    ``cfg``'s gamma_mode, loss_kind and theta (:func:`goodness_loss`); ``stats``
+    records each loss and rejects a non-finite one."""
     d_goodness = []
     for i in layers:
         gamma = compute_gamma(table, i, cfg.gamma_mode)
-        if cfg.loss_kind == "sigmoid_goodness":
-            loss, d_g = ff_loss(table[:, i], gamma, cfg.theta, polarity)
-        else:
-            objective, ascent = entropy_objective(table[:, i], gamma, polarity)
-            loss, d_g = -objective, -ascent
+        loss, d_g = goodness_loss(table[:, i], gamma, polarity, cfg.loss_kind, cfg.theta)
         stats.record(i, loss, table[:, i], polarity)
         d_goodness.append(d_g)
     return d_goodness
@@ -311,12 +315,14 @@ def schedule_stages(schedule: str, depth: int) -> list[list[int]]:
     raise ConfigError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
 
 
-def check_train_size(n: int, loss_kind: str) -> None:
+def check_train_size(n: int, loss_kind: str = "") -> None:
     """Reject a training split too small for every epoch to train a batch: that
     takes 1 sample, or 2 under the entropy objective, which skips a batch with
-    fewer than 2 rows of one polarity."""
-    if loss_kind == "entropy" and n < 2:
-        raise ConfigError(f"the entropy objective needs 2 training samples, got {n}")
+    fewer than 2 rows of one polarity. A backprop baseline passes no ``loss_kind``."""
+    if loss_kind == "entropy" and n < _ENTROPY_MIN_ROWS:
+        raise ConfigError(
+            f"the entropy objective needs {_ENTROPY_MIN_ROWS} training samples, got {n}"
+        )
     if n < 1:
         raise ConfigError(f"training needs 1 training sample, got {n}")
 
@@ -330,8 +336,10 @@ def check_test_size(n: int, loss_kind: str = "") -> None:
     ``loss_kind``."""
     if n < 1:
         raise ConfigError(f"evaluation needs 1 test sample, got {n}")
-    if loss_kind == "entropy" and n < 2:
-        raise ConfigError(f"the entropy objective needs 2 test samples, got {n}")
+    if loss_kind == "entropy" and n < _ENTROPY_MIN_ROWS:
+        raise ConfigError(
+            f"the entropy objective needs {_ENTROPY_MIN_ROWS} test samples, got {n}"
+        )
 
 
 def fit(
@@ -415,7 +423,7 @@ def train(
 
     def step(batch: LinkedBatch, layers: list[int], stats: EpochStats):
         pos = batch.polarity > 0
-        if cfg.loss_kind == "entropy" and min(pos.sum(), (~pos).sum()) < 2:
+        if cfg.loss_kind == "entropy" and min(pos.sum(), (~pos).sum()) < _ENTROPY_MIN_ROWS:
             return []
         # Successor activations are only needed when they feed gamma.
         upto = depth if cfg.gamma_mode == "all_other_layers" else layers[-1] + 1
@@ -424,7 +432,7 @@ def train(
         return [
             (i, *layer_local_grad(
                 net.layers[i], trace.layer_input(i), trace.act[i],
-                d_g[:, None] * 2.0 * trace.act[i], trace.linked_labels if i == 0 else None,
+                activity_coeffs(trace.act[i], d_g), trace.linked_labels if i == 0 else None,
             ))
             for i, d_g in zip(layers, d_goodness)
         ]

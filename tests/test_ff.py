@@ -1,3 +1,4 @@
+import copy
 import weakref
 
 import numpy as np
@@ -28,7 +29,7 @@ from ffnet.ff import (
     train,
 )
 from ffnet.linalg import l2_row_normalize, make_rng, relu
-from ffnet.nn import forward_pass, init_network, layer_local_grad
+from ffnet.nn import backprop_updates, forward_pass, init_network, layer_local_grad
 from ffnet.synth import synthetic_dataset, synthetic_pair
 
 
@@ -411,7 +412,11 @@ class TestDivergence:
     def test_pairwise(self, monkeypatch):
         import ffnet.baselines as baselines
 
-        on_epoch = self._infinite_gamma(monkeypatch, 1, layer=2)
+        # The pairwise step reads no gamma: poison the last layer's goodness.
+        on_epoch = self._poison_after(
+            monkeypatch, baselines, "goodness", 1,
+            lambda args, g: np.full_like(g, np.inf) if args[1] == 2 else g,
+        )
         train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
         cfg = FfConfig(theta=3.0, epochs=2, batch_size=20, seed=1)
         net = init_network([20, 8, 6, 5], make_rng(0))
@@ -855,3 +860,86 @@ class TestGammaReducesToPlain:
         for la, lb in zip(net_a.layers, net_b.layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.biases, lb.biases)
+
+
+class TestTrainingAppliesTheCheckedGradients:
+    """Each trainer's batch step, bit for bit, is the finite-difference-checked
+    ``ff_loss_and_coeffs`` / ``entropy_loss_and_coeffs`` (negated: training
+    minimizes) fed to ``layer_local_grad``, or to ``backprop_updates`` for the
+    pairwise baseline, with gamma from ``compute_gamma``."""
+
+    @staticmethod
+    def _record(monkeypatch, trainer_module):
+        """Patch ``trainer_module.fit`` and ``ff.apply_adam_update`` so each batch
+        records the network before it, the batch, its layers and the
+        ``(layer, grad_w, grad_b)`` updates that fit applies."""
+        import ffnet.ff as ff_module
+
+        records = []
+        real_fit, real_apply = trainer_module.fit, ff_module.apply_adam_update
+
+        def fit(net, cfg, stages, batches, step, *rest):
+            def recorded(batch, layers, stats):
+                records.append((copy.deepcopy(net), batch, layers, []))
+                return step(batch, layers, stats)
+
+            return real_fit(net, cfg, stages, batches, recorded, *rest)
+
+        def apply(net, i, grad_w, grad_b, states):
+            records[-1][3].append((i, grad_w.copy(), grad_b.copy()))
+            return real_apply(net, i, grad_w, grad_b, states)
+
+        monkeypatch.setattr(trainer_module, "fit", fit)
+        monkeypatch.setattr(ff_module, "apply_adam_update", apply)
+        return records
+
+    @staticmethod
+    def _checked_updates(net, batch, layers, cfg, method):
+        trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
+        if method == "bp_pairwise":
+            last = net.depth - 1
+            _, coeffs = ff_loss_and_coeffs(trace, last, 0.0, cfg.theta, batch.polarity)
+            return list(backprop_updates(net, trace, coeffs))
+        updates = []
+        for i in layers:
+            gamma = compute_gamma(goodness_table(trace), i, cfg.gamma_mode)
+            if cfg.loss_kind == "entropy":
+                _, ascent = entropy_loss_and_coeffs(trace, i, gamma, batch.polarity)
+                coeffs = -ascent
+            else:
+                _, coeffs = ff_loss_and_coeffs(trace, i, gamma, cfg.theta, batch.polarity)
+            updates.append((i, *layer_local_grad(
+                net.layers[i], trace.layer_input(i), trace.act[i], coeffs,
+                trace.linked_labels if i == 0 else None,
+            )))
+        return updates
+
+    # ff and entropy_ff: the batch of layerwise stage 2; collab_ff: its one
+    # alternating batch over every layer; bp_pairwise: its one backprop batch.
+    @pytest.mark.parametrize(
+        "method, layers",
+        [("ff", [1]), ("collab_ff", [0, 1, 2]), ("entropy_ff", [1]), ("bp_pairwise", [2])],
+    )
+    def test_one_batch(self, monkeypatch, method, layers):
+        import ffnet.baselines as baselines
+        import ffnet.ff as ff_module
+        from ffnet.runner import METHOD_TABLE
+
+        row = METHOD_TABLE[method]
+        cfg = FfConfig(
+            theta=3.0, gamma_mode=row.gamma_mode, schedule=row.schedule,
+            loss_kind=row.loss_kind, epochs=1, batch_size=20, seed=1,
+        )
+        pairwise = method == "bp_pairwise"
+        records = self._record(monkeypatch, baselines if pairwise else ff_module)
+        trainer = baselines.train_pairwise if pairwise else ff_module.train
+        train_ds, _ = synthetic_pair(20, 5, d=10, seed=6)  # one batch per epoch
+        trainer(init_network([20, 8, 6, 5], make_rng(0)), train_ds, cfg)
+
+        [(net, batch, _, applied)] = [r for r in records if r[2] == layers]
+        want = self._checked_updates(net, batch, layers, cfg, method)
+        assert [i for i, _, _ in applied] == [i for i, _, _ in want]
+        assert any(np.abs(w).max() > 0 for _, w, _ in applied)
+        for (_, *got), (_, *checked) in zip(applied, want):
+            for a, b in zip(got, checked):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -167,3 +167,53 @@ def test_the_check_finds_a_package_import_in_a_function():
         "    return subset_label\n"
     )
     assert function_package_imports(source) == ["report (line 7)"]
+
+
+def loss_reads(source: str, cores=("ff_loss", "entropy_objective")) -> list[str]:
+    """Reads of the loss ``cores`` (by name or as an attribute) outside
+    ``goodness_loss``, the one function that picks a layer's loss; a read is
+    owned by its innermost enclosing function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            name = None
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            if name in cores and owner != "goodness_loss":
+                found.append(f"{name} in {owner} (line {child.lineno})")
+            visit(child, owner)
+
+    visit(ast.parse(source), "the module")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_only_goodness_loss_reads_the_loss_cores(path):
+    assert loss_reads(path.read_text()) == []
+
+
+def test_the_check_finds_a_loss_read_outside_goodness_loss():
+    source = (
+        "from . import ff\n"
+        "def ff_loss(g):\n"
+        "    return g\n"
+        "def goodness_loss(g, kind):\n"
+        "    return ff_loss(g) if kind else entropy_objective(g)\n"
+        "def layer_losses(g):\n"
+        "    pick = ff.entropy_objective\n"
+        "    def inner():\n"
+        "        return ff_loss(g)\n"
+        "    return pick(g), inner()\n"
+        "DEFAULT = ff_loss\n"
+    )
+    assert loss_reads(source) == [
+        "entropy_objective in layer_losses (line 7)",
+        "ff_loss in inner (line 9)",
+        "ff_loss in the module (line 11)",
+    ]
