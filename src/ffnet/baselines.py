@@ -87,21 +87,20 @@ def train_classic(
     net: MlpNetwork,
     ds: Dataset,
     cfg: FfConfig,
-    normalize: bool = False,
     on_epoch: Optional[Callable[[int, MlpNetwork], None]] = None,
 ) -> tuple[MlpNetwork, list[dict]]:
     """Softmax cross-entropy classifier on raw inputs.
 
     ``net`` must end in a label-width linear head (the last layer is kept
     un-rectified). Inter-layer normalization is off by default, matching a
-    standard MLP; pass normalize=True for the ablation variant.
+    standard MLP; ``cfg.classic_normalize`` turns it on for the ablation variant.
     """
     check_train_size(ds.n)
     last = net.depth - 1
 
     def step(batch, layers, stats):
         images, labels = batch
-        trace = forward_pass(net, images, normalize=normalize, final_linear=True)
+        trace = forward_pass(net, images, normalize=cfg.classic_normalize, final_linear=True)
         loss, d_logits = softmax_cross_entropy(trace.act[-1], labels)
         stats.record(last, loss)
         return backprop_updates(net, trace, d_logits)

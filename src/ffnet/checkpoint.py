@@ -70,8 +70,9 @@ def load_checkpoint(path) -> tuple[MlpNetwork, dict, str]:
 
 
 def _param(bundle, name: str, shape: tuple[int, int]) -> np.ndarray:
-    """Array ``name`` of ``bundle`` as float64, of the ``shape`` that layer_dims gives it."""
-    array = np.array(bundle[name], dtype=np.float64)
+    """Array ``name`` of ``bundle`` as float64, of the ``shape`` that layer_dims gives it;
+    a stored float64 array is the one ``np.load`` read, not a second copy."""
+    array = np.asarray(bundle[name], dtype=np.float64)
     if array.shape != shape:
         raise CheckpointError(f"{name} has shape {array.shape}, layer_dims needs {shape}")
     return array

@@ -79,7 +79,8 @@ SCORE_CHUNK = 256
 
 @dataclass
 class FfConfig:
-    """Knobs for one forward-forward training run."""
+    """Knobs for one training run of any method; ``classic_normalize`` is read by
+    the classic baseline alone."""
 
     theta: float = 10.0
     gamma_mode: str = "none"
@@ -90,6 +91,7 @@ class FfConfig:
     learning_rate: float = 0.001
     seed: int = 0
     negatives_per_positive: int = 1
+    classic_normalize: bool = False
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.theta):

@@ -16,8 +16,8 @@ Two gradient routes coexist on purpose:
   (:func:`l2_row_normalize_vjp`) reuses. It is a generator that yields one
   layer's update at a time, last layer first, so a trainer can step each
   layer in place as soon as its gradient exists while the trace is released
-  layer by layer. :func:`full_backprop_grad` collects its updates into a
-  list, first layer first.
+  layer by layer. :func:`full_backprop_grad` takes the same arguments and
+  collects the updates into a list, first layer first.
 
 Both turn a layer's pre-activation gradient into its parameter gradients
 through one helper, which for a first layer over linked inputs takes the
@@ -395,21 +395,10 @@ def backprop_updates(net: MlpNetwork, trace: ForwardTrace, output_grad):
 
 
 def full_backprop_grad(
-    net: MlpNetwork,
-    batch,
-    output_grad,
-    *,
-    trace: ForwardTrace,
+    net: MlpNetwork, trace: ForwardTrace, output_grad
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`backprop_updates` of the forward ``trace`` of ``batch``, as one
-    (grad_w, grad_b) pair per layer, first layer first.
-
-    ``trace`` must be :func:`forward_pass` of ``batch`` through the whole
-    network; a trace of any other input is rejected.
-    """
-    batch = as_matrix(batch)
-    if not (batch is trace.inputs or np.array_equal(batch, trace.inputs)):
-        raise ShapeError("batch is not the input of the given trace")
+    """:func:`backprop_updates` of ``trace``, as one (grad_w, grad_b) pair per
+    layer, first layer first."""
     updates = list(backprop_updates(net, trace, output_grad))
     return [(grad_w, grad_b) for _, grad_w, grad_b in reversed(updates)]
 

@@ -44,14 +44,23 @@ from .reports import (
 # A method's row. linked: it scores the goodness of label-linked inputs, else the
 # logits of a label head. layer_local: it trains under gamma_mode and schedule (the
 # defaults here) and votes on every layer, else it is one backprop stage that votes
-# on and logs the last layer. loss_kind is its FfConfig.loss_kind.
-Method = collections.namedtuple("Method", "linked layer_local gamma_mode schedule loss_kind")
+# on and logs the last layer. loss_kind is its FfConfig.loss_kind, and train(net, ds,
+# cfg, on_epoch) its trainer.
+Method = collections.namedtuple(
+    "Method", "linked layer_local gamma_mode schedule loss_kind train"
+)
 METHOD_TABLE = {
-    "ff": Method(True, True, "none", "layerwise", "sigmoid_goodness"),
-    "collab_ff": Method(True, True, "all_other_layers", "alternating", "sigmoid_goodness"),
-    "entropy_ff": Method(True, True, "none", "layerwise", "entropy"),
-    "bp_pairwise": Method(True, False, "none", "layerwise", "sigmoid_goodness"),
-    "bp_classic": Method(False, False, "none", "layerwise", "sigmoid_goodness"),
+    "ff": Method(True, True, "none", "layerwise", "sigmoid_goodness", ff.train),
+    "collab_ff": Method(
+        True, True, "all_other_layers", "alternating", "sigmoid_goodness", ff.train
+    ),
+    "entropy_ff": Method(True, True, "none", "layerwise", "entropy", ff.train),
+    "bp_pairwise": Method(
+        True, False, "none", "layerwise", "sigmoid_goodness", baselines.train_pairwise
+    ),
+    "bp_classic": Method(
+        False, False, "none", "layerwise", "sigmoid_goodness", baselines.train_classic
+    ),
 }
 METHODS = tuple(METHOD_TABLE)
 
@@ -90,7 +99,7 @@ class RunConfig:
     data_dir: Optional[str] = None
     train_subset: Optional[int] = None
     negatives_per_positive: int = ff.FfConfig.negatives_per_positive
-    classic_normalize: bool = False
+    classic_normalize: bool = ff.FfConfig.classic_normalize
 
     def resolved(self) -> "RunConfig":
         """Fill method-dependent defaults and validate."""
@@ -302,16 +311,7 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
         if epoch % cfg.eval_every == 0 and epoch < total_epochs:
             snapshot(epoch, _scores(current, cfg, test_ds, sample[0]))
 
-    # No trainer is stored in the table: each is looked up in its module at call
-    # time, so a patched module attribute (a benchmark span) is the one called.
-    if method.layer_local:
-        net, history = ff.train(net, train_ds, ff_cfg, on_epoch)
-    elif method.linked:
-        net, history = baselines.train_pairwise(net, train_ds, ff_cfg, on_epoch)
-    else:
-        net, history = baselines.train_classic(
-            net, train_ds, ff_cfg, cfg.classic_normalize, on_epoch
-        )
+    net, history = method.train(net, train_ds, ff_cfg, on_epoch)
     scores = _scores(net, cfg, test_ds)
     final_error = _error(scores, test_ds.labels, method)
     snapshot(total_epochs, scores[sample[0]])

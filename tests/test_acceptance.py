@@ -106,7 +106,7 @@ def test_criterion_1_gradient_checks():
 
     trace = forward_pass(net, batch)
     _, out_grad = ff_loss_and_coeffs(trace, last, 0.0, theta, polarity)
-    grads = full_backprop_grad(net, batch, out_grad, trace=trace)
+    grads = full_backprop_grad(net, trace, out_grad)
     analytic, numeric = [], []
     for i, layer in enumerate(net.layers):
         analytic.extend(grads[i])
@@ -124,7 +124,7 @@ def test_criterion_1_gradient_checks():
 
     t2 = forward_pass(net2, batch, normalize=False, final_linear=True)
     _, d_logits = softmax_cross_entropy(t2.act[-1], labels)
-    grads2 = full_backprop_grad(net2, batch, d_logits, trace=t2)
+    grads2 = full_backprop_grad(net2, t2, d_logits)
     analytic2, numeric2 = [], []
     for i, layer in enumerate(net2.layers):
         analytic2.extend(grads2[i])

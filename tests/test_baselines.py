@@ -71,7 +71,7 @@ class TestPairwiseGradients:
 
         trace = forward_pass(net, inputs)
         _, output_grad = ff_loss_and_coeffs(trace, net.depth - 1, 0.0, theta, polarity)
-        grads = full_backprop_grad(net, inputs, output_grad, trace=trace)
+        grads = full_backprop_grad(net, trace, output_grad)
         analytic, numeric = [], []
         for i, layer in enumerate(net.layers):
             analytic.extend(grads[i])
@@ -90,7 +90,7 @@ class TestPairwiseGradients:
         output gradient."""
         trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
         _, output_grad = ff_loss_and_coeffs(trace, net.depth - 1, 0.0, 1.0, batch.polarity)
-        grads = full_backprop_grad(net, batch.images, output_grad, trace=trace)
+        grads = full_backprop_grad(net, trace, output_grad)
         return grads, output_grad
 
     @pytest.mark.parametrize("negatives", [1, 3])
@@ -103,9 +103,7 @@ class TestPairwiseGradients:
         for batch in batches:
             got, output_grad = self.pairwise_grads(net, batch)
             inputs = batch.linked_inputs()
-            want = full_backprop_grad(
-                net, inputs, output_grad, trace=forward_pass(net, inputs)
-            )
+            want = full_backprop_grad(net, forward_pass(net, inputs), output_grad)
             for (gw, gb), (ww, wb) in zip(got, want):
                 assert gw.shape == ww.shape and gb.shape == wb.shape
                 np.testing.assert_allclose(gw, ww, rtol=1e-12, atol=0.0)
@@ -167,7 +165,7 @@ class TestClassicGradients:
 
         trace = forward_pass(net, inputs, normalize=normalize, final_linear=True)
         _, d_logits = softmax_cross_entropy(trace.act[-1], labels)
-        grads = full_backprop_grad(net, inputs, d_logits, trace=trace)
+        grads = full_backprop_grad(net, trace, d_logits)
         analytic, numeric = [], []
         for i, layer in enumerate(net.layers):
             analytic.extend(grads[i])

@@ -5,8 +5,10 @@ them and to attribute them to a layer. A signature change that breaks the
 binding does not fail a benchmark run: the span is only listed as
 unannotated and its per-layer metrics read 0. These tests run a tiny
 alternating or layerwise ``ff.train`` and ``baselines.train_pairwise`` under
-the tracer and check that every span was annotated and that the
-local-gradient and Adam spans name every layer.
+the tracer, and a tiny ``runner.run_training``, whose trainer comes from
+``METHOD_TABLE`` and so is not the patched module attribute. They check
+that every span was annotated and that the local-gradient and Adam spans
+name every layer.
 
 ``perfbench/workloads.py`` calls into the package the way ``ffnet train``
 and ``ffnet eval`` do (``RunConfig``, ``ff_config()``, the trainers). A
@@ -25,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import ffnet  # noqa: F401  (imports every module the tracer wraps)
-from ffnet import baselines, ff
+from ffnet import baselines, ff, runner
 from ffnet.linalg import make_rng
 from ffnet.nn import init_network
 from ffnet.synth import synthetic_pair
@@ -94,6 +96,35 @@ def test_training_spans_are_annotated_with_layers(tracer_module):
 
 def test_layerwise_training_spans_are_annotated_with_layers(tracer_module):
     _check_training_spans(tracer_module, "layerwise", "predecessors_only")
+
+
+@pytest.mark.parametrize(
+    ("method", "dims", "per_layer"),
+    [
+        ("ff", [22, 10, 8, 6], ["nn.layer_local_grad", "nn.apply_adam_update"]),
+        ("bp_classic", [12, 10, 8, 10], ["nn.apply_adam_update"]),
+    ],
+)
+def test_run_training_spans_are_annotated_with_layers(
+    tracer_module, tmp_path, method, dims, per_layer
+):
+    train_ds, test_ds = synthetic_pair(80, 20, d=12, seed=3)
+    cfg = runner.RunConfig(
+        dataset="synthetic", method=method, epochs=1, batch_size=20, seed=1,
+        layer_dims=dims, output_dir=str(tmp_path), entropy_eval_n=10, eval_every=1,
+    )
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        runner.run_training(cfg, train_ds, test_ds)
+    finally:
+        tracer.uninstall()
+
+    assert tracer.unannotated == set()
+    expected = set(range(1, len(dims)))
+    for name in per_layer:
+        layers = [span.get("layer") for span in tracer.spans if span["name"] == name]
+        assert set(layers) == expected, name
 
 
 def test_only_the_known_dead_names_are_missing(tracer_module):

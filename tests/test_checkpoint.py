@@ -40,6 +40,31 @@ class TestCheckpointRoundTrip:
             dtype = bundle["weights_0"].dtype
             assert dtype == np.dtype("<f8")
 
+    def test_loaded_parameters_are_writeable_contiguous_float64(self, tmp_path):
+        """Adam steps a loaded layer in place, so its arrays must be its own."""
+        net = init_network([9, 5, 4], make_rng(2))
+        save_checkpoint(tmp_path / "m.npz", net, {})
+        loaded, _, _ = load_checkpoint(tmp_path / "m.npz")
+        for saved, layer in zip(net.layers, loaded.layers):
+            for want, got in ((saved.weights, layer.weights), (saved.biases, layer.biases)):
+                assert got.dtype == np.float64 and got.flags.c_contiguous
+                assert got.flags.writeable
+                assert got.tobytes() == want.tobytes()
+
+    def test_float32_arrays_load_as_float64(self, tmp_path):
+        net = init_network([9, 5, 4], make_rng(2))
+        narrow = {}
+        for i, layer in enumerate(net.layers):
+            narrow[f"weights_{i}"] = layer.weights.astype(np.float32)
+            narrow[f"biases_{i}"] = layer.biases.astype(np.float32)
+        store_arrays(tmp_path / "m.npz", net, narrow)
+        loaded, _, _ = load_checkpoint(tmp_path / "m.npz")
+        for i, layer in enumerate(loaded.layers):
+            assert layer.weights.dtype == np.float64 and layer.biases.dtype == np.float64
+            assert layer.weights.shape == net.layers[i].weights.shape
+            assert layer.biases.shape == net.layers[i].biases.shape
+            np.testing.assert_array_equal(layer.weights, narrow[f"weights_{i}"])
+
 
 class TestCheckpointErrors:
     def test_missing_file(self, tmp_path):

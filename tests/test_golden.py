@@ -121,11 +121,10 @@ def trainer_fingerprint() -> dict[str, np.ndarray]:
     train_ds = synthetic_dataset(41, d=12, seed=11)
     out = {}
 
-    def record(run, train, net, cfg, **kwargs):
+    def record(run, train, net, cfg):
         epochs = []
         net, history = train(
-            net, train_ds, cfg, on_epoch=lambda epoch, _: epochs.append(epoch),
-            **kwargs,
+            net, train_ds, cfg, on_epoch=lambda epoch, _: epochs.append(epoch)
         )
         for i, lay in enumerate(net.layers):
             out[f"{run}.weights_{i}"] = lay.weights
@@ -160,10 +159,10 @@ def trainer_fingerprint() -> dict[str, np.ndarray]:
             init_network([22, 8, 6, 5], make_rng(4)), cfg,
         )
     for normalize in (False, True):
-        cfg = ff.FfConfig(epochs=2, batch_size=20, seed=5)
+        cfg = ff.FfConfig(epochs=2, batch_size=20, seed=5, classic_normalize=normalize)
         record(
             f"bp_classic.{normalize}", baselines.train_classic,
-            init_network([12, 8, 6, 10], make_rng(4)), cfg, normalize=normalize,
+            init_network([12, 8, 6, 10], make_rng(4)), cfg,
         )
     return out
 

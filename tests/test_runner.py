@@ -92,10 +92,11 @@ class TestRunConfig:
         cfg = RunConfig(
             dataset="mnist", method=method, theta=theta_for(method, 3.5), epochs=4,
             batch_size=7, learning_rate=0.02, seed=11,
+            classic_normalize=method == "bp_classic",
         ).resolved()
         ff_cfg = cfg.ff_config()
         for name in ("theta", "gamma_mode", "schedule", "epochs", "batch_size",
-                     "learning_rate", "seed", "negatives_per_positive"):
+                     "learning_rate", "seed", "negatives_per_positive", "classic_normalize"):
             assert getattr(ff_cfg, name) == getattr(cfg, name), name
         entropy = method == "entropy_ff"
         assert ff_cfg.loss_kind == ("entropy" if entropy else "sigmoid_goodness")

@@ -217,3 +217,50 @@ def test_the_check_finds_a_loss_read_outside_goodness_loss():
         "ff_loss in inner (line 9)",
         "ff_loss in the module (line 11)",
     ]
+
+
+TRAINERS = ("ff.train", "baselines.train_pairwise", "baselines.train_classic")
+
+
+def trainer_reads(source: str) -> list[str]:
+    """Reads of a trainer of ``TRAINERS``, as a module attribute or imported by
+    name, outside the ``METHOD_TABLE`` assignment: a method names its trainer
+    in its row alone, so no branch on the method picks one."""
+    tree = ast.parse(source)
+    table = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "METHOD_TABLE" for t in targets):
+            table.update(map(id, ast.walk(node)))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in table:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")[-1]
+            found += [(node.lineno, f"{module}.{alias.name}") for alias in node.names]
+    return [f"{name} (line {line})" for line, name in sorted(found) if name in TRAINERS]
+
+
+def test_only_the_method_table_names_a_trainer():
+    runner_source = (Path(ffnet.__file__).parent / "runner.py").read_text()
+    assert trainer_reads(runner_source) == []
+
+
+def test_the_check_finds_a_trainer_read_outside_the_method_table():
+    source = (
+        "from . import baselines, ff\n"
+        "from .baselines import train_classic\n"
+        "METHOD_TABLE = {'ff': Method(ff.train), 'bp': Method(baselines.train_pairwise)}\n"
+        "def run_training(method):\n"
+        "    if method == 'ff':\n"
+        "        return ff.train()\n"
+        "    return baselines.train_pairwise, ff.train_layerwise, ff.fit\n"
+    )
+    assert trainer_reads(source) == [
+        "baselines.train_classic (line 2)",
+        "ff.train (line 6)",
+        "baselines.train_pairwise (line 7)",
+    ]
