@@ -6,6 +6,8 @@ sweep flags are one per ``RunConfig`` field. Flag precedence for train/sweep
 is CLI > --config JSON file > built-in defaults; the fully resolved config is
 persisted in the run directory.
 Exits 0 on success, 1 with a one-line ``error: ...`` message, and no warning, on failure.
+``train --seeds`` and ``sweep`` run their variants one after another in this
+process, so :func:`main` holds every warning their runs raise.
 """
 
 from __future__ import annotations
@@ -32,13 +34,20 @@ from .runner import run_sweep, run_variants
 def _comma_list(text: str, convert=str) -> list:
     """``convert`` of each comma-separated part of ``text``. A blank part is
     rejected, so a typo cannot drop a value, unless every part is blank:
-    that is the empty list, which the library rejects with its own error."""
+    that is the empty list, which the library rejects with its own error. A
+    part ``convert`` cannot read is named in the usage error."""
     parts = [part.strip() for part in text.split(",")]
     if not any(parts):
         return []
     if not all(parts):
         raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
-    return [convert(part) for part in parts]
+    values = []
+    for part in parts:
+        try:
+            values.append(convert(part))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad entry {part!r} in {text!r}") from None
+    return values
 
 
 def _int_list(text: str) -> list[int]:
@@ -142,7 +151,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    rows = run_sweep(cfg, args.thetas, parallel=getattr(args, "parallel", 0) or 0)
+    rows = run_sweep(cfg, args.thetas)
     for row in rows:
         print(f"theta={row['theta']:g}: test error {row['final_test_error']:.4f}")
     return 0
@@ -183,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="train one run per theta")
     _add_run_flags(sweep)
     sweep.add_argument("--thetas", type=_float_list, required=True)
-    sweep.add_argument("--parallel", type=int, default=0)
     sweep.set_defaults(func=cmd_sweep)
     return parser
 
@@ -192,7 +200,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     held, show = [], warnings.showwarning
-    # A sweep worker's warnings reach this hook too: the parent re-issues them.
     warnings.showwarning = lambda *w: held.append(w)
     try:
         return args.func(args)

@@ -75,7 +75,10 @@ class Dataset:
         if pixels.dtype != np.uint8:
             pixels = pixels.astype(np.float64, copy=False)
         self.pixels = pixels
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iu" and not _whole(labels, np.int64):
+            raise DataFormatError("labels must be whole numbers")
+        self.labels = labels.astype(np.int64, copy=False)
         if self.pixels.ndim != 2:
             raise DataFormatError(f"images must be 2-D, got shape {self.pixels.shape}")
         if self.labels.shape != (self.n,):
@@ -187,12 +190,23 @@ def load_idx(images_path, labels_path, name: str = "mnist", split: str = "train"
 GZIP_LEVEL = 1
 
 
-def write_idx(path, array: np.ndarray) -> None:
-    """Inverse of :func:`_read_idx` for uint8 arrays; gzips when path ends .gz.
+def _whole(values: np.ndarray, dtype) -> bool:
+    """Whether ``values`` cast to the integer ``dtype`` unchanged: whole
+    numbers in its range (a NaN or an infinity is neither)."""
+    with np.errstate(invalid="ignore"):
+        return np.array_equal(values.astype(dtype), values)
 
-    The gzip header stores no timestamp and no file name, so equal arrays
-    give equal files.
+
+def write_idx(path, array: np.ndarray) -> None:
+    """Inverse of :func:`_read_idx`; gzips when path ends .gz.
+
+    Any array whose values are whole numbers in 0..255 is stored as bytes;
+    other values are rejected, not wrapped. The gzip header stores no
+    timestamp and no file name, so equal arrays give equal files.
     """
+    array = np.asarray(array)
+    if array.dtype != np.uint8 and not _whole(array, np.uint8):
+        raise DataFormatError(f"{path}: IDX stores only whole numbers in 0..255")
     array = np.ascontiguousarray(array, dtype=np.uint8)
     magic = 0x00000800 | array.ndim
     raw = struct.pack(f">I{array.ndim}I", magic, *array.shape) + array.tobytes()

@@ -12,7 +12,6 @@ import dataclasses
 import subprocess
 import time
 import typing
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -407,24 +406,12 @@ def evaluate_checkpoint(
     return summary
 
 
-def _run_holding_warnings(cfg: RunConfig) -> tuple[dict, list]:
-    """:func:`run_from_paths` in a worker process, and the warnings it raised,
-    for the parent to re-issue as its own."""
-    with warnings.catch_warnings(record=True) as held:
-        summary = run_from_paths(cfg)
-    return summary, [(w.message, w.category, w.filename, w.lineno) for w in held]
-
-
 def run_variants(
-    cfg: RunConfig, field: str, values: Sequence, dir_name: str, parallel: int = 0
+    cfg: RunConfig, field: str, values: Sequence, dir_name: str
 ) -> tuple[list[RunConfig], list[dict]]:
     """One run per ``field`` value, in ``cfg.output_dir / dir_name.format(value)``,
-    on up to ``parallel`` worker processes but never more than there are
-    values; one worker runs in-process. Every variant is resolved, and no two
-    may share a directory, before the first run starts. A worker's warnings
-    are re-issued here once every run has succeeded."""
-    if parallel < 0:
-        raise ConfigError(f"parallel must be a non-negative worker count, got {parallel}")
+    one after another in the calling process. Every variant is resolved, and
+    no two may share a directory, before the first run starts."""
     if not values:
         raise ConfigError(f"no {field} values given")
     base = cfg.resolved()
@@ -440,23 +427,13 @@ def run_variants(
         owners[out_dir] = value
         changes = {field: value, "output_dir": out_dir}
         configs.append(dataclasses.replace(base, **changes).resolved())
-    workers = min(parallel, len(configs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_holding_warnings, configs))
-        for _, held in results:
-            for warning in held:
-                warnings.warn_explicit(*warning)
-        return configs, [summary for summary, _ in results]
     return configs, [run_from_paths(c) for c in configs]
 
 
-def run_sweep(cfg: RunConfig, thetas: Sequence[float], parallel: int = 0) -> list[dict]:
+def run_sweep(cfg: RunConfig, thetas: Sequence[float]) -> list[dict]:
     """One run per theta; returns and writes the theta/error table."""
     thetas = [float(t) for t in thetas]
-    configs, summaries = run_variants(cfg, "theta", thetas, "theta_{:g}", parallel)
+    configs, summaries = run_variants(cfg, "theta", thetas, "theta_{:g}")
     rows = [
         {
             "theta": c.theta,

@@ -175,8 +175,15 @@ class TestTrainCommand:
              "learning_rate must be finite and > 0, got nan"),
             ("flag", "learning_rate", "inf",
              "learning_rate must be finite and > 0, got inf"),
+            ("flag", "eval_every", "0", "eval_every must be >= 1, got 0"),
+            ("flag", "entropy_eval_n", "1", "entropy_eval_n must be >= 2, got 1"),
+            ("flag", "train_subset", "0", "train_subset must be >= 1, got 0"),
+            ("flag", "batch_size", "0", "batch_size must be >= 1, got 0"),
+            ("flag", "negatives_per_positive", "0",
+             "negatives_per_positive must be >= 1, got 0"),
         ],
-        ids=["seed_flag", "seed_config", "lr_nan", "lr_inf"],
+        ids=["seed_flag", "seed_config", "lr_nan", "lr_inf", "eval_every",
+             "entropy_eval_n", "train_subset", "batch_size", "negatives_per_positive"],
     )
     def test_bad_shared_setting_is_a_one_line_error(
         self, data_dir, tmp_path, capsys, source, field, value, message
@@ -411,8 +418,8 @@ class TestTrainCommand:
         assert len(done.stderr.splitlines()) == 1, done.stderr
         assert done.stderr.startswith("error: non-finite loss at layer "), done.stderr
 
-    def test_sweep_workers_show_their_warnings(self, tmp_path):
-        """A worker process's warnings are not held in its copy of the parent's list."""
+    def test_sweep_shows_its_runs_warnings(self, tmp_path):
+        """A successful sweep shows the warnings each of its runs raised."""
         script = (
             "import sys, warnings\n"
             "import ffnet.cli, ffnet.runner\n"
@@ -425,7 +432,7 @@ class TestTrainCommand:
         done = subprocess.run(
             [sys.executable, "-c", script, "sweep", "--method", "ff", "--dataset", "mnist",
              "--layer-dims", "794,8", "--output-dir", str(tmp_path / "sweep"),
-             "--thetas", "3,6", "--parallel", "2"],
+             "--thetas", "3,6"],
             env={**os.environ, "PYTHONPATH": str(Path(ffnet.__file__).parents[1])},
             capture_output=True, text=True, timeout=300,
         )
@@ -433,12 +440,12 @@ class TestTrainCommand:
         assert "RuntimeWarning: theta 3 warns" in done.stderr
         assert "RuntimeWarning: theta 6 warns" in done.stderr
 
-    def test_diverging_parallel_sweep_prints_no_warnings(self, data_dir, tmp_path):
-        """A worker's RuntimeWarnings are held by the parent, so a diverging
-        parallel sweep prints its one error line alone."""
+    def test_diverging_sweep_prints_no_warnings(self, data_dir, tmp_path):
+        """A run's RuntimeWarnings are held, so a diverging sweep prints its
+        one error line alone."""
         done = subprocess.run(
             [sys.executable, "-m", "ffnet", "sweep", "--method", "collab_ff",
-             "--learning-rate", "1e300", "--thetas", "5,6", "--parallel", "2",
+             "--learning-rate", "1e300", "--thetas", "5,6",
              "--data-dir", str(data_dir), "--output-dir", str(tmp_path / "sweep"),
              *TRAIN_FLAGS],
             env={**os.environ, "PYTHONPATH": str(Path(ffnet.__file__).parents[1])},
@@ -503,7 +510,7 @@ class TestRunFlags:
 
     @pytest.mark.parametrize(
         ("command", "own"),
-        [("train", ["--seeds"]), ("sweep", ["--thetas", "--parallel"])],
+        [("train", ["--seeds"]), ("sweep", ["--thetas"])],
     )
     def test_one_flag_per_field_plus_the_command_flags(self, command, own):
         [commands] = [
@@ -546,6 +553,22 @@ class TestRunFlags:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"ffnet {command}: error: argument {flag}: empty entry in {value!r}"
+        )
+
+    @pytest.mark.parametrize(
+        ("command", "flag", "value", "bad"),
+        [("train", "--layer-dims", "794,1.5", "1.5"), ("train", "--seeds", "1,x", "x"),
+         ("sweep", "--thetas", "3,five", "five")],
+        ids=["dims", "seeds", "thetas"],
+    )
+    def test_bad_entry_of_a_comma_list_is_a_usage_error(
+        self, capsys, command, flag, value, bad
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *RUN_COMMANDS[command], flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"ffnet {command}: error: argument {flag}: bad entry {bad!r} in {value!r}"
         )
 
     @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
@@ -901,55 +924,6 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert (out / "theta_3" / "checkpoint.npz").exists()
         assert (out / "theta_6" / "checkpoint.npz").exists()
-
-    def test_parallel_sweep_matches_sequential(self, data_dir, tmp_path):
-        """Worker processes must produce the same errors as in-process runs."""
-        results = {}
-        for tag, extra in (("seq", []), ("par", ["--parallel", "2"])):
-            out = tmp_path / tag
-            assert self.sweep(data_dir, out, "--thetas", "3,6", *extra) == 0
-            results[tag] = (out / "sweep.csv").read_text()
-        assert results["seq"] == results["par"]
-
-    def test_negative_parallel_is_a_one_line_error(self, data_dir, tmp_path, capsys):
-        out = tmp_path / "sweep"
-        assert self.sweep(data_dir, out, "--thetas", "3,6", "--parallel", "-3") == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: parallel must be a non-negative worker count, got -3"
-        ]
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        ("thetas", "parallel", "workers"),
-        [("3,6", "64", [2]), ("3,6,9", "2", [2]), ("3", "8", [])],
-        ids=["capped", "below_cap", "one_run"],
-    )
-    def test_parallel_never_exceeds_the_runs(
-        self, data_dir, tmp_path, monkeypatch, thetas, parallel, workers
-    ):
-        """The pool is sized to the runs; a recording stand-in runs them in-process."""
-        import concurrent.futures
-
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        out = tmp_path / "sweep"
-        assert self.sweep(data_dir, out, "--thetas", thetas, "--parallel", parallel) == 0
-        assert started == workers
-        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + len(thetas.split(","))
 
 
 class TestFetch:

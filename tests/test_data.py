@@ -146,6 +146,25 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="truncated"):
             load_idx(stub, stub)
 
+    @pytest.mark.parametrize(
+        "values",
+        [[[0.4, 0.6, 1.0]], [300, -1], [np.nan, 1.0], [np.inf]],
+        ids=["fractions", "out_of_range", "nan", "inf"],
+    )
+    def test_values_a_byte_cannot_hold_are_rejected(self, tmp_path, values):
+        path = tmp_path / "bad-idx1-ubyte"
+        with pytest.raises(DataFormatError, match="whole numbers in 0..255") as error:
+            write_idx(path, np.array(values))
+        assert "\n" not in str(error.value)
+        assert not path.exists()
+
+    def test_whole_values_of_any_dtype_are_stored_as_bytes(self, tmp_path):
+        values = np.array([[0, 7, 255]])
+        write_idx(tmp_path / "uint8", values.astype(np.uint8))
+        for dtype in (np.int64, np.float64):
+            write_idx(tmp_path / "other", values.astype(dtype))
+            assert (tmp_path / "other").read_bytes() == (tmp_path / "uint8").read_bytes()
+
     def test_count_mismatch_between_files(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(5, 28, 28)).astype(np.uint8)
         labels = rng.integers(0, 10, size=4).astype(np.uint8)
@@ -272,6 +291,26 @@ class TestDatasetValidation:
     def test_label_range_enforced(self):
         with pytest.raises(DataFormatError, match="labels"):
             Dataset(np.zeros((2, 4)), np.array([0, 11]), "synthetic", "train")
+
+    @pytest.mark.parametrize(
+        "labels", [[1.7, 2.2], [1.0, np.nan]], ids=["fractions", "nan"]
+    )
+    def test_labels_that_are_not_whole_numbers_are_rejected(self, labels):
+        with pytest.raises(DataFormatError, match="labels must be whole numbers"):
+            Dataset(np.zeros((2, 3)), labels, "synthetic", "train")
+
+    def test_whole_float_labels_are_taken_as_int64(self):
+        ds = Dataset(np.zeros((2, 3)), [1.0, 2.0], "synthetic", "train")
+        assert ds.labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.labels, [1, 2])
+
+    def test_pixels_must_be_2d(self):
+        with pytest.raises(DataFormatError, match=r"images must be 2-D, got shape \(2, 3, 4\)"):
+            Dataset(np.zeros((2, 3, 4)), np.zeros(2, dtype=int), "synthetic", "train")
+
+    def test_label_count_must_match_image_count(self):
+        with pytest.raises(DataFormatError, match="does not match 2 images"):
+            Dataset(np.zeros((2, 4)), np.zeros(3, dtype=int), "synthetic", "train")
 
 
 class TestLinking:

@@ -219,6 +219,53 @@ def test_the_check_finds_a_loss_read_outside_goodness_loss():
     ]
 
 
+CONCURRENCY = ("concurrent.futures", "multiprocessing", "threading")
+
+
+def concurrency_imports(source: str) -> list[str]:
+    """Absolute imports from a module of ``CONCURRENCY`` (or a submodule),
+    anywhere in ``source``: ffnet runs every computation in the calling
+    thread of one process."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [
+            f"{name} (line {node.lineno})"
+            for name in names
+            if any((name + ".").startswith(module + ".") for module in CONCURRENCY)
+        ]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_module_imports_a_concurrency_module(path):
+    assert concurrency_imports(path.read_text()) == []
+
+
+def test_the_check_finds_a_concurrency_import():
+    source = (
+        "import os, threading\n"
+        "from concurrent import futures\n"
+        "import multiprocessing.pool as mp\n"
+        "from .threading import lock\n"
+        "import threadpoolctl\n"
+        "def run():\n"
+        "    from concurrent.futures import ProcessPoolExecutor\n"
+        "    return ProcessPoolExecutor\n"
+    )
+    assert concurrency_imports(source) == [
+        "threading (line 1)",
+        "concurrent.futures (line 2)",
+        "multiprocessing.pool (line 3)",
+        "concurrent.futures.ProcessPoolExecutor (line 7)",
+    ]
+
+
 TRAINERS = ("ff.train", "baselines.train_pairwise", "baselines.train_classic")
 
 
