@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .ff import check_test_size, checked_layers, label_goodness_scores, voting_error
+from .ff import check_split_size, checked_layers, label_goodness_scores, voting_error
 from .nn import MlpNetwork
 from .reports import subset_label
 
@@ -102,7 +102,7 @@ def subset_errors(scores: np.ndarray, labels, subsets) -> SubsetEvalReport:
 
 def evaluate_subsets(net: MlpNetwork, ds: Dataset, subsets) -> SubsetEvalReport:
     """Test error of goodness voting restricted to each requested subset."""
-    check_test_size(ds.n)
+    check_split_size(ds.n, "test")
     return subset_errors(label_goodness_scores(net, ds), ds.labels, subsets)
 
 

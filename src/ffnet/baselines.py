@@ -21,8 +21,8 @@ import numpy as np
 from .data import N_LABELS, Dataset, make_linked_batches, make_plain_batches, one_hot
 from .errors import ShapeError
 from .ff import (
-    FfConfig, activity_coeffs, check_test_size, check_train_size, fit, goodness,
-    goodness_loss, score_rows, voting_error,
+    FfConfig, activity_coeffs, check_split_size, fit, goodness, goodness_loss,
+    score_rows, voting_error,
 )
 from .nn import MlpNetwork, backprop_updates, forward_pass
 
@@ -51,7 +51,7 @@ def train_pairwise(
     on_epoch: Optional[Callable[[int, MlpNetwork], None]] = None,
 ) -> tuple[MlpNetwork, list[dict]]:
     """Backprop the last layer's goodness loss (gamma 0) through every layer."""
-    check_train_size(ds.n)
+    check_split_size(ds.n, "training")
     last = net.depth - 1
 
     def step(batch, layers, stats):
@@ -79,7 +79,7 @@ def classic_logits(net: MlpNetwork, images, normalize: bool = False, idx=None) -
 
 def classic_test_error(net: MlpNetwork, ds: Dataset, normalize: bool = False) -> float:
     """Misclassified fraction: the logits vote as one layer (:func:`~ffnet.ff.vote`)."""
-    check_test_size(ds.n)
+    check_split_size(ds.n, "test")
     return voting_error(classic_logits(net, ds, normalize)[:, :, None], ds.labels, [0])
 
 
@@ -95,7 +95,7 @@ def train_classic(
     un-rectified). Inter-layer normalization is off by default, matching a
     standard MLP; ``cfg.classic_normalize`` turns it on for the ablation variant.
     """
-    check_train_size(ds.n)
+    check_split_size(ds.n, "training")
     last = net.depth - 1
 
     def step(batch, layers, stats):

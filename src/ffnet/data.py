@@ -160,7 +160,7 @@ def _read_idx(path, expected_magic: int, what: str) -> np.ndarray:
     if len(raw) < header_len:
         raise DataFormatError(f"{what} file {path}: truncated dimension header")
     dims = struct.unpack(f">{ndim}I", raw[4:header_len])
-    expected_items = int(np.prod(dims))
+    expected_items = math.prod(dims)
     payload = np.frombuffer(raw, dtype=np.uint8, offset=header_len)
     if payload.size != expected_items:
         raise DataFormatError(
@@ -273,6 +273,14 @@ def split_linked_weights(weights, n_pixels: int) -> tuple[np.ndarray, np.ndarray
     return weights[:n_pixels], weights[n_pixels:]
 
 
+def linked_copies(rows: int, samples: int) -> int:
+    """Linked rows per sample of a label-factored batch of ``rows`` rows over
+    ``samples`` samples; ``samples`` must be nonzero and divide ``rows``."""
+    if samples == 0 or rows % samples:
+        raise ShapeError(f"{rows} linked rows are not a multiple of {samples} samples")
+    return rows // samples
+
+
 @dataclass
 class LinkedBatch:
     """One training batch: ``m`` samples, each linked with ``copies`` labels.
@@ -280,8 +288,8 @@ class LinkedBatch:
     Row ``r`` of the batch is sample ``r % m`` linked with
     ``linked_labels[r]``. The first ``m`` rows are positives, linked with the
     true label; the rest are negatives, each a uniformly random wrong one.
-    The per-row arrays have ``copies * m`` entries; ``images`` holds each
-    sample's pixels once.
+    The per-row arrays have ``copies * m`` entries, which
+    :func:`linked_copies` checks; ``images`` holds each sample's pixels once.
     """
 
     images: np.ndarray        # (m, d) the samples' pixels
@@ -291,7 +299,7 @@ class LinkedBatch:
     @property
     def copies(self) -> int:
         """Rows per sample: one positive plus the negatives."""
-        return self.linked_labels.shape[0] // self.images.shape[0]
+        return linked_copies(self.linked_labels.shape[0], self.images.shape[0])
 
     def linked_inputs(self) -> np.ndarray:
         """(rows, d + N_LABELS) linked matrix of the batch, built on demand.

@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import Dataset, draw_eval_sample
 from .errors import DomainError
-from .ff import check_test_size, label_goodness_scores, linked_goodness
+from .ff import check_split_size, label_goodness_scores, linked_goodness
 from .nn import MlpNetwork
 
 @dataclass
@@ -87,20 +87,19 @@ def entropy_decompose(values) -> EntropyReport:
     The grid uses uniform weights over samples, layers, and their product.
     within_layer[i] is the entropy of column i; across_layers is the entropy
     of the per-layer column means; overall equals across_layers plus the
-    mean of within_layer (up to rounding).
+    mean of within_layer (up to rounding). Taken first, ``overall`` rejects
+    an empty or a negative table (:func:`functional_entropy`).
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.size == 0:
-        raise DomainError(f"need a nonempty 2-D goodness table, got shape {values.shape}")
-    if np.any(values < 0):
-        raise DomainError("goodness values must be non-negative")
+    if values.ndim != 2:
+        raise DomainError(f"need a 2-D goodness table, got shape {values.shape}")
     m, depth = values.shape
+    overall = functional_entropy(values.ravel())
     within = np.array(
         [functional_entropy(values[:, i]) for i in range(depth)]
     )
     layer_means = values.mean(axis=0)
     across = functional_entropy(layer_means)
-    overall = functional_entropy(values.ravel())
     return EntropyReport(
         overall=overall,
         across_layers=across,
@@ -126,7 +125,7 @@ def goodness_entropy_reports(
     Equal seeds give identical draws, so trajectories measured at different
     training stages stay comparable.
     """
-    check_test_size(ds.n)
+    check_split_size(ds.n, "test")
     idx, labels, wrong = draw_eval_sample(ds, n_samples, seed)
     scores = label_goodness_scores(net, ds, idx)
     return split_entropy_reports(

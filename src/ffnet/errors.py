@@ -18,11 +18,7 @@ class DataFormatError(ValueError):
 
 
 class DomainError(ValueError):
-    """An input lies outside an estimator's mathematical domain."""
-
-
-class EstimationError(ValueError):
-    """Not enough data to form the requested estimate."""
+    """An input lies outside an estimator's domain or holds too few values for it."""
 
 
 class CheckpointError(ValueError):

@@ -14,6 +14,7 @@ import hashlib
 import os
 import shutil
 import tarfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,16 +130,19 @@ def fetch_dataset(name: str, data_dir=None, downloader=_download) -> list[Path]:
 def _extract_cifar(archive: Path, target_dir: Path) -> None:
     if all((target_dir / member).exists() for member in CIFAR_MEMBERS):
         return
-    with tarfile.open(archive, "r:gz") as tar:
-        for member in tar.getmembers():
-            base = os.path.basename(member.name)
-            if base in CIFAR_MEMBERS and member.isfile():
-                source = tar.extractfile(member)
-                if source is None:
-                    raise DataFormatError(f"unreadable member {member.name} in {archive}")
-                # A copy cut short leaves no member: extraction is skipped
-                # only once every member exists.
-                atomic_write(target_dir / base, lambda out: shutil.copyfileobj(source, out))
+    try:
+        with tarfile.open(archive, "r:gz") as tar:
+            for member in tar.getmembers():
+                base = os.path.basename(member.name)
+                if base in CIFAR_MEMBERS and member.isfile():
+                    source = tar.extractfile(member)
+                    if source is None:
+                        raise DataFormatError(f"unreadable member {member.name} in {archive}")
+                    # A copy cut short leaves no member: extraction is skipped
+                    # only once every member exists.
+                    atomic_write(target_dir / base, lambda out: shutil.copyfileobj(source, out))
+    except (tarfile.TarError, EOFError, zlib.error) as exc:
+        raise DataFormatError(f"CIFAR-10 archive {archive}: unreadable ({exc})") from exc
     missing = [m for m in CIFAR_MEMBERS if not (target_dir / m).exists()]
     if missing:
         raise DataFormatError(f"{archive} lacks expected members: {missing}")

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .data import N_LABELS, Dataset, LinkedBatch, make_linked_batches
-from .errors import ConfigError, EstimationError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .linalg import as_matrix, make_rng, row_sumsq, sigmoid
 from .nn import (
     AdamState,
@@ -201,7 +201,7 @@ def entropy_objective(g, gamma, polarity) -> tuple[float, np.ndarray]:
         if count == 0:
             continue
         if count < _ENTROPY_MIN_ROWS:
-            raise EstimationError(
+            raise DomainError(
                 f"entropy objective needs at least {_ENTROPY_MIN_ROWS} samples per "
                 f"polarity, got {count}"
             )
@@ -214,7 +214,8 @@ def entropy_objective(g, gamma, polarity) -> tuple[float, np.ndarray]:
 
 def goodness_loss(g, gamma, polarity, loss_kind: str, theta) -> tuple[float, np.ndarray]:
     """The loss a layer minimizes on goodness ``g``, and its derivative in g: :func:`ff_loss`
-    under ``sigmoid_goodness``, else the negated :func:`entropy_objective` (no theta)."""
+    under ``sigmoid_goodness``, the negated :func:`entropy_objective` (no theta) under
+    ``entropy``."""
     g, polarity = np.asarray(g, dtype=np.float64), np.asarray(polarity, dtype=np.float64)
     if polarity.shape != g.shape:
         raise ShapeError(
@@ -222,8 +223,10 @@ def goodness_loss(g, gamma, polarity, loss_kind: str, theta) -> tuple[float, np.
         )
     if loss_kind == "sigmoid_goodness":
         return ff_loss(g, gamma, theta, polarity)
-    objective, ascent = entropy_objective(g, gamma, polarity)
-    return -objective, -ascent
+    if loss_kind == "entropy":
+        objective, ascent = entropy_objective(g, gamma, polarity)
+        return -objective, -ascent
+    raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
 
 
 def activity_coeffs(act: np.ndarray, d_g: np.ndarray) -> np.ndarray:
@@ -317,30 +320,18 @@ def schedule_stages(schedule: str, depth: int) -> list[list[int]]:
     raise ConfigError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
 
 
-def check_train_size(n: int, loss_kind: str = "") -> None:
-    """Reject a training split too small for every epoch to train a batch: that
-    takes 1 sample, or 2 under the entropy objective, which skips a batch with
-    fewer than 2 rows of one polarity. A backprop baseline passes no ``loss_kind``."""
+def check_split_size(n: int, split: str, loss_kind: str = "") -> None:
+    """Reject a ``"training"`` or ``"test"`` split of ``n`` samples too small to
+    use: every method needs 1, the entropy objective 2, for the per-polarity
+    means of a batch or of the evaluation sample (the whole test split up to
+    ``entropy_eval_n``, at least 2). A baseline or a test error alone passes
+    no ``loss_kind``."""
+    if n < 1:
+        use = "training" if split == "training" else "evaluation"
+        raise ConfigError(f"{use} needs 1 {split} sample, got {n}")
     if loss_kind == "entropy" and n < _ENTROPY_MIN_ROWS:
         raise ConfigError(
-            f"the entropy objective needs {_ENTROPY_MIN_ROWS} training samples, got {n}"
-        )
-    if n < 1:
-        raise ConfigError(f"training needs 1 training sample, got {n}")
-
-
-def check_test_size(n: int, loss_kind: str = "") -> None:
-    """Reject a test split too small to score: every method needs 1 sample for
-    its test error, and a snapshot takes the objective over the positive and
-    the negative rows of the evaluation sample, one of each per sample, where
-    the entropy objective needs 2 of each. The sample holds the whole split up
-    to ``entropy_eval_n``, which is at least 2. A test error alone passes no
-    ``loss_kind``."""
-    if n < 1:
-        raise ConfigError(f"evaluation needs 1 test sample, got {n}")
-    if loss_kind == "entropy" and n < _ENTROPY_MIN_ROWS:
-        raise ConfigError(
-            f"the entropy objective needs {_ENTROPY_MIN_ROWS} test samples, got {n}"
+            f"the entropy objective needs {_ENTROPY_MIN_ROWS} {split} samples, got {n}"
         )
 
 
@@ -417,15 +408,14 @@ def train(
     staged layer's gamma and gradient come from that trace. Layers outside
     the stage stay frozen but still feed gamma: the predecessors under
     ``predecessors_only``, all other layers under ``all_other_layers``. The
-    entropy objective skips a batch with fewer than 2 rows of one polarity
-    (a trailing one-sample batch).
+    entropy objective skips a batch of fewer than 2 samples, and so of fewer
+    than 2 positive rows (a trailing one-sample batch).
     """
-    check_train_size(ds.n, cfg.loss_kind)
+    check_split_size(ds.n, "training", cfg.loss_kind)
     depth = net.depth
 
     def step(batch: LinkedBatch, layers: list[int], stats: EpochStats):
-        pos = batch.polarity > 0
-        if cfg.loss_kind == "entropy" and min(pos.sum(), (~pos).sum()) < _ENTROPY_MIN_ROWS:
+        if cfg.loss_kind == "entropy" and len(batch.images) < _ENTROPY_MIN_ROWS:
             return []
         # Successor activations are only needed when they feed gamma.
         upto = depth if cfg.gamma_mode == "all_other_layers" else layers[-1] + 1
@@ -530,5 +520,5 @@ def infer(net: MlpNetwork, x, mask=None) -> int:
 def test_error(net: MlpNetwork, ds: Dataset, mask=None) -> float:
     """Fraction of misclassified samples under goodness voting."""
     layers = checked_layers(mask, net.depth)
-    check_test_size(ds.n)
+    check_split_size(ds.n, "test")
     return voting_error(label_goodness_scores(net, ds), ds.labels, layers)

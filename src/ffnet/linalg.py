@@ -28,10 +28,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a contiguous 2-D float64 array; 1-D becomes one row."""
+    """Coerce ``a`` to a contiguous 2-D float64 array; any other rank is a ShapeError."""
     out = np.asarray(a, dtype=np.float64)
-    if out.ndim == 1:
-        out = out[np.newaxis, :]
     if out.ndim != 2:
         raise ShapeError(f"expected a 2-D array, got shape {out.shape}")
     return np.ascontiguousarray(out)

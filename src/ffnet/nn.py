@@ -44,11 +44,12 @@ drops the stage's pairs when the stage ends).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import N_LABELS, one_hot, split_linked_weights
+from .data import N_LABELS, linked_copies, one_hot, split_linked_weights
 from .errors import ConfigError, ShapeError
 from .linalg import NORM_EPSILON, as_matrix, l2_row_normalize, relu
 
@@ -181,7 +182,7 @@ def forward_pass(
     if width != net.input_dim:
         raise ShapeError(f"batch has {width} columns, network expects {net.input_dim}")
     if factored:
-        copies = _linked_copies(len(linked_labels), batch.shape[0])
+        copies = linked_copies(len(linked_labels), batch.shape[0])
         pixel_rows, offsets = first_layer_factors(net, batch.shape[1])
         pixel_pre = batch @ pixel_rows
         first_pre = offsets[linked_labels]
@@ -205,13 +206,6 @@ def first_layer_factors(net: MlpNetwork, n_pixels: int) -> tuple[np.ndarray, np.
     first = net.layers[0]
     pixel_rows, label_rows = split_linked_weights(first.weights, n_pixels)
     return pixel_rows, label_rows + first.biases
-
-
-def _linked_copies(rows: int, samples: int) -> int:
-    """Linked rows per sample of a label-factored batch."""
-    if samples == 0 or rows % samples:
-        raise ShapeError(f"{rows} linked rows are not a multiple of {samples} samples")
-    return rows // samples
 
 
 def forward_from_pre(
@@ -308,7 +302,7 @@ def _param_grads(layer_input, d_pre, linked_labels=None) -> tuple[np.ndarray, np
     if linked_labels is None:
         return layer_input.T @ d_pre, grad_b
     m, n_pixels = layer_input.shape
-    copies = _linked_copies(len(linked_labels), m)
+    copies = linked_copies(len(linked_labels), m)
     grad_w = np.empty((n_pixels + N_LABELS, d_pre.shape[1]))
     pixel_rows, label_rows = split_linked_weights(grad_w, n_pixels)
     per_sample = d_pre.reshape(copies, m, d_pre.shape[1]).sum(axis=0)
@@ -446,7 +440,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-    row_size = int(np.prod(param.shape[1:]))
+    row_size = math.prod(param.shape[1:])
     block_rows = max(1, ADAM_BLOCK // max(row_size, 1))
     scratch = np.empty((block_rows, *param.shape[1:]))
     step = np.empty_like(scratch)

@@ -284,8 +284,8 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     if cfg.train_subset is not None:
         train_ds = train_ds.subset(cfg.train_subset)
     ff_cfg = cfg.ff_config()
-    ff.check_train_size(train_ds.n, ff_cfg.loss_kind)
-    ff.check_test_size(test_ds.n, ff_cfg.loss_kind)
+    ff.check_split_size(train_ds.n, "training", ff_cfg.loss_kind)
+    ff.check_split_size(test_ds.n, "test", ff_cfg.loss_kind)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = cfg.to_dict()
@@ -375,7 +375,7 @@ def evaluate_checkpoint(
     name = dataset or cfg.dataset
     test_ds = load_dataset(name, "test", data_dir or cfg.data_dir)
     _check_input_width(cfg.method, net.input_dim, test_ds.d, f"{name} test")
-    ff.check_test_size(test_ds.n, cfg.ff_config().loss_kind)
+    ff.check_split_size(test_ds.n, "test", cfg.ff_config().loss_kind)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -181,9 +181,15 @@ class TestTrainCommand:
             ("flag", "batch_size", "0", "batch_size must be >= 1, got 0"),
             ("flag", "negatives_per_positive", "0",
              "negatives_per_positive must be >= 1, got 0"),
+            ("config", "gamma_mode", "all",
+             "gamma_mode must be one of ('none', 'all_other_layers', 'predecessors_only'), "
+             "got 'all'"),
+            ("config", "schedule", "greedy",
+             "schedule must be one of ('layerwise', 'alternating'), got 'greedy'"),
         ],
         ids=["seed_flag", "seed_config", "lr_nan", "lr_inf", "eval_every",
-             "entropy_eval_n", "train_subset", "batch_size", "negatives_per_positive"],
+             "entropy_eval_n", "train_subset", "batch_size", "negatives_per_positive",
+             "gamma_mode_config", "schedule_config"],
     )
     def test_bad_shared_setting_is_a_one_line_error(
         self, data_dir, tmp_path, capsys, source, field, value, message
@@ -201,6 +207,21 @@ class TestTrainCommand:
         rc = main(args)
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (out / "config.json").exists()
+
+    def test_unknown_dataset_of_a_config_file_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys
+    ):
+        """The --dataset flag takes only known names; a config file's dataset
+        with explicit layer_dims reaches the loader, which names it."""
+        out = tmp_path / "bad"
+        config_file = tmp_path / "bad.json"
+        config_file.write_text(json.dumps({"dataset": "emnist"}))
+        rc = main(["train", "--method", "ff", "--data-dir", str(data_dir),
+                   "--output-dir", str(out), "--config", str(config_file),
+                   "--layer-dims", "794,24,16,12"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: unknown dataset 'emnist'"]
         assert not (out / "config.json").exists()
 
     @pytest.mark.parametrize(
@@ -1036,6 +1057,27 @@ class TestFetch:
         monkeypatch.setattr(fetch_mod.shutil, "copyfileobj", copy)
         fetch_dataset("cifar10", cache)
         assert fetch_mod.load_dataset("cifar10", "test", cache).n == 4
+
+    @pytest.mark.parametrize("damage", ["not_gzip", "truncated"])
+    def test_corrupt_cifar_archive_is_a_one_line_error(
+        self, tmp_path, monkeypatch, capsys, damage
+    ):
+        """An archive that is not gzip, or is cut short, fails extraction with
+        one error line that names the cached archive."""
+        import ffnet.fetch as fetch_mod
+
+        self._serve_cifar(tmp_path, monkeypatch)
+        archive = tmp_path / "server" / "cifar-10-binary.tar.gz"
+        raw = archive.read_bytes()
+        archive.write_bytes(b"not an archive" if damage == "not_gzip" else raw[: len(raw) // 2])
+        spec = [RemoteFile(archive.name, archive.as_uri(), sha256_file(archive))]
+        monkeypatch.setitem(fetch_mod.DATASETS, "cifar10", spec)
+        cache = tmp_path / "cache"
+        rc = main(["fetch", "cifar10", "--data-dir", str(cache)])
+        assert rc == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: CIFAR-10 archive {cache / 'cifar10' / archive.name}: "
+                               "unreadable (")
 
     @pytest.mark.parametrize(
         ("name", "train", "test"),

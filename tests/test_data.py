@@ -1,4 +1,5 @@
 import gzip
+import math
 import struct
 import tracemalloc
 
@@ -8,6 +9,7 @@ from conftest import traced_peak
 
 from ffnet.data import (
     Dataset,
+    LinkedBatch,
     link_inputs,
     load_cifar_bin,
     load_idx,
@@ -17,7 +19,7 @@ from ffnet.data import (
     sample_wrong_labels,
     write_idx,
 )
-from ffnet.errors import ConfigError, DataFormatError
+from ffnet.errors import ConfigError, DataFormatError, ShapeError
 from ffnet.linalg import make_rng
 from ffnet.synth import synthetic_dataset
 
@@ -142,9 +144,27 @@ class TestIdx:
 
     def test_truncated_header_is_a_format_error(self, tmp_path):
         stub = tmp_path / "stub"
-        stub.write_bytes(struct.pack(">I", 0x00000803) + b"\x00\x00")
-        with pytest.raises(DataFormatError, match="truncated"):
+        for header, part in ((struct.pack(">I", 0x00000803) + b"\x00\x00", "dimension header"),
+                             (b"\x00\x00", "before magic")):
+            stub.write_bytes(header)
+            with pytest.raises(DataFormatError) as error:
+                load_idx(stub, stub)
+            assert str(error.value) == f"images file {stub}: truncated {part}"
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(4194304, 2097152, 2097152), (4294967295, 4294967295, 1)],
+        ids=["wraps_to_zero", "wraps_negative"],
+    )
+    def test_header_product_past_int64_is_a_format_error(self, tmp_path, dims):
+        """The payload size is the exact product of the dims, however large."""
+        stub = tmp_path / "huge-idx3-ubyte"
+        stub.write_bytes(struct.pack(">4I", 0x00000803, *dims))
+        with pytest.raises(DataFormatError) as error:
             load_idx(stub, stub)
+        assert str(error.value) == (
+            f"images file {stub}: expected {math.prod(dims)} data bytes, found 0"
+        )
 
     @pytest.mark.parametrize(
         "values",
@@ -432,6 +452,12 @@ class TestLinkedBatches:
         ds = synthetic_dataset(10, d=8, seed=0)
         with pytest.raises(ConfigError):
             list(make_linked_batches(ds, make_rng(0), 0))
+
+    def test_copies_rejects_rows_that_are_not_a_multiple_of_the_samples(self):
+        """``copies`` is the forward pass's rows-per-sample rule, not a floor division."""
+        batch = LinkedBatch(np.zeros((2, 8)), np.ones(5), np.zeros(5, dtype=np.int64))
+        with pytest.raises(ShapeError, match=r"^5 linked rows are not a multiple of 2 samples$"):
+            batch.copies
 
     def test_plain_batches_cover_dataset(self):
         ds = synthetic_dataset(30, d=8, seed=1)

@@ -14,13 +14,14 @@ from conftest import (
 )
 
 from ffnet.data import Dataset, link_inputs, make_linked_batches
-from ffnet.errors import ConfigError, EstimationError, ShapeError
+from ffnet.errors import ConfigError, DomainError, ShapeError
 from ffnet.ff import (
     FfConfig,
     compute_gamma,
     entropy_loss_and_coeffs,
     ff_loss_and_coeffs,
     goodness,
+    goodness_loss,
     goodness_table,
     infer,
     label_goodness_scores,
@@ -144,6 +145,15 @@ class TestFfLoss:
         numeric = fd_grad(loss, act)
         assert agreement([coeffs], [numeric], tol=1e-6) >= 0.99
 
+    def test_unknown_loss_kind_is_rejected_as_ff_config_rejects_it(self):
+        with pytest.raises(ConfigError) as config_error:
+            FfConfig(loss_kind="sigmoid")
+        with pytest.raises(ConfigError) as loss_error:
+            goodness_loss(np.ones(4), 0.0, np.array([1.0, 1.0, -1.0, -1.0]), "sigmoid", 1.0)
+        assert str(loss_error.value) == str(config_error.value) == (
+            "loss_kind must be one of ('sigmoid_goodness', 'entropy'), got 'sigmoid'"
+        )
+
 
 class TestEntropyLoss:
     def test_constant_h_gives_zero(self):
@@ -184,7 +194,7 @@ class TestEntropyLoss:
     def test_single_sample_polarity_group_rejected(self):
         act = np.ones((3, 2))
         trace = trace_from_activities(act)
-        with pytest.raises(EstimationError):
+        with pytest.raises(DomainError):
             entropy_loss_and_coeffs(
                 trace, 0, 0.0, np.array([1.0, 1.0, -1.0])
             )

@@ -4,13 +4,23 @@ import numpy as np
 import pytest
 from conftest import SIGMOID_EDGES
 
+from ffnet.errors import ShapeError
 from ffnet.linalg import (
+    as_matrix,
     l2_row_normalize,
     make_rng,
     relu,
     row_sumsq,
     sigmoid,
 )
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)], ids=["0d", "1d", "3d"])
+    def test_any_rank_but_two_is_a_shape_error(self, shape):
+        with pytest.raises(ShapeError) as error:
+            as_matrix(np.zeros(shape))
+        assert str(error.value) == f"expected a 2-D array, got shape {shape}"
 
 
 class TestRelu:

@@ -311,3 +311,36 @@ def test_the_check_finds_a_trainer_read_outside_the_method_table():
         "ff.train (line 6)",
         "baselines.train_pairwise (line 7)",
     ]
+
+
+def numpy_prods(source: str) -> list[str]:
+    """Reads of NumPy's ``prod``: ``np.prod``, ``numpy.prod``, or ``prod``
+    imported from numpy. Every product the package takes is of shape or
+    header integers, which ``math.prod`` computes exactly; NumPy's wraps
+    around past int64 without a warning."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.attr == "prod" and node.value.id in ("np", "numpy"):
+                found.append((node.lineno, f"{node.value.id}.prod"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, "numpy.prod") for alias in node.names if alias.name == "prod"]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_module_takes_a_numpy_product(path):
+    assert numpy_prods(path.read_text()) == []
+
+
+def test_the_check_finds_a_numpy_product():
+    source = (
+        "import math\n"
+        "import numpy as np\n"
+        "from numpy import prod, sum as total\n"
+        "size = np.prod(shape) * math.prod(shape)\n"
+        "rows = numpy.prod(dims), array.prod(), prod, np.product\n"
+    )
+    assert numpy_prods(source) == [
+        "numpy.prod (line 3)", "np.prod (line 4)", "numpy.prod (line 5)",
+    ]
