@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tokenize
 import zipfile
 from pathlib import Path
 
@@ -55,17 +56,16 @@ def load_checkpoint(path) -> tuple[MlpNetwork, dict, str]:
                 for i in range(len(dims) - 1)
             ]
             config = json.loads(bytes(bundle["config_json"]).decode("utf-8"))
+            if not isinstance(config, dict):
+                raise CheckpointError("config is not a JSON object")
             stored_hash = bytes(bundle["config_hash"]).decode("ascii")
-    # TypeError: a bare .npy array is no context manager. ValueError covers
-    # a config that is not valid JSON and arrays that do not chain.
-    except (KeyError, ValueError, OSError, TypeError, zipfile.BadZipFile) as exc:
+    # TypeError: a bare .npy array is no context manager; ValueError: a config that is not a
+    # JSON object, arrays that do not chain; the rest: damaged zip entries or .npy headers.
+    except (KeyError, ValueError, OSError, TypeError, EOFError, RuntimeError,
+            zipfile.BadZipFile, tokenize.TokenError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     if config_hash(config) != stored_hash:
         raise CheckpointError(f"checkpoint {path}: config hash mismatch")
-    if not isinstance(config, dict):
-        raise CheckpointError(
-            f"malformed checkpoint {path}: config is not a JSON object"
-        )
     return MlpNetwork(layers), config, stored_hash
 
 

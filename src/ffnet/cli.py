@@ -25,7 +25,7 @@ from pathlib import Path
 from .analysis import parse_subset_label
 from .errors import ConfigError
 from .ff import GAMMA_MODES, SCHEDULES
-from .fetch import DATASETS, fetch_dataset
+from .fetch import DATASET_NAMES, fetch_dataset
 from .reports import write_json
 from .runner import METHODS, RunConfig, evaluate_checkpoint, run_from_paths
 from .runner import run_sweep, run_variants
@@ -61,7 +61,7 @@ def _float_list(text: str) -> list[float]:
 # The fixed choices of four RunConfig fields and the help of one flag; every
 # other part of a field's flag comes from its name and annotation.
 FLAG_CHOICES = {
-    "dataset": sorted(DATASETS),
+    "dataset": DATASET_NAMES,
     "method": METHODS,
     "gamma_mode": GAMMA_MODES,
     "schedule": SCHEDULES,
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fetch = sub.add_parser("fetch", help="download and verify a dataset")
-    fetch.add_argument("dataset", choices=sorted(DATASETS))
+    fetch.add_argument("dataset", choices=DATASET_NAMES)
     fetch.add_argument("--data-dir", default=None)
     fetch.set_defaults(func=cmd_fetch)
 
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("eval", help="evaluate a checkpoint")
     evaluate.add_argument("checkpoint", type=Path)
     evaluate.add_argument("--output-dir", required=True)
-    evaluate.add_argument("--dataset", choices=sorted(DATASETS), default=argparse.SUPPRESS)
+    evaluate.add_argument("--dataset", choices=DATASET_NAMES, default=argparse.SUPPRESS)
     evaluate.add_argument("--data-dir", default=argparse.SUPPRESS)
     evaluate.add_argument(
         "--subsets",

@@ -13,6 +13,12 @@ class ConfigError(ValueError):
     """A configuration value is missing, out of range, or contradictory."""
 
 
+def check_choice(field: str, value, choices: tuple) -> None:
+    """The one membership rule: reject setting ``field`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ConfigError(f"{field} must be one of {tuple(choices)}, got {value!r}")
+
+
 class DataFormatError(ValueError):
     """A dataset file does not match its declared on-disk format."""
 

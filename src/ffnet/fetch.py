@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import Dataset, load_cifar_bin, load_idx
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, check_choice
 from .reports import atomic_write, atomic_write_text
 
 
@@ -33,6 +33,7 @@ class RemoteFile:
 MNIST_BASE = "https://ossci-datasets.s3.amazonaws.com/mnist"
 FASHION_BASE = "http://fashion-mnist.s3-website.eu-central-1.amazonaws.com"
 
+SPLITS = ("train", "test")
 IDX_FILES = {
     "train": ("train-images-idx3-ubyte.gz", "train-labels-idx1-ubyte.gz"),
     "test": ("t10k-images-idx3-ubyte.gz", "t10k-labels-idx1-ubyte.gz"),
@@ -49,6 +50,7 @@ SPLIT_FILES: dict[str, dict[str, tuple[str, ...]]] = {
     },
 }
 
+DATASET_NAMES = tuple(SPLIT_FILES)
 CIFAR_MEMBERS = [member for files in SPLIT_FILES["cifar10"].values() for member in files]
 
 
@@ -92,19 +94,21 @@ def _download(url: str, target: Path) -> None:
         atomic_write(target, lambda handle: shutil.copyfileobj(response, handle))
 
 
-def _verify(path: Path, spec: RemoteFile) -> None:
+def _verify(path: Path, spec: RemoteFile):
+    """Check ``path`` against its pinned or recorded digest. Returns the step that records
+    the digest of a file that has neither, for the caller to run once the file reads."""
     observed = sha256_file(path)
     sidecar = path.with_name(path.name + ".sha256")
     pinned = spec.sha256
     if pinned is None and sidecar.exists():
         pinned = sidecar.read_text().strip()
     if pinned is None:
-        atomic_write_text(sidecar, observed + "\n")
-        return
+        return lambda: atomic_write_text(sidecar, observed + "\n")
     if observed != pinned:
         raise DataFormatError(
             f"checksum mismatch for {path.name}: expected {pinned}, got {observed}"
         )
+    return lambda: None
 
 
 def fetch_dataset(name: str, data_dir=None, downloader=_download) -> list[Path]:
@@ -113,21 +117,22 @@ def fetch_dataset(name: str, data_dir=None, downloader=_download) -> list[Path]:
     Returns the local paths of every split's files. A second call with a
     warm cache performs no network I/O. ``downloader`` is injectable for testing.
     """
-    if name not in DATASETS:
-        raise ConfigError(f"unknown dataset {name!r}; choose from {sorted(DATASETS)}")
+    check_choice("dataset", name, DATASET_NAMES)
     target_dir = _dataset_dir(name, data_dir)
     target_dir.mkdir(parents=True, exist_ok=True)
     for spec in DATASETS[name]:
         target = target_dir / spec.filename
         if not target.exists():
             downloader(spec.url, target)
-        _verify(target, spec)
-    if name == "cifar10":
-        _extract_cifar(target_dir / DATASETS[name][0].filename, target_dir)
+        record = _verify(target, spec)
+        if name == "cifar10":
+            _extract_cifar(target, target_dir)
+        record()
     return _split_paths(name, data_dir)
 
 
 def _extract_cifar(archive: Path, target_dir: Path) -> None:
+    """Extract the CIFAR-10 batches; an archive that does not hold them is removed."""
     if all((target_dir / member).exists() for member in CIFAR_MEMBERS):
         return
     try:
@@ -142,9 +147,11 @@ def _extract_cifar(archive: Path, target_dir: Path) -> None:
                     # only once every member exists.
                     atomic_write(target_dir / base, lambda out: shutil.copyfileobj(source, out))
     except (tarfile.TarError, EOFError, zlib.error) as exc:
+        archive.unlink()
         raise DataFormatError(f"CIFAR-10 archive {archive}: unreadable ({exc})") from exc
     missing = [m for m in CIFAR_MEMBERS if not (target_dir / m).exists()]
     if missing:
+        archive.unlink()
         raise DataFormatError(f"{archive} lacks expected members: {missing}")
 
 
@@ -152,23 +159,21 @@ def _dataset_dir(name: str, data_dir) -> Path:
     return (Path(data_dir) if data_dir else default_data_dir()) / name
 
 
-def _split_paths(name: str, data_dir, splits=("train", "test")) -> list[Path]:
+def _split_paths(name: str, data_dir, splits=SPLITS) -> list[Path]:
     """The local paths of the files of ``splits`` of ``name``, split by split."""
     target_dir = _dataset_dir(name, data_dir)
     return [target_dir / file for split in splits for file in SPLIT_FILES[name][split]]
 
 
 def dataset_available(name: str, data_dir=None) -> bool:
-    return name in SPLIT_FILES and all(path.exists() for path in _split_paths(name, data_dir))
+    return name in DATASET_NAMES and all(path.exists() for path in _split_paths(name, data_dir))
 
 
 def load_dataset(name: str, split: str, data_dir=None) -> Dataset:
     """Load a fetched dataset split from the cache directory; a missing file
     is a :class:`ConfigError` that names the ``ffnet fetch`` command."""
-    if split not in ("train", "test"):
-        raise ConfigError(f"split must be train or test, got {split!r}")
-    if name not in SPLIT_FILES:
-        raise ConfigError(f"unknown dataset {name!r}")
+    check_choice("dataset", name, DATASET_NAMES)
+    check_choice("split", split, SPLITS)
     paths = _split_paths(name, data_dir, [split])
     missing = [path.name for path in paths if not path.exists()]
     if missing:

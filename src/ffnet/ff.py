@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .data import N_LABELS, Dataset, LinkedBatch, make_linked_batches
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, check_choice
 from .linalg import as_matrix, make_rng, row_sumsq, sigmoid
 from .nn import (
     AdamState,
@@ -96,18 +96,9 @@ class FfConfig:
     def __post_init__(self) -> None:
         if not np.isfinite(self.theta):
             raise ConfigError(f"theta must be finite, got {self.theta}")
-        if self.gamma_mode not in GAMMA_MODES:
-            raise ConfigError(
-                f"gamma_mode must be one of {GAMMA_MODES}, got {self.gamma_mode!r}"
-            )
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(
-                f"schedule must be one of {SCHEDULES}, got {self.schedule!r}"
-            )
-        if self.loss_kind not in LOSS_KINDS:
-            raise ConfigError(
-                f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}"
-            )
+        check_choice("gamma_mode", self.gamma_mode, GAMMA_MODES)
+        check_choice("schedule", self.schedule, SCHEDULES)
+        check_choice("loss_kind", self.loss_kind, LOSS_KINDS)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -155,6 +146,7 @@ def positive_prob(g, gamma=0.0, theta=0.0):
 
 def compute_gamma(values: np.ndarray, layer: int, mode: str) -> np.ndarray:
     """Detached goodness offset for one layer from an (m, depth) goodness table."""
+    check_choice("gamma_mode", mode, GAMMA_MODES)
     m, depth = values.shape
     if not 0 <= layer < depth:
         raise ShapeError(f"layer {layer} outside table depth {depth}")
@@ -162,9 +154,7 @@ def compute_gamma(values: np.ndarray, layer: int, mode: str) -> np.ndarray:
         return np.zeros(m)
     if mode == "all_other_layers":
         return values.sum(axis=1) - values[:, layer]
-    if mode == "predecessors_only":
-        return values[:, :layer].sum(axis=1)
-    raise ConfigError(f"unknown gamma mode {mode!r}")
+    return values[:, :layer].sum(axis=1)
 
 
 def ff_loss(g, gamma, theta, polarity) -> tuple[float, np.ndarray]:
@@ -216,6 +206,7 @@ def goodness_loss(g, gamma, polarity, loss_kind: str, theta) -> tuple[float, np.
     """The loss a layer minimizes on goodness ``g``, and its derivative in g: :func:`ff_loss`
     under ``sigmoid_goodness``, the negated :func:`entropy_objective` (no theta) under
     ``entropy``."""
+    check_choice("loss_kind", loss_kind, LOSS_KINDS)
     g, polarity = np.asarray(g, dtype=np.float64), np.asarray(polarity, dtype=np.float64)
     if polarity.shape != g.shape:
         raise ShapeError(
@@ -223,10 +214,8 @@ def goodness_loss(g, gamma, polarity, loss_kind: str, theta) -> tuple[float, np.
         )
     if loss_kind == "sigmoid_goodness":
         return ff_loss(g, gamma, theta, polarity)
-    if loss_kind == "entropy":
-        objective, ascent = entropy_objective(g, gamma, polarity)
-        return -objective, -ascent
-    raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
+    objective, ascent = entropy_objective(g, gamma, polarity)
+    return -objective, -ascent
 
 
 def activity_coeffs(act: np.ndarray, d_g: np.ndarray) -> np.ndarray:
@@ -313,11 +302,10 @@ def layer_losses(table, polarity, cfg: FfConfig, layers, stats: EpochStats) -> l
 
 def schedule_stages(schedule: str, depth: int) -> list[list[int]]:
     """The layers each stage of ``schedule`` updates, stage by stage."""
+    check_choice("schedule", schedule, SCHEDULES)
     if schedule == "layerwise":
         return [[i] for i in range(depth)]
-    if schedule == "alternating":
-        return [list(range(depth))]
-    raise ConfigError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
+    return [list(range(depth))]
 
 
 def check_split_size(n: int, split: str, loss_kind: str = "") -> None:

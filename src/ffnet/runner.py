@@ -25,7 +25,7 @@ from .analysis import (
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .data import DATASET_DIMS, N_LABELS, Dataset, draw_eval_sample
 from .entropy import split_entropy_reports
-from .errors import ConfigError
+from .errors import ConfigError, check_choice
 from .fetch import load_dataset
 from .linalg import make_rng
 from .nn import MlpNetwork, check_layer_dims, init_network
@@ -102,8 +102,7 @@ class RunConfig:
 
     def resolved(self) -> "RunConfig":
         """Fill method-dependent defaults and validate."""
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        check_choice("method", self.method, METHODS)
         out = dataclasses.replace(self)
         method = METHOD_TABLE[self.method]
         if out.gamma_mode is None:

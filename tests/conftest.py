@@ -111,6 +111,22 @@ def store_config(path, net, config, text=None) -> None:
     })
 
 
+def damaged_checkpoint(path, damage: str) -> None:
+    """A checkpoint of a 794-8-6 net, damaged where neither zipfile nor NumPy raises
+    a ValueError. ``compression``: the first central-directory entry names
+    compression method 99 (zipfile raises NotImplementedError). ``npy_header``:
+    the ``}`` closing the header dict of ``weights_0.npy`` is a space (NumPy's
+    header parser raises tokenize.TokenError)."""
+    save_checkpoint(path, init_network([794, 8, 6], make_rng(0)), {"method": "ff"})
+    raw = bytearray(path.read_bytes())
+    if damage == "compression":
+        entry = raw.index(b"PK\x01\x02")
+        raw[entry + 10:entry + 12] = (99).to_bytes(2, "little")
+    else:
+        raw[raw.index(b"}", raw.index(b"weights_0.npy"))] = ord(" ")
+    path.write_bytes(bytes(raw))
+
+
 def write_mnist_fixture(root) -> None:
     """A tiny synthetic stand-in for MNIST as IDX ``.gz`` files in ``root/mnist``."""
     mnist_dir = root / "mnist"

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import store_arrays, store_config
+from conftest import damaged_checkpoint, store_arrays, store_config
 
 from ffnet.checkpoint import config_hash, load_checkpoint, save_checkpoint
 from ffnet.errors import CheckpointError
@@ -84,6 +84,22 @@ class TestCheckpointErrors:
             bad.write_bytes(b"not a checkpoint")
         with pytest.raises(CheckpointError, match="malformed checkpoint"):
             load_checkpoint(bad)
+
+    def test_unknown_zip_compression_method_is_malformed(self, tmp_path):
+        path = tmp_path / "m.npz"
+        damaged_checkpoint(path, "compression")
+        with pytest.raises(CheckpointError) as caught:
+            load_checkpoint(path)
+        assert str(caught.value) == (
+            f"malformed checkpoint {path}: That compression method is not supported"
+        )
+
+    def test_unclosed_npy_header_is_malformed(self, tmp_path):
+        path = tmp_path / "m.npz"
+        damaged_checkpoint(path, "npy_header")
+        with pytest.raises(CheckpointError) as caught:
+            load_checkpoint(path)
+        assert str(caught.value).startswith(f"malformed checkpoint {path}: ")
 
     def test_tampered_config_detected(self, tmp_path):
         net = init_network([6, 3], make_rng(0))

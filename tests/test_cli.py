@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import store_arrays, store_config, theta_for
+from conftest import damaged_checkpoint, store_arrays, store_config, theta_for
 
 import ffnet
 from ffnet.cli import _config_from_args, build_parser, main
@@ -221,7 +221,9 @@ class TestTrainCommand:
                    "--output-dir", str(out), "--config", str(config_file),
                    "--layer-dims", "794,24,16,12"])
         assert rc == 1
-        assert capsys.readouterr().err.splitlines() == ["error: unknown dataset 'emnist'"]
+        assert capsys.readouterr().err.splitlines() == [
+            "error: dataset must be one of ('mnist', 'fashion_mnist', 'cifar10'), got 'emnist'"
+        ]
         assert not (out / "config.json").exists()
 
     @pytest.mark.parametrize(
@@ -794,6 +796,16 @@ class TestEvalCommand:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage", ["compression", "npy_header"])
+    def test_damaged_checkpoint_entry_is_a_one_line_error(self, tmp_path, capsys, damage):
+        checkpoint = tmp_path / "damaged.npz"
+        damaged_checkpoint(checkpoint, damage)
+        out = tmp_path / "eval"
+        assert main(["eval", str(checkpoint), "--output-dir", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: malformed checkpoint {checkpoint}: ")
+        assert not out.exists()
+
     def test_checkpoint_config_that_is_not_json_is_a_one_line_error(
         self, data_dir, trained_run, tmp_path, capsys
     ):
@@ -1001,9 +1013,8 @@ class TestFetch:
             fetch_dataset("mnist", cache)
 
     @staticmethod
-    def _serve_cifar(tmp_path, monkeypatch):
-        """A file:// CIFAR-10 archive of 4 records per batch, pinned as the
-        cifar10 download."""
+    def _cifar_archive(tmp_path):
+        """A CIFAR-10 archive of 4 records per batch at ``tmp_path/server``."""
         import ffnet.fetch as fetch_mod
 
         rng = make_rng(1)
@@ -1019,6 +1030,13 @@ class TestFetch:
         archive = server / "cifar-10-binary.tar.gz"
         with tarfile.open(archive, "w:gz") as tar:
             tar.add(batches_dir, arcname="cifar-10-batches-bin")
+        return archive
+
+    def _serve_cifar(self, tmp_path, monkeypatch):
+        """A file:// CIFAR-10 archive, pinned as the cifar10 download."""
+        import ffnet.fetch as fetch_mod
+
+        archive = self._cifar_archive(tmp_path)
         spec = [RemoteFile("cifar-10-binary.tar.gz", archive.as_uri(), sha256_file(archive))]
         monkeypatch.setitem(fetch_mod.DATASETS, "cifar10", spec)
 
@@ -1078,6 +1096,39 @@ class TestFetch:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: CIFAR-10 archive {cache / 'cifar10' / archive.name}: "
                                "unreadable (")
+
+    @pytest.mark.parametrize("bad", ["not_gzip", "no_batches"])
+    def test_unpinned_cifar_archive_that_does_not_extract_records_no_digest(
+        self, tmp_path, bad
+    ):
+        """The shipped cifar10 download pins no digest. An archive that does not
+        extract is removed with no digest recorded, so the next fetch downloads
+        it again; a good archive then extracts, and only its digest is recorded."""
+        from ffnet.fetch import load_dataset
+
+        empty = tmp_path / "empty.tar.gz"
+        with tarfile.open(empty, "w:gz"):
+            pass
+        served = [b"not an archive" if bad == "not_gzip" else empty.read_bytes()]
+        downloads = []
+
+        def downloader(url, target):
+            downloads.append(url)
+            target.write_bytes(served[0])
+
+        cache = tmp_path / "cache"
+        archive = cache / "cifar10" / "cifar-10-binary.tar.gz"
+        sidecar = archive.with_name(archive.name + ".sha256")
+        for attempt in (1, 2):
+            with pytest.raises(DataFormatError, match="unreadable|lacks expected members"):
+                fetch_dataset("cifar10", cache, downloader=downloader)
+            assert len(downloads) == attempt
+            assert not archive.exists() and not sidecar.exists()
+        served[0] = self._cifar_archive(tmp_path).read_bytes()
+        fetch_dataset("cifar10", cache, downloader=downloader)
+        assert len(downloads) == 3
+        assert sidecar.read_text() == sha256_file(archive) + "\n"
+        assert load_dataset("cifar10", "test", cache).n == 4
 
     @pytest.mark.parametrize(
         ("name", "train", "test"),

@@ -27,10 +27,13 @@ from ffnet.ff import (
     label_goodness_scores,
     positive_prob,
     predict,
+    schedule_stages,
     train,
 )
+from ffnet.fetch import fetch_dataset, load_dataset
 from ffnet.linalg import l2_row_normalize, make_rng, relu
 from ffnet.nn import backprop_updates, forward_pass, init_network, layer_local_grad
+from ffnet.runner import RunConfig
 from ffnet.synth import synthetic_dataset, synthetic_pair
 
 
@@ -145,14 +148,41 @@ class TestFfLoss:
         numeric = fd_grad(loss, act)
         assert agreement([coeffs], [numeric], tol=1e-6) >= 0.99
 
-    def test_unknown_loss_kind_is_rejected_as_ff_config_rejects_it(self):
-        with pytest.raises(ConfigError) as config_error:
-            FfConfig(loss_kind="sigmoid")
-        with pytest.raises(ConfigError) as loss_error:
-            goodness_loss(np.ones(4), 0.0, np.array([1.0, 1.0, -1.0, -1.0]), "sigmoid", 1.0)
-        assert str(loss_error.value) == str(config_error.value) == (
-            "loss_kind must be one of ('sigmoid_goodness', 'entropy'), got 'sigmoid'"
-        )
+
+
+@pytest.mark.parametrize(
+    ("field", "choices"),
+    [
+        ("gamma_mode", "('none', 'all_other_layers', 'predecessors_only')"),
+        ("schedule", "('layerwise', 'alternating')"),
+        ("loss_kind", "('sigmoid_goodness', 'entropy')"),
+        ("method", "('ff', 'collab_ff', 'entropy_ff', 'bp_pairwise', 'bp_classic')"),
+        ("dataset", "('mnist', 'fashion_mnist', 'cifar10')"),
+        ("split", "('train', 'test')"),
+    ],
+)
+def test_an_unknown_choice_is_one_message_at_every_site(tmp_path, field, choices):
+    """Every public call that takes a choice setting rejects a value outside
+    its choices through ``errors.check_choice``, with the same message."""
+    polarity = np.array([1.0, 1.0, -1.0, -1.0])
+    sites = {
+        "gamma_mode": [lambda v: FfConfig(gamma_mode=v),
+                       lambda v: compute_gamma(np.ones((4, 3)), 1, v)],
+        "schedule": [lambda v: FfConfig(schedule=v), lambda v: schedule_stages(v, 3)],
+        "loss_kind": [lambda v: FfConfig(loss_kind=v),
+                      lambda v: goodness_loss(np.ones(4), 0.0, polarity, v, 1.0)],
+        "method": [lambda v: RunConfig(method=v).resolved()],
+        "dataset": [lambda v: fetch_dataset(v, tmp_path),
+                    lambda v: load_dataset(v, "train", tmp_path)],
+        "split": [lambda v: load_dataset("mnist", v, tmp_path)],
+    }[field]
+    messages = []
+    for site in sites:
+        with pytest.raises(ConfigError) as caught:
+            site("bogus")
+        messages.append(str(caught.value))
+    assert messages == [f"{field} must be one of {choices}, got 'bogus'"] * len(sites)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestEntropyLoss:

@@ -344,3 +344,51 @@ def test_the_check_finds_a_numpy_product():
     assert numpy_prods(source) == [
         "numpy.prod (line 3)", "np.prod (line 4)", "numpy.prod (line 5)",
     ]
+
+
+def membership_messages(source: str, phrase="must be one of") -> list[str]:
+    """String constants holding ``phrase`` (f-string parts included) outside
+    ``check_choice``, the one membership rule; a string is owned by its
+    innermost enclosing function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Constant)
+                and isinstance(child.value, str)
+                and phrase in child.value
+                and owner != "check_choice"
+            ):
+                found.append(f"{owner} (line {child.lineno})")
+            visit(child, owner)
+
+    visit(ast.parse(source), "the module")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_only_check_choice_states_a_membership_rule(path):
+    assert membership_messages(path.read_text()) == []
+
+
+def test_the_check_finds_a_membership_message_outside_check_choice():
+    source = (
+        "def check_choice(field, value, choices):\n"
+        "    if value not in choices:\n"
+        "        raise ConfigError(f'{field} must be one of {choices}, got {value!r}')\n"
+        "def compute_gamma(mode):\n"
+        "    raise ConfigError(f'gamma_mode must be one of {MODES}, got {mode!r}')\n"
+        "class FfConfig:\n"
+        "    def __post_init__(self):\n"
+        "        raise ConfigError('schedule must be one of (layerwise, alternating)')\n"
+        "HELP = 'dataset must be one of ' + str(NAMES)\n"
+    )
+    assert membership_messages(source) == [
+        "compute_gamma (line 5)",
+        "__post_init__ (line 8)",
+        "the module (line 9)",
+    ]
