@@ -3,8 +3,8 @@
 The library core only ever reads local files; this module is the one place
 that touches the network. Each dataset pins its source URLs. SHA-256
 digests are verified against the ``sha256`` pin when one is present;
-otherwise the digest observed on first successful fetch is recorded next to
-the file (``<name>.sha256``) and enforced from then on, so silent
+otherwise the digest observed on the first fetch whose files read is recorded
+next to the file (``<name>.sha256``) and enforced from then on, so silent
 corruption is still caught.
 """
 
@@ -96,7 +96,8 @@ def _download(url: str, target: Path) -> None:
 
 def _verify(path: Path, spec: RemoteFile):
     """Check ``path`` against its pinned or recorded digest. Returns the step that records
-    the digest of a file that has neither, for the caller to run once the file reads."""
+    the digest of a file that has neither, for the caller to run once the file reads,
+    else None."""
     observed = sha256_file(path)
     sidecar = path.with_name(path.name + ".sha256")
     pinned = spec.sha256
@@ -108,7 +109,7 @@ def _verify(path: Path, spec: RemoteFile):
         raise DataFormatError(
             f"checksum mismatch for {path.name}: expected {pinned}, got {observed}"
         )
-    return lambda: None
+    return None
 
 
 def fetch_dataset(name: str, data_dir=None, downloader=_download) -> list[Path]:
@@ -116,23 +117,39 @@ def fetch_dataset(name: str, data_dir=None, downloader=_download) -> list[Path]:
 
     Returns the local paths of every split's files. A second call with a
     warm cache performs no network I/O. ``downloader`` is injectable for testing.
+    A file with no pinned or recorded digest has its digest recorded only once
+    every split reads through :func:`load_dataset`; if one does not, such
+    files are removed, so the next call downloads them again.
     """
     check_choice("dataset", name, DATASET_NAMES)
     target_dir = _dataset_dir(name, data_dir)
     target_dir.mkdir(parents=True, exist_ok=True)
+    unrecorded = {}
     for spec in DATASETS[name]:
         target = target_dir / spec.filename
         if not target.exists():
             downloader(spec.url, target)
         record = _verify(target, spec)
+        if record is not None:
+            unrecorded[target] = record
+    try:
         if name == "cifar10":
-            _extract_cifar(target, target_dir)
+            _extract_cifar(target, target_dir)  # its one download is the archive
+        if unrecorded:
+            for split in SPLITS:
+                load_dataset(name, split, data_dir)
+    except DataFormatError:
+        for path in unrecorded:
+            path.unlink()
+        raise
+    for record in unrecorded.values():
         record()
     return _split_paths(name, data_dir)
 
 
 def _extract_cifar(archive: Path, target_dir: Path) -> None:
-    """Extract the CIFAR-10 batches; an archive that does not hold them is removed."""
+    """Extract the CIFAR-10 batches; an archive that does not hold them is a
+    :class:`DataFormatError`."""
     if all((target_dir / member).exists() for member in CIFAR_MEMBERS):
         return
     try:
@@ -147,11 +164,9 @@ def _extract_cifar(archive: Path, target_dir: Path) -> None:
                     # only once every member exists.
                     atomic_write(target_dir / base, lambda out: shutil.copyfileobj(source, out))
     except (tarfile.TarError, EOFError, zlib.error) as exc:
-        archive.unlink()
         raise DataFormatError(f"CIFAR-10 archive {archive}: unreadable ({exc})") from exc
     missing = [m for m in CIFAR_MEMBERS if not (target_dir / m).exists()]
     if missing:
-        archive.unlink()
         raise DataFormatError(f"{archive} lacks expected members: {missing}")
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -328,7 +328,7 @@ def fit(
     cfg: FfConfig,
     stages: list[list[int]],
     batches: Callable[[np.random.Generator], Iterable],
-    step: Callable[[object, list[int], EpochStats], Iterable[tuple]],
+    step: Callable[[object, list[int], EpochStats], Iterator[tuple]],
     loss_kind: str,
     on_epoch: Optional[Callable[[int, MlpNetwork], None]] = None,
 ) -> tuple[MlpNetwork, list[dict]]:
@@ -336,14 +336,15 @@ def fit(
 
     ``rng`` is seeded with ``cfg.seed``. ``step(batch, layers, stats)``
     records the batch's losses in ``stats``, which rejects a non-finite one,
-    and returns an iterable of ``(layer, grad_w, grad_b)`` updates, each
-    computed from the pre-batch parameters; ``[]`` skips the batch. Adam
-    applies each update before the next is drawn, so a generator step (the
-    backprop baselines' :func:`~ffnet.nn.backprop_updates`) holds one update
-    at a time, and must not read a layer's parameters once it has yielded
-    that layer. Epochs are counted across stages: the ``e``-th epoch of
-    stage ``s`` is epoch ``s * cfg.epochs + e``, which numbers its history
-    rows, its divergence message and its ``on_epoch(epoch, net)`` call.
+    and streams ``(layer, grad_w, grad_b)`` updates, each computed from the
+    pre-batch parameters; a step that yields none skips the batch. Adam
+    applies each update before the next is drawn, so every step (that of
+    :func:`train`, and the backprop baselines'
+    :func:`~ffnet.nn.backprop_updates`) holds one update at a time, and must
+    not read a layer's parameters once it has yielded that layer. Epochs are
+    counted across stages: the ``e``-th epoch of stage ``s`` is epoch
+    ``s * cfg.epochs + e``, which numbers its history rows, its divergence
+    message and its ``on_epoch(epoch, net)`` call.
 
     Training holds only what the current stage and batch use. Adam moments
     live for one stage: a layer's pair is made at its first update in the
@@ -369,9 +370,8 @@ def fit(
 def _fit_epoch(net, batches, layers, step, stats, states, learning_rate) -> None:
     """One epoch's batch loop of :func:`fit`. Its own frame binds the batch and
     the updates, so none of them outlives the epoch. It unbinds each update's
-    gradients once applied: those of a generator step are then free before
-    the next update is computed, while those of a list step live until the
-    list is spent. No update of a batch is alive during the next batch's step."""
+    gradients once applied, so they are free before the step computes the
+    next one, and no update of a batch is alive during the next batch's step."""
     for batch in batches:
         for i, grad_w, grad_b in step(batch, layers, stats):
             if i not in states:
@@ -398,24 +398,33 @@ def train(
     ``predecessors_only``, all other layers under ``all_other_layers``. The
     entropy objective skips a batch of fewer than 2 samples, and so of fewer
     than 2 positive rows (a trailing one-sample batch).
+
+    The step streams its updates in layer order: it yields each staged
+    layer's gradient as soon as it is computed, so Adam steps that layer
+    before the next gradient exists, and it drops the trace before it
+    yields the last one. :func:`~ffnet.nn.layer_local_grad` reads only the
+    layer's shape, and every input it takes comes from the pre-batch trace,
+    so no gradient reads a weight that Adam has already stepped.
     """
     check_split_size(ds.n, "training", cfg.loss_kind)
     depth = net.depth
 
     def step(batch: LinkedBatch, layers: list[int], stats: EpochStats):
         if cfg.loss_kind == "entropy" and len(batch.images) < _ENTROPY_MIN_ROWS:
-            return []
+            return
         # Successor activations are only needed when they feed gamma.
         upto = depth if cfg.gamma_mode == "all_other_layers" else layers[-1] + 1
         trace = forward_pass(net, batch.images, upto, linked_labels=batch.linked_labels)
         d_goodness = layer_losses(goodness_table(trace), batch.polarity, cfg, layers, stats)
-        return [
-            (i, *layer_local_grad(
+        for i, d_g in zip(layers, d_goodness):
+            grad_w, grad_b = layer_local_grad(
                 net.layers[i], trace.layer_input(i), trace.act[i],
                 activity_coeffs(trace.act[i], d_g), trace.linked_labels if i == 0 else None,
-            ))
-            for i, d_g in zip(layers, d_goodness)
-        ]
+            )
+            if i == layers[-1]:
+                del trace  # Adam steps the last update without the trace beside it
+            yield i, grad_w, grad_b
+            del grad_w, grad_b
 
     batches = partial(
         make_linked_batches, ds, batch_size=cfg.batch_size,

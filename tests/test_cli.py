@@ -1130,6 +1130,32 @@ class TestFetch:
         assert sidecar.read_text() == sha256_file(archive) + "\n"
         assert load_dataset("cifar10", "test", cache).n == 4
 
+    def test_unpinned_idx_file_that_does_not_read_records_no_digest(self, tmp_path):
+        """The shipped IDX downloads pin no digest. Files that do not read are
+        removed with no digest recorded, so the next fetch downloads them again;
+        good files then read, and their digests are recorded."""
+        self._serve(tmp_path)
+        served = dict.fromkeys(IDX_NAMES, b"not an idx file")
+        downloads = []
+
+        def downloader(url, target):
+            downloads.append(url)
+            target.write_bytes(served[target.name])
+
+        cache = tmp_path / "cache"
+        for attempt in (1, 2):
+            with pytest.raises(DataFormatError) as caught:
+                fetch_dataset("mnist", cache, downloader=downloader)
+            assert len(str(caught.value).splitlines()) == 1
+            assert len(downloads) == 4 * attempt
+            assert not list((cache / "mnist").iterdir())
+        served = {name: (tmp_path / "server" / name).read_bytes() for name in IDX_NAMES}
+        paths = fetch_dataset("mnist", cache, downloader=downloader)
+        assert len(downloads) == 12
+        for path in paths:
+            sidecar = path.with_name(path.name + ".sha256")
+            assert sidecar.read_text() == sha256_file(path) + "\n"
+
     @pytest.mark.parametrize(
         ("name", "train", "test"),
         [("mnist", IDX_NAMES[:2], IDX_NAMES[2:]),

@@ -616,6 +616,64 @@ class TestTrainingMemory:
         assert refs and len(alive) > 1
         assert alive == [0] * len(alive)
 
+    def test_collab_batch_steps_each_layer_before_the_next_gradient(self, monkeypatch):
+        """One alternating batch computes a layer's gradient, lets Adam step it,
+        and only then computes the next layer's."""
+        import ffnet.ff as ff_module
+
+        calls = []
+        grad, update = ff_module.layer_local_grad, ff_module.apply_adam_update
+
+        def recording_grad(layer, *args):
+            calls.append(("grad", layer.in_dim))
+            return grad(layer, *args)
+
+        def recording_update(net, i, *args):
+            calls.append(("adam", net.layers[i].in_dim))
+            return update(net, i, *args)
+
+        monkeypatch.setattr(ff_module, "layer_local_grad", recording_grad)
+        monkeypatch.setattr(ff_module, "apply_adam_update", recording_update)
+        train_ds, _ = synthetic_pair(20, 5, d=10, seed=6)  # one batch
+        cfg = FfConfig(
+            theta=3.0, epochs=1, batch_size=20, seed=1,
+            schedule="alternating", gamma_mode="all_other_layers",
+        )
+        train(init_network([20, 8, 6, 5], make_rng(0)), train_ds, cfg)
+        assert calls == [(kind, in_dim) for in_dim in (20, 8, 6) for kind in ("grad", "adam")]
+
+    @TRAINERS
+    def test_no_trace_activity_is_alive_at_a_batchs_last_update(
+        self, monkeypatch, trainer, dims, schedule
+    ):
+        """Each step drops its trace before it yields its last update, so Adam
+        never steps that update beside the batch's activities."""
+        import ffnet.baselines as baselines
+        import ffnet.ff as ff_module
+
+        refs, batches = [], []
+        update = ff_module.apply_adam_update
+
+        def watched_forward(*args, **kwargs):
+            trace = forward_pass(*args, **kwargs)
+            refs[:] = [weakref.ref(act) for act in trace.act]
+            batches.append([])
+            return trace
+
+        def watched_update(*args):
+            batches[-1].append(sum(ref() is not None for ref in refs))
+            return update(*args)
+
+        monkeypatch.setattr(ff_module, "forward_pass", watched_forward)
+        monkeypatch.setattr(baselines, "forward_pass", watched_forward)
+        monkeypatch.setattr(ff_module, "apply_adam_update", watched_update)
+        train_fn = getattr(ff_module if trainer == "train" else baselines, trainer)
+        train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
+        cfg = FfConfig(theta=3.0, epochs=2, batch_size=20, seed=1, schedule=schedule)
+        train_fn(init_network(dims, make_rng(0)), train_ds, cfg)
+        assert len(batches) > 1 and all(batches)
+        assert [alive[-1] for alive in batches] == [0] * len(batches)
+
 
 class TestInference:
     def test_zero_weight_net_breaks_ties_to_smallest_label(self):

@@ -6,6 +6,10 @@ datasets. Budgets are matched in layer-epochs: layerwise with E epochs
 gives each of the k layers E passes, alternating with k*E epochs does too.
 """
 
+from functools import lru_cache
+
+import pytest
+
 from ffnet.analysis import default_subset_family, evaluate_subsets
 from ffnet.entropy import goodness_entropy_reports
 from ffnet.ff import FfConfig, train
@@ -18,27 +22,30 @@ DIMS = [58, 40, 30, 20]
 EPOCHS = 4
 
 
+@lru_cache(maxsize=None)
 def _trained_pair(seed):
+    """The synthetic split pair of ``seed`` with ``ff`` and ``collab_ff`` trained on
+    it, and their histories; cached, so no test may change what it returns."""
     train_ds, test_ds = synthetic_pair(600, 300, d=48, seed=seed, noise=0.25)
     vanilla = init_network(DIMS, make_rng(1))
-    vanilla, _ = train(
+    vanilla, vanilla_history = train(
         vanilla, train_ds,
         FfConfig(theta=5.0, epochs=EPOCHS, batch_size=50, seed=1),
     )
     collab = init_network(DIMS, make_rng(1))
-    collab, _ = train(
+    collab, collab_history = train(
         collab, train_ds,
         FfConfig(
             theta=5.0, epochs=3 * EPOCHS, batch_size=50, seed=1,
             schedule="alternating", gamma_mode="all_other_layers",
         ),
     )
-    return train_ds, test_ds, vanilla, collab
+    return train_ds, test_ds, vanilla, collab, vanilla_history, collab_history
 
 
 def test_collaboration_closes_the_gap():
     for seed in (3, 7):
-        _, test_ds, vanilla, collab = _trained_pair(seed)
+        _, test_ds, vanilla, collab, *_ = _trained_pair(seed)
         err_vanilla = voting_error(vanilla, test_ds)
         err_collab = voting_error(collab, test_ds)
         assert err_collab <= err_vanilla - 0.25, (seed, err_vanilla, err_collab)
@@ -46,14 +53,14 @@ def test_collaboration_closes_the_gap():
 
 def test_vanilla_first_layer_competitive_with_full_vote():
     """Later layers fail to add on top of layer 1 under layer-local training."""
-    _, test_ds, vanilla, _ = _trained_pair(3)
+    _, test_ds, vanilla, *_ = _trained_pair(3)
     report = evaluate_subsets(vanilla, test_ds, default_subset_family(3))
     assert report.error_of({0}) <= report.error_of({0, 1, 2}) + 0.02
 
 
 def test_collaborative_training_raises_pooled_entropy():
     for seed in (3, 7):
-        _, test_ds, vanilla, collab = _trained_pair(seed)
+        _, test_ds, vanilla, collab, *_ = _trained_pair(seed)
         ent_vanilla = goodness_entropy_reports(vanilla, test_ds, 300, seed=0)
         ent_collab = goodness_entropy_reports(collab, test_ds, 300, seed=0)
         assert ent_collab["both"].overall > ent_vanilla["both"].overall
@@ -61,7 +68,7 @@ def test_collaborative_training_raises_pooled_entropy():
 
 def test_goodness_separates_positive_from_negative():
     """After vanilla training, true-label inputs score above wrong-label ones."""
-    train_ds, test_ds, vanilla, _ = _trained_pair(3)
+    train_ds, test_ds, vanilla, *_ = _trained_pair(3)
     reports = goodness_entropy_reports(vanilla, test_ds, 300, seed=1)
     assert reports["positive"].sample_count == reports["negative"].sample_count
     from ffnet.data import link_inputs, sample_wrong_labels
@@ -77,3 +84,31 @@ def test_goodness_separates_positive_from_negative():
     # later layers barely (that is the collaboration failure itself).
     assert pos[:, 0].mean() > 1.1 * neg[:, 0].mean()
     assert pos.sum(axis=1).mean() > neg.sum(axis=1).mean()
+
+
+def _last_separation(history, layer):
+    """Positive minus negative train goodness of ``layer`` (1-based) in its last epoch."""
+    row = [r for r in history if r["layer"] == layer][-1]
+    return row["mean_goodness_pos"] - row["mean_goodness_neg"]
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_collaboration_separates_the_later_layers(seed):
+    """Layers 2 and 3 of ``ff`` end their epochs at -0.026 to -0.000; gamma lets
+    those of ``collab_ff`` reach +0.082 to +0.198 (seeds 3, 7, 11)."""
+    *_, vanilla_history, collab_history = _trained_pair(seed)
+    for layer in (2, 3):
+        vanilla = _last_separation(vanilla_history, layer)
+        collab = _last_separation(collab_history, layer)
+        assert collab > 0.04, (layer, collab)
+        assert collab > vanilla + 0.05, (layer, vanilla, collab)
+
+
+@pytest.mark.xfail(strict=True, reason="ff's layer 2 ends at -0.0002 at seed 11")
+def test_vanilla_later_layers_separate_the_wrong_way():
+    """``ff``'s layers 2 and 3 end at -0.026 to -0.0002 (seeds 3, 7, 11): they do
+    not separate, but they are not pushed clearly below zero either."""
+    for seed in (3, 7, 11):
+        *_, vanilla_history, _ = _trained_pair(seed)
+        for layer in (2, 3):
+            assert _last_separation(vanilla_history, layer) < -0.005, (seed, layer)
