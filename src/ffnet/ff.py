@@ -44,7 +44,7 @@ import numpy as np
 
 from .data import N_LABELS, Dataset, LinkedBatch, make_linked_batches
 from .errors import ConfigError, DomainError, ShapeError, check_choice
-from .linalg import as_matrix, make_rng, row_sumsq, sigmoid
+from .linalg import as_matrix, make_rng, sigmoid
 from .nn import (
     AdamState,
     ForwardTrace,
@@ -121,13 +121,14 @@ class FfConfig:
 
 
 def goodness(trace: ForwardTrace, layer: int) -> np.ndarray:
-    """Squared sum of the layer's ReLU activities, per sample."""
-    return row_sumsq(trace.act[layer])
+    """Squared sum of the layer's ReLU activities, per sample, as the forward
+    pass recorded it."""
+    return trace.goodness[layer]
 
 
 def goodness_table(trace: ForwardTrace) -> np.ndarray:
     """(m, layers computed) goodness; plain values, so any gamma from them is detached."""
-    return np.column_stack([goodness(trace, i) for i in range(trace.depth)])
+    return np.column_stack(trace.goodness)
 
 
 def positive_prob(g, gamma=0.0, theta=0.0):
@@ -227,18 +228,16 @@ def ff_loss_and_coeffs(
     trace: ForwardTrace, layer: int, gamma, theta, polarity
 ) -> tuple[float, np.ndarray]:
     """:func:`ff_loss` of one traced layer; d(loss)/d(activity) feeds layer_local_grad."""
-    act = trace.act[layer]
-    loss, d_g = goodness_loss(row_sumsq(act), gamma, polarity, "sigmoid_goodness", theta)
-    return loss, activity_coeffs(act, d_g)
+    loss, d_g = goodness_loss(goodness(trace, layer), gamma, polarity, "sigmoid_goodness", theta)
+    return loss, activity_coeffs(trace.act[layer], d_g)
 
 
 def entropy_loss_and_coeffs(
     trace: ForwardTrace, layer: int, gamma, polarity
 ) -> tuple[float, np.ndarray]:
     """:func:`entropy_objective` of one traced layer, with d(objective)/d(activity)."""
-    act = trace.act[layer]
-    loss, d_g = goodness_loss(row_sumsq(act), gamma, polarity, "entropy", None)
-    return -loss, activity_coeffs(act, -d_g)
+    loss, d_g = goodness_loss(goodness(trace, layer), gamma, polarity, "entropy", None)
+    return -loss, activity_coeffs(trace.act[layer], -d_g)
 
 
 class EpochStats:
@@ -348,19 +347,22 @@ def fit(
 
     Training holds only what the current stage and batch use. Adam moments
     live for one stage: a layer's pair is made at its first update in the
-    stage, and the stage's pairs are dropped when it ends. No schedule
-    trains a layer in two stages, so every layer's updates start from zero
-    moments, as they would with moments made for every layer up front. The
-    last batch, its trace and its gradients are gone before ``on_epoch``
-    runs.
+    stage, and the stage's pairs are dropped once its last epoch's batches
+    are done, before that epoch's ``on_epoch``. No schedule trains a layer
+    in two stages, so every layer's updates start from zero moments, as
+    they would with moments made for every layer up front. The last batch,
+    its trace and its gradients are gone before ``on_epoch`` runs.
     """
     rng = make_rng(cfg.seed)
     history: list[dict] = []
+    states: dict[int, tuple[AdamState, AdamState]] = {}
     for stage, layers in enumerate(stages):
-        states: dict[int, tuple[AdamState, AdamState]] = {}
-        for epoch in range(stage * cfg.epochs + 1, (stage + 1) * cfg.epochs + 1):
+        last = (stage + 1) * cfg.epochs
+        for epoch in range(stage * cfg.epochs + 1, last + 1):
             stats = EpochStats(net.depth, epoch)
             _fit_epoch(net, batches(rng), layers, step, stats, states, cfg.learning_rate)
+            if epoch == last:
+                states.clear()
             history.extend(stats.rows(loss_kind, layers))
             if on_epoch is not None:
                 on_epoch(epoch, net)
@@ -399,12 +401,17 @@ def train(
     entropy objective skips a batch of fewer than 2 samples, and so of fewer
     than 2 positive rows (a trailing one-sample batch).
 
-    The step streams its updates in layer order: it yields each staged
-    layer's gradient as soon as it is computed, so Adam steps that layer
-    before the next gradient exists, and it drops the trace before it
-    yields the last one. :func:`~ffnet.nn.layer_local_grad` reads only the
-    layer's shape, and every input it takes comes from the pre-batch trace,
-    so no gradient reads a weight that Adam has already stepped.
+    The forward pass keeps only the staged layers' activities and inputs
+    (``keep``): the other layers' goodness, all that gamma reads of them,
+    is recorded as the pass goes, so a layerwise batch holds one layer's
+    arrays, not every layer's up to its own. The step streams its updates
+    in layer order: it yields each staged layer's gradient as soon as it is
+    computed, so Adam steps that layer before the next gradient exists, and
+    it drops the trace before it yields the last one.
+    :func:`~ffnet.nn.layer_local_grad` reads only the layer's shape, and
+    every input it takes comes from the pre-batch trace, so no gradient
+    reads a weight that Adam has already stepped; it masks the coefficients
+    the step made for it in place.
     """
     check_split_size(ds.n, "training", cfg.loss_kind)
     depth = net.depth
@@ -412,9 +419,11 @@ def train(
     def step(batch: LinkedBatch, layers: list[int], stats: EpochStats):
         if cfg.loss_kind == "entropy" and len(batch.images) < _ENTROPY_MIN_ROWS:
             return
-        # Successor activations are only needed when they feed gamma.
+        # Successor layers are computed only when their goodness feeds gamma.
         upto = depth if cfg.gamma_mode == "all_other_layers" else layers[-1] + 1
-        trace = forward_pass(net, batch.images, upto, linked_labels=batch.linked_labels)
+        trace = forward_pass(
+            net, batch.images, upto, linked_labels=batch.linked_labels, keep=layers
+        )
         d_goodness = layer_losses(goodness_table(trace), batch.polarity, cfg, layers, stats)
         for i, d_g in zip(layers, d_goodness):
             grad_w, grad_b = layer_local_grad(
@@ -471,15 +480,17 @@ def label_goodness_scores(net: MlpNetwork, images, idx=None) -> np.ndarray:
 
     Each block of samples takes one pixel product, and each label adds its
     offset row (``nn.first_layer_factors``) to it before running the
-    remaining layers.
+    remaining layers. Scoring reads only goodness, so each pass keeps no
+    layer: it holds about one layer's arrays of the block at a time, which
+    stay in cache and are reused by the allocator instead of being
+    returned to the system and faulted in again.
     """
 
     def score(block, out):
         pixel_rows, offsets = first_layer_factors(net, block.shape[1])
         pixel_pre = block @ pixel_rows
         for label, offset in enumerate(offsets):
-            # One trace alive at a time keeps the block's arrays in cache.
-            out[:, label] = goodness_table(forward_from_pre(net, pixel_pre + offset))
+            out[:, label] = goodness_table(forward_from_pre(net, pixel_pre + offset, keep=()))
 
     return score_rows(images, idx, (N_LABELS, net.depth), score)
 

@@ -32,7 +32,10 @@ training batch's pixel product runs once per sample
 label-factored inference enters the loop directly. From layer 2 on, the
 loop adds the bias and applies the ReLU inside the array the layer's matmul
 returns, and it normalizes every computed layer but the last, whose
-normalized rows no layer reads.
+normalized rows no layer reads. It records each layer's goodness as the
+layer is computed, the one place goodness is computed, and it holds the
+activities and normalized input of only the layers its caller will take a
+gradient of (``keep``); scoring keeps none.
 :func:`adam_step` updates a parameter array and its moments in place,
 block by block, so a :class:`DenseLayer` keeps its arrays across training
 and an update allocates only two cache-sized scratch blocks.
@@ -51,7 +54,7 @@ import numpy as np
 
 from .data import N_LABELS, linked_copies, one_hot, split_linked_weights
 from .errors import ConfigError, ShapeError
-from .linalg import NORM_EPSILON, as_matrix, l2_row_normalize, relu
+from .linalg import NORM_EPSILON, as_matrix, l2_row_normalize, relu, row_sumsq
 
 # Elements per block of adam_step. A block's four arrays and two scratch
 # arrays (768 KB) stay in a core's L2 while the update's operations pass
@@ -131,28 +134,33 @@ def init_network(layer_dims, rng: np.random.Generator) -> MlpNetwork:
 class ForwardTrace:
     """Per-layer intermediates of one forward pass.
 
-    ``act`` holds post-ReLU activities (what goodness is measured on), one
-    per computed layer; a ``final_linear`` output layer's entry is its
-    logits. ``normed[i]`` holds what layer ``i + 1`` consumes, so it covers
-    every computed layer but the last. With normalization disabled it is
-    ``act[i]`` itself. ``inputs`` is None for a pass started from a
-    first-layer pre-activation (:func:`forward_from_pre`). ``linked_labels``
-    is the label of every row of a label-factored pass, else None.
-    ``normalize`` and ``final_linear`` are the modes the pass ran with.
+    ``goodness[i]`` is computed layer ``i``'s goodness, ``row_sumsq`` of its
+    post-ReLU activities, recorded as the layer is computed; a
+    ``final_linear`` output layer's is that of its logits. ``act`` has one
+    entry per computed layer: the activities of a layer the pass keeps (a
+    ``final_linear`` output layer's logits), None for any other. ``normed[i]``
+    is what layer ``i + 1`` consumes, so it covers every computed layer but
+    the last; it is held while layer ``i + 1`` is kept, else None. With
+    normalization disabled it is ``act[i]`` itself. ``inputs`` is None for
+    a pass started from a first-layer pre-activation
+    (:func:`forward_from_pre`). ``linked_labels`` is the label of every row
+    of a label-factored pass, else None. ``normalize`` and ``final_linear``
+    are the modes the pass ran with.
     """
 
     inputs: np.ndarray | None
-    act: list[np.ndarray] = field(default_factory=list)
-    normed: list[np.ndarray] = field(default_factory=list)
+    act: list[np.ndarray | None] = field(default_factory=list)
+    normed: list[np.ndarray | None] = field(default_factory=list)
+    goodness: list[np.ndarray] = field(default_factory=list)
     linked_labels: np.ndarray | None = None
     normalize: bool = True
     final_linear: bool = False
 
     @property
     def depth(self) -> int:
-        return len(self.act)
+        return len(self.goodness)
 
-    def layer_input(self, layer: int) -> np.ndarray:
+    def layer_input(self, layer: int) -> np.ndarray | None:
         return self.inputs if layer == 0 else self.normed[layer - 1]
 
 
@@ -163,8 +171,10 @@ def forward_pass(
     normalize: bool = True,
     final_linear: bool = False,
     linked_labels=None,
+    keep=None,
 ) -> ForwardTrace:
-    """Run the first ``upto`` layers (all by default).
+    """Run the first ``upto`` layers (all by default), holding the arrays of the
+    ``keep`` layers (all by default; see :func:`forward_from_pre`).
 
     ``final_linear`` leaves the last layer of the network un-rectified and
     un-normalized; that is the classifier-head mode used by the classic
@@ -181,19 +191,27 @@ def forward_pass(
     width = batch.shape[1] + (N_LABELS if factored else 0)
     if width != net.input_dim:
         raise ShapeError(f"batch has {width} columns, network expects {net.input_dim}")
-    if factored:
-        copies = linked_copies(len(linked_labels), batch.shape[0])
-        pixel_rows, offsets = first_layer_factors(net, batch.shape[1])
-        pixel_pre = batch @ pixel_rows
-        first_pre = offsets[linked_labels]
-        by_copy = first_pre.reshape(copies, *pixel_pre.shape)
-        by_copy += pixel_pre
-    else:
-        first = net.layers[0]
-        first_pre = batch @ first.weights + first.biases
-    trace = forward_from_pre(net, first_pre, upto, normalize, final_linear)
+    # Made in a call of its own, so that only the layer loop holds the
+    # pre-activation and drops it once layer 1's activities exist.
+    trace = forward_from_pre(
+        net, _first_pre(net, batch, linked_labels), upto, normalize, final_linear, keep
+    )
     trace.inputs, trace.linked_labels = batch, linked_labels
     return trace
+
+
+def _first_pre(net: MlpNetwork, batch: np.ndarray, linked_labels) -> np.ndarray:
+    """The first layer's pre-activation of :func:`forward_pass`'s ``batch``."""
+    if linked_labels is None:
+        first = net.layers[0]
+        return batch @ first.weights + first.biases
+    copies = linked_copies(len(linked_labels), batch.shape[0])
+    pixel_rows, offsets = first_layer_factors(net, batch.shape[1])
+    pixel_pre = batch @ pixel_rows
+    first_pre = offsets[linked_labels]
+    by_copy = first_pre.reshape(copies, *pixel_pre.shape)
+    by_copy += pixel_pre
+    return first_pre
 
 
 def first_layer_factors(net: MlpNetwork, n_pixels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -214,11 +232,21 @@ def forward_from_pre(
     upto: int | None = None,
     normalize: bool = True,
     final_linear: bool = False,
+    keep=None,
 ) -> ForwardTrace:
     """:func:`forward_pass` from the first layer's pre-activation ``first_pre``.
 
     The flags mean what they do there, and the trace records them.
     ``first_pre`` is never written, and the trace has no ``inputs``.
+
+    ``keep`` names the layers whose gradient the caller will take: every
+    computed layer by default, which the backprop baselines need. The trace
+    records every computed layer's goodness as the layer is computed, but
+    holds only a kept layer's activities and its normalized input. The loop
+    drops any other activity once its goodness and normalized rows exist,
+    and any other normalized input once the next layer's matmul has read
+    it, so a pass that keeps no layer holds about one layer's arrays at a
+    time.
     """
     first_pre = as_matrix(first_pre)
     depth = net.depth
@@ -231,6 +259,7 @@ def forward_from_pre(
         upto = depth
     if not 1 <= upto <= depth:
         raise ShapeError(f"upto={upto} outside 1..{depth}")
+    keep = range(upto) if keep is None else set(keep)
 
     trace = ForwardTrace(inputs=None, normalize=normalize, final_linear=final_linear)
     for i in range(upto):
@@ -238,15 +267,20 @@ def forward_from_pre(
         if i == 0:
             # Out of place, so the caller's first_pre is never written.
             act = first_pre if is_linear_output else relu(first_pre)
+            del first_pre
         else:
             layer = net.layers[i]
-            act = trace.normed[i - 1] @ layer.weights
+            act = layer_in @ layer.weights
+            del layer_in
             act += layer.biases
             if not is_linear_output:
                 np.maximum(act, 0.0, out=act)
-        trace.act.append(act)
+        trace.goodness.append(row_sumsq(act))
+        trace.act.append(act if i in keep else None)
         if i < upto - 1:
-            trace.normed.append(l2_row_normalize(act) if normalize else act)
+            layer_in = l2_row_normalize(act) if normalize else act
+            trace.normed.append(layer_in if i + 1 in keep else None)
+        del act
     return trace
 
 
@@ -260,7 +294,9 @@ def layer_local_grad(
     that of the pre-activation, gates the coefficients, so the matmul is not
     recomputed. ``activity_coeffs[s, u]`` must be the derivative of the
     scalar loss with respect to the post-ReLU activity of unit ``u`` on
-    sample ``s``. Nothing is propagated to earlier layers.
+    sample ``s``. Nothing is propagated to earlier layers. The caller hands
+    the coefficients over: once every shape is checked, the mask is applied
+    to them in place, so a caller that reads them again must pass a copy.
 
     With ``linked_labels``, the layer is a first layer over linked inputs in
     label-factored form (:class:`~ffnet.data.LinkedBatch`): ``layer_input``
@@ -291,7 +327,10 @@ def layer_local_grad(
         raise ShapeError(
             f"activity shape {act.shape} does not match coefficients {coeffs.shape}"
         )
-    return _param_grads(layer_input, coeffs * (act > 0.0), linked_labels)
+    if factored:
+        linked_copies(rows, m)  # its check, before the coefficients are written
+    coeffs *= act > 0.0
+    return _param_grads(layer_input, coeffs, linked_labels)
 
 
 def _param_grads(layer_input, d_pre, linked_labels=None) -> tuple[np.ndarray, np.ndarray]:
@@ -362,6 +401,8 @@ def backprop_updates(net: MlpNetwork, trace: ForwardTrace, output_grad):
     depth = net.depth
     if trace.depth != depth:
         raise ShapeError(f"trace depth {trace.depth} != network depth {depth}")
+    if any(a is None for a in trace.act + trace.normed):
+        raise ShapeError("backprop needs a trace that keeps every layer")
     output_grad = as_matrix(output_grad)
     if output_grad.shape != trace.act[-1].shape:
         raise ShapeError(

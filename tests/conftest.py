@@ -11,7 +11,7 @@ import pytest
 from ffnet import init_network, make_rng
 from ffnet.checkpoint import config_hash, save_checkpoint
 from ffnet.data import write_idx
-from ffnet.nn import ForwardTrace
+from ffnet.nn import DenseLayer, ForwardTrace, MlpNetwork, forward_from_pre
 from ffnet.runner import RunConfig
 from ffnet.synth import synthetic_dataset
 
@@ -76,9 +76,15 @@ def random_batch(rng, m: int, d: int) -> np.ndarray:
 
 
 def trace_from_activities(act: np.ndarray) -> ForwardTrace:
-    """Minimal single-layer trace for loss functions that only read act."""
+    """Minimal single-layer trace for loss functions that only read act: the
+    forward loop takes ``act`` as a linear output layer's logits, as they
+    are, and records its goodness."""
     act = np.asarray(act, dtype=np.float64)
-    return ForwardTrace(inputs=np.zeros((act.shape[0], 1)), act=[act])
+    width = act.shape[1]
+    head = MlpNetwork([DenseLayer(np.zeros((1, width)), np.zeros((1, width)))])
+    trace = forward_from_pre(head, act, final_linear=True)
+    trace.inputs = np.zeros((act.shape[0], 1))
+    return trace
 
 
 def traced_peak(fn) -> int:

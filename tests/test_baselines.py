@@ -219,10 +219,11 @@ class TestTraining:
         for la, lb in zip(runs[0][0].layers, runs[1][0].layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
 
-    def test_pairwise_batch_takes_the_last_layers_goodness_alone(self, monkeypatch):
-        """Its objective has gamma 0, so one batch computes one goodness column,
-        not one per layer."""
-        import ffnet.ff as ff_mod
+    def test_pairwise_batch_computes_each_goodness_once(self, monkeypatch):
+        """Its forward pass records each layer's goodness as it computes the
+        layer, and the loss reads the last layer's from the trace: a batch
+        computes one goodness column per layer, none of them twice."""
+        import ffnet.nn as nn_mod
 
         columns = []
 
@@ -230,11 +231,11 @@ class TestTraining:
             columns.append(act.shape)
             return row_sumsq(act)
 
-        monkeypatch.setattr(ff_mod, "row_sumsq", counted)
+        monkeypatch.setattr(nn_mod, "row_sumsq", counted)
         train_ds, _ = synthetic_pair(10, 5, d=6, seed=12)
         net = init_network([16, 7, 6, 5], make_rng(3))
         train_pairwise(net, train_ds, FfConfig(epochs=1, batch_size=10))
-        assert columns == [(20, 5)]
+        assert columns == [(20, 7), (20, 6), (20, 5)]
 
     def test_classic_learns_synthetic_data(self):
         train_ds, test_ds = synthetic_pair(600, 200, d=32, seed=10)

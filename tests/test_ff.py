@@ -31,7 +31,7 @@ from ffnet.ff import (
     train,
 )
 from ffnet.fetch import fetch_dataset, load_dataset
-from ffnet.linalg import l2_row_normalize, make_rng, relu
+from ffnet.linalg import l2_row_normalize, make_rng, relu, row_sumsq
 from ffnet.nn import backprop_updates, forward_pass, init_network, layer_local_grad
 from ffnet.runner import RunConfig
 from ffnet.synth import synthetic_dataset, synthetic_pair
@@ -647,32 +647,109 @@ class TestTrainingMemory:
         self, monkeypatch, trainer, dims, schedule
     ):
         """Each step drops its trace before it yields its last update, so Adam
-        never steps that update beside the batch's activities."""
+        never steps that update beside the batch's activities. Every activity
+        the forward pass made is watched, where the loop measures its
+        goodness, so also one that the pass itself did not keep."""
         import ffnet.baselines as baselines
         import ffnet.ff as ff_module
+        import ffnet.nn as nn_module
 
         refs, batches = [], []
         update = ff_module.apply_adam_update
 
         def watched_forward(*args, **kwargs):
-            trace = forward_pass(*args, **kwargs)
-            refs[:] = [weakref.ref(act) for act in trace.act]
+            refs.clear()
             batches.append([])
-            return trace
+            return forward_pass(*args, **kwargs)
+
+        def watched_goodness(act):
+            refs.append(weakref.ref(act))
+            return row_sumsq(act)
 
         def watched_update(*args):
-            batches[-1].append(sum(ref() is not None for ref in refs))
+            batches[-1].append((len(refs), sum(ref() is not None for ref in refs)))
             return update(*args)
 
         monkeypatch.setattr(ff_module, "forward_pass", watched_forward)
         monkeypatch.setattr(baselines, "forward_pass", watched_forward)
+        monkeypatch.setattr(nn_module, "row_sumsq", watched_goodness)
         monkeypatch.setattr(ff_module, "apply_adam_update", watched_update)
         train_fn = getattr(ff_module if trainer == "train" else baselines, trainer)
         train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
         cfg = FfConfig(theta=3.0, epochs=2, batch_size=20, seed=1, schedule=schedule)
         train_fn(init_network(dims, make_rng(0)), train_ds, cfg)
         assert len(batches) > 1 and all(batches)
-        assert [alive[-1] for alive in batches] == [0] * len(batches)
+        assert all(made for alive in batches for made, _ in alive)
+        assert [alive[-1][1] for alive in batches] == [0] * len(batches)
+
+    def test_a_layerwise_batch_holds_only_its_layers_arrays(self, monkeypatch):
+        """When a stage-s batch (gamma none) takes layer s's gradient, of every
+        activity and normalized array its forward pass made, only layer s's
+        activities and its input (the normalized rows of layer s - 1) are alive."""
+        import ffnet.ff as ff_module
+        import ffnet.nn as nn_module
+
+        made, seen = [], []
+        net = init_network([20, 8, 6, 5], make_rng(0))
+        grad = ff_module.layer_local_grad
+
+        def watched_forward(*args, **kwargs):
+            made.clear()
+            return forward_pass(*args, **kwargs)
+
+        def record(kind, array):
+            made.append((kind, sum(k == kind for k, _, _ in made), weakref.ref(array)))
+            return array
+
+        def watched_grad(layer, *args):
+            [s] = [i for i, lay in enumerate(net.layers) if lay is layer]
+            alive = {(kind, i) for kind, i, ref in made if ref() is not None}
+            computed = sum(kind == "act" for kind, _, _ in made)
+            seen.append((s, computed, alive))
+            return grad(layer, *args)
+
+        monkeypatch.setattr(ff_module, "forward_pass", watched_forward)
+        monkeypatch.setattr(nn_module, "row_sumsq", lambda act: row_sumsq(record("act", act)))
+        monkeypatch.setattr(
+            nn_module, "l2_row_normalize", lambda act: record("normed", l2_row_normalize(act))
+        )
+        monkeypatch.setattr(ff_module, "layer_local_grad", watched_grad)
+        train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
+        train(net, train_ds, FfConfig(theta=3.0, epochs=2, batch_size=20, seed=1))
+        assert {s for s, _, _ in seen} == {0, 1, 2}
+        for s, computed, alive in seen:
+            assert computed == s + 1
+            assert alive == {("act", s)} | ({("normed", s - 1)} if s else set())
+
+    @TRAINERS
+    def test_no_adam_moment_is_alive_at_a_stages_last_on_epoch(
+        self, monkeypatch, trainer, dims, schedule
+    ):
+        """A stage's training is over before its last ``on_epoch``, so its Adam
+        pairs are gone by then; at its other epochs they are alive."""
+        import ffnet.baselines as baselines
+        import ffnet.ff as ff_module
+        from ffnet.nn import AdamState
+
+        refs, alive = [], []
+        for_param = AdamState.for_param
+
+        def watched_for_param(param, learning_rate):
+            state = for_param(param, learning_rate)
+            refs.extend(weakref.ref(m) for m in (state.first_moment, state.second_moment))
+            return state
+
+        def on_epoch(epoch, net):
+            alive.append((epoch, sum(ref() is not None for ref in refs)))
+
+        monkeypatch.setattr(AdamState, "for_param", watched_for_param)
+        train_fn = getattr(ff_module if trainer == "train" else baselines, trainer)
+        train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
+        cfg = FfConfig(theta=3.0, epochs=2, batch_size=20, seed=1, schedule=schedule)
+        train_fn(init_network(dims, make_rng(0)), train_ds, cfg, on_epoch=on_epoch)
+        assert refs and alive
+        assert all(count == 0 for epoch, count in alive if epoch % cfg.epochs == 0)
+        assert all(count > 0 for epoch, count in alive if epoch % cfg.epochs)
 
 
 class TestInference:
@@ -859,7 +936,7 @@ class TestFactoredTraining:
             )
             coeffs = rng.standard_normal(want.act[0].shape)
             grad_w, grad_b = layer_local_grad(
-                layer, batch.images, want.act[0], coeffs, batch.linked_labels
+                layer, batch.images, want.act[0], coeffs.copy(), batch.linked_labels
             )
             want_w, want_b = layer_local_grad(layer, linked, want.act[0], coeffs)
             assert grad_w.shape == want_w.shape == layer.weights.shape

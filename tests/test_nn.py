@@ -6,7 +6,7 @@ from conftest import agreement, fd_grad, random_batch, random_net, traced_peak
 
 from ffnet import nn
 from ffnet.errors import ConfigError, ShapeError
-from ffnet.linalg import make_rng
+from ffnet.linalg import make_rng, row_sumsq
 from ffnet.nn import (
     AdamState,
     DenseLayer,
@@ -159,6 +159,49 @@ class TestForwardTrace:
         # 64 KB covers the trace's Python objects, not a sixth array.
         assert held <= 5 * 400 * 500 * 8 + 64 * 1024
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("keep", [(), [0], [1], [2], [0, 2], None])
+    def test_keep_holds_only_the_kept_layers_arrays(self, rng, keep, normalize):
+        """A pass holds the activities and the normalized input of the layers
+        it keeps, the same bits as a keep-all pass, and None for the others;
+        it records every layer's goodness, bit for bit ``row_sumsq`` of the
+        keep-all pass's activities."""
+        net = random_net([6, 5, 4, 3], seed=4)
+        batch = random_batch(rng, 5, 6)
+        want = forward_pass(net, batch, normalize=normalize)
+        got = forward_pass(net, batch, normalize=normalize, keep=keep)
+        kept = range(3) if keep is None else keep
+        assert got.depth == 3 and len(got.act) == 3 and len(got.normed) == 2
+        for i in range(3):
+            assert (got.act[i] is None) == (i not in kept)
+            if i in kept:
+                assert got.act[i].tobytes() == want.act[i].tobytes()
+                assert got.layer_input(i).tobytes() == want.layer_input(i).tobytes()
+            else:
+                assert i == 0 or got.normed[i - 1] is None
+            assert got.goodness[i].tobytes() == row_sumsq(want.act[i]).tobytes()
+            assert want.goodness[i].tobytes() == got.goodness[i].tobytes()
+
+    def test_a_pass_keeping_no_layer_holds_about_one_layer_at_a_time(self):
+        """Scoring's pass over a 256-row block of 794-500-500-500 peaks at two
+        256x500 arrays (one layer's activities and normalized rows, or its
+        input and the next layer's activities), and leaves only goodness."""
+        net = init_network([794, 500, 500, 500], make_rng(0))
+        pixel_pre = make_rng(1).uniform(-1.0, 1.0, size=(256, 500))
+        offset = net.layers[0].biases + 0.1
+        tracemalloc.start()
+        try:
+            trace = forward_from_pre(net, pixel_pre + offset, keep=())
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.act == [None] * 3 and trace.normed == [None] * 2
+        block = 256 * 500 * 8
+        # 128 KB covers the goodness vectors, the per-row norms and einsum's
+        # buffer; a third array would take 1,000 KB.
+        assert held <= 128 * 1024
+        assert peak <= 2 * block + 128 * 1024
+
     def test_from_first_pre_rejects_wrong_width(self):
         net = random_net([6, 5, 4], seed=4)
         with pytest.raises(ShapeError, match="layer 1 has 5 units"):
@@ -211,7 +254,7 @@ class TestLayerLocalGrad:
         for i, layer in enumerate(net.layers):
             inp = trace.layer_input(i)
             coeffs = rng.standard_normal((11, layer.out_dim))
-            gw, gb = layer_local_grad(layer, inp, trace.act[i], coeffs)
+            gw, gb = layer_local_grad(layer, inp, trace.act[i], coeffs.copy())
             d_pre = coeffs * (inp @ layer.weights + layer.biases > 0.0)
             assert gw.tobytes() == (inp.T @ d_pre).tobytes()
             assert gb.tobytes() == d_pre.sum(axis=0, keepdims=True).tobytes()
@@ -226,14 +269,35 @@ class TestLayerLocalGrad:
             with pytest.raises(ShapeError):
                 layer_local_grad(net.layers[0], x, bad, np.ones((3, 4)))
 
+    def test_masks_the_handed_over_coefficients_once_the_shapes_pass(self, rng):
+        """The caller hands the coefficients over: a call masks them in place,
+        and a rejected call leaves them as they were."""
+        net = random_net([16, 4], seed=3)
+        images = random_batch(rng, 3, 6)
+        labels = np.array([0, 3, 9, 2, 5, 5])
+        act = forward_pass(net, images, linked_labels=labels).act[0]
+        coeffs = rng.standard_normal((6, 4))
+        before = coeffs.copy()
+        with pytest.raises(ShapeError, match="6 linked rows are not a multiple of 4"):
+            layer_local_grad(net.layers[0], random_batch(rng, 4, 6), act, coeffs, labels)
+        assert coeffs.tobytes() == before.tobytes()
+        layer_local_grad(net.layers[0], images, act, coeffs, labels)
+        assert coeffs.tobytes() == (before * (act > 0.0)).tobytes()
+
 
 class TestFullBackprop:
+    def test_rejects_a_trace_that_drops_a_layer(self, rng):
+        net = random_net([6, 5, 4], seed=5)
+        trace = forward_pass(net, random_batch(rng, 3, 6), keep=[1])
+        with pytest.raises(ShapeError, match="keeps every layer"):
+            full_backprop_grad(net, trace, np.zeros((3, 4)))
+
     def test_depth_one_equals_layer_local(self, rng):
         net = random_net([6, 4], seed=4)
         x = random_batch(rng, 3, 6)
         coeffs = rng.standard_normal((3, 4))
         trace = forward_pass(net, x)
-        gw_local, gb_local = layer_local_grad(net.layers[0], x, trace.act[0], coeffs)
+        gw_local, gb_local = layer_local_grad(net.layers[0], x, trace.act[0], coeffs.copy())
         [(gw_full, gb_full)] = full_backprop_grad(net, trace, coeffs)
         np.testing.assert_array_equal(gw_local, gw_full)
         np.testing.assert_array_equal(gb_local, gb_full)

@@ -169,13 +169,12 @@ def test_the_check_finds_a_package_import_in_a_function():
     assert function_package_imports(source) == ["report (line 7)"]
 
 
-def loss_reads(source: str, cores=("ff_loss", "entropy_objective")) -> list[str]:
-    """Reads of the loss ``cores`` (by name or as an attribute) outside
-    ``goodness_loss``, the one function that picks a layer's loss; a read is
-    owned by its innermost enclosing function."""
+def reads_outside(source: str, names, owner: str) -> list[str]:
+    """Reads of ``names`` (by name or as an attribute) outside the function
+    ``owner``; a read is owned by its innermost enclosing function."""
     found = []
 
-    def visit(node, owner):
+    def visit(node, current):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
@@ -185,9 +184,9 @@ def loss_reads(source: str, cores=("ff_loss", "entropy_objective")) -> list[str]
                 name = child.id
             elif isinstance(child, ast.Attribute):
                 name = child.attr
-            if name in cores and owner != "goodness_loss":
-                found.append(f"{name} in {owner} (line {child.lineno})")
-            visit(child, owner)
+            if name in names and current != owner:
+                found.append(f"{name} in {current} (line {child.lineno})")
+            visit(child, current)
 
     visit(ast.parse(source), "the module")
     return found
@@ -195,7 +194,9 @@ def loss_reads(source: str, cores=("ff_loss", "entropy_objective")) -> list[str]
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_only_goodness_loss_reads_the_loss_cores(path):
-    assert loss_reads(path.read_text()) == []
+    """``goodness_loss`` is the one function that picks a layer's loss."""
+    cores = ("ff_loss", "entropy_objective")
+    assert reads_outside(path.read_text(), cores, "goodness_loss") == []
 
 
 def test_the_check_finds_a_loss_read_outside_goodness_loss():
@@ -212,10 +213,36 @@ def test_the_check_finds_a_loss_read_outside_goodness_loss():
         "    return pick(g), inner()\n"
         "DEFAULT = ff_loss\n"
     )
-    assert loss_reads(source) == [
+    assert reads_outside(source, ("ff_loss", "entropy_objective"), "goodness_loss") == [
         "entropy_objective in layer_losses (line 7)",
         "ff_loss in inner (line 9)",
         "ff_loss in the module (line 11)",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_only_the_forward_loop_computes_goodness(path):
+    """Goodness is ``row_sumsq`` of a layer's activities, and only
+    ``nn.forward_from_pre`` takes it, as it computes the layer: every other
+    reader (``ff.goodness``, ``ff.goodness_table``, the losses, the
+    baselines) reads the trace's recorded values, which stay when the
+    trace drops the activities."""
+    assert reads_outside(path.read_text(), ("row_sumsq",), "forward_from_pre") == []
+
+
+def test_the_check_finds_goodness_computed_outside_the_forward_loop():
+    source = (
+        "from .linalg import row_sumsq\n"
+        "from . import linalg\n"
+        "def forward_from_pre(net, act):\n"
+        "    return row_sumsq(act)\n"
+        "def goodness(trace, layer):\n"
+        "    return linalg.row_sumsq(trace.act[layer])\n"
+        "def row_sumsq_of(a):\n"
+        "    return a\n"
+    )
+    assert reads_outside(source, ("row_sumsq",), "forward_from_pre") == [
+        "row_sumsq in goodness (line 6)",
     ]
 
 
