@@ -26,7 +26,7 @@ from ffnet import (
 )
 from ffnet.entropy import goodness_entropy_reports
 from ffnet.ff import train
-from ffnet.reports import entropy_fields, entropy_row, write_entropy_csv
+from ffnet.reports import entropy_fields, entropy_row, write_csv
 
 OUT = Path("demo_out/entropy")
 
@@ -82,5 +82,5 @@ for row in rows:
             f"{row['across_layers']:.3f} + {within:.3f}"
         )
 
-write_entropy_csv(OUT / "trajectory.csv", rows, depth=3)
+write_csv(OUT / "trajectory.csv", entropy_fields(3), rows)
 print(f"\nfull trajectory (all splits) in {OUT / 'trajectory.csv'}")

@@ -38,7 +38,6 @@ from .ff import (
     compute_gamma,
     entropy_loss_and_coeffs,
     ff_loss_and_coeffs,
-    goodness,
     goodness_table,
     infer,
     positive_prob,

@@ -21,7 +21,7 @@ import numpy as np
 from .data import N_LABELS, Dataset, make_linked_batches, make_plain_batches, one_hot
 from .errors import ShapeError
 from .ff import (
-    FfConfig, activity_coeffs, check_split_size, fit, goodness, goodness_loss,
+    FfConfig, activity_coeffs, check_split_size, fit, goodness_loss,
     score_rows, voting_error,
 )
 from .nn import MlpNetwork, backprop_updates, forward_pass
@@ -56,7 +56,7 @@ def train_pairwise(
 
     def step(batch, layers, stats):
         trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
-        g = goodness(trace, last)
+        g = trace.goodness[last]
         loss, d_g = goodness_loss(g, 0.0, batch.polarity, "sigmoid_goodness", cfg.theta)
         stats.record(last, loss, g, batch.polarity)
         return backprop_updates(net, trace, activity_coeffs(trace.act[last], d_g))
@@ -69,10 +69,14 @@ def train_pairwise(
 
 
 def classic_logits(net: MlpNetwork, images, normalize: bool = False, idx=None) -> np.ndarray:
-    """(n, N_LABELS) label-head logits; :func:`~ffnet.ff.score_rows` reads the rows."""
+    """(n, N_LABELS) label-head logits; :func:`~ffnet.ff.score_rows` reads the rows.
+    Each pass keeps only the head, so it holds about one hidden layer's arrays
+    of the block at a time."""
+    head = (net.depth - 1,)
 
     def score(block, out):
-        out[:] = forward_pass(net, block, normalize=normalize, final_linear=True).act[-1]
+        trace = forward_pass(net, block, normalize=normalize, final_linear=True, keep=head)
+        out[:] = trace.act[-1]
 
     return score_rows(images, idx, (N_LABELS,), score)
 

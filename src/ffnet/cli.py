@@ -211,7 +211,3 @@ def main(argv=None) -> int:
         warnings.showwarning = show
         for w in held:
             show(*w)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -33,7 +33,6 @@ from __future__ import annotations
 import gzip
 import math
 import struct
-import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -219,23 +218,20 @@ CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixels
 
 
 def load_cifar_bin(batch_paths, split: str = "train") -> Dataset:
-    """Concatenate CIFAR-10 binary batch files into one Dataset."""
+    """Concatenate CIFAR-10 binary batch files into one Dataset. A batch whose
+    size is not a positive multiple of the 3073-byte record, an empty one
+    included, is a :class:`DataFormatError`."""
     records_parts = []
     for path in batch_paths:
         raw = Path(path).read_bytes()
-        if len(raw) == 0:
-            warnings.warn(f"CIFAR batch {path} is empty", stacklevel=2)
-            continue
-        if len(raw) % CIFAR_RECORD_BYTES != 0:
+        if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
             raise DataFormatError(
-                f"CIFAR batch {path}: size {len(raw)} is not a multiple of "
+                f"CIFAR batch {path}: size {len(raw)} is not a positive multiple of "
                 f"{CIFAR_RECORD_BYTES}"
             )
         records_parts.append(
             np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
         )
-    if not records_parts:
-        records_parts = [np.zeros((0, CIFAR_RECORD_BYTES), dtype=np.uint8)]
     # The pixels are gathered straight from the files' records into one
     # contiguous array; the label bytes are not held with them.
     return Dataset(

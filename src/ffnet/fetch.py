@@ -118,8 +118,10 @@ def fetch_dataset(name: str, data_dir=None, downloader=_download) -> list[Path]:
     Returns the local paths of every split's files. A second call with a
     warm cache performs no network I/O. ``downloader`` is injectable for testing.
     A file with no pinned or recorded digest has its digest recorded only once
-    every split reads through :func:`load_dataset`; if one does not, such
-    files are removed, so the next call downloads them again.
+    every split reads through :func:`load_dataset`. If the CIFAR-10 archive
+    does not extract or a split does not read, such files are removed, and
+    so are any extracted CIFAR-10 batches, so the next call downloads and
+    extracts them again.
     """
     check_choice("dataset", name, DATASET_NAMES)
     target_dir = _dataset_dir(name, data_dir)
@@ -139,8 +141,9 @@ def fetch_dataset(name: str, data_dir=None, downloader=_download) -> list[Path]:
             for split in SPLITS:
                 load_dataset(name, split, data_dir)
     except DataFormatError:
-        for path in unrecorded:
-            path.unlink()
+        extracted = [target_dir / member for member in CIFAR_MEMBERS] if name == "cifar10" else []
+        for path in [*unrecorded, *extracted]:
+            path.unlink(missing_ok=True)
         raise
     for record in unrecorded.values():
         record()
@@ -158,8 +161,6 @@ def _extract_cifar(archive: Path, target_dir: Path) -> None:
                 base = os.path.basename(member.name)
                 if base in CIFAR_MEMBERS and member.isfile():
                     source = tar.extractfile(member)
-                    if source is None:
-                        raise DataFormatError(f"unreadable member {member.name} in {archive}")
                     # A copy cut short leaves no member: extraction is skipped
                     # only once every member exists.
                     atomic_write(target_dir / base, lambda out: shutil.copyfileobj(source, out))

@@ -1,9 +1,10 @@
 """Goodness-based layer-local training and its collaborative variant.
 
 A layer's goodness for a linked input is the squared sum of its ReLU
-activities. Each layer is trained to push goodness above a threshold theta
-on positive rows and below it on negative rows, through the logistic
-probability
+activities; the forward pass records it (``ForwardTrace.goodness``), and
+every reader here reads it there. Each layer is trained to push goodness
+above a threshold theta on positive rows and below it on negative rows,
+through the logistic probability
 
     p = sigmoid(g + gamma - theta)
 
@@ -24,10 +25,11 @@ goodness over a layer mask, and votes by the largest sum.
 
 Neither training nor evaluation builds linked inputs. The first layer's
 pre-activation of a sample ``x`` linked with label ``y`` is
-``x @ W_pix + (W_lab[y] + b)`` (``nn.first_layer_factors``), so a sample's
-pixel product is computed once and shared by all its linked rows: the
-positive and negative rows of a training batch (``nn.forward_pass``, given
-the batch's ``linked_labels``, and, for layer 1's gradient,
+``x @ W_pix + (W_lab[y] + b)`` (``nn.first_layer_factors`` returns a
+batch's pixel products and the label offsets), so a sample's pixel
+product is computed once and shared by all its linked rows: the positive
+and negative rows of a training batch (``nn.forward_pass``, given the
+batch's ``linked_labels``, and, for layer 1's gradient,
 ``nn.layer_local_grad``, given the same labels from the trace) and the ten
 labels of an evaluation pass.
 Predictions, subset errors, entropy tables and test-split losses are all
@@ -55,7 +57,7 @@ from .nn import (
     forward_pass,
     layer_local_grad,
 )
-from .reports import history_row, subset_label
+from .reports import HISTORY_FIELDS, subset_label
 
 GAMMA_MODES = ("none", "all_other_layers", "predecessors_only")
 SCHEDULES = ("layerwise", "alternating")
@@ -118,12 +120,6 @@ class FfConfig:
             raise ConfigError(
                 f"negatives_per_positive must be >= 1, got {self.negatives_per_positive}"
             )
-
-
-def goodness(trace: ForwardTrace, layer: int) -> np.ndarray:
-    """Squared sum of the layer's ReLU activities, per sample, as the forward
-    pass recorded it."""
-    return trace.goodness[layer]
 
 
 def goodness_table(trace: ForwardTrace) -> np.ndarray:
@@ -228,7 +224,7 @@ def ff_loss_and_coeffs(
     trace: ForwardTrace, layer: int, gamma, theta, polarity
 ) -> tuple[float, np.ndarray]:
     """:func:`ff_loss` of one traced layer; d(loss)/d(activity) feeds layer_local_grad."""
-    loss, d_g = goodness_loss(goodness(trace, layer), gamma, polarity, "sigmoid_goodness", theta)
+    loss, d_g = goodness_loss(trace.goodness[layer], gamma, polarity, "sigmoid_goodness", theta)
     return loss, activity_coeffs(trace.act[layer], d_g)
 
 
@@ -236,7 +232,7 @@ def entropy_loss_and_coeffs(
     trace: ForwardTrace, layer: int, gamma, polarity
 ) -> tuple[float, np.ndarray]:
     """:func:`entropy_objective` of one traced layer, with d(objective)/d(activity)."""
-    loss, d_g = goodness_loss(goodness(trace, layer), gamma, polarity, "entropy", None)
+    loss, d_g = goodness_loss(trace.goodness[layer], gamma, polarity, "entropy", None)
     return -loss, activity_coeffs(trace.act[layer], -d_g)
 
 
@@ -273,7 +269,7 @@ class EpochStats:
 
     def rows(self, loss_kind: str, layers, split: str = "train") -> list[dict]:
         return [
-            history_row(
+            dict(zip(HISTORY_FIELDS, (
                 self.epoch,
                 i + 1,
                 loss_kind,
@@ -281,7 +277,7 @@ class EpochStats:
                 self.loss_sum[i] / max(self.batches[i], 1),
                 self.good_pos[i] / max(self.n_pos[i], 1),
                 self.good_neg[i] / max(self.n_neg[i], 1),
-            )
+            )))
             for i in layers
         ]
 
@@ -478,17 +474,17 @@ def label_goodness_scores(net: MlpNetwork, images, idx=None) -> np.ndarray:
     """(n, N_LABELS, depth) goodness of every layer for every sample linked with
     every label, label ``y`` in column ``y``; :func:`score_rows` reads the rows.
 
-    Each block of samples takes one pixel product, and each label adds its
-    offset row (``nn.first_layer_factors``) to it before running the
-    remaining layers. Scoring reads only goodness, so each pass keeps no
-    layer: it holds about one layer's arrays of the block at a time, which
-    stay in cache and are reused by the allocator instead of being
-    returned to the system and faulted in again.
+    Each block of samples takes one pixel product, which
+    ``nn.first_layer_factors`` returns with the label offset rows, and each
+    label adds its offset row to it before running the remaining layers.
+    Scoring reads only goodness, so each pass keeps no layer: it holds
+    about one layer's arrays of the block at a time, which stay in cache
+    and are reused by the allocator instead of being returned to the
+    system and faulted in again.
     """
 
     def score(block, out):
-        pixel_rows, offsets = first_layer_factors(net, block.shape[1])
-        pixel_pre = block @ pixel_rows
+        pixel_pre, offsets = first_layer_factors(net, block)
         for label, offset in enumerate(offsets):
             out[:, label] = goodness_table(forward_from_pre(net, pixel_pre + offset, keep=()))
 

@@ -206,24 +206,24 @@ def _first_pre(net: MlpNetwork, batch: np.ndarray, linked_labels) -> np.ndarray:
         first = net.layers[0]
         return batch @ first.weights + first.biases
     copies = linked_copies(len(linked_labels), batch.shape[0])
-    pixel_rows, offsets = first_layer_factors(net, batch.shape[1])
-    pixel_pre = batch @ pixel_rows
+    pixel_pre, offsets = first_layer_factors(net, batch)
     first_pre = offsets[linked_labels]
     by_copy = first_pre.reshape(copies, *pixel_pre.shape)
     by_copy += pixel_pre
     return first_pre
 
 
-def first_layer_factors(net: MlpNetwork, n_pixels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel rows of the first layer's weights and one offset row per label.
+def first_layer_factors(net: MlpNetwork, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pixel product of ``batch`` and one offset row per label.
 
-    The first-layer pre-activation of ``n_pixels`` pixels ``x`` linked with
-    label ``y`` is ``x @ pixel_rows + offsets[y]``, where ``offsets[y]`` is
-    the label's weight row plus the bias.
+    ``batch`` holds pixels only. The first-layer pre-activation of its row
+    ``r`` linked with label ``y`` is ``pixel_pre[r] + offsets[y]``, where
+    ``pixel_pre`` is ``batch`` times the pixel rows of the first layer's
+    weights and ``offsets[y]`` is the label's weight row plus the bias.
     """
     first = net.layers[0]
-    pixel_rows, label_rows = split_linked_weights(first.weights, n_pixels)
-    return pixel_rows, label_rows + first.biases
+    pixel_rows, label_rows = split_linked_weights(first.weights, batch.shape[1])
+    return batch @ pixel_rows, label_rows + first.biases
 
 
 def forward_from_pre(

@@ -19,12 +19,6 @@ HISTORY_FIELDS = [
 ]
 
 
-def history_row(epoch, layer, loss_kind, split, loss, good_pos, good_neg) -> dict:
-    """One history.csv row, fields in HISTORY_FIELDS order; ``layer`` is 1-based."""
-    values = (epoch, layer, loss_kind, split, loss, good_pos, good_neg)
-    return dict(zip(HISTORY_FIELDS, values))
-
-
 def atomic_write(path, write) -> None:
     """Call ``write`` on a binary handle to a temp file, then rename it onto
     ``path``. Checkpoints and downloads are written through it as well.
@@ -75,10 +69,6 @@ def entropy_row(epoch: int, split: str, report) -> dict:
     for i, value in enumerate(report.within_layer):
         row[f"within_layer_{i + 1}"] = value
     return row
-
-
-def write_entropy_csv(path, rows, depth: int) -> None:
-    write_csv(path, entropy_fields(depth), rows)
 
 
 def subset_label(layers) -> str:

@@ -31,9 +31,9 @@ from .linalg import make_rng
 from .nn import MlpNetwork, check_layer_dims, init_network
 from .reports import (
     HISTORY_FIELDS,
+    entropy_fields,
     entropy_row,
     write_csv,
-    write_entropy_csv,
     write_json,
     write_marginals_csv,
     write_subsets_csv,
@@ -286,7 +286,6 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     ff.check_split_size(train_ds.n, "training", ff_cfg.loss_kind)
     ff.check_split_size(test_ds.n, "test", ff_cfg.loss_kind)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     resolved = cfg.to_dict()
     write_json(out_dir / "config.json", resolved)
 
@@ -318,7 +317,7 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     save_checkpoint(out_dir / "checkpoint.npz", net, resolved)
     write_csv(out_dir / "history.csv", HISTORY_FIELDS, history + test_rows)
     if method.linked:
-        write_entropy_csv(out_dir / "entropy.csv", entropy_rows, net.depth)
+        write_csv(out_dir / "entropy.csv", entropy_fields(net.depth), entropy_rows)
     write_csv(out_dir / "errors.csv", ["epoch", "split", "error"], error_rows)
     summary = {
         "final_test_error": final_error,
@@ -377,7 +376,6 @@ def evaluate_checkpoint(
     ff.check_split_size(test_ds.n, "test", cfg.ff_config().loss_kind)
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scores = _scores(net, cfg, test_ds)
     summary = {
         "checkpoint": str(checkpoint_path),
@@ -400,7 +398,7 @@ def evaluate_checkpoint(
             (out_dir / "marginals.csv").unlink(missing_ok=True)
         sample = draw_eval_sample(test_ds, cfg.entropy_eval_n, cfg.seed)
         _, rows, _ = _snapshot(_last_epoch(cfg, net.depth), scores[sample[0]], sample, cfg)
-        write_entropy_csv(out_dir / "entropy_report.csv", rows, net.depth)
+        write_csv(out_dir / "entropy_report.csv", entropy_fields(net.depth), rows)
     write_json(out_dir / "eval_summary.json", summary)
     return summary
 

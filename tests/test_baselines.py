@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from conftest import agreement, fd_grad, random_batch, random_net
+from conftest import agreement, fd_grad, random_batch, random_net, traced_peak
 
 from ffnet.baselines import (
     classic_logits,
@@ -54,6 +56,14 @@ class TestSoftmaxCrossEntropy:
         _, d_logits = softmax_cross_entropy(logits, labels)
         numeric = fd_grad(loss, logits)
         assert agreement([d_logits], [numeric], tol=1e-6) >= 0.99
+
+    @pytest.mark.parametrize(
+        "logits_shape, labels_shape", [((10,), (10,)), ((4, 10), (3,)), ((4, 10), (4, 1))]
+    )
+    def test_incompatible_shapes_rejected(self, logits_shape, labels_shape):
+        message = f"logits {logits_shape} incompatible with labels {labels_shape}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            softmax_cross_entropy(np.zeros(logits_shape), np.zeros(labels_shape, dtype=np.int64))
 
 
 class TestPairwiseGradients:
@@ -200,6 +210,19 @@ class TestClassicScores:
         got = classic_logits(net, ds, idx=idx)
         want = classic_logits(net, ds.rows(idx))
         assert got.shape == (600, 10) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_a_block_holds_about_one_hidden_layer_at_a_time(self, normalize):
+        """Scoring reads only the head's logits, so its pass over a 256-row
+        block of 784-500-500-500-10 peaks at two 256x500 arrays (a layer's
+        input and its activities), not at every hidden layer's activities
+        and normalized rows."""
+        net = init_network([784, 500, 500, 500, 10], make_rng(0))
+        images = make_rng(1).uniform(size=(256, 784))
+        peak = traced_peak(lambda: classic_logits(net, images, normalize))
+        # 128 KB covers the logits, the goodness vectors, the per-row norms
+        # and einsum's buffer; a third array would take 1,000 KB.
+        assert peak <= 2 * 256 * 500 * 8 + 128 * 1024
 
 
 class TestTraining:

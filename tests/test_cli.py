@@ -1013,20 +1013,22 @@ class TestFetch:
             fetch_dataset("mnist", cache)
 
     @staticmethod
-    def _cifar_archive(tmp_path):
-        """A CIFAR-10 archive of 4 records per batch at ``tmp_path/server``."""
+    def _cifar_archive(tmp_path, damaged=None):
+        """A CIFAR-10 archive of 4 records per batch at ``tmp_path/server``;
+        ``damaged`` maps a member to the bytes it holds instead."""
         import ffnet.fetch as fetch_mod
 
         rng = make_rng(1)
         server = tmp_path / "server"
-        server.mkdir()
+        server.mkdir(parents=True)
         batches_dir = tmp_path / "cifar-10-batches-bin"
         batches_dir.mkdir()
         for member in fetch_mod.CIFAR_MEMBERS:
             records = np.zeros((4, 3073), dtype=np.uint8)
             records[:, 0] = rng.integers(0, 10, size=4)
             records[:, 1:] = rng.integers(0, 256, size=(4, 3072))
-            (batches_dir / member).write_bytes(records.tobytes())
+            raw = (damaged or {}).get(member, records.tobytes())
+            (batches_dir / member).write_bytes(raw)
         archive = server / "cifar-10-binary.tar.gz"
         with tarfile.open(archive, "w:gz") as tar:
             tar.add(batches_dir, arcname="cifar-10-batches-bin")
@@ -1051,6 +1053,21 @@ class TestFetch:
 
         ds = load_dataset("cifar10", "train", cache)
         assert ds.n == 20  # 5 batches x 4 records
+
+    def test_warm_cifar_cache_neither_downloads_nor_opens_the_archive(
+        self, tmp_path, monkeypatch
+    ):
+        import ffnet.fetch as fetch_mod
+
+        self._serve_cifar(tmp_path, monkeypatch)
+        cache = tmp_path / "cache"
+        paths = fetch_dataset("cifar10", cache)
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("archive touched on a warm cache")
+
+        monkeypatch.setattr(fetch_mod.tarfile, "open", untouched)
+        assert fetch_dataset("cifar10", cache, downloader=untouched) == paths
 
     def test_interrupted_extraction_leaves_no_member(self, tmp_path, monkeypatch):
         """A copy that fails after 2 of a member's 4 records leaves no file
@@ -1129,6 +1146,35 @@ class TestFetch:
         assert len(downloads) == 3
         assert sidecar.read_text() == sha256_file(archive) + "\n"
         assert load_dataset("cifar10", "test", cache).n == 4
+
+    @pytest.mark.parametrize("size", [0, 10], ids=["empty", "short"])
+    def test_unpinned_cifar_archive_with_a_batch_that_does_not_read_keeps_nothing(
+        self, tmp_path, size
+    ):
+        """An archive whose third train batch is empty or cut short fails its
+        fetch with one line. It records no digest, and neither the archive nor
+        any batch extracted from it stays, so a good archive fetched next is
+        extracted in full."""
+        from ffnet.fetch import load_dataset
+
+        bad = self._cifar_archive(tmp_path / "bad", {"data_batch_3.bin": bytes(size)})
+        served = [bad.read_bytes()]
+        downloads = []
+
+        def downloader(url, target):
+            downloads.append(url)
+            target.write_bytes(served[0])
+
+        cache = tmp_path / "cache"
+        with pytest.raises(DataFormatError, match=f"data_batch_3.bin: size {size} ") as caught:
+            fetch_dataset("cifar10", cache, downloader=downloader)
+        assert len(str(caught.value).splitlines()) == 1
+        assert not list((cache / "cifar10").iterdir())
+        served[0] = self._cifar_archive(tmp_path / "good").read_bytes()
+        fetch_dataset("cifar10", cache, downloader=downloader)
+        assert len(downloads) == 2
+        assert (cache / "cifar10" / "data_batch_3.bin").stat().st_size == 4 * 3073
+        assert load_dataset("cifar10", "train", cache).n == 20
 
     def test_unpinned_idx_file_that_does_not_read_records_no_digest(self, tmp_path):
         """The shipped IDX downloads pin no digest. Files that do not read are

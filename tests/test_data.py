@@ -1,5 +1,6 @@
 import gzip
 import math
+import re
 import struct
 import tracemalloc
 
@@ -233,16 +234,15 @@ class TestCifar:
         assert ds.n == 600
         assert peak <= 2.1 * ds.pixels.nbytes
 
-    def test_bad_record_size(self, tmp_path):
-        (tmp_path / "bad.bin").write_bytes(b"\x00" * 5000)
-        with pytest.raises(DataFormatError, match="3073"):
-            load_cifar_bin([tmp_path / "bad.bin"])
-
-    def test_empty_file_warns_and_yields_empty_dataset(self, tmp_path):
-        (tmp_path / "empty.bin").write_bytes(b"")
-        with pytest.warns(UserWarning, match="empty"):
-            ds = load_cifar_bin([tmp_path / "empty.bin"])
-        assert ds.n == 0
+    @pytest.mark.parametrize("size", [5000, 0])
+    def test_bad_record_size(self, tmp_path, size):
+        """An empty batch is damaged too, not a batch of no records: loading
+        it would drop a fifth of the train split without a word."""
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\x00" * size)
+        message = f"CIFAR batch {path}: size {size} is not a positive multiple of 3073"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            load_cifar_bin([path])
 
 
 def _write_cifar_split(tmp_path, rng, n):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,12 @@ class TestDecomposition:
     def test_negative_goodness_rejected(self):
         with pytest.raises(DomainError):
             entropy_decompose(np.array([[1.0, -1.0]]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_a_table_that_is_not_2d_rejected(self, shape):
+        message = f"need a 2-D goodness table, got shape {shape}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            entropy_decompose(np.ones(shape))
 
 
 class TestGoodnessEntropyReports:

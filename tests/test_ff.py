@@ -20,7 +20,6 @@ from ffnet.ff import (
     compute_gamma,
     entropy_loss_and_coeffs,
     ff_loss_and_coeffs,
-    goodness,
     goodness_loss,
     goodness_table,
     infer,
@@ -40,17 +39,17 @@ from ffnet.synth import synthetic_dataset, synthetic_pair
 class TestGoodness:
     def test_three_four_gives_twenty_five(self):
         trace = trace_from_activities(np.array([[3.0, 4.0]]))
-        np.testing.assert_array_equal(goodness(trace, 0), [25.0])
+        np.testing.assert_array_equal(trace.goodness[0], [25.0])
 
     def test_zero_activities(self):
         trace = trace_from_activities(np.zeros((4, 6)))
-        np.testing.assert_array_equal(goodness(trace, 0), np.zeros(4))
+        np.testing.assert_array_equal(trace.goodness[0], np.zeros(4))
 
     def test_matches_explicit_sum_of_squares(self, rng):
         act = rng.standard_normal((10, 8))
         trace = trace_from_activities(act)
         manual = np.array([sum(v * v for v in row) for row in act])
-        np.testing.assert_allclose(goodness(trace, 0), manual, atol=1e-12)
+        np.testing.assert_allclose(trace.goodness[0], manual, atol=1e-12)
 
     def test_table_is_nonnegative_for_real_traces(self, rng):
         net = random_net([9, 7, 5], seed=3)
@@ -115,6 +114,17 @@ class TestComputeGamma:
 
     def test_none_mode(self):
         np.testing.assert_array_equal(compute_gamma(self._table(), 0, "none"), [0.0])
+
+    @pytest.mark.parametrize("layer", [-1, 3])
+    def test_layer_outside_the_table_rejected(self, layer):
+        with pytest.raises(ShapeError, match=f"^layer {layer} outside table depth 3$"):
+            compute_gamma(self._table(), layer, "none")
+
+
+@pytest.mark.parametrize("loss_kind", ["sigmoid_goodness", "entropy"])
+def test_goodness_loss_rejects_a_polarity_of_another_shape(loss_kind):
+    with pytest.raises(ShapeError, match=r"^polarity shape \(3,\) does not match batch of 4$"):
+        goodness_loss(np.ones(4), 0.0, np.array([1.0, 1.0, -1.0]), loss_kind, 1.0)
 
 
 class TestFfLoss:
@@ -285,7 +295,7 @@ class TestLossDirection:
         net = random_net([6, 5], seed=21)
         x = rng.uniform(0.3, 1.0, size=(1, 6))
         trace = forward_pass(net, x)
-        g_before = float(goodness(trace, 0)[0])
+        g_before = float(trace.goodness[0][0])
         _, coeffs = ff_loss_and_coeffs(
             trace, 0, 0.0, g_before, np.array([polarity_value])
         )
@@ -293,7 +303,7 @@ class TestLossDirection:
         lr = 1e-4
         net.layers[0].weights = net.layers[0].weights - lr * gw
         net.layers[0].biases = net.layers[0].biases - lr * gb
-        g_after = float(goodness(forward_pass(net, x), 0)[0])
+        g_after = float(forward_pass(net, x).goodness[0][0])
         return g_before, g_after
 
     def test_positive_step_does_not_decrease_goodness(self):
@@ -452,10 +462,10 @@ class TestDivergence:
     def test_pairwise(self, monkeypatch):
         import ffnet.baselines as baselines
 
-        # The pairwise step reads no gamma: poison the last layer's goodness.
+        # The pairwise step reads no gamma: poison its one goodness loss.
         on_epoch = self._poison_after(
-            monkeypatch, baselines, "goodness", 1,
-            lambda args, g: np.full_like(g, np.inf) if args[1] == 2 else g,
+            monkeypatch, baselines, "goodness_loss", 1,
+            lambda args, result: (np.inf, result[1]),
         )
         train_ds, _ = synthetic_pair(60, 20, d=10, seed=6)
         cfg = FfConfig(theta=3.0, epochs=2, batch_size=20, seed=1)

@@ -207,6 +207,12 @@ class TestForwardTrace:
         with pytest.raises(ShapeError, match="layer 1 has 5 units"):
             forward_from_pre(net, np.ones((2, 4)))
 
+    @pytest.mark.parametrize("upto", [0, 3])
+    def test_upto_outside_the_depth_rejected(self, upto):
+        net = random_net([6, 5, 4], seed=4)
+        with pytest.raises(ShapeError, match=rf"^upto={upto} outside 1\.\.2$"):
+            forward_from_pre(net, np.ones((2, 5)), upto=upto)
+
 
 class TestLayerLocalGrad:
     def test_zero_coefficients_give_zero_gradients(self, rng):
@@ -291,6 +297,21 @@ class TestFullBackprop:
         trace = forward_pass(net, random_batch(rng, 3, 6), keep=[1])
         with pytest.raises(ShapeError, match="keeps every layer"):
             full_backprop_grad(net, trace, np.zeros((3, 4)))
+
+    @pytest.mark.parametrize(
+        "upto, grad_shape, message",
+        [
+            (1, (3, 5), r"^trace depth 1 != network depth 2$"),
+            (2, (3, 5), r"^output_grad shape \(3, 5\) does not match final activities \(3, 4\)$"),
+        ],
+    )
+    def test_rejects_a_trace_or_output_grad_that_does_not_fit(
+        self, rng, upto, grad_shape, message
+    ):
+        net = random_net([6, 5, 4], seed=5)
+        trace = forward_pass(net, random_batch(rng, 3, 6), upto)
+        with pytest.raises(ShapeError, match=message):
+            full_backprop_grad(net, trace, np.zeros(grad_shape))
 
     def test_depth_one_equals_layer_local(self, rng):
         net = random_net([6, 4], seed=4)

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import stat
+import subprocess
 
 import numpy as np
 import pytest
@@ -608,3 +609,14 @@ class TestNormalizationBackwardEdgeCases:
         analytic = l2_row_normalize_vjp(act, l2_row_normalize(act), coeffs)
         numeric = fd_grad(scalar, act)
         assert agreement([analytic], [numeric], tol=1e-6) >= 0.99
+
+
+@pytest.mark.parametrize("failure", ["no_git", "not_a_repository"])
+def test_git_describe_is_none_when_git_fails(monkeypatch, failure):
+    def run(command, **kwargs):
+        if failure == "no_git":
+            raise FileNotFoundError(command[0])
+        return subprocess.CompletedProcess(command, 128, "", "fatal: not a git repository")
+
+    monkeypatch.setattr(runner.subprocess, "run", run)
+    assert runner.git_describe() is None

@@ -224,9 +224,9 @@ def test_the_check_finds_a_loss_read_outside_goodness_loss():
 def test_only_the_forward_loop_computes_goodness(path):
     """Goodness is ``row_sumsq`` of a layer's activities, and only
     ``nn.forward_from_pre`` takes it, as it computes the layer: every other
-    reader (``ff.goodness``, ``ff.goodness_table``, the losses, the
-    baselines) reads the trace's recorded values, which stay when the
-    trace drops the activities."""
+    reader (``ff.goodness_table``, the losses, the baselines) reads the
+    trace's recorded values, which stay when the trace drops the
+    activities."""
     assert reads_outside(path.read_text(), ("row_sumsq",), "forward_from_pre") == []
 
 
@@ -236,13 +236,65 @@ def test_the_check_finds_goodness_computed_outside_the_forward_loop():
         "from . import linalg\n"
         "def forward_from_pre(net, act):\n"
         "    return row_sumsq(act)\n"
-        "def goodness(trace, layer):\n"
+        "def layer_goodness(trace, layer):\n"
         "    return linalg.row_sumsq(trace.act[layer])\n"
         "def row_sumsq_of(a):\n"
         "    return a\n"
     )
     assert reads_outside(source, ("row_sumsq",), "forward_from_pre") == [
-        "row_sumsq in goodness (line 6)",
+        "row_sumsq in layer_goodness (line 6)",
+    ]
+
+
+def warning_calls(source: str) -> list[str]:
+    """Calls of ``warnings.warn`` in ``source``, through the module or a name
+    imported from it: a bad input is an error, never a warning."""
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names, wanted = modules, "warnings"
+        elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
+            names, wanted = functions, "warn"
+        else:
+            continue
+        names |= {alias.asname or alias.name for alias in node.names if alias.name == wanted}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute) and func.attr == "warn"
+            and isinstance(func.value, ast.Name) and func.value.id in modules
+        ) or (isinstance(func, ast.Name) and func.id in functions):
+            found.append(f"{ast.unparse(func)} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_module_warns(path):
+    assert warning_calls(path.read_text()) == []
+
+
+def test_the_check_finds_a_warning():
+    source = (
+        "import warnings\n"
+        "import warnings as w\n"
+        "from warnings import warn, warn as say\n"
+        "def load(path, log):\n"
+        "    warnings.warn(f'{path} is empty')\n"
+        "    w.warn('twice')\n"
+        "    warn('thrice')\n"
+        "    say('again')\n"
+        "    log.warn('not the warnings module')\n"
+        "    warnings.showwarning = print\n"
+    )
+    assert warning_calls(source) == [
+        "warnings.warn (line 5)",
+        "w.warn (line 6)",
+        "warn (line 7)",
+        "say (line 8)",
     ]
 
 
