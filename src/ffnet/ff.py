@@ -12,7 +12,8 @@ where ``gamma`` is a per-sample sum of *detached* goodness values from other
 layers. gamma only shifts the effective threshold, so no gradient flows
 through it; that shift is what lets a layer react to the rest of the
 network without any backward pass. :func:`goodness_loss` states this objective
-(or the entropy one) once, and :func:`activity_coeffs` its chain rule.
+(or the entropy one) once, and :func:`activity_coeffs` its chain rule to the
+layer's pre-activation, the gradient every ``nn`` function takes.
 
 :func:`fit` is the one training loop, of :func:`train` and of the backprop
 baselines alike; a method gives it only its stages, batches and batch step.
@@ -45,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .data import N_LABELS, Dataset, LinkedBatch, make_linked_batches
-from .errors import ConfigError, DomainError, ShapeError, check_choice
+from .errors import ConfigError, DataFormatError, DomainError, ShapeError, check_choice
 from .linalg import as_matrix, make_rng, sigmoid
 from .nn import (
     AdamState,
@@ -216,14 +217,18 @@ def goodness_loss(g, gamma, polarity, loss_kind: str, theta) -> tuple[float, np.
 
 
 def activity_coeffs(act: np.ndarray, d_g: np.ndarray) -> np.ndarray:
-    """d/d(activity) of a per-row d/d(goodness), goodness being ``row_sumsq(act)``."""
+    """d/d(activity) of a per-row d/d(goodness), goodness being ``row_sumsq(act)``.
+
+    It is zero wherever the ReLU is off, so it is also d/d(pre-activation),
+    the gradient :func:`~ffnet.nn.layer_local_grad` and
+    :func:`~ffnet.nn.backprop_updates` take."""
     return d_g[:, None] * 2.0 * act
 
 
 def ff_loss_and_coeffs(
     trace: ForwardTrace, layer: int, gamma, theta, polarity
 ) -> tuple[float, np.ndarray]:
-    """:func:`ff_loss` of one traced layer; d(loss)/d(activity) feeds layer_local_grad."""
+    """:func:`ff_loss` of one traced layer and its :func:`activity_coeffs`."""
     loss, d_g = goodness_loss(trace.goodness[layer], gamma, polarity, "sigmoid_goodness", theta)
     return loss, activity_coeffs(trace.act[layer], d_g)
 
@@ -404,10 +409,11 @@ def train(
     in layer order: it yields each staged layer's gradient as soon as it is
     computed, so Adam steps that layer before the next gradient exists, and
     it drops the trace before it yields the last one.
-    :func:`~ffnet.nn.layer_local_grad` reads only the layer's shape, and
-    every input it takes comes from the pre-batch trace, so no gradient
-    reads a weight that Adam has already stepped; it masks the coefficients
-    the step made for it in place.
+    A layer's gradient is :func:`~ffnet.nn.layer_local_grad` of its
+    :func:`activity_coeffs`, which are its pre-activation gradient. It
+    reads only the layer's shape, and every input it takes comes from the
+    pre-batch trace, so no gradient reads a weight that Adam has already
+    stepped.
     """
     check_split_size(ds.n, "training", cfg.loss_kind)
     depth = net.depth
@@ -423,8 +429,8 @@ def train(
         d_goodness = layer_losses(goodness_table(trace), batch.polarity, cfg, layers, stats)
         for i, d_g in zip(layers, d_goodness):
             grad_w, grad_b = layer_local_grad(
-                net.layers[i], trace.layer_input(i), trace.act[i],
-                activity_coeffs(trace.act[i], d_g), trace.linked_labels if i == 0 else None,
+                net.layers[i], trace.layer_input(i), activity_coeffs(trace.act[i], d_g),
+                trace.linked_labels if i == 0 else None,
             )
             if i == layers[-1]:
                 del trace  # Adam steps the last update without the trace beside it
@@ -457,11 +463,18 @@ def checked_layers(mask, depth: int) -> list[int]:
 
 def score_rows(source, idx, shape, score) -> np.ndarray:
     """(n, *shape) scores of rows ``idx`` (default all) of an array or a :class:`Dataset`:
-    ``score(block, out)`` fills ``out`` from ``SCORE_CHUNK`` float64 rows (Dataset.rows)."""
+    ``score(block, out)`` fills ``out`` from ``SCORE_CHUNK`` float64 rows (Dataset.rows).
+
+    An array with a non-finite value is a :class:`DataFormatError` naming its
+    first such row, as a :class:`Dataset` rejects a NaN pixel; finite values
+    outside [0, 1] are scored."""
     if isinstance(source, Dataset):
         n, take = source.n, source.rows
     else:
         source = as_matrix(source)
+        finite = np.isfinite(source).all(axis=1)
+        if not finite.all():
+            raise DataFormatError(f"non-finite pixel value in row {int(np.argmin(finite))}")
         n, take = source.shape[0], source.__getitem__
     out = np.empty((n if idx is None else len(idx), *shape))
     for start in range(0, max(len(out), 1), SCORE_CHUNK):  # 0 rows still check the width

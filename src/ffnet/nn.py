@@ -1,29 +1,28 @@
 """Dense-layer MLP with hand-derived forward and backward passes.
 
-Two gradient routes coexist on purpose:
+Every gradient a caller hands to this module is the loss gradient with
+respect to a layer's pre-activation, so no function here applies a ReLU
+mask to what it is given. :func:`layer_local_grad` is the one function that
+turns such a gradient into a layer's parameter gradients; for a first
+layer over linked inputs it takes the label-factored form: each sample's
+pixels once plus the label of every linked row. Two routes feed it:
 
-* :func:`layer_local_grad` differentiates a single layer's parameters given
-  per-unit loss coefficients, with no chain rule through other layers. It
-  takes the layer's activities from the forward pass that produced the
-  coefficients, whose ReLU mask ``act > 0`` is bit for bit that of the
-  pre-activation, so the layer's matmul is not repeated.
+* a layer-local trainer (``ff.train``) hands it each layer's own gradient,
+  with no chain rule through other layers; ``ff.activity_coeffs`` is zero
+  wherever the ReLU is off, so it already is that pre-activation gradient.
 * :func:`backprop_updates` runs the exact chain rule through the whole
   stack, including the inter-layer L2 row normalization, for the
   backpropagation baselines. It reads everything it needs of the forward
-  pass from the trace: the inputs, the linked labels, the ``normalize`` and
-  ``final_linear`` modes, the activities whose masks gate each layer, and
-  the normalized rows that the normalization's backward pass
+  pass from the trace: the inputs, the linked labels, the ``normalize``
+  mode, the activities whose masks gate each layer below the top, and the
+  normalized rows that the normalization's backward pass
   (:func:`l2_row_normalize_vjp`) reuses. It is a generator that yields one
   layer's update at a time, last layer first, so a trainer can step each
   layer in place as soon as its gradient exists while the trace is released
   layer by layer. :func:`full_backprop_grad` takes the same arguments and
   collects the updates into a list, first layer first.
 
-Both turn a layer's pre-activation gradient into its parameter gradients
-through one helper, which for a first layer over linked inputs takes the
-label-factored form: each sample's pixels once plus the label of every
-linked row. Both are checked against central finite differences in the
-test suite.
+Both are checked against central finite differences in the test suite.
 :func:`forward_pass` computes the first layer's pre-activation and hands it
 to :func:`forward_from_pre`, the one layer loop. Given ``linked_labels`` it
 takes the same label-factored form as :func:`layer_local_grad`, so a
@@ -144,8 +143,8 @@ class ForwardTrace:
     normalization disabled it is ``act[i]`` itself. ``inputs`` is None for
     a pass started from a first-layer pre-activation
     (:func:`forward_from_pre`). ``linked_labels`` is the label of every row
-    of a label-factored pass, else None. ``normalize`` and ``final_linear``
-    are the modes the pass ran with.
+    of a label-factored pass, else None. ``normalize`` is the mode the pass
+    ran with.
     """
 
     inputs: np.ndarray | None
@@ -154,7 +153,6 @@ class ForwardTrace:
     goodness: list[np.ndarray] = field(default_factory=list)
     linked_labels: np.ndarray | None = None
     normalize: bool = True
-    final_linear: bool = False
 
     @property
     def depth(self) -> int:
@@ -236,7 +234,7 @@ def forward_from_pre(
 ) -> ForwardTrace:
     """:func:`forward_pass` from the first layer's pre-activation ``first_pre``.
 
-    The flags mean what they do there, and the trace records them.
+    The flags mean what they do there, and the trace records ``normalize``.
     ``first_pre`` is never written, and the trace has no ``inputs``.
 
     ``keep`` names the layers whose gradient the caller will take: every
@@ -261,7 +259,7 @@ def forward_from_pre(
         raise ShapeError(f"upto={upto} outside 1..{depth}")
     keep = range(upto) if keep is None else set(keep)
 
-    trace = ForwardTrace(inputs=None, normalize=normalize, final_linear=final_linear)
+    trace = ForwardTrace(inputs=None, normalize=normalize)
     for i in range(upto):
         is_linear_output = final_linear and i == depth - 1
         if i == 0:
@@ -285,66 +283,44 @@ def forward_from_pre(
 
 
 def layer_local_grad(
-    layer: DenseLayer, layer_input, act, activity_coeffs, linked_labels=None
+    layer: DenseLayer, layer_input, d_pre, linked_labels=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of a scalar loss w.r.t. one layer's parameters.
+    """(grad_w, grad_b) of a scalar loss w.r.t. one layer's parameters.
 
-    ``act`` is the layer's activity ``relu(layer_input @ W + b)`` from the
-    forward pass (``trace.act[i]``); its ReLU mask ``act > 0``, bit for bit
-    that of the pre-activation, gates the coefficients, so the matmul is not
-    recomputed. ``activity_coeffs[s, u]`` must be the derivative of the
-    scalar loss with respect to the post-ReLU activity of unit ``u`` on
-    sample ``s``. Nothing is propagated to earlier layers. The caller hands
-    the coefficients over: once every shape is checked, the mask is applied
-    to them in place, so a caller that reads them again must pass a copy.
+    ``d_pre[s, u]`` is the derivative of the loss with respect to the
+    pre-activation of unit ``u`` on sample ``s``, and ``layer_input`` is
+    what the layer consumed. Nothing is propagated to earlier layers, and
+    ``d_pre`` is never written.
 
     With ``linked_labels``, the layer is a first layer over linked inputs in
     label-factored form (:class:`~ffnet.data.LinkedBatch`): ``layer_input``
-    holds the ``m`` samples' pixels once, and row ``r`` of ``act`` and of the
-    coefficients is sample ``r % m`` linked with ``linked_labels[r]``. The
-    pixel rows of the gradient are ``X^T`` times the coefficients summed over
-    a sample's copies; the label rows are ``onehot(linked_labels)^T`` times
-    them.
+    holds the ``m`` samples' pixels once, and row ``r`` of ``d_pre`` is
+    sample ``r % m`` linked with ``linked_labels[r]``. The pixel rows of the
+    gradient are ``X^T`` times ``d_pre`` summed over a sample's copies; the
+    label rows are ``onehot(linked_labels)^T`` times it.
     """
     layer_input = as_matrix(layer_input)
-    coeffs = as_matrix(activity_coeffs)
-    act = as_matrix(act)
+    d_pre = as_matrix(d_pre)
     factored = linked_labels is not None
-    n_pixels = layer_input.shape[1]
+    m, n_pixels = layer_input.shape
     width = n_pixels + N_LABELS if factored else n_pixels
     if width != layer.in_dim:
         raise ShapeError(
             f"layer input has {width} columns, layer expects {layer.in_dim}"
         )
-    m = layer_input.shape[0]
     rows = len(linked_labels) if factored else m
-    if coeffs.shape != (rows, layer.out_dim):
+    if d_pre.shape != (rows, layer.out_dim):
         raise ShapeError(
-            f"coefficients shape {coeffs.shape} does not match "
+            f"pre-activation gradient shape {d_pre.shape} does not match "
             f"({rows}, {layer.out_dim})"
         )
-    if act.shape != coeffs.shape:
-        raise ShapeError(
-            f"activity shape {act.shape} does not match coefficients {coeffs.shape}"
-        )
-    if factored:
-        linked_copies(rows, m)  # its check, before the coefficients are written
-    coeffs *= act > 0.0
-    return _param_grads(layer_input, coeffs, linked_labels)
-
-
-def _param_grads(layer_input, d_pre, linked_labels=None) -> tuple[np.ndarray, np.ndarray]:
-    """(grad_w, grad_b) of a layer from ``d_pre``, the loss gradient w.r.t. its
-    pre-activation; label-factored when ``linked_labels`` is given (see
-    :func:`layer_local_grad`)."""
     grad_b = d_pre.sum(axis=0, keepdims=True)
-    if linked_labels is None:
+    if not factored:
         return layer_input.T @ d_pre, grad_b
-    m, n_pixels = layer_input.shape
-    copies = linked_copies(len(linked_labels), m)
-    grad_w = np.empty((n_pixels + N_LABELS, d_pre.shape[1]))
+    copies = linked_copies(rows, m)
+    grad_w = np.empty((n_pixels + N_LABELS, layer.out_dim))
     pixel_rows, label_rows = split_linked_weights(grad_w, n_pixels)
-    per_sample = d_pre.reshape(copies, m, d_pre.shape[1]).sum(axis=0)
+    per_sample = d_pre.reshape(copies, m, layer.out_dim).sum(axis=0)
     np.matmul(layer_input.T, per_sample, out=pixel_rows)
     np.matmul(one_hot(linked_labels).T, d_pre, out=label_rows)
     return grad_w, grad_b
@@ -380,14 +356,15 @@ def backprop_updates(net: MlpNetwork, trace: ForwardTrace, output_grad):
     updates, last layer first.
 
     ``trace`` is a :func:`forward_pass` through the whole network, and the
-    backward pass runs in the ``normalize`` and ``final_linear`` modes it
-    records. ``output_grad`` is the loss derivative w.r.t. the last layer's
-    activities (its logits in ``final_linear`` mode); it is never written.
-    Each layer's ReLU mask is ``act > 0`` on the trace's activities, as in
-    :func:`layer_local_grad`, and the normalization's backward pass
-    (:func:`l2_row_normalize_vjp`) reads the trace's activities and
-    normalized rows. A label-factored trace gives layer 1's gradient in the
-    label-factored form of :func:`layer_local_grad`, over its
+    backward pass runs in the ``normalize`` mode it records.
+    ``output_grad`` is the loss derivative w.r.t. the last layer's
+    pre-activation (a ``final_linear`` head's logits); it is never written.
+    Every layer's update is :func:`layer_local_grad` of the gradient that
+    reaches its pre-activation. Below the top, that gradient is gated by
+    the layer's ReLU mask ``act > 0`` on the trace's activities, and the
+    normalization's backward pass (:func:`l2_row_normalize_vjp`) reads the
+    trace's activities and normalized rows. A label-factored trace gives
+    layer 1's gradient in the label-factored form, over its
     ``linked_labels``.
 
     A generator, so the shapes are checked at the first ``next()``. Before
@@ -403,22 +380,23 @@ def backprop_updates(net: MlpNetwork, trace: ForwardTrace, output_grad):
         raise ShapeError(f"trace depth {trace.depth} != network depth {depth}")
     if any(a is None for a in trace.act + trace.normed):
         raise ShapeError("backprop needs a trace that keeps every layer")
-    output_grad = as_matrix(output_grad)
-    if output_grad.shape != trace.act[-1].shape:
+    d_pre = as_matrix(output_grad)
+    if d_pre.shape != trace.act[-1].shape:
         raise ShapeError(
-            f"output_grad shape {output_grad.shape} does not match "
+            f"output_grad shape {d_pre.shape} does not match "
             f"final activities {trace.act[-1].shape}"
         )
-    act, normed = list(trace.act), list(trace.normed)
+    act, normed = trace.act[:-1], list(trace.normed)
     inputs, linked_labels, normalize = trace.inputs, trace.linked_labels, trace.normalize
-    top = act.pop()
-    d_pre = output_grad if trace.final_linear else output_grad * (top > 0.0)
-    del trace, top, output_grad
+    del trace, output_grad
     for i in reversed(range(depth)):
+        layer = net.layers[i]
         layer_input = normed.pop() if i else inputs
-        grad_w, grad_b = _param_grads(layer_input, d_pre, None if i else linked_labels)
+        grad_w, grad_b = layer_local_grad(
+            layer, layer_input, d_pre, None if i else linked_labels
+        )
         if i:
-            d_pre = d_pre @ net.layers[i].weights.T
+            d_pre = d_pre @ layer.weights.T
             below = act.pop()
             if normalize:
                 d_pre = l2_row_normalize_vjp(below, layer_input, d_pre)

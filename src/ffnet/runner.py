@@ -285,6 +285,11 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     ff_cfg = cfg.ff_config()
     ff.check_split_size(train_ds.n, "training", ff_cfg.loss_kind)
     ff.check_split_size(test_ds.n, "test", ff_cfg.loss_kind)
+    # After the size checks, so that an empty split gets their message.
+    if cfg.train_subset is not None and cfg.train_subset > train_ds.n:
+        raise ConfigError(
+            f"train_subset {cfg.train_subset} exceeds the {train_ds.n} training samples"
+        )
     out_dir = Path(cfg.output_dir)
     resolved = cfg.to_dict()
     write_json(out_dir / "config.json", resolved)

@@ -69,7 +69,7 @@ def _layer_loss_fd_check(loss_kind, gamma_mode_fixed_value):
         else:
             _, coeffs = ff_loss_and_coeffs(trace, layer_idx, gamma, theta, polarity)
         grad_w, grad_b = layer_local_grad(
-            net.layers[layer_idx], trace.layer_input(layer_idx), trace.act[layer_idx],
+            net.layers[layer_idx], trace.layer_input(layer_idx),
             coeffs,
         )
         layer = net.layers[layer_idx]
@@ -149,11 +149,11 @@ def test_criterion_2_stop_gradient_equivalence():
             trace, layer_idx, np.zeros(8), theta - gamma, polarity
         )
         gw_c, gb_c = layer_local_grad(
-            net.layers[layer_idx], trace.layer_input(layer_idx), trace.act[layer_idx],
+            net.layers[layer_idx], trace.layer_input(layer_idx),
             coeffs_collab,
         )
         gw_p, gb_p = layer_local_grad(
-            net.layers[layer_idx], trace.layer_input(layer_idx), trace.act[layer_idx],
+            net.layers[layer_idx], trace.layer_input(layer_idx),
             coeffs_plain,
         )
         np.testing.assert_array_equal(gw_c, gw_p)

@@ -310,6 +310,20 @@ class TestTrainCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (out / "config.json").exists()
 
+    def test_train_subset_larger_than_the_split_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys
+    ):
+        flags = list(TRAIN_FLAGS)
+        flags[flags.index("--train-subset") + 1] = "241"  # the split holds 240
+        out = tmp_path / "run"
+        rc = main(["train", "--method", "ff", "--data-dir", str(data_dir),
+                   "--output-dir", str(out), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: train_subset 241 exceeds the 240 training samples"
+        ]
+        assert not out.exists()
+
     def test_entropy_test_split_of_one_sample_is_a_one_line_error(
         self, data_dir, tmp_path, capsys
     ):

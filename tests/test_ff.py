@@ -14,7 +14,7 @@ from conftest import (
 )
 
 from ffnet.data import Dataset, link_inputs, make_linked_batches
-from ffnet.errors import ConfigError, DomainError, ShapeError
+from ffnet.errors import ConfigError, DataFormatError, DomainError, ShapeError
 from ffnet.ff import (
     FfConfig,
     compute_gamma,
@@ -257,10 +257,10 @@ class TestStopGradient:
         np.testing.assert_array_equal(coeffs_a, coeffs_b)
 
         gw_a, gb_a = layer_local_grad(
-            net.layers[1], trace.layer_input(1), trace.act[1], coeffs_a
+            net.layers[1], trace.layer_input(1), coeffs_a
         )
         gw_b, gb_b = layer_local_grad(
-            net.layers[1], trace.layer_input(1), trace.act[1], coeffs_b
+            net.layers[1], trace.layer_input(1), coeffs_b
         )
         np.testing.assert_array_equal(gw_a, gw_b)
         np.testing.assert_array_equal(gb_a, gb_b)
@@ -275,14 +275,14 @@ class TestStopGradient:
         trace = forward_pass(net, batch)
         _, coeffs = ff_loss_and_coeffs(trace, 0, gamma, 3.0, polarity)
         grads_before = layer_local_grad(
-            net.layers[0], trace.layer_input(0), trace.act[0], coeffs
+            net.layers[0], trace.layer_input(0), coeffs
         )
 
         net.layers[2].weights = net.layers[2].weights + 1.0
         trace2 = forward_pass(net, batch)
         _, coeffs2 = ff_loss_and_coeffs(trace2, 0, gamma, 3.0, polarity)
         grads_after = layer_local_grad(
-            net.layers[0], trace2.layer_input(0), trace2.act[0], coeffs2
+            net.layers[0], trace2.layer_input(0), coeffs2
         )
 
         np.testing.assert_array_equal(grads_before[0], grads_after[0])
@@ -299,7 +299,7 @@ class TestLossDirection:
         _, coeffs = ff_loss_and_coeffs(
             trace, 0, 0.0, g_before, np.array([polarity_value])
         )
-        gw, gb = layer_local_grad(net.layers[0], x, trace.act[0], coeffs)
+        gw, gb = layer_local_grad(net.layers[0], x, coeffs)
         lr = 1e-4
         net.layers[0].weights = net.layers[0].weights - lr * gw
         net.layers[0].biases = net.layers[0].biases - lr * gb
@@ -849,6 +849,24 @@ class TestInference:
                 error()
         assert predict(net, np.empty((0, 6))).shape == (0,)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_is_one_error_not_a_vote(self, bad):
+        """A non-finite array value is the error a Dataset gives for a NaN
+        pixel, naming the first bad row; finite values outside [0, 1] score."""
+        from ffnet.baselines import classic_logits
+
+        net, head = random_net([16, 7, 5], seed=17), random_net([6, 7, 10], seed=17)
+        images = np.full((3, 6), 0.5)
+        images[1, 4] = images[2, 0] = bad
+        for scorer in (predict, label_goodness_scores):
+            with pytest.raises(DataFormatError, match=r"^non-finite pixel value in row 1$"):
+                scorer(net, images)
+        with pytest.raises(DataFormatError, match=r"^non-finite pixel value in row 1$"):
+            classic_logits(head, images)
+        with pytest.raises(DataFormatError, match=r"^non-finite pixel value in row 0$"):
+            infer(net, images[1])
+        assert predict(net, np.full((2, 6), 2.0)).shape == (2,)
+
     @pytest.mark.parametrize("width", [3, 5, 14])
     def test_image_width_must_fit_first_layer(self, width):
         """Images of the wrong width would mis-split the first layer's weights."""
@@ -945,10 +963,8 @@ class TestFactoredTraining:
                 goodness_table(got), goodness_table(want), rtol=1e-12, atol=0.0
             )
             coeffs = rng.standard_normal(want.act[0].shape)
-            grad_w, grad_b = layer_local_grad(
-                layer, batch.images, want.act[0], coeffs.copy(), batch.linked_labels
-            )
-            want_w, want_b = layer_local_grad(layer, linked, want.act[0], coeffs)
+            grad_w, grad_b = layer_local_grad(layer, batch.images, coeffs, batch.linked_labels)
+            want_w, want_b = layer_local_grad(layer, linked, coeffs)
             assert grad_w.shape == want_w.shape == layer.weights.shape
             # Label rows included: rows 6.. of the gradient.
             np.testing.assert_allclose(grad_w, want_w, rtol=1e-12, atol=0.0)
@@ -965,9 +981,7 @@ class TestFactoredTraining:
 
         trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
         _, coeffs = ff_loss_and_coeffs(trace, 0, 0.0, 1.0, batch.polarity)
-        grad_w, grad_b = layer_local_grad(
-            layer, batch.images, trace.act[0], coeffs, batch.linked_labels
-        )
+        grad_w, grad_b = layer_local_grad(layer, batch.images, coeffs, batch.linked_labels)
         numeric_w = fd_grad(loss, layer.weights)
         numeric_b = fd_grad(loss, layer.biases)
         assert np.abs(grad_w[6:]).max() > 1e-3  # the label rows carry gradient
@@ -980,23 +994,20 @@ class TestFactoredTraining:
         layer = net.layers[0]
         batch = self.batches(1)[0]  # 10 samples, 20 rows
         coeffs = np.ones((20, 7))
-        act = forward_pass(net, batch.images, linked_labels=batch.linked_labels).act[0]
         with pytest.raises(ShapeError, match="layer input has 15 columns"):
-            layer_local_grad(layer, batch.images[:, :5], act, coeffs, batch.linked_labels)
+            layer_local_grad(layer, batch.images[:, :5], coeffs, batch.linked_labels)
         with pytest.raises(ShapeError, match="20 linked rows are not a multiple of 7"):
-            layer_local_grad(layer, batch.images[:7], act, coeffs, batch.linked_labels)
+            layer_local_grad(layer, batch.images[:7], coeffs, batch.linked_labels)
         with pytest.raises(ShapeError, match="20 linked rows are not a multiple of 0"):
-            layer_local_grad(layer, batch.images[:0], act, coeffs, batch.linked_labels)
+            layer_local_grad(layer, batch.images[:0], coeffs, batch.linked_labels)
         with pytest.raises(ShapeError, match="batch has 15 columns"):
             forward_pass(net, batch.images[:, :5], linked_labels=batch.linked_labels)
         with pytest.raises(ShapeError, match="20 linked rows are not a multiple of 7"):
             forward_pass(net, batch.images[:7], linked_labels=batch.linked_labels)
         with pytest.raises(ShapeError, match="19 linked rows are not a multiple of 10"):
-            layer_local_grad(
-                layer, batch.images, act[:19], coeffs[:19], batch.linked_labels[:19]
-            )
-        with pytest.raises(ShapeError, match=r"coefficients shape \(10, 7\)"):
-            layer_local_grad(layer, batch.images, act, coeffs[:10], batch.linked_labels)
+            layer_local_grad(layer, batch.images, coeffs[:19], batch.linked_labels[:19])
+        with pytest.raises(ShapeError, match=r"pre-activation gradient shape \(10, 7\)"):
+            layer_local_grad(layer, batch.images, coeffs[:10], batch.linked_labels)
 
 
 class TestGammaReducesToPlain:
@@ -1028,7 +1039,7 @@ class TestGammaReducesToPlain:
                     )
                     updates.append(
                         layer_local_grad(
-                            net_b.layers[i], trace.layer_input(i), trace.act[i], coeffs,
+                            net_b.layers[i], trace.layer_input(i), coeffs,
                             batch.linked_labels if i == 0 else None,
                         )
                     )
@@ -1094,7 +1105,7 @@ class TestTrainingAppliesTheCheckedGradients:
             else:
                 _, coeffs = ff_loss_and_coeffs(trace, i, gamma, cfg.theta, batch.polarity)
             updates.append((i, *layer_local_grad(
-                net.layers[i], trace.layer_input(i), trace.act[i], coeffs,
+                net.layers[i], trace.layer_input(i), coeffs,
                 trace.linked_labels if i == 0 else None,
             )))
         return updates

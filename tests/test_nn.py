@@ -6,6 +6,7 @@ from conftest import agreement, fd_grad, random_batch, random_net, traced_peak
 
 from ffnet import nn
 from ffnet.errors import ConfigError, ShapeError
+from ffnet.ff import activity_coeffs
 from ffnet.linalg import make_rng, row_sumsq
 from ffnet.nn import (
     AdamState,
@@ -218,18 +219,18 @@ class TestLayerLocalGrad:
     def test_zero_coefficients_give_zero_gradients(self, rng):
         net = random_net([5, 4], seed=1)
         x = random_batch(rng, 3, 5)
-        gw, gb = layer_local_grad(
-            net.layers[0], x, forward_pass(net, x).act[0], np.zeros((3, 4))
-        )
+        gw, gb = layer_local_grad(net.layers[0], x, np.zeros((3, 4)))
         assert np.all(gw == 0.0) and np.all(gb == 0.0)
 
     def test_dead_relu_blocks_gradient(self):
+        """A goodness loss's pre-activation gradient (``activity_coeffs``) is
+        zero on a unit whose ReLU is off, so the unit gets no gradient."""
         net = random_net([2, 1], seed=1)
         net.layers[0].weights = np.array([[1.0], [1.0]])
         net.layers[0].biases = np.array([[-10.0]])  # pre < 0 always
         x = np.ones((1, 2))
         act = forward_pass(net, x).act[0]
-        gw, gb = layer_local_grad(net.layers[0], x, act, np.ones((1, 1)))
+        gw, gb = layer_local_grad(net.layers[0], x, activity_coeffs(act, np.ones(1)))
         assert np.all(gw == 0.0) and np.all(gb == 0.0)
 
     def test_matches_finite_differences(self, rng):
@@ -242,16 +243,17 @@ class TestLayerLocalGrad:
             act = np.maximum(x @ layer.weights + layer.biases, 0.0)
             return float(np.sum(coeffs * act))
 
-        act = np.maximum(x @ layer.weights + layer.biases, 0.0)
-        gw, gb = layer_local_grad(layer, x, act, coeffs)
+        d_pre = coeffs * (x @ layer.weights + layer.biases > 0.0)
+        gw, gb = layer_local_grad(layer, x, d_pre)
         fw = fd_grad(loss, layer.weights)
         fb = fd_grad(loss, layer.biases)
         assert agreement([gw, gb], [fw, fb]) >= 0.99
 
     @pytest.mark.parametrize("dead_unit", [False, True])
-    def test_forward_pre_matches_recompute_bitwise(self, rng, dead_unit):
-        """The mask from the forward's activities is that of the recomputed
-        pre-activations."""
+    def test_activity_coeffs_are_the_pre_activation_gradient_bitwise(self, rng, dead_unit):
+        """``activity_coeffs`` of the forward's activities is already zero
+        wherever the recomputed pre-activation is not positive, so handing it
+        over unmasked gives the masked gradient bit for bit."""
         net = random_net([9, 7, 6], seed=23)
         if dead_unit:
             net.layers[1].biases[0, 2] = -50.0  # unit 3 of layer 2 never fires
@@ -259,36 +261,47 @@ class TestLayerLocalGrad:
         trace = forward_pass(net, x)
         for i, layer in enumerate(net.layers):
             inp = trace.layer_input(i)
-            coeffs = rng.standard_normal((11, layer.out_dim))
-            gw, gb = layer_local_grad(layer, inp, trace.act[i], coeffs.copy())
+            coeffs = activity_coeffs(trace.act[i], rng.standard_normal(11))
+            gw, gb = layer_local_grad(layer, inp, coeffs)
             d_pre = coeffs * (inp @ layer.weights + layer.biases > 0.0)
+            assert d_pre.tobytes() == coeffs.tobytes()
             assert gw.tobytes() == (inp.T @ d_pre).tobytes()
             assert gb.tobytes() == d_pre.sum(axis=0, keepdims=True).tobytes()
             if dead_unit and i == 1:
                 assert np.all(gw[:, 2] == 0.0) and gb[0, 2] == 0.0
 
-    def test_wrong_pre_shape_rejected(self, rng):
+    def test_wrong_gradient_shape_rejected(self, rng):
         net = random_net([5, 4], seed=1)
         x = random_batch(rng, 3, 5)
-        act = forward_pass(net, x).act[0]
-        for bad in (act[:2], act.T, act[:, :3]):
-            with pytest.raises(ShapeError):
-                layer_local_grad(net.layers[0], x, bad, np.ones((3, 4)))
+        d_pre = np.ones((3, 4))
+        for bad in (d_pre[:2], d_pre.T, d_pre[:, :3]):
+            with pytest.raises(ShapeError, match="pre-activation gradient shape"):
+                layer_local_grad(net.layers[0], x, bad)
 
-    def test_masks_the_handed_over_coefficients_once_the_shapes_pass(self, rng):
-        """The caller hands the coefficients over: a call masks them in place,
-        and a rejected call leaves them as they were."""
-        net = random_net([16, 4], seed=3)
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_takes_a_read_only_gradient(self, rng, factored):
+        """``layer_local_grad`` and ``backprop_updates`` never write the
+        gradient they are handed: a read-only one gives the bits of a
+        writable copy."""
+        net = random_net([16 if factored else 6, 5, 4], seed=3)
+        labels = np.array([0, 3, 9, 2, 5, 5]) if factored else None
         images = random_batch(rng, 3, 6)
-        labels = np.array([0, 3, 9, 2, 5, 5])
-        act = forward_pass(net, images, linked_labels=labels).act[0]
-        coeffs = rng.standard_normal((6, 4))
-        before = coeffs.copy()
-        with pytest.raises(ShapeError, match="6 linked rows are not a multiple of 4"):
-            layer_local_grad(net.layers[0], random_batch(rng, 4, 6), act, coeffs, labels)
-        assert coeffs.tobytes() == before.tobytes()
-        layer_local_grad(net.layers[0], images, act, coeffs, labels)
-        assert coeffs.tobytes() == (before * (act > 0.0)).tobytes()
+        rows = 6 if factored else 3
+        trace = forward_pass(net, images, linked_labels=labels)
+
+        def local(d_pre):
+            return layer_local_grad(net.layers[0], images, d_pre, labels)
+
+        def backprop(d_pre):
+            return [g for _, gw, gb in backprop_updates(net, trace, d_pre) for g in (gw, gb)]
+
+        for d_pre, grads in ((rng.standard_normal((rows, 5)), local),
+                             (rng.standard_normal((rows, 4)), backprop)):
+            writable = d_pre.copy()
+            d_pre.setflags(write=False)
+            got, want = grads(d_pre), grads(writable)
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+            assert writable.tobytes() == d_pre.tobytes()
 
 
 class TestFullBackprop:
@@ -318,7 +331,7 @@ class TestFullBackprop:
         x = random_batch(rng, 3, 6)
         coeffs = rng.standard_normal((3, 4))
         trace = forward_pass(net, x)
-        gw_local, gb_local = layer_local_grad(net.layers[0], x, trace.act[0], coeffs.copy())
+        gw_local, gb_local = layer_local_grad(net.layers[0], x, coeffs)
         [(gw_full, gb_full)] = full_backprop_grad(net, trace, coeffs)
         np.testing.assert_array_equal(gw_local, gw_full)
         np.testing.assert_array_equal(gb_local, gb_full)
@@ -341,7 +354,7 @@ class TestFullBackprop:
             return float(np.sum(out_coeffs * trace.act[-1]))
 
         trace = forward_pass(net, x, normalize=normalize)
-        grads = full_backprop_grad(net, trace, out_coeffs)
+        grads = full_backprop_grad(net, trace, out_coeffs * (trace.act[-1] > 0.0))
         analytic, numeric = [], []
         for i, layer in enumerate(net.layers):
             analytic.extend(grads[i])

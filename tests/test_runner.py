@@ -274,6 +274,20 @@ class TestRunTrainingMethods:
         with pytest.raises(ConfigError, match=message):
             run_training(cfg, train_ds, test_ds)
 
+    def test_train_subset_larger_than_the_split_leaves_no_run_directory(
+        self, tiny_data, tmp_path
+    ):
+        """A run never trains on fewer samples than its recorded train_subset."""
+        train_ds, test_ds = tiny_data
+        out = tmp_path / "run"
+        cfg = RunConfig(
+            dataset="synthetic", method="ff", layer_dims=[34, 6], epochs=1,
+            train_subset=8, output_dir=str(out),
+        )
+        with pytest.raises(ConfigError, match=r"^train_subset 8 exceeds the 7 training samples$"):
+            run_training(cfg, train_ds.subset(7), test_ds)
+        assert not out.exists()
+
 
 class TestPixelStorageIsInvisible:
     @pytest.mark.parametrize("method", METHODS)

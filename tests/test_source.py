@@ -169,26 +169,33 @@ def test_the_check_finds_a_package_import_in_a_function():
     assert function_package_imports(source) == ["report (line 7)"]
 
 
+def owned_nodes(source: str):
+    """Every node of ``source`` below the module, depth first, with the name of
+    its innermost enclosing function ("the module" outside any)."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            yield owner, child
+            yield from visit(child, owner)
+
+    return visit(ast.parse(source), "the module")
+
+
 def reads_outside(source: str, names, owner: str) -> list[str]:
     """Reads of ``names`` (by name or as an attribute) outside the function
     ``owner``; a read is owned by its innermost enclosing function."""
     found = []
-
-    def visit(node, current):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            name = None
-            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                name = child.id
-            elif isinstance(child, ast.Attribute):
-                name = child.attr
-            if name in names and current != owner:
-                found.append(f"{name} in {current} (line {child.lineno})")
-            visit(child, current)
-
-    visit(ast.parse(source), "the module")
+    for current, node in owned_nodes(source):
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        if name in names and current != owner:
+            found.append(f"{name} in {current} (line {node.lineno})")
     return found
 
 
@@ -429,24 +436,14 @@ def membership_messages(source: str, phrase="must be one of") -> list[str]:
     """String constants holding ``phrase`` (f-string parts included) outside
     ``check_choice``, the one membership rule; a string is owned by its
     innermost enclosing function."""
-    found = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if (
-                isinstance(child, ast.Constant)
-                and isinstance(child.value, str)
-                and phrase in child.value
-                and owner != "check_choice"
-            ):
-                found.append(f"{owner} (line {child.lineno})")
-            visit(child, owner)
-
-    visit(ast.parse(source), "the module")
-    return found
+    return [
+        f"{owner} (line {node.lineno})"
+        for owner, node in owned_nodes(source)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and phrase in node.value
+        and owner != "check_choice"
+    ]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
@@ -470,4 +467,57 @@ def test_the_check_finds_a_membership_message_outside_check_choice():
         "compute_gamma (line 5)",
         "__post_init__ (line 8)",
         "the module (line 9)",
+    ]
+
+
+def relu_mask_multiplies(source: str) -> list[str]:
+    """``*`` and ``*=`` whose right operand is a ``> 0`` comparison, a ReLU
+    mask, each named by its innermost enclosing function."""
+    found = []
+    for owner, node in owned_nodes(source):
+        if isinstance(node, ast.BinOp):
+            right = node.right
+        elif isinstance(node, ast.AugAssign):
+            right = node.value
+        else:
+            continue
+        if (
+            isinstance(node.op, ast.Mult)
+            and isinstance(right, ast.Compare)
+            and [type(op) for op in right.ops] == [ast.Gt]
+            and isinstance(right.comparators[0], ast.Constant)
+            and right.comparators[0].value == 0
+        ):
+            found.append(f"{owner} (line {node.lineno})")
+    return found
+
+
+def test_only_the_backward_pass_below_the_top_applies_a_relu_mask():
+    """Every gradient handed to ``nn`` is a pre-activation gradient, so the one
+    ReLU mask the package multiplies by is ``backprop_updates``' gate of the
+    gradient flowing into a layer below the top."""
+    found = [
+        f"{path.name}: {site.split(' (line')[0]}"
+        for path in PACKAGE
+        for site in relu_mask_multiplies(path.read_text())
+    ]
+    assert found == ["nn.py: backprop_updates"]
+
+
+def test_the_check_finds_a_relu_mask_multiply():
+    source = (
+        "def layer_local_grad(d, act):\n"
+        "    d *= act > 0.0\n"
+        "    return d * (act > 0)\n"
+        "def backprop_updates(d, top, below):\n"
+        "    d = d * (top >= 0.0) + d * (top > 1.0) + (top > 0.0) * d\n"
+        "    d *= below > 0.0\n"
+        "    return d * np.where(below > 0.0, 1.0, 0.0)\n"
+        "GATE = relu * (pre > 0.0)\n"
+    )
+    assert relu_mask_multiplies(source) == [
+        "layer_local_grad (line 2)",
+        "layer_local_grad (line 3)",
+        "backprop_updates (line 6)",
+        "the module (line 8)",
     ]
