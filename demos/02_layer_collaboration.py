@@ -28,8 +28,9 @@ OUT = Path("demo_out/collaboration")
 train_ds, test_ds = synthetic_pair(600, 300, d=48, seed=3, noise=0.25)
 dims = [train_ds.d + 10, 40, 30, 20]
 
-# Equal budgets in layer-epochs: layerwise gives each of the 3 layers
-# 4 passes; alternating runs 12 passes touching every layer each batch.
+# Both runs make 12 passes over the data, but not the same updates per layer:
+# layerwise trains each of the 3 layers for 4 epochs in turn, while alternating
+# updates every layer on every batch of its 12 epochs, 3x ff's updates per layer.
 vanilla = init_network(dims, make_rng(1))
 vanilla, _ = train(
     vanilla, train_ds, FfConfig(theta=5.0, epochs=4, batch_size=50, seed=1)

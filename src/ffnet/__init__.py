@@ -18,7 +18,6 @@ from .data import (
     Dataset,
     LinkedBatch,
     link_inputs,
-    load_cifar_bin,
     load_idx,
     make_linked_batches,
     make_plain_batches,

@@ -8,11 +8,8 @@ followed by unsigned bytes. Gzip-compressed files are detected by their
 leading 0x1f 0x8b bytes and inflated into one buffer of the size the gzip
 trailer states; :func:`write_idx` writes them at gzip level 1.
 
-CIFAR-10 binary batches: a flat sequence of 3073-byte records, one label
-byte followed by 3072 pixel bytes in channel-major (CHW) order.
-
 A :class:`Dataset` keeps its ``pixels`` in the dtype they were read in:
-uint8 for IDX and CIFAR-10 files, where a pixel's value is byte / 255, and
+uint8 for IDX files, where a pixel's value is byte / 255, and
 float64 in [0, 1] for float input such as synthetic data. Pixels are scaled
 to float64 in [0, 1] when rows are taken (:meth:`Dataset.rows`), so a split
 is held at one byte per pixel, not eight: training takes one batch at a
@@ -46,7 +43,7 @@ N_LABELS = 10
 
 # Flattened dimension required for each known dataset name; other names are
 # allowed (synthetic data) and skip the check.
-DATASET_DIMS = {"mnist": 784, "fashion_mnist": 784, "cifar10": 3072}
+DATASET_DIMS = {"mnist": 784, "fashion_mnist": 784}
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -212,34 +209,6 @@ def write_idx(path, array: np.ndarray) -> None:
     if str(path).endswith(".gz"):
         raw = gzip.compress(raw, compresslevel=GZIP_LEVEL, mtime=0)
     Path(path).write_bytes(raw)
-
-
-CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixels
-
-
-def load_cifar_bin(batch_paths, split: str = "train") -> Dataset:
-    """Concatenate CIFAR-10 binary batch files into one Dataset. A batch whose
-    size is not a positive multiple of the 3073-byte record, an empty one
-    included, is a :class:`DataFormatError`."""
-    records_parts = []
-    for path in batch_paths:
-        raw = Path(path).read_bytes()
-        if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
-            raise DataFormatError(
-                f"CIFAR batch {path}: size {len(raw)} is not a positive multiple of "
-                f"{CIFAR_RECORD_BYTES}"
-            )
-        records_parts.append(
-            np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        )
-    # The pixels are gathered straight from the files' records into one
-    # contiguous array; the label bytes are not held with them.
-    return Dataset(
-        np.concatenate([records[:, 1:] for records in records_parts]),
-        np.concatenate([records[:, 0] for records in records_parts]).astype(np.int64),
-        name="cifar10",
-        split=split,
-    )
 
 
 def one_hot(labels, n_labels: int = N_LABELS) -> np.ndarray:

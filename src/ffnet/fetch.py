@@ -1,7 +1,8 @@
 """Dataset download, checksum verification, and path resolution.
 
 The library core only ever reads local files; this module is the one place
-that touches the network. Each dataset pins its source URLs. SHA-256
+that touches the network. Every dataset is an IDX (images, labels) pair per
+split, read by :func:`ffnet.data.load_idx`, and pins its source URLs. SHA-256
 digests are verified against the ``sha256`` pin when one is present;
 otherwise the digest observed on the first fetch whose files read is recorded
 next to the file (``<name>.sha256``) and enforced from then on, so silent
@@ -13,12 +14,10 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
-import tarfile
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import Dataset, load_cifar_bin, load_idx
+from .data import Dataset, load_idx
 from .errors import ConfigError, DataFormatError, check_choice
 from .reports import atomic_write, atomic_write_text
 
@@ -34,24 +33,11 @@ MNIST_BASE = "https://ossci-datasets.s3.amazonaws.com/mnist"
 FASHION_BASE = "http://fashion-mnist.s3-website.eu-central-1.amazonaws.com"
 
 SPLITS = ("train", "test")
+# The local (images, labels) files of each split, the same for every dataset.
 IDX_FILES = {
     "train": ("train-images-idx3-ubyte.gz", "train-labels-idx1-ubyte.gz"),
     "test": ("t10k-images-idx3-ubyte.gz", "t10k-labels-idx1-ubyte.gz"),
 }
-
-# The local files of each split of each dataset: an IDX (images, labels) pair,
-# or the CIFAR-10 batches that fetch_dataset extracts from its archive.
-SPLIT_FILES: dict[str, dict[str, tuple[str, ...]]] = {
-    "mnist": IDX_FILES,
-    "fashion_mnist": IDX_FILES,
-    "cifar10": {
-        "train": tuple(f"data_batch_{i}.bin" for i in range(1, 6)),
-        "test": ("test_batch.bin",),
-    },
-}
-
-DATASET_NAMES = tuple(SPLIT_FILES)
-CIFAR_MEMBERS = [member for files in SPLIT_FILES["cifar10"].values() for member in files]
 
 
 def _idx_downloads(base: str) -> list[RemoteFile]:
@@ -62,13 +48,9 @@ def _idx_downloads(base: str) -> list[RemoteFile]:
 DATASETS: dict[str, list[RemoteFile]] = {
     "mnist": _idx_downloads(MNIST_BASE),
     "fashion_mnist": _idx_downloads(FASHION_BASE),
-    "cifar10": [
-        RemoteFile(
-            "cifar-10-binary.tar.gz",
-            "https://www.cs.toronto.edu/~kriz/cifar-10-binary.tar.gz",
-        ),
-    ],
 }
+
+DATASET_NAMES = tuple(DATASETS)
 
 
 def default_data_dir() -> Path:
@@ -118,10 +100,8 @@ def fetch_dataset(name: str, data_dir=None, downloader=_download) -> list[Path]:
     Returns the local paths of every split's files. A second call with a
     warm cache performs no network I/O. ``downloader`` is injectable for testing.
     A file with no pinned or recorded digest has its digest recorded only once
-    every split reads through :func:`load_dataset`. If the CIFAR-10 archive
-    does not extract or a split does not read, such files are removed, and
-    so are any extracted CIFAR-10 batches, so the next call downloads and
-    extracts them again.
+    every split reads through :func:`load_dataset`. If a split does not read,
+    such files are removed, so the next call downloads them again.
     """
     check_choice("dataset", name, DATASET_NAMES)
     target_dir = _dataset_dir(name, data_dir)
@@ -135,40 +115,16 @@ def fetch_dataset(name: str, data_dir=None, downloader=_download) -> list[Path]:
         if record is not None:
             unrecorded[target] = record
     try:
-        if name == "cifar10":
-            _extract_cifar(target, target_dir)  # its one download is the archive
         if unrecorded:
             for split in SPLITS:
                 load_dataset(name, split, data_dir)
     except DataFormatError:
-        extracted = [target_dir / member for member in CIFAR_MEMBERS] if name == "cifar10" else []
-        for path in [*unrecorded, *extracted]:
+        for path in unrecorded:
             path.unlink(missing_ok=True)
         raise
     for record in unrecorded.values():
         record()
     return _split_paths(name, data_dir)
-
-
-def _extract_cifar(archive: Path, target_dir: Path) -> None:
-    """Extract the CIFAR-10 batches; an archive that does not hold them is a
-    :class:`DataFormatError`."""
-    if all((target_dir / member).exists() for member in CIFAR_MEMBERS):
-        return
-    try:
-        with tarfile.open(archive, "r:gz") as tar:
-            for member in tar.getmembers():
-                base = os.path.basename(member.name)
-                if base in CIFAR_MEMBERS and member.isfile():
-                    source = tar.extractfile(member)
-                    # A copy cut short leaves no member: extraction is skipped
-                    # only once every member exists.
-                    atomic_write(target_dir / base, lambda out: shutil.copyfileobj(source, out))
-    except (tarfile.TarError, EOFError, zlib.error) as exc:
-        raise DataFormatError(f"CIFAR-10 archive {archive}: unreadable ({exc})") from exc
-    missing = [m for m in CIFAR_MEMBERS if not (target_dir / m).exists()]
-    if missing:
-        raise DataFormatError(f"{archive} lacks expected members: {missing}")
 
 
 def _dataset_dir(name: str, data_dir) -> Path:
@@ -178,7 +134,7 @@ def _dataset_dir(name: str, data_dir) -> Path:
 def _split_paths(name: str, data_dir, splits=SPLITS) -> list[Path]:
     """The local paths of the files of ``splits`` of ``name``, split by split."""
     target_dir = _dataset_dir(name, data_dir)
-    return [target_dir / file for split in splits for file in SPLIT_FILES[name][split]]
+    return [target_dir / file for split in splits for file in IDX_FILES[split]]
 
 
 def dataset_available(name: str, data_dir=None) -> bool:
@@ -198,6 +154,4 @@ def load_dataset(name: str, split: str, data_dir=None) -> Dataset:
             f"{name} {split} split not fetched: {', '.join(missing)} missing "
             f"from {paths[0].parent}; run '{command}'"
         )
-    if name == "cifar10":
-        return load_cifar_bin(paths, split=split)
     return load_idx(*paths, name=name, split=split)

@@ -393,16 +393,19 @@ def evaluate_checkpoint(
     if method.linked:
         family = default_subset_family(net.depth) if subsets is None else subsets
         report = subset_errors(scores, test_ds.labels, family)
-        write_subsets_csv(out_dir / "subsets.csv", report)
         try:
             marginals = marginal_contributions(report, net.depth)
-            write_marginals_csv(out_dir / "marginals.csv", marginals)
         except ConfigError:
-            # The family lacks the leave-one-out sets; a marginals.csv left by
-            # an earlier eval would not match this subsets.csv.
-            (out_dir / "marginals.csv").unlink(missing_ok=True)
+            marginals = None  # the family lacks the leave-one-out sets
         sample = draw_eval_sample(test_ds, cfg.entropy_eval_n, cfg.seed)
         _, rows, _ = _snapshot(_last_epoch(cfg, net.depth), scores[sample[0]], sample, cfg)
+        # Every report is computed before the first is written, so a failed eval writes none.
+        write_subsets_csv(out_dir / "subsets.csv", report)
+        if marginals is None:
+            # A marginals.csv left by an earlier eval would not match this subsets.csv.
+            (out_dir / "marginals.csv").unlink(missing_ok=True)
+        else:
+            write_marginals_csv(out_dir / "marginals.csv", marginals)
         write_csv(out_dir / "entropy_report.csv", entropy_fields(net.depth), rows)
     write_json(out_dir / "eval_summary.json", summary)
     return summary

@@ -148,3 +148,15 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError) as caught:
             load_checkpoint(path)
         assert str(caught.value) == f"malformed checkpoint {path}: {fault}"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["weights_1", "biases_0"])
+    def test_a_non_finite_parameter_is_malformed(self, tmp_path, name, value):
+        path = tmp_path / "m.npz"
+        net = init_network([6, 4, 3], make_rng(0))
+        field, layer = name.split("_")
+        getattr(net.layers[int(layer)], field).flat[-1] = value
+        save_checkpoint(path, net, {})
+        with pytest.raises(CheckpointError) as caught:
+            load_checkpoint(path)
+        assert str(caught.value) == f"malformed checkpoint {path}: {name} holds a non-finite value"

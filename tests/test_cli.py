@@ -5,7 +5,6 @@ import os
 import shutil
 import subprocess
 import sys
-import tarfile
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +221,7 @@ class TestTrainCommand:
                    "--layer-dims", "794,24,16,12"])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: dataset must be one of ('mnist', 'fashion_mnist', 'cifar10'), got 'emnist'"
+            "error: dataset must be one of ('mnist', 'fashion_mnist'), got 'emnist'"
         ]
         assert not (out / "config.json").exists()
 
@@ -515,7 +514,7 @@ class TestTrainCommand:
 # A value other than the default for every RunConfig field: the words that set
 # it on the command line, and its value in a --config file.
 FIELD_SETTINGS = {
-    "dataset": (["--dataset", "cifar10"], "cifar10"),
+    "dataset": (["--dataset", "fashion_mnist"], "fashion_mnist"),
     "method": (["--method", "collab_ff"], "collab_ff"),
     "gamma_mode": (["--gamma-mode", "predecessors_only"], "predecessors_only"),
     "schedule": (["--schedule", "alternating"], "alternating"),
@@ -810,6 +809,26 @@ class TestEvalCommand:
         ]
         assert not out.exists()
 
+    def test_checkpoint_with_a_nan_weight_is_a_one_line_error(self, data_dir, tmp_path, capsys):
+        """A classic network scores a NaN weight without a word, as NaN logits."""
+        from ffnet.checkpoint import save_checkpoint
+        from ffnet.nn import init_network
+
+        dims = [784, 16, 10]
+        net = init_network(dims, make_rng(0))
+        net.layers[1].weights[3, 4] = np.nan
+        checkpoint = tmp_path / "nan.npz"
+        config = {"dataset": "mnist", "method": "bp_classic", "layer_dims": dims}
+        save_checkpoint(checkpoint, net, config)
+        out = tmp_path / "eval"
+        rc = main(["eval", str(checkpoint), "--output-dir", str(out),
+                   "--data-dir", str(data_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: malformed checkpoint {checkpoint}: weights_1 holds a non-finite value"
+        ]
+        assert not (out / "eval_summary.json").exists()
+
     @pytest.mark.parametrize("damage", ["compression", "npy_header"])
     def test_damaged_checkpoint_entry_is_a_one_line_error(self, tmp_path, capsys, damage):
         checkpoint = tmp_path / "damaged.npz"
@@ -1026,170 +1045,6 @@ class TestFetch:
         with pytest.raises(DataFormatError, match="checksum mismatch"):
             fetch_dataset("mnist", cache)
 
-    @staticmethod
-    def _cifar_archive(tmp_path, damaged=None):
-        """A CIFAR-10 archive of 4 records per batch at ``tmp_path/server``;
-        ``damaged`` maps a member to the bytes it holds instead."""
-        import ffnet.fetch as fetch_mod
-
-        rng = make_rng(1)
-        server = tmp_path / "server"
-        server.mkdir(parents=True)
-        batches_dir = tmp_path / "cifar-10-batches-bin"
-        batches_dir.mkdir()
-        for member in fetch_mod.CIFAR_MEMBERS:
-            records = np.zeros((4, 3073), dtype=np.uint8)
-            records[:, 0] = rng.integers(0, 10, size=4)
-            records[:, 1:] = rng.integers(0, 256, size=(4, 3072))
-            raw = (damaged or {}).get(member, records.tobytes())
-            (batches_dir / member).write_bytes(raw)
-        archive = server / "cifar-10-binary.tar.gz"
-        with tarfile.open(archive, "w:gz") as tar:
-            tar.add(batches_dir, arcname="cifar-10-batches-bin")
-        return archive
-
-    def _serve_cifar(self, tmp_path, monkeypatch):
-        """A file:// CIFAR-10 archive, pinned as the cifar10 download."""
-        import ffnet.fetch as fetch_mod
-
-        archive = self._cifar_archive(tmp_path)
-        spec = [RemoteFile("cifar-10-binary.tar.gz", archive.as_uri(), sha256_file(archive))]
-        monkeypatch.setitem(fetch_mod.DATASETS, "cifar10", spec)
-
-    def test_cifar_archive_extraction(self, tmp_path, monkeypatch):
-        import ffnet.fetch as fetch_mod
-
-        self._serve_cifar(tmp_path, monkeypatch)
-        cache = tmp_path / "cache"
-        paths = fetch_dataset("cifar10", cache)
-        assert [p.name for p in paths] == fetch_mod.CIFAR_MEMBERS
-        from ffnet.fetch import load_dataset
-
-        ds = load_dataset("cifar10", "train", cache)
-        assert ds.n == 20  # 5 batches x 4 records
-
-    def test_warm_cifar_cache_neither_downloads_nor_opens_the_archive(
-        self, tmp_path, monkeypatch
-    ):
-        import ffnet.fetch as fetch_mod
-
-        self._serve_cifar(tmp_path, monkeypatch)
-        cache = tmp_path / "cache"
-        paths = fetch_dataset("cifar10", cache)
-
-        def untouched(*args, **kwargs):
-            raise AssertionError("archive touched on a warm cache")
-
-        monkeypatch.setattr(fetch_mod.tarfile, "open", untouched)
-        assert fetch_dataset("cifar10", cache, downloader=untouched) == paths
-
-    def test_interrupted_extraction_leaves_no_member(self, tmp_path, monkeypatch):
-        """A copy that fails after 2 of a member's 4 records leaves no file
-        under the member's name, so the next fetch extracts it again."""
-        import ffnet.fetch as fetch_mod
-
-        self._serve_cifar(tmp_path, monkeypatch)
-        copy = fetch_mod.shutil.copyfileobj
-
-        def interrupted(source, target):
-            if "test_batch.bin" not in str(target.name):
-                return copy(source, target)
-            target.write(source.read(2 * 3073))
-            raise OSError("copy interrupted")
-
-        monkeypatch.setattr(fetch_mod.shutil, "copyfileobj", interrupted)
-        cache = tmp_path / "cache"
-        with pytest.raises(OSError, match="copy interrupted"):
-            fetch_dataset("cifar10", cache)
-        assert not (cache / "cifar10" / "test_batch.bin").exists()
-        assert not list((cache / "cifar10").glob("*.tmp"))
-        monkeypatch.setattr(fetch_mod.shutil, "copyfileobj", copy)
-        fetch_dataset("cifar10", cache)
-        assert fetch_mod.load_dataset("cifar10", "test", cache).n == 4
-
-    @pytest.mark.parametrize("damage", ["not_gzip", "truncated"])
-    def test_corrupt_cifar_archive_is_a_one_line_error(
-        self, tmp_path, monkeypatch, capsys, damage
-    ):
-        """An archive that is not gzip, or is cut short, fails extraction with
-        one error line that names the cached archive."""
-        import ffnet.fetch as fetch_mod
-
-        self._serve_cifar(tmp_path, monkeypatch)
-        archive = tmp_path / "server" / "cifar-10-binary.tar.gz"
-        raw = archive.read_bytes()
-        archive.write_bytes(b"not an archive" if damage == "not_gzip" else raw[: len(raw) // 2])
-        spec = [RemoteFile(archive.name, archive.as_uri(), sha256_file(archive))]
-        monkeypatch.setitem(fetch_mod.DATASETS, "cifar10", spec)
-        cache = tmp_path / "cache"
-        rc = main(["fetch", "cifar10", "--data-dir", str(cache)])
-        assert rc == 1
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"error: CIFAR-10 archive {cache / 'cifar10' / archive.name}: "
-                               "unreadable (")
-
-    @pytest.mark.parametrize("bad", ["not_gzip", "no_batches"])
-    def test_unpinned_cifar_archive_that_does_not_extract_records_no_digest(
-        self, tmp_path, bad
-    ):
-        """The shipped cifar10 download pins no digest. An archive that does not
-        extract is removed with no digest recorded, so the next fetch downloads
-        it again; a good archive then extracts, and only its digest is recorded."""
-        from ffnet.fetch import load_dataset
-
-        empty = tmp_path / "empty.tar.gz"
-        with tarfile.open(empty, "w:gz"):
-            pass
-        served = [b"not an archive" if bad == "not_gzip" else empty.read_bytes()]
-        downloads = []
-
-        def downloader(url, target):
-            downloads.append(url)
-            target.write_bytes(served[0])
-
-        cache = tmp_path / "cache"
-        archive = cache / "cifar10" / "cifar-10-binary.tar.gz"
-        sidecar = archive.with_name(archive.name + ".sha256")
-        for attempt in (1, 2):
-            with pytest.raises(DataFormatError, match="unreadable|lacks expected members"):
-                fetch_dataset("cifar10", cache, downloader=downloader)
-            assert len(downloads) == attempt
-            assert not archive.exists() and not sidecar.exists()
-        served[0] = self._cifar_archive(tmp_path).read_bytes()
-        fetch_dataset("cifar10", cache, downloader=downloader)
-        assert len(downloads) == 3
-        assert sidecar.read_text() == sha256_file(archive) + "\n"
-        assert load_dataset("cifar10", "test", cache).n == 4
-
-    @pytest.mark.parametrize("size", [0, 10], ids=["empty", "short"])
-    def test_unpinned_cifar_archive_with_a_batch_that_does_not_read_keeps_nothing(
-        self, tmp_path, size
-    ):
-        """An archive whose third train batch is empty or cut short fails its
-        fetch with one line. It records no digest, and neither the archive nor
-        any batch extracted from it stays, so a good archive fetched next is
-        extracted in full."""
-        from ffnet.fetch import load_dataset
-
-        bad = self._cifar_archive(tmp_path / "bad", {"data_batch_3.bin": bytes(size)})
-        served = [bad.read_bytes()]
-        downloads = []
-
-        def downloader(url, target):
-            downloads.append(url)
-            target.write_bytes(served[0])
-
-        cache = tmp_path / "cache"
-        with pytest.raises(DataFormatError, match=f"data_batch_3.bin: size {size} ") as caught:
-            fetch_dataset("cifar10", cache, downloader=downloader)
-        assert len(str(caught.value).splitlines()) == 1
-        assert not list((cache / "cifar10").iterdir())
-        served[0] = self._cifar_archive(tmp_path / "good").read_bytes()
-        fetch_dataset("cifar10", cache, downloader=downloader)
-        assert len(downloads) == 2
-        assert (cache / "cifar10" / "data_batch_3.bin").stat().st_size == 4 * 3073
-        assert load_dataset("cifar10", "train", cache).n == 20
-
     def test_unpinned_idx_file_that_does_not_read_records_no_digest(self, tmp_path):
         """The shipped IDX downloads pin no digest. Files that do not read are
         removed with no digest recorded, so the next fetch downloads them again;
@@ -1219,9 +1074,8 @@ class TestFetch:
     @pytest.mark.parametrize(
         ("name", "train", "test"),
         [("mnist", IDX_NAMES[:2], IDX_NAMES[2:]),
-         ("fashion_mnist", IDX_NAMES[:2], IDX_NAMES[2:]),
-         ("cifar10", [f"data_batch_{i}.bin" for i in range(1, 6)], ["test_batch.bin"])],
-        ids=["mnist", "fashion_mnist", "cifar10"],
+         ("fashion_mnist", IDX_NAMES[:2], IDX_NAMES[2:])],
+        ids=["mnist", "fashion_mnist"],
     )
     def test_split_never_fetched_names_its_files(self, tmp_path, monkeypatch, name, train, test):
         """On an empty cache each split's error names that split's files and

@@ -1,6 +1,5 @@
 import gzip
 import math
-import re
 import struct
 import tracemalloc
 
@@ -12,7 +11,6 @@ from ffnet.data import (
     Dataset,
     LinkedBatch,
     link_inputs,
-    load_cifar_bin,
     load_idx,
     make_linked_batches,
     make_plain_batches,
@@ -195,63 +193,6 @@ class TestIdx:
             load_idx(tmp_path / "im", tmp_path / "la")
 
 
-class TestCifar:
-    def _write_batch(self, path, rng, n):
-        records = np.zeros((n, 3073), dtype=np.uint8)
-        records[:, 0] = rng.integers(0, 10, size=n)
-        records[:, 1:] = rng.integers(0, 256, size=(n, 3072))
-        path.write_bytes(records.tobytes())
-        return records
-
-    def test_concatenates_batches(self, tmp_path, rng):
-        r1 = self._write_batch(tmp_path / "b1.bin", rng, 7)
-        r2 = self._write_batch(tmp_path / "b2.bin", rng, 5)
-        ds = load_cifar_bin([tmp_path / "b1.bin", tmp_path / "b2.bin"])
-        assert ds.n == 12 and ds.d == 3072
-        np.testing.assert_array_equal(
-            ds.labels, np.concatenate([r1[:, 0], r2[:, 0]])
-        )
-        np.testing.assert_allclose(ds.images[0], r1[0, 1:] / 255.0)
-
-    def test_pixels_match_float_division_bitwise(self, tmp_path, rng):
-        r1 = self._write_batch(tmp_path / "b1.bin", rng, 7)
-        r2 = self._write_batch(tmp_path / "b2.bin", rng, 5)
-        ds = load_cifar_bin([tmp_path / "b1.bin", tmp_path / "b2.bin"])
-        expected = np.concatenate([r1, r2])[:, 1:].astype(np.float64) / 255.0
-        assert ds.images.tobytes() == expected.tobytes()
-        idx = np.array([11, 2, 7, 2])
-        assert ds.rows(idx).tobytes() == expected[idx].tobytes()
-
-    def test_peak_memory_is_near_the_images_array(self, tmp_path, rng):
-        """The load holds the files' records and the gathered pixels, both
-        uint8; a float64 copy would be eight times the pixels."""
-        paths = [tmp_path / f"b{i}.bin" for i in range(3)]
-        for path in paths:
-            self._write_batch(path, rng, 200)
-        loaded = []
-        peak = traced_peak(lambda: loaded.append(load_cifar_bin(paths)))
-        ds = loaded[0]
-        assert ds.n == 600
-        assert peak <= 2.1 * ds.pixels.nbytes
-
-    @pytest.mark.parametrize("size", [5000, 0])
-    def test_bad_record_size(self, tmp_path, size):
-        """An empty batch is damaged too, not a batch of no records: loading
-        it would drop a fifth of the train split without a word."""
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x00" * size)
-        message = f"CIFAR batch {path}: size {size} is not a positive multiple of 3073"
-        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
-            load_cifar_bin([path])
-
-
-def _write_cifar_split(tmp_path, rng, n):
-    records = rng.integers(0, 256, size=(n, 3073)).astype(np.uint8)
-    records[:, 0] %= 10
-    (tmp_path / "batch.bin").write_bytes(records.tobytes())
-    return load_cifar_bin([tmp_path / "batch.bin"])
-
-
 def _write_idx_split(tmp_path, rng, n):
     write_idx(tmp_path / "images.gz", rng.integers(0, 256, size=(n, 28, 28)).astype(np.uint8))
     write_idx(tmp_path / "labels.gz", rng.integers(0, 10, size=n).astype(np.uint8))
@@ -259,7 +200,7 @@ def _write_idx_split(tmp_path, rng, n):
 
 
 class TestPixelStorage:
-    @pytest.mark.parametrize("load", [_write_idx_split, _write_cifar_split])
+    @pytest.mark.parametrize("load", [_write_idx_split])
     def test_loaded_split_holds_one_byte_per_pixel(self, tmp_path, rng, load):
         """What stays allocated after a load is the n x d pixel bytes and the
         labels, not an eight-byte float per pixel."""

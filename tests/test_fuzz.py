@@ -16,7 +16,7 @@ import pytest
 from ffnet import errors
 from ffnet.checkpoint import load_checkpoint, save_checkpoint
 from ffnet.cli import main
-from ffnet.data import CIFAR_RECORD_BYTES, load_cifar_bin, load_idx, write_idx
+from ffnet.data import load_idx, write_idx
 from ffnet.linalg import make_rng
 from ffnet.nn import init_network
 
@@ -87,17 +87,6 @@ def test_idx_reader(tmp_path, suffix, member):
     write_idx(paths["labels"], rng.integers(0, 10, size=4))
     outcomes = fuzz(paths[member], 11, lambda: load_idx(paths["images"], paths["labels"], "fuzz"))
     assert outcomes["DataFormatError"] > 0
-
-
-def test_cifar_reader(tmp_path):
-    rng = make_rng(1)
-    paths = [tmp_path / f"data_batch_{i}.bin" for i in (1, 2)]
-    for path in paths:
-        records = rng.integers(0, 256, size=(2, CIFAR_RECORD_BYTES), dtype=np.uint8)
-        records[:, 0] %= 10
-        path.write_bytes(records.tobytes())
-
-    assert fuzz(paths[0], 12, lambda: load_cifar_bin(paths))["DataFormatError"] > 0
 
 
 def test_checkpoint_reader(tmp_path):

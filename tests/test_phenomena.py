@@ -2,8 +2,11 @@
 
 These pin qualitative behaviors at fixed seeds and generous margins; the
 quantitative claims live in the desk-scale acceptance tests against real
-datasets. Budgets are matched in layer-epochs: layerwise with E epochs
-gives each of the k layers E passes, alternating with k*E epochs does too.
+datasets. The two methods' budgets match in passes over the data, not in
+updates per layer. ``ff`` trains layerwise for E epochs: each of the k layers
+gets E passes of its own, k*E passes in all. ``collab_ff`` trains alternating
+for k*E epochs, each of which updates every layer, so each layer gets k*E
+passes: k times ``ff``'s updates, 3 times here.
 """
 
 from functools import lru_cache

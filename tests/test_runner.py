@@ -41,8 +41,8 @@ class TestRunConfig:
         assert cfg.layer_dims == (794, 500, 500, 500)
 
     def test_classic_gets_label_head(self):
-        cfg = RunConfig(dataset="cifar10", method="bp_classic").resolved()
-        assert cfg.layer_dims == (3072, 500, 500, 500, 10)
+        cfg = RunConfig(dataset="mnist", method="bp_classic").resolved()
+        assert cfg.layer_dims == (784, 500, 500, 500, 10)
 
     def test_wrong_input_dim_rejected(self):
         with pytest.raises(ConfigError, match="794"):
@@ -384,12 +384,29 @@ class TestEvaluateCheckpointChecksFirst:
         assert not (tmp_path / "eval").exists()
 
     def test_test_split_of_another_width_is_a_config_error(self, tmp_path, monkeypatch):
-        test_ds = synthetic_dataset(20, d=3072, seed=4, split="test", name="cifar10")
+        test_ds = synthetic_dataset(20, d=3072, seed=4, split="test", name="synthetic")
         monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
-        message = r"^layer_dims\[0\] must be 3082 for ff on cifar10 test, got 794$"
+        message = r"^layer_dims\[0\] must be 3082 for ff on synthetic test, got 794$"
         checkpoint = self._checkpoint(tmp_path)
         with pytest.raises(ConfigError, match=message):
-            evaluate_checkpoint(checkpoint, tmp_path / "eval", dataset="cifar10")
+            evaluate_checkpoint(checkpoint, tmp_path / "eval", dataset="synthetic")
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_report_that_fails_leaves_no_file(self, tmp_path, monkeypatch):
+        """Finite but huge first-layer weights score, then fail the entropy report:
+        the subset and marginal reports computed before it are not written."""
+        test_ds = synthetic_dataset(40, d=784, seed=4, split="test", name="mnist")
+        monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
+        checkpoint = tmp_path / "checkpoint.npz"
+        dims = [794, 6, 5]
+        net = init_network(dims, make_rng(0))
+        net.layers[0].weights *= 1e160
+        config = {"dataset": "mnist", "method": "ff", "epochs": 1, "layer_dims": dims,
+                  "entropy_eval_n": 20}
+        save_checkpoint(checkpoint, net, config)
+        with pytest.raises(FloatingPointError, match="non-finite loss"):
+            evaluate_checkpoint(checkpoint, tmp_path / "eval")
         assert not (tmp_path / "eval").exists()
 
 
@@ -492,7 +509,7 @@ class TestFinalNetworkScoredOnce:
     def test_checkpoint_without_a_dataset_is_resolved_for_the_given_one(
         self, tmp_path, monkeypatch
     ):
-        test_ds = synthetic_dataset(40, d=3072, seed=4, split="test", name="cifar10")
+        test_ds = synthetic_dataset(40, d=3072, seed=4, split="test", name="synthetic")
         monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
         checkpoint = tmp_path / "checkpoint.npz"
         dims = [3082, 6, 5]
@@ -500,8 +517,8 @@ class TestFinalNetworkScoredOnce:
         save_checkpoint(checkpoint, init_network(dims, make_rng(0)), config)
         with pytest.raises(ConfigError, match="no dataset given"):
             evaluate_checkpoint(checkpoint, tmp_path / "eval")
-        summary = evaluate_checkpoint(checkpoint, tmp_path / "eval", dataset="cifar10")
-        assert summary["dataset"] == "cifar10"
+        summary = evaluate_checkpoint(checkpoint, tmp_path / "eval", dataset="synthetic")
+        assert summary["dataset"] == "synthetic"
         assert summary["n_test"] == 40
 
 
