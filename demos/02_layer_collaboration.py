@@ -31,6 +31,8 @@ dims = [train_ds.d + 10, 40, 30, 20]
 # Both runs make 12 passes over the data, but not the same updates per layer:
 # layerwise trains each of the 3 layers for 4 epochs in turn, while alternating
 # updates every layer on every batch of its 12 epochs, 3x ff's updates per layer.
+# Comparisons are made at equal epochs, which is equal updates per layer:
+# tests/test_phenomena.py pins that collab_ff still wins at 4 epochs each.
 vanilla = init_network(dims, make_rng(1))
 vanilla, _ = train(
     vanilla, train_ds, FfConfig(theta=5.0, epochs=4, batch_size=50, seed=1)

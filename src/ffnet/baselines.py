@@ -1,14 +1,14 @@
 """Backpropagation reference models: pairwise discriminator and classic classifier.
 
 Both are batch steps of :func:`ffnet.ff.fit` in one stage that reports the
-last layer, with every layer's gradient chain-ruled through the whole stack
-(normalization included). The pairwise model consumes the same linked
-(sample + one-hot label) rows as forward-forward training, in the same
-label-factored form (each sample's pixels once plus the label of every row;
-see :func:`~ffnet.nn.forward_pass`), and takes the same goodness loss from
+last layer, with every layer's gradient chain-ruled through the whole stack.
+The pairwise model consumes the same linked (sample + one-hot label) rows as
+forward-forward training, in the same label-factored form (each sample's
+pixels once plus the label of every row; see :func:`~ffnet.nn.forward_pass`),
+normalization included, and takes the same goodness loss from
 :func:`~ffnet.ff.goodness_loss` (gamma 0), but only at the last layer. The
-classic model is a plain MLP on raw inputs with a linear label head and
-softmax cross-entropy; its history has nan goodness means.
+classic model is a plain MLP on raw inputs, with no normalization, a linear
+label head and softmax cross-entropy; its history has nan goodness means.
 """
 
 from __future__ import annotations
@@ -61,30 +61,27 @@ def train_pairwise(
         stats.record(last, loss, g, batch.polarity)
         return backprop_updates(net, trace, activity_coeffs(trace.act[last], d_g))
 
-    batches = partial(
-        make_linked_batches, ds, batch_size=cfg.batch_size,
-        negatives_per_positive=cfg.negatives_per_positive,
-    )
+    batches = partial(make_linked_batches, ds, batch_size=cfg.batch_size)
     return fit(net, cfg, [[last]], batches, step, "bp_pairwise", on_epoch)
 
 
-def classic_logits(net: MlpNetwork, images, normalize: bool = False, idx=None) -> np.ndarray:
+def classic_logits(net: MlpNetwork, images, idx=None) -> np.ndarray:
     """(n, N_LABELS) label-head logits; :func:`~ffnet.ff.score_rows` reads the rows.
     Each pass keeps only the head, so it holds about one hidden layer's arrays
     of the block at a time."""
     head = (net.depth - 1,)
 
     def score(block, out):
-        trace = forward_pass(net, block, normalize=normalize, final_linear=True, keep=head)
+        trace = forward_pass(net, block, normalize=False, final_linear=True, keep=head)
         out[:] = trace.act[-1]
 
     return score_rows(images, idx, (N_LABELS,), score)
 
 
-def classic_test_error(net: MlpNetwork, ds: Dataset, normalize: bool = False) -> float:
+def classic_test_error(net: MlpNetwork, ds: Dataset) -> float:
     """Misclassified fraction: the logits vote as one layer (:func:`~ffnet.ff.vote`)."""
     check_split_size(ds.n, "test")
-    return voting_error(classic_logits(net, ds, normalize)[:, :, None], ds.labels, [0])
+    return voting_error(classic_logits(net, ds)[:, :, None], ds.labels, [0])
 
 
 def train_classic(
@@ -96,15 +93,15 @@ def train_classic(
     """Softmax cross-entropy classifier on raw inputs.
 
     ``net`` must end in a label-width linear head (the last layer is kept
-    un-rectified). Inter-layer normalization is off by default, matching a
-    standard MLP; ``cfg.classic_normalize`` turns it on for the ablation variant.
+    un-rectified), and its hidden layers are not normalized, as in a standard
+    MLP: every pass runs ``normalize=False, final_linear=True``.
     """
     check_split_size(ds.n, "training")
     last = net.depth - 1
 
     def step(batch, layers, stats):
         images, labels = batch
-        trace = forward_pass(net, images, normalize=cfg.classic_normalize, final_linear=True)
+        trace = forward_pass(net, images, normalize=False, final_linear=True)
         loss, d_logits = softmax_cross_entropy(trace.act[-1], labels)
         stats.record(last, loss)
         return backprop_updates(net, trace, d_logits)

@@ -248,13 +248,14 @@ def linked_copies(rows: int, samples: int) -> int:
 
 @dataclass
 class LinkedBatch:
-    """One training batch: ``m`` samples, each linked with ``copies`` labels.
+    """One training batch: ``m`` samples, each linked with its true label and
+    with one wrong label.
 
     Row ``r`` of the batch is sample ``r % m`` linked with
     ``linked_labels[r]``. The first ``m`` rows are positives, linked with the
-    true label; the rest are negatives, each a uniformly random wrong one.
-    The per-row arrays have ``copies * m`` entries, which
-    :func:`linked_copies` checks; ``images`` holds each sample's pixels once.
+    true label; the last ``m`` are negatives, each linked with a uniformly
+    random wrong one. The per-row arrays have ``2 * m`` entries; ``images``
+    holds each sample's pixels once.
     """
 
     images: np.ndarray        # (m, d) the samples' pixels
@@ -263,7 +264,8 @@ class LinkedBatch:
 
     @property
     def copies(self) -> int:
-        """Rows per sample: one positive plus the negatives."""
+        """Rows per sample, 2 for a batch of :func:`make_linked_batches`
+        (:func:`linked_copies`)."""
         return linked_copies(self.linked_labels.shape[0], self.images.shape[0])
 
     def linked_inputs(self) -> np.ndarray:
@@ -294,30 +296,19 @@ def draw_eval_sample(
     return idx, labels, sample_wrong_labels(labels, rng)
 
 
-def make_linked_batches(
-    ds: Dataset,
-    rng: np.random.Generator,
-    batch_size: int,
-    negatives_per_positive: int = 1,
-):
+def make_linked_batches(ds: Dataset, rng: np.random.Generator, batch_size: int):
     """One epoch of shuffled LinkedBatch values, on :func:`make_plain_batches`.
 
     ``batch_size`` counts dataset samples; each contributes one positive row
-    plus ``negatives_per_positive`` negative rows, so a batch holds
-    batch_size * (1 + negatives_per_positive) rows over batch_size samples.
-    Reinvoking with the same generator reshuffles and redraws the wrong
-    labels, which is how epochs get fresh negatives.
+    and one negative row, so a batch holds 2 * batch_size rows over
+    batch_size samples. Reinvoking with the same generator reshuffles and
+    redraws the wrong labels, which is how epochs get fresh negatives.
     """
-    if negatives_per_positive < 1:
-        raise ConfigError(
-            f"negatives_per_positive must be >= 1, got {negatives_per_positive}"
-        )
     for images, true in make_plain_batches(ds, rng, batch_size):
-        neg_true = np.tile(true, negatives_per_positive)
         yield LinkedBatch(
             images=images,
-            polarity=np.concatenate([np.ones(len(true)), -np.ones(len(neg_true))]),
-            linked_labels=np.concatenate([true, sample_wrong_labels(neg_true, rng)]),
+            polarity=np.concatenate([np.ones(len(true)), -np.ones(len(true))]),
+            linked_labels=np.concatenate([true, sample_wrong_labels(true, rng)]),
         )
 
 

@@ -82,8 +82,9 @@ SCORE_CHUNK = 256
 
 @dataclass
 class FfConfig:
-    """Knobs for one training run of any method; ``classic_normalize`` is read by
-    the classic baseline alone."""
+    """Knobs for one training run of any method. Every linked batch pairs each
+    sample with one wrong label (:func:`~ffnet.data.make_linked_batches`), and
+    the classic baseline never normalizes between layers."""
 
     theta: float = 10.0
     gamma_mode: str = "none"
@@ -93,8 +94,6 @@ class FfConfig:
     batch_size: int = 200
     learning_rate: float = 0.001
     seed: int = 0
-    negatives_per_positive: int = 1
-    classic_normalize: bool = False
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.theta):
@@ -117,10 +116,6 @@ class FfConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.negatives_per_positive < 1:
-            raise ConfigError(
-                f"negatives_per_positive must be >= 1, got {self.negatives_per_positive}"
-            )
 
 
 def goodness_table(trace: ForwardTrace) -> np.ndarray:
@@ -437,10 +432,7 @@ def train(
             yield i, grad_w, grad_b
             del grad_w, grad_b
 
-    batches = partial(
-        make_linked_batches, ds, batch_size=cfg.batch_size,
-        negatives_per_positive=cfg.negatives_per_positive,
-    )
+    batches = partial(make_linked_batches, ds, batch_size=cfg.batch_size)
     stages = schedule_stages(cfg.schedule, depth)
     return fit(net, cfg, stages, batches, step, cfg.loss_kind, on_epoch)
 

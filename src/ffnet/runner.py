@@ -25,7 +25,7 @@ from .analysis import (
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .data import DATASET_DIMS, N_LABELS, Dataset, draw_eval_sample
 from .entropy import split_entropy_reports
-from .errors import ConfigError, check_choice
+from .errors import CheckpointError, ConfigError, check_choice
 from .fetch import load_dataset
 from .linalg import make_rng
 from .nn import MlpNetwork, check_layer_dims, init_network
@@ -97,8 +97,6 @@ class RunConfig:
     eval_every: int = 10
     data_dir: Optional[str] = None
     train_subset: Optional[int] = None
-    negatives_per_positive: int = ff.FfConfig.negatives_per_positive
-    classic_normalize: bool = ff.FfConfig.classic_normalize
 
     def resolved(self) -> "RunConfig":
         """Fill method-dependent defaults and validate."""
@@ -174,8 +172,7 @@ class RunConfig:
 def _unread_settings(method: Method) -> dict:
     """Each setting ``method`` never reads, with the one value it may hold: the
     row's own ``gamma_mode`` and ``schedule``, else the RunConfig default."""
-    names = ["classic_normalize"] if method.linked else ["theta", "negatives_per_positive"]
-    names += ["theta"] if method.loss_kind == "entropy" else []
+    names = ["theta"] if not method.linked or method.loss_kind == "entropy" else []
     names += [] if method.layer_local else ["gamma_mode", "schedule"]
     return {name: getattr(method, name, getattr(RunConfig, name)) for name in names}
 
@@ -224,7 +221,7 @@ def _scores(net: MlpNetwork, cfg: RunConfig, ds: Dataset, idx=None) -> np.ndarra
     Either reads ``ff.SCORE_CHUNK`` float64 rows at a time (:func:`ff.score_rows`)."""
     if METHOD_TABLE[cfg.method].linked:
         return ff.label_goodness_scores(net, ds, idx=idx)
-    return baselines.classic_logits(net, ds, cfg.classic_normalize, idx=idx)[:, :, None]
+    return baselines.classic_logits(net, ds, idx=idx)[:, :, None]
 
 
 def _voting_layers(method: Method, depth: int) -> list[int]:
@@ -360,9 +357,20 @@ def evaluate_checkpoint(
     those scores. For the goodness methods the subset and marginal reports
     reduce the same goodness tensor, and the entropy report gathers the rows
     of the seeded evaluation sample that the run's snapshots used and reduces
-    them as they do (:func:`_snapshot`).
+    them as they do (:func:`_snapshot`). Scores that are not finite fail
+    before any report, naming the first layer that gave one.
+
+    A config written before ``negatives_per_positive`` and ``classic_normalize``
+    were retired still evaluates: the first, which evaluation never read, is
+    dropped, and so is the second when false; a network trained with
+    ``classic_normalize`` on is an error before the test split is read.
     """
     net, config, stored_hash = load_checkpoint(checkpoint_path)
+    config.pop("negatives_per_positive", None)
+    if config.pop("classic_normalize", False):
+        raise CheckpointError(
+            f"checkpoint {checkpoint_path}: trained with classic_normalize, which is retired"
+        )
     if dataset is None and "dataset" not in config:
         raise ConfigError("no dataset given and none recorded in the checkpoint")
     # A config without a dataset is resolved for the given one, not for mnist.
@@ -382,6 +390,13 @@ def evaluate_checkpoint(
 
     out_dir = Path(out_dir)
     scores = _scores(net, cfg, test_ds)
+    finite = np.isfinite(scores).all(axis=(0, 1))
+    if not finite.all():
+        layer = int(np.argmin(finite)) + 1 if method.linked else net.depth
+        raise CheckpointError(
+            f"checkpoint {checkpoint_path}: layer {layer} gives a non-finite score "
+            "on the test split"
+        )
     summary = {
         "checkpoint": str(checkpoint_path),
         "dataset": name,

@@ -90,9 +90,9 @@ class TestPairwiseGradients:
         assert agreement(analytic, numeric) >= 0.99
 
     @staticmethod
-    def batches(negatives):
+    def batches():
         train_ds, _ = synthetic_pair(23, 5, d=6, seed=12)
-        return list(make_linked_batches(train_ds, make_rng(4), 10, negatives))
+        return list(make_linked_batches(train_ds, make_rng(4), 10))
 
     @staticmethod
     def pairwise_grads(net, batch):
@@ -103,12 +103,11 @@ class TestPairwiseGradients:
         grads = full_backprop_grad(net, trace, output_grad)
         return grads, output_grad
 
-    @pytest.mark.parametrize("negatives", [1, 3])
-    def test_factored_matches_linked_matrix(self, negatives):
+    def test_factored_matches_linked_matrix(self):
         """Label-factored gradients of every layer against the linked matrix,
         normalization on, ragged last batch included."""
         net = random_net([16, 7, 6, 5], seed=34)
-        batches = self.batches(negatives)
+        batches = self.batches()
         assert [b.images.shape[0] for b in batches] == [10, 10, 3]
         for batch in batches:
             got, output_grad = self.pairwise_grads(net, batch)
@@ -124,7 +123,7 @@ class TestPairwiseGradients:
         the later layers and normalization."""
         net = random_net([16, 7, 5], seed=35)
         layer = net.layers[0]
-        batch = self.batches(3)[-1]  # 3 samples, 12 rows
+        batch = self.batches()[-1]  # 3 samples, 6 rows
 
         def loss():
             trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
@@ -140,7 +139,7 @@ class TestPairwiseGradients:
 
     def test_factored_shape_checks(self):
         net = random_net([16, 7, 5], seed=36)
-        batch = self.batches(1)[0]  # 10 samples, 20 rows
+        batch = self.batches()[0]  # 10 samples, 20 rows
         with pytest.raises(ShapeError, match="20 linked rows are not a multiple of 7"):
             forward_pass(net, batch.images[:7], linked_labels=batch.linked_labels)
 
@@ -188,15 +187,14 @@ class TestClassicScores:
     """classic_logits, read in blocks of ff.SCORE_CHUNK rows, against one
     forward pass over all rows."""
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_ragged_chunks(self, rng, monkeypatch, normalize):
+    def test_ragged_chunks(self, rng, monkeypatch):
         import ffnet.ff as ff_module
 
         monkeypatch.setattr(ff_module, "SCORE_CHUNK", 4)
         net = random_net([6, 7, 5, 10], seed=33)
         images = rng.uniform(size=(10, 6))  # chunks of 4, 4 and 2
-        got = classic_logits(net, images, normalize)
-        want = forward_pass(net, images, normalize=normalize, final_linear=True).act[-1]
+        got = classic_logits(net, images)
+        want = forward_pass(net, images, normalize=False, final_linear=True).act[-1]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
 
@@ -211,17 +209,15 @@ class TestClassicScores:
         want = classic_logits(net, ds.rows(idx))
         assert got.shape == (600, 10) and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_a_block_holds_about_one_hidden_layer_at_a_time(self, normalize):
+    def test_a_block_holds_about_one_hidden_layer_at_a_time(self):
         """Scoring reads only the head's logits, so its pass over a 256-row
         block of 784-500-500-500-10 peaks at two 256x500 arrays (a layer's
-        input and its activities), not at every hidden layer's activities
-        and normalized rows."""
+        input and its activities), not at every hidden layer's activities."""
         net = init_network([784, 500, 500, 500, 10], make_rng(0))
         images = make_rng(1).uniform(size=(256, 784))
-        peak = traced_peak(lambda: classic_logits(net, images, normalize))
-        # 128 KB covers the logits, the goodness vectors, the per-row norms
-        # and einsum's buffer; a third array would take 1,000 KB.
+        peak = traced_peak(lambda: classic_logits(net, images))
+        # 128 KB covers the logits, the goodness vectors and einsum's buffer;
+        # a third array would take 1,000 KB.
         assert peak <= 2 * 256 * 500 * 8 + 128 * 1024
 
 

@@ -178,8 +178,6 @@ class TestTrainCommand:
             ("flag", "entropy_eval_n", "1", "entropy_eval_n must be >= 2, got 1"),
             ("flag", "train_subset", "0", "train_subset must be >= 1, got 0"),
             ("flag", "batch_size", "0", "batch_size must be >= 1, got 0"),
-            ("flag", "negatives_per_positive", "0",
-             "negatives_per_positive must be >= 1, got 0"),
             ("config", "gamma_mode", "all",
              "gamma_mode must be one of ('none', 'all_other_layers', 'predecessors_only'), "
              "got 'all'"),
@@ -187,7 +185,7 @@ class TestTrainCommand:
              "schedule must be one of ('layerwise', 'alternating'), got 'greedy'"),
         ],
         ids=["seed_flag", "seed_config", "lr_nan", "lr_inf", "eval_every",
-             "entropy_eval_n", "train_subset", "batch_size", "negatives_per_positive",
+             "entropy_eval_n", "train_subset", "batch_size",
              "gamma_mode_config", "schedule_config"],
     )
     def test_bad_shared_setting_is_a_one_line_error(
@@ -207,6 +205,25 @@ class TestTrainCommand:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize(
+        ("field", "value"), [("negatives_per_positive", 2), ("classic_normalize", False)]
+    )
+    def test_config_file_naming_a_retired_setting_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys, field, value
+    ):
+        """Every batch draws one negative per positive and the classic head is
+        never normalized, so neither setting is a config field any more."""
+        config_file = tmp_path / "retired.json"
+        config_file.write_text(json.dumps({field: value}))
+        out = tmp_path / "run"
+        rc = main(["train", "--method", "ff", "--data-dir", str(data_dir),
+                   "--output-dir", str(out), "--config", str(config_file), *TRAIN_FLAGS])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unknown config fields: [{field!r}]"
+        ]
+        assert not out.exists()
 
     def test_unknown_dataset_of_a_config_file_is_a_one_line_error(
         self, data_dir, tmp_path, capsys
@@ -529,8 +546,6 @@ FIELD_SETTINGS = {
     "eval_every": (["--eval-every", "2"], 2),
     "data_dir": (["--data-dir", "cache"], "cache"),
     "train_subset": (["--train-subset", "9"], 9),
-    "negatives_per_positive": (["--negatives-per-positive", "2"], 2),
-    "classic_normalize": (["--classic-normalize"], True),
 }
 RUN_COMMANDS = {"train": [], "sweep": ["--thetas", "1"]}  # the words each needs
 
@@ -565,15 +580,26 @@ class TestRunFlags:
     @pytest.mark.parametrize("field", sorted(FIELD_SETTINGS))
     def test_a_flag_resolves_as_the_config_file_field(self, tmp_path, field):
         words, value = FIELD_SETTINGS[field]
-        # classic_normalize is a setting of the label-head method alone.
-        context = {"method": "bp_classic"} if field == "classic_normalize" else {}
         base, with_field = tmp_path / "base.json", tmp_path / "field.json"
-        base.write_text(json.dumps(context))
-        with_field.write_text(json.dumps({**context, field: value}))
+        base.write_text("{}")
+        with_field.write_text(json.dumps({field: value}))
         for command, needed in RUN_COMMANDS.items():
             by_flag = _resolved_run(command, base, *words, *needed)
             by_file = _resolved_run(command, with_field, *needed)
-            assert by_flag == by_file != RunConfig(**context).resolved()
+            assert by_flag == by_file != RunConfig().resolved()
+
+    @pytest.mark.parametrize(
+        "words", [["--negatives-per-positive", "2"], ["--classic-normalize"]],
+        ids=["negatives_per_positive", "classic_normalize"],
+    )
+    def test_retired_setting_flag_is_a_usage_error(self, capsys, words):
+        for command, needed in RUN_COMMANDS.items():
+            with pytest.raises(SystemExit) as exc:
+                main([command, *needed, *words])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"ffnet: error: unrecognized arguments: {' '.join(words)}"
+            )
 
     @pytest.mark.parametrize(
         ("command", "flag", "value"),
@@ -910,6 +936,79 @@ class TestEvalCommand:
             del reports["eval_summary.json"]
             written.append((summary, reports))
         assert written[0] == written[1]
+
+    def test_checkpoint_storing_the_retired_settings_evaluates_as_without_them(
+        self, data_dir, tmp_path
+    ):
+        """An ``ff`` checkpoint written while ``negatives_per_positive`` and
+        ``classic_normalize`` were settings records both; neither changes a report."""
+        from ffnet.checkpoint import load_checkpoint, save_checkpoint
+
+        run = tmp_path / "run"
+        assert main(["train", "--method", "ff", "--data-dir", str(data_dir),
+                     "--output-dir", str(run), *TRAIN_FLAGS]) == 0
+        net, config, _ = load_checkpoint(run / "checkpoint.npz")
+        old = {**config, "negatives_per_positive": 2, "classic_normalize": False}
+        save_checkpoint(tmp_path / "old.npz", net, old)
+        written = []
+        for checkpoint in (run / "checkpoint.npz", tmp_path / "old.npz"):
+            out = tmp_path / checkpoint.stem
+            assert main(["eval", str(checkpoint), "--output-dir", str(out),
+                         "--data-dir", str(data_dir)]) == 0
+            summary = json.loads((out / "eval_summary.json").read_text())
+            del summary["checkpoint"], summary["config_hash"]
+            reports = {path.name: path.read_bytes() for path in out.iterdir()}
+            del reports["eval_summary.json"]
+            written.append((summary, reports))
+        assert written[0] == written[1]
+
+    def test_classic_checkpoint_trained_with_normalization_is_a_one_line_error(
+        self, tmp_path, capsys
+    ):
+        """The classic head is never normalized now, so a network trained with
+        normalization cannot be scored; the error comes before the test split
+        is read (here it is not fetched) and before any file is written."""
+        from ffnet.checkpoint import save_checkpoint
+        from ffnet.nn import init_network
+
+        dims = [784, 16, 10]
+        config = {"dataset": "mnist", "method": "bp_classic", "layer_dims": dims,
+                  "classic_normalize": True}
+        checkpoint = tmp_path / "normalized.npz"
+        save_checkpoint(checkpoint, init_network(dims, make_rng(0)), config)
+        out = tmp_path / "eval"
+        rc = main(["eval", str(checkpoint), "--output-dir", str(out),
+                   "--data-dir", str(tmp_path / "nowhere")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: checkpoint {checkpoint}: trained with classic_normalize, which is retired"
+        ]
+        assert not out.exists()
+
+    def test_overflowing_scores_are_a_one_line_error(self, data_dir, tmp_path):
+        """Finite weights whose goodness overflows fail the eval with the layer
+        that overflowed, not as a training divergence, and print no warning."""
+        from ffnet.checkpoint import save_checkpoint
+        from ffnet.nn import init_network
+
+        dims = [794, 6, 5]
+        net = init_network(dims, make_rng(0))
+        net.layers[0].weights *= 1e160
+        checkpoint = tmp_path / "huge.npz"
+        save_checkpoint(checkpoint, net, {"dataset": "mnist", "method": "ff", "epochs": 1,
+                                          "layer_dims": dims})
+        out = tmp_path / "eval"
+        done = subprocess.run(
+            [sys.executable, "-m", "ffnet", "eval", str(checkpoint), "--output-dir", str(out),
+             "--data-dir", str(data_dir)],
+            env={**os.environ, "PYTHONPATH": str(Path(ffnet.__file__).parents[1])},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.splitlines() == [
+            f"error: checkpoint {checkpoint}: layer 1 gives a non-finite score on the test split"
+        ]
+        assert not out.exists()
 
 
 class TestMultiSeed:

@@ -331,16 +331,6 @@ class TestLinkedBatches:
             onehot_blocks = batch.linked_inputs()[:, 16:]
             np.testing.assert_array_equal(onehot_blocks.sum(axis=1), 1.0)
 
-    def test_two_negatives_per_positive(self):
-        ds = synthetic_dataset(20, d=8, seed=3)
-        batches = list(
-            make_linked_batches(ds, make_rng(0), batch_size=10, negatives_per_positive=2)
-        )
-        assert batches[0].linked_inputs().shape[0] == 30
-        assert int((batches[0].polarity < 0).sum()) == 20
-        with pytest.raises(ConfigError, match=r"^negatives_per_positive must be >= 1, got 0$"):
-            next(make_linked_batches(ds, make_rng(0), batch_size=10, negatives_per_positive=0))
-
     def test_same_seed_gives_identical_stream(self):
         ds = synthetic_dataset(40, d=8, seed=3)
         stream_a = list(make_linked_batches(ds, make_rng(7), 16))
@@ -349,28 +339,22 @@ class TestLinkedBatches:
             np.testing.assert_array_equal(a.linked_inputs(), b.linked_inputs())
             np.testing.assert_array_equal(a.linked_labels, b.linked_labels)
 
-    @pytest.mark.parametrize("negatives", [1, 3])
-    def test_linked_form_is_the_vstacked_linked_matrix(self, negatives):
+    def test_linked_form_is_the_vstacked_linked_matrix(self):
         """The batch stream draws what it always drew, and ``linked_inputs``
         rebuilds the positives' linked rows stacked on the negatives'."""
         ds = synthetic_dataset(23, d=8, seed=3)
         rng, oracle_rng = make_rng(11), make_rng(11)
         for _ in range(2):
-            batches = list(make_linked_batches(ds, rng, 10, negatives))
+            batches = list(make_linked_batches(ds, rng, 10))
             order = oracle_rng.permutation(ds.n)
             assert len(batches) == 3
             for start, batch in zip(range(0, ds.n, 10), batches):
                 idx = order[start : start + 10]
                 images, true = ds.images[idx], ds.labels[idx]
-                wrong = sample_wrong_labels(np.tile(true, negatives), oracle_rng)
-                want = np.vstack(
-                    [
-                        link_inputs(images, true),
-                        link_inputs(np.tile(images, (negatives, 1)), wrong),
-                    ]
-                )
+                wrong = sample_wrong_labels(true, oracle_rng)
+                want = np.vstack([link_inputs(images, true), link_inputs(images, wrong)])
                 np.testing.assert_array_equal(batch.images, images)
-                assert batch.copies == 1 + negatives
+                assert batch.copies == 2
                 assert batch.linked_inputs().tobytes() == want.tobytes()
                 np.testing.assert_array_equal(
                     batch.linked_labels, np.concatenate([true, wrong])

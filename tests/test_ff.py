@@ -331,16 +331,15 @@ class TestSchedules:
         np.testing.assert_array_equal(net_a.layers[0].biases, net_b.layers[0].biases)
 
     @pytest.mark.parametrize("seed", [3, 7, 11])
-    @pytest.mark.parametrize("negatives", [1, 2])
     @pytest.mark.parametrize("loss_kind", ["sigmoid_goodness", "entropy"])
-    def test_schedule_alone_cannot_change_layer_one(self, loss_kind, negatives, seed):
+    def test_schedule_alone_cannot_change_layer_one(self, loss_kind, seed):
         """Without gamma, layer 1's gradient reads no other layer, so E epochs
         leave it byte-equal under both schedules; the later layers differ."""
         train_ds, _ = synthetic_pair(120, 40, d=12, seed=seed)
         nets = []
         for schedule in ("layerwise", "alternating"):
             cfg = FfConfig(theta=3.0, schedule=schedule, loss_kind=loss_kind, epochs=3,
-                           batch_size=25, seed=seed, negatives_per_positive=negatives)
+                           batch_size=25, seed=seed)
             nets.append(train(init_network([22, 10, 8, 6], make_rng(seed)), train_ds, cfg)[0])
         first, second = (net.layers for net in nets)
         assert first[0].weights.tobytes() == second[0].weights.tobytes()
@@ -960,15 +959,14 @@ class TestFactoredTraining:
     """Label-factored layer 1 of training batches against their linked matrices."""
 
     @staticmethod
-    def batches(negatives):
+    def batches():
         train_ds, _ = synthetic_pair(23, 5, d=6, seed=12)
-        return list(make_linked_batches(train_ds, make_rng(4), 10, negatives))
+        return list(make_linked_batches(train_ds, make_rng(4), 10))
 
-    @pytest.mark.parametrize("negatives", [1, 3])
-    def test_matches_linked_layer(self, rng, negatives):
+    def test_matches_linked_layer(self, rng):
         net = random_net([16, 7, 5], seed=31)
         layer = net.layers[0]
-        batches = self.batches(negatives)
+        batches = self.batches()
         assert [b.images.shape[0] for b in batches] == [10, 10, 3]  # ragged last
         for batch in batches:
             linked = batch.linked_inputs()
@@ -990,7 +988,7 @@ class TestFactoredTraining:
     def test_matches_finite_differences(self):
         net = random_net([16, 7], seed=32)
         layer = net.layers[0]
-        batch = self.batches(3)[-1]  # 3 samples, 12 rows
+        batch = self.batches()[-1]  # 3 samples, 6 rows
 
         def loss():
             trace = forward_pass(net, batch.images, linked_labels=batch.linked_labels)
@@ -1009,7 +1007,7 @@ class TestFactoredTraining:
     def test_shape_checks(self):
         net = random_net([16, 7], seed=33)
         layer = net.layers[0]
-        batch = self.batches(1)[0]  # 10 samples, 20 rows
+        batch = self.batches()[0]  # 10 samples, 20 rows
         coeffs = np.ones((20, 7))
         with pytest.raises(ShapeError, match="layer input has 15 columns"):
             layer_local_grad(layer, batch.images[:, :5], coeffs, batch.linked_labels)
@@ -1044,7 +1042,7 @@ class TestGammaReducesToPlain:
         rng = make_rng(cfg.seed)
         states = {}
         for _ in range(cfg.epochs):
-            for batch in make_linked_batches(train_ds, rng, cfg.batch_size, 1):
+            for batch in make_linked_batches(train_ds, rng, cfg.batch_size):
                 trace = forward_pass(
                     net_b, batch.images, linked_labels=batch.linked_labels
                 )

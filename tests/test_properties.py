@@ -45,31 +45,30 @@ GOODNESS = st.floats(0.0, 100.0, allow_subnormal=False)
 @given(
     labels=st.lists(st.integers(0, N_LABELS - 1), min_size=1, max_size=40),
     batch_size=st.integers(1, 50),
-    negatives=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_linked_batches_cover_every_sample_once(labels, batch_size, negatives, seed):
+def test_linked_batches_cover_every_sample_once(labels, batch_size, seed):
     n = len(labels)
     labels = np.array(labels, dtype=np.int64)
     ds = Dataset(np.arange(n, dtype=np.float64)[:, None] / n, labels, "synthetic", "train")
     rng = make_rng(seed)
     for _ in range(2):  # a second epoch reshuffles and redraws
         seen = []
-        for batch in make_linked_batches(ds, rng, batch_size, negatives):
+        for batch in make_linked_batches(ds, rng, batch_size):
             inputs = batch.linked_inputs()
             rows = inputs.shape[0]
-            m = rows // (1 + negatives)
-            assert rows == m * (1 + negatives)
+            m = rows // 2
+            assert rows == 2 * m
             assert m == min(batch_size, n - len(seen))
             np.testing.assert_array_equal(
-                batch.polarity, np.concatenate([np.ones(m), -np.ones(m * negatives)])
+                batch.polarity, np.concatenate([np.ones(m), -np.ones(m)])
             )
             ids = np.rint(inputs[:, 0] * n).astype(np.int64)
             seen.extend(ids[:m])
             # Negatives repeat the positives' samples with their true labels.
-            np.testing.assert_array_equal(ids[m:], np.tile(ids[:m], negatives))
+            np.testing.assert_array_equal(ids[m:], ids[:m])
             # A row's true label is its sample's positive label.
-            true_labels = np.tile(batch.linked_labels[:m], 1 + negatives)
+            true_labels = np.tile(batch.linked_labels[:m], 2)
             np.testing.assert_array_equal(true_labels, labels[ids])
             # The one-hot block names the linked label; only positives name the truth.
             linked = np.argmax(inputs[:, 1:], axis=1)
@@ -191,7 +190,6 @@ RUN_SPACE = {
     "train_subset": st.sampled_from((None, 1, 3)),
     "n_test": st.integers(0, 5),
     "batch_size": st.sampled_from((1, 2, 200)),
-    "negatives": st.sampled_from((1, 3)),
     "entropy_eval_n": st.sampled_from((2, 50)),
     "eval_every": st.sampled_from((1, 5)),
     "fault": st.none() | st.sampled_from(FAULTS),
@@ -202,7 +200,7 @@ RUN_SPACE = {
 BASE_RUN = {
     "method": "ff", "schedule": None, "gamma_mode": None, "depth": 1,
     "n_train": 7, "train_subset": None, "n_test": 5, "batch_size": 2,
-    "negatives": 1, "entropy_eval_n": 2, "eval_every": 1, "fault": None,
+    "entropy_eval_n": 2, "eval_every": 1, "fault": None,
 }
 
 
@@ -220,7 +218,7 @@ BASE_RUN = {
 @example(**{**BASE_RUN, "method": "bp_classic", "fault": "head"})
 def test_every_config_trains_and_evaluates_or_fails_before_writing(
     method, schedule, gamma_mode, depth, n_train, train_subset, n_test,
-    batch_size, negatives, entropy_eval_n, eval_every, fault,
+    batch_size, entropy_eval_n, eval_every, fault,
 ):
     """A run trains finite weights, and ``ffnet eval`` of its checkpoint on the
     same split repeats its test error; or it raises ConfigError before it
@@ -249,7 +247,6 @@ def test_every_config_trains_and_evaluates_or_fails_before_writing(
             gamma_mode=gamma_mode, epochs=2, batch_size=batch_size, layer_dims=dims,
             output_dir=str(run_dir), entropy_eval_n=entropy_eval_n,
             eval_every=eval_every, train_subset=train_subset,
-            negatives_per_positive=negatives,
         )
         try:
             summary = run_training(cfg, train_ds, test_ds)

@@ -12,7 +12,7 @@ from conftest import theta_for, traced_peak
 from ffnet import runner
 from ffnet.checkpoint import load_checkpoint, save_checkpoint
 from ffnet.data import Dataset
-from ffnet.errors import CheckpointError, ConfigError
+from ffnet.errors import CheckpointError, ConfigError, DomainError
 from ffnet.fetch import load_dataset
 from ffnet.ff import FfConfig, train
 from ffnet.linalg import l2_row_normalize, make_rng
@@ -67,9 +67,6 @@ class TestRunConfig:
             ("bp_classic", "gamma_mode", "predecessors_only"),
             ("bp_pairwise", "schedule", "alternating"),
             ("bp_classic", "schedule", "alternating"),
-            ("bp_classic", "negatives_per_positive", 2),
-            ("ff", "classic_normalize", True),
-            ("bp_pairwise", "classic_normalize", True),
             ("entropy_ff", "theta", 5.0),
             ("bp_classic", "theta", 5.0),
         ],
@@ -82,8 +79,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("method", METHODS)
     def test_settings_the_method_uses_accepted(self, method):
         setting = {
-            "bp_classic": {"classic_normalize": True},
-            "bp_pairwise": {"negatives_per_positive": 2},
+            "bp_classic": {"schedule": "layerwise", "gamma_mode": "none"},
+            "bp_pairwise": {"theta": 5.0},
         }.get(method, {"schedule": "alternating", "gamma_mode": "predecessors_only"})
         RunConfig(dataset="mnist", method=method, **setting).resolved()
 
@@ -93,11 +90,10 @@ class TestRunConfig:
         cfg = RunConfig(
             dataset="mnist", method=method, theta=theta_for(method, 3.5), epochs=4,
             batch_size=7, learning_rate=0.02, seed=11,
-            classic_normalize=method == "bp_classic",
         ).resolved()
         ff_cfg = cfg.ff_config()
         for name in ("theta", "gamma_mode", "schedule", "epochs", "batch_size",
-                     "learning_rate", "seed", "negatives_per_positive", "classic_normalize"):
+                     "learning_rate", "seed"):
             assert getattr(ff_cfg, name) == getattr(cfg, name), name
         entropy = method == "entropy_ff"
         assert ff_cfg.loss_kind == ("entropy" if entropy else "sigmoid_goodness")
@@ -127,8 +123,6 @@ class TestEverySettingIsReadOrRejected:
         "batch_size": 30,
         "learning_rate": 0.01,
         "seed": 2,
-        "negatives_per_positive": 2,
-        "classic_normalize": True,
         "entropy_eval_n": 40,
         "eval_every": 1,
         "train_subset": 200,
@@ -394,8 +388,8 @@ class TestEvaluateCheckpointChecksFirst:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_report_that_fails_leaves_no_file(self, tmp_path, monkeypatch):
-        """Finite but huge first-layer weights score, then fail the entropy report:
-        the subset and marginal reports computed before it are not written."""
+        """Finite but huge first-layer weights score as infinite goodness: the
+        eval fails on the scores, naming the layer, and writes no report."""
         test_ds = synthetic_dataset(40, d=784, seed=4, split="test", name="mnist")
         monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
         checkpoint = tmp_path / "checkpoint.npz"
@@ -405,8 +399,24 @@ class TestEvaluateCheckpointChecksFirst:
         config = {"dataset": "mnist", "method": "ff", "epochs": 1, "layer_dims": dims,
                   "entropy_eval_n": 20}
         save_checkpoint(checkpoint, net, config)
-        with pytest.raises(FloatingPointError, match="non-finite loss"):
+        message = (f"checkpoint {checkpoint}: layer 1 gives a non-finite score "
+                   "on the test split")
+        with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
             evaluate_checkpoint(checkpoint, tmp_path / "eval")
+        assert not (tmp_path / "eval").exists()
+
+    def test_a_report_that_fails_after_the_others_leaves_no_file(self, tmp_path, monkeypatch):
+        """The subset and marginal reports are computed before the entropy report,
+        and none is written when the entropy report fails."""
+        test_ds = synthetic_dataset(40, d=784, seed=4, split="test", name="mnist")
+        monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
+
+        def fail(positive, negative):
+            raise DomainError("entropy report failed")
+
+        monkeypatch.setattr(runner, "split_entropy_reports", fail)
+        with pytest.raises(DomainError, match="^entropy report failed$"):
+            evaluate_checkpoint(self._checkpoint(tmp_path), tmp_path / "eval")
         assert not (tmp_path / "eval").exists()
 
 
