@@ -90,9 +90,9 @@ class TestPairwiseGradients:
         assert agreement(analytic, numeric) >= 0.99
 
     @staticmethod
-    def batches():
+    def batches(batch_size=10):
         train_ds, _ = synthetic_pair(23, 5, d=6, seed=12)
-        return list(make_linked_batches(train_ds, make_rng(4), 10))
+        return list(make_linked_batches(train_ds, make_rng(4), batch_size))
 
     @staticmethod
     def pairwise_grads(net, batch):
@@ -103,12 +103,15 @@ class TestPairwiseGradients:
         grads = full_backprop_grad(net, trace, output_grad)
         return grads, output_grad
 
-    def test_factored_matches_linked_matrix(self):
+    @pytest.mark.parametrize(
+        ("batch_size", "sizes"), [(10, [10, 10, 3]), (23, [23])], ids=["ragged", "whole"]
+    )
+    def test_factored_matches_linked_matrix(self, batch_size, sizes):
         """Label-factored gradients of every layer against the linked matrix,
-        normalization on, ragged last batch included."""
+        normalization on, with and without a ragged last batch."""
         net = random_net([16, 7, 6, 5], seed=34)
-        batches = self.batches()
-        assert [b.images.shape[0] for b in batches] == [10, 10, 3]
+        batches = self.batches(batch_size)
+        assert [b.images.shape[0] for b in batches] == sizes
         for batch in batches:
             got, output_grad = self.pairwise_grads(net, batch)
             inputs = batch.linked_inputs()
@@ -187,12 +190,13 @@ class TestClassicScores:
     """classic_logits, read in blocks of ff.SCORE_CHUNK rows, against one
     forward pass over all rows."""
 
-    def test_ragged_chunks(self, rng, monkeypatch):
+    @pytest.mark.parametrize("chunk", [4, 5, 16], ids=["ragged", "even", "one_block"])
+    def test_ragged_chunks(self, rng, monkeypatch, chunk):
         import ffnet.ff as ff_module
 
-        monkeypatch.setattr(ff_module, "SCORE_CHUNK", 4)
+        monkeypatch.setattr(ff_module, "SCORE_CHUNK", chunk)
         net = random_net([6, 7, 5, 10], seed=33)
-        images = rng.uniform(size=(10, 6))  # chunks of 4, 4 and 2
+        images = rng.uniform(size=(10, 6))  # chunks of 4, 4 and 2; 5 and 5; or one
         got = classic_logits(net, images)
         want = forward_pass(net, images, normalize=False, final_linear=True).act[-1]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

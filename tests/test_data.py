@@ -339,17 +339,20 @@ class TestLinkedBatches:
             np.testing.assert_array_equal(a.linked_inputs(), b.linked_inputs())
             np.testing.assert_array_equal(a.linked_labels, b.linked_labels)
 
-    def test_linked_form_is_the_vstacked_linked_matrix(self):
+    @pytest.mark.parametrize(
+        ("batch_size", "n_batches"), [(10, 3), (23, 1)], ids=["ragged", "whole"]
+    )
+    def test_linked_form_is_the_vstacked_linked_matrix(self, batch_size, n_batches):
         """The batch stream draws what it always drew, and ``linked_inputs``
         rebuilds the positives' linked rows stacked on the negatives'."""
         ds = synthetic_dataset(23, d=8, seed=3)
         rng, oracle_rng = make_rng(11), make_rng(11)
         for _ in range(2):
-            batches = list(make_linked_batches(ds, rng, 10))
+            batches = list(make_linked_batches(ds, rng, batch_size))
             order = oracle_rng.permutation(ds.n)
-            assert len(batches) == 3
-            for start, batch in zip(range(0, ds.n, 10), batches):
-                idx = order[start : start + 10]
+            assert len(batches) == n_batches
+            for start, batch in zip(range(0, ds.n, batch_size), batches):
+                idx = order[start : start + batch_size]
                 images, true = ds.images[idx], ds.labels[idx]
                 wrong = sample_wrong_labels(true, oracle_rng)
                 want = np.vstack([link_inputs(images, true), link_inputs(images, wrong)])

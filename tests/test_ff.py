@@ -331,15 +331,17 @@ class TestSchedules:
         np.testing.assert_array_equal(net_a.layers[0].biases, net_b.layers[0].biases)
 
     @pytest.mark.parametrize("seed", [3, 7, 11])
+    @pytest.mark.parametrize("batch_size", [25, 40], ids=["ragged", "even"])
     @pytest.mark.parametrize("loss_kind", ["sigmoid_goodness", "entropy"])
-    def test_schedule_alone_cannot_change_layer_one(self, loss_kind, seed):
+    def test_schedule_alone_cannot_change_layer_one(self, loss_kind, batch_size, seed):
         """Without gamma, layer 1's gradient reads no other layer, so E epochs
-        leave it byte-equal under both schedules; the later layers differ."""
+        leave it byte-equal under both schedules, with or without a ragged last
+        batch; the later layers differ."""
         train_ds, _ = synthetic_pair(120, 40, d=12, seed=seed)
         nets = []
         for schedule in ("layerwise", "alternating"):
             cfg = FfConfig(theta=3.0, schedule=schedule, loss_kind=loss_kind, epochs=3,
-                           batch_size=25, seed=seed)
+                           batch_size=batch_size, seed=seed)
             nets.append(train(init_network([22, 10, 8, 6], make_rng(seed)), train_ds, cfg)[0])
         first, second = (net.layers for net in nets)
         assert first[0].weights.tobytes() == second[0].weights.tobytes()
@@ -959,15 +961,18 @@ class TestFactoredTraining:
     """Label-factored layer 1 of training batches against their linked matrices."""
 
     @staticmethod
-    def batches():
+    def batches(batch_size=10):
         train_ds, _ = synthetic_pair(23, 5, d=6, seed=12)
-        return list(make_linked_batches(train_ds, make_rng(4), 10))
+        return list(make_linked_batches(train_ds, make_rng(4), batch_size))
 
-    def test_matches_linked_layer(self, rng):
+    @pytest.mark.parametrize(
+        ("batch_size", "sizes"), [(10, [10, 10, 3]), (23, [23])], ids=["ragged", "whole"]
+    )
+    def test_matches_linked_layer(self, rng, batch_size, sizes):
         net = random_net([16, 7, 5], seed=31)
         layer = net.layers[0]
-        batches = self.batches()
-        assert [b.images.shape[0] for b in batches] == [10, 10, 3]  # ragged last
+        batches = self.batches(batch_size)
+        assert [b.images.shape[0] for b in batches] == sizes
         for batch in batches:
             linked = batch.linked_inputs()
             want = forward_pass(net, linked)

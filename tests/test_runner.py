@@ -419,6 +419,61 @@ class TestEvaluateCheckpointChecksFirst:
             evaluate_checkpoint(self._checkpoint(tmp_path), tmp_path / "eval")
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        ("method", "scaled", "named"),
+        [("ff", [0], 1), ("ff", [1], 2), ("ff", [2], 3), ("ff", [1, 2], 2),
+         ("bp_classic", [0, 1], 3)],
+        ids=["ff_layer1", "ff_layer2", "ff_layer3", "ff_layers2_3", "bp_classic_head"],
+    )
+    def test_scores_fail_at_the_first_non_finite_layer(
+        self, tmp_path, monkeypatch, method, scaled, named
+    ):
+        """A goodness method names the first layer whose goodness overflows,
+        though the layers above it overflow too; the classic head's logits are
+        the one score of its network, so it names the head."""
+        test_ds = synthetic_dataset(40, d=784, seed=4, split="test", name="mnist")
+        monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
+        dims = [794, 6, 5, 4] if METHOD_TABLE[method].linked else [784, 6, 5, 10]
+        net = init_network(dims, make_rng(0))
+        for index in scaled:
+            net.layers[index].weights *= 1e160
+        checkpoint = tmp_path / "checkpoint.npz"
+        save_checkpoint(checkpoint, net, {"dataset": "mnist", "method": method, "epochs": 1,
+                                          "layer_dims": dims, "entropy_eval_n": 20})
+        message = (f"checkpoint {checkpoint}: layer {named} gives a non-finite score "
+                   "on the test split")
+        with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+            evaluate_checkpoint(checkpoint, tmp_path / "eval")
+        assert not (tmp_path / "eval").exists()
+
+
+class TestRetiredSettingsInCheckpoints:
+    """A checkpoint written while ``negatives_per_positive`` and
+    ``classic_normalize`` were settings records both; evaluation drops them."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_stored_retired_settings_change_no_report(self, tmp_path, monkeypatch, method):
+        test_ds = synthetic_dataset(40, d=784, seed=4, split="test", name="mnist")
+        monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
+        dims = [794, 6, 5] if METHOD_TABLE[method].linked else [784, 6, 10]
+        net = init_network(dims, make_rng(0))
+        config = {"dataset": "mnist", "method": method, "epochs": 1, "layer_dims": dims,
+                  "entropy_eval_n": 20}
+        retired = {"negatives_per_positive": 2, "classic_normalize": False}
+        written = []
+        for name, stored in (("current", config), ("old", {**config, **retired})):
+            checkpoint = tmp_path / f"{name}.npz"
+            save_checkpoint(checkpoint, net, stored)
+            out = tmp_path / f"eval_{name}"
+            summary = evaluate_checkpoint(checkpoint, out)
+            del summary["checkpoint"], summary["config_hash"]
+            reports = {path.name: path.read_bytes() for path in out.iterdir()}
+            del reports["eval_summary.json"]
+            written.append((summary, reports))
+        assert written[0] == written[1]
+        assert written[0][0]["method"] == method
+
 
 def _read_rows(path) -> list[dict]:
     with open(path, newline="") as f:
