@@ -21,7 +21,7 @@ from ffnet.analysis import (
     subset_label,
 )
 from ffnet.ff import test_error, train
-from ffnet.reports import write_marginals_csv, write_subsets_csv
+from ffnet.reports import marginals_table, subsets_table, write_csv
 
 OUT = Path("demo_out/collaboration")
 
@@ -62,7 +62,7 @@ for tag, net in (("vanilla", vanilla), ("collaborative", collab)):
         verdict = "helps" if m > 0 else ("hurts" if m < 0 else "neutral")
         print(f"    layer {i + 1}: {m:+.3f}  ({verdict})")
     out_dir = OUT / tag
-    write_subsets_csv(out_dir / "subsets.csv", report)
-    write_marginals_csv(out_dir / "marginals.csv", marginals)
+    write_csv(out_dir / "subsets.csv", *subsets_table(report))
+    write_csv(out_dir / "marginals.csv", *marginals_table(marginals))
 
 print(f"\nCSV reports under {OUT}/")

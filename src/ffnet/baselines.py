@@ -72,7 +72,7 @@ def classic_logits(net: MlpNetwork, images, idx=None) -> np.ndarray:
     head = (net.depth - 1,)
 
     def score(block, out):
-        trace = forward_pass(net, block, normalize=False, final_linear=True, keep=head)
+        trace = forward_pass(net, block, classic=True, keep=head)
         out[:] = trace.act[-1]
 
     return score_rows(images, idx, (N_LABELS,), score)
@@ -92,16 +92,15 @@ def train_classic(
 ) -> tuple[MlpNetwork, list[dict]]:
     """Softmax cross-entropy classifier on raw inputs.
 
-    ``net`` must end in a label-width linear head (the last layer is kept
-    un-rectified), and its hidden layers are not normalized, as in a standard
-    MLP: every pass runs ``normalize=False, final_linear=True``.
+    ``net`` is a classic net, ending in a label-width linear head: every pass
+    runs :func:`~ffnet.nn.forward_pass` with ``classic=True``.
     """
     check_split_size(ds.n, "training")
     last = net.depth - 1
 
     def step(batch, layers, stats):
         images, labels = batch
-        trace = forward_pass(net, images, normalize=False, final_linear=True)
+        trace = forward_pass(net, images, classic=True)
         loss, d_logits = softmax_cross_entropy(trace.act[-1], labels)
         stats.record(last, loss)
         return backprop_updates(net, trace, d_logits)

@@ -4,7 +4,9 @@ It only parses: the library call a command makes checks every rule of the
 request, so ``ffnet`` and a library caller get the same errors. The train and
 sweep flags are one per ``RunConfig`` field. Flag precedence for train/sweep
 is CLI > --config JSON file > built-in defaults; the fully resolved config is
-persisted in the run directory.
+persisted in the run directory. A field's flag given with the list flag that
+sets the field per run (``--seed`` with ``--seeds``, ``--theta`` with
+``--thetas``) is an error before anything is written.
 Exits 0 on success, 1 with a one-line ``error: ...`` message, and no warning, on failure.
 ``train --seeds`` and ``sweep`` run their variants one after another in this
 process, so :func:`main` holds every warning their runs raise.
@@ -100,6 +102,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return dataclasses.replace(RunConfig.from_dict(from_file), **flags)
 
 
+def _check_list_flag(args: argparse.Namespace, field: str, list_flag: str) -> None:
+    """Reject ``field``'s own flag when ``list_flag`` sets ``field`` for every run."""
+    if hasattr(args, field):
+        raise ConfigError(f"--{field} conflicts with --{list_flag}; give one of them")
+
+
 def cmd_fetch(args: argparse.Namespace) -> int:
     paths = fetch_dataset(args.dataset, args.data_dir)
     for path in paths:
@@ -111,6 +119,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     seeds = getattr(args, "seeds", None)
     if seeds is not None:
+        _check_list_flag(args, "seed", "seeds")
         _, summaries = run_variants(cfg, "seed", seeds, "seed_{}")
         errors = [summary["final_test_error"] for summary in summaries]
         for seed, error in zip(seeds, errors):
@@ -150,6 +159,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_list_flag(args, "theta", "thetas")
     cfg = _config_from_args(args)
     rows = run_sweep(cfg, args.thetas)
     for row in rows:

@@ -1,5 +1,9 @@
 """Dense-layer MLP with hand-derived forward and backward passes.
 
+A forward pass runs a goodness net (every layer ReLU, L2 row-normalized
+between layers) or, with ``classic``, the classic baseline's MLP (ReLU
+hidden layers, no normalization, a linear last layer of label logits).
+
 Every gradient a caller hands to this module is the loss gradient with
 respect to a layer's pre-activation, so no function here applies a ReLU
 mask to what it is given. :func:`layer_local_grad` is the one function that
@@ -11,10 +15,10 @@ pixels once plus the label of every linked row. Two routes feed it:
   with no chain rule through other layers; ``ff.activity_coeffs`` is zero
   wherever the ReLU is off, so it already is that pre-activation gradient.
 * :func:`backprop_updates` runs the exact chain rule through the whole
-  stack, including the inter-layer L2 row normalization, for the
-  backpropagation baselines. It reads everything it needs of the forward
-  pass from the trace: the inputs, the linked labels, the ``normalize``
-  mode, the activities whose masks gate each layer below the top, and the
+  stack, including a goodness net's inter-layer L2 row normalization, for
+  the backpropagation baselines. It reads everything it needs of the
+  forward pass from the trace: the inputs, the linked labels, the network
+  kind, the activities whose masks gate each layer below the top, and the
   normalized rows that the normalization's backward pass
   (:func:`l2_row_normalize_vjp`) reuses. It is a generator that yields one
   layer's update at a time, last layer first, so a trainer can step each
@@ -30,8 +34,8 @@ training batch's pixel product runs once per sample
 (:func:`first_layer_factors`), and it records the labels in the trace;
 label-factored inference enters the loop directly. From layer 2 on, the
 loop adds the bias and applies the ReLU inside the array the layer's matmul
-returns, and it normalizes every computed layer but the last, whose
-normalized rows no layer reads. It records each layer's goodness as the
+returns, and a goodness net normalizes every computed layer but the last,
+whose normalized rows no layer reads. It records each layer's goodness as the
 layer is computed, the one place goodness is computed, and it holds the
 activities and normalized input of only the layers its caller will take a
 gradient of (``keep``); scoring keeps none.
@@ -134,17 +138,16 @@ class ForwardTrace:
     """Per-layer intermediates of one forward pass.
 
     ``goodness[i]`` is computed layer ``i``'s goodness, ``row_sumsq`` of its
-    post-ReLU activities, recorded as the layer is computed; a
-    ``final_linear`` output layer's is that of its logits. ``act`` has one
-    entry per computed layer: the activities of a layer the pass keeps (a
-    ``final_linear`` output layer's logits), None for any other. ``normed[i]``
-    is what layer ``i + 1`` consumes, so it covers every computed layer but
-    the last; it is held while layer ``i + 1`` is kept, else None. With
-    normalization disabled it is ``act[i]`` itself. ``inputs`` is None for
-    a pass started from a first-layer pre-activation
-    (:func:`forward_from_pre`). ``linked_labels`` is the label of every row
-    of a label-factored pass, else None. ``normalize`` is the mode the pass
-    ran with.
+    post-ReLU activities, recorded as the layer is computed; a classic net's
+    linear output layer's is that of its logits. ``act`` has one entry per
+    computed layer: the activities of a layer the pass keeps (a classic
+    net's logits), None for any other. ``normed[i]`` is what layer ``i + 1``
+    consumes, so it covers every computed layer but the last; it is held
+    while layer ``i + 1`` is kept, else None. In a classic net it is
+    ``act[i]`` itself. ``inputs`` is None for a pass started from a
+    first-layer pre-activation (:func:`forward_from_pre`). ``linked_labels``
+    is the label of every row of a label-factored pass, else None.
+    ``classic`` is the kind of network the pass ran.
     """
 
     inputs: np.ndarray | None
@@ -152,7 +155,7 @@ class ForwardTrace:
     normed: list[np.ndarray | None] = field(default_factory=list)
     goodness: list[np.ndarray] = field(default_factory=list)
     linked_labels: np.ndarray | None = None
-    normalize: bool = True
+    classic: bool = False
 
     @property
     def depth(self) -> int:
@@ -166,18 +169,15 @@ def forward_pass(
     net: MlpNetwork,
     batch,
     upto: int | None = None,
-    normalize: bool = True,
-    final_linear: bool = False,
+    classic: bool = False,
     linked_labels=None,
     keep=None,
 ) -> ForwardTrace:
     """Run the first ``upto`` layers (all by default), holding the arrays of the
     ``keep`` layers (all by default; see :func:`forward_from_pre`).
 
-    ``final_linear`` leaves the last layer of the network un-rectified and
-    un-normalized; that is the classifier-head mode used by the classic
-    backprop baseline. Hidden layers are always ReLU, and are L2
-    row-normalized when ``normalize`` is set.
+    ``classic`` runs the classic baseline's MLP instead of a goodness net
+    (see the module docstring).
 
     With ``linked_labels``, ``batch`` holds ``m`` samples' pixels once and
     row ``r`` of the trace is sample ``r % m`` linked with
@@ -192,7 +192,7 @@ def forward_pass(
     # Made in a call of its own, so that only the layer loop holds the
     # pre-activation and drops it once layer 1's activities exist.
     trace = forward_from_pre(
-        net, _first_pre(net, batch, linked_labels), upto, normalize, final_linear, keep
+        net, _first_pre(net, batch, linked_labels), upto, classic, keep
     )
     trace.inputs, trace.linked_labels = batch, linked_labels
     return trace
@@ -228,13 +228,12 @@ def forward_from_pre(
     net: MlpNetwork,
     first_pre,
     upto: int | None = None,
-    normalize: bool = True,
-    final_linear: bool = False,
+    classic: bool = False,
     keep=None,
 ) -> ForwardTrace:
     """:func:`forward_pass` from the first layer's pre-activation ``first_pre``.
 
-    The flags mean what they do there, and the trace records ``normalize``.
+    ``classic`` means what it does there, and the trace records it.
     ``first_pre`` is never written, and the trace has no ``inputs``.
 
     ``keep`` names the layers whose gradient the caller will take: every
@@ -259,9 +258,9 @@ def forward_from_pre(
         raise ShapeError(f"upto={upto} outside 1..{depth}")
     keep = range(upto) if keep is None else set(keep)
 
-    trace = ForwardTrace(inputs=None, normalize=normalize)
+    trace = ForwardTrace(inputs=None, classic=classic)
     for i in range(upto):
-        is_linear_output = final_linear and i == depth - 1
+        is_linear_output = classic and i == depth - 1
         if i == 0:
             # Out of place, so the caller's first_pre is never written.
             act = first_pre if is_linear_output else relu(first_pre)
@@ -276,7 +275,7 @@ def forward_from_pre(
         trace.goodness.append(row_sumsq(act))
         trace.act.append(act if i in keep else None)
         if i < upto - 1:
-            layer_in = l2_row_normalize(act) if normalize else act
+            layer_in = act if classic else l2_row_normalize(act)
             trace.normed.append(layer_in if i + 1 in keep else None)
         del act
     return trace
@@ -356,15 +355,15 @@ def backprop_updates(net: MlpNetwork, trace: ForwardTrace, output_grad):
     updates, last layer first.
 
     ``trace`` is a :func:`forward_pass` through the whole network, and the
-    backward pass runs in the ``normalize`` mode it records.
+    backward pass runs through the kind of network it records.
     ``output_grad`` is the loss derivative w.r.t. the last layer's
-    pre-activation (a ``final_linear`` head's logits); it is never written.
+    pre-activation (a classic net's logits); it is never written.
     Every layer's update is :func:`layer_local_grad` of the gradient that
     reaches its pre-activation. Below the top, that gradient is gated by
-    the layer's ReLU mask ``act > 0`` on the trace's activities, and the
-    normalization's backward pass (:func:`l2_row_normalize_vjp`) reads the
-    trace's activities and normalized rows. A label-factored trace gives
-    layer 1's gradient in the label-factored form, over its
+    the layer's ReLU mask ``act > 0`` on the trace's activities, and a
+    goodness net's normalization backward pass (:func:`l2_row_normalize_vjp`)
+    reads the trace's activities and normalized rows. A label-factored
+    trace gives layer 1's gradient in the label-factored form, over its
     ``linked_labels``.
 
     A generator, so the shapes are checked at the first ``next()``. Before
@@ -387,7 +386,7 @@ def backprop_updates(net: MlpNetwork, trace: ForwardTrace, output_grad):
             f"final activities {trace.act[-1].shape}"
         )
     act, normed = trace.act[:-1], list(trace.normed)
-    inputs, linked_labels, normalize = trace.inputs, trace.linked_labels, trace.normalize
+    inputs, linked_labels, classic = trace.inputs, trace.linked_labels, trace.classic
     del trace, output_grad
     for i in reversed(range(depth)):
         layer = net.layers[i]
@@ -398,7 +397,7 @@ def backprop_updates(net: MlpNetwork, trace: ForwardTrace, output_grad):
         if i:
             d_pre = d_pre @ layer.weights.T
             below = act.pop()
-            if normalize:
+            if not classic:
                 d_pre = l2_row_normalize_vjp(below, layer_input, d_pre)
             d_pre *= below > 0.0
             del below

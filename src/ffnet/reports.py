@@ -76,20 +76,33 @@ def subset_label(layers) -> str:
     return "+".join(str(i + 1) for i in sorted(layers))
 
 
-def write_subsets_csv(path, report) -> None:
+def subsets_table(report) -> tuple[list[str], list[dict]]:
+    """The CSV fields and rows of a subset report."""
     rows = [
         {"subset": subset_label(entry.layers), "error": entry.error, "n": entry.n}
         for entry in report.entries
     ]
-    write_csv(path, ["subset", "error", "n"], rows)
+    return ["subset", "error", "n"], rows
 
 
-def write_marginals_csv(path, marginals) -> None:
+def marginals_table(marginals) -> tuple[list[str], list[dict]]:
+    """The CSV fields and rows of each layer's marginal contribution."""
     rows = [
         {"layer": i + 1, "marginal": float(value)}
         for i, value in enumerate(marginals)
     ]
-    write_csv(path, ["layer", "marginal"], rows)
+    return ["layer", "marginal"], rows
+
+
+def write_csv_reports(out_dir, tables: dict) -> None:
+    """Write each ``name -> (fieldnames, rows)`` of ``tables`` as ``out_dir / name``,
+    and remove the file of a name whose table is None, a report the caller
+    does not make this time, so that none left by an earlier run stays."""
+    for name, table in tables.items():
+        if table is None:
+            (Path(out_dir) / name).unlink(missing_ok=True)
+        else:
+            write_csv(Path(out_dir) / name, *table)
 
 
 def write_json(path, obj) -> None:

@@ -33,10 +33,11 @@ from .reports import (
     HISTORY_FIELDS,
     entropy_fields,
     entropy_row,
+    marginals_table,
+    subsets_table,
     write_csv,
+    write_csv_reports,
     write_json,
-    write_marginals_csv,
-    write_subsets_csv,
 )
 
 
@@ -264,6 +265,8 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
 
     Produces checkpoint.npz, history.csv, entropy.csv (for goodness-based
     methods), errors.csv, config.json, and summary.json. Returns the summary.
+    A report the method does not make is removed from the directory
+    (:func:`~ffnet.reports.write_csv_reports`).
 
     A snapshot (:func:`_snapshot`) is taken every ``eval_every`` epochs
     during training and once after it, at the last epoch, from the
@@ -317,10 +320,11 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
 
     wall_time = time.monotonic() - started
     save_checkpoint(out_dir / "checkpoint.npz", net, resolved)
-    write_csv(out_dir / "history.csv", HISTORY_FIELDS, history + test_rows)
-    if method.linked:
-        write_csv(out_dir / "entropy.csv", entropy_fields(net.depth), entropy_rows)
-    write_csv(out_dir / "errors.csv", ["epoch", "split", "error"], error_rows)
+    write_csv_reports(out_dir, {
+        "history.csv": (HISTORY_FIELDS, history + test_rows),
+        "entropy.csv": (entropy_fields(net.depth), entropy_rows) if method.linked else None,
+        "errors.csv": (["epoch", "split", "error"], error_rows),
+    })
     summary = {
         "final_test_error": final_error,
         "config": resolved,
@@ -357,8 +361,12 @@ def evaluate_checkpoint(
     those scores. For the goodness methods the subset and marginal reports
     reduce the same goodness tensor, and the entropy report gathers the rows
     of the seeded evaluation sample that the run's snapshots used and reduces
-    them as they do (:func:`_snapshot`). Scores that are not finite fail
-    before any report, naming the first layer that gave one.
+    them as they do (:func:`_snapshot`). A report the method does not make
+    (all three for the classic baseline, the marginals for a family without
+    the leave-one-out sets) is removed from ``out_dir``
+    (:func:`~ffnet.reports.write_csv_reports`). Scores that are not finite
+    fail before any report, naming the first layer that gave one, and a
+    failed eval writes and removes nothing.
 
     A config written before ``negatives_per_positive`` and ``classic_normalize``
     were retired still evaluates: the first, which evaluation never read, is
@@ -405,23 +413,22 @@ def evaluate_checkpoint(
         "n_test": test_ds.n,
         "test_error": _error(scores, test_ds.labels, method),
     }
+    tables = dict.fromkeys(["subsets.csv", "marginals.csv", "entropy_report.csv"])
     if method.linked:
         family = default_subset_family(net.depth) if subsets is None else subsets
         report = subset_errors(scores, test_ds.labels, family)
+        tables["subsets.csv"] = subsets_table(report)
         try:
-            marginals = marginal_contributions(report, net.depth)
+            tables["marginals.csv"] = marginals_table(
+                marginal_contributions(report, net.depth)
+            )
         except ConfigError:
-            marginals = None  # the family lacks the leave-one-out sets
+            pass  # the family lacks the leave-one-out sets
         sample = draw_eval_sample(test_ds, cfg.entropy_eval_n, cfg.seed)
         _, rows, _ = _snapshot(_last_epoch(cfg, net.depth), scores[sample[0]], sample, cfg)
-        # Every report is computed before the first is written, so a failed eval writes none.
-        write_subsets_csv(out_dir / "subsets.csv", report)
-        if marginals is None:
-            # A marginals.csv left by an earlier eval would not match this subsets.csv.
-            (out_dir / "marginals.csv").unlink(missing_ok=True)
-        else:
-            write_marginals_csv(out_dir / "marginals.csv", marginals)
-        write_csv(out_dir / "entropy_report.csv", entropy_fields(net.depth), rows)
+        tables["entropy_report.csv"] = (entropy_fields(net.depth), rows)
+    # Every report is computed before the first is written, so a failed eval writes none.
+    write_csv_reports(out_dir, tables)
     write_json(out_dir / "eval_summary.json", summary)
     return summary
 

@@ -77,12 +77,12 @@ def random_batch(rng, m: int, d: int) -> np.ndarray:
 
 def trace_from_activities(act: np.ndarray) -> ForwardTrace:
     """Minimal single-layer trace for loss functions that only read act: the
-    forward loop takes ``act`` as a linear output layer's logits, as they
-    are, and records its goodness."""
+    forward loop takes ``act`` as a classic net's logits, as they are, and
+    records its goodness."""
     act = np.asarray(act, dtype=np.float64)
     width = act.shape[1]
     head = MlpNetwork([DenseLayer(np.zeros((1, width)), np.zeros((1, width)))])
-    trace = forward_from_pre(head, act, final_linear=True)
+    trace = forward_from_pre(head, act, classic=True)
     trace.inputs = np.zeros((act.shape[0], 1))
     return trace
 
@@ -133,12 +133,12 @@ def damaged_checkpoint(path, damage: str) -> None:
     path.write_bytes(bytes(raw))
 
 
-def write_mnist_fixture(root) -> None:
-    """A tiny synthetic stand-in for MNIST as IDX ``.gz`` files in ``root/mnist``."""
-    mnist_dir = root / "mnist"
+def write_mnist_fixture(root, name: str = "mnist", n_train: int = 240, n_test: int = 120) -> None:
+    """A tiny synthetic stand-in for MNIST as IDX ``.gz`` files in ``root/name``."""
+    mnist_dir = root / name
     mnist_dir.mkdir(parents=True)
-    for prefix, n, split in (("train", 240, "train"), ("t10k", 120, "test")):
-        ds = synthetic_dataset(n, d=784, seed=20, split=split, name="mnist")
+    for prefix, n, split in (("train", n_train, "train"), ("t10k", n_test, "test")):
+        ds = synthetic_dataset(n, d=784, seed=20, split=split, name=name)
         images = (ds.images * 255.0).round().astype(np.uint8).reshape(-1, 28, 28)
         write_idx(mnist_dir / f"{prefix}-images-idx3-ubyte.gz", images)
         write_idx(mnist_dir / f"{prefix}-labels-idx1-ubyte.gz", ds.labels.astype(np.uint8))

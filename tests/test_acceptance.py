@@ -119,10 +119,10 @@ def test_criterion_1_gradient_checks():
     labels = make_rng(104).integers(0, GRAD_DIMS[-1], size=5)
 
     def classic_loss():
-        t = forward_pass(net2, batch, normalize=False, final_linear=True)
+        t = forward_pass(net2, batch, classic=True)
         return softmax_cross_entropy(t.act[-1], labels)[0]
 
-    t2 = forward_pass(net2, batch, normalize=False, final_linear=True)
+    t2 = forward_pass(net2, batch, classic=True)
     _, d_logits = softmax_cross_entropy(t2.act[-1], labels)
     grads2 = full_backprop_grad(net2, t2, d_logits)
     analytic2, numeric2 = [], []

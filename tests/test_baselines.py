@@ -165,17 +165,16 @@ class TestPairwiseGradients:
 
 
 class TestClassicGradients:
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_matches_finite_differences(self, rng, normalize):
+    def test_matches_finite_differences(self, rng):
         net = random_net([20, 8, 6, 4], seed=32)  # 4-wide head
         inputs = random_batch(rng, 5, 20)
         labels = rng.integers(0, 4, size=5)
 
         def loss():
-            trace = forward_pass(net, inputs, normalize=normalize, final_linear=True)
+            trace = forward_pass(net, inputs, classic=True)
             return softmax_cross_entropy(trace.act[-1], labels)[0]
 
-        trace = forward_pass(net, inputs, normalize=normalize, final_linear=True)
+        trace = forward_pass(net, inputs, classic=True)
         _, d_logits = softmax_cross_entropy(trace.act[-1], labels)
         grads = full_backprop_grad(net, trace, d_logits)
         analytic, numeric = [], []
@@ -198,7 +197,7 @@ class TestClassicScores:
         net = random_net([6, 7, 5, 10], seed=33)
         images = rng.uniform(size=(10, 6))  # chunks of 4, 4 and 2; 5 and 5; or one
         got = classic_logits(net, images)
-        want = forward_pass(net, images, normalize=False, final_linear=True).act[-1]
+        want = forward_pass(net, images, classic=True).act[-1]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
 

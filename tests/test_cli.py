@@ -496,11 +496,14 @@ class TestTrainCommand:
     def test_diverging_sweep_prints_no_warnings(self, data_dir, tmp_path):
         """A run's RuntimeWarnings are held, so a diverging sweep prints its
         one error line alone."""
+        flags = list(TRAIN_FLAGS)
+        at = flags.index("--theta")
+        del flags[at:at + 2]  # --thetas gives every run's theta
         done = subprocess.run(
             [sys.executable, "-m", "ffnet", "sweep", "--method", "collab_ff",
              "--learning-rate", "1e300", "--thetas", "5,6",
              "--data-dir", str(data_dir), "--output-dir", str(tmp_path / "sweep"),
-             *TRAIN_FLAGS],
+             *flags],
             env={**os.environ, "PYTHONPATH": str(Path(ffnet.__file__).parents[1])},
             capture_output=True, text=True, timeout=300,
         )
@@ -750,6 +753,37 @@ class TestEvalCommand:
         )
         assert rc == 1
         assert "classic" in capsys.readouterr().err
+
+    def test_classic_eval_removes_an_earlier_evals_goodness_reports(
+        self, data_dir, trained_run, tmp_path
+    ):
+        """A classic eval into the directory of a goodness eval leaves only its
+        own eval_summary.json; a classic eval that fails removes nothing."""
+        classic = tmp_path / "classic"
+        rc = main(
+            ["train", "--method", "bp_classic", "--dataset", "mnist",
+             "--epochs", "1", "--batch-size", "40",
+             "--layer-dims", "784,16,12,10", "--train-subset", "120",
+             "--entropy-eval-n", "40", "--data-dir", str(data_dir),
+             "--output-dir", str(classic)]
+        )
+        assert rc == 0
+        out = tmp_path / "eval"
+
+        def evaluate(run, *extra):
+            return main(["eval", str(run / "checkpoint.npz"), "--output-dir", str(out),
+                         "--data-dir", str(data_dir), *extra])
+
+        assert evaluate(trained_run) == 0
+        goodness_reports = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert set(goodness_reports) == {
+            "subsets.csv", "marginals.csv", "entropy_report.csv", "eval_summary.json"
+        }
+        assert evaluate(classic, "--subsets", "1+2") == 1
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == goodness_reports
+        assert evaluate(classic) == 0
+        assert [path.name for path in out.iterdir()] == ["eval_summary.json"]
+        assert json.loads((out / "eval_summary.json").read_text())["method"] == "bp_classic"
 
     def test_truncated_checkpoint_is_a_one_line_error(
         self, data_dir, trained_run, tmp_path, capsys
@@ -1068,6 +1102,47 @@ class TestMultiRunChecks:
             "error: " + message.format(out=out)
         ]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "field", "list_flag"),
+        [("train", "seed", "seeds"), ("sweep", "theta", "thetas")],
+    )
+    def test_a_fields_flag_with_its_list_flag_fails_before_any_write(
+        self, data_dir, tmp_path, capsys, command, field, list_flag
+    ):
+        """``--seed 9 --seeds 1,2`` or ``--theta 3 --thetas 5,6`` would drop the
+        single value; the pair is an error that names both flags."""
+        out = tmp_path / "multi"
+        rc = main(
+            [command, "--method", "ff", "--dataset", "mnist", "--epochs", "1",
+             "--layer-dims", "794,16,12,8", "--train-subset", "120",
+             "--data-dir", str(data_dir), "--output-dir", str(out),
+             f"--{field}", "3", f"--{list_flag}", "5,6"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --{field} conflicts with --{list_flag}; give one of them"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "field", "list_flag", "run_dir"),
+        [("train", "seed", "seeds", "seed_5"), ("sweep", "theta", "thetas", "theta_5")],
+    )
+    def test_the_list_flag_overrides_the_config_files_value(
+        self, data_dir, tmp_path, command, field, list_flag, run_dir
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: 3}))
+        out = tmp_path / "multi"
+        rc = main(
+            [command, "--config", str(config), "--method", "ff", "--dataset", "mnist",
+             "--epochs", "1", "--batch-size", "40", "--layer-dims", "794,8",
+             "--train-subset", "80", "--entropy-eval-n", "40",
+             "--data-dir", str(data_dir), "--output-dir", str(out), f"--{list_flag}", "5"]
+        )
+        assert rc == 0
+        assert json.loads((out / run_dir / "config.json").read_text())[field] == 5
 
 
 class TestSweepCommand:

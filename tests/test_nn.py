@@ -111,10 +111,8 @@ class TestForwardTrace:
                 assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("upto", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "normalize, final_linear", [(True, False), (False, False), (False, True)]
-    )
-    def test_caller_arrays_are_not_written(self, rng, upto, normalize, final_linear):
+    @pytest.mark.parametrize("classic", [False, True], ids=["goodness", "classic"])
+    def test_caller_arrays_are_not_written(self, rng, upto, classic):
         """Neither entry point writes the caller's batch or first pre-activation."""
         net = random_net([6, 5, 4, 3], seed=4)
         batch = random_batch(rng, 5, 6)
@@ -122,8 +120,8 @@ class TestForwardTrace:
         first_pre = batch @ first.weights + first.biases - 0.3
         assert np.any(first_pre < 0.0)  # an in-place ReLU would change it
         before = batch.tobytes(), first_pre.tobytes()
-        forward_pass(net, batch, upto, normalize, final_linear)
-        forward_from_pre(net, first_pre, upto, normalize, final_linear)
+        forward_pass(net, batch, upto, classic)
+        forward_from_pre(net, first_pre, upto, classic)
         assert (batch.tobytes(), first_pre.tobytes()) == before
 
     def test_linked_batch_is_not_written(self, rng):
@@ -133,13 +131,13 @@ class TestForwardTrace:
         forward_pass(net, images, linked_labels=np.array([0, 3, 9, 2, 5, 5, 1, 0]))
         assert images.tobytes() == before
 
-    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("classic", [False, True], ids=["goodness", "classic"])
     @pytest.mark.parametrize("upto", [1, 2, 3])
-    def test_last_computed_layer_is_not_normalized(self, rng, upto, normalize):
+    def test_last_computed_layer_is_not_normalized(self, rng, upto, classic):
         net = random_net([6, 5, 4, 3], seed=4)
-        trace = forward_pass(net, random_batch(rng, 5, 6), upto, normalize)
+        trace = forward_pass(net, random_batch(rng, 5, 6), upto, classic)
         assert len(trace.act) == upto and len(trace.normed) == upto - 1
-        if not normalize:
+        if classic:
             assert all(n is a for n, a in zip(trace.normed, trace.act))
 
     def test_trace_holds_three_activities_and_two_normalized(self):
@@ -160,17 +158,17 @@ class TestForwardTrace:
         # 64 KB covers the trace's Python objects, not a sixth array.
         assert held <= 5 * 400 * 500 * 8 + 64 * 1024
 
-    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("classic", [False, True], ids=["goodness", "classic"])
     @pytest.mark.parametrize("keep", [(), [0], [1], [2], [0, 2], None])
-    def test_keep_holds_only_the_kept_layers_arrays(self, rng, keep, normalize):
+    def test_keep_holds_only_the_kept_layers_arrays(self, rng, keep, classic):
         """A pass holds the activities and the normalized input of the layers
         it keeps, the same bits as a keep-all pass, and None for the others;
         it records every layer's goodness, bit for bit ``row_sumsq`` of the
         keep-all pass's activities."""
         net = random_net([6, 5, 4, 3], seed=4)
         batch = random_batch(rng, 5, 6)
-        want = forward_pass(net, batch, normalize=normalize)
-        got = forward_pass(net, batch, normalize=normalize, keep=keep)
+        want = forward_pass(net, batch, classic=classic)
+        got = forward_pass(net, batch, classic=classic, keep=keep)
         kept = range(3) if keep is None else keep
         assert got.depth == 3 and len(got.act) == 3 and len(got.normed) == 2
         for i in range(3):
@@ -343,17 +341,16 @@ class TestFullBackprop:
         for gw, gb in grads:
             assert np.all(gw == 0.0) and np.all(gb == 0.0)
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_matches_finite_differences(self, rng, normalize):
+    def test_matches_finite_differences(self, rng):
         net = random_net([12, 8, 6, 4], seed=6)
         x = random_batch(rng, 4, 12)
         out_coeffs = make_rng(17).standard_normal((4, 4))
 
         def loss():
-            trace = forward_pass(net, x, normalize=normalize)
+            trace = forward_pass(net, x)
             return float(np.sum(out_coeffs * trace.act[-1]))
 
-        trace = forward_pass(net, x, normalize=normalize)
+        trace = forward_pass(net, x)
         grads = full_backprop_grad(net, trace, out_coeffs * (trace.act[-1] > 0.0))
         analytic, numeric = [], []
         for i, layer in enumerate(net.layers):
@@ -368,10 +365,10 @@ class TestFullBackprop:
         out_coeffs = make_rng(18).standard_normal((4, 3))
 
         def loss():
-            trace = forward_pass(net, x, normalize=False, final_linear=True)
+            trace = forward_pass(net, x, classic=True)
             return float(np.sum(out_coeffs * trace.act[-1]))
 
-        trace = forward_pass(net, x, normalize=False, final_linear=True)
+        trace = forward_pass(net, x, classic=True)
         grads = full_backprop_grad(net, trace, out_coeffs)
         analytic, numeric = [], []
         for i, layer in enumerate(net.layers):
@@ -381,12 +378,10 @@ class TestFullBackprop:
         assert agreement(analytic, numeric) >= 0.99
 
     @pytest.mark.parametrize(
-        ("factored", "normalize", "final_linear"),
-        [(True, True, False), (False, False, True), (False, True, True)],
-        ids=["pairwise", "classic", "classic_normalized"],
+        ("factored", "classic"), [(True, False), (False, True)], ids=["pairwise", "classic"]
     )
     def test_streamed_updates_survive_an_in_place_step_of_each_layer(
-        self, rng, factored, normalize, final_linear
+        self, rng, factored, classic
     ):
         """Adam steps each yielded layer before the next update is drawn; every
         update is still byte for byte that of the untouched net, layers come
@@ -394,7 +389,7 @@ class TestFullBackprop:
         net = random_net([16, 6, 5, 4], seed=21)
         labels = np.array([0, 4, 9, 2, 2, 7]) if factored else None
         images = random_batch(rng, 3, 6 if factored else 16)
-        modes = dict(normalize=normalize, final_linear=final_linear, linked_labels=labels)
+        modes = dict(classic=classic, linked_labels=labels)
         output_grad = rng.standard_normal((6 if factored else 3, 4))
         given = output_grad.copy()
         untouched = net.copy()

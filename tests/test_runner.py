@@ -258,6 +258,23 @@ class TestRunTrainingMethods:
             epochs = [int(row["epoch"]) for row in csv.DictReader(f)]
         assert epochs and all(a < b for a, b in zip(epochs, epochs[1:])), epochs
 
+    def test_a_run_removes_the_reports_its_method_does_not_write(self, tiny_data, tmp_path):
+        """A classic run into the directory of a goodness run leaves the files a
+        classic run into an empty directory leaves: no earlier entropy.csv."""
+        train_ds, test_ds = tiny_data
+
+        def run(method, out):
+            dims = [24, 12, 10] if method == "bp_classic" else [34, 12, 8]
+            cfg = RunConfig(
+                dataset="synthetic", method=method, epochs=1, batch_size=50, seed=1,
+                layer_dims=dims, output_dir=str(out), entropy_eval_n=60,
+            )
+            run_training(cfg, train_ds, test_ds)
+            return sorted(path.name for path in out.iterdir())
+
+        assert "entropy.csv" in run("ff", tmp_path / "reused")
+        assert run("bp_classic", tmp_path / "reused") == run("bp_classic", tmp_path / "fresh")
+
     def test_dimension_mismatch_with_data(self, tiny_data, tmp_path):
         train_ds, test_ds = tiny_data
         cfg = RunConfig(
