@@ -5,7 +5,7 @@ Run with:  python3 demos/01_forward_forward_basics.py
 """
 
 from ffnet import FfConfig, init_network, make_rng, positive_prob, synthetic_pair
-from ffnet.ff import infer, label_goodness_scores, test_error, train
+from ffnet.ff import label_goodness_scores, predict, test_error, train
 
 # ---------------------------------------------------------------------------
 # A layer's goodness is the squared sum of its ReLU activities. The layer is
@@ -48,6 +48,6 @@ sample, label = test_ds.images[0], int(test_ds.labels[0])
 scores = label_goodness_scores(net, sample[None, :])[0].sum(axis=1)
 print(f"\nper-label goodness sums for one test sample (true label {label}):")
 print("  " + "  ".join(f"{y}:{s:6.2f}" for y, s in enumerate(scores)))
-print(f"predicted: {infer(net, sample)}")
+print(f"predicted: {predict(net, sample[None, :])[0]}")
 
 print(f"\ntest error over {test_ds.n} samples: {test_error(net, test_ds):.3f}")

@@ -13,6 +13,7 @@ Writes:    demo_out/sweep/sweep.csv and per-theta run directories
 from pathlib import Path
 
 from ffnet import FfConfig, RunConfig, init_network, make_rng, synthetic_pair
+from ffnet.analysis import evaluate_subsets
 from ffnet.baselines import classic_test_error, train_classic, train_pairwise
 from ffnet.ff import test_error, train
 from ffnet.runner import run_training
@@ -36,8 +37,9 @@ pairwise = init_network([train_ds.d + 10, *hidden], make_rng(1))
 pairwise, _ = train_pairwise(
     pairwise, train_ds, FfConfig(theta=5.0, epochs=12, batch_size=50, seed=1)
 )
+last = {len(hidden) - 1}
 print(f"backprop pairwise (last-layer): "
-      f"{test_error(pairwise, test_ds, mask=[len(hidden) - 1]):.3f}")
+      f"{evaluate_subsets(pairwise, test_ds, [last]).error_of(last):.3f}")
 
 classic = init_network([train_ds.d, *hidden, 10], make_rng(1))
 classic, _ = train_classic(

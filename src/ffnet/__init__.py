@@ -38,7 +38,6 @@ from .ff import (
     entropy_loss_and_coeffs,
     ff_loss_and_coeffs,
     goodness_table,
-    infer,
     positive_prob,
     predict,
     schedule_stages,

@@ -9,6 +9,8 @@ goodness tensor from :func:`ffnet.ff.label_goodness_scores`: a subset sums
 its layers and votes, in the same arithmetic as :func:`ffnet.ff.predict`.
 So the cost is one forward pass per (sample, label) however many subsets
 are requested, and the full set's error equals the voting test error.
+What a subset is, and which requests are valid, is stated here alone
+(:func:`check_subset_family`); :mod:`ffnet.ff` votes every layer.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .ff import check_split_size, checked_layers, label_goodness_scores, voting_error
+from .ff import check_split_size, label_goodness_scores, voting_error
 from .nn import MlpNetwork
 from .reports import subset_label
 
@@ -55,12 +57,20 @@ def parse_subset_label(text: str) -> frozenset:
 
 
 def check_subset_family(subsets, depth: int) -> list[frozenset]:
-    """``subsets`` of a ``depth``-layer network as frozensets of 0-based layers,
-    each passing :func:`ffnet.ff.checked_layers`; rejects an empty request and
-    a repeated subset. ``frozenset(s)`` keeps a None member from meaning every layer."""
+    """``subsets`` of a ``depth``-layer network as frozensets of 0-based layers;
+    rejects an empty request, an empty subset, a layer the network lacks and a
+    repeated subset. A member is a set (``[0, 0, 1]`` is ``1+2``; None a TypeError)."""
     family: list[frozenset] = []
     for s in subsets:
-        layers = frozenset(checked_layers(frozenset(s), depth))
+        layers = frozenset(int(i) for i in s)
+        if not layers:
+            raise ConfigError("a requested subset names no layer")
+        missing = [j + 1 for j in layers if not 0 <= j < depth]
+        if missing:
+            raise ConfigError(
+                f"subset {subset_label(layers)} names layer {max(missing)}; "
+                f"the network has {depth} layers"
+            )
         if layers in family:
             raise ConfigError(f"subset {subset_label(layers)} is requested twice")
         family.append(layers)

@@ -81,14 +81,12 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
             hint = typing.get_args(hint)[0]
         # argparse.SUPPRESS keeps unset flags out of the namespace so the
         # config-file layer can fill them.
-        flag = {"default": argparse.SUPPRESS, "help": FLAG_HELP.get(field.name)}
-        if hint is bool:
-            flag["action"] = "store_true"
-        else:
-            sequence = typing.get_origin(hint) is collections.abc.Sequence
-            flag["type"] = _int_list if sequence else hint
-            flag["choices"] = FLAG_CHOICES.get(field.name)
-        parser.add_argument("--" + field.name.replace("_", "-"), **flag)
+        sequence = typing.get_origin(hint) is collections.abc.Sequence
+        parser.add_argument(
+            "--" + field.name.replace("_", "-"), type=_int_list if sequence else hint,
+            choices=FLAG_CHOICES.get(field.name), default=argparse.SUPPRESS,
+            help=FLAG_HELP.get(field.name),
+        )
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

@@ -176,7 +176,7 @@ def load_idx(images_path, labels_path, name: str = "mnist", split: str = "train"
             f"{labels.shape[0]} labels"
         )
     n = images.shape[0]
-    # The width is spelled out: reshape cannot infer -1 for 0 images.
+    # The width is spelled out: reshape cannot derive a -1 width from 0 images.
     flat = images.reshape(n, math.prod(images.shape[1:]))
     return Dataset(flat, labels.astype(np.int64), name=name, split=split)
 

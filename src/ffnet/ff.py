@@ -22,7 +22,8 @@ batches update (:func:`schedule_stages`), run for the full epoch budget
 each: ``layerwise`` is ``[[0], [1], ...]``, one layer at a time, and
 ``alternating`` is ``[[0, ..., depth-1]]``, every layer on every batch.
 Inference scores the sample linked with each of the ten labels, sums
-goodness over a layer mask, and votes by the largest sum.
+goodness over every layer, and votes by the largest sum; a vote by a
+subset of layers is :mod:`ffnet.analysis`'s.
 
 Neither training nor evaluation builds linked inputs. The first layer's
 pre-activation of a sample ``x`` linked with label ``y`` is
@@ -58,7 +59,7 @@ from .nn import (
     forward_pass,
     layer_local_grad,
 )
-from .reports import HISTORY_FIELDS, subset_label
+from .reports import HISTORY_FIELDS
 
 GAMMA_MODES = ("none", "all_other_layers", "predecessors_only")
 SCHEDULES = ("layerwise", "alternating")
@@ -437,22 +438,6 @@ def train(
     return fit(net, cfg, stages, batches, step, cfg.loss_kind, on_epoch)
 
 
-def checked_layers(mask, depth: int) -> list[int]:
-    """The voting set ``mask``, sorted (None: every layer); rejects empty or missing layers."""
-    if mask is None:
-        return list(range(depth))
-    layers = sorted({int(i) for i in mask})
-    if not layers:
-        raise ConfigError("a requested subset names no layer")
-    missing = [j + 1 for j in layers if not 0 <= j < depth]
-    if missing:
-        raise ConfigError(
-            f"subset {subset_label(layers)} names layer {missing[-1]}; "
-            f"the network has {depth} layers"
-        )
-    return layers
-
-
 def score_rows(source, idx, shape, score) -> np.ndarray:
     """(n, *shape) scores of rows ``idx`` (default all) of an array or a :class:`Dataset`:
     ``score(block, out)`` fills ``out`` from ``SCORE_CHUNK`` float64 rows (Dataset.rows).
@@ -514,20 +499,12 @@ def linked_goodness(scores: np.ndarray, labels) -> np.ndarray:
     return scores[np.arange(scores.shape[0]), labels]
 
 
-def predict(net: MlpNetwork, images, mask=None) -> np.ndarray:
+def predict(net: MlpNetwork, images) -> np.ndarray:
     """Goodness-voting prediction over every label for a batch of raw samples."""
-    layers = checked_layers(mask, net.depth)
-    return vote(label_goodness_scores(net, images), layers)
+    return vote(label_goodness_scores(net, images), range(net.depth))
 
 
-def infer(net: MlpNetwork, x, mask=None) -> int:
-    """Predicted label for one raw (unlinked) sample."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return int(predict(net, x, mask)[0])
-
-
-def test_error(net: MlpNetwork, ds: Dataset, mask=None) -> float:
+def test_error(net: MlpNetwork, ds: Dataset) -> float:
     """Fraction of misclassified samples under goodness voting."""
-    layers = checked_layers(mask, net.depth)
     check_split_size(ds.n, "test")
-    return voting_error(label_goodness_scores(net, ds), ds.labels, layers)
+    return voting_error(label_goodness_scores(net, ds), ds.labels, range(net.depth))

@@ -266,7 +266,8 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     Produces checkpoint.npz, history.csv, entropy.csv (for goodness-based
     methods), errors.csv, config.json, and summary.json. Returns the summary.
     A report the method does not make is removed from the directory
-    (:func:`~ffnet.reports.write_csv_reports`).
+    (:func:`~ffnet.reports.write_csv_reports`). Every file is written after
+    training, so a run that fails leaves the directory as it found it.
 
     A snapshot (:func:`_snapshot`) is taken every ``eval_every`` epochs
     during training and once after it, at the last epoch, from the
@@ -292,7 +293,6 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
         )
     out_dir = Path(cfg.output_dir)
     resolved = cfg.to_dict()
-    write_json(out_dir / "config.json", resolved)
 
     started = time.monotonic()
     net = init_network(cfg.layer_dims, make_rng(cfg.seed))
@@ -319,6 +319,7 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     snapshot(total_epochs, scores[sample[0]])
 
     wall_time = time.monotonic() - started
+    write_json(out_dir / "config.json", resolved)
     save_checkpoint(out_dir / "checkpoint.npz", net, resolved)
     write_csv_reports(out_dir, {
         "history.csv": (HISTORY_FIELDS, history + test_rows),

@@ -9,7 +9,7 @@ from ffnet.analysis import (
     subset_label,
 )
 from ffnet.errors import ConfigError
-from ffnet.ff import infer, label_goodness_scores
+from ffnet.ff import label_goodness_scores, predict
 
 
 class TestSubsetLabels:
@@ -61,7 +61,7 @@ class TestEvaluateSubsets:
             evaluate_subsets(net, test_ds, [set()])
 
     def test_a_none_member_is_no_subset(self, small_trained_net):
-        """None means every layer to a mask, never to a member of a family."""
+        """A None member is no subset: every member is read as a set of layers."""
         net, _, test_ds = small_trained_net
         with pytest.raises(TypeError):
             evaluate_subsets(net, test_ds, [None])
@@ -71,9 +71,7 @@ class TestEvaluateSubsets:
         net, _, test_ds = small_trained_net
         subset = {0, 1, 2}
         report = evaluate_subsets(net, test_ds.subset(60), [subset])
-        slow_preds = np.array(
-            [infer(net, x, mask=subset) for x in test_ds.subset(60).images]
-        )
+        slow_preds = np.array([predict(net, x[None])[0] for x in test_ds.subset(60).images])
         slow_error = float(np.mean(slow_preds != test_ds.subset(60).labels))
         assert report.error_of(subset) == slow_error
 

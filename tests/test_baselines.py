@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import agreement, fd_grad, random_batch, random_net, traced_peak
 
+from ffnet.analysis import evaluate_subsets
 from ffnet.baselines import (
     classic_logits,
     classic_test_error,
@@ -14,7 +15,6 @@ from ffnet.baselines import (
 from ffnet.data import Dataset, make_linked_batches
 from ffnet.errors import ShapeError
 from ffnet.ff import FfConfig, ff_loss_and_coeffs
-from ffnet.ff import test_error as voting_error
 from ffnet.linalg import make_rng, row_sumsq
 from ffnet.nn import forward_pass, full_backprop_grad, init_network
 from ffnet.synth import synthetic_pair
@@ -236,7 +236,8 @@ class TestTraining:
         net, history = runs[0]
         losses = [row["loss"] for row in history]
         assert losses[-1] < losses[0]
-        err = voting_error(net, test_ds, mask=[net.depth - 1])
+        last = {net.depth - 1}
+        err = evaluate_subsets(net, test_ds, [last]).error_of(last)
         assert err < 0.5  # far better than the 0.9 chance level
         for la, lb in zip(runs[0][0].layers, runs[1][0].layers):
             np.testing.assert_array_equal(la.weights, lb.weights)

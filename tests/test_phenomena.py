@@ -167,7 +167,7 @@ def test_vanilla_later_layers_separate_the_wrong_way():
 
 def _alone(net, test_ds, layer):
     """Test error of a vote by ``layer`` (1-based) alone."""
-    return voting_error(net, test_ds, mask=[layer - 1])
+    return evaluate_subsets(net, test_ds, [{layer - 1}]).error_of({layer - 1})
 
 
 @pytest.mark.parametrize("seed", [3, 7, 11])

@@ -275,6 +275,21 @@ class TestRunTrainingMethods:
         assert "entropy.csv" in run("ff", tmp_path / "reused")
         assert run("bp_classic", tmp_path / "reused") == run("bp_classic", tmp_path / "fresh")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failed_run_leaves_an_earlier_run_as_it_was(self, tiny_data, tmp_path):
+        """A run that diverges in the directory of an earlier run writes no file:
+        every file there, config.json included, keeps the earlier run's bytes."""
+        splits = tiny_data[0].subset(120), tiny_data[1].subset(60)
+        base = dict(dataset="synthetic", method="ff", epochs=1, batch_size=50,
+                    layer_dims=[34, 12, 8], output_dir=str(tmp_path), entropy_eval_n=60)
+        run_training(RunConfig(**base, seed=1), *splits)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert "config.json" in before
+        diverging = RunConfig(**base, seed=2, learning_rate=1e300)
+        with pytest.raises(FloatingPointError, match="^non-finite loss at layer 1 in epoch 1;"):
+            run_training(diverging, *splits)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_dimension_mismatch_with_data(self, tiny_data, tmp_path):
         train_ds, test_ds = tiny_data
         cfg = RunConfig(
@@ -379,8 +394,9 @@ class TestEvaluateCheckpointChecksFirst:
             ([frozenset({-1})], "subset 0 names layer 0; the network has 2 layers"),
             ([frozenset({0, 2})], "subset 1+3 names layer 3; the network has 2 layers"),
             ([frozenset({0, 1}), frozenset({1, 0})], "subset 1+2 is requested twice"),
+            ([[0, 0, 1], frozenset({0, 1})], "subset 1+2 is requested twice"),
         ],
-        ids=["none", "empty", "negative", "too_deep", "repeated"],
+        ids=["none", "empty", "negative", "too_deep", "repeated", "a_member_is_a_set"],
     )
     def test_bad_subsets_fail_before_the_test_split_is_read(
         self, tmp_path, monkeypatch, subsets, message

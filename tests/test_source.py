@@ -470,6 +470,49 @@ def test_the_check_finds_a_membership_message_outside_check_choice():
     ]
 
 
+SUBSET_RULE_PHRASES = ("names no layer", "names layer")
+
+
+def subset_rule_messages(source: str) -> list[str]:
+    """String constants (f-string parts included) stating the subset rule, a
+    subset that names no layer or a layer the network lacks, each named by
+    its innermost enclosing function."""
+    return [
+        f"{owner} (line {node.lineno})"
+        for owner, node in owned_nodes(source)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and any(phrase in node.value for phrase in SUBSET_RULE_PHRASES)
+    ]
+
+
+def test_only_analysis_states_the_subset_rule():
+    """A layer subset is checked in ``analysis.check_subset_family`` alone;
+    ``ff`` votes every layer and knows no subset."""
+    found = {
+        f"{path.name}: {site.split(' (line')[0]}"
+        for path in PACKAGE
+        for site in subset_rule_messages(path.read_text())
+    }
+    assert found == {"analysis.py: check_subset_family"}
+
+
+def test_the_check_finds_a_subset_rule_outside_analysis():
+    source = (
+        "def voting_layers(mask, depth):\n"
+        "    if not mask:\n"
+        "        raise ConfigError('a requested subset names no layer')\n"
+        "    raise ConfigError(f'subset {label} names layer {j}; the net has {depth}')\n"
+        "HELP = 'a subset names ' + 'layers, 1-based'\n"
+        "RULE = 'subset 1+3 names layer 3'\n"
+    )
+    assert subset_rule_messages(source) == [
+        "voting_layers (line 3)",
+        "voting_layers (line 4)",
+        "the module (line 6)",
+    ]
+
+
 def relu_mask_multiplies(source: str) -> list[str]:
     """``*`` and ``*=`` whose right operand is a ``> 0`` comparison, a ReLU
     mask, each named by its innermost enclosing function."""
