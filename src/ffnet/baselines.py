@@ -65,8 +65,8 @@ def train_pairwise(
     return fit(net, cfg, [[last]], batches, step, "bp_pairwise", on_epoch)
 
 
-def classic_logits(net: MlpNetwork, images, idx=None) -> np.ndarray:
-    """(n, N_LABELS) label-head logits; :func:`~ffnet.ff.score_rows` reads the rows.
+def classic_logits(net: MlpNetwork, images) -> np.ndarray:
+    """(n, N_LABELS) label-head logits of every row; :func:`~ffnet.ff.score_rows` reads them.
     Each pass keeps only the head, so it holds about one hidden layer's arrays
     of the block at a time."""
     head = (net.depth - 1,)
@@ -75,7 +75,7 @@ def classic_logits(net: MlpNetwork, images, idx=None) -> np.ndarray:
         trace = forward_pass(net, block, classic=True, keep=head)
         out[:] = trace.act[-1]
 
-    return score_rows(images, idx, (N_LABELS,), score)
+    return score_rows(images, (N_LABELS,), score)
 
 
 def classic_test_error(net: MlpNetwork, ds: Dataset) -> float:

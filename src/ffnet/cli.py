@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     warnings.showwarning = lambda *w: held.append(w)
     try:
         return args.func(args)
-    except (ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError, MemoryError) as exc:
         held.clear()
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,8 @@ float64 in [0, 1] for float input such as synthetic data. Pixels are scaled
 to float64 in [0, 1] when rows are taken (:meth:`Dataset.rows`), so a split
 is held at one byte per pixel, not eight: training takes one batch at a
 time, and scoring (``ff.score_rows``) ``ff.SCORE_CHUNK`` rows at a time.
+:func:`unit_floats` states that scaling once; scoring reads the rows of a
+plain array by it too, so a uint8 array scores as its Dataset does.
 :attr:`Dataset.images` is the whole split as float64, a fresh copy on every
 access; nothing in the package calls it (tests, demos and the benchmark do).
 
@@ -47,6 +49,16 @@ DATASET_DIMS = {"mnist": 784, "fashion_mnist": 784}
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+
+def unit_floats(pixels) -> np.ndarray:
+    """Float64 values of stored pixels: a uint8 byte is byte / 255, bit for bit
+    ``astype(np.float64) / 255.0``; any other value is converted to float64
+    exactly, and a float64 array is returned as it is, not copied."""
+    pixels = np.asarray(pixels)
+    if pixels.dtype == np.uint8:
+        return np.divide(pixels, 255.0, dtype=np.float64)
+    return pixels.astype(np.float64, copy=False)
 
 
 @dataclass
@@ -104,18 +116,16 @@ class Dataset:
         return self.pixels.shape[1]
 
     def rows(self, idx) -> np.ndarray:
-        """Float64 rows ``idx`` of the split, in [0, 1].
-
-        A uint8 pixel becomes byte / 255, bit for bit ``astype(np.float64) /
-        255.0``; a float64 pixel is returned exactly (divided by 1.0).
-        """
-        scale = 255.0 if self.pixels.dtype == np.uint8 else 1.0
-        return np.divide(self.pixels[idx], scale, dtype=np.float64)
+        """Float64 rows ``idx`` of the split, in [0, 1] (:func:`unit_floats`); a
+        slice of a float64 split is a view."""
+        return unit_floats(self.pixels[idx])
 
     @property
     def images(self) -> np.ndarray:
         """(n, d) float64 in [0, 1]: the whole split, a fresh copy per access."""
-        return self.rows(slice(None))
+        images = self.rows(slice(None))
+        # A float64 split's rows are its own pixels, which a caller must not write.
+        return images.copy() if np.may_share_memory(images, self.pixels) else images
 
     def subset(self, n: int) -> "Dataset":
         """First ``n`` samples (deterministic)."""
@@ -286,14 +296,14 @@ def sample_wrong_labels(true_labels, rng: np.random.Generator) -> np.ndarray:
 
 def draw_eval_sample(
     ds: Dataset, n_samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seeded evaluation sample: up to ``n_samples`` indices, their labels, and
-    one wrong label each. Every snapshot of a run and ``ffnet eval`` of its
-    checkpoint draw the same samples."""
+) -> tuple[np.ndarray, Dataset, np.ndarray]:
+    """Seeded evaluation sample: up to ``n_samples`` indices, their rows as a
+    :class:`Dataset`, and one wrong label each. Every snapshot of a run and
+    ``ffnet eval`` of its checkpoint draw the same samples."""
     rng = make_rng(seed)
     idx = rng.permutation(ds.n)[: min(n_samples, ds.n)]
-    labels = ds.labels[idx]
-    return idx, labels, sample_wrong_labels(labels, rng)
+    sample = Dataset(ds.pixels[idx], ds.labels[idx], ds.name, ds.split)
+    return idx, sample, sample_wrong_labels(sample.labels, rng)
 
 
 def make_linked_batches(ds: Dataset, rng: np.random.Generator, batch_size: int):

@@ -126,8 +126,8 @@ def goodness_entropy_reports(
     training stages stay comparable.
     """
     check_split_size(ds.n, "test")
-    idx, labels, wrong = draw_eval_sample(ds, n_samples, seed)
-    scores = label_goodness_scores(net, ds, idx)
+    _, sample, wrong = draw_eval_sample(ds, n_samples, seed)
+    scores = label_goodness_scores(net, sample)
     return split_entropy_reports(
-        linked_goodness(scores, labels), linked_goodness(scores, wrong)
+        linked_goodness(scores, sample.labels), linked_goodness(scores, wrong)
     )

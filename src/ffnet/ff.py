@@ -34,8 +34,8 @@ and negative rows of a training batch (``nn.forward_pass``, given the
 batch's ``linked_labels``, and, for layer 1's gradient,
 ``nn.layer_local_grad``, given the same labels from the trace) and the ten
 labels of an evaluation pass.
-Predictions, subset errors, entropy tables and test-split losses are all
-reductions of the goodness tensor of :func:`label_goodness_scores`.
+Predictions, subset errors, entropy tables and test-split losses all reduce the
+goodness tensor of :func:`label_goodness_scores` over every row it is given.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .data import N_LABELS, Dataset, LinkedBatch, make_linked_batches
+from .data import N_LABELS, Dataset, LinkedBatch, make_linked_batches, unit_floats
 from .errors import ConfigError, DataFormatError, DomainError, ShapeError, check_choice
 from .linalg import as_matrix, make_rng, sigmoid
 from .nn import (
@@ -438,9 +438,10 @@ def train(
     return fit(net, cfg, stages, batches, step, cfg.loss_kind, on_epoch)
 
 
-def score_rows(source, idx, shape, score) -> np.ndarray:
-    """(n, *shape) scores of rows ``idx`` (default all) of an array or a :class:`Dataset`:
-    ``score(block, out)`` fills ``out`` from ``SCORE_CHUNK`` float64 rows (Dataset.rows).
+def score_rows(source, shape, score) -> np.ndarray:
+    """(n, *shape) scores of every row of an array or a :class:`Dataset`, in order:
+    ``score(block, out)`` fills ``out`` from ``SCORE_CHUNK`` float64 rows. Either is
+    read by :func:`~ffnet.data.unit_floats`, so a uint8 byte is byte / 255 in both.
 
     An array with a non-finite value is a :class:`DataFormatError` naming its
     first such row, as a :class:`Dataset` rejects a NaN pixel; finite values
@@ -448,19 +449,19 @@ def score_rows(source, idx, shape, score) -> np.ndarray:
     if isinstance(source, Dataset):
         n, take = source.n, source.rows
     else:
-        source = as_matrix(source)
+        source = as_matrix(unit_floats(source))
         finite = np.isfinite(source).all(axis=1)
         if not finite.all():
             raise DataFormatError(f"non-finite pixel value in row {int(np.argmin(finite))}")
         n, take = source.shape[0], source.__getitem__
-    out = np.empty((n if idx is None else len(idx), *shape))
-    for start in range(0, max(len(out), 1), SCORE_CHUNK):  # 0 rows still check the width
+    out = np.empty((n, *shape))
+    for start in range(0, max(n, 1), SCORE_CHUNK):  # 0 rows still check the width
         rows = slice(start, start + SCORE_CHUNK)
-        score(take(rows if idx is None else idx[rows]), out[rows])
+        score(take(rows), out[rows])
     return out
 
 
-def label_goodness_scores(net: MlpNetwork, images, idx=None) -> np.ndarray:
+def label_goodness_scores(net: MlpNetwork, images) -> np.ndarray:
     """(n, N_LABELS, depth) goodness of every layer for every sample linked with
     every label, label ``y`` in column ``y``; :func:`score_rows` reads the rows.
 
@@ -478,7 +479,7 @@ def label_goodness_scores(net: MlpNetwork, images, idx=None) -> np.ndarray:
         for label, offset in enumerate(offsets):
             out[:, label] = goodness_table(forward_from_pre(net, pixel_pre + offset, keep=()))
 
-    return score_rows(images, idx, (N_LABELS, net.depth), score)
+    return score_rows(images, (N_LABELS, net.depth), score)
 
 
 def vote(scores: np.ndarray, layers) -> np.ndarray:

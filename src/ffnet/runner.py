@@ -195,10 +195,16 @@ def _has_type(value, hint) -> bool:
 
 
 def git_describe() -> Optional[str]:
+    """``git describe`` of the checkout that holds this package (``src/ffnet``
+    under its root), or None: an installed copy is in no checkout of its own,
+    and a git repository it happens to sit in is not ffnet's."""
+    root = Path(__file__).resolve().parents[2]
+    if not (root / ".git").exists():
+        return None
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).parent,
+            cwd=root,
             capture_output=True,
             text=True,
             timeout=10,
@@ -216,13 +222,13 @@ def _last_epoch(cfg: RunConfig, depth: int) -> int:
     return len(ff.schedule_stages(cfg.schedule, depth)) * cfg.epochs
 
 
-def _scores(net: MlpNetwork, cfg: RunConfig, ds: Dataset, idx=None) -> np.ndarray:
-    """The (n, labels, layers) tensor ``net`` votes on for rows ``idx`` of ``ds`` (all by
-    default): a linked method's goodness, or a label head's logits as its one layer.
-    Either reads ``ff.SCORE_CHUNK`` float64 rows at a time (:func:`ff.score_rows`)."""
+def _scores(net: MlpNetwork, cfg: RunConfig, ds: Dataset) -> np.ndarray:
+    """The (n, labels, layers) tensor ``net`` votes on for every row of ``ds``: a linked
+    method's goodness, or a label head's logits as its one layer. Either reads
+    ``ff.SCORE_CHUNK`` float64 rows at a time (:func:`ff.score_rows`)."""
     if METHOD_TABLE[cfg.method].linked:
-        return ff.label_goodness_scores(net, ds, idx=idx)
-    return baselines.classic_logits(net, ds, idx=idx)[:, :, None]
+        return ff.label_goodness_scores(net, ds)
+    return baselines.classic_logits(net, ds)[:, :, None]
 
 
 def _voting_layers(method: Method, depth: int) -> list[int]:
@@ -240,7 +246,7 @@ def _snapshot(epoch: int, scores: np.ndarray, sample, cfg: RunConfig) -> tuple[l
     from the scores of the evaluation ``sample`` (:func:`draw_eval_sample`'s tuple). A
     linked method has three entropy rows and the per-layer test losses of
     :func:`ff.layer_losses` over each sample's true and wrong label; a label head has none."""
-    _, labels, wrong = sample
+    labels, wrong = sample[1].labels, sample[2]
     method = METHOD_TABLE[cfg.method]
     errors = [{"epoch": epoch, "split": "test", "error": _error(scores, labels, method)}]
     if not method.linked:
@@ -311,7 +317,7 @@ def run_training(cfg: RunConfig, train_ds: Dataset, test_ds: Dataset) -> dict:
     def on_epoch(epoch: int, current: MlpNetwork) -> None:
         # The last epoch's snapshot is taken after training, from the final pass.
         if epoch % cfg.eval_every == 0 and epoch < total_epochs:
-            snapshot(epoch, _scores(current, cfg, test_ds, sample[0]))
+            snapshot(epoch, _scores(current, cfg, sample[1]))
 
     net, history = method.train(net, train_ds, ff_cfg, on_epoch)
     scores = _scores(net, cfg, test_ds)

@@ -12,7 +12,7 @@ from ffnet.baselines import (
     train_classic,
     train_pairwise,
 )
-from ffnet.data import Dataset, make_linked_batches
+from ffnet.data import Dataset, draw_eval_sample, make_linked_batches
 from ffnet.errors import ShapeError
 from ffnet.ff import FfConfig, ff_loss_and_coeffs
 from ffnet.linalg import make_rng, row_sumsq
@@ -202,13 +202,13 @@ class TestClassicScores:
         np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
 
     def test_shuffled_dataset_rows_match_their_array(self, rng):
-        """A Dataset read through a shuffled ``idx`` that spans three chunks
-        scores its rows as the float64 array of the same rows does, byte for byte."""
+        """A shuffled evaluation sample that spans three chunks scores its rows
+        as the float64 array of the same rows does, byte for byte."""
         ds = Dataset(rng.integers(0, 256, size=(607, 6), dtype=np.uint8),
                      rng.integers(0, 10, size=607), "synthetic", "test")
         net = random_net([6, 7, 5, 10], seed=34)
-        idx = rng.permutation(ds.n)[:600]
-        got = classic_logits(net, ds, idx=idx)
+        idx, sample, _ = draw_eval_sample(ds, 600, seed=34)
+        got = classic_logits(net, sample)
         want = classic_logits(net, ds.rows(idx))
         assert got.shape == (600, 10) and got.tobytes() == want.tobytes()
 

@@ -165,6 +165,20 @@ class TestTrainCommand:
         ]
         assert not (out / "config.json").exists()
 
+    def test_a_network_too_large_to_allocate_is_a_one_line_error(
+        self, data_dir, tmp_path, capsys
+    ):
+        """A hidden layer of 10**13 units (about 63.5 PB of weights) fails its
+        first allocation at once, whatever the host's overcommit setting."""
+        out = tmp_path / "huge"
+        rc = main(["train", "--method", "ff", "--dataset", "mnist",
+                   "--data-dir", str(data_dir), "--output-dir", str(out),
+                   "--layer-dims", "794,10000000000000"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         ("source", "field", "value", "message"),
         [

@@ -13,7 +13,7 @@ from conftest import (
     traced_peak,
 )
 
-from ffnet.data import Dataset, link_inputs, make_linked_batches
+from ffnet.data import Dataset, draw_eval_sample, link_inputs, make_linked_batches
 from ffnet.errors import ConfigError, DataFormatError, DomainError, ShapeError
 from ffnet.ff import (
     FfConfig,
@@ -910,17 +910,33 @@ class TestFactoredScores:
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
     def test_dataset_rows_match_their_array(self, n):
-        """A Dataset, whole or through a shuffled ``idx``, scores its rows as
-        the float64 array of the same rows does, byte for byte."""
+        """A Dataset, whole or as the shuffled evaluation sample drawn from it,
+        scores its rows as the float64 array of the same rows does, byte for byte."""
         rng = make_rng(n)
         ds = Dataset(rng.integers(0, 256, size=(n + 7, 6), dtype=np.uint8),
                      rng.integers(0, 10, size=n + 7), "synthetic", "test")
         net = random_net([16, 7, 5, 4], seed=23)
-        idx = rng.permutation(ds.n)[:n]
-        for got, rows in [(label_goodness_scores(net, ds), np.arange(ds.n)),
-                          (label_goodness_scores(net, ds, idx), idx)]:
+        idx, sample, _ = draw_eval_sample(ds, n, seed=n)
+        assert len(idx) == n
+        for source, rows in [(ds, np.arange(ds.n)), (sample, idx)]:
+            got = label_goodness_scores(net, source)
             want = label_goodness_scores(net, ds.rows(rows))
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_a_uint8_array_scores_as_its_dataset(self):
+        """A uint8 array is read as byte / 255, as a Dataset of the same bytes
+        is: over three chunks its goodness, predictions and classic logits
+        equal the Dataset's, byte for byte."""
+        from ffnet.baselines import classic_logits
+
+        rng = make_rng(41)
+        ds = Dataset(rng.integers(0, 256, size=(600, 6), dtype=np.uint8),
+                     rng.integers(0, 10, size=600), "synthetic", "test")
+        net, head = random_net([16, 7, 5, 4], seed=24), random_net([6, 7, 10], seed=24)
+        scorers = [(label_goodness_scores, net), (predict, net), (classic_logits, head)]
+        for scorer, model in scorers:
+            got, want = scorer(model, ds.pixels), scorer(model, ds)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestFactoredTraining:

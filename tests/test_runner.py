@@ -2,8 +2,11 @@ import csv
 import json
 import os
 import re
+import shutil
 import stat
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,9 +534,9 @@ class TestFinalNetworkScoredOnce:
         score = getattr(module, name)
         scored_rows = []
 
-        def spy(net, ds, *args, idx=None, **kwargs):
-            scored_rows.append(ds.n if idx is None else len(idx))
-            return score(net, ds, *args, idx=idx, **kwargs)
+        def spy(net, ds):
+            scored_rows.append(ds.n)
+            return score(net, ds)
 
         monkeypatch.setattr(module, name, spy)
         dims = [24, 12, 8, 10] if method == "bp_classic" else [34, 12, 8, 6]
@@ -738,6 +741,37 @@ class TestNormalizationBackwardEdgeCases:
         analytic = l2_row_normalize_vjp(act, l2_row_normalize(act), coeffs)
         numeric = fd_grad(scalar, act)
         assert agreement([analytic], [numeric], tol=1e-6) >= 0.99
+
+
+def _git(cwd, *args) -> str:
+    command = ["git", "-c", "user.name=ffnet", "-c", "user.email=ffnet@example.invalid", *args]
+    return subprocess.run(command, cwd=cwd, check=True, capture_output=True, text=True).stdout
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_describe_names_its_own_checkout_and_no_other_repository(tmp_path):
+    """A copy of the package at ``src/ffnet`` of a checkout records that
+    checkout's commit; a copy installed in an unrelated repository (here
+    ``lib/site-packages``) records none, not that repository's commit."""
+    package = Path(runner.__file__).parent
+    code = "from ffnet import runner; print(runner.__file__, runner.git_describe())"
+    found = {}
+    for name, place in [("checkout", "src"), ("unrelated", "lib/site-packages")]:
+        repo = tmp_path / name
+        repo.mkdir()
+        _git(repo, "init", "-q")
+        _git(repo, "commit", "-q", "--allow-empty", "-m", name)
+        copy = repo / place / "ffnet"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+        env["PYTHONPATH"] = str(repo / place)
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                             check=True, capture_output=True, text=True).stdout.split()
+        assert Path(out[0]).parent == copy.resolve()
+        found[name] = (out[1], _git(repo, "rev-parse", "--short", "HEAD").strip())
+    describe, head = found["checkout"]
+    assert describe == head
+    assert found["unrelated"][0] == "None"
 
 
 @pytest.mark.parametrize("failure", ["no_git", "not_a_repository"])

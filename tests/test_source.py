@@ -432,6 +432,44 @@ def test_the_check_finds_a_numpy_product():
     ]
 
 
+def byte_scalings(source: str) -> list[str]:
+    """Numeric constants equal to 255 (``255``, ``255.0``, ``0xFF``), each named
+    by its innermost enclosing function. A uint8 pixel's value is byte / 255,
+    and ``data`` states that scaling (``unit_floats``) for every reader."""
+    return [
+        f"{owner} (line {node.lineno})"
+        for owner, node in owned_nodes(source)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, (int, float))
+        and node.value == 255
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in PACKAGE if path.name != "data.py"], ids=lambda path: path.name
+)
+def test_only_data_scales_a_byte(path):
+    assert byte_scalings(path.read_text()) == []
+
+
+def test_the_check_finds_a_byte_scaling():
+    source = (
+        "import numpy as np\n"
+        "def score(pixels):\n"
+        "    block = np.divide(pixels, 255.0)\n"
+        "    return block * 255, -255, pixels & 0xFF, pixels / 256, True\n"
+        "RANGE = '0..255'\n"
+        "SCALE = 1 / 255\n"
+    )
+    assert byte_scalings(source) == [
+        "score (line 3)",
+        "score (line 4)",
+        "score (line 4)",
+        "score (line 4)",
+        "the module (line 6)",
+    ]
+
+
 def membership_messages(source: str, phrase="must be one of") -> list[str]:
     """String constants holding ``phrase`` (f-string parts included) outside
     ``check_choice``, the one membership rule; a string is owned by its
