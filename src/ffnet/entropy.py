@@ -33,12 +33,12 @@ from .nn import MlpNetwork
 
 @dataclass
 class EntropyReport:
-    """Decomposed functional entropy of one goodness table."""
+    """Decomposed functional entropy of one goodness table: the whole, the
+    across-layer part and one within-layer part per layer (column)."""
 
     overall: float
     across_layers: float
     within_layer: np.ndarray  # one value per layer
-    sample_count: int
 
 
 def _as_values(values) -> np.ndarray:
@@ -93,18 +93,14 @@ def entropy_decompose(values) -> EntropyReport:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise DomainError(f"need a 2-D goodness table, got shape {values.shape}")
-    m, depth = values.shape
     overall = functional_entropy(values.ravel())
-    within = np.array(
-        [functional_entropy(values[:, i]) for i in range(depth)]
-    )
+    within = np.array([functional_entropy(column) for column in values.T])
     layer_means = values.mean(axis=0)
     across = functional_entropy(layer_means)
     return EntropyReport(
         overall=overall,
         across_layers=across,
         within_layer=within,
-        sample_count=m,
     )
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ShapeError
 
-# Default denominator guard for row normalization; keeps dead-ReLU rows at
-# exactly zero instead of NaN.
+# The denominator guard of row normalization, a / (||a|| + NORM_EPSILON);
+# it keeps dead-ReLU rows at exactly zero instead of NaN.
 NORM_EPSILON = 1e-8
 
 # Largest argument whose exp is finite; math.exp raises OverflowError above it.
@@ -57,22 +57,16 @@ def sigmoid(x):
     return 1.0 / (1.0 + e)
 
 
-def l2_row_normalize(a, epsilon: float = NORM_EPSILON) -> np.ndarray:
-    """Divide each row by its Euclidean norm plus ``epsilon``.
-
-    Zero rows map to zero rows (never NaN), including when epsilon == 0.
-    """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+def l2_row_normalize(a) -> np.ndarray:
+    """Divide each row by its Euclidean norm plus ``NORM_EPSILON``; zero rows
+    map to zero rows."""
     a = as_matrix(a)
     # The squares' array receives the result, so a call allocates one
     # full-size array; the norms are bit for bit np.linalg.norm(a, axis=1).
     out = np.multiply(a, a)
     norms = np.sqrt(np.add.reduce(out, axis=1, keepdims=True))
-    denom = norms + epsilon
-    # Rows with denom == 0 are all-zero rows; 1/denom is never applied there.
-    safe = np.where(denom > 0.0, denom, 1.0)
-    return np.divide(a, safe, out=out)
+    norms += NORM_EPSILON
+    return np.divide(a, norms, out=out)
 
 
 def row_sumsq(a) -> np.ndarray:

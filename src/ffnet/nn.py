@@ -325,11 +325,11 @@ def layer_local_grad(
     return grad_w, grad_b
 
 
-def l2_row_normalize_vjp(act, normed, grad_out, epsilon: float = NORM_EPSILON) -> np.ndarray:
-    """Backward pass of ``n = a / (||a|| + eps)`` applied row-wise.
+def l2_row_normalize_vjp(act, normed, grad_out) -> np.ndarray:
+    """Backward pass of ``n = a / (||a|| + NORM_EPSILON)`` applied row-wise.
 
     ``normed`` is the forward pass's output ``n`` for the rows ``act``.
-    Exact Jacobian-transpose product: for s = ||a||,
+    Exact Jacobian-transpose product: for s = ||a|| and eps = NORM_EPSILON,
     grad_a = g/(s+eps) - n * (n . g)/s, with the second term vanishing on
     all-zero rows (where n is zero and the map is linear with slope 1/eps).
     The result and one scratch array are its only full-size allocations;
@@ -339,11 +339,9 @@ def l2_row_normalize_vjp(act, normed, grad_out, epsilon: float = NORM_EPSILON) -
     normed = as_matrix(normed)
     grad_out = as_matrix(grad_out)
     norms = np.linalg.norm(act, axis=1, keepdims=True)
-    denom = norms + epsilon
-    safe_denom = np.where(denom > 0.0, denom, 1.0)
     dot = np.einsum("ij,ij->i", normed, grad_out)[:, None]
     safe_norms = np.where(norms > 0.0, norms, 1.0)
-    grad_act = grad_out / safe_denom
+    grad_act = grad_out / (norms + NORM_EPSILON)
     projected = normed * dot
     projected /= safe_norms
     grad_act -= projected

@@ -33,19 +33,19 @@ def synthetic_dataset(
     seed: int = 0,
     noise: float = 0.12,
     split: str = "train",
-    name: str = "synthetic",
 ) -> Dataset:
     """``n`` noisy template samples with balanced-ish random labels in 0..9.
 
     The class templates depend only on (d, seed), so train and test splits,
     drawn from streams keyed by their split names, share the same concepts.
+    The dataset is named ``synthetic``.
     """
     templates = class_templates(d, seed)
     # crc32 keeps the stream split-dependent without Python's salted hash()
     rng = np.random.default_rng([seed, zlib.crc32(split.encode()), n])
     labels = rng.integers(0, N_LABELS, size=n)
     images = templates[labels] + noise * rng.standard_normal((n, d))
-    return Dataset(np.clip(images, 0.0, 1.0), labels, name=name, split=split)
+    return Dataset(np.clip(images, 0.0, 1.0), labels, "synthetic", split)
 
 
 def synthetic_pair(

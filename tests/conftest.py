@@ -10,7 +10,9 @@ import pytest
 
 from ffnet import init_network, make_rng
 from ffnet.checkpoint import config_hash, save_checkpoint
-from ffnet.data import write_idx
+from ffnet.data import draw_eval_sample, write_idx
+from ffnet.entropy import entropy_decompose
+from ffnet.ff import label_goodness_scores, linked_goodness
 from ffnet.nn import DenseLayer, ForwardTrace, MlpNetwork, forward_from_pre
 from ffnet.runner import RunConfig
 from ffnet.synth import synthetic_dataset
@@ -26,6 +28,20 @@ SIGMOID_EDGES = np.array([
 # The methods whose objective reads theta; any other method's run rejects a
 # theta other than the default.
 THETA_METHODS = ("ff", "collab_ff", "bp_pairwise")
+
+
+def assert_both_report_is_stacked(reports, net, ds, n_samples: int, seed: int) -> None:
+    """The ``both`` entropy report of ``goodness_entropy_reports(net, ds,
+    n_samples, seed)`` decomposes the positive and the negative goodness tables
+    of its evaluation sample stacked, two rows per sample."""
+    _, sample, wrong = draw_eval_sample(ds, n_samples, seed)
+    scores = label_goodness_scores(net, sample)
+    positive = linked_goodness(scores, sample.labels)
+    stacked = np.vstack([positive, linked_goodness(scores, wrong)])
+    assert stacked.shape == (2 * sample.n, len(net.layers))
+    want, got = entropy_decompose(stacked), reports["both"]
+    assert (got.overall, got.across_layers) == (want.overall, want.across_layers)
+    assert got.within_layer.tobytes() == want.within_layer.tobytes()
 
 
 def theta_for(method: str, theta: float) -> float:
@@ -138,7 +154,7 @@ def write_mnist_fixture(root, name: str = "mnist", n_train: int = 240, n_test: i
     mnist_dir = root / name
     mnist_dir.mkdir(parents=True)
     for prefix, n, split in (("train", n_train, "train"), ("t10k", n_test, "test")):
-        ds = synthetic_dataset(n, d=784, seed=20, split=split, name=name)
+        ds = synthetic_dataset(n, d=784, seed=20, split=split)
         images = (ds.images * 255.0).round().astype(np.uint8).reshape(-1, 28, 28)
         write_idx(mnist_dir / f"{prefix}-images-idx3-ubyte.gz", images)
         write_idx(mnist_dir / f"{prefix}-labels-idx1-ubyte.gz", ds.labels.astype(np.uint8))

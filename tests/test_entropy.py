@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import assert_both_report_is_stacked
 
 from ffnet.entropy import (
     EntropyReport,
@@ -136,7 +137,7 @@ class TestGoodnessEntropyReports:
             assert report.overall >= -1e-12
             recomposed = report.across_layers + report.within_layer.mean()
             assert abs(report.overall - recomposed) <= 1e-9
-        assert reports["both"].sample_count == 200  # pos + neg rows pooled
+        assert_both_report_is_stacked(reports, net, test_ds, 100, seed=0)
 
     def test_same_seed_same_reports(self, small_trained_net):
         net, _, test_ds = small_trained_net

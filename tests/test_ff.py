@@ -13,6 +13,7 @@ from conftest import (
     traced_peak,
 )
 
+from ffnet import nn
 from ffnet.data import Dataset, draw_eval_sample, link_inputs, make_linked_batches
 from ffnet.errors import ConfigError, DataFormatError, DomainError, ShapeError
 from ffnet.ff import (
@@ -31,7 +32,7 @@ from ffnet.ff import (
 from ffnet.fetch import fetch_dataset, load_dataset
 from ffnet.linalg import l2_row_normalize, make_rng, relu, row_sumsq
 from ffnet.nn import backprop_updates, forward_pass, init_network, layer_local_grad
-from ffnet.runner import RunConfig
+from ffnet.runner import METHOD_TABLE, RunConfig
 from ffnet.synth import synthetic_dataset, synthetic_pair
 
 
@@ -422,6 +423,68 @@ class TestSchedules:
         assert [(r["epoch"], r["layer"]) for r in rows] == [(1, 1), (2, 1), (3, 2), (4, 2)]
         assert all(r["split"] == "train" for r in rows)
 
+
+class TestCollaborationCostCount:
+    """The paper says collaboration needs no additional computation. The cost
+    counted here is linked rows times layers computed, summed over every
+    ``nn.forward_from_pre`` call of one ``ff.train``. An epoch links each of
+    n samples twice. Under ``layerwise`` a stage computes the layers up to
+    the staged one, or all L layers under ``all_other_layers``, whose gamma
+    reads the untrained layers above; under ``alternating`` an epoch
+    computes every layer once. For E epochs per stage that is nE*L(L+1),
+    2nE*L**2 and 2nE*L."""
+
+    # 40 samples, batch 10, 1 epoch, a 3-layer net.
+    CELLS = {
+        ("layerwise", "none"): 480,
+        ("layerwise", "predecessors_only"): 480,
+        ("layerwise", "all_other_layers"): 720,
+        ("alternating", "none"): 240,
+        ("alternating", "predecessors_only"): 240,
+        ("alternating", "all_other_layers"): 240,
+    }
+
+    @staticmethod
+    def _count(depth, schedule, gamma_mode, n=40, epochs=1):
+        """Rows times layers of every forward of one ``ff.train``."""
+        counted = []
+        forward_from_pre = nn.forward_from_pre
+
+        def counting(net, first_pre, upto=None, classic=False, keep=None):
+            counted.append(len(first_pre) * (net.depth if upto is None else upto))
+            return forward_from_pre(net, first_pre, upto, classic, keep)
+
+        cfg = FfConfig(theta=3.0, schedule=schedule, gamma_mode=gamma_mode,
+                       epochs=epochs, batch_size=10, seed=1)
+        net = init_network([22] + [8] * depth, make_rng(0))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nn, "forward_from_pre", counting)
+            train(net, synthetic_dataset(n, d=12, seed=5), cfg)
+        return sum(counted)
+
+    @pytest.mark.parametrize("schedule, gamma_mode", list(CELLS))
+    def test_each_cell_counts_as_pinned(self, schedule, gamma_mode):
+        assert self._count(3, schedule, gamma_mode) == self.CELLS[schedule, gamma_mode]
+
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_the_counts_follow_the_formulas_at_any_depth(self, depth):
+        n, epochs, L = 20, 2, depth
+        counts = {
+            cell: self._count(depth, *cell, n=n, epochs=epochs) for cell in self.CELLS
+        }
+        for gamma_mode in ("none", "predecessors_only"):
+            assert counts["layerwise", gamma_mode] == n * epochs * L * (L + 1)
+        assert counts["layerwise", "all_other_layers"] == 2 * n * epochs * L**2
+        # Under alternating, gamma reads goodness the forward already computed.
+        for gamma_mode in ("none", "predecessors_only", "all_other_layers"):
+            assert counts["alternating", gamma_mode] == 2 * n * epochs * L
+
+    def test_collab_ff_counts_no_more_than_ff_at_equal_epochs(self):
+        ff_count, collab_count = (
+            self._count(3, METHOD_TABLE[method].schedule, METHOD_TABLE[method].gamma_mode)
+            for method in ("ff", "collab_ff")
+        )
+        assert collab_count <= ff_count
 
 
 class TestDivergence:

@@ -6,6 +6,7 @@ from conftest import SIGMOID_EDGES
 
 from ffnet.errors import ShapeError
 from ffnet.linalg import (
+    NORM_EPSILON,
     as_matrix,
     l2_row_normalize,
     make_rng,
@@ -62,42 +63,29 @@ class TestSigmoid:
 
 class TestRowNormalize:
     def test_three_four_five(self):
-        out = l2_row_normalize(np.array([[3.0, 4.0]]), epsilon=0.0)
+        out = l2_row_normalize(np.array([[3.0, 4.0]]))
         np.testing.assert_allclose(out, [[0.6, 0.8]])
 
     def test_zero_row_stays_zero_without_nan(self):
-        for eps in (0.0, 1e-8):
-            out = l2_row_normalize(np.zeros((2, 3)), epsilon=eps)
-            assert np.all(np.isfinite(out))
-            np.testing.assert_array_equal(out, np.zeros((2, 3)))
+        out = l2_row_normalize(np.zeros((2, 3)))
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
-    def test_output_norm_is_one_with_zero_epsilon(self, rng):
-        rows = rng.standard_normal((20, 6)) + 0.1
-        out = l2_row_normalize(rows, epsilon=0.0)
-        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
-
-    def test_norm_bounds_with_default_epsilon(self, rng):
+    def test_norm_is_just_under_one(self, rng):
         rows = rng.uniform(0.1, 2.0, size=(50, 8))
         out = l2_row_normalize(rows)
         norms = np.linalg.norm(out, axis=1)
         row_norms = np.linalg.norm(rows, axis=1)
         assert np.all(norms <= 1.0 + 1e-15)
-        assert np.all(norms >= 1.0 - 1e-8 / row_norms - 1e-15)
+        assert np.all(norms >= 1.0 - NORM_EPSILON / row_norms - 1e-15)
 
     def test_matches_norm_division_bitwise(self, rng):
         rows = np.maximum(rng.standard_normal((40, 500)), 0.0)
         rows[[3, 17]] = 0.0
         before = rows.tobytes()
-        for eps in (0.0, 1e-8):
-            with np.errstate(invalid="ignore"):  # 0/0 on the zero rows
-                want = rows / (np.linalg.norm(rows, axis=1, keepdims=True) + eps)
-            want[[3, 17]] = 0.0
-            assert l2_row_normalize(rows, epsilon=eps).tobytes() == want.tobytes()
+        want = rows / (np.linalg.norm(rows, axis=1, keepdims=True) + NORM_EPSILON)
+        assert l2_row_normalize(rows).tobytes() == want.tobytes()
         assert rows.tobytes() == before
-
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            l2_row_normalize(np.ones((1, 2)), epsilon=-1.0)
 
 
 class TestRng:

@@ -21,6 +21,7 @@ each of which updates every layer, so each layer gets k*E passes: k times
 from functools import lru_cache
 
 import pytest
+from conftest import assert_both_report_is_stacked
 
 from ffnet.analysis import default_subset_family, evaluate_subsets
 from ffnet.entropy import goodness_entropy_reports
@@ -121,7 +122,7 @@ def test_goodness_separates_positive_from_negative():
     """After vanilla training, true-label inputs score above wrong-label ones."""
     train_ds, test_ds, vanilla, *_ = _trained_pair(3)
     reports = goodness_entropy_reports(vanilla, test_ds, 300, seed=1)
-    assert reports["positive"].sample_count == reports["negative"].sample_count
+    assert_both_report_is_stacked(reports, vanilla, test_ds, 300, seed=1)
     from ffnet.data import link_inputs, sample_wrong_labels
     from ffnet.ff import goodness_table
     from ffnet.nn import forward_pass

@@ -36,6 +36,12 @@ def tiny_data():
     return synthetic_pair(300, 120, d=24, seed=2)
 
 
+def mnist_test_split(n: int) -> Dataset:
+    """``n`` synthetic 784-pixel samples as an MNIST test split."""
+    ds = synthetic_dataset(n, d=784, seed=4, split="test")
+    return Dataset(ds.pixels, ds.labels, "mnist", "test")
+
+
 class TestRunConfig:
     def test_method_defaults_resolve(self):
         cfg = RunConfig(dataset="mnist", method="collab_ff").resolved()
@@ -366,7 +372,7 @@ class TestEntropyTestSize:
 
     def test_evaluate_checkpoint_writes_no_report(self, tmp_path, monkeypatch):
         for method, n_test, message in self.CASES:
-            test_ds = synthetic_dataset(n_test, d=784, seed=4, split="test", name="mnist")
+            test_ds = mnist_test_split(n_test)
             monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
             checkpoint = tmp_path / f"{method}.npz"
             dims = [784, 6, 10] if method == "bp_classic" else [794, 6, 5]
@@ -414,7 +420,7 @@ class TestEvaluateCheckpointChecksFirst:
         assert not (tmp_path / "eval").exists()
 
     def test_test_split_of_another_width_is_a_config_error(self, tmp_path, monkeypatch):
-        test_ds = synthetic_dataset(20, d=3072, seed=4, split="test", name="synthetic")
+        test_ds = synthetic_dataset(20, d=3072, seed=4, split="test")
         monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
         message = r"^layer_dims\[0\] must be 3082 for ff on synthetic test, got 794$"
         checkpoint = self._checkpoint(tmp_path)
@@ -426,7 +432,7 @@ class TestEvaluateCheckpointChecksFirst:
     def test_a_report_that_fails_leaves_no_file(self, tmp_path, monkeypatch):
         """Finite but huge first-layer weights score as infinite goodness: the
         eval fails on the scores, naming the layer, and writes no report."""
-        test_ds = synthetic_dataset(40, d=784, seed=4, split="test", name="mnist")
+        test_ds = mnist_test_split(40)
         monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
         checkpoint = tmp_path / "checkpoint.npz"
         dims = [794, 6, 5]
@@ -444,7 +450,7 @@ class TestEvaluateCheckpointChecksFirst:
     def test_a_report_that_fails_after_the_others_leaves_no_file(self, tmp_path, monkeypatch):
         """The subset and marginal reports are computed before the entropy report,
         and none is written when the entropy report fails."""
-        test_ds = synthetic_dataset(40, d=784, seed=4, split="test", name="mnist")
+        test_ds = mnist_test_split(40)
         monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
 
         def fail(positive, negative):
@@ -468,7 +474,7 @@ class TestEvaluateCheckpointChecksFirst:
         """A goodness method names the first layer whose goodness overflows,
         though the layers above it overflow too; the classic head's logits are
         the one score of its network, so it names the head."""
-        test_ds = synthetic_dataset(40, d=784, seed=4, split="test", name="mnist")
+        test_ds = mnist_test_split(40)
         monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
         dims = [794, 6, 5, 4] if METHOD_TABLE[method].linked else [784, 6, 5, 10]
         net = init_network(dims, make_rng(0))
@@ -490,7 +496,7 @@ class TestRetiredSettingsInCheckpoints:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_stored_retired_settings_change_no_report(self, tmp_path, monkeypatch, method):
-        test_ds = synthetic_dataset(40, d=784, seed=4, split="test", name="mnist")
+        test_ds = mnist_test_split(40)
         monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
         dims = [794, 6, 5] if METHOD_TABLE[method].linked else [784, 6, 10]
         net = init_network(dims, make_rng(0))
@@ -610,7 +616,7 @@ class TestFinalNetworkScoredOnce:
     def test_checkpoint_without_a_dataset_is_resolved_for_the_given_one(
         self, tmp_path, monkeypatch
     ):
-        test_ds = synthetic_dataset(40, d=3072, seed=4, split="test", name="synthetic")
+        test_ds = synthetic_dataset(40, d=3072, seed=4, split="test")
         monkeypatch.setattr(runner, "load_dataset", lambda name, split, data_dir: test_ds)
         checkpoint = tmp_path / "checkpoint.npz"
         dims = [3082, 6, 5]
@@ -718,7 +724,7 @@ class TestArtifactModes:
 class TestNormalizationBackwardEdgeCases:
     def test_zero_row_uses_linear_branch(self):
         grad = np.array([[1.0, 2.0, 3.0]])
-        out = l2_row_normalize_vjp(np.zeros((1, 3)), np.zeros((1, 3)), grad, epsilon=1e-8)
+        out = l2_row_normalize_vjp(np.zeros((1, 3)), np.zeros((1, 3)), grad)
         np.testing.assert_allclose(out, grad / 1e-8)
 
     def test_mixed_zero_and_live_rows(self, rng):

@@ -602,3 +602,52 @@ def test_the_check_finds_a_relu_mask_multiply():
         "backprop_updates (line 6)",
         "the module (line 8)",
     ]
+
+
+def epsilon_sites(source: str) -> list[str]:
+    """Parameters named ``epsilon`` (of a function or a lambda) and stores to
+    ``NORM_EPSILON`` (by name or as an attribute), each named by its
+    innermost enclosing function."""
+    found = []
+    for owner, node in owned_nodes(source):
+        if isinstance(node, ast.arg) and node.arg == "epsilon":
+            found.append(f"epsilon parameter of {owner} (line {node.lineno})")
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name == "NORM_EPSILON":
+                found.append(f"NORM_EPSILON stored in {owner} (line {node.lineno})")
+    return found
+
+
+def test_the_normalization_has_one_epsilon():
+    """The map between layers is a / (||a|| + NORM_EPSILON), forward and
+    backward: ``linalg`` sets the constant once, and no function takes
+    another epsilon."""
+    found = [
+        f"{path.name}: {site.split(' (line')[0]}"
+        for path in PACKAGE
+        for site in epsilon_sites(path.read_text())
+    ]
+    assert found == ["linalg.py: NORM_EPSILON stored in the module"]
+
+
+def test_the_check_finds_an_epsilon_parameter_or_store():
+    source = (
+        "from .linalg import NORM_EPSILON, NORM_EPSILON as eps\n"
+        "NORM_EPSILON = 1e-8\n"
+        "def l2_row_normalize(a, epsilon=NORM_EPSILON):\n"
+        "    scale = lambda *, epsilon: a / epsilon\n"
+        "    return scale(epsilon=eps)\n"
+        "def vjp(act, eps_value=1e-8):\n"
+        "    global NORM_EPSILON\n"
+        "    NORM_EPSILON += 1.0\n"
+        "    linalg.NORM_EPSILON = eps_value\n"
+        "    return act / (linalg.NORM_EPSILON + NORM_EPSILON)\n"
+    )
+    assert epsilon_sites(source) == [
+        "NORM_EPSILON stored in the module (line 2)",
+        "epsilon parameter of l2_row_normalize (line 3)",
+        "epsilon parameter of l2_row_normalize (line 4)",
+        "NORM_EPSILON stored in vjp (line 8)",
+        "NORM_EPSILON stored in vjp (line 9)",
+    ]
